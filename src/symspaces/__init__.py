@@ -7,7 +7,6 @@ from .lts import (
     LinearSubspace,
     LtsMorphism,
     SymmetricLieAlgebra,
-    bracket,
     check_lts_axioms,
     displacement_algebra,
     ideal_bracket_plus_n,

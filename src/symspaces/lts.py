@@ -11,6 +11,7 @@ psi-representation machinery built on top of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "SymmetricLieAlgebra",
     "LtsAxiomReport",
     "check_lts_axioms",
-    "bracket",
     "is_subsystem",
     "is_ideal",
     "ideal_report",
@@ -50,7 +50,11 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearSubspace:
-    """Subspace of R^ambient_dim spanned by the rows of ``basis``."""
+    """Subspace of R^ambient_dim spanned by the rows of ``basis``.
+
+    ``basis`` is stored as a read-only copy, so quantities derived from it
+    (the orthonormal basis) are computed once per instance.
+    """
 
     ambient_dim: int
     basis: np.ndarray  # shape (k, ambient_dim), linearly independent rows
@@ -63,6 +67,8 @@ class LinearSubspace:
             raise ValueError("basis vectors do not match the ambient dimension")
         if b.shape[0] and numerical_rank(b) != b.shape[0]:
             raise ValueError("basis rows are linearly dependent")
+        b = b.copy()
+        b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
     @classmethod
@@ -90,12 +96,22 @@ class LinearSubspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def onb(self) -> np.ndarray:
-        """Orthonormal row basis (deterministic, via SVD)."""
+    @cached_property
+    def _onb(self) -> np.ndarray:
         if self.dim == 0:
             return self.basis
         _, _, vt = np.linalg.svd(self.basis)
-        return vt[: self.dim]
+        q = vt[: self.dim]
+        q.flags.writeable = False
+        return q
+
+    def onb(self) -> np.ndarray:
+        """Orthonormal row basis (deterministic, via SVD).
+
+        Computed once per instance and returned read-only; copy it before
+        mutating.
+        """
+        return self._onb
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``v`` onto the subspace."""
@@ -109,6 +125,26 @@ class LinearSubspace:
     def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         v = np.asarray(v, dtype=float)
         return self.distance(v) <= tol.threshold(max(np.linalg.norm(v), 1.0))
+
+    def _rows(self, vectors) -> np.ndarray:
+        v = np.asarray(vectors, dtype=float)
+        if v.ndim != 2:
+            v = v.reshape(-1, self.ambient_dim)
+        if v.shape[1] != self.ambient_dim:
+            raise ValueError("vectors do not match the ambient dimension")
+        return v
+
+    def distances(self, vectors) -> np.ndarray:
+        """Distance of each row of ``vectors`` (shape ``(k, ambient_dim)``)."""
+        v = self._rows(vectors)
+        q = self.onb()
+        return np.linalg.norm(v - (v @ q.T) @ q, axis=1)
+
+    def contains_all(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """True iff every row lies in the subspace, each by the test of :meth:`contains`."""
+        v = self._rows(vectors)
+        scale = np.maximum(np.linalg.norm(v, axis=1), 1.0)
+        return bool(np.all(self.distances(v) <= tol.abs_eps + tol.rel_eps * scale))
 
     def contains_subspace(self, other: "LinearSubspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         if other.dim == 0:
@@ -209,13 +245,12 @@ def check_lts_axioms(m: LieTripleSystem) -> LtsAxiomReport:
     return LtsAxiomReport(anti, cyc, der)
 
 
-def bracket(m: LieTripleSystem, x, y, z) -> np.ndarray:
-    return m.bracket(x, y, z)
-
-
 def _basis_brackets(m: LieTripleSystem, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """All brackets [u, v, w] for u in rows(a), v in rows(b), w in rows(c)."""
-    return np.einsum("ijkl,ai,bj,ck->abcl", m.tensor, a, b, c).reshape(-1, m.dim)
+    t = np.tensordot(a, m.tensor, axes=(1, 0))  # (a, j, k, l)
+    t = np.tensordot(b, t, axes=(1, 1))  # (b, a, k, l)
+    t = np.tensordot(c, t, axes=(1, 2))  # (c, b, a, l)
+    return t.transpose(2, 1, 0, 3).reshape(-1, m.dim)
 
 
 def is_subsystem(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -224,8 +259,8 @@ def is_subsystem(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
         raise ValueError("subspace ambient dimension does not match the system")
     if n.dim == 0:
         return True
-    vals = _basis_brackets(m, n.onb(), n.onb(), n.onb())
-    return all(n.contains(v, tol) for v in vals)
+    q = n.onb()
+    return n.contains_all(_basis_brackets(m, q, q, q), tol)
 
 
 def ideal_report(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> dict:
@@ -236,8 +271,7 @@ def ideal_report(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     q = n.onb()
 
     def worst(a, b, c):
-        vals = _basis_brackets(m, a, b, c)
-        return max((n.distance(v) for v in vals), default=0.0)
+        return float(np.max(n.distances(_basis_brackets(m, a, b, c)), initial=0.0))
 
     if n.dim == 0:
         slot1 = worst(np.zeros((0, m.dim)), full, full)
@@ -368,6 +402,17 @@ class SymmetricLieAlgebra:
         """ad(x) = [x, .] as a (dim x dim) matrix."""
         return np.einsum("ijl,i->lj", self.bracket_tensor, np.asarray(x, dtype=float))
 
+    def brackets_within(
+        self, left: np.ndarray, right: np.ndarray, sub: LinearSubspace, tol: Tolerance = DEFAULT_TOL
+    ) -> bool:
+        """True iff [u, v] lies in ``sub`` for every row u of ``left`` and v of ``right``.
+
+        With ``left = sub.basis`` and ``right`` the identity this is the
+        Lie-ideal test; with both the onb of ``sub``, subalgebra closure.
+        """
+        vals = np.tensordot(np.tensordot(left, self.bracket_tensor, axes=(1, 0)), right, axes=(1, 1))
+        return sub.contains_all(vals.transpose(0, 2, 1).reshape(-1, self.dim), tol)
+
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> dict:
         """Residuals of antisymmetry, Jacobi, theta^2=id, theta automorphism,
         eigenspace correctness and spanning."""
@@ -473,9 +518,8 @@ def standard_embedding(
 def _require_minus_subspace(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance):
     if n.ambient_dim != g.dim:
         raise ValueError("subspace must live in the algebra's coordinate space")
-    for row in n.basis:
-        if not g.minus_basis.contains(row, tol):
-            raise ValueError("subspace is not contained in the (-1)-eigenspace")
+    if not g.minus_basis.contains_all(n.basis, tol):
+        raise ValueError("subspace is not contained in the (-1)-eigenspace")
 
 
 def _minus_coords_subspace(g: SymmetricLieAlgebra, n: LinearSubspace, q: np.ndarray) -> LinearSubspace:
@@ -538,14 +582,10 @@ def psi_representation(
 def _verify_theta_invariant_ideal(
     g: SymmetricLieAlgebra, l: LinearSubspace, tol: Tolerance, what: str
 ) -> None:
-    for row in l.basis:
-        if not l.contains(g.theta @ row, tol):
-            raise VerificationError(f"{what} is not theta-invariant")
-    full = np.eye(g.dim)
-    for row in l.basis:
-        for e in full:
-            if not l.contains(g.bracket_vec(row, e), tol):
-                raise VerificationError(f"{what} is not a Lie ideal")
+    if not l.contains_all(l.basis @ g.theta.T, tol):
+        raise VerificationError(f"{what} is not theta-invariant")
+    if not g.brackets_within(l.basis, np.eye(g.dim), l, tol):
+        raise VerificationError(f"{what} is not a Lie ideal")
 
 
 def ideal_ker_psi_plus_n(
@@ -583,13 +623,10 @@ def displacement_algebra(g: SymmetricLieAlgebra, tol: Tolerance = DEFAULT_TOL) -
     brackets = np.einsum("ijl,ai,bj->abl", g.bracket_tensor, q, q).reshape(-1, g.dim)
     parts = np.vstack([brackets, g.minus_basis.basis]) if brackets.size else g.minus_basis.basis
     sub = LinearSubspace.span(parts, g.dim, tol)
-    for row in sub.basis:
-        if not sub.contains(g.theta @ row, tol):
-            raise VerificationError("displacement algebra is not theta-invariant")
-    for x in sub.onb():
-        for y in sub.onb():
-            if not sub.contains(g.bracket_vec(x, y), tol):
-                raise VerificationError("displacement algebra is not a subalgebra")
+    if not sub.contains_all(sub.basis @ g.theta.T, tol):
+        raise VerificationError("displacement algebra is not theta-invariant")
+    if not g.brackets_within(sub.onb(), sub.onb(), sub, tol):
+        raise VerificationError("displacement algebra is not a subalgebra")
     return sub
 
 

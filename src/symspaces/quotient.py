@@ -239,18 +239,17 @@ def quotient_theorem_pipeline(
     )
 
     proj_algebra = embed_minus[:, p:] if m_out else np.zeros((0, m))
+    comp_mats = np.tensordot(comp, pair.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
 
     def project_point(x: SymPoint) -> SymPoint:
         if x.pair is not pair:
             raise ValueError("point does not belong to the source pair")
+        if not d_out:
+            return SymPoint.from_rep(qpair, np.eye(1))
         g = x.rep
-        gi = np.linalg.inv(g)
-        cols = []
-        for b in range(d_out):
-            mat = pair.to_matrix(comp[b])
-            cols.append(comp @ pair.matrix_coords(g @ mat @ gi))
-        rep = np.array(cols).T if d_out else np.eye(1)
-        return SymPoint.from_rep(qpair, rep)
+        # column b: the complement coordinates of Ad(g) applied to comp[b]
+        coords = pair.matrix_coords(g @ comp_mats @ np.linalg.inv(g))
+        return SymPoint.from_rep(qpair, comp @ coords.T)
 
     relation = congruence_from_ideal(pair, n)
     report = {

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lts import LinearSubspace, SymmetricLieAlgebra, VerificationError
+from .lts import LieTripleSystem, LinearSubspace, SymmetricLieAlgebra, VerificationError
 from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, mat_exp, mat_log, op_norm
 
 __all__ = [
@@ -146,17 +146,36 @@ class MatrixSymmetricPair:
         return np.tensordot(coords, self.basis_mats, axes=1)
 
     def matrix_coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of an algebra element; raises if x is not in the span."""
-        x = as_matrix(x, square=True)
+        """Coordinates of an algebra element; raises if x is not in the span.
+
+        ``x`` may also be a ``(k, n, n)`` stack: one least-squares solve then
+        gives one coordinate row per matrix, and each matrix must pass the
+        residual check on its own.
+        """
+        x = np.array(x, dtype=float)
+        single = x.ndim == 2
+        if single:
+            x = x[None]
+        if x.ndim != 3:
+            raise ValueError(f"expected a 2-D matrix or a stack of them, got ndim={x.ndim}")
+        if x.shape[1] != x.shape[2]:
+            raise ValueError(f"expected a square matrix, got shape {x.shape[1:]}")
+        if x.size and not np.isfinite(x).all():
+            raise ValueError("matrix entries must be finite")
+        flat = x.reshape(x.shape[0], x.shape[1] * x.shape[2]).T  # one column per matrix
+        norms = np.linalg.norm(flat, axis=0)
+        cut = self.tol.abs_eps + self.tol.rel_eps * np.maximum(norms, 1.0)
         if self.dim == 0:
-            if not self.tol.is_zero(x, max(np.linalg.norm(x), 1.0)):
+            if np.any(norms > cut):
                 raise ValueError("matrix does not lie in the (zero) algebra")
-            return np.zeros(0)
-        coords, *_ = np.linalg.lstsq(self._flat_basis, x.reshape(-1), rcond=None)
-        resid = np.linalg.norm(self._flat_basis @ coords - x.reshape(-1))
-        if resid > self.tol.threshold(max(np.linalg.norm(x), 1.0)):
-            raise ValueError(f"matrix does not lie in the algebra (residual {resid:.2e})")
-        return coords
+            coords = np.zeros((0, x.shape[0]))
+        else:
+            coords, *_ = np.linalg.lstsq(self._flat_basis, flat, rcond=None)
+            resid = np.linalg.norm(self._flat_basis @ coords - flat, axis=0)
+            bad = resid > cut
+            if bad.any():
+                raise ValueError(f"matrix does not lie in the algebra (residual {resid[np.argmax(bad)]:.2e})")
+        return coords[:, 0] if single else coords.T
 
     def minus_to_matrix(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -214,6 +233,28 @@ class MatrixSymmetricPair:
                 t[i, j] = c
                 t[j, i] = -c
         return t
+
+    @cached_property
+    def triple_system(self) -> LieTripleSystem:
+        """The Lie triple system [x, y, z] = [[x, y], z] on g_minus coordinates.
+
+        Raises if a double commutator leaves g_minus, which would mean the
+        eigenspace invariants of the pair are broken.  The tensor is read-only.
+        """
+        m = self.dim_minus
+        tensor = np.zeros((m, m, m, m))
+        mats = self.minus_mats
+        for i in range(m):
+            for j in range(m):
+                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+                for kk in range(m):
+                    val = comm @ mats[kk] - mats[kk] @ comm
+                    try:
+                        tensor[i, j, kk] = self.matrix_to_minus(val)
+                    except ValueError as exc:
+                        raise VerificationError(f"triple bracket left g_minus: {exc}")
+        tensor.flags.writeable = False
+        return LieTripleSystem(m, tensor, label=self.label)
 
     @cached_property
     def theta_coords(self) -> np.ndarray:
@@ -341,15 +382,6 @@ def trotter_group_commutator(pair: MatrixSymmetricPair, x: np.ndarray, y: np.nda
     return np.linalg.matrix_power(step, k * k)
 
 
-def _is_lie_ideal(pair: MatrixSymmetricPair, sub: LinearSubspace) -> bool:
-    alg = pair.algebra()
-    for row in sub.basis:
-        for e in np.eye(pair.dim):
-            if not sub.contains(alg.bracket_vec(row, e), pair.tol):
-                return False
-    return True
-
-
 def relation_group_product(
     pair: MatrixSymmetricPair,
     l_algebra: LinearSubspace,
@@ -363,7 +395,7 @@ def relation_group_product(
     second coordinate is checked to stay in L through its log whenever the
     principal log is defined.
     """
-    if not _is_lie_ideal(pair, l_algebra):
+    if not pair.algebra().brackets_within(l_algebra.basis, np.eye(pair.dim), l_algebra, pair.tol):
         raise ValueError("L must integrate a Lie ideal of the pair's algebra")
     g1, l1 = (as_matrix(a, square=True) for a in first)
     g2, l2 = (as_matrix(a, square=True) for a in second)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lts import LieTripleSystem, VerificationError
+from .lts import LieTripleSystem
 from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, mat_exp, mat_log, op_norm
 from .sympair import MatrixSymmetricPair, PairMorphism, group_sigma
 
@@ -255,21 +255,10 @@ def lts_of_pair(pair: MatrixSymmetricPair) -> LieTripleSystem:
     """Structure tensor of [x, y, z] = [[x, y], z] on g_minus coordinates.
 
     Raises if a double commutator leaves g_minus, which would mean the
-    eigenspace invariants of the pair are broken.
+    eigenspace invariants of the pair are broken.  Built once per pair
+    (:attr:`MatrixSymmetricPair.triple_system`); the tensor is read-only.
     """
-    m = pair.dim_minus
-    tensor = np.zeros((m, m, m, m))
-    mats = pair.minus_mats
-    for i in range(m):
-        for j in range(m):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            for kk in range(m):
-                val = comm @ mats[kk] - mats[kk] @ comm
-                try:
-                    tensor[i, j, kk] = pair.matrix_to_minus(val)
-                except ValueError as exc:
-                    raise VerificationError(f"triple bracket left g_minus: {exc}")
-    return LieTripleSystem(m, tensor, label=pair.label)
+    return pair.triple_system
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import symspaces
 from symspaces.cli import EXIT_CHECK_FAILED, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from symspaces.lts import algebra_to_json
 from symspaces.symspace import lts_of_pair
@@ -203,3 +207,32 @@ class TestDeterminism:
         main(argv + ["--out", str(out1)])
         main(argv + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quotient", "--model", "product(sphere(3),sphere(3))", "--ideal", "left_factor"],
+            ["quotient", "--model", "spd(3)", "--ideal", "center"],
+            ["subspace", "--model", "grassmann(2,5)"],
+        ],
+    )
+    def test_repeated_ops_in_one_process_print_the_same_bytes(self, capsys, argv):
+        # every op builds a fresh pair, so per-instance caches must not leak
+        # state from one op into the next
+        runs = []
+        for _ in range(2):
+            code = main(argv + ["--seed", "7"])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0][1]
+        assert runs[0] == runs[1]
+
+
+def test_cli_import_loads_neither_scipy_nor_sympy():
+    code = (
+        "import sys, symspaces.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy'}))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symspaces.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
