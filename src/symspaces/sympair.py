@@ -88,6 +88,23 @@ def _stack_flat(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(mats.shape[0], -1).T if mats.size else np.zeros((0, 0))
 
 
+def _span_cut(flat: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Per-column residual threshold ``tol.threshold(max(|column|, 1))``."""
+    return tol.abs_eps + tol.rel_eps * np.maximum(np.linalg.norm(flat, axis=0), 1.0)
+
+
+def _column_coords(basis: np.ndarray, flat: np.ndarray, tol: Tolerance):
+    """Least-squares coordinates of each column of ``flat`` in the columns of ``basis``.
+
+    Also returns the residual of the first column outside the span by
+    :func:`_span_cut`, or None when every column passes.
+    """
+    coords, *_ = np.linalg.lstsq(basis, flat, rcond=None)
+    resid = np.linalg.norm(basis @ coords - flat, axis=0)
+    bad = resid > _span_cut(flat, tol)
+    return coords, (resid[np.argmax(bad)] if bad.any() else None)
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixSymmetricPair:
     """Connected matrix group with involution, given at the algebra level."""
@@ -163,18 +180,14 @@ class MatrixSymmetricPair:
         if x.size and not np.isfinite(x).all():
             raise ValueError("matrix entries must be finite")
         flat = x.reshape(x.shape[0], x.shape[1] * x.shape[2]).T  # one column per matrix
-        norms = np.linalg.norm(flat, axis=0)
-        cut = self.tol.abs_eps + self.tol.rel_eps * np.maximum(norms, 1.0)
         if self.dim == 0:
-            if np.any(norms > cut):
+            if np.any(np.linalg.norm(flat, axis=0) > _span_cut(flat, self.tol)):
                 raise ValueError("matrix does not lie in the (zero) algebra")
             coords = np.zeros((0, x.shape[0]))
         else:
-            coords, *_ = np.linalg.lstsq(self._flat_basis, flat, rcond=None)
-            resid = np.linalg.norm(self._flat_basis @ coords - flat, axis=0)
-            bad = resid > cut
-            if bad.any():
-                raise ValueError(f"matrix does not lie in the algebra (residual {resid[np.argmax(bad)]:.2e})")
+            coords, worst = _column_coords(self._flat_basis, flat, self.tol)
+            if worst is not None:
+                raise ValueError(f"matrix does not lie in the algebra (residual {worst:.2e})")
         return coords[:, 0] if single else coords.T
 
     def minus_to_matrix(self, v) -> np.ndarray:
@@ -220,7 +233,10 @@ class MatrixSymmetricPair:
 
     @cached_property
     def structure_tensor(self) -> np.ndarray:
-        """Structure constants of the matrix commutator; closure is enforced."""
+        """Structure constants of the matrix commutator; closure is enforced.
+
+        The tensor is read-only: it is shared with :meth:`algebra`.
+        """
         d = self.dim
         t = np.zeros((d, d, d))
         for i in range(d):
@@ -232,6 +248,7 @@ class MatrixSymmetricPair:
                     raise VerificationError(f"algebra basis is not closed under commutator: {exc}")
                 t[i, j] = c
                 t[j, i] = -c
+        t.flags.writeable = False
         return t
 
     @cached_property
@@ -239,34 +256,47 @@ class MatrixSymmetricPair:
         """The Lie triple system [x, y, z] = [[x, y], z] on g_minus coordinates.
 
         Raises if a double commutator leaves g_minus, which would mean the
-        eigenspace invariants of the pair are broken.  The tensor is read-only.
+        eigenspace invariants of the pair are broken.  Built one first index
+        at a time: the ``(m, m)`` double commutators [[x_i, x_j], x_k] of one
+        ``i`` go through one least-squares solve, and each must pass the
+        residual test of :meth:`matrix_to_minus` on its own.  The tensor is
+        read-only.
         """
-        m = self.dim_minus
+        m, n = self.dim_minus, self.ambient_n
         tensor = np.zeros((m, m, m, m))
         mats = self.minus_mats
         for i in range(m):
-            for j in range(m):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                for kk in range(m):
-                    val = comm @ mats[kk] - mats[kk] @ comm
-                    try:
-                        tensor[i, j, kk] = self.matrix_to_minus(val)
-                    except ValueError as exc:
-                        raise VerificationError(f"triple bracket left g_minus: {exc}")
+            comm = mats[i] @ mats - mats @ mats[i]  # [x_i, x_j], one per j
+            vals = comm[:, None] @ mats - mats @ comm[:, None]  # [[x_i, x_j], x_k] at (j, k)
+            flat = vals.reshape(m * m, n * n).T  # one column per (j, k)
+            coords, worst = _column_coords(self._flat_minus, flat, self.tol)
+            if worst is not None:
+                raise VerificationError(f"triple bracket left g_minus: matrix is not in g_minus (residual {worst:.2e})")
+            tensor[i] = coords.T.reshape(m, m, m)
         tensor.flags.writeable = False
         return LieTripleSystem(m, tensor, label=self.label)
 
     @cached_property
     def theta_coords(self) -> np.ndarray:
-        return np.diag([1.0] * self.dim_plus + [-1.0] * self.dim_minus) if self.dim else np.zeros((0, 0))
+        th = np.diag([1.0] * self.dim_plus + [-1.0] * self.dim_minus) if self.dim else np.zeros((0, 0))
+        th.flags.writeable = False
+        return th
 
-    def algebra(self) -> SymmetricLieAlgebra:
+    @cached_property
+    def _algebra(self) -> SymmetricLieAlgebra:
         d = self.dim
         plus = LinearSubspace(d, np.eye(d)[: self.dim_plus]) if self.dim_plus else LinearSubspace.zero(d)
         minus = LinearSubspace(d, np.eye(d)[self.dim_plus :]) if self.dim_minus else LinearSubspace.zero(d)
         return SymmetricLieAlgebra(
             d, self.structure_tensor, self.theta_coords, plus, minus, label=self.label
         )
+
+    def algebra(self) -> SymmetricLieAlgebra:
+        """The symmetric Lie algebra in full-basis coordinates.
+
+        Built once per pair and shared; its tensor and involution are read-only.
+        """
+        return self._algebra
 
     def exp(self, x: np.ndarray) -> np.ndarray:
         return mat_exp(x, self.tol)

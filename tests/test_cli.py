@@ -236,3 +236,22 @@ def test_cli_import_loads_neither_scipy_nor_sympy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_of_a_fifteen_dim_model_stays_small(tmp_path):
+    # spd(5) has dim g_minus = 15; a six-index axiom check would hold
+    # 15^6 doubles (~87 MB) per intermediate and peak above 400 MB
+    code = (
+        "import resource, sys; from symspaces.cli import main; "
+        "main(['verify', '--model', 'spd(5)', '--out', sys.argv[1]]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symspaces.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads((tmp_path / "report.json").read_text())["dim_minus"] == 15
+    peak_mb = int(out.stdout.strip()) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150
