@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, Tolerance, nullspace, numerical_rank
+from .numkernel import DEFAULT_TOL, Tolerance, _svd_cut, nullspace, numerical_rank
 
 __all__ = [
     "LinearSubspace",
@@ -79,9 +79,7 @@ class LinearSubspace:
             return cls(ambient_dim, np.zeros((0, ambient_dim)))
         if v.shape[1] != ambient_dim:
             raise ValueError("vectors do not match the ambient dimension")
-        _, sing, vt = np.linalg.svd(v)
-        cut = tol.abs_eps + tol.rel_eps * (sing[0] if sing.size else 0.0)
-        rank = int(np.sum(sing > cut))
+        _, vt, rank = _svd_cut(v, tol)
         return cls(ambient_dim, vt[:rank])
 
     @classmethod
@@ -491,13 +489,11 @@ def standard_embedding(
         raise ValueError("standard embedding requires a triple subsystem")
     q = n.onb()  # (k, d) rows
     k = q.shape[0]
-    ops = []
+    ops = np.zeros((k, k, k, k))  # D_{q_a,q_b} restricted to n, in q-coordinates
     for a in range(k):
         for b in range(k):
-            full_op = m.operator(q[a], q[b])  # (d, d) on the ambient system
-            ops.append(q @ full_op @ q.T)  # restriction to n in q-coordinates
-    ops = np.asarray(ops).reshape(-1, k * k) if ops else np.zeros((0, k * k))
-    op_span = LinearSubspace.span(ops, k * k, tol)
+            ops[a, b] = q @ m.operator(q[a], q[b]) @ q.T
+    op_span = LinearSubspace.span(ops.reshape(k * k, k * k), k * k, tol)
     r = op_span.dim
     p = op_span.onb()  # rows: flattened operator basis
 
@@ -523,8 +519,7 @@ def standard_embedding(
             tensor[r + a, i, r:] = -val
     for a in range(k):
         for b in range(k):
-            dab = q @ m.operator(q[a], q[b]) @ q.T
-            tensor[r + a, r + b, :r] = op_coords(dab)
+            tensor[r + a, r + b, :r] = op_coords(ops[a, b])
     theta = np.diag([1.0] * r + [-1.0] * k) if d else np.zeros((0, 0))
     plus = LinearSubspace(d, np.eye(d)[:r]) if r else LinearSubspace.zero(d)
     minus = LinearSubspace(d, np.eye(d)[r:]) if k else LinearSubspace.zero(d)

@@ -42,6 +42,9 @@ __all__ = [
     "subspace_report",
 ]
 
+# Absolute pass gate of every ``verify`` report: ``ok`` is ``max_residual < VERIFY_GATE``.
+VERIFY_GATE = 1e-8
+
 
 def _random_point(model: ModelDescriptor, rng: np.random.Generator, scale: float = 0.4):
     pair = model.pair
@@ -158,7 +161,7 @@ def verify_model(model: ModelDescriptor, rng: Optional[np.random.Generator] = No
         max(report["exp_functoriality"].values(), default=0.0),
     )
     report["max_residual"] = worst
-    report["ok"] = bool(worst < 1e-8)
+    report["ok"] = bool(worst < VERIFY_GATE)
     return report
 
 

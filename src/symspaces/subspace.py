@@ -208,7 +208,7 @@ def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> Reflec
             v = log_point(pair, x)
         except ValueError:
             return None
-        return seed.distance(v) <= pair.tol.threshold(max(float(np.linalg.norm(v)), 1.0))
+        return seed.contains(v, pair.tol)
 
     return ReflectionSubspace(
         pair=pair, membership=member, kind="generated", label="generated_integral", seed=seed

@@ -127,6 +127,7 @@ class TestQuotient:
         report = json.loads(out.read_text())
         assert report["ok"] is True
         assert report["weak_submersion"] is True
+        assert report["sample_pass_rates"] == {"projection_morphism": 1.0, "kernel_relation": 1.0}
         assert report["quotient_dim_minus"] == 2
 
     def test_torus_dense_line_exits_three(self, tmp_path):

@@ -156,7 +156,7 @@ class TestPipelinePositive:
             assert lhs.same(rhs)
 
     def test_weak_submersion(self, product_quotient, rng):
-        assert weak_submersion_check(product_quotient, rng, samples=100)
+        assert weak_submersion_check(product_quotient, rng, samples=100)["ok"]
 
     def test_relates_iff_projections_agree(self, product, product_quotient, rng):
         qr = product_quotient
@@ -178,7 +178,25 @@ class TestPipelinePositive:
     def test_corrupted_projection_fails_check(self, product_quotient):
         qr = product_quotient
         bad = dataclasses.replace(qr, projection_algebra=qr.projection_algebra[:1])
-        assert not weak_submersion_check(bad, np.random.default_rng(0), samples=10)
+        assert not weak_submersion_check(bad, np.random.default_rng(0), samples=10)["ok"]
+
+    def test_non_morphism_projection_fails_check(self, product_quotient):
+        # squaring the representative keeps the linear part and the fibres
+        # near the base point, but breaks pi(mu(x, y)) = mu(pi x, pi y)
+        qr = product_quotient
+
+        def squared(x):
+            rep = qr.projection_points(x).rep
+            return SymPoint.from_rep(qr.quotient_pair, rep @ rep)
+
+        bad = dataclasses.replace(qr, projection_points=squared)
+        result = weak_submersion_check(bad, np.random.default_rng(0), samples=30)
+        assert result["ok"] is False
+        assert result["sample_pass_rates"]["projection_morphism"] < 1.0
+        assert weak_submersion_check(qr, np.random.default_rng(0), samples=30) == {
+            "ok": True,
+            "sample_pass_rates": {"projection_morphism": 1.0, "kernel_relation": 1.0},
+        }
 
     def test_sphere_zero_ideal_gives_adjoint_realization(self, sphere):
         qr = quotient_theorem_pipeline(
@@ -189,7 +207,7 @@ class TestPipelinePositive:
         got = lts_of_pair(qr.quotient_pair).tensor
         want = lts_of_pair(sphere.pair).tensor
         assert np.max(np.abs(got - want)) < 1e-8
-        assert weak_submersion_check(qr, np.random.default_rng(42), samples=30)
+        assert weak_submersion_check(qr, np.random.default_rng(42), samples=30)["ok"]
 
     def test_full_ideal_gives_point_quotient(self, sphere):
         qr = quotient_theorem_pipeline(
@@ -201,7 +219,7 @@ class TestPipelinePositive:
         a = qr.projection_points(exp_point(sphere.pair, np.array([0.3, 0.0])))
         b = qr.projection_points(base_point(sphere.pair))
         assert a.same(b)
-        assert weak_submersion_check(qr, np.random.default_rng(42), samples=10)
+        assert weak_submersion_check(qr, np.random.default_rng(42), samples=10)["ok"]
 
     def test_spd_center_gives_trace_free_quotient(self, spd):
         cen = spd.subspace_by_name("center")
@@ -211,7 +229,7 @@ class TestPipelinePositive:
         # gl(2) / (center) = sl(2): three dimensions, two of them odd
         assert qr.quotient_pair.ambient_n == 3
         assert qr.quotient_pair.dim_minus == 2
-        assert weak_submersion_check(qr, np.random.default_rng(42), samples=50)
+        assert weak_submersion_check(qr, np.random.default_rng(42), samples=50)["ok"]
 
 
 class TestPipelineNegative:
