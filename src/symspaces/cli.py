@@ -147,16 +147,27 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
+def _trotter_ks(k_min: int, k_max: int) -> list:
+    """The doubling ladder k_min, 2 k_min, 4 k_min, ... up to k_max (empty if k_min > k_max)."""
+    if k_min < 1:
+        raise ValueError(f"--k-min must be at least 1, got {k_min}")
+    ks = []
+    k = k_min
+    # from k >= 1, doubling passes k_max within k_max.bit_length() steps
+    for _ in range(max(k_max, 0).bit_length()):
+        if k > k_max:
+            break
+        ks.append(k)
+        k *= 2
+    return ks
+
+
 def _cmd_trotter(args) -> int:
     tol = Tolerance(args.tol_abs, args.tol_rel)
     model = _load_model(args.model, tol, args.params)
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
-    ks = []
-    k = args.k_min
-    while k <= args.k_max:
-        ks.append(k)
-        k *= 2
+    ks = _trotter_ks(args.k_min, args.k_max)
     if args.z is not None:
         rows = trotter_bracket_table(model, x, y, _parse_vector(args.z), ks)
         header = "k,l,error"

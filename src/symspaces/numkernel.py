@@ -59,15 +59,20 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Coerce to a finite float64 2-D array; optionally require squareness."""
+def as_matrix(a, square: bool = False, stack: bool = False) -> np.ndarray:
+    """Coerce to a finite float64 2-D array; optionally require squareness.
+
+    With ``stack``, a ``(k, n, m)`` stack of matrices is accepted as well, and
+    ``square`` applies to each of its matrices.
+    """
     m = np.array(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        what = "a 2-D matrix or a stack of them" if stack else "a 2-D matrix"
+        raise ValueError(f"expected {what}, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if square and m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if square and m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape[-2:]}")
     return m
 
 
@@ -89,28 +94,26 @@ _THETA13 = 5.371920351148152
 _MAX_SQUARINGS = 60
 
 
-def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Padé-13 core.
+def _norm1(a: np.ndarray):
+    # the 1-norm of a matrix, or of each slice of a stack, by the same ufunc
+    # calls as np.linalg.norm(a, 1) but without its argument handling
+    return np.add.reduce(np.abs(a), axis=-2).max(axis=-1)
 
-    Relative accuracy near unit roundoff for ``norm(a) <= 50``; raises
-    :class:`DomainError` if the scaling budget is exhausted.
-    """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    norm1 = float(np.linalg.norm(a, 1))
-    if norm1 == 0.0:
-        return np.eye(n)
-    s = 0
-    if norm1 > _THETA13:
-        s = int(np.ceil(np.log2(norm1 / _THETA13)))
-        if s > _MAX_SQUARINGS:
-            raise DomainError(f"norm {norm1:.3e} exceeds the scaling budget")
-        a = a / (2.0 ** s)
 
+def _squarings(norm1: float) -> int:
+    """Number of squarings that brings a 1-norm down to theta_13."""
+    if norm1 <= _THETA13:
+        return 0
+    s = np.ceil(np.log2(norm1 / _THETA13))
+    if s > _MAX_SQUARINGS:
+        raise DomainError(f"norm {norm1:.3e} exceeds the scaling budget")
+    return int(s)
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    # [13/13] Pade approximant of exp on a matrix or, slice by slice, a stack
     b = _PADE13
-    ident = np.eye(n)
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -122,9 +125,48 @@ def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
-    r = np.linalg.solve(v - u, v + u)
+    return np.linalg.solve(v - u, v + u)
+
+
+def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a Padé-13 core.
+
+    Relative accuracy near unit roundoff for ``norm(a) <= 50``; raises
+    :class:`DomainError` if the scaling budget is exhausted.  ``a`` may also
+    be a ``(k, n, n)`` stack: each slice gets its own scaling, and slice
+    ``i`` of the result is bit for bit ``mat_exp(a[i])``.
+    """
+    a = as_matrix(a, square=True, stack=True)
+    if a.ndim == 3:
+        return _mat_exp_stack(a)
+    n = a.shape[0]
+    if n == 0:
+        return a.copy()
+    norm1 = float(_norm1(a))
+    if norm1 == 0.0:
+        return np.eye(n)
+    s = _squarings(norm1)
+    if s:
+        a = a / (2.0 ** s)
+    r = _pade13(a)
     for _ in range(s):
         r = r @ r
+    return r
+
+
+def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
+    # The same steps as the 2-D path on every slice at once: batched matmul
+    # and solve give each slice the bits of the single-matrix call.
+    k, n = a.shape[0], a.shape[1]
+    if k == 0 or n == 0:
+        return a.copy()
+    norm1 = _norm1(a)
+    s = np.array([_squarings(float(x)) for x in norm1])
+    r = _pade13(a / (2.0 ** s)[:, None, None])
+    r[norm1 == 0.0] = np.eye(n)
+    for j in range(int(s.max())):
+        idx = np.flatnonzero(s > j)
+        r[idx] = r[idx] @ r[idx]
     return r
 
 

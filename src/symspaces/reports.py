@@ -25,10 +25,10 @@ from .symspace import (
     base_point,
     cartan_distance,
     exp_point,
+    exp_points,
     log_point,
     lts_of_pair,
     mu,
-    one_param,
     tau_action,
     trotter_bracket_sym,
     trotter_sum_sym,
@@ -46,24 +46,21 @@ __all__ = [
 VERIFY_GATE = 1e-8
 
 
-def _random_point(model: ModelDescriptor, rng: np.random.Generator, scale: float = 0.4):
-    pair = model.pair
-    v = scale * rng.standard_normal(pair.dim_minus)
-    x = exp_point(pair, v)
-    if rng.uniform() < 0.25:
-        g = pair.random_element(rng, letters=1, scale=0.3)
-        x = tau_action(pair, g, x)
-    return x
-
-
 def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, samples: int = 25) -> dict:
     """Sampled reflection-space axioms plus the two linearized base-point laws."""
     pair = model.pair
+    # draw every sample point first, in the order of the per-point draws
+    vs, moves = [], []
+    for _ in range(3 * samples):
+        vs.append(0.4 * rng.standard_normal(pair.dim_minus))
+        moved = rng.uniform() < 0.25
+        moves.append(pair.random_element(rng, letters=1, scale=0.3) if moved else None)
+    points = [
+        x if g is None else tau_action(pair, g, x) for x, g in zip(exp_points(pair, vs), moves)
+    ]
     res_invol = res_fix = res_auto = 0.0
-    for _ in range(samples):
-        x = _random_point(model, rng)
-        y = _random_point(model, rng)
-        z = _random_point(model, rng)
+    for i in range(samples):
+        x, y, z = points[3 * i : 3 * i + 3]
         res_invol = max(res_invol, cartan_distance(mu(x, mu(x, y)), y))
         res_fix = max(res_fix, cartan_distance(mu(x, x), x))
         res_auto = max(
@@ -113,26 +110,29 @@ def functoriality_report(model: ModelDescriptor, rng: np.random.Generator, sampl
     out = {}
     for named in model.designated_morphisms:
         f = named.morphism
+        vs = [0.3 * rng.standard_normal(f.source.dim_minus) for _ in range(samples)]
+        lhs = [f(x) for x in exp_points(f.source, vs)]
+        rhs = exp_points(f.target, [f.minus_map @ v for v in vs])
         worst = 0.0
-        amap = f.minus_map
-        for _ in range(samples):
-            v = 0.3 * rng.standard_normal(f.source.dim_minus)
-            lhs = f(exp_point(f.source, v))
-            rhs = exp_point(f.target, amap @ v)
-            worst = max(worst, cartan_distance(lhs, rhs))
+        for a, b in zip(lhs, rhs):
+            worst = max(worst, cartan_distance(a, b))
         out[named.name] = worst
     return out
 
 
 def one_param_report(model: ModelDescriptor, rng: np.random.Generator, samples: int = 10) -> float:
     pair = model.pair
-    worst = 0.0
+    draws = []
     for _ in range(samples):
         v = 0.3 * rng.standard_normal(pair.dim_minus)
         s, t = rng.uniform(-1.0, 1.0, size=2)
-        lhs = mu(one_param(pair, v, s), one_param(pair, v, t))
-        rhs = one_param(pair, v, 2 * s - t)
-        worst = max(worst, cartan_distance(lhs, rhs))
+        draws.append((v, s, t))
+    # alpha_v(r) = exp_point(r * v): rows s*v, t*v and (2s - t)*v per sample
+    points = exp_points(pair, [r * v for v, s, t in draws for r in (s, t, 2 * s - t)])
+    worst = 0.0
+    for i in range(samples):
+        xs, xt, rhs = points[3 * i : 3 * i + 3]
+        worst = max(worst, cartan_distance(mu(xs, xt), rhs))
     return worst
 
 

@@ -169,16 +169,10 @@ class MatrixSymmetricPair:
         gives one coordinate row per matrix, and each matrix must pass the
         residual check on its own.
         """
-        x = np.array(x, dtype=float)
+        x = as_matrix(x, square=True, stack=True)
         single = x.ndim == 2
         if single:
             x = x[None]
-        if x.ndim != 3:
-            raise ValueError(f"expected a 2-D matrix or a stack of them, got ndim={x.ndim}")
-        if x.shape[1] != x.shape[2]:
-            raise ValueError(f"expected a square matrix, got shape {x.shape[1:]}")
-        if x.size and not np.isfinite(x).all():
-            raise ValueError("matrix entries must be finite")
         flat = x.reshape(x.shape[0], x.shape[1] * x.shape[2]).T  # one column per matrix
         if self.dim == 0:
             if np.any(np.linalg.norm(flat, axis=0) > _span_cut(flat, self.tol)):

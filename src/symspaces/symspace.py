@@ -1,15 +1,18 @@
 """The symmetric space M = G/K of a matrix symmetric pair.
 
-Points are carried as group representatives together with their Cartan
-image ``c = g sigma(g)^-1``.  Because K is the full fixed group, two
+Points are carried by their Cartan image ``c = g sigma(g)^-1`` of a group
+representative ``g``.  Because K is the full fixed group, two
 representatives give the same coset exactly when their Cartan matrices
 agree, so the point product reduces to ``mu(x, y) = x y^-1 x`` on Cartan
-matrices and no coset-membership oracle is ever needed.
+matrices and no coset-membership oracle is ever needed.  A representative
+is needed only where a group acts on a point (morphisms, projections,
+relations, JSON output), so points built here compute it on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "base_point",
     "mu",
     "exp_point",
+    "exp_points",
     "log_point",
     "one_param",
     "translation",
@@ -36,14 +40,33 @@ __all__ = [
     "cartan_distance",
 ]
 
+# Longest chain of unread representatives a point may sit on; past it the
+# inputs' reps are read, so a first read never recurses deeper than this.
+_MAX_PENDING = 32
 
-@dataclass(frozen=True, eq=False)
+
 class SymPoint:
-    """Point of G/K: a representative and its cached Cartan matrix."""
+    """Point of G/K: its Cartan matrix and a group representative.
 
-    pair: MatrixSymmetricPair
-    rep: np.ndarray
-    cartan: np.ndarray
+    ``cartan`` is computed at construction.  ``rep`` is either the
+    representative or a zero-argument callable that computes it; a callable
+    runs on the first read of :attr:`rep`, and its result is cached.
+    """
+
+    __slots__ = ("pair", "cartan", "_rep", "_pending")
+
+    def __init__(self, pair: MatrixSymmetricPair, rep, cartan: np.ndarray):
+        self.pair = pair
+        self.cartan = cartan
+        self._rep = rep
+        self._pending = 1 if callable(rep) else 0  # unread reps behind this point
+
+    @property
+    def rep(self) -> np.ndarray:
+        if self._pending:
+            self._rep = self._rep()
+            self._pending = 0
+        return self._rep
 
     @classmethod
     def from_rep(cls, pair: MatrixSymmetricPair, rep: np.ndarray) -> "SymPoint":
@@ -63,6 +86,18 @@ class SymPoint:
         return {"pair_label": self.pair.label, "rep": self.rep.tolist()}
 
 
+def _derived_point(pair: MatrixSymmetricPair, rep_of, cartan: np.ndarray, *inputs: SymPoint) -> SymPoint:
+    """A point whose rep ``rep_of()`` reads the reps of ``inputs``."""
+    pending = 1 + max(x._pending for x in inputs)
+    if pending > _MAX_PENDING:
+        for x in inputs:
+            x.rep
+        pending = 1
+    point = SymPoint(pair, rep_of, cartan)
+    point._pending = pending
+    return point
+
+
 def _require_same_pair(x: SymPoint, y: SymPoint):
     if x.pair is not y.pair:
         raise ValueError("points live over different symmetric pairs")
@@ -79,23 +114,45 @@ def base_point(pair: MatrixSymmetricPair) -> SymPoint:
     return SymPoint(pair, ident, ident.copy())
 
 
+def _mu_rep(x: SymPoint, y: SymPoint) -> np.ndarray:
+    sig = x.pair.sigma
+    return x.rep @ np.linalg.inv(sig.apply(x.rep)) @ sig.apply(y.rep)
+
+
 def mu(x: SymPoint, y: SymPoint) -> SymPoint:
     """The point product: in Cartan coordinates x . y = x y^-1 x."""
     _require_same_pair(x, y)
-    pair = x.pair
-    sig = pair.sigma
-    rep = x.rep @ np.linalg.inv(sig.apply(x.rep)) @ sig.apply(y.rep)
     cartan = x.cartan @ np.linalg.inv(y.cartan) @ x.cartan
-    return SymPoint(pair, rep, cartan)
+    return _derived_point(x.pair, lambda: _mu_rep(x, y), cartan, x, y)
 
 
 def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
     """Exponential of a g_minus coordinate vector: q(exp of the matrix)."""
     x = pair.minus_to_matrix(v)
-    rep = mat_exp(x, pair.tol)
     # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
     cartan = mat_exp(2.0 * x, pair.tol)
-    return SymPoint(pair, rep, cartan)
+    return SymPoint(pair, lambda: mat_exp(x, pair.tol), cartan)
+
+
+def exp_points(pair: MatrixSymmetricPair, vs) -> list:
+    """``[exp_point(pair, v) for v in vs]``, bit for bit, from stacked exponentials.
+
+    One stacked ``mat_exp`` gives every Cartan matrix; the first rep read on
+    any of the points computes the reps of the whole batch in one more.
+    """
+    n = pair.ambient_n
+    xs = np.empty((len(vs), n, n))
+    for i, v in enumerate(vs):
+        xs[i] = pair.minus_to_matrix(v)
+    cartans = mat_exp(2.0 * xs, pair.tol)
+    reps = []
+
+    def rep_of(i: int) -> np.ndarray:
+        if not reps:
+            reps.append(mat_exp(xs, pair.tol))
+        return reps[0][i]
+
+    return [SymPoint(pair, partial(rep_of, i), c) for i, c in enumerate(cartans)]
 
 
 def log_point(pair: MatrixSymmetricPair, x: SymPoint) -> np.ndarray:
@@ -122,9 +179,8 @@ def tau_action(pair: MatrixSymmetricPair, g: np.ndarray, x: SymPoint) -> SymPoin
     g = as_matrix(g, square=True)
     if abs(np.linalg.det(g)) < 1e-300:
         raise ValueError("tau requires an invertible group element")
-    rep = g @ x.rep
     cartan = g @ x.cartan @ np.linalg.inv(pair.sigma.apply(g))
-    return SymPoint(pair, rep, cartan)
+    return _derived_point(pair, lambda: g @ x.rep, cartan, x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import symspaces
 from symspaces.cli import EXIT_CHECK_FAILED, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from symspaces.cli import _trotter_ks
 from symspaces.lts import algebra_to_json
 from symspaces.symspace import lts_of_pair
 
@@ -105,6 +106,27 @@ class TestTrotter:
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "k,error"
+
+    @pytest.mark.parametrize("k_min, k_max", [(16, 4096), (1, 1), (1, 3), (3, 7), (5, 4), (16, 0)])
+    def test_k_ladder_doubles_up_to_k_max(self, k_min, k_max):
+        want = [k_min * 2**j for j in range(64) if k_min * 2**j <= k_max]
+        assert _trotter_ks(k_min, k_max) == want
+
+    @pytest.mark.parametrize("k_min", [0, -1, -16])
+    def test_k_ladder_rejects_k_min_below_one(self, k_min):
+        with pytest.raises(ValueError, match="--k-min"):
+            _trotter_ks(k_min, 4096)
+
+    @pytest.mark.parametrize("k_min", ["0", "-4"])
+    def test_nonpositive_k_min_is_a_usage_error(self, k_min, capsys):
+        code = main(
+            ["trotter", "--model", "spd(2)", "--x", "1,0,0", "--y", "0,1,0",
+             "--k-min", k_min, "--k-max", "16"]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --k-min must be at least 1")
 
     def test_json_format(self, capsys):
         code = main(
