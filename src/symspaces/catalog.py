@@ -17,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .lts import LinearSubspace
+from .lts import LinearSubspace, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance
 from .quotient import CongruenceRelation
 from .subspace import ProbeWitness, ReflectionSubspace, algebraic_subspace, fixed_point_subspace
 from .sympair import MatrixSymmetricPair, PairMorphism, SigmaRule
-from .symspace import SymMorphism, SymPoint, base_point, exp_point, sym_morphism
+from .symspace import SymMorphism, SymPoint, base_point, exp_point, lts_of_pair, sym_morphism
 
 __all__ = [
     "ModelDescriptor",
@@ -424,8 +424,11 @@ def _product_designated(pair, ma: ModelDescriptor, mb: ModelDescriptor):
     left_seed = LinearSubspace(m, np.eye(m)[:m1])
     out = [DesignatedSubspace("left_factor", left_seed, left_factor, is_ideal=True, is_symmetric=True)]
     if m1 == m2:
+        # the diagonal of equal-dimension factors is a triple subsystem only
+        # when the factors' systems agree (not for spd(2) x sphere(3))
         diag_seed = LinearSubspace(m, np.hstack([np.eye(m1), np.eye(m1)]) / SQRT2)
-        out.append(DesignatedSubspace("diagonal", diag_seed, None, is_ideal=False, is_symmetric=True))
+        if is_subsystem(lts_of_pair(pair), diag_seed, pair.tol):
+            out.append(DesignatedSubspace("diagonal", diag_seed, None, is_ideal=False, is_symmetric=True))
     return tuple(out)
 
 
@@ -548,7 +551,11 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
         if slope in ("sqrt2", None):
             lattice = TorusLattice("sqrt2")
         else:
-            frac = Fraction(slope) if not isinstance(slope, Fraction) else slope
+            try:
+                frac = Fraction(slope) if not isinstance(slope, Fraction) else slope
+                float(frac)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise ValueError(f"torus slope {slope!r} is not a finite rational number") from exc
             lattice = TorusLattice("rational", rational=frac)
         pair = _torus_pair(tol, f"torus({slope})")
         subs = _torus_designated(pair, lattice)

@@ -101,7 +101,10 @@ def _json_text(obj) -> str:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+    v = np.array([float(part) for part in text.split(",") if part.strip() != ""])
+    if not np.isfinite(v).all():
+        raise ValueError(f"vector entries must be finite: {text!r}")
+    return v
 
 
 def _load_model(spec: str, tol: Tolerance, params: Optional[str] = None) -> ModelDescriptor:

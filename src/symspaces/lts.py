@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, Tolerance, _svd_cut, nullspace, numerical_rank
+from .numkernel import DEFAULT_TOL, Tolerance, _svd_cut, as_matrix, nullspace, numerical_rank
 
 __all__ = [
     "LinearSubspace",
@@ -73,8 +73,8 @@ class LinearSubspace:
 
     @classmethod
     def span(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
-        """Orthonormalized span of (possibly dependent) vectors."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
+        """Orthonormalized span of (possibly dependent) finite vectors."""
+        v = as_matrix(np.atleast_2d(vectors))
         if v.size == 0:
             return cls(ambient_dim, np.zeros((0, ambient_dim)))
         if v.shape[1] != ambient_dim:
@@ -158,12 +158,6 @@ class LinearSubspace:
         if self.dim == 0:
             return LinearSubspace.full(self.ambient_dim)
         return LinearSubspace(self.ambient_dim, nullspace(self.basis).T)
-
-    def map_through(self, matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
-        """Image subspace under a linear map given by ``matrix`` (target x ambient)."""
-        if self.dim == 0:
-            return LinearSubspace.zero(matrix.shape[0])
-        return LinearSubspace.span(self.basis @ matrix.T, matrix.shape[0], tol)
 
 
 def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> LinearSubspace:
@@ -268,7 +262,7 @@ def _basis_brackets(m: LieTripleSystem, a: np.ndarray, b: np.ndarray, c: np.ndar
     t = np.tensordot(a, m.tensor, axes=(1, 0))  # (a, j, k, l)
     t = np.tensordot(b, t, axes=(1, 1))  # (b, a, k, l)
     t = np.tensordot(c, t, axes=(1, 2))  # (c, b, a, l)
-    return t.transpose(2, 1, 0, 3).reshape(-1, m.dim)
+    return t.transpose(2, 1, 0, 3).reshape(len(a) * len(b) * len(c), m.dim)
 
 
 def is_subsystem(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -327,9 +321,7 @@ def quotient_lts(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     comp = n.complement().onb()  # rows: chosen representatives of m/n
     k = comp.shape[0]
     proj = comp  # (k, d): coordinates of the class of a vector
-    tensor = np.einsum(
-        "ijkl,ai,bj,ck,dl->abcd", m.tensor, comp, comp, comp, proj
-    )
+    tensor = (_basis_brackets(m, comp, comp, comp) @ proj.T).reshape((k,) * 4)
     quot = LieTripleSystem(k, tensor, label=f"{m.label}/{n.dim}d" if m.label else "")
     morphism = LtsMorphism(source=m, target=quot, matrix=proj)
     if not morphism.is_valid(tol):
@@ -367,8 +359,8 @@ class LtsMorphism:
 
     def residual(self) -> float:
         a = self.matrix
-        mapped = np.einsum("ijkl,pl->ijkp", self.source.tensor, a)
-        direct = np.einsum("pqrs,pi,qj,rk->ijks", self.target.tensor, a, a, a)
+        mapped = self.source.tensor.reshape(-1, self.source.dim) @ a.T  # f[e_i, e_j, e_k]
+        direct = _basis_brackets(self.target, a.T, a.T, a.T)  # [f e_i, f e_j, f e_k]
         if mapped.size == 0:
             return 0.0
         return float(np.max(np.abs(mapped - direct)))
@@ -420,6 +412,15 @@ class SymmetricLieAlgebra:
         """ad(x) = [x, .] as a (dim x dim) matrix."""
         return np.einsum("ijl,i->lj", self.bracket_tensor, np.asarray(x, dtype=float))
 
+    def brackets(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """All brackets [u, v] for u in rows(left), v in rows(right).
+
+        Shape ``(len(left), len(right), dim)``: the one stacked Lie-bracket
+        contraction, two GEMMs through ``tensordot``.
+        """
+        vals = np.tensordot(np.tensordot(left, self.bracket_tensor, axes=(1, 0)), right, axes=(1, 1))
+        return vals.transpose(0, 2, 1)
+
     def brackets_within(
         self, left: np.ndarray, right: np.ndarray, sub: LinearSubspace, tol: Tolerance = DEFAULT_TOL
     ) -> bool:
@@ -428,8 +429,7 @@ class SymmetricLieAlgebra:
         With ``left = sub.basis`` and ``right`` the identity this is the
         Lie-ideal test; with both the onb of ``sub``, subalgebra closure.
         """
-        vals = np.tensordot(np.tensordot(left, self.bracket_tensor, axes=(1, 0)), right, axes=(1, 1))
-        return sub.contains_all(vals.transpose(0, 2, 1).reshape(-1, self.dim), tol)
+        return sub.contains_all(self.brackets(left, right).reshape(-1, self.dim), tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> dict:
         """Residuals of antisymmetry, Jacobi, theta^2=id, theta automorphism,
@@ -458,24 +458,6 @@ class SymmetricLieAlgebra:
         out["max_residual"] = max(out.values())
         return out
 
-    def minus_lts(self, tol: Tolerance = DEFAULT_TOL) -> tuple[LieTripleSystem, np.ndarray]:
-        """The Lie triple system [x,y,z] = [[x,y],z] on g_minus.
-
-        Returns the system in minus-basis coordinates together with the onb
-        rows used as that basis (``(k, dim)``).
-        """
-        q = self.minus_basis.onb()
-        k = q.shape[0]
-        inner = np.einsum("ijl,ai,bj->abl", self.bracket_tensor, q, q)
-        vals = np.einsum("ijl,abi,cj->abcl", self.bracket_tensor, inner, q)
-        # triple bracket must land back in g_minus
-        coords = vals @ q.T
-        resid = float(np.max(np.abs(vals - coords @ q))) if vals.size else 0.0
-        if resid > tol.threshold(max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)):
-            raise VerificationError("triple bracket leaves the (-1)-eigenspace")
-        label = f"{self.label}-" if self.label else ""
-        return LieTripleSystem(k, coords, label=label), q
-
 
 def standard_embedding(
     m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
@@ -489,10 +471,8 @@ def standard_embedding(
         raise ValueError("standard embedding requires a triple subsystem")
     q = n.onb()  # (k, d) rows
     k = q.shape[0]
-    ops = np.zeros((k, k, k, k))  # D_{q_a,q_b} restricted to n, in q-coordinates
-    for a in range(k):
-        for b in range(k):
-            ops[a, b] = q @ m.operator(q[a], q[b]) @ q.T
+    # D_{q_a,q_b} restricted to n, in q-coordinates: ops[a, b, c', c] = <q_c', [q_a, q_b, q_c]>
+    ops = (_basis_brackets(m, q, q, q) @ q.T).reshape((k,) * 4).transpose(0, 1, 3, 2)
     op_span = LinearSubspace.span(ops.reshape(k * k, k * k), k * k, tol)
     r = op_span.dim
     p = op_span.onb()  # rows: flattened operator basis
@@ -545,10 +525,30 @@ def _minus_coords_subspace(g: SymmetricLieAlgebra, n: LinearSubspace, q: np.ndar
     return LinearSubspace.span(n.basis @ q.T, q.shape[0])
 
 
+def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, message: str):
+    """Check that n is an ideal of the triple system [[x,y],z] on g_minus.
+
+    Returns the minus onb rows ``q`` and n in their coordinates; raises
+    ``ValueError(message)`` when n is no ideal.
+    """
+    _require_minus_subspace(g, n, tol)
+    q = g.minus_basis.onb()
+    k = q.shape[0]
+    vals = g.brackets(g.brackets(q, q).reshape(-1, g.dim), q)  # [[q_a, q_b], q_c] at (a*k + b, c)
+    # triple bracket must land back in g_minus
+    coords = vals @ q.T
+    resid = float(np.max(np.abs(vals - coords @ q))) if vals.size else 0.0
+    if resid > tol.threshold(max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)):
+        raise VerificationError("triple bracket leaves the (-1)-eigenspace")
+    n_m = _minus_coords_subspace(g, n, q)
+    if not is_ideal(LieTripleSystem(k, coords.reshape((k,) * 4)), n_m, tol):
+        raise ValueError(message)
+    return q, n_m
+
+
 def _check_plus_generated(g: SymmetricLieAlgebra, tol: Tolerance):
     q = g.minus_basis.onb()
-    brackets = np.einsum("ijl,ai,bj->abl", g.bracket_tensor, q, q).reshape(-1, g.dim)
-    span = LinearSubspace.span(brackets, g.dim, tol)
+    span = LinearSubspace.span(g.brackets(q, q).reshape(-1, g.dim), g.dim, tol)
     if not span.equals(LinearSubspace.span(g.plus_basis.basis, g.dim, tol), tol):
         raise ValueError("hypothesis g_plus = span[g_minus, g_minus] is violated")
 
@@ -570,12 +570,8 @@ def psi_representation(
     Requires n to be an ideal of the triple system g_minus and the algebra
     to satisfy g_plus = span[g_minus, g_minus].
     """
-    _require_minus_subspace(g, n, tol)
+    q, n_m = _minus_ideal(g, n, tol, "psi requires an ideal of the triple system g_minus")
     _check_plus_generated(g, tol)
-    mlts, q = g.minus_lts(tol)
-    n_m = _minus_coords_subspace(g, n, q)
-    if not is_ideal(mlts, n_m, tol):
-        raise ValueError("psi requires an ideal of the triple system g_minus")
 
     # quotient coordinates: complement of n inside g_minus (rows in g-coords)
     comp_m = n_m.complement().onb()  # in minus coords
@@ -609,7 +605,7 @@ def ideal_ker_psi_plus_n(
 ) -> LinearSubspace:
     """The theta-invariant Lie ideal ker(psi) (+) n inside g, re-verified."""
     rep = psi_representation(g, n, tol)
-    l = subspace_sum(rep.kernel, LinearSubspace.span(n.basis, g.dim, tol) if n.dim else LinearSubspace.zero(g.dim), tol)
+    l = subspace_sum(rep.kernel, LinearSubspace.span(n.basis, g.dim, tol), tol)
     _verify_theta_invariant_ideal(g, l, tol, "ker(psi) + n")
     return l
 
@@ -618,14 +614,9 @@ def ideal_bracket_plus_n(
     g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
 ) -> LinearSubspace:
     """The theta-invariant Lie ideal span[g_minus, n] (+) n, re-verified."""
-    _require_minus_subspace(g, n, tol)
-    mlts, q = g.minus_lts(tol)
-    n_m = _minus_coords_subspace(g, n, q)
-    if not is_ideal(mlts, n_m, tol):
-        raise ValueError("requires an ideal of the triple system g_minus")
-    vecs = [g.bracket_vec(x, y) for x in q for y in n.basis]
-    span = LinearSubspace.span(np.array(vecs).reshape(-1, g.dim), g.dim, tol) if vecs else LinearSubspace.zero(g.dim)
-    l = subspace_sum(span, LinearSubspace.span(n.basis, g.dim, tol) if n.dim else LinearSubspace.zero(g.dim), tol)
+    q, _ = _minus_ideal(g, n, tol, "requires an ideal of the triple system g_minus")
+    span = LinearSubspace.span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, tol)  # rows [q_a, n_b]
+    l = subspace_sum(span, LinearSubspace.span(n.basis, g.dim, tol), tol)
     _verify_theta_invariant_ideal(g, l, tol, "span[g_minus, n] + n")
     return l
 
@@ -636,9 +627,7 @@ def displacement_algebra(g: SymmetricLieAlgebra, tol: Tolerance = DEFAULT_TOL) -
     Verified to be a theta-invariant subalgebra before returning.
     """
     q = g.minus_basis.onb()
-    brackets = np.einsum("ijl,ai,bj->abl", g.bracket_tensor, q, q).reshape(-1, g.dim)
-    parts = np.vstack([brackets, g.minus_basis.basis]) if brackets.size else g.minus_basis.basis
-    sub = LinearSubspace.span(parts, g.dim, tol)
+    sub = LinearSubspace.span(np.vstack([g.brackets(q, q).reshape(-1, g.dim), g.minus_basis.basis]), g.dim, tol)
     if not sub.contains_all(sub.basis @ g.theta.T, tol):
         raise VerificationError("displacement algebra is not theta-invariant")
     if not g.brackets_within(sub.onb(), sub.onb(), sub, tol):

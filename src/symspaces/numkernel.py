@@ -37,8 +37,8 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.rel_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.abs_eps < np.inf and 0 < self.rel_eps < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
 
     def threshold(self, scale: float = 1.0) -> float:
         return float(self.abs_eps + self.rel_eps * abs(scale))

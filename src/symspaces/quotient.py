@@ -16,6 +16,7 @@ import numpy as np
 
 from .lts import (
     LinearSubspace,
+    SymmetricLieAlgebra,
     ideal_bracket_plus_n,
     ideal_ker_psi_plus_n,
     is_ideal,
@@ -144,6 +145,12 @@ def _split_theta_invariant(pair: MatrixSymmetricPair, l: LinearSubspace):
     return plus_rows, minus_rows
 
 
+def _ad_ql(g: SymmetricLieAlgebra, comp: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The operator of [row, .] on g/l for each row, in the orthonormal
+    complement coordinates ``comp``: entry ``(r, a, b)`` is ``comp[a] . [rows[r], comp[b]]``."""
+    return comp @ g.brackets(rows, comp).transpose(0, 2, 1)
+
+
 def quotient_theorem_pipeline(
     pair: MatrixSymmetricPair,
     n: LinearSubspace,
@@ -201,15 +208,9 @@ def quotient_theorem_pipeline(
     d_out = comp.shape[0]
     p_out, m_out = comp_plus.shape[0], comp_minus.shape[0]
 
-    def ad_ql(vec: np.ndarray) -> np.ndarray:
-        """The operator of [vec, .] on g/l in complement coordinates."""
-        return np.array([[comp[a] @ g_alg.bracket_vec(vec, comp[b]) for b in range(d_out)] for a in range(d_out)])
-
-    stacked = np.array([ad_ql(e).reshape(-1) for e in np.eye(d)])  # row per basis vector
+    stacked = _ad_ql(g_alg, comp, np.eye(d)).reshape(d, -1)  # row per basis vector
     kernel = LinearSubspace(d, nullspace(stacked.T, tol).T)
-    faith_resid = max(
-        (float(np.linalg.norm(ad_ql(row))) for row in l_alg.basis), default=0.0
-    )
+    faith_resid = max((float(np.linalg.norm(op)) for op in _ad_ql(g_alg, comp, l_alg.basis)), default=0.0)
     if not kernel.equals(l_alg, tol):
         raise FaithfulnessError(
             f"ker(ad on g/l) has dimension {kernel.dim}, expected {l_alg.dim}: "
@@ -218,8 +219,8 @@ def quotient_theorem_pipeline(
 
     ambient = d_out if d_out > 0 else 1
     if d_out > 0:
-        plus_mats = np.array([ad_ql(r) for r in embed_plus]) if p_out else np.zeros((0, ambient, ambient))
-        minus_mats = np.array([ad_ql(r) for r in embed_minus]) if m_out else np.zeros((0, ambient, ambient))
+        plus_mats = _ad_ql(g_alg, comp, embed_plus)
+        minus_mats = _ad_ql(g_alg, comp, embed_minus)
         theta_mat = np.diag([1.0] * p_out + [-1.0] * m_out)
     else:
         plus_mats = np.zeros((0, 1, 1))
@@ -285,6 +286,8 @@ def weak_submersion_check(
     samples where relates(x, y) agrees with pi(x) = pi(y)
     (``kernel_relation``, on the untranslated x).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng or np.random.default_rng(0)
     pair = qr.relation.pair
     tol = pair.tol

@@ -198,30 +198,19 @@ class MatrixSymmetricPair:
             if not self.tol.is_zero(x, max(np.linalg.norm(x), 1.0)):
                 raise ValueError("matrix has no g_minus coordinates")
             return np.zeros(0)
-        coords, *_ = np.linalg.lstsq(self._flat_minus, x.reshape(-1), rcond=None)
-        resid = np.linalg.norm(self._flat_minus @ coords - x.reshape(-1))
-        if resid > self.tol.threshold(max(np.linalg.norm(x), 1.0)):
-            raise ValueError(f"matrix is not in g_minus (residual {resid:.2e})")
-        return coords
+        coords, worst = _column_coords(self._flat_minus, x.reshape(-1, 1), self.tol)
+        if worst is not None:
+            raise ValueError(f"matrix is not in g_minus (residual {worst:.2e})")
+        return coords[:, 0]
 
     def minus_to_full(self, v) -> np.ndarray:
         """Embed g_minus coordinates into full-algebra coordinates."""
         v = np.asarray(v, dtype=float)
         return np.concatenate([np.zeros(self.dim_plus), v])
 
-    def full_to_minus(self, w, strict: bool = True) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if strict and np.linalg.norm(w[: self.dim_plus]) > self.tol.threshold(max(np.linalg.norm(w), 1.0)):
-            raise ValueError("coordinates have a g_plus component")
-        return w[self.dim_plus :]
-
     def minus_subspace_to_full(self, sub: LinearSubspace) -> LinearSubspace:
         rows = [self.minus_to_full(r) for r in sub.basis]
         return LinearSubspace.span(np.array(rows).reshape(-1, self.dim), self.dim, self.tol)
-
-    def full_subspace_to_minus(self, sub: LinearSubspace) -> LinearSubspace:
-        rows = [self.full_to_minus(r) for r in sub.basis]
-        return LinearSubspace.span(np.array(rows).reshape(-1, self.dim_minus), self.dim_minus, self.tol)
 
     # -- structure --------------------------------------------------------
 

@@ -227,9 +227,6 @@ class _EvenWord:
         ei = np.linalg.inv(e)
         return _EvenWord(e @ np.linalg.inv(self.b) @ ei, ei @ np.linalg.inv(self.a) @ e)
 
-    def apply_cartan(self, y: np.ndarray) -> np.ndarray:
-        return self.a @ y @ self.b
-
     def as_point(self, pair: MatrixSymmetricPair) -> SymPoint:
         """The image of the base point; A is the realizing group element."""
         return SymPoint(pair, self.a, self.a @ self.b)

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symspaces import quotient
+from symspaces.catalog import parse_model
 from symspaces.lts import (
     LieTripleSystem,
     LinearSubspace,
+    SymmetricLieAlgebra,
     VerificationError,
     _basis_brackets,
     _verify_theta_invariant_ideal,
     ideal_ker_psi_plus_n,
 )
+from symspaces.quotient import quotient_theorem_pipeline
 from symspaces.symspace import lts_of_pair
 
 
@@ -198,3 +202,111 @@ class TestLieIdealHelper:
         theta_stable = LinearSubspace(g.dim, np.eye(g.dim)[:1])  # one plus direction
         with pytest.raises(VerificationError, match="probe is not a Lie ideal"):
             _verify_theta_invariant_ideal(g, theta_stable, product.pair.tol, "probe")
+
+
+class TestStackedLieBrackets:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 4))
+    def test_matches_the_pairwise_loop(self, seed, dim, n_left, n_right):
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal((dim,) * 3)
+        t -= t.transpose(1, 0, 2)
+        g = SymmetricLieAlgebra(dim, t, np.eye(dim), LinearSubspace.full(dim), LinearSubspace.zero(dim))
+        left = rng.standard_normal((n_left, dim))
+        right = rng.standard_normal((n_right, dim))
+        got = g.brackets(left, right)
+        want = np.array([[g.bracket_vec(x, y) for y in right] for x in left]).reshape(n_left, n_right, dim)
+        assert got.shape == (n_left, n_right, dim)
+        # |[x, y]_l| <= sum |t| max|x| max|y|
+        scale = max(np.abs(t).sum() * np.abs(left).max(initial=0.0) * np.abs(right).max(initial=0.0), 1.0)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def per_entry_ad_ql(g, comp, vec) -> np.ndarray:
+    """The per-entry operator of [vec, .] on g/l that the stacked form replaced."""
+    d_out = comp.shape[0]
+    op = np.array([[comp[a] @ g.bracket_vec(vec, comp[b]) for b in range(d_out)] for a in range(d_out)])
+    return op.reshape(d_out, d_out)
+
+
+EXPLICIT_LEFT = "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0"
+
+
+def ad_ql_calls(monkeypatch, spec, ideal):
+    """Every ``_ad_ql`` call of one pipeline run, as ``(g, comp, rows, result)``."""
+    model = parse_model(spec)
+    m = model.pair.dim_minus
+    space = None
+    if ideal == "zero":
+        seed = LinearSubspace.zero(m)
+    elif ideal == "full":
+        seed = LinearSubspace.full(m)
+    elif ";" in ideal:
+        seed = LinearSubspace.span(np.array([[float(v) for v in row.split(",")] for row in ideal.split(";")]), m)
+    else:
+        sub = model.subspace_by_name(ideal)
+        seed, space = sub.seed, sub.subspace
+    calls = []
+    real = quotient._ad_ql
+
+    def spy(g, comp, rows):
+        out = real(g, comp, rows)
+        calls.append((g, comp, rows, out))
+        return out
+
+    monkeypatch.setattr(quotient, "_ad_ql", spy)
+    qr = quotient_theorem_pipeline(model.pair, seed, subspace=space, rng=np.random.default_rng(0))
+    return qr, calls
+
+
+class TestStackedAdjointOnQuotient:
+    @pytest.mark.parametrize(
+        "spec,ideal,d_out",
+        [
+            ("product(sphere(2),sphere(2))", "left_factor", 3),
+            ("product(sphere(3),sphere(3))", "left_factor", 6),
+            ("product(grassmann(2,5),grassmann(2,5))", "left_factor", 10),
+            ("product(sphere(3),sphere(3))", EXPLICIT_LEFT, 6),
+            ("product(sphere(2),sphere(2))", "zero", 6),  # d_out = dim
+            ("product(sphere(2),sphere(2))", "full", 0),
+        ],
+    )
+    def test_bitwise_on_product_models(self, monkeypatch, spec, ideal, d_out):
+        qr, calls = ad_ql_calls(monkeypatch, spec, ideal)
+        assert qr.report["quotient_dim"] == d_out
+        # the kernel stack and the faithfulness operators, then the plus and minus matrices
+        assert len(calls) == (4 if d_out else 2)
+        for g, comp, rows, got in calls:
+            assert got.shape == (len(rows), d_out, d_out)
+            want = np.array([per_entry_ad_ql(g, comp, r) for r in rows]).reshape(got.shape)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ["spd(3)", "spd(4)"])
+    def test_close_on_spd_centers(self, monkeypatch, spec):
+        _, calls = ad_ql_calls(monkeypatch, spec, "center")
+        assert len(calls) == 4
+        for g, comp, rows, got in calls:
+            want = np.array([per_entry_ad_ql(g, comp, r) for r in rows]).reshape(got.shape)
+            scale = max(float(np.max(np.abs(want), initial=0.0)), 1.0)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    def test_pipeline_makes_no_per_entry_bracket(self, monkeypatch):
+        model = parse_model("product(grassmann(2,5),grassmann(2,5))")
+        sub = model.subspace_by_name("left_factor")
+        counts = {"bracket_vec": 0, "einsum": 0}
+        real_einsum, real_bracket_vec = np.einsum, SymmetricLieAlgebra.bracket_vec
+
+        def einsum(*args, **kwargs):
+            counts["einsum"] += 1
+            return real_einsum(*args, **kwargs)
+
+        def bracket_vec(self, x, y):
+            counts["bracket_vec"] += 1
+            return real_bracket_vec(self, x, y)
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(SymmetricLieAlgebra, "bracket_vec", bracket_vec)
+        quotient_theorem_pipeline(model.pair, sub.seed, subspace=sub.subspace, rng=np.random.default_rng(0))
+        assert counts["bracket_vec"] == 0
+        # what remains is psi's ad loop, one einsum per g_plus row
+        assert 0 < counts["einsum"] <= model.pair.dim_plus

@@ -12,7 +12,7 @@ from symspaces.catalog import (
     parse_model,
     pell_convergents,
 )
-from symspaces.lts import is_ideal, is_subsystem
+from symspaces.lts import LinearSubspace, is_ideal, is_subsystem
 from symspaces.sympair import MatrixSymmetricPair
 from symspaces.symspace import SymPoint, exp_point, lts_of_pair
 
@@ -62,6 +62,11 @@ class TestConstruction:
         rational = build_model("torus_abelian", {"slope": "1/2"})
         assert rational.extras["lattice"].rational == Fraction(1, 2)
 
+    @pytest.mark.parametrize("slope", ["1/0", "0/0", "1e400", Fraction(10**400)])
+    def test_torus_slope_must_be_finite(self, slope):
+        with pytest.raises(ValueError, match="finite rational"):
+            build_model("torus_abelian", {"slope": slope})
+
     def test_mixed_product_uses_composite_sigma(self):
         model = parse_model("product(sphere(2),spd(2))")
         assert model.pair.sigma.kind == "composite"
@@ -83,6 +88,23 @@ class TestDesignatedData:
                     model.name,
                     sub.name,
                 )
+
+    @pytest.mark.parametrize(
+        "spec,names",
+        [
+            ("product(sphere(2),sphere(2))", ["left_factor", "diagonal"]),
+            ("product(grassmann(1,3),sphere(2))", ["left_factor", "diagonal"]),
+            # equal dimensions, but spd(2) and sphere(3) have different triple systems
+            ("product(spd(2),sphere(3))", ["left_factor"]),
+            ("product(sphere(2),torus_abelian(sqrt2))", ["left_factor"]),
+        ],
+    )
+    def test_product_diagonal_only_when_a_subsystem(self, spec, names):
+        model = parse_model(spec)
+        assert [sub.name for sub in model.designated_subspaces] == names
+        n = model.pair.dim_minus // 2
+        diag = LinearSubspace(2 * n, np.hstack([np.eye(n), np.eye(n)]))
+        assert is_subsystem(lts_of_pair(model.pair), diag, model.pair.tol) == ("diagonal" in names)
 
     def test_metadata_present(self, models):
         for model in models.values():

@@ -128,6 +128,16 @@ class TestTrotter:
         assert captured.out == ""
         assert captured.err.startswith("error: --k-min must be at least 1")
 
+    @pytest.mark.parametrize("flag,value", [("--y", "0,0,1e400"), ("--x", "nan,0,0"), ("--z", "0,-inf,0")])
+    def test_non_finite_vector_is_a_usage_error(self, flag, value, capsys):
+        argv = ["trotter", "--model", "spd(2)", "--k-min", "16", "--k-max", "32"]
+        for name, text in {"--x": "1,0,0", "--y": "0,1,0", flag: value}.items():
+            argv += [name, text]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: vector entries must be finite: {value!r}\n"
+
     def test_json_format(self, capsys):
         code = main(
             ["trotter", "--model", "spd(2)", "--x", "1,0,0", "--y", "0,1,0",
@@ -196,6 +206,30 @@ class TestQuotient:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("ideal", ["inf,0,0", "nan,0,0", "1,0,0;0,-inf,0"])
+    def test_non_finite_ideal_is_usage_error(self, ideal, capsys):
+        # an infinite row once spanned the zero ideal and ran its pipeline
+        assert main(["quotient", "--model", "spd(2)", "--ideal", ideal]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot parse --ideal: vector entries must be finite")
+        assert captured.err.count("\n") == 1
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("slope", ["1/0", "0/0", "1e400"])
+    def test_bad_torus_slope_is_usage_error(self, slope, capsys):
+        assert main(["verify", "--model", f"torus_abelian({slope})"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: torus slope {slope!r} is not a finite rational number\n"
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_is_usage_error(self, flag, value, capsys):
+        assert main(["verify", "--model", "sphere(2)", flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: tolerances must be finite and strictly positive\n"
+
 
 class TestSubspaceVerb:
     def test_torus_report_contains_both_lines(self, tmp_path):
@@ -213,6 +247,13 @@ class TestSubspaceVerb:
         assert main(["subspace", "--model", "sphere(2)", "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["subspaces"]["great_circle"]["symmetric"] is True
+
+    def test_nonisomorphic_product_lists_only_its_left_factor(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["subspace", "--model", "product(spd(2),sphere(3))", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert sorted(report["subspaces"]) == ["left_factor"]
+        assert report["subspaces"]["left_factor"]["matches_expectation"] is True
 
 
 class TestDeterminism:

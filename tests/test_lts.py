@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symspaces import lts
+from symspaces.catalog import parse_model
 from symspaces.lts import (
     LieTripleSystem,
     LinearSubspace,
     LtsMorphism,
     SymmetricLieAlgebra,
+    VerificationError,
+    _minus_ideal,
     algebra_from_json,
     algebra_to_json,
     check_lts_axioms,
@@ -370,6 +374,70 @@ class TestIdealConstructions:
                 assert l_psi.contains_subspace(l_brk, pair.tol)
 
 
+CATALOG_ALGEBRAS = (
+    "sphere(2)",
+    "sphere(3)",
+    "spd(2)",
+    "spd(3)",
+    "grassmann(1,3)",
+    "grassmann(2,5)",
+    "torus_abelian(sqrt2)",
+    "torus_abelian(1/2)",
+    "product(sphere(2),sphere(2))",
+    "product(spd(2),sphere(3))",
+)
+
+
+def two_einsum_minus_tensor(g: SymmetricLieAlgebra) -> np.ndarray:
+    """The g_minus triple tensor by the two-einsum formula the helper replaced."""
+    q = g.minus_basis.onb()
+    inner = np.einsum("ijl,ai,bj->abl", g.bracket_tensor, q, q)
+    vals = np.einsum("ijl,abi,cj->abcl", g.bracket_tensor, inner, q)
+    return vals @ q.T
+
+
+class TestMinusIdealHelper:
+    @pytest.mark.parametrize("spec", CATALOG_ALGEBRAS + ("so3+center",))
+    def test_triple_tensor_matches_the_two_einsum_formula(self, monkeypatch, spec):
+        g = _so3_split_plus_center() if spec == "so3+center" else parse_model(spec).pair.algebra()
+        seen = []
+        real = lts.is_ideal
+
+        def spy(m, n, tol):
+            seen.append(m.tensor)
+            return real(m, n, tol)
+
+        monkeypatch.setattr(lts, "is_ideal", spy)
+        q, n_m = _minus_ideal(g, LinearSubspace.zero(g.dim), lts.DEFAULT_TOL, "unused")
+        assert np.array_equal(q, g.minus_basis.onb())
+        assert n_m.dim == 0 and n_m.ambient_dim == q.shape[0]
+        (got,) = seen
+        want = two_einsum_minus_tensor(g)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14)
+
+    def test_each_caller_keeps_its_message(self, product):
+        pair = product.pair
+        g = pair.algebra()
+        diagonal = pair.minus_subspace_to_full(product.subspace_by_name("diagonal").seed)
+        with pytest.raises(ValueError, match="^psi requires an ideal of the triple system g_minus$"):
+            psi_representation(g, diagonal, pair.tol)
+        with pytest.raises(ValueError, match="^requires an ideal of the triple system g_minus$"):
+            ideal_bracket_plus_n(g, diagonal, pair.tol)
+        plus_line = LinearSubspace(g.dim, np.eye(g.dim)[:1])
+        for build in (psi_representation, ideal_bracket_plus_n):
+            with pytest.raises(ValueError, match="not contained in the \\(-1\\)-eigenspace"):
+                build(g, plus_line, pair.tol)
+
+    def test_escaping_triple_bracket_is_a_verification_error(self):
+        # a minus part that is no triple system: [[f1, f0 + f3], f1] = f0 leaves it
+        g = _so3_split_plus_center()
+        minus = LinearSubspace(4, np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]]))
+        bad = SymmetricLieAlgebra(g.dim, g.bracket_tensor, g.theta, minus.complement(), minus)
+        with pytest.raises(VerificationError, match="leaves the \\(-1\\)-eigenspace"):
+            _minus_ideal(bad, LinearSubspace.zero(4), lts.DEFAULT_TOL, "unused")
+
+
 class TestDisplacementAlgebra:
     def test_already_generated_gives_full(self, sphere):
         g = sphere.pair.algebra()
@@ -421,6 +489,12 @@ class TestLinearSubspace:
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
             LinearSubspace(2, np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_span_rejects_non_finite_vectors(self, bad):
+        # an SVD of non-finite rows would otherwise give a zero subspace or fail to converge
+        with pytest.raises(ValueError, match="finite"):
+            LinearSubspace.span([[bad, 0.0, 0.0]], 3)
 
     def test_span_trims_rank(self):
         sub = LinearSubspace.span(np.array([[1.0, 0.0], [2.0, 0.0]]), 2)

@@ -29,6 +29,12 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(*bad)
 
+    @pytest.mark.parametrize("bad", [(np.inf, 1e-9), (1e-10, np.inf), (np.nan, 1e-9), (1e-10, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        # an infinite tolerance would pass every check
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(*bad)
+
 
 class TestMatExp:
     def test_zero_matrix(self):

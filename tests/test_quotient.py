@@ -175,6 +175,12 @@ class TestPipelinePositive:
             agree += int(related)
         assert 0 < agree < 100
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_at_least_one_sample(self, product_quotient, samples):
+        # with no sample there is no pass rate to report
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            weak_submersion_check(product_quotient, np.random.default_rng(0), samples=samples)
+
     def test_corrupted_projection_fails_check(self, product_quotient):
         qr = product_quotient
         bad = dataclasses.replace(qr, projection_algebra=qr.projection_algebra[:1])
