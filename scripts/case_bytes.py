@@ -1,0 +1,159 @@
+"""Record, or compare, the exact output bytes of every benchmark case.
+
+    PYTHONPATH=src python3 scripts/case_bytes.py --out before.json
+    PYTHONPATH=src python3 scripts/case_bytes.py --diff before.json after.json
+
+A case is one item of ``bench/workloads.py`` on the program seed of one of
+its workload's seed groups (88 cases in all).  Each case runs in process
+through ``symspaces.cli.main``, as the benchmark worker runs it, and the
+record maps ``"<workload> | <item key> | seed <seed>"`` to
+``[exit, stdout, stderr]``.  ``workloads.py`` is read, never changed.
+
+``--diff`` prints every case whose record differs, with the largest
+absolute change of each numeric field that moved: JSON reports are
+compared leaf by leaf (list indices folded into ``[]``), CSV tables column
+by column.  Any other change is printed as text.  The exit status is 1
+when some case differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import workloads  # noqa: E402
+
+
+def run_cases() -> dict:
+    from symspaces import cli
+
+    record = {}
+    for name, workload in workloads.WORKLOADS.items():
+        for group in range(workload["seed_groups"]):
+            for item in workload["items"]:
+                seed = workloads.program_seed(name, item["key"], group)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(item["argv"] + ["--seed", str(seed)])
+                    except Exception:  # an escaped exception is a result too
+                        code = -1
+                        traceback.print_exc(file=err)
+                record[f"{name} | {item['key']} | seed {seed}"] = [code, out.getvalue(), err.getvalue()]
+    return record
+
+
+def _leaves(value, path=""):
+    """Yield ``(field, value)`` for every leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _leaves(sub, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for sub in value:
+            yield from _leaves(sub, f"{path}[]")
+    else:
+        yield path, value
+
+
+def _table(text):
+    """Parse a CSV table with a header row into ``(field, cell)`` pairs, or None."""
+    lines = text.strip().splitlines()
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        return None
+    return [(header[j], _cell(cell)) for row in rows for j, cell in enumerate(row)]
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def field_changes(before: str, after: str):
+    """Largest absolute change per numeric field, or None if the texts differ otherwise."""
+    pairs = None
+    try:
+        a, b = json.loads(before), json.loads(after)
+        pairs = list(_leaves(a)), list(_leaves(b))
+    except ValueError:
+        ta, tb = _table(before), _table(after)
+        if ta is not None and tb is not None:
+            pairs = ta, tb
+    if pairs is None or len(pairs[0]) != len(pairs[1]):
+        return None
+    worst = {}
+    for (fa, va), (fb, vb) in zip(*pairs):
+        if fa != fb:
+            return None
+        if va == vb or (va != va and vb != vb):  # equal, or both NaN
+            continue
+        if not (_is_number(va) and _is_number(vb)):
+            return None
+        change = abs(vb - va) if math.isfinite(va) and math.isfinite(vb) else math.inf
+        worst[fa] = max(worst.get(fa, 0.0), change)
+    return worst
+
+
+def diff(a: dict, b: dict) -> int:
+    changed = 0
+    for case in sorted(set(a) | set(b)):
+        if case not in a or case not in b:
+            print(f"{case}: only in {'the second' if case in b else 'the first'} file")
+            changed += 1
+            continue
+        if a[case] == b[case]:
+            continue
+        changed += 1
+        print(case)
+        for label, before, after in zip(("exit", "stdout", "stderr"), a[case], b[case]):
+            if before == after:
+                continue
+            if label == "exit":
+                print(f"  exit: {before} -> {after}")
+                continue
+            fields = field_changes(before, after)
+            if fields is None:
+                print(f"  {label}: text changed\n    - {before.strip()[-300:]!r}\n    + {after.strip()[-300:]!r}")
+            for name, change in sorted(fields.items()) if fields else ():
+                print(f"  {label} {name}: {change:.3e}")
+    print(f"{changed} of {len(set(a) | set(b))} cases differ")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the case record here (default: stdout)")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two case records")
+    args = parser.parse_args(argv)
+    if args.diff:
+        with open(args.diff[0]) as fa, open(args.diff[1]) as fb:
+            return diff(json.load(fa), json.load(fb))
+    text = json.dumps(run_cases(), indent=1, sort_keys=True)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

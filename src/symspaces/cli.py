@@ -107,6 +107,13 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
+def _minus_vector(text: str, flag: str, dim_minus: int) -> np.ndarray:
+    v = _parse_vector(text)
+    if v.size != dim_minus:
+        raise ValueError(f"{flag} has {v.size} entries, but g_minus has dimension {dim_minus}")
+    return v
+
+
 def _load_model(spec: str, tol: Tolerance, params: Optional[str] = None) -> ModelDescriptor:
     if spec.endswith(".json") or os.path.exists(spec):
         with open(spec) as fh:
@@ -168,11 +175,11 @@ def _trotter_ks(k_min: int, k_max: int) -> list:
 def _cmd_trotter(args) -> int:
     tol = Tolerance(args.tol_abs, args.tol_rel)
     model = _load_model(args.model, tol, args.params)
-    x = _parse_vector(args.x)
-    y = _parse_vector(args.y)
+    m = model.pair.dim_minus
+    x, y = _minus_vector(args.x, "--x", m), _minus_vector(args.y, "--y", m)
     ks = _trotter_ks(args.k_min, args.k_max)
     if args.z is not None:
-        rows = trotter_bracket_table(model, x, y, _parse_vector(args.z), ks)
+        rows = trotter_bracket_table(model, x, y, _minus_vector(args.z, "--z", m), ks)
         header = "k,l,error"
         lines = [f"{r['k']},{r['l']},{r['error']!r}" for r in rows]
     else:

@@ -47,30 +47,27 @@ class SigmaRule:
             if self.theta is None:
                 raise ValueError(f"{self.kind} sigma needs a theta matrix")
             th = as_matrix(self.theta, square=True)
-            sq = th @ th
-            n = th.shape[0]
-            if not (np.allclose(sq, np.eye(n)) or np.allclose(sq, -np.eye(n))):
+            sq, ident = th @ th, np.eye(th.shape[0])
+            if not (DEFAULT_TOL.close(sq, ident) or DEFAULT_TOL.close(sq, -ident)):
                 raise ValueError("theta must square to +I or -I")
             object.__setattr__(self, "theta", th)
+            object.__setattr__(self, "_theta_inv", np.linalg.inv(th))
         elif self.theta is not None:
             raise ValueError("transpose_inverse sigma takes no theta matrix")
 
+    def _conjugate(self, x: np.ndarray) -> np.ndarray:
+        # Theta . x . Theta^-1, slice by slice on a stack; no Theta means the identity
+        return x if self.theta is None else self.theta @ x @ self._theta_inv
+
     def apply(self, g: np.ndarray) -> np.ndarray:
-        g = as_matrix(g, square=True)
-        if self.kind == "conjugation":
-            return self.theta @ g @ np.linalg.inv(self.theta)
-        if self.kind == "transpose_inverse":
-            return np.linalg.inv(g).T
-        return self.theta @ np.linalg.inv(g).T @ np.linalg.inv(self.theta)
+        """sigma(g); a ``(k, n, n)`` stack maps slice by slice, each bit for bit the 2-D call."""
+        g = as_matrix(g, square=True, stack=True)
+        return self._conjugate(g if self.kind == "conjugation" else np.linalg.inv(g).swapaxes(-1, -2))
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
-        """The induced Lie-algebra involution theta = L(sigma)."""
-        x = as_matrix(x, square=True)
-        if self.kind == "conjugation":
-            return self.theta @ x @ np.linalg.inv(self.theta)
-        if self.kind == "transpose_inverse":
-            return -x.T
-        return -self.theta @ x.T @ np.linalg.inv(self.theta)
+        """The induced Lie-algebra involution theta = L(sigma), also on a stack."""
+        x = as_matrix(x, square=True, stack=True)
+        return self._conjugate(x if self.kind == "conjugation" else -x.swapaxes(-1, -2))
 
     def to_json(self) -> dict:
         return {
@@ -82,6 +79,11 @@ class SigmaRule:
     def from_json(cls, data: dict) -> "SigmaRule":
         th = data.get("theta_matrix")
         return cls(data["kind"], None if th is None else np.asarray(th, dtype=float))
+
+
+def _max_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over the slices of a stack (0.0 for an empty stack)."""
+    return max((float(np.linalg.norm(x)) for x in stack), default=0.0)
 
 
 def _stack_flat(mats: np.ndarray) -> np.ndarray:
@@ -122,9 +124,8 @@ class MatrixSymmetricPair:
         minus = np.asarray(self.minus_mats, dtype=float).reshape(-1, n, n)
         object.__setattr__(self, "plus_mats", plus)
         object.__setattr__(self, "minus_mats", minus)
-        eig = 0.0
-        for x, sign in [(m, 1.0) for m in plus] + [(m, -1.0) for m in minus]:
-            eig = max(eig, float(np.linalg.norm(self.sigma.derivative(x) - sign * x)))
+        signs = np.concatenate([np.ones(len(plus)), -np.ones(len(minus))])[:, None, None]
+        eig = _max_norm(self.sigma.derivative(self.basis_mats) - signs * self.basis_mats)
         if eig > self.tol.threshold(10.0):
             raise ValueError(f"basis matrices are not theta eigenvectors (residual {eig:.2e})")
 
@@ -144,7 +145,7 @@ class MatrixSymmetricPair:
 
     @cached_property
     def basis_mats(self) -> np.ndarray:
-        return np.concatenate([self.plus_mats, self.minus_mats], axis=0) if self.dim else np.zeros((0, self.ambient_n, self.ambient_n))
+        return np.concatenate([self.plus_mats, self.minus_mats])
 
     @cached_property
     def _flat_basis(self) -> np.ndarray:
@@ -158,8 +159,6 @@ class MatrixSymmetricPair:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dim,):
             raise ValueError("full-algebra coordinate vector has the wrong length")
-        if self.dim == 0:
-            return np.zeros((self.ambient_n, self.ambient_n))
         return np.tensordot(coords, self.basis_mats, axes=1)
 
     def matrix_coords(self, x: np.ndarray) -> np.ndarray:
@@ -188,8 +187,6 @@ class MatrixSymmetricPair:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim_minus,):
             raise ValueError("g_minus coordinate vector has the wrong length")
-        if self.dim_minus == 0:
-            return np.zeros((self.ambient_n, self.ambient_n))
         return np.tensordot(v, self.minus_mats, axes=1)
 
     def matrix_to_minus(self, x: np.ndarray) -> np.ndarray:
@@ -203,14 +200,9 @@ class MatrixSymmetricPair:
             raise ValueError(f"matrix is not in g_minus (residual {worst:.2e})")
         return coords[:, 0]
 
-    def minus_to_full(self, v) -> np.ndarray:
-        """Embed g_minus coordinates into full-algebra coordinates."""
-        v = np.asarray(v, dtype=float)
-        return np.concatenate([np.zeros(self.dim_plus), v])
-
     def minus_subspace_to_full(self, sub: LinearSubspace) -> LinearSubspace:
-        rows = [self.minus_to_full(r) for r in sub.basis]
-        return LinearSubspace.span(np.array(rows).reshape(-1, self.dim), self.dim, self.tol)
+        rows = np.hstack([np.zeros((sub.basis.shape[0], self.dim_plus)), sub.basis])
+        return LinearSubspace.span(rows, self.dim, self.tol)
 
     # -- structure --------------------------------------------------------
 
@@ -220,17 +212,15 @@ class MatrixSymmetricPair:
 
         The tensor is read-only: it is shared with :meth:`algebra`.
         """
-        d = self.dim
+        d, b = self.dim, self.basis_mats
+        i, j = np.triu_indices(d, 1)
+        try:
+            c = self.matrix_coords(b[i] @ b[j] - b[j] @ b[i])  # one row per i < j
+        except ValueError as exc:
+            raise VerificationError(f"algebra basis is not closed under commutator: {exc}")
         t = np.zeros((d, d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                comm = self.basis_mats[i] @ self.basis_mats[j] - self.basis_mats[j] @ self.basis_mats[i]
-                try:
-                    c = self.matrix_coords(comm)
-                except ValueError as exc:
-                    raise VerificationError(f"algebra basis is not closed under commutator: {exc}")
-                t[i, j] = c
-                t[j, i] = -c
+        t[i, j] = c
+        t[j, i] = -c
         t.flags.writeable = False
         return t
 
@@ -261,18 +251,15 @@ class MatrixSymmetricPair:
 
     @cached_property
     def theta_coords(self) -> np.ndarray:
-        th = np.diag([1.0] * self.dim_plus + [-1.0] * self.dim_minus) if self.dim else np.zeros((0, 0))
+        th = np.diag([1.0] * self.dim_plus + [-1.0] * self.dim_minus)
         th.flags.writeable = False
         return th
 
     @cached_property
     def _algebra(self) -> SymmetricLieAlgebra:
-        d = self.dim
-        plus = LinearSubspace(d, np.eye(d)[: self.dim_plus]) if self.dim_plus else LinearSubspace.zero(d)
-        minus = LinearSubspace(d, np.eye(d)[self.dim_plus :]) if self.dim_minus else LinearSubspace.zero(d)
-        return SymmetricLieAlgebra(
-            d, self.structure_tensor, self.theta_coords, plus, minus, label=self.label
-        )
+        d, eye = self.dim, np.eye(self.dim)
+        plus, minus = LinearSubspace(d, eye[: self.dim_plus]), LinearSubspace(d, eye[self.dim_plus :])
+        return SymmetricLieAlgebra(d, self.structure_tensor, self.theta_coords, plus, minus, label=self.label)
 
     def algebra(self) -> SymmetricLieAlgebra:
         """The symmetric Lie algebra in full-basis coordinates.
@@ -302,33 +289,31 @@ class MatrixSymmetricPair:
                     inc = max(inc, float(np.linalg.norm(c[:p])))
         out["eigenspace_brackets"] = inc
 
-        ray = 0.0
-        for x in self.basis_mats:
-            for tval in (0.05, 0.3):
-                lhs = self.sigma.apply(mat_exp(tval * x, self.tol))
-                rhs = mat_exp(tval * self.sigma.derivative(x), self.tol)
-                ray = max(ray, float(np.linalg.norm(lhs - rhs)))
-        out["sigma_exp_theta"] = ray
+        ts, b, theta_b = (0.05, 0.3), self.basis_mats, self.sigma.derivative(self.basis_mats)
+        lhs = self.sigma.apply(mat_exp(np.concatenate([t * b for t in ts]), self.tol))
+        rhs = mat_exp(np.concatenate([t * theta_b for t in ts]), self.tol)
+        out["sigma_exp_theta"] = _max_norm(lhs - rhs)
 
-        invol = 0.0
-        rng = rng or np.random.default_rng(0)
-        for _ in range(samples):
-            g = self.random_element(rng)
-            invol = max(invol, float(np.linalg.norm(self.sigma.apply(self.sigma.apply(g)) - g)))
-        out["sigma_involutive"] = invol
+        g = self._random_elements(rng or np.random.default_rng(0), samples, 2, 0.5)
+        out["sigma_involutive"] = _max_norm(self.sigma.apply(self.sigma.apply(g)) - g)
         out["max_residual"] = max(out.values()) if out else 0.0
         return out
 
     def random_algebra_element(self, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_n, self.ambient_n))
         return self.to_matrix(scale * rng.standard_normal(self.dim))
 
     def random_element(self, rng: np.random.Generator, letters: int = 2, scale: float = 0.5) -> np.ndarray:
-        g = np.eye(self.ambient_n)
-        for _ in range(letters):
-            g = g @ mat_exp(self.random_algebra_element(rng, scale), self.tol)
-        return g
+        if letters < 0:
+            raise ValueError("letters must be >= 0")
+        return self._random_elements(rng, 1, letters, scale)[0]
+
+    def _random_elements(self, rng: np.random.Generator, count: int, letters: int, scale: float) -> np.ndarray:
+        """``count`` random elements, drawn as ``count`` sequential
+        :meth:`random_element` calls draw them, from one stacked exponential."""
+        n = self.ambient_n
+        words = [self.random_algebra_element(rng, scale) for _ in range(count * letters)]
+        exps = mat_exp(np.reshape(words, (-1, n, n)), self.tol)
+        return _word_products(exps.reshape(count, letters, n, n))
 
     def to_json(self) -> dict:
         return {
@@ -359,6 +344,15 @@ class MatrixSymmetricPair:
 # operations
 
 
+def _word_products(exps: np.ndarray) -> np.ndarray:
+    """Left-to-right products over axis 1 of a ``(count, letters, n, n)`` stack, from I."""
+    n = exps.shape[-1]
+    g = np.broadcast_to(np.eye(n), (exps.shape[0], n, n))
+    for j in range(exps.shape[1]):
+        g = g @ exps[:, j]
+    return np.array(g)
+
+
 def group_sigma(pair: MatrixSymmetricPair, g: np.ndarray) -> np.ndarray:
     """Apply the pair's group involution; g must be invertible."""
     g = as_matrix(g, square=True)
@@ -377,7 +371,8 @@ def trotter_group_sum(pair: MatrixSymmetricPair, x: np.ndarray, y: np.ndarray, k
     if k < 1:
         raise ValueError("k must be >= 1")
     x, y = as_matrix(x, square=True), as_matrix(y, square=True)
-    step = mat_exp(x / k, pair.tol) @ mat_exp(y / k, pair.tol)
+    ex, ey = mat_exp(np.stack([x / k, y / k]), pair.tol)
+    step = ex @ ey
     return np.linalg.matrix_power(step, k)
 
 
@@ -386,12 +381,8 @@ def trotter_group_commutator(pair: MatrixSymmetricPair, x: np.ndarray, y: np.nda
     if k < 1:
         raise ValueError("k must be >= 1")
     x, y = as_matrix(x, square=True), as_matrix(y, square=True)
-    step = (
-        mat_exp(x / k, pair.tol)
-        @ mat_exp(y / k, pair.tol)
-        @ mat_exp(-x / k, pair.tol)
-        @ mat_exp(-y / k, pair.tol)
-    )
+    ex, ey, ex_inv, ey_inv = mat_exp(np.stack([x / k, y / k, -x / k, -y / k]), pair.tol)
+    step = ex @ ey @ ex_inv @ ey_inv
     return np.linalg.matrix_power(step, k * k)
 
 
@@ -478,13 +469,12 @@ class PairMorphism:
         th = float(np.max(np.abs(a @ src.theta_coords - tgt.theta_coords @ a))) if a.size else 0.0
         out["involution"] = th
         ray = 0.0
-        if self.group_rule is not None:
-            for i in range(src.dim):
-                x = src.basis_mats[i]
-                for tval in (0.1, 0.7):
-                    lhs = self.group_rule(mat_exp(tval * x, src.tol))
-                    rhs = mat_exp(tval * tgt.to_matrix(a[:, i]), tgt.tol)
-                    ray = max(ray, float(np.linalg.norm(lhs - rhs)))
+        if self.group_rule is not None and src.dim:
+            ts = (0.1, 0.7)
+            images = np.array([tgt.to_matrix(col) for col in a.T])
+            lhs = mat_exp(np.concatenate([t * src.basis_mats for t in ts]), src.tol)
+            rhs = mat_exp(np.concatenate([t * images for t in ts]), tgt.tol)
+            ray = _max_norm(np.array([self.group_rule(g) for g in lhs]) - rhs)
         out["group_exp"] = ray
         out["max_residual"] = max(out.values()) if out else 0.0
         return out
@@ -496,13 +486,10 @@ def apply_pair_morphism(f: PairMorphism, word) -> np.ndarray:
     ``word`` is a sequence of source-algebra matrices x_i representing
     exp(x_1) exp(x_2) ... exp(x_n).
     """
+    src, tgt = f.source, f.target
     letters = [as_matrix(x, square=True) for x in word]
+    letters = np.array(letters) if letters else np.zeros((0, src.ambient_n, src.ambient_n))
     if f.group_rule is not None:
-        g = np.eye(f.source.ambient_n)
-        for x in letters:
-            g = g @ mat_exp(x, f.source.tol)
-        return f.group_rule(g)
-    h = np.eye(f.target.ambient_n)
-    for x in letters:
-        h = h @ mat_exp(f.map_algebra_matrix(x), f.target.tol)
-    return h
+        return f.group_rule(_word_products(mat_exp(letters, src.tol)[None])[0])
+    images = np.tensordot(src.matrix_coords(letters) @ f.algebra_map.T, tgt.basis_mats, axes=1)
+    return _word_products(mat_exp(images, tgt.tol)[None])[0]

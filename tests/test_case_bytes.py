@@ -1,0 +1,54 @@
+"""The case-record comparison of ``scripts/case_bytes.py``."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "case_bytes.py"
+
+
+@pytest.fixture(scope="module")
+def case_bytes():
+    spec = importlib.util.spec_from_file_location("case_bytes", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_json_fields_fold_list_indices(case_bytes):
+    before = json.dumps({"ok": True, "t": [[1.0, 2.0], [3.0, 4.0]], "r": {"a": 1e-16}})
+    after = json.dumps({"ok": True, "t": [[1.0, 2.5], [3.0, 3.0]], "r": {"a": 3e-16}})
+    got = case_bytes.field_changes(before, after)
+    assert got == {"t[][]": pytest.approx(1.0), "r.a": pytest.approx(2e-16)}
+
+
+def test_csv_columns(case_bytes):
+    got = case_bytes.field_changes("k,error\n16,0.5\n32,0.25\n", "k,error\n16,0.5\n32,0.125\n")
+    assert got == {"error": 0.125}
+
+
+@pytest.mark.parametrize(
+    "before,after",
+    [
+        ('{"ok": true}', '{"ok": false}'),  # a non-numeric leaf
+        ('{"a": 1.0}', '{"b": 1.0}'),  # a renamed field
+        ('{"a": [1.0]}', '{"a": [1.0, 2.0]}'),  # a changed shape
+        ("error: one\n", "error: two\n"),  # plain text
+        ('{"label": "1"}', '{"label": "2"}'),  # a string that reads as a number
+    ],
+)
+def test_other_changes_are_text(case_bytes, before, after):
+    assert case_bytes.field_changes(before, after) is None
+
+
+def test_diff_reports_each_moved_case(case_bytes, capsys):
+    a = {"x": [0, '{"v": 1.0}', ""], "y": [0, "k,error\n1,2\n", ""], "z": [2, "", "error: a\n"]}
+    b = {"x": [0, '{"v": 1.5}', ""], "y": [0, "k,error\n1,2\n", ""], "z": [1, "", "error: b\n"]}
+    assert case_bytes.diff(a, b) == 1
+    out = capsys.readouterr().out
+    assert "x\n  stdout v: 5.000e-01\n" in out
+    assert "z\n  exit: 2 -> 1\n  stderr: text changed" in out
+    assert "\ny\n" not in out and out.endswith("2 of 3 cases differ\n")
+    assert case_bytes.diff(a, a) == 0

@@ -138,6 +138,18 @@ class TestTrotter:
         assert captured.out == ""
         assert captured.err == f"error: vector entries must be finite: {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "flag,value,given", [("--x", "1,0", 2), ("--y", "0,0,1,0", 4), ("--z", "1,0", 2)]
+    )
+    def test_wrong_length_vector_names_the_flag(self, flag, value, given, capsys):
+        argv = ["trotter", "--model", "spd(2)", "--k-min", "16", "--k-max", "32"]
+        for name, text in {"--x": "1,0,0", "--y": "0,0,1", flag: value}.items():
+            argv += [name, text]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} has {given} entries, but g_minus has dimension 3\n"
+
     def test_json_format(self, capsys):
         code = main(
             ["trotter", "--model", "spd(2)", "--x", "1,0,0", "--y", "0,1,0",
