@@ -377,7 +377,10 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
     axis_seed = LinearSubspace(m, np.array([[1.0, 0.0]]))
 
     subs = (
-        DesignatedSubspace("dense_line", dense_seed, dense, is_ideal=True, is_symmetric=False),
+        # at a rational slope the line closes up into a circle, a symmetric subspace
+        DesignatedSubspace(
+            "dense_line", dense_seed, dense, is_ideal=True, is_symmetric=lattice.slope_kind == "rational"
+        ),
         DesignatedSubspace("axis_line", axis_seed, axis, is_ideal=True, is_symmetric=True),
     )
     return subs
@@ -574,7 +577,10 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
                 DesignatedMorphism("identity", _identity_morphism(pair)),
                 DesignatedMorphism("doubling", sym_morphism(doubling)),
             ),
-            metadata={"closed_subspaces": "dense_line is not closed", "connected": True},
+            metadata={
+                "closed_subspaces": lattice.slope_kind == "rational" or "dense_line is not closed",
+                "connected": True,
+            },
             extras={"lattice": lattice, "line_relation": _torus_relation(pair, lattice)},
         )
     if name == "product":

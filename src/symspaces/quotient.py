@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import DomainError, nullspace
+from .numkernel import DomainError, mat_exp, nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -30,12 +30,13 @@ from .subspace import (
     lts_of_subspace,
     split_complement_criterion,
 )
-from .sympair import MatrixSymmetricPair, SigmaRule
-from .symspace import SymPoint, exp_point, log_point, lts_of_pair, mu, tau_action
+from .sympair import MatrixSymmetricPair, SigmaRule, _word_products
+from .symspace import SymPoint, exp_point, exp_points, log_point, lts_of_pair, mu, tau_action
 
 __all__ = [
     "CongruenceRelation",
     "QuotientResult",
+    "PointProjection",
     "QuotientGateError",
     "FaithfulnessError",
     "normal_lts_is_ideal",
@@ -113,6 +114,46 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
         relates=_chart_relates(pair, n),
         label=f"congruence({pair.label})",
     )
+
+
+# Most floats the right-hand side of one ``matrix_coords`` solve holds when
+# PointProjection.many projects a sequence: it bounds the points per block.
+_MAX_RHS_FLOATS = 2 ** 15
+
+
+class PointProjection:
+    """The quotient projection on points, induced by Ad on g/l.
+
+    Called on a point, it projects that point.  :meth:`many` projects a
+    sequence in blocks of :attr:`block` points; each result is bit for bit
+    the single call.
+    """
+
+    def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
+        self.source = source
+        self.target = target
+        self.comp = comp  # (d', d) orthonormal rows spanning a complement of l
+        self.comp_mats = np.tensordot(comp, source.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
+        self.block = max(1, _MAX_RHS_FLOATS // max(1, self.comp_mats.size))
+
+    def __call__(self, x: SymPoint) -> SymPoint:
+        return self.many([x])[0]
+
+    def many(self, points) -> list:
+        points = list(points)
+        if any(x.pair is not self.source for x in points):
+            raise ValueError("point does not belong to the source pair")
+        d_out, n = self.comp_mats.shape[0], self.source.ambient_n
+        if not d_out:
+            return [SymPoint.from_rep(self.target, np.eye(1)) for _ in points]
+        out = []
+        for start in range(0, len(points), self.block):
+            g = np.array([x.rep for x in points[start:start + self.block]])
+            # column b of point i: the complement coordinates of Ad(g_i) applied to comp[b]
+            moved = g[:, None] @ self.comp_mats @ np.linalg.inv(g)[:, None]
+            coords = self.source.matrix_coords(moved.reshape(-1, n, n)).reshape(len(g), d_out, -1)
+            out += SymPoint.from_reps(self.target, self.comp @ coords.transpose(0, 2, 1))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,18 +277,6 @@ def quotient_theorem_pipeline(
     )
 
     proj_algebra = embed_minus[:, p:] if m_out else np.zeros((0, m))
-    comp_mats = np.tensordot(comp, pair.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
-
-    def project_point(x: SymPoint) -> SymPoint:
-        if x.pair is not pair:
-            raise ValueError("point does not belong to the source pair")
-        if not d_out:
-            return SymPoint.from_rep(qpair, np.eye(1))
-        g = x.rep
-        # column b: the complement coordinates of Ad(g) applied to comp[b]
-        coords = pair.matrix_coords(g @ comp_mats @ np.linalg.inv(g))
-        return SymPoint.from_rep(qpair, comp @ coords.T)
-
     report = {
         "l_basis": l_alg.basis.tolist(),
         "l_dim": l_alg.dim,
@@ -263,7 +292,7 @@ def quotient_theorem_pipeline(
     }
     return QuotientResult(
         quotient_pair=qpair,
-        projection_points=project_point,
+        projection_points=PointProjection(pair, qpair, comp),
         projection_algebra=proj_algebra,
         l_algebra=l_alg,
         relation=relation,
@@ -285,6 +314,10 @@ def weak_submersion_check(
     passing that law (``projection_morphism``) and the share of decidable
     samples where relates(x, y) agrees with pi(x) = pi(y)
     (``kernel_relation``, on the untranslated x).
+
+    Every sample is drawn first, in the order of a per-sample loop; the
+    points then come from stacked exponentials, and a :class:`PointProjection`
+    projects them in blocks (any other projection is called point by point).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -302,16 +335,33 @@ def weak_submersion_check(
         ker = np.eye(pair.dim_minus)
     ok = ok and LinearSubspace(pair.dim_minus, ker).equals(qr.relation.n_minus, tol)
 
+    us, vs, letters, moved = [], [], [], []
+    for i in range(samples):
+        us.append(0.2 * rng.standard_normal(pair.dim_minus))
+        vs.append(0.2 * rng.standard_normal(pair.dim_minus))
+        if rng.uniform() < 0.3:
+            moved.append(i)
+            letters.append(pair.random_algebra_element(rng, 0.2))
+    points = exp_points(pair, us + vs)
+    x0s, ys = points[:samples], points[samples:]
+    n = pair.ambient_n
+    gs = _word_products(mat_exp(np.reshape(letters, (-1, n, n)), tol)[:, None])
+    xs = list(x0s)
+    for i, g in zip(moved, gs):
+        xs[i] = tau_action(pair, g, x0s[i])
+    products = [mu(x, y) for x, y in zip(xs, ys)]
+
+    many = project.many if isinstance(project, PointProjection) else lambda pts: [project(x) for x in pts]
+    projected = many(x0s + ys + [xs[i] for i in moved] + products)
+    px0s, pys = projected[:samples], projected[samples:2 * samples]
+    pxs = list(px0s)
+    for i, px in zip(moved, projected[2 * samples:]):
+        pxs[i] = px
+    pmus = projected[2 * samples + len(moved):]
+
     morph_pass = rel_pass = rel_total = 0
-    for _ in range(samples):
-        u = 0.2 * rng.standard_normal(pair.dim_minus)
-        v = 0.2 * rng.standard_normal(pair.dim_minus)
-        x0, y = exp_point(pair, u), exp_point(pair, v)
-        translated = rng.uniform() < 0.3
-        x = tau_action(pair, pair.random_element(rng, letters=1, scale=0.2), x0) if translated else x0
-        px0, py = project(x0), project(y)
-        px = project(x) if translated else px0
-        morph_pass += int(project(mu(x, y)).same(mu(px, py)))
+    for x0, y, px0, px, py, pmu in zip(x0s, ys, px0s, pxs, pys, pmus):
+        morph_pass += int(pmu.same(mu(px, py)))
         related = qr.relation.relates(x0, y)
         if related is not None:
             rel_total += 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .lts import LinearSubspace, VerificationError, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance, nullspace
-from .symspace import SymMorphism, SymPoint, base_point, exp_point, log_point, lts_of_pair, mu
+from .symspace import SymMorphism, SymPoint, base_point, exp_point, exp_points, log_point, lts_of_pair, mu
 from .sympair import MatrixSymmetricPair
 
 __all__ = [
@@ -112,13 +112,9 @@ class ReflectionSubspace:
             if self.constraints is None:
                 raise ValueError("algebraic subspace without constraints")
             h = 1e-6
-            cols = []
-            for i in range(m):
-                e = np.zeros(m)
-                e[i] = 1.0
-                fp = np.asarray(self.constraints(exp_point(self.pair, h * e).cartan), dtype=float)
-                fm = np.asarray(self.constraints(exp_point(self.pair, -h * e).cartan), dtype=float)
-                cols.append((fp - fm) / (2.0 * h))
+            steps = [s * e for e in np.eye(m) for s in (h, -h)]
+            values = [np.asarray(self.constraints(x.cartan), dtype=float) for x in exp_points(self.pair, steps)]
+            cols = [(fp - fm) / (2.0 * h) for fp, fm in zip(values[::2], values[1::2])]
             jac = np.array(cols).T if cols else np.zeros((0, m))
             if jac.ndim == 1:
                 jac = jac.reshape(1, -1)
@@ -227,12 +223,12 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
     if n_space.member(base) is False:
         raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
     cand = n_space.candidate_subspace()
-    for v in cand.onb():
-        for t in CERTIFICATION_GRID:
-            if n_space.member(exp_point(pair, t * v)) is False:
-                raise CertificationError(
-                    f"candidate ray failed membership at t={t}", witness=(v, t)
-                )
+    rays = [(v, t) for v in cand.onb() for t in CERTIFICATION_GRID]
+    for (v, t), x in zip(rays, exp_points(pair, [t * v for v, t in rays])):
+        if n_space.member(x) is False:
+            raise CertificationError(
+                f"candidate ray failed membership at t={t}", witness=(v, t)
+            )
     if not is_subsystem(lts_of_pair(pair), cand, pair.tol):
         raise CertificationError("candidate is not a triple subsystem", witness=(cand.basis, None))
     return cand
@@ -285,6 +281,8 @@ def exp_chart_split(
     Random samples check both directions; certified probe witnesses from the
     subspace (if any) refute radii that sampling alone cannot.  The radius
     halves on failure; hitting the floor raises :class:`ChartSplitError`.
+    Each radius draws its samples first and exponentiates them in one
+    stacked call.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -296,17 +294,19 @@ def exp_chart_split(
         violation = 0.0
         witness = None
 
-        for _ in range(samples if n.dim else 0):
-            v = _ball_sample(rng, n.onb(), radius)
-            if n_space.member(exp_point(pair, v)) is False:
+        inside = [_ball_sample(rng, n.onb(), radius) for _ in range(samples if n.dim else 0)]
+        ws = [_ball_sample(rng, free, radius) for _ in range(samples)]
+        gaps = [n.distance(w) for w in ws]
+        far = [i for i, gap in enumerate(gaps) if gap > 0.05 * radius]
+        points = exp_points(pair, inside + [ws[i] for i in far])
+        for v, x in zip(inside, points):
+            if n_space.member(x) is False:
                 violation = max(violation, float(np.linalg.norm(v)))
                 witness = v
-        for _ in range(samples):
-            w = _ball_sample(rng, free, radius)
-            gap = n.distance(w)
-            if gap > 0.05 * radius and n_space.member(exp_point(pair, w)) is True:
-                violation = max(violation, gap)
-                witness = w
+        for i, x in zip(far, points[len(inside):]):
+            if n_space.member(x) is True:
+                violation = max(violation, gaps[i])
+                witness = ws[i]
         if n_space.probes is not None:
             for probe in n_space.probes(radius, None):
                 w = np.asarray(probe.vector, dtype=float)
@@ -338,7 +338,9 @@ def split_complement_criterion(
     """Falsification check of N intersect Exp(F-ball) = {b}.
 
     Returns False as soon as a nonzero sampled (or certified probe) direction
-    in F exponentiates into N; True means no refutation was found.
+    in F exponentiates into N; True means no refutation was found.  The
+    samples are drawn first and exponentiated in one stacked call; on a
+    refutation the generator is left where a per-sample loop would stop.
     """
     pair = n_space.pair
     m = pair.dim_minus
@@ -350,11 +352,14 @@ def split_complement_criterion(
     rng = rng or np.random.default_rng(0)
     if f_comp.dim == 0:
         return True
-    for _ in range(samples):
-        w = _ball_sample(rng, f_comp.onb(), radius)
-        if np.linalg.norm(w) < 1e-6:
-            continue
-        if n_space.member(exp_point(pair, w)) is True:
+    state = rng.bit_generator.state
+    ws = [_ball_sample(rng, f_comp.onb(), radius) for _ in range(samples)]
+    kept = [i for i, w in enumerate(ws) if np.linalg.norm(w) >= 1e-6]
+    for i, x in zip(kept, exp_points(pair, [ws[i] for i in kept])):
+        if n_space.member(x) is True:
+            rng.bit_generator.state = state
+            for _ in range(i + 1):
+                _ball_sample(rng, f_comp.onb(), radius)
             return False
     if n_space.probes is not None:
         for probe in n_space.probes(radius, f_comp):

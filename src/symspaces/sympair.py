@@ -354,9 +354,9 @@ def _word_products(exps: np.ndarray) -> np.ndarray:
 
 
 def group_sigma(pair: MatrixSymmetricPair, g: np.ndarray) -> np.ndarray:
-    """Apply the pair's group involution; g must be invertible."""
-    g = as_matrix(g, square=True)
-    if abs(np.linalg.det(g)) < 1e-300:
+    """Apply the pair's group involution; g, or each matrix of a stack, must be invertible."""
+    g = as_matrix(g, square=True, stack=True)
+    if np.any(np.abs(np.linalg.det(g)) < 1e-300):
         raise ValueError("sigma is only defined on invertible matrices")
     return pair.sigma.apply(g)
 

@@ -74,6 +74,13 @@ class SymPoint:
         cartan = rep @ np.linalg.inv(group_sigma(pair, rep))
         return cls(pair, rep, cartan)
 
+    @classmethod
+    def from_reps(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
+        """``[from_rep(pair, r) for r in reps]``, bit for bit, from stacked products."""
+        reps = as_matrix(reps, square=True, stack=True)
+        cartans = reps @ np.linalg.inv(group_sigma(pair, reps))
+        return [cls(pair, r, c) for r, c in zip(reps, cartans)]
+
     def same(self, other: "SymPoint") -> bool:
         """Point equality, i.e. equality of Cartan matrices (valid for K = G^sigma)."""
         _require_same_pair(self, other)

@@ -254,6 +254,15 @@ class TestSubspaceVerb:
         assert subs["axis_line"]["symmetric"] is True
         assert report["ok"] is True
 
+    @pytest.mark.parametrize("slope", ["1/2", "0", "3"])
+    def test_rational_torus_line_is_expected_symmetric(self, tmp_path, slope):
+        # at a rational slope the line closes into a circle
+        out = tmp_path / "s.json"
+        assert main(["subspace", "--model", f"torus_abelian({slope})", "--out", str(out)]) == EXIT_OK
+        line = json.loads(out.read_text())["subspaces"]["dense_line"]
+        assert line["symmetric"] is True and line["expected_symmetric"] is True
+        assert line["matches_expectation"] is True
+
     def test_sphere_report(self, tmp_path):
         out = tmp_path / "s.json"
         assert main(["subspace", "--model", "sphere(2)", "--out", str(out)]) == EXIT_OK
