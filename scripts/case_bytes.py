@@ -2,11 +2,9 @@
 
     PYTHONPATH=src python3 scripts/case_bytes.py --out before.json
     PYTHONPATH=src python3 scripts/case_bytes.py --diff before.json after.json
-    PYTHONPATH=src python3 scripts/case_bytes.py --workload quotient_ladder --out q.json
 
 A case is one item of ``bench/workloads.py`` on the program seed of one of
-its workload's seed groups (88 cases in all).  ``--workload NAME``, which
-may be repeated, records or compares only the cases of those workloads.  Each case runs in process
+its workload's seed groups (88 cases in all).  Each case runs in process
 through ``symspaces.cli.main``, as the benchmark worker runs it, and the
 record maps ``"<workload> | <item key> | seed <seed>"`` to
 ``[exit, stdout, stderr]``.  ``workloads.py`` is read, never changed.
@@ -36,13 +34,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import workloads  # noqa: E402
 
 
-def run_cases(names=None) -> dict:
+def run_cases() -> dict:
     from symspaces import cli
 
     record = {}
     for name, workload in workloads.WORKLOADS.items():
-        if names and name not in names:
-            continue
         for group in range(workload["seed_groups"]):
             for item in workload["items"]:
                 seed = workloads.program_seed(name, item["key"], group)
@@ -117,9 +113,7 @@ def field_changes(before: str, after: str):
     return worst
 
 
-def diff(a: dict, b: dict, names=None) -> int:
-    if names:
-        a, b = ({k: v for k, v in r.items() if k.split(" | ")[0] in names} for r in (a, b))
+def diff(a: dict, b: dict) -> int:
     changed = 0
     for case in sorted(set(a) | set(b)):
         if case not in a or case not in b:
@@ -149,15 +143,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the case record here (default: stdout)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two case records")
-    parser.add_argument(
-        "--workload", action="append", choices=sorted(workloads.WORKLOADS),
-        help="only the cases of this workload (repeatable; default: every workload)",
-    )
     args = parser.parse_args(argv)
     if args.diff:
         with open(args.diff[0]) as fa, open(args.diff[1]) as fb:
-            return diff(json.load(fa), json.load(fb), args.workload)
-    text = json.dumps(run_cases(args.workload), indent=1, sort_keys=True)
+            return diff(json.load(fa), json.load(fb))
+    text = json.dumps(run_cases(), indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

@@ -578,7 +578,7 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
                 DesignatedMorphism("doubling", sym_morphism(doubling)),
             ),
             metadata={
-                "closed_subspaces": lattice.slope_kind == "rational" or "dense_line is not closed",
+                "closed_subspaces": True if lattice.slope_kind == "rational" else "dense_line is not closed",
                 "connected": True,
             },
             extras={"lattice": lattice, "line_relation": _torus_relation(pair, lattice)},

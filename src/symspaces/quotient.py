@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import DomainError, mat_exp, nullspace
+from .numkernel import DomainError, nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -30,8 +30,8 @@ from .subspace import (
     lts_of_subspace,
     split_complement_criterion,
 )
-from .sympair import MatrixSymmetricPair, SigmaRule, _word_products
-from .symspace import SymPoint, exp_point, exp_points, log_point, lts_of_pair, mu, tau_action
+from .sympair import MatrixSymmetricPair, SigmaRule
+from .symspace import MAX_STACK_FLOATS, SymPoint, exp_point, exp_points, log_point, lts_of_pair, mu, tau_action
 
 __all__ = [
     "CongruenceRelation",
@@ -116,17 +116,13 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
     )
 
 
-# Most floats the right-hand side of one ``matrix_coords`` solve holds when
-# PointProjection.many projects a sequence: it bounds the points per block.
-_MAX_RHS_FLOATS = 2 ** 15
-
-
 class PointProjection:
     """The quotient projection on points, induced by Ad on g/l.
 
     Called on a point, it projects that point.  :meth:`many` projects a
-    sequence in blocks of :attr:`block` points; each result is bit for bit
-    the single call.
+    sequence in blocks of :attr:`block` points, whose ``matrix_coords``
+    right-hand side holds at most ``MAX_STACK_FLOATS``; each result is bit
+    for bit the single call.
     """
 
     def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
@@ -134,7 +130,7 @@ class PointProjection:
         self.target = target
         self.comp = comp  # (d', d) orthonormal rows spanning a complement of l
         self.comp_mats = np.tensordot(comp, source.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
-        self.block = max(1, _MAX_RHS_FLOATS // max(1, self.comp_mats.size))
+        self.block = max(1, MAX_STACK_FLOATS // max(1, self.comp_mats.size))
 
     def __call__(self, x: SymPoint) -> SymPoint:
         return self.many([x])[0]
@@ -315,9 +311,11 @@ def weak_submersion_check(
     samples where relates(x, y) agrees with pi(x) = pi(y)
     (``kernel_relation``, on the untranslated x).
 
-    Every sample is drawn first, in the order of a per-sample loop; the
-    points then come from stacked exponentials, and a :class:`PointProjection`
-    projects them in blocks (any other projection is called point by point).
+    The samples run in blocks whose x0 and y stack, counted in the larger of
+    the source and quotient matrices, holds at most ``MAX_STACK_FLOATS``.
+    They are drawn in the order of a per-sample loop; a block's points come
+    from stacked exponentials, and a :class:`PointProjection` projects them
+    in blocks of its own (any other projection is called point by point).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -335,37 +333,41 @@ def weak_submersion_check(
         ker = np.eye(pair.dim_minus)
     ok = ok and LinearSubspace(pair.dim_minus, ker).equals(qr.relation.n_minus, tol)
 
-    us, vs, letters, moved = [], [], [], []
-    for i in range(samples):
-        us.append(0.2 * rng.standard_normal(pair.dim_minus))
-        vs.append(0.2 * rng.standard_normal(pair.dim_minus))
-        if rng.uniform() < 0.3:
-            moved.append(i)
-            letters.append(pair.random_algebra_element(rng, 0.2))
-    points = exp_points(pair, us + vs)
-    x0s, ys = points[:samples], points[samples:]
     n = pair.ambient_n
-    gs = _word_products(mat_exp(np.reshape(letters, (-1, n, n)), tol)[:, None])
-    xs = list(x0s)
-    for i, g in zip(moved, gs):
-        xs[i] = tau_action(pair, g, x0s[i])
-    products = [mu(x, y) for x, y in zip(xs, ys)]
-
+    # a block's points, of the source and of the quotient, live until it is compared
+    width = max(n, qr.quotient_pair.ambient_n)
+    block = max(1, MAX_STACK_FLOATS // (2 * width * width))
     many = project.many if isinstance(project, PointProjection) else lambda pts: [project(x) for x in pts]
-    projected = many(x0s + ys + [xs[i] for i in moved] + products)
-    px0s, pys = projected[:samples], projected[samples:2 * samples]
-    pxs = list(px0s)
-    for i, px in zip(moved, projected[2 * samples:]):
-        pxs[i] = px
-    pmus = projected[2 * samples + len(moved):]
-
     morph_pass = rel_pass = rel_total = 0
-    for x0, y, px0, px, py, pmu in zip(x0s, ys, px0s, pxs, pys, pmus):
-        morph_pass += int(pmu.same(mu(px, py)))
-        related = qr.relation.relates(x0, y)
-        if related is not None:
-            rel_total += 1
-            rel_pass += int(related == px0.same(py))
+    for start in range(0, samples, block):
+        us, vs, letters, moved = [], [], [], []
+        for i in range(min(block, samples - start)):
+            us.append(0.2 * rng.standard_normal(pair.dim_minus))
+            vs.append(0.2 * rng.standard_normal(pair.dim_minus))
+            if rng.uniform() < 0.3:
+                moved.append(i)
+                letters.append(pair.random_algebra_element(rng, 0.2))
+        count = len(us)
+        points = exp_points(pair, us + vs)
+        x0s, ys = points[:count], points[count:]
+        xs = list(x0s)
+        for i, g in zip(moved, pair._elements_from_words(np.reshape(letters, (-1, 1, n, n)))):
+            xs[i] = tau_action(pair, g, x0s[i])
+        products = [mu(x, y) for x, y in zip(xs, ys)]
+
+        projected = many(x0s + ys + [xs[i] for i in moved] + products)
+        px0s, pys = projected[:count], projected[count:2 * count]
+        pxs = list(px0s)
+        for i, px in zip(moved, projected[2 * count:]):
+            pxs[i] = px
+        pmus = projected[2 * count + len(moved):]
+
+        for x0, y, px0, px, py, pmu in zip(x0s, ys, px0s, pxs, pys, pmus):
+            morph_pass += int(pmu.same(mu(px, py)))
+            related = qr.relation.relates(x0, y)
+            if related is not None:
+                rel_total += 1
+                rel_pass += int(related == px0.same(py))
     return {
         "ok": bool(ok and morph_pass == samples),
         "sample_pass_rates": {

@@ -16,7 +16,17 @@ import numpy as np
 
 from .lts import LinearSubspace, VerificationError, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance, nullspace
-from .symspace import SymMorphism, SymPoint, base_point, exp_point, exp_points, log_point, lts_of_pair, mu
+from .symspace import (
+    MAX_STACK_FLOATS,
+    SymMorphism,
+    SymPoint,
+    base_point,
+    exp_point,
+    exp_points,
+    log_point,
+    lts_of_pair,
+    mu,
+)
 from .sympair import MatrixSymmetricPair
 
 __all__ = [
@@ -339,8 +349,9 @@ def split_complement_criterion(
 
     Returns False as soon as a nonzero sampled (or certified probe) direction
     in F exponentiates into N; True means no refutation was found.  The
-    samples are drawn first and exponentiated in one stacked call; on a
-    refutation the generator is left where a per-sample loop would stop.
+    samples are drawn first and exponentiated in stacks of at most
+    ``MAX_STACK_FLOATS``; on a refutation the generator is left where a
+    per-sample loop would stop.
     """
     pair = n_space.pair
     m = pair.dim_minus
@@ -355,12 +366,15 @@ def split_complement_criterion(
     state = rng.bit_generator.state
     ws = [_ball_sample(rng, f_comp.onb(), radius) for _ in range(samples)]
     kept = [i for i, w in enumerate(ws) if np.linalg.norm(w) >= 1e-6]
-    for i, x in zip(kept, exp_points(pair, [ws[i] for i in kept])):
-        if n_space.member(x) is True:
-            rng.bit_generator.state = state
-            for _ in range(i + 1):
-                _ball_sample(rng, f_comp.onb(), radius)
-            return False
+    size = max(1, MAX_STACK_FLOATS // pair.ambient_n ** 2)
+    for start in range(0, len(kept), size):
+        block = kept[start:start + size]
+        for i, x in zip(block, exp_points(pair, [ws[i] for i in block])):
+            if n_space.member(x) is True:
+                rng.bit_generator.state = state
+                for _ in range(i + 1):
+                    _ball_sample(rng, f_comp.onb(), radius)
+                return False
     if n_space.probes is not None:
         for probe in n_space.probes(radius, f_comp):
             w = np.asarray(probe.vector, dtype=float)

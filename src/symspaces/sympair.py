@@ -312,8 +312,14 @@ class MatrixSymmetricPair:
         :meth:`random_element` calls draw them, from one stacked exponential."""
         n = self.ambient_n
         words = [self.random_algebra_element(rng, scale) for _ in range(count * letters)]
-        exps = mat_exp(np.reshape(words, (-1, n, n)), self.tol)
-        return _word_products(exps.reshape(count, letters, n, n))
+        return self._elements_from_words(np.reshape(words, (count, letters, n, n)))
+
+    def _elements_from_words(self, words: np.ndarray) -> np.ndarray:
+        """The products exp(w_1)...exp(w_letters) of a ``(count, letters, n, n)``
+        stack of algebra words, from one stacked exponential."""
+        n = self.ambient_n
+        exps = mat_exp(words.reshape(-1, n, n), self.tol)
+        return _word_products(exps.reshape(words.shape))
 
     def to_json(self) -> dict:
         return {

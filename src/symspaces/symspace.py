@@ -43,6 +43,10 @@ __all__ = [
 # Longest chain of unread representatives a point may sit on; past it the
 # inputs' reps are read, so a first read never recurses deeper than this.
 _MAX_PENDING = 32
+# Most floats in one stack of matrices that the quotient path's samplers
+# exponentiate or its point projection solves for: it bounds their stacked
+# temporaries, and with them the memory high-water mark of a batched pass.
+MAX_STACK_FLOATS = 2 ** 13
 
 
 class SymPoint:

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symspaces import numkernel
+from symspaces import numkernel, quotient, subspace
 from symspaces.cli import main
 from symspaces.lts import LinearSubspace, is_subsystem
 from symspaces.numkernel import Tolerance, nullspace
@@ -34,7 +34,7 @@ from symspaces.subspace import (
     split_complement_criterion,
     whole_space,
 )
-from symspaces.symspace import SymPoint, base_point, exp_point, lts_of_pair, mu, tau_action
+from symspaces.symspace import MAX_STACK_FLOATS, SymPoint, base_point, exp_point, lts_of_pair, mu, tau_action
 
 MODELS = ("sphere(2)", "spd(2)", "grassmann(1,3)", "torus_abelian(sqrt2)", "product(sphere(2),sphere(2))")
 
@@ -54,6 +54,16 @@ def rng_pair(seed):
 
 def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
     return a.bit_generator.state == b.bit_generator.state
+
+
+def set_block(monkeypatch, module, width, floats_per_item, block):
+    """Shrink ``MAX_STACK_FLOATS`` in ``module`` so that ``block`` items of
+    ``floats_per_item`` matrices of size ``width`` fill one stack."""
+    monkeypatch.setattr(module, "MAX_STACK_FLOATS", block * floats_per_item * width**2)
+
+
+def submersion_width(qr) -> int:
+    return max(qr.relation.pair.ambient_n, qr.quotient_pair.ambient_n)
 
 
 def count_mat_exp(monkeypatch):
@@ -267,9 +277,10 @@ class TestWeakSubmersionCheck:
             assert weak_submersion_check(qr, a, samples) == oracle_submersion(qr, b, samples), label
             assert same_state(a, b), label
 
-    @pytest.mark.parametrize("samples", [1, 3, 30])
-    def test_sample_counts(self, quotients, samples):
+    @pytest.mark.parametrize("samples", [1, 3, 4, 5, 6, 11])
+    def test_sample_blocks(self, quotients, samples, monkeypatch):
         label, qr = quotients[-1]
+        set_block(monkeypatch, quotient, submersion_width(qr), 2, 5)
         a, b = rng_pair(11)
         assert weak_submersion_check(qr, a, samples) == oracle_submersion(qr, b, samples), label
         assert same_state(a, b)
@@ -288,12 +299,13 @@ class TestWeakSubmersionCheck:
         assert same_state(a, b)
         assert got["ok"] is False
 
-    def test_three_stacked_exponentials_per_check(self, quotients, monkeypatch):
+    def test_three_stacked_exponentials_per_block(self, quotients, monkeypatch):
         label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
+        set_block(monkeypatch, quotient, submersion_width(qr), 2, 5)
         calls = count_mat_exp(monkeypatch)
-        weak_submersion_check(qr, np.random.default_rng(0))
-        # the Cartan matrices, the representatives and the translating letters
-        assert len(calls) == 3
+        weak_submersion_check(qr, np.random.default_rng(0), samples=11)
+        # per block: the Cartan matrices, the representatives and the translating letters
+        assert len(calls) == 3 * 3
 
 
 class TestExpChartSplit:
@@ -350,10 +362,11 @@ class TestSplitComplementCriterion:
         assert got is oracle_split_complement(line.subspace, n, n.complement(), b) is False
         assert same_state(a, b)
 
-    @pytest.mark.parametrize("first_true", [1, 7, 200])
-    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, first_true):
+    @pytest.mark.parametrize("first_true", [1, 7, 50, 51, 200])
+    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, first_true, monkeypatch):
         sub = models["product(sphere(2),sphere(2))"].subspace_by_name("left_factor")
         n = sub.seed
+        set_block(monkeypatch, subspace, sub.subspace.pair.ambient_n, 1, 50)
 
         def always_from(k):
             seen = []
@@ -424,7 +437,7 @@ class TestPointProjection:
             proj = qr.projection_points
             assert isinstance(proj, PointProjection)
             if proj.comp_mats.size:
-                assert proj.block * proj.comp_mats.size <= 2 ** 15 < (proj.block + 1) * proj.comp_mats.size
+                assert proj.block * proj.comp_mats.size <= MAX_STACK_FLOATS < (proj.block + 1) * proj.comp_mats.size
 
     @pytest.mark.parametrize("name", ["zero", "left"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -481,4 +494,4 @@ def test_largest_quotient_run_stays_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 2 * 2 ** 20

@@ -52,29 +52,3 @@ def test_diff_reports_each_moved_case(case_bytes, capsys):
     assert "z\n  exit: 2 -> 1\n  stderr: text changed" in out
     assert "\ny\n" not in out and out.endswith("2 of 3 cases differ\n")
     assert case_bytes.diff(a, a) == 0
-
-
-def test_workload_option_restricts_both_record_and_diff(case_bytes, tmp_path, capsys, monkeypatch):
-    a = {"w1 | x | seed 1": [0, "1", ""], "w2 | y | seed 2": [0, "2", ""], "w3 | z | seed 3": [0, "3", ""]}
-    b = {"w1 | x | seed 1": [0, "1", ""], "w2 | y | seed 2": [0, "5", ""], "w3 | z | seed 3": [0, "3", ""]}
-    assert case_bytes.diff(a, b, ["w1", "w3"]) == 0
-    assert capsys.readouterr().out == "0 of 2 cases differ\n"
-    assert case_bytes.diff(a, b, ["w2"]) == 1
-    assert capsys.readouterr().out.endswith("1 of 1 cases differ\n")
-
-    item = {"key": "models", "argv": ["models"]}
-    small = {"w1": {"seed_groups": 1, "items": [item]}, "w2": {"seed_groups": 2, "items": [item]}}
-    monkeypatch.setattr(case_bytes.workloads, "WORKLOADS", small)
-    out = tmp_path / "w2.json"
-    assert case_bytes.main(["--workload", "w2", "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
-    assert len(record) == 2 and all(case.startswith("w2 | models | seed ") for case in record)
-    assert len(case_bytes.run_cases()) == 3
-    both = tmp_path / "both.json"
-    both.write_text(json.dumps({**record, "w1 | models | seed 0": [0, "", ""]}))
-    capsys.readouterr()
-    assert case_bytes.main(["--diff", str(out), str(both), "--workload", "w2"]) == 0
-    assert capsys.readouterr().out == "0 of 2 cases differ\n"
-    assert case_bytes.main(["--diff", str(out), str(both), "--workload", "w2", "--workload", "w1"]) == 1
-    with pytest.raises(SystemExit):
-        case_bytes.main(["--workload", "no_such_workload"])
