@@ -384,6 +384,8 @@ class SymmetricLieAlgebra:
     plus_basis: LinearSubspace = field(repr=False)
     minus_basis: LinearSubspace = field(repr=False)
     label: str = ""
+    # the last ideal check of _minus_ideal: (key of n, minus onb, n in it, verdict)
+    _last_minus_ideal: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.bracket_tensor, dtype=float)
@@ -529,8 +531,21 @@ def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, mess
     """Check that n is an ideal of the triple system [[x,y],z] on g_minus.
 
     Returns the minus onb rows ``q`` and n in their coordinates; raises
-    ``ValueError(message)`` when n is no ideal.
+    ``ValueError(message)`` when n is no ideal.  The algebra keeps the last
+    check, so a second call on the same n (the two ideals of one quotient
+    pipeline run) reuses it.
     """
+    key = (n.basis.shape, n.basis.tobytes(), tol)
+    last = g._last_minus_ideal
+    if not last or last[0] != key:
+        last[:] = [key, *_check_minus_ideal(g, n, tol)]
+    _, q, n_m, ok = last
+    if not ok:
+        raise ValueError(message)
+    return q, n_m
+
+
+def _check_minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance):
     _require_minus_subspace(g, n, tol)
     q = g.minus_basis.onb()
     k = q.shape[0]
@@ -541,9 +556,7 @@ def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, mess
     if resid > tol.threshold(max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)):
         raise VerificationError("triple bracket leaves the (-1)-eigenspace")
     n_m = _minus_coords_subspace(g, n, q)
-    if not is_ideal(LieTripleSystem(k, coords.reshape((k,) * 4)), n_m, tol):
-        raise ValueError(message)
-    return q, n_m
+    return q, n_m, is_ideal(LieTripleSystem(k, coords.reshape((k,) * 4)), n_m, tol)
 
 
 def _check_plus_generated(g: SymmetricLieAlgebra, tol: Tolerance):

@@ -170,52 +170,116 @@ def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    # Frobenius norm of each slice of a stack, bit for bit np.linalg.norm(slice)
+    f = a.reshape(a.shape[0], a.shape[1] * a.shape[2])
+    return np.sqrt(np.vecdot(f, f))
+
+
 def _sqrt_denman_beavers(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     # Quadratically convergent for spectra off the closed negative real axis,
-    # which the principal-branch precondition of mat_log guarantees.
-    y, z = a.copy(), np.eye(a.shape[0])
+    # which the principal-branch precondition of mat_log guarantees.  ``a`` is
+    # a (k, n, n) stack; each slice stops at its own iteration.  z starts as
+    # the one identity that every slice shares.
+    y, z = a.copy(), np.eye(a.shape[-1])
+    on = None  # the slices still iterating, once some have stopped
     for _ in range(60):
-        y_next = 0.5 * (y + np.linalg.inv(z))
-        z_next = 0.5 * (z + np.linalg.inv(y))
-        delta = np.linalg.norm(y_next - y)
-        y, z = y_next, z_next
-        if delta <= tol.threshold(np.linalg.norm(y)) * 0.01:
+        yl, zl = (y, z) if on is None else (y[on], z[on])
+        y_next = 0.5 * (yl + np.linalg.inv(zl))
+        z_next = 0.5 * (zl + np.linalg.inv(yl))
+        deltas = _frobenius(y_next - yl).tolist()
+        going = [not d <= tol.threshold(s) * 0.01 for d, s in zip(deltas, _frobenius(y_next).tolist())]
+        if on is None:
+            y, z = y_next, z_next
+        else:
+            y[on], z[on] = y_next, z_next
+        on = _still(going, on)
+        if on is not None and not on.size:
             break
     return y
+
+
+def _still(going: list, on):
+    # the slices still iterating after a step on ``on`` (None: all of them);
+    # the per-slice tests run on Python floats, which round as float64 does
+    if all(going):
+        return on
+    kept = [i for i, g in enumerate(going) if g]
+    return np.array(kept, dtype=int) if on is None else on[kept]
+
+
+_LOG_DOMAIN = "matrix outside the principal-branch domain |a - I| < 1"
+_LOG_DIVERGED = "square-root reduction failed to converge"
 
 
 def mat_log(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Principal matrix logarithm on the ball ``op_norm(a - I) < 1``.
 
     Inverse scaling (repeated square roots) followed by the atanh series
-    ``log A = 2 * sum X^(2j+1)/(2j+1)`` with ``X = (A-I)(A+I)^-1``.
+    ``log A = 2 * sum X^(2j+1)/(2j+1)`` with ``X = (A-I)(A+I)^-1``.  Raises
+    :class:`DomainError` outside the ball.  ``a`` may also be a ``(k, n, n)``
+    stack: each slice takes its own number of roots and series terms, slice
+    ``i`` of the result is bit for bit ``mat_log(a[i])``, and a slice outside
+    the domain comes back filled with NaN instead of failing the stack.
     """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
+    a = as_matrix(a, square=True, stack=True)
+    if a.ndim == 3:
+        return _mat_log_stack(a, tol)[0]
+    out, failed = _mat_log_stack(a[None], tol)
+    if failed[0]:
+        raise DomainError(failed[0])
+    return out[0]
+
+
+def _mat_log_stack(a: np.ndarray, tol: Tolerance):
+    # The logs of a (k, n, n) stack, NaN where a slice is outside the domain,
+    # and per slice the DomainError message of the 2-D call, or None.
+    k, n = a.shape[0], a.shape[1]
+    if k == 0 or n == 0:
+        return a.copy(), [None] * k
     ident = np.eye(n)
-    if op_norm(a - ident) >= 1.0:
-        raise DomainError("matrix outside the principal-branch domain |a - I| < 1")
+    inside = (np.linalg.svd(a - ident, compute_uv=False).max(axis=-1) < 1.0).tolist()
+    failed = [None if ok else _LOG_DOMAIN for ok in inside]
+    live = [i for i, ok in enumerate(inside) if ok]
+    a = a[live]
+    roots = [0] * len(live)
+    todo = [j for j, f in enumerate(_frobenius(a - ident).tolist()) if f > 0.25]
+    while todo:
+        on = slice(None) if len(todo) == len(a) else todo
+        a[on] = _sqrt_denman_beavers(a[on], tol)
+        for j in todo:
+            roots[j] += 1
+        far = _frobenius(a[on] - ident).tolist()
+        todo = [j for j, f in zip(todo, far) if roots[j] <= 40 and f > 0.25]
+    if max(roots, default=0) > 40:
+        for i, r in zip(live, roots):
+            if r > 40:
+                failed[i] = _LOG_DIVERGED
+        kept = [j for j, r in enumerate(roots) if r <= 40]
+        a, roots, live = a[kept], [roots[j] for j in kept], [live[j] for j in kept]
+    out = np.full((k, n, n), np.nan)
+    if not live:
+        return out, failed
 
-    s = 0
-    while np.linalg.norm(a - ident) > 0.25:
-        a = _sqrt_denman_beavers(a, tol)
-        s += 1
-        if s > 40:
-            raise DomainError("square-root reduction failed to converge")
-
-    x = np.linalg.solve((a + ident).T, (a - ident).T).T
+    x = np.linalg.solve((a + ident).swapaxes(1, 2), (a - ident).swapaxes(1, 2)).swapaxes(1, 2)
     x2 = x @ x
     term = x.copy()
     total = term.copy()
+    on = None  # the slices still summing, once some have stopped
     for j in range(1, 40):
-        term = term @ x2
-        inc = term / (2 * j + 1)
-        total += inc
-        if np.linalg.norm(inc) <= 0.01 * tol.abs_eps:
+        if on is None:
+            term = term @ x2
+            inc = term / (2 * j + 1)
+            total += inc
+        else:
+            term[on] = term_on = term[on] @ x2[on]
+            inc = term_on / (2 * j + 1)
+            total[on] += inc
+        on = _still([not f <= 0.01 * tol.abs_eps for f in _frobenius(inc).tolist()], on)
+        if on is not None and not on.size:
             break
-    return (2.0 ** (s + 1)) * total
+    out[live] = np.array([2.0 ** (r + 1) for r in roots])[:, None, None] * total
+    return out, failed
 
 
 def _svd_cut(a: np.ndarray, tol: Tolerance):

@@ -31,10 +31,21 @@ from .subspace import (
     split_complement_criterion,
 )
 from .sympair import MatrixSymmetricPair, SigmaRule
-from .symspace import MAX_STACK_FLOATS, SymPoint, exp_point, exp_points, log_point, lts_of_pair, mu, tau_action
+from .symspace import (
+    MAX_STACK_FLOATS,
+    SymPoint,
+    exp_point,
+    exp_points,
+    log_point,
+    log_points,
+    lts_of_pair,
+    mu,
+    tau_action,
+)
 
 __all__ = [
     "CongruenceRelation",
+    "ChartRelation",
     "QuotientResult",
     "PointProjection",
     "QuotientGateError",
@@ -84,15 +95,38 @@ def normal_lts_is_ideal(n_space: ReflectionSubspace) -> bool:
     return is_ideal(lts_of_pair(pair), n, pair.tol)
 
 
-def _chart_relates(pair: MatrixSymmetricPair, n: LinearSubspace):
-    def relates(x: SymPoint, y: SymPoint) -> Optional[bool]:
+class ChartRelation:
+    """``relates`` through the normal chart of the Cartan discrepancy.
+
+    Called on two points, it answers whether the log of the discrepancy of
+    their representatives lies in n, or None outside the log's domain.
+    :meth:`many` answers for pairs of points from stacked inversions and
+    logs; each answer is the single call's, and an error is raised as a
+    loop of single calls raises it.
+    """
+
+    def __init__(self, pair: MatrixSymmetricPair, n: LinearSubspace):
+        self.pair = pair
+        self.n = n
+
+    def __call__(self, x: SymPoint, y: SymPoint) -> Optional[bool]:
         try:
-            v = log_point(pair, SymPoint.from_rep(pair, np.linalg.inv(x.rep) @ y.rep))
+            v = log_point(self.pair, SymPoint.from_rep(self.pair, np.linalg.inv(x.rep) @ y.rep))
         except DomainError:
             return None
-        return n.contains(v, pair.tol)
+        return self.n.contains(v, self.pair.tol)
 
-    return relates
+    def many(self, xs, ys) -> list:
+        xs, ys = list(xs), list(ys)
+        if not xs:
+            return []
+        pair = self.pair
+        try:
+            gaps = np.linalg.inv(np.array([x.rep for x in xs])) @ np.array([y.rep for y in ys])
+            logs = log_points(pair, SymPoint.from_reps(pair, gaps))
+        except ValueError:
+            return [self(x, y) for x, y in zip(xs, ys)]
+        return [None if v is None else self.n.contains(v, pair.tol) for v in logs]
 
 
 def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> CongruenceRelation:
@@ -111,7 +145,7 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
         pair=pair,
         l_algebra=l_alg,
         n_minus=n,
-        relates=_chart_relates(pair, n),
+        relates=ChartRelation(pair, n),
         label=f"congruence({pair.label})",
     )
 
@@ -314,8 +348,9 @@ def weak_submersion_check(
     The samples run in blocks whose x0 and y stack, counted in the larger of
     the source and quotient matrices, holds at most ``MAX_STACK_FLOATS``.
     They are drawn in the order of a per-sample loop; a block's points come
-    from stacked exponentials, and a :class:`PointProjection` projects them
-    in blocks of its own (any other projection is called point by point).
+    from stacked exponentials, a :class:`PointProjection` projects them in
+    blocks of its own and a :class:`ChartRelation` relates them in one call
+    per block (any other projection or relation is called point by point).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -338,6 +373,8 @@ def weak_submersion_check(
     width = max(n, qr.quotient_pair.ambient_n)
     block = max(1, MAX_STACK_FLOATS // (2 * width * width))
     many = project.many if isinstance(project, PointProjection) else lambda pts: [project(x) for x in pts]
+    relates = qr.relation.relates
+    relate_many = relates.many if isinstance(relates, ChartRelation) else lambda a, b: list(map(relates, a, b))
     morph_pass = rel_pass = rel_total = 0
     for start in range(0, samples, block):
         us, vs, letters, moved = [], [], [], []
@@ -362,9 +399,8 @@ def weak_submersion_check(
             pxs[i] = px
         pmus = projected[2 * count + len(moved):]
 
-        for x0, y, px0, px, py, pmu in zip(x0s, ys, px0s, pxs, pys, pmus):
+        for related, px0, px, py, pmu in zip(relate_many(x0s, ys), px0s, pxs, pys, pmus):
             morph_pass += int(pmu.same(mu(px, py)))
-            related = qr.relation.relates(x0, y)
             if related is not None:
                 rel_total += 1
                 rel_pass += int(related == px0.same(py))

@@ -27,6 +27,7 @@ from .symspace import (
     exp_point,
     exp_points,
     log_point,
+    log_points,
     lts_of_pair,
     mu,
     tau_action,
@@ -44,6 +45,18 @@ __all__ = [
 
 # Absolute pass gate of every ``verify`` report: ``ok`` is ``max_residual < VERIFY_GATE``.
 VERIFY_GATE = 1e-8
+
+
+def _logs_or_raise(pair, points) -> list:
+    """``[log_point(pair, x) for x in points]``: stacked, and where any point
+    fails, the single calls raise the first error."""
+    try:
+        logs = log_points(pair, points)
+    except ValueError:
+        logs = [None]
+    if any(v is None for v in logs):
+        return [log_point(pair, x) for x in points]
+    return logs
 
 
 def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, samples: int = 25) -> dict:
@@ -67,31 +80,36 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
             res_auto, cartan_distance(mu(x, mu(y, z)), mu(mu(x, y), mu(x, z)))
         )
 
-    # derivative of the base symmetry in normal coordinates is -identity
-    b = base_point(pair)
+    # derivative of the base symmetry in normal coordinates is -identity, and
+    # the tangent-space product v.w = 2v - w is second-order in the chart;
+    # both checks take their points from one exp_points and one log_points call
+    m = pair.dim_minus
     h = 1e-5
-    res_neg = 0.0
-    for i in range(pair.dim_minus):
-        e = np.zeros(pair.dim_minus)
-        e[i] = 1.0
-        fp = log_point(pair, mu(b, exp_point(pair, h * e)))
-        fm = log_point(pair, mu(b, exp_point(pair, -h * e)))
-        res_neg = max(res_neg, float(np.linalg.norm((fp - fm) / (2 * h) + e)))
-
-    # tangent-space product v.w = 2v - w, second-order in the chart
-    ratios = []
-    worst = 0.0
+    units = []
     for _ in range(4):
-        u = rng.standard_normal(pair.dim_minus)
-        w = rng.standard_normal(pair.dim_minus)
+        u = rng.standard_normal(m)
+        w = rng.standard_normal(m)
         u /= max(np.linalg.norm(u), 1e-12)
         w /= max(np.linalg.norm(w), 1e-12)
+        units.append((u, w))
+    epsilons = (0.08, 0.04)
+    steps = [s * h * e for e in np.eye(m) for s in (1.0, -1.0)]
+    words = [eps * v for u, w in units for eps in epsilons for v in (u, w)]
+    points = exp_points(pair, steps + words)
+    b = base_point(pair)
+    reflected = [mu(b, x) for x in points[: len(steps)]]
+    products = [mu(x, y) for x, y in zip(points[len(steps) :: 2], points[len(steps) + 1 :: 2])]
+    logs = _logs_or_raise(pair, reflected + products)
 
-        def gap(eps: float) -> float:
-            got = log_point(pair, mu(exp_point(pair, eps * u), exp_point(pair, eps * w)))
-            return float(np.linalg.norm(got - eps * (2 * u - w)))
+    res_neg = 0.0
+    for e, fp, fm in zip(np.eye(m), logs[0 : len(steps) : 2], logs[1 : len(steps) : 2]):
+        res_neg = max(res_neg, float(np.linalg.norm((fp - fm) / (2 * h) + e)))
 
-        g1, g2 = gap(0.08), gap(0.04)
+    ratios = []
+    worst = 0.0
+    gaps = iter(logs[len(steps) :])
+    for u, w in units:
+        g1, g2 = (float(np.linalg.norm(next(gaps) - eps * (2 * u - w))) for eps in epsilons)
         worst = max(worst, g1 / (0.08 ** 2) if g1 > 1e-13 else 0.0)
         if g1 > 1e-12:
             ratios.append(g1 / max(g2, 1e-300))

@@ -24,6 +24,7 @@ from .symspace import (
     exp_point,
     exp_points,
     log_point,
+    log_points,
     lts_of_pair,
     mu,
 )
@@ -32,6 +33,7 @@ from .sympair import MatrixSymmetricPair
 __all__ = [
     "ProbeWitness",
     "ReflectionSubspace",
+    "ChartMembership",
     "CertificationError",
     "ChartSplitError",
     "ChartReport",
@@ -197,6 +199,43 @@ def base_only(pair: MatrixSymmetricPair) -> ReflectionSubspace:
     return algebraic_subspace(pair, at_base, label="base_only")
 
 
+class ChartMembership:
+    """Membership in the integral subspace generated by a seed, through the chart.
+
+    Called on a point, it answers whether the point's normal-chart preimage
+    lies in the seed, or None where :func:`log_point` raises ``ValueError``.
+    :meth:`many` answers for a sequence from stacked logs; each answer is
+    the single call's.
+    """
+
+    def __init__(self, pair: MatrixSymmetricPair, seed: LinearSubspace):
+        self.pair = pair
+        self.seed = seed
+
+    def __call__(self, x: SymPoint) -> Optional[bool]:
+        try:
+            v = log_point(self.pair, x)
+        except ValueError:
+            return None
+        return self.seed.contains(v, self.pair.tol)
+
+    def many(self, points) -> list:
+        points = list(points)
+        try:
+            logs = log_points(self.pair, points)
+        except ValueError:
+            return [self(x) for x in points]
+        return [None if v is None else self.seed.contains(v, self.pair.tol) for v in logs]
+
+
+def _members(n_space: "ReflectionSubspace", points):
+    """``n_space.member(x)`` for each point in turn: one stacked call for
+    chart membership, otherwise a lazy point-by-point iterator."""
+    if isinstance(n_space.membership, ChartMembership):
+        return iter(n_space.membership.many(points))
+    return (n_space.member(x) for x in points)
+
+
 def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> ReflectionSubspace:
     """The connected integral subspace generated by a triple subsystem.
 
@@ -208,16 +247,8 @@ def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> Reflec
     seed = LinearSubspace.span(seed.basis, m, pair.tol)
     if not is_subsystem(lts_of_pair(pair), seed, pair.tol):
         raise ValueError("seed is not a triple subsystem")
-
-    def member(x: SymPoint) -> Optional[bool]:
-        try:
-            v = log_point(pair, x)
-        except ValueError:
-            return None
-        return seed.contains(v, pair.tol)
-
     return ReflectionSubspace(
-        pair=pair, membership=member, kind="generated", label="generated_integral", seed=seed
+        pair=pair, membership=ChartMembership(pair, seed), kind="generated", label="generated_integral", seed=seed
     )
 
 
@@ -234,8 +265,8 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
         raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
     cand = n_space.candidate_subspace()
     rays = [(v, t) for v in cand.onb() for t in CERTIFICATION_GRID]
-    for (v, t), x in zip(rays, exp_points(pair, [t * v for v, t in rays])):
-        if n_space.member(x) is False:
+    for (v, t), member in zip(rays, _members(n_space, exp_points(pair, [t * v for v, t in rays]))):
+        if member is False:
             raise CertificationError(
                 f"candidate ray failed membership at t={t}", witness=(v, t)
             )
@@ -292,7 +323,7 @@ def exp_chart_split(
     subspace (if any) refute radii that sampling alone cannot.  The radius
     halves on failure; hitting the floor raises :class:`ChartSplitError`.
     Each radius draws its samples first and exponentiates them in one
-    stacked call.
+    stacked call; chart membership tests them in one more.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -309,12 +340,13 @@ def exp_chart_split(
         gaps = [n.distance(w) for w in ws]
         far = [i for i, gap in enumerate(gaps) if gap > 0.05 * radius]
         points = exp_points(pair, inside + [ws[i] for i in far])
-        for v, x in zip(inside, points):
-            if n_space.member(x) is False:
+        members = list(_members(n_space, points))
+        for v, member in zip(inside, members):
+            if member is False:
                 violation = max(violation, float(np.linalg.norm(v)))
                 witness = v
-        for i, x in zip(far, points[len(inside):]):
-            if n_space.member(x) is True:
+        for i, member in zip(far, members[len(inside):]):
+            if member is True:
                 violation = max(violation, gaps[i])
                 witness = ws[i]
         if n_space.probes is not None:
@@ -349,9 +381,9 @@ def split_complement_criterion(
 
     Returns False as soon as a nonzero sampled (or certified probe) direction
     in F exponentiates into N; True means no refutation was found.  The
-    samples are drawn first and exponentiated in stacks of at most
-    ``MAX_STACK_FLOATS``; on a refutation the generator is left where a
-    per-sample loop would stop.
+    samples are drawn first and exponentiated, and chart membership tests
+    them, in stacks of at most ``MAX_STACK_FLOATS``; on a refutation the
+    generator is left where a per-sample loop would stop.
     """
     pair = n_space.pair
     m = pair.dim_minus
@@ -369,8 +401,8 @@ def split_complement_criterion(
     size = max(1, MAX_STACK_FLOATS // pair.ambient_n ** 2)
     for start in range(0, len(kept), size):
         block = kept[start:start + size]
-        for i, x in zip(block, exp_points(pair, [ws[i] for i in block])):
-            if n_space.member(x) is True:
+        for i, member in zip(block, _members(n_space, exp_points(pair, [ws[i] for i in block]))):
+            if member is True:
                 rng.bit_generator.state = state
                 for _ in range(i + 1):
                     _ball_sample(rng, f_comp.onb(), radius)

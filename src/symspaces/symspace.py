@@ -28,6 +28,7 @@ __all__ = [
     "exp_point",
     "exp_points",
     "log_point",
+    "log_points",
     "one_param",
     "translation",
     "tau_action",
@@ -173,6 +174,26 @@ def log_point(pair: MatrixSymmetricPair, x: SymPoint) -> np.ndarray:
         raise ValueError("point does not belong to the given pair")
     half = 0.5 * mat_log(x.cartan, pair.tol)
     return pair.matrix_to_minus(half)  # residual check inside
+
+
+def log_points(pair: MatrixSymmetricPair, points) -> list:
+    """``log_point`` of each point, or None where it raises :class:`DomainError`.
+
+    The principal logs come from stacked ``mat_log`` calls of at most
+    ``MAX_STACK_FLOATS`` each, bit for bit the single calls; the g_minus
+    coordinates are solved point by point, and a half-log outside g_minus
+    raises as in :func:`log_point`.
+    """
+    points = list(points)
+    if any(x.pair is not pair for x in points):
+        raise ValueError("point does not belong to the given pair")
+    n = pair.ambient_n
+    size = max(1, MAX_STACK_FLOATS // max(1, n * n))
+    out = []
+    for start in range(0, len(points), size):
+        halves = 0.5 * mat_log(np.array([x.cartan for x in points[start:start + size]]), pair.tol)
+        out += [None if np.isnan(h).any() else pair.matrix_to_minus(h) for h in halves]
+    return out
 
 
 def one_param(pair: MatrixSymmetricPair, v, t: float) -> SymPoint:

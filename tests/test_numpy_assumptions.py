@@ -1,0 +1,47 @@
+"""The numpy behaviour that the stacked kernels rely on, pinned in one place.
+
+``mat_exp``, ``mat_log``, ``SymPoint.from_reps``, ``log_points`` and the
+batched relation test promise that each slice of a stacked call is bit for
+bit the 2-D call.  That holds only because numpy computes a stacked
+``inv``, ``svd(compute_uv=False)``, ``solve`` and ``@`` slice by slice with
+the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))`` of a
+flattened slice is the bits of ``np.linalg.norm`` of that slice.  If a
+numpy upgrade breaks either fact, this test fails, not the report bytes.
+"""
+
+import numpy as np
+
+from symspaces import numkernel
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 11):
+        k = 200
+        scales = rng.uniform(0.01, 3.0, size=(k, 1, 1))
+        a = np.eye(n) + scales * rng.standard_normal((k, n, n))
+        b = rng.standard_normal((k, n, n))
+        at, bt = a.swapaxes(1, 2), b.swapaxes(1, 2)  # per-slice transposed views, as in mat_log
+
+        norms = np.sqrt(np.vecdot(a.reshape(k, n * n), a.reshape(k, n * n)))
+        frob = numkernel._frobenius(a)
+        inv = np.linalg.inv(a)
+        sing = np.linalg.svd(a, compute_uv=False)
+        solved = np.linalg.solve(at, bt).swapaxes(1, 2)
+        product = a @ b
+        square = solved @ solved
+        for i in range(k):
+            assert same_bits(norms[i], np.linalg.norm(a[i]))
+            assert same_bits(frob[i], np.linalg.norm(a[i]))
+            assert same_bits(inv[i], np.linalg.inv(a[i]))
+            assert same_bits(sing[i], np.linalg.svd(a[i], compute_uv=False))
+            assert same_bits(sing[i].max(), np.linalg.norm(a[i], 2))
+            single = np.linalg.solve(a[i].T, b[i].T).T
+            assert same_bits(solved[i], single)
+            assert same_bits(product[i], a[i] @ b[i])
+            assert same_bits(square[i], single @ single)

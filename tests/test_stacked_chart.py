@@ -1,0 +1,530 @@
+"""The stacked normal chart: ``mat_log`` on a stack, ``log_points``, and the
+batched relation and membership tests, against the 2-D calls they replace.
+
+The oracle below is the 2-D ``mat_log`` of the per-point code, kept verbatim
+up to naming.  Each slice of a stacked log must be its bits; the batched
+relation and membership tests must answer as a loop of single calls, and
+the samplers that use them must leave the generator where that loop does.
+"""
+
+import dataclasses
+import json
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symspaces import lts, numkernel, reports, symspace
+from symspaces.catalog import parse_model
+from symspaces.lts import LinearSubspace, ideal_bracket_plus_n, psi_representation
+from symspaces.numkernel import DEFAULT_TOL, DomainError, mat_log, op_norm
+from symspaces.quotient import ChartRelation, quotient_theorem_pipeline
+from symspaces.reports import reflection_axiom_report
+from symspaces.subspace import (
+    ChartMembership,
+    exp_chart_split,
+    generate_integral,
+    lts_of_subspace,
+    split_complement_criterion,
+)
+from symspaces.symspace import (
+    SymPoint,
+    base_point,
+    cartan_distance,
+    exp_point,
+    exp_points,
+    log_point,
+    log_points,
+    mu,
+    tau_action,
+)
+
+CHART_MODELS = ("sphere(2)", "spd(2)", "spd(3)", "grassmann(2,4)", "product(sphere(2),spd(2))")
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.<name>`` through every module that bound it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("symspaces") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# the 2-D oracle
+
+
+def oracle_sqrt(a, tol):
+    y, z = a.copy(), np.eye(a.shape[0])
+    for _ in range(60):
+        y_next = 0.5 * (y + np.linalg.inv(z))
+        z_next = 0.5 * (z + np.linalg.inv(y))
+        delta = np.linalg.norm(y_next - y)
+        y, z = y_next, z_next
+        if delta <= tol.threshold(np.linalg.norm(y)) * 0.01:
+            break
+    return y
+
+
+def oracle_log_and_roots(a, tol=DEFAULT_TOL):
+    """The 2-D principal log and its number of square roots."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 0:
+        return a.copy(), 0
+    ident = np.eye(n)
+    if op_norm(a - ident) >= 1.0:
+        raise DomainError("matrix outside the principal-branch domain |a - I| < 1")
+    s = 0
+    while np.linalg.norm(a - ident) > 0.25:
+        a = oracle_sqrt(a, tol)
+        s += 1
+        if s > 40:
+            raise DomainError("square-root reduction failed to converge")
+    x = np.linalg.solve((a + ident).T, (a - ident).T).T
+    x2 = x @ x
+    term = x.copy()
+    total = term.copy()
+    for j in range(1, 40):
+        term = term @ x2
+        inc = term / (2 * j + 1)
+        total += inc
+        if np.linalg.norm(inc) <= 0.01 * tol.abs_eps:
+            break
+    return (2.0 ** (s + 1)) * total, s
+
+
+def oracle_log(a):
+    return oracle_log_and_roots(a)[0]
+
+
+def oracle_relates(relation, x, y):
+    pair, n = relation.pair, relation.n
+    try:
+        v = log_point(pair, SymPoint.from_rep(pair, np.linalg.inv(x.rep) @ y.rep))
+    except DomainError:
+        return None
+    return n.contains(v, pair.tol)
+
+
+def oracle_member(pair, seed, x):
+    try:
+        v = log_point(pair, x)
+    except ValueError:
+        return None
+    return seed.contains(v, pair.tol)
+
+
+@pytest.fixture(scope="module")
+def chart_models():
+    return {spec: parse_model(spec) for spec in CHART_MODELS}
+
+
+def cartan_stack(pair, seed, radii):
+    """Cartan matrices of points at the given chart radii, in random directions."""
+    rng = np.random.default_rng(seed)
+    vs = []
+    for r in radii:
+        v = rng.standard_normal(pair.dim_minus)
+        vs.append(r * v / max(np.linalg.norm(v), 1e-300))
+    return np.array([x.cartan for x in exp_points(pair, vs)])
+
+
+def assert_slice_is_the_single_call(out, a):
+    try:
+        ref = oracle_log(a)
+    except DomainError as exc:
+        assert np.isnan(out).all()
+        with pytest.raises(DomainError, match=str(exc).replace("|", r"\|")):
+            mat_log(a)
+        return False
+    assert same_bits(out, ref)
+    assert same_bits(mat_log(a), ref)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# mat_log on a stack
+
+
+class TestStackedMatLog:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        spec=st.sampled_from(CHART_MODELS),
+        seed=st.integers(0, 2**32 - 1),
+        radii=st.lists(st.floats(0.0, 1.5), min_size=0, max_size=10),
+    )
+    def test_each_slice_is_the_single_call(self, chart_models, spec, seed, radii):
+        pair = chart_models[spec].pair
+        stack = cartan_stack(pair, seed, radii)
+        if not radii:
+            stack = np.zeros((0, pair.ambient_n, pair.ambient_n))
+        out = mat_log(stack)
+        assert out.shape == stack.shape
+        for i in range(len(radii)):
+            assert_slice_is_the_single_call(out[i], stack[i])
+
+    def test_one_stack_mixes_root_counts_and_the_ball(self, chart_models):
+        pair = chart_models["spd(2)"].pair
+        stack = cartan_stack(pair, 11, [0.0, 0.02, 0.1, 0.2, 0.3, 0.7, 0.05, 0.25])
+        out = mat_log(stack)
+        roots, inside = set(), 0
+        for i, a in enumerate(stack):
+            if assert_slice_is_the_single_call(out[i], a):
+                roots.add(oracle_log_and_roots(a)[1])
+                inside += 1
+        assert inside < len(stack)
+        assert {0, 1, 2} <= roots
+
+    def test_out_of_ball_slices_do_not_fail_the_stack(self):
+        stack = np.array([np.diag([2.5, 1.0]), np.diag([1.1, 0.95]), np.diag([-0.5, 1.0])])
+        out = mat_log(stack)
+        assert np.isnan(out[0]).all() and np.isnan(out[2]).all()
+        assert same_bits(out[1], oracle_log(stack[1]))
+
+    def test_every_slice_outside_the_ball(self):
+        stack = np.array([3.0 * np.eye(3), -np.eye(3), 5.0 * np.eye(3)])
+        out = mat_log(stack)
+        assert out.shape == stack.shape
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0, 0), (4, 0, 0)])
+    def test_empty_stacks(self, shape):
+        out = mat_log(np.zeros(shape))
+        assert out.shape == shape
+
+    def test_empty_matrix(self):
+        assert mat_log(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_diverged_slice_is_reported_alone(self, monkeypatch):
+        # a square root that never moves its input forces the 40-root limit
+        monkeypatch.setattr(numkernel, "_sqrt_denman_beavers", lambda a, tol: a)
+        far, near = np.diag([1.5, 1.0]), np.diag([1.1, 1.0])
+        with pytest.raises(DomainError, match="square-root reduction failed to converge"):
+            mat_log(far)
+        out = mat_log(np.array([far, near]))
+        assert np.isnan(out[0]).all()
+        assert same_bits(out[1], oracle_log(near))
+
+    def test_input_is_not_modified(self, chart_models):
+        stack = cartan_stack(chart_models["spd(3)"].pair, 5, [0.1, 0.3, 0.9])
+        before = stack.copy()
+        mat_log(stack)
+        assert same_bits(stack, before)
+
+    def test_non_finite_slice_raises(self):
+        stack = np.array([np.eye(2), np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError, match="finite"):
+            mat_log(stack)
+
+
+# ---------------------------------------------------------------------------
+# log_points
+
+
+class TestLogPoints:
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    def test_each_point_is_log_point_or_none(self, chart_models, spec):
+        pair = chart_models[spec].pair
+        rng = np.random.default_rng(3)
+        points = exp_points(pair, [r * rng.standard_normal(pair.dim_minus) for r in np.linspace(0, 1.2, 30)])
+        logs = log_points(pair, points)
+        assert any(v is None for v in logs) or spec == "sphere(2)"
+        for x, v in zip(points, logs):
+            try:
+                ref = log_point(pair, x)
+            except DomainError:
+                assert v is None
+                continue
+            assert same_bits(v, ref)
+
+    def test_blocks_bound_each_stacked_log(self, chart_models, monkeypatch):
+        pair = chart_models["spd(3)"].pair
+        monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", 4 * pair.ambient_n ** 2)
+        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        rng = np.random.default_rng(8)
+        points = exp_points(pair, [0.05 * rng.standard_normal(pair.dim_minus) for _ in range(10)])
+        logs = log_points(pair, points)
+        assert [len(args[0]) for args in calls] == [4, 4, 2]
+        for x, v in zip(points, logs):
+            assert same_bits(v, log_point(pair, x))
+
+    def test_empty_sequence(self, chart_models):
+        assert log_points(chart_models["spd(2)"].pair, []) == []
+
+    def test_point_of_another_pair_raises(self, chart_models):
+        x = base_point(chart_models["spd(2)"].pair)
+        with pytest.raises(ValueError, match="does not belong"):
+            log_points(chart_models["sphere(2)"].pair, [x])
+
+
+# ---------------------------------------------------------------------------
+# the batched relation and membership tests
+
+
+def relation_points(pair, seed, count=40):
+    """Pairs of points near and far from each other, some moved by tau."""
+    rng = np.random.default_rng(seed)
+    xs = exp_points(pair, [0.3 * rng.standard_normal(pair.dim_minus) for _ in range(count)])
+    ys = exp_points(pair, [rng.uniform(0.0, 1.0) * rng.standard_normal(pair.dim_minus) for _ in range(count)])
+    ys = [tau_action(pair, pair.random_element(rng, letters=1, scale=0.3), y) if i % 3 == 0 else y for i, y in enumerate(ys)]
+    return xs, ys
+
+
+class TestChartRelation:
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    def test_none_exactly_where_the_single_call_catches_domain_error(self, chart_models, spec):
+        pair = chart_models[spec].pair
+        m = pair.dim_minus
+        relation = ChartRelation(pair, LinearSubspace(m, np.eye(m)[:1]))
+        xs, ys = relation_points(pair, 21)
+        got = relation.many(xs, ys)
+        want = [oracle_relates(relation, x, y) for x, y in zip(xs, ys)]
+        assert got == want
+        assert got == [relation(x, y) for x, y in zip(xs, ys)]
+        assert None in want or spec == "sphere(2)"
+        assert True in want or False in want
+
+    def test_pipeline_relation_is_batched(self, chart_models):
+        model = parse_model("product(sphere(2),sphere(2))")
+        qr = quotient_theorem_pipeline(model.pair, model.subspace_by_name("left_factor").seed)
+        assert isinstance(qr.relation.relates, ChartRelation)
+
+    def test_one_stacked_log_per_block(self, chart_models, monkeypatch):
+        pair = chart_models["spd(2)"].pair
+        relation = ChartRelation(pair, LinearSubspace.zero(pair.dim_minus))
+        xs, ys = relation_points(pair, 4, count=12)
+        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        relation.many(xs, ys)
+        assert [np.ndim(args[0]) for args in calls] == [3]
+
+    def test_empty(self, chart_models):
+        pair = chart_models["spd(2)"].pair
+        assert ChartRelation(pair, LinearSubspace.zero(pair.dim_minus)).many([], []) == []
+
+    def test_error_is_raised_as_the_loop_raises_it(self, chart_models):
+        pair = chart_models["spd(2)"].pair
+        relation = ChartRelation(pair, LinearSubspace.zero(pair.dim_minus))
+        xs, ys = relation_points(pair, 5, count=4)
+        singular = SymPoint(pair, np.zeros((pair.ambient_n,) * 2), np.eye(pair.ambient_n))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            relation(singular, ys[2])
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            relation.many(xs[:2] + [singular] + xs[3:], ys)
+
+
+class TestChartMembership:
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    def test_none_exactly_where_the_single_call_catches_value_error(self, chart_models, spec):
+        model = chart_models[spec]
+        pair = model.pair
+        seed = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
+        member = generate_integral(seed, pair).membership
+        assert isinstance(member, ChartMembership)
+        rng = np.random.default_rng(13)
+        vs = [r * rng.standard_normal(pair.dim_minus) for r in np.linspace(0.0, 1.3, 24)]
+        vs += [t * np.eye(pair.dim_minus)[0] for t in (0.1, -0.4, 0.8)]
+        points = exp_points(pair, vs)
+        got = member.many(points)
+        want = [oracle_member(pair, member.seed, x) for x in points]
+        assert got == want
+        assert got == [member(x) for x in points]
+        assert True in want and False in want
+        assert None in want or spec == "sphere(2)"
+
+    def test_point_of_another_pair_is_unknown(self, chart_models):
+        pair, other = chart_models["spd(2)"].pair, chart_models["sphere(2)"].pair
+        member = generate_integral(LinearSubspace.zero(pair.dim_minus), pair).membership
+        points = [base_point(pair), base_point(other), exp_point(pair, 0.1 * np.ones(pair.dim_minus))]
+        assert member.many(points) == [member(x) for x in points] == [True, None, False]
+
+    def test_empty(self, chart_models):
+        pair = chart_models["spd(2)"].pair
+        assert generate_integral(LinearSubspace.zero(pair.dim_minus), pair).membership.many([]) == []
+
+
+def per_point(space):
+    """The same subspace with its chart membership called one point at a time."""
+    member = space.membership
+    return dataclasses.replace(space, membership=lambda x: member(x))
+
+
+class TestSamplersOnBatchedMembership:
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_generator_state_and_reports_are_unchanged(self, chart_models, spec, seed):
+        pair = chart_models[spec].pair
+        m = pair.dim_minus
+        n = LinearSubspace(m, np.eye(m)[:1])
+        space = generate_integral(n, pair)
+        results = []
+        for candidate in (space, per_point(space)):
+            rng = np.random.default_rng(seed)
+            chart = exp_chart_split(candidate, n, rng=rng).as_dict()
+            split = split_complement_criterion(candidate, n, n.complement(), rng=rng)
+            results.append((json.dumps(chart), split, rng.bit_generator.state))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("spec", ["sphere(2)", "spd(2)"])
+    def test_refutation_rewinds_the_generator_like_the_loop(self, chart_models, spec):
+        # N is generated by e1 and F is span(e1): the first kept sample lies in N
+        pair = chart_models[spec].pair
+        m = pair.dim_minus
+        space = generate_integral(LinearSubspace(m, np.eye(m)[:1]), pair)
+        n = LinearSubspace(m, np.eye(m)[1:])
+        f_comp = LinearSubspace(m, np.eye(m)[:1])
+        states = []
+        for candidate in (space, per_point(space)):
+            rng = np.random.default_rng(2)
+            assert split_complement_criterion(candidate, n, f_comp, rng=rng) is False
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
+    def test_certification_grid_is_one_stacked_log(self, chart_models, monkeypatch):
+        pair = chart_models["spd(3)"].pair
+        space = generate_integral(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:2]), pair)
+        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        lts_of_subspace(space)
+        # the base point's single call, then the whole ray grid in one stack
+        assert [np.ndim(args[0]) for args in calls] == [2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the verify path on the stacked chart
+
+
+def oracle_reflection_report(model, rng, samples=25):
+    pair = model.pair
+    vs, moves = [], []
+    for _ in range(3 * samples):
+        vs.append(0.4 * rng.standard_normal(pair.dim_minus))
+        moved = rng.uniform() < 0.25
+        moves.append(pair.random_element(rng, letters=1, scale=0.3) if moved else None)
+    points = [x if g is None else tau_action(pair, g, x) for x, g in zip(exp_points(pair, vs), moves)]
+    res_invol = res_fix = res_auto = 0.0
+    for i in range(samples):
+        x, y, z = points[3 * i : 3 * i + 3]
+        res_invol = max(res_invol, cartan_distance(mu(x, mu(x, y)), y))
+        res_fix = max(res_fix, cartan_distance(mu(x, x), x))
+        res_auto = max(res_auto, cartan_distance(mu(x, mu(y, z)), mu(mu(x, y), mu(x, z))))
+    b = base_point(pair)
+    h = 1e-5
+    res_neg = 0.0
+    for i in range(pair.dim_minus):
+        e = np.zeros(pair.dim_minus)
+        e[i] = 1.0
+        fp = log_point(pair, mu(b, exp_point(pair, h * e)))
+        fm = log_point(pair, mu(b, exp_point(pair, -h * e)))
+        res_neg = max(res_neg, float(np.linalg.norm((fp - fm) / (2 * h) + e)))
+    ratios = []
+    worst = 0.0
+    for _ in range(4):
+        u = rng.standard_normal(pair.dim_minus)
+        w = rng.standard_normal(pair.dim_minus)
+        u /= max(np.linalg.norm(u), 1e-12)
+        w /= max(np.linalg.norm(w), 1e-12)
+
+        def gap(eps):
+            got = log_point(pair, mu(exp_point(pair, eps * u), exp_point(pair, eps * w)))
+            return float(np.linalg.norm(got - eps * (2 * u - w)))
+
+        g1, g2 = gap(0.08), gap(0.04)
+        worst = max(worst, g1 / (0.08 ** 2) if g1 > 1e-13 else 0.0)
+        if g1 > 1e-12:
+            ratios.append(g1 / max(g2, 1e-300))
+    return {
+        "symmetry_involutive": res_invol,
+        "symmetry_fixes_point": res_fix,
+        "symmetry_automorphism": res_auto,
+        "base_derivative_plus_id": res_neg,
+        "tangent_product_quadratic_bound": worst,
+        "tangent_product_richardson_ratios": ratios,
+        "max_residual": max(res_invol, res_fix, res_auto, res_neg),
+    }
+
+
+class TestReflectionReport:
+    @pytest.mark.parametrize("spec", CHART_MODELS + ("sphere(4)", "spd(4)", "torus_abelian(sqrt2)"))
+    @pytest.mark.parametrize("seed", [1, 850414789])
+    def test_report_bytes_and_generator_match_the_per_point_suite(self, spec, seed):
+        model = parse_model(spec)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = reflection_axiom_report(model, rng, samples=6)
+        want = oracle_reflection_report(model, ref_rng, samples=6)
+        assert json.dumps(got) == json.dumps(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_stacked_log(self, chart_models, monkeypatch):
+        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        singles = count_calls(monkeypatch, symspace, "log_point")
+        reflection_axiom_report(chart_models["spd(3)"], np.random.default_rng(0), samples=3)
+        assert [np.ndim(args[0]) for args in calls] == [3]
+        assert singles == []
+
+    def test_a_failing_log_raises_the_single_calls_error(self, chart_models, monkeypatch):
+        model = chart_models["spd(2)"]
+
+        def outside(pair, points):
+            return [None for _ in points]
+
+        def single(pair, x):
+            raise DomainError("first")
+
+        monkeypatch.setattr(reports, "log_points", outside)
+        monkeypatch.setattr(reports, "log_point", single)
+        with pytest.raises(DomainError, match="first"):
+            reflection_axiom_report(model, np.random.default_rng(0), samples=2)
+
+
+# ---------------------------------------------------------------------------
+# one _minus_ideal check per pipeline run
+
+
+class TestMinusIdealOnce:
+    @pytest.mark.parametrize(
+        "spec, ideal",
+        [("product(sphere(2),sphere(2))", "left_factor"), ("spd(3)", "center")],
+    )
+    def test_one_check_per_pipeline_run(self, spec, ideal, monkeypatch):
+        model = parse_model(spec)
+        n = model.subspace_by_name(ideal).seed
+        checks = count_calls(monkeypatch, lts, "_check_minus_ideal")
+        quotient_theorem_pipeline(model.pair, n, rng=np.random.default_rng(0))
+        assert len(checks) == 1
+
+    def test_each_caller_keeps_its_message(self, chart_models):
+        pair = chart_models["spd(2)"].pair
+        g = pair.algebra()
+        # e_0 alone spans no ideal of the spd(2) triple system
+        n_full = pair.minus_subspace_to_full(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^requires an ideal of the triple system g_minus$"):
+                ideal_bracket_plus_n(g, n_full, pair.tol)
+            with pytest.raises(ValueError, match="^psi requires an ideal of the triple system g_minus$"):
+                psi_representation(g, n_full, pair.tol)
+
+    def test_a_new_subspace_is_checked_again(self, chart_models, monkeypatch):
+        pair = chart_models["product(sphere(2),spd(2))"].pair
+        g = pair.algebra()
+        m = pair.dim_minus
+        g._last_minus_ideal.clear()
+        checks = count_calls(monkeypatch, lts, "_check_minus_ideal")
+        left = pair.minus_subspace_to_full(LinearSubspace(m, np.eye(m)[:2]))
+        whole = pair.minus_subspace_to_full(LinearSubspace.full(m))
+        for n_full in (left, left, whole, left):
+            psi_representation(g, n_full, pair.tol)
+        assert len(checks) == 3
