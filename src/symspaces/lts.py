@@ -117,8 +117,7 @@ class LinearSubspace:
         return q.T @ (q @ np.asarray(v, dtype=float))
 
     def distance(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(v - self.project(v)))
+        return float(self.distances(v)[0])
 
     def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         v = np.asarray(v, dtype=float)
@@ -133,10 +132,14 @@ class LinearSubspace:
         return v
 
     def distances(self, vectors) -> np.ndarray:
-        """Distance of each row of ``vectors`` (shape ``(k, ambient_dim)``)."""
-        v = self._rows(vectors)
+        """Distance of each row of ``vectors`` (shape ``(k, ambient_dim)``).
+
+        Each row is projected as a ``(1, ambient_dim)`` stack slice, so row
+        ``i`` is bit for bit ``distance(vectors[i])``.
+        """
+        v = self._rows(vectors)[:, None]
         q = self.onb()
-        return np.linalg.norm(v - (v @ q.T) @ q, axis=1)
+        return np.linalg.norm(v - (v @ q.T) @ q, axis=-1)[:, 0]
 
     def contains_all(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True iff every row lies in the subspace, each by the test of :meth:`contains`."""

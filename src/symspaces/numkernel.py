@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "INVERTIBLE_DET_FLOOR",
     "Tolerance",
     "DEFAULT_TOL",
     "DomainError",
@@ -27,6 +28,11 @@ __all__ = [
 
 class DomainError(ValueError):
     """Input outside the domain of a kernel routine (log branch, exp budget)."""
+
+
+# A matrix whose determinant has absolute value below this floor counts as
+# singular wherever the group involution or the tau action needs an inverse.
+INVERTIBLE_DET_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def _squarings(norm1: float) -> int:
 
 
 def _pade13(a: np.ndarray) -> np.ndarray:
-    # [13/13] Pade approximant of exp on a matrix or, slice by slice, a stack
+    # [13/13] Pade approximant of exp on each slice of a stack
     b = _PADE13
     ident = np.eye(a.shape[-1])
     a2 = a @ a
@@ -137,35 +143,25 @@ def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     ``i`` of the result is bit for bit ``mat_exp(a[i])``.
     """
     a = as_matrix(a, square=True, stack=True)
-    if a.ndim == 3:
-        return _mat_exp_stack(a)
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    norm1 = float(_norm1(a))
-    if norm1 == 0.0:
-        return np.eye(n)
-    s = _squarings(norm1)
-    if s:
-        a = a / (2.0 ** s)
-    r = _pade13(a)
-    for _ in range(s):
-        r = r @ r
-    return r
+    return _mat_exp_stack(a) if a.ndim == 3 else _mat_exp_stack(a[None])[0]
 
 
 def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
-    # The same steps as the 2-D path on every slice at once: batched matmul
-    # and solve give each slice the bits of the single-matrix call.
+    # Every slice at once: batched matmul and solve give each slice the bits
+    # of a one-slice stack, so a 2-D call is the one-slice case.
     k, n = a.shape[0], a.shape[1]
     if k == 0 or n == 0:
         return a.copy()
-    norm1 = _norm1(a)
-    s = np.array([_squarings(float(x)) for x in norm1])
-    r = _pade13(a / (2.0 ** s)[:, None, None])
-    r[norm1 == 0.0] = np.eye(n)
-    for j in range(int(s.max())):
-        idx = np.flatnonzero(s > j)
+    norm1 = _norm1(a).tolist()
+    s = [_squarings(x) for x in norm1]
+    if any(s):
+        a = a / np.array([2.0 ** j for j in s])[:, None, None]
+    r = _pade13(a)
+    if 0.0 in norm1:
+        r[[x == 0.0 for x in norm1]] = np.eye(n)
+    for j in range(max(s)):
+        # every slice at once while all of them square, then those still squaring
+        idx = slice(None) if j < min(s) else [i for i, si in enumerate(s) if si > j]
         r[idx] = r[idx] @ r[idx]
     return r
 

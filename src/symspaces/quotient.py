@@ -21,10 +21,11 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import DomainError, nullspace
+from .numkernel import nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
+    _each,
     exp_chart_split,
     generate_integral,
     lts_of_subspace,
@@ -36,7 +37,6 @@ from .symspace import (
     SymPoint,
     exp_point,
     exp_points,
-    log_point,
     log_points,
     lts_of_pair,
     mu,
@@ -100,9 +100,8 @@ class ChartRelation:
 
     Called on two points, it answers whether the log of the discrepancy of
     their representatives lies in n, or None outside the log's domain.
-    :meth:`many` answers for pairs of points from stacked inversions and
-    logs; each answer is the single call's, and an error is raised as a
-    loop of single calls raises it.
+    :meth:`many` answers for pairs of points from a stacked inversion and
+    stacked logs, and a single call is its one-pair case.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, n: LinearSubspace):
@@ -110,22 +109,15 @@ class ChartRelation:
         self.n = n
 
     def __call__(self, x: SymPoint, y: SymPoint) -> Optional[bool]:
-        try:
-            v = log_point(self.pair, SymPoint.from_rep(self.pair, np.linalg.inv(x.rep) @ y.rep))
-        except DomainError:
-            return None
-        return self.n.contains(v, self.pair.tol)
+        return self.many([x], [y])[0]
 
     def many(self, xs, ys) -> list:
         xs, ys = list(xs), list(ys)
         if not xs:
             return []
         pair = self.pair
-        try:
-            gaps = np.linalg.inv(np.array([x.rep for x in xs])) @ np.array([y.rep for y in ys])
-            logs = log_points(pair, SymPoint.from_reps(pair, gaps))
-        except ValueError:
-            return [self(x, y) for x, y in zip(xs, ys)]
+        gaps = np.linalg.inv(np.array([x.rep for x in xs])) @ np.array([y.rep for y in ys])
+        logs = log_points(pair, SymPoint.from_reps(pair, gaps))
         return [None if v is None else self.n.contains(v, pair.tol) for v in logs]
 
 
@@ -350,7 +342,8 @@ def weak_submersion_check(
     They are drawn in the order of a per-sample loop; a block's points come
     from stacked exponentials, a :class:`PointProjection` projects them in
     blocks of its own and a :class:`ChartRelation` relates them in one call
-    per block (any other projection or relation is called point by point).
+    per block (a projection or relation without ``many`` is called point by
+    point).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -372,9 +365,6 @@ def weak_submersion_check(
     # a block's points, of the source and of the quotient, live until it is compared
     width = max(n, qr.quotient_pair.ambient_n)
     block = max(1, MAX_STACK_FLOATS // (2 * width * width))
-    many = project.many if isinstance(project, PointProjection) else lambda pts: [project(x) for x in pts]
-    relates = qr.relation.relates
-    relate_many = relates.many if isinstance(relates, ChartRelation) else lambda a, b: list(map(relates, a, b))
     morph_pass = rel_pass = rel_total = 0
     for start in range(0, samples, block):
         us, vs, letters, moved = [], [], [], []
@@ -392,14 +382,14 @@ def weak_submersion_check(
             xs[i] = tau_action(pair, g, x0s[i])
         products = [mu(x, y) for x, y in zip(xs, ys)]
 
-        projected = many(x0s + ys + [xs[i] for i in moved] + products)
+        projected = list(_each(project, x0s + ys + [xs[i] for i in moved] + products))
         px0s, pys = projected[:count], projected[count:2 * count]
         pxs = list(px0s)
         for i, px in zip(moved, projected[2 * count:]):
             pxs[i] = px
         pmus = projected[2 * count + len(moved):]
 
-        for related, px0, px, py, pmu in zip(relate_many(x0s, ys), px0s, pxs, pys, pmus):
+        for related, px0, px, py, pmu in zip(_each(qr.relation.relates, x0s, ys), px0s, pxs, pys, pmus):
             morph_pass += int(pmu.same(mu(px, py)))
             if related is not None:
                 rel_total += 1

@@ -22,12 +22,12 @@ from .subspace import (
     split_complement_criterion,
 )
 from .symspace import (
+    _chart_logs,
+    _raise_first,
     base_point,
     cartan_distance,
     exp_point,
     exp_points,
-    log_point,
-    log_points,
     lts_of_pair,
     mu,
     tau_action,
@@ -45,18 +45,6 @@ __all__ = [
 
 # Absolute pass gate of every ``verify`` report: ``ok`` is ``max_residual < VERIFY_GATE``.
 VERIFY_GATE = 1e-8
-
-
-def _logs_or_raise(pair, points) -> list:
-    """``[log_point(pair, x) for x in points]``: stacked, and where any point
-    fails, the single calls raise the first error."""
-    try:
-        logs = log_points(pair, points)
-    except ValueError:
-        logs = [None]
-    if any(v is None for v in logs):
-        return [log_point(pair, x) for x in points]
-    return logs
 
 
 def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, samples: int = 25) -> dict:
@@ -99,7 +87,7 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
     b = base_point(pair)
     reflected = [mu(b, x) for x in points[: len(steps)]]
     products = [mu(x, y) for x, y in zip(points[len(steps) :: 2], points[len(steps) + 1 :: 2])]
-    logs = _logs_or_raise(pair, reflected + products)
+    logs = _raise_first(_chart_logs(pair, reflected + products))  # log_point of each, or its first error
 
     res_neg = 0.0
     for e, fp, fm in zip(np.eye(m), logs[0 : len(steps) : 2], logs[1 : len(steps) : 2]):

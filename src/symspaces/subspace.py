@@ -20,11 +20,10 @@ from .symspace import (
     MAX_STACK_FLOATS,
     SymMorphism,
     SymPoint,
+    _chart_logs,
     base_point,
     exp_point,
     exp_points,
-    log_point,
-    log_points,
     lts_of_pair,
     mu,
 )
@@ -204,8 +203,8 @@ class ChartMembership:
 
     Called on a point, it answers whether the point's normal-chart preimage
     lies in the seed, or None where :func:`log_point` raises ``ValueError``.
-    :meth:`many` answers for a sequence from stacked logs; each answer is
-    the single call's.
+    :meth:`many` answers for a sequence from stacked logs, and a single call
+    is its one-point case.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, seed: LinearSubspace):
@@ -213,27 +212,19 @@ class ChartMembership:
         self.seed = seed
 
     def __call__(self, x: SymPoint) -> Optional[bool]:
-        try:
-            v = log_point(self.pair, x)
-        except ValueError:
-            return None
-        return self.seed.contains(v, self.pair.tol)
+        return self.many([x])[0]
 
     def many(self, points) -> list:
-        points = list(points)
-        try:
-            logs = log_points(self.pair, points)
-        except ValueError:
-            return [self(x) for x in points]
-        return [None if v is None else self.seed.contains(v, self.pair.tol) for v in logs]
+        logs = _chart_logs(self.pair, list(points))
+        return [None if isinstance(v, ValueError) else self.seed.contains(v, self.pair.tol) for v in logs]
 
 
-def _members(n_space: "ReflectionSubspace", points):
-    """``n_space.member(x)`` for each point in turn: one stacked call for
-    chart membership, otherwise a lazy point-by-point iterator."""
-    if isinstance(n_space.membership, ChartMembership):
-        return iter(n_space.membership.many(points))
-    return (n_space.member(x) for x in points)
+def _each(fn, *columns, one=None):
+    """``fn`` over the zipped columns: one ``fn.many`` call where ``fn`` has
+    one, otherwise a lazy map of ``one`` (default ``fn``), so a caller that
+    stops early stops calling."""
+    many = getattr(fn, "many", None)
+    return map(one or fn, *columns) if many is None else iter(many(*columns))
 
 
 def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> ReflectionSubspace:
@@ -265,7 +256,8 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
         raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
     cand = n_space.candidate_subspace()
     rays = [(v, t) for v in cand.onb() for t in CERTIFICATION_GRID]
-    for (v, t), member in zip(rays, _members(n_space, exp_points(pair, [t * v for v, t in rays]))):
+    points = exp_points(pair, [t * v for v, t in rays])
+    for (v, t), member in zip(rays, _each(n_space.membership, points, one=n_space.member)):
         if member is False:
             raise CertificationError(
                 f"candidate ray failed membership at t={t}", witness=(v, t)
@@ -337,10 +329,10 @@ def exp_chart_split(
 
         inside = [_ball_sample(rng, n.onb(), radius) for _ in range(samples if n.dim else 0)]
         ws = [_ball_sample(rng, free, radius) for _ in range(samples)]
-        gaps = [n.distance(w) for w in ws]
+        gaps = n.distances(ws).tolist()
         far = [i for i, gap in enumerate(gaps) if gap > 0.05 * radius]
         points = exp_points(pair, inside + [ws[i] for i in far])
-        members = list(_members(n_space, points))
+        members = list(_each(n_space.membership, points, one=n_space.member))
         for v, member in zip(inside, members):
             if member is False:
                 violation = max(violation, float(np.linalg.norm(v)))
@@ -401,7 +393,8 @@ def split_complement_criterion(
     size = max(1, MAX_STACK_FLOATS // pair.ambient_n ** 2)
     for start in range(0, len(kept), size):
         block = kept[start:start + size]
-        for i, member in zip(block, _members(n_space, exp_points(pair, [ws[i] for i in block]))):
+        points = exp_points(pair, [ws[i] for i in block])
+        for i, member in zip(block, _each(n_space.membership, points, one=n_space.member)):
             if member is True:
                 rng.bit_generator.state = state
                 for _ in range(i + 1):

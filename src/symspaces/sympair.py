@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lts import LieTripleSystem, LinearSubspace, SymmetricLieAlgebra, VerificationError
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, mat_exp, mat_log, op_norm
+from .numkernel import DEFAULT_TOL, INVERTIBLE_DET_FLOOR, Tolerance, as_matrix, mat_exp, mat_log, op_norm
 
 __all__ = [
     "SigmaRule",
@@ -362,7 +362,7 @@ def _word_products(exps: np.ndarray) -> np.ndarray:
 def group_sigma(pair: MatrixSymmetricPair, g: np.ndarray) -> np.ndarray:
     """Apply the pair's group involution; g, or each matrix of a stack, must be invertible."""
     g = as_matrix(g, square=True, stack=True)
-    if np.any(np.abs(np.linalg.det(g)) < 1e-300):
+    if np.any(np.abs(np.linalg.det(g)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("sigma is only defined on invertible matrices")
     return pair.sigma.apply(g)
 

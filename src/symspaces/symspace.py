@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lts import LieTripleSystem
-from .numkernel import DEFAULT_TOL, Tolerance, as_matrix, mat_exp, mat_log, op_norm
+from .numkernel import DEFAULT_TOL, INVERTIBLE_DET_FLOOR, DomainError, Tolerance, _mat_log_stack, as_matrix, mat_exp
 from .sympair import MatrixSymmetricPair, PairMorphism, group_sigma
 
 __all__ = [
@@ -75,14 +75,16 @@ class SymPoint:
 
     @classmethod
     def from_rep(cls, pair: MatrixSymmetricPair, rep: np.ndarray) -> "SymPoint":
-        rep = as_matrix(rep, square=True)
-        cartan = rep @ np.linalg.inv(group_sigma(pair, rep))
-        return cls(pair, rep, cartan)
+        return cls._from_stack(pair, as_matrix(rep, square=True)[None])[0]
 
     @classmethod
     def from_reps(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
         """``[from_rep(pair, r) for r in reps]``, bit for bit, from stacked products."""
-        reps = as_matrix(reps, square=True, stack=True)
+        return cls._from_stack(pair, as_matrix(reps, square=True, stack=True))
+
+    @classmethod
+    def _from_stack(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
+        # the body of from_rep and from_reps on an already validated stack
         cartans = reps @ np.linalg.inv(group_sigma(pair, reps))
         return [cls(pair, r, c) for r, c in zip(reps, cartans)]
 
@@ -140,14 +142,11 @@ def mu(x: SymPoint, y: SymPoint) -> SymPoint:
 
 def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
     """Exponential of a g_minus coordinate vector: q(exp of the matrix)."""
-    x = pair.minus_to_matrix(v)
-    # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
-    cartan = mat_exp(2.0 * x, pair.tol)
-    return SymPoint(pair, lambda: mat_exp(x, pair.tol), cartan)
+    return exp_points(pair, [v])[0]
 
 
 def exp_points(pair: MatrixSymmetricPair, vs) -> list:
-    """``[exp_point(pair, v) for v in vs]``, bit for bit, from stacked exponentials.
+    """The exponential of each g_minus coordinate vector, from stacked exponentials.
 
     One stacked ``mat_exp`` gives every Cartan matrix; the first rep read on
     any of the points computes the reps of the whole batch in one more.
@@ -156,6 +155,7 @@ def exp_points(pair: MatrixSymmetricPair, vs) -> list:
     xs = np.empty((len(vs), n, n))
     for i, v in enumerate(vs):
         xs[i] = pair.minus_to_matrix(v)
+    # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
     cartans = mat_exp(2.0 * xs, pair.tol)
     reps = []
 
@@ -167,33 +167,58 @@ def exp_points(pair: MatrixSymmetricPair, vs) -> list:
     return [SymPoint(pair, partial(rep_of, i), c) for i, c in enumerate(cartans)]
 
 
+def _chart_logs(pair: MatrixSymmetricPair, points) -> list:
+    """Per point, what :func:`log_point` returns or the error it raises, from
+    stacked logs of at most ``MAX_STACK_FLOATS`` floats (a point that fails
+    before its log takes an identity slice)."""
+    n = pair.ambient_n
+    size = max(1, MAX_STACK_FLOATS // max(1, n * n))
+    ident = np.eye(n)
+    out = []
+    for start in range(0, len(points), size):
+        block = [_cartan_or_error(pair, x) for x in points[start:start + size]]
+        logs, failed = _mat_log_stack(np.array([ident if isinstance(c, ValueError) else c for c in block]), pair.tol)
+        for c, message, half in zip(block, failed, 0.5 * logs):
+            if message is not None and not isinstance(c, ValueError):
+                c = DomainError(message)
+            try:
+                out.append(c if isinstance(c, ValueError) else pair.matrix_to_minus(half))
+            except ValueError as exc:  # the half-log is not in g_minus
+                out.append(exc)
+    return out
+
+
+def _cartan_or_error(pair: MatrixSymmetricPair, x: SymPoint):
+    # the point's Cartan matrix as log_point takes its log, or the error it raises first
+    if x.pair is not pair:
+        return ValueError("point does not belong to the given pair")
+    try:
+        return as_matrix(x.cartan, square=True)
+    except ValueError as exc:
+        return exc
+
+
 def log_point(pair: MatrixSymmetricPair, x: SymPoint) -> np.ndarray:
     """Normal-chart inverse of exp_point; requires the Cartan matrix to sit
     in the principal-log domain and its half-log to lie in g_minus."""
-    if x.pair is not pair:
-        raise ValueError("point does not belong to the given pair")
-    half = 0.5 * mat_log(x.cartan, pair.tol)
-    return pair.matrix_to_minus(half)  # residual check inside
+    return _raise_first(_chart_logs(pair, [x]))[0]
 
 
 def log_points(pair: MatrixSymmetricPair, points) -> list:
     """``log_point`` of each point, or None where it raises :class:`DomainError`.
 
-    The principal logs come from stacked ``mat_log`` calls of at most
-    ``MAX_STACK_FLOATS`` each, bit for bit the single calls; the g_minus
-    coordinates are solved point by point, and a half-log outside g_minus
-    raises as in :func:`log_point`.
+    Any other error of ``log_point`` is raised, the first in point order.
     """
-    points = list(points)
-    if any(x.pair is not pair for x in points):
-        raise ValueError("point does not belong to the given pair")
-    n = pair.ambient_n
-    size = max(1, MAX_STACK_FLOATS // max(1, n * n))
-    out = []
-    for start in range(0, len(points), size):
-        halves = 0.5 * mat_log(np.array([x.cartan for x in points[start:start + size]]), pair.tol)
-        out += [None if np.isnan(h).any() else pair.matrix_to_minus(h) for h in halves]
-    return out
+    logs = [None if isinstance(v, DomainError) else v for v in _chart_logs(pair, list(points))]
+    return _raise_first(logs)
+
+
+def _raise_first(values: list) -> list:
+    """``values``, or raise the first of them that is an exception."""
+    for v in values:
+        if isinstance(v, Exception):
+            raise v
+    return values
 
 
 def one_param(pair: MatrixSymmetricPair, v, t: float) -> SymPoint:
@@ -209,7 +234,7 @@ def translation(pair: MatrixSymmetricPair, v, s: float, x: SymPoint) -> SymPoint
 def tau_action(pair: MatrixSymmetricPair, g: np.ndarray, x: SymPoint) -> SymPoint:
     """The natural action (g, hK) -> ghK."""
     g = as_matrix(g, square=True)
-    if abs(np.linalg.det(g)) < 1e-300:
+    if abs(np.linalg.det(g)) < INVERTIBLE_DET_FLOOR:
         raise ValueError("tau requires an invertible group element")
     cartan = g @ x.cartan @ np.linalg.inv(pair.sigma.apply(g))
     return _derived_point(pair, lambda: g @ x.rep, cartan, x)

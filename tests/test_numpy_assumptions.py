@@ -5,8 +5,13 @@ batched relation test promise that each slice of a stacked call is bit for
 bit the 2-D call.  That holds only because numpy computes a stacked
 ``inv``, ``svd(compute_uv=False)``, ``solve`` and ``@`` slice by slice with
 the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))`` of a
-flattened slice is the bits of ``np.linalg.norm`` of that slice.  If a
-numpy upgrade breaks either fact, this test fails, not the report bytes.
+flattened slice is the bits of ``np.linalg.norm`` of that slice.  A single
+``mat_exp``, ``from_rep``, ``log_point`` or relation test runs as a
+one-slice stack, so its bits must be the 2-D ``inv``, ``det`` and ``@``;
+and ``LinearSubspace.distances`` projects each row as a ``(1, m)`` slice,
+so a row of a stacked ``(k, 1, m) @ (m, d)`` must be the one-row product.
+If a numpy upgrade breaks any of these facts, this test fails, not the
+report bytes.
 """
 
 import numpy as np
@@ -45,3 +50,31 @@ def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():
             assert same_bits(solved[i], single)
             assert same_bits(product[i], a[i] @ b[i])
             assert same_bits(square[i], single @ single)
+
+
+def test_a_one_slice_stack_is_the_2d_call():
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 11):
+        for _ in range(50):
+            a = np.eye(n) + rng.uniform(0.01, 3.0) * rng.standard_normal((n, n))
+            b = rng.standard_normal((n, n))
+            assert same_bits(np.linalg.inv(a[None])[0], np.linalg.inv(a))
+            assert same_bits(np.linalg.det(a[None])[0], np.linalg.det(a))
+            assert same_bits((a[None] @ b[None])[0], a @ b)
+            assert same_bits(np.linalg.solve(a[None], b[None])[0], np.linalg.solve(a, b))
+
+
+def test_a_stacked_row_product_is_the_one_row_product():
+    rng = np.random.default_rng(20261020)
+    for m in range(1, 9):
+        for d in range(0, m + 1):
+            q = np.linalg.qr(rng.standard_normal((m, m)))[0][:d]  # orthonormal rows, as onb() gives
+            v = rng.standard_normal((40, m))
+            rows = v[:, None]
+            stacked = (rows @ q.T) @ q
+            norms = np.linalg.norm(rows - stacked, axis=-1)
+            for i in range(len(v)):
+                one = v[i : i + 1]
+                single = (one @ q.T) @ q
+                assert same_bits(stacked[i], single)
+                assert same_bits(norms[i], np.linalg.norm(one - single, axis=-1))

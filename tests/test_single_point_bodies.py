@@ -1,0 +1,446 @@
+"""Each single-point operation is the one-element case of its stacked body.
+
+``mat_exp`` on one matrix, ``exp_point``, ``SymPoint.from_rep``,
+``log_point`` and the single calls of ``ChartRelation`` and
+``ChartMembership`` run their stacked paths on one element.  The oracles
+below are the separate single-point bodies they replace, kept verbatim up
+to naming (the 2-D ``mat_log`` oracle is ``test_stacked_chart``'s).  Every
+single call must give the oracle's bits, equal the one-element stacked
+call, raise the oracle's exception type and message where it raises, and
+make exactly one stacked kernel call.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cartan_first import build_stack, slice_kinds
+from test_stacked_chart import CHART_MODELS, count_calls, oracle_log, relation_points, same_bits
+
+from symspaces import numkernel, symspace
+from symspaces.catalog import parse_model
+from symspaces.lts import LinearSubspace
+from symspaces.numkernel import DEFAULT_TOL, DomainError, as_matrix, mat_exp
+from symspaces.quotient import ChartRelation
+from symspaces.subspace import (
+    CERTIFICATION_GRID,
+    ChartSplitError,
+    ReflectionSubspace,
+    exp_chart_split,
+    generate_integral,
+    lts_of_subspace,
+    split_complement_criterion,
+    whole_space,
+)
+from symspaces.sympair import group_sigma
+from symspaces.symspace import SymPoint, exp_point, exp_points, log_point, log_points
+
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def outcome(fn, *args):
+    """``("value", result)`` of a call, or ``(exception type, message)``."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    if a[0] != "value" or b[0] != "value":
+        return a == b
+    x, y = a[1], b[1]
+    if isinstance(x, SymPoint):
+        return same_bits(x.cartan, y.cartan) and same_bits(x.rep, y.rep)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(same_outcome(("value", u), ("value", w)) for u, w in zip(x, y))
+    if isinstance(x, np.ndarray):
+        return same_bits(x, y)
+    return x == y
+
+
+# ---------------------------------------------------------------------------
+# the single-point bodies that the one-element stacked calls replace
+
+
+def oracle_pade13(a):
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    return np.linalg.solve(v - u, v + u)
+
+
+def oracle_mat_exp(a):
+    a = as_matrix(a, square=True, stack=True)  # the validation shared with stacks
+    assert a.ndim == 2
+    n = a.shape[0]
+    if n == 0:
+        return a.copy()
+    norm1 = float(np.add.reduce(np.abs(a), axis=-2).max(axis=-1))
+    if norm1 == 0.0:
+        return np.eye(n)
+    s = 0
+    if norm1 > _THETA13:
+        s = np.ceil(np.log2(norm1 / _THETA13))
+        if s > 60:
+            raise DomainError(f"norm {norm1:.3e} exceeds the scaling budget")
+        s = int(s)
+    if s:
+        a = a / (2.0 ** s)
+    r = oracle_pade13(a)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def oracle_exp_point(pair, v):
+    x = pair.minus_to_matrix(v)
+    cartan = oracle_mat_exp(2.0 * x)
+    return SymPoint(pair, oracle_mat_exp(x), cartan)
+
+
+def oracle_from_rep(pair, rep):
+    rep = as_matrix(rep, square=True)
+    cartan = rep @ np.linalg.inv(group_sigma(pair, rep))
+    return SymPoint(pair, rep, cartan)
+
+
+def oracle_log_point(pair, x, extra=0.0):
+    # ``extra`` is added to the principal log, as the patched stacked log adds it
+    if x.pair is not pair:
+        raise ValueError("point does not belong to the given pair")
+    half = 0.5 * (oracle_log(as_matrix(x.cartan, square=True)) + extra)
+    return pair.matrix_to_minus(half)
+
+
+def oracle_relates(pair, n, x, y, extra=0.0):
+    try:
+        v = oracle_log_point(pair, oracle_from_rep(pair, np.linalg.inv(x.rep) @ y.rep), extra)
+    except DomainError:
+        return None
+    return n.contains(v, pair.tol)
+
+
+def oracle_member(pair, seed, x, extra=0.0):
+    try:
+        v = oracle_log_point(pair, x, extra)
+    except ValueError:
+        return None
+    return seed.contains(v, pair.tol)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+@pytest.fixture(scope="module")
+def chart_models():
+    return {spec: parse_model(spec) for spec in CHART_MODELS}
+
+
+def chart_vectors(pair, seed):
+    """Vectors from the base point to well outside the log's ball."""
+    rng = np.random.default_rng(seed)
+    return [r * rng.standard_normal(pair.dim_minus) for r in np.linspace(0.0, 1.5, 16)]
+
+
+def other_pair(spec):
+    # a chart model with the same ambient size where there is one
+    return {"sphere(2)": "spd(3)", "spd(3)": "sphere(2)"}.get(spec, "spd(2)" if spec != "spd(2)" else "sphere(2)")
+
+
+def nan_point(pair):
+    n = pair.ambient_n
+    return SymPoint(pair, np.eye(n), np.full((n, n), np.nan))
+
+
+def patch_log_off_minus(monkeypatch, pair):
+    """Add a g_plus matrix to every stacked log; return it for the oracle."""
+    extra = 0.3 * pair.plus_mats[0]
+    stacked = numkernel._mat_log_stack
+
+    def shifted(a, tol):
+        out, failed = stacked(a, tol)
+        return out + extra, failed
+
+    monkeypatch.setattr(symspace, "_mat_log_stack", shifted)
+    return extra
+
+
+# ---------------------------------------------------------------------------
+# mat_exp on one matrix
+
+
+class TestMatExp:
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8), kinds=st.lists(slice_kinds(), min_size=1, max_size=4))
+    def test_a_matrix_is_the_former_body_and_the_one_slice_stack(self, seed, n, kinds):
+        for a in build_stack(seed, n, kinds):
+            got = mat_exp(a)
+            assert same_bits(got, oracle_mat_exp(a))
+            assert same_bits(got, mat_exp(a[None])[0])
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.full((2, 2), np.inf), np.ones((2, 3)), np.ones(3), 1e20 * np.eye(3)],
+        ids=["non-finite", "non-square", "1-D", "over-budget"],
+    )
+    def test_errors_are_the_former_bodys(self, a):
+        want = outcome(oracle_mat_exp, a)
+        assert want[0] != "value"
+        assert outcome(mat_exp, a) == want
+
+    def test_one_stacked_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, numkernel, "_mat_exp_stack")
+        mat_exp(build_stack(2, 3, ["large"])[0])
+        assert [a.shape for (a,) in calls] == [(1, 3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# exp_point and from_rep
+
+
+class TestPointConstructors:
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    def test_exp_point(self, chart_models, spec):
+        pair = chart_models[spec].pair
+        vs = chart_vectors(pair, 1) + [np.full(pair.dim_minus, 40.0)]
+        for v in vs:
+            got = outcome(exp_point, pair, v)
+            assert same_outcome(got, outcome(oracle_exp_point, pair, v))
+            assert same_outcome(got, ("value", exp_points(pair, [v])[0]))
+
+    @pytest.mark.parametrize("v", [np.ones(7), np.full(3, 1e20)], ids=["wrong length", "over budget"])
+    def test_exp_point_errors(self, chart_models, v):
+        pair = chart_models["spd(2)"].pair
+        want = outcome(oracle_exp_point, pair, v)
+        assert want[0] != "value"
+        assert outcome(exp_point, pair, v) == want
+        assert outcome(lambda: exp_points(pair, [v])[0]) == want
+
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    def test_from_rep(self, chart_models, spec):
+        pair = chart_models[spec].pair
+        rng = np.random.default_rng(4)
+        reps = [pair.random_element(rng, letters=2, scale=s) for s in (0.1, 0.5, 2.0)]
+        reps += [x.rep for x in exp_points(pair, chart_vectors(pair, 2))]
+        for rep in reps:
+            got = SymPoint.from_rep(pair, rep)
+            assert same_outcome(("value", got), ("value", oracle_from_rep(pair, rep)))
+            assert same_outcome(("value", got), ("value", SymPoint.from_reps(pair, rep[None])[0]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.zeros((n, n)),
+            lambda n: np.diag([0.0] + [1.0] * (n - 1)),
+            lambda n: np.full((n, n), np.nan),
+            lambda n: np.ones((n, n + 1)),
+            lambda n: np.eye(n)[None],
+        ],
+        ids=["zero", "singular", "non-finite", "non-square", "3-D"],
+    )
+    def test_from_rep_errors(self, chart_models, make):
+        pair = chart_models["spd(3)"].pair
+        rep = make(pair.ambient_n)
+        want = outcome(oracle_from_rep, pair, rep)
+        assert want[0] != "value"
+        assert outcome(SymPoint.from_rep, pair, rep) == want
+
+    def test_one_stacked_call_each(self, chart_models, monkeypatch):
+        pair = chart_models["spd(3)"].pair
+        exps = count_calls(monkeypatch, numkernel, "_mat_exp_stack")
+        x = exp_point(pair, 0.2 * np.ones(pair.dim_minus))
+        assert [a.shape[0] for (a,) in exps] == [1]
+        sigmas = count_calls(monkeypatch, symspace, "group_sigma")
+        SymPoint.from_rep(pair, x.rep)
+        assert [g.shape for _, g in sigmas] == [(1, 3, 3)]
+        assert len(exps) == 2  # reading the rep took the second stacked call
+
+
+# ---------------------------------------------------------------------------
+# log_point, ChartRelation and ChartMembership
+
+
+class TestChartReaders:
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    @pytest.mark.parametrize("off_minus", [False, True], ids=["log in g_minus", "log off g_minus"])
+    def test_log_point(self, chart_models, spec, off_minus, monkeypatch):
+        pair = chart_models[spec].pair
+        other = chart_models[other_pair(spec)].pair
+        points = exp_points(pair, chart_vectors(pair, 3))
+        points += [exp_point(other, 0.1 * np.ones(other.dim_minus)), nan_point(pair)]
+        extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
+        kinds = set()
+        for x in points:
+            got = outcome(log_point, pair, x)
+            assert same_outcome(got, outcome(oracle_log_point, pair, x, extra))
+            kinds.add(got[0])
+            # log_points answers None where log_point raises DomainError
+            want = ("value", [None]) if got[0] is DomainError else ("value", [got[1]]) if got[0] == "value" else got
+            assert same_outcome(outcome(log_points, pair, [x]), want)
+        assert {DomainError, ValueError} <= kinds
+        assert ("value" in kinds) != off_minus
+
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    @pytest.mark.parametrize("off_minus", [False, True], ids=["log in g_minus", "log off g_minus"])
+    def test_chart_relation(self, chart_models, spec, off_minus, monkeypatch):
+        pair = chart_models[spec].pair
+        n = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
+        relation = ChartRelation(pair, n)
+        xs, ys = relation_points(pair, 6, count=12)
+        other = chart_models[other_pair(spec)].pair
+        if other.ambient_n == pair.ambient_n:
+            xs.append(exp_point(other, 0.1 * np.ones(other.dim_minus)))
+            ys.append(exp_point(other, -0.2 * np.ones(other.dim_minus)))
+        singular = SymPoint(pair, np.zeros((pair.ambient_n,) * 2), np.eye(pair.ambient_n))
+        xs, ys = xs + [singular, ys[0]], ys + [ys[1], singular]
+        extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
+        kinds = set()
+        for x, y in zip(xs, ys):
+            got = outcome(relation, x, y)
+            assert got == outcome(oracle_relates, pair, n, x, y, extra)
+            assert got == outcome(lambda: relation.many([x], [y])[0])
+            kinds.add(got[0] if got[0] != "value" else got[1])
+        assert {np.linalg.LinAlgError, None} <= kinds
+        assert (ValueError in kinds) or not off_minus
+        assert (True in kinds or False in kinds) != off_minus
+
+    @pytest.mark.parametrize("spec", CHART_MODELS)
+    @pytest.mark.parametrize("off_minus", [False, True], ids=["log in g_minus", "log off g_minus"])
+    def test_chart_membership(self, chart_models, spec, off_minus, monkeypatch):
+        pair = chart_models[spec].pair
+        member = generate_integral(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1]), pair).membership
+        other = chart_models[other_pair(spec)].pair
+        vs = chart_vectors(pair, 5) + [t * np.eye(pair.dim_minus)[0] for t in (0.1, -0.4)]
+        points = exp_points(pair, vs) + [exp_point(other, 0.1 * np.ones(other.dim_minus)), nan_point(pair)]
+        extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
+        answers = []
+        for x in points:
+            got = outcome(member, x)
+            assert got == ("value", oracle_member(pair, member.seed, x, extra))
+            assert got == outcome(lambda: member.many([x])[0])
+            answers.append(got[1])
+        assert answers[-2:] == [None, None]
+        assert (True in answers) != off_minus
+
+    def test_one_stacked_log_each(self, chart_models, monkeypatch):
+        pair = chart_models["spd(2)"].pair
+        m = pair.dim_minus
+        x, y = exp_points(pair, [0.1 * np.ones(m), -0.2 * np.ones(m)])
+        member = generate_integral(LinearSubspace(m, np.eye(m)[:1]), pair).membership
+        relation = ChartRelation(pair, LinearSubspace(m, np.eye(m)[:1]))
+        for call in (lambda: log_point(pair, x), lambda: member(x), lambda: relation(x, y)):
+            calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
+            call()
+            assert [a.shape[0] for a, _ in calls] == [1]
+            monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# the samplers' one dispatch rule
+
+
+class TestMembershipDispatch:
+    def count_member_calls(self, monkeypatch):
+        calls = []
+        original = ReflectionSubspace.member
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(ReflectionSubspace, "member", counted)
+        return calls
+
+    def test_a_plain_membership_is_read_point_by_point_through_member(self, chart_models, monkeypatch):
+        pair = chart_models["spd(2)"].pair
+        m = pair.dim_minus
+        space = whole_space(pair)
+        calls = self.count_member_calls(monkeypatch)
+        lts_of_subspace(space)
+        assert len(calls) == 1 + m * len(CERTIFICATION_GRID)  # the base point, then each ray
+        del calls[:]
+        whole = LinearSubspace(m, np.eye(m))
+        exp_chart_split(space, whole, rng=np.random.default_rng(0), samples=7, start_radius=0.5)
+        assert len(calls) == 7
+        del calls[:]
+        line = LinearSubspace(m, np.eye(m)[:1])
+        assert not split_complement_criterion(space, line, line.complement(), rng=np.random.default_rng(0), samples=9)
+        assert len(calls) == 1  # the first sample is a member, and the sampler stops there
+
+    def test_a_chart_membership_is_read_in_one_many_call(self, chart_models, monkeypatch):
+        pair = chart_models["spd(2)"].pair
+        m = pair.dim_minus
+        space = generate_integral(LinearSubspace(m, np.eye(m)[:1]), pair)
+        calls = self.count_member_calls(monkeypatch)
+        batches = count_calls(monkeypatch, numkernel, "_mat_log_stack")
+        lts_of_subspace(space)
+        assert len(calls) == 1  # only the base point
+        assert [a.shape[0] for a, _ in batches] == [1, len(CERTIFICATION_GRID)]
+
+
+# ---------------------------------------------------------------------------
+# LinearSubspace.distance
+
+
+def oracle_distance(q, v):
+    # the one-row projection of ``distances``, on a 1-D vector
+    row = v[None]
+    return float(np.linalg.norm(row - (row @ q.T) @ q, axis=-1)[0])
+
+
+class TestDistance:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), data=st.data())
+    def test_each_row_is_the_one_row_call(self, seed, m, data):
+        rng = np.random.default_rng(seed)
+        d = data.draw(st.integers(0, m))
+        sub = LinearSubspace.span(rng.standard_normal((d, m)), m, DEFAULT_TOL)
+        vs = rng.standard_normal((30, m)) * rng.uniform(1e-6, 10.0, size=(30, 1))
+        got = sub.distances(vs)
+        for i, v in enumerate(vs):
+            assert same_bits(got[i], sub.distance(v))
+            assert same_bits(sub.distance(v), oracle_distance(sub.onb(), v))
+            assert sub.distance(v) == pytest.approx(np.linalg.norm(v - sub.project(v)), abs=1e-12)
+
+    def test_chart_split_takes_one_distances_call_per_radius(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            original = getattr(LinearSubspace, name)
+
+            def counted(self, vectors):
+                if sys._getframe(1).f_code.co_name == "exp_chart_split":
+                    calls.append((name, len(np.atleast_2d(vectors))))
+                return original(self, vectors)
+
+            monkeypatch.setattr(LinearSubspace, name, counted)
+
+        spy("distance")
+        spy("distances")
+        # the dense line is refuted at every radius down to the floor
+        sub = parse_model("torus_abelian(sqrt2)").subspace_by_name("dense_line")
+        with pytest.raises(ChartSplitError) as failed:
+            exp_chart_split(sub.subspace, sub.seed, rng=np.random.default_rng(0), samples=40)
+        radii = len(failed.value.report.history)
+        assert radii > 5
+        assert [c for c in calls if c[0] == "distances"] == [("distances", 40)] * radii
+        assert all(c == ("distance", 1) for c in calls if c[0] == "distance")  # the probes

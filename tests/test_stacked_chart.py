@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symspaces import lts, numkernel, reports, symspace
+from symspaces import lts, numkernel, symspace
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, ideal_bracket_plus_n, psi_representation
 from symspaces.numkernel import DEFAULT_TOL, DomainError, mat_log, op_norm
 from symspaces.quotient import ChartRelation, quotient_theorem_pipeline
 from symspaces.reports import reflection_axiom_report
 from symspaces.subspace import (
+    CERTIFICATION_GRID,
     ChartMembership,
     exp_chart_split,
     generate_integral,
@@ -255,7 +256,7 @@ class TestLogPoints:
     def test_blocks_bound_each_stacked_log(self, chart_models, monkeypatch):
         pair = chart_models["spd(3)"].pair
         monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", 4 * pair.ambient_n ** 2)
-        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
         rng = np.random.default_rng(8)
         points = exp_points(pair, [0.05 * rng.standard_normal(pair.dim_minus) for _ in range(10)])
         logs = log_points(pair, points)
@@ -308,9 +309,9 @@ class TestChartRelation:
         pair = chart_models["spd(2)"].pair
         relation = ChartRelation(pair, LinearSubspace.zero(pair.dim_minus))
         xs, ys = relation_points(pair, 4, count=12)
-        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
         relation.many(xs, ys)
-        assert [np.ndim(args[0]) for args in calls] == [3]
+        assert [len(args[0]) for args in calls] == [12]
 
     def test_empty(self, chart_models):
         pair = chart_models["spd(2)"].pair
@@ -397,10 +398,10 @@ class TestSamplersOnBatchedMembership:
     def test_certification_grid_is_one_stacked_log(self, chart_models, monkeypatch):
         pair = chart_models["spd(3)"].pair
         space = generate_integral(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:2]), pair)
-        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
         lts_of_subspace(space)
-        # the base point's single call, then the whole ray grid in one stack
-        assert [np.ndim(args[0]) for args in calls] == [2, 3]
+        # the base point's one-slice stack, then the whole ray grid in one stack
+        assert [len(args[0]) for args in calls] == [1, 2 * len(CERTIFICATION_GRID)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,24 +470,24 @@ class TestReflectionReport:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_one_stacked_log(self, chart_models, monkeypatch):
-        calls = count_calls(monkeypatch, numkernel, "mat_log")
+        calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
         singles = count_calls(monkeypatch, symspace, "log_point")
         reflection_axiom_report(chart_models["spd(3)"], np.random.default_rng(0), samples=3)
-        assert [np.ndim(args[0]) for args in calls] == [3]
+        m = chart_models["spd(3)"].pair.dim_minus
+        assert [len(args[0]) for args in calls] == [2 * m + 8]
         assert singles == []
 
     def test_a_failing_log_raises_the_single_calls_error(self, chart_models, monkeypatch):
+        # every slice but the first fails: the second point's error is raised
         model = chart_models["spd(2)"]
+        stacked = numkernel._mat_log_stack
 
-        def outside(pair, points):
-            return [None for _ in points]
+        def failing(a, tol):
+            out, _ = stacked(a, tol)
+            return out, [None] + [f"slice {i}" for i in range(1, len(a))]
 
-        def single(pair, x):
-            raise DomainError("first")
-
-        monkeypatch.setattr(reports, "log_points", outside)
-        monkeypatch.setattr(reports, "log_point", single)
-        with pytest.raises(DomainError, match="first"):
+        monkeypatch.setattr(symspace, "_mat_log_stack", failing)
+        with pytest.raises(DomainError, match="^slice 1$"):
             reflection_axiom_report(model, np.random.default_rng(0), samples=2)
 
 
