@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 scripts/case_bytes.py --out before.json
     PYTHONPATH=src python3 scripts/case_bytes.py --diff before.json after.json
+    PYTHONPATH=src python3 scripts/case_bytes.py --digests tests/data/case_digests.json
 
 A case is one item of ``bench/workloads.py`` on the program seed of one of
 its workload's seed groups (88 cases in all).  Each case runs in process
@@ -14,12 +15,20 @@ absolute change of each numeric field that moved: JSON reports are
 compared leaf by leaf (list indices folded into ``[]``), CSV tables column
 by column.  Any other change is printed as text.  The exit status is 1
 when some case differs.
+
+``--digests`` writes the small form of the record that the test suite
+compares against (``tests/test_case_digests.py``): per case the exit code,
+the SHA-256 of stdout and of stderr and the JSON booleans of stdout, with
+the numpy and BLAS build the bytes were made on.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import glob
+import hashlib
 import io
 import json
 import math
@@ -51,6 +60,44 @@ def run_cases() -> dict:
                         traceback.print_exc(file=err)
                 record[f"{name} | {item['key']} | seed {seed}"] = [code, out.getvalue(), err.getvalue()]
     return record
+
+
+def environment() -> dict:
+    """The numpy version and the BLAS build and runtime kernel that decide the report bits."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": _openblas_core(np),
+    }
+
+
+def _openblas_core(np):
+    # the kernel a DYNAMIC_ARCH OpenBLAS picked for this CPU; None where numpy bundles no such library
+    for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas64_*")):
+        get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
+
+
+def digests(record: dict) -> dict:
+    """Per case ``[exit, sha256(stdout), sha256(stderr), JSON booleans of stdout]``."""
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def booleans(text: str) -> list:
+        try:
+            return [v for _, v in _leaves(json.loads(text)) if isinstance(v, bool)]
+        except ValueError:  # a CSV table or an error: no JSON
+            return []
+
+    cases = {case: [code, sha(out), sha(err), booleans(out)] for case, (code, out, err) in record.items()}
+    return {"environment": environment(), "cases": cases}
 
 
 def _leaves(value, path=""):
@@ -143,10 +190,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the case record here (default: stdout)")
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two case records")
+    parser.add_argument("--digests", metavar="PATH", help="write the digests of the case record here")
     args = parser.parse_args(argv)
     if args.diff:
         with open(args.diff[0]) as fa, open(args.diff[1]) as fb:
             return diff(json.load(fa), json.load(fb))
+    if args.digests:
+        record = digests(run_cases())
+        cases = ",\n".join(f"{json.dumps(c)}: {json.dumps(v)}" for c, v in sorted(record["cases"].items()))
+        env = json.dumps(record["environment"], sort_keys=True)
+        Path(args.digests).write_text(f'{{\n"environment": {env},\n"cases": {{\n{cases}\n}}\n}}\n')
+        return 0
     text = json.dumps(run_cases(), indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

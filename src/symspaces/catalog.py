@@ -306,9 +306,7 @@ class TorusLattice:
 def _sphere_circle(pair: MatrixSymmetricPair, tol: Tolerance):
     n = pair.ambient_n - 1
     d = np.diag([1.0 if i != 1 else -1.0 for i in range(pair.ambient_n)])
-    coords = np.zeros((pair.dim, pair.dim))
-    for i, mat in enumerate(pair.basis_mats):
-        coords[:, i] = pair.matrix_coords(d @ mat @ d)
+    coords = pair.matrix_coords(d @ pair.basis_mats @ d).T  # column i: the image of basis matrix i
     auto = PairMorphism(
         source=pair, target=pair, algebra_map=coords,
         group_rule=lambda g: d @ g @ d, label="reflection",

@@ -409,10 +409,6 @@ class SymmetricLieAlgebra:
         minus = LinearSubspace(d, nullspace(th + np.eye(d), tol).T)
         return cls(d, np.asarray(bracket_tensor, dtype=float), th, plus, minus, label)
 
-    def bracket_vec(self, x, y) -> np.ndarray:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return np.einsum("ijl,i,j->l", self.bracket_tensor, x, y)
-
     def ad(self, x) -> np.ndarray:
         """ad(x) = [x, .] as a (dim x dim) matrix."""
         return np.einsum("ijl,i->lj", self.bracket_tensor, np.asarray(x, dtype=float))

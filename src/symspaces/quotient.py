@@ -373,12 +373,12 @@ def weak_submersion_check(
             vs.append(0.2 * rng.standard_normal(pair.dim_minus))
             if rng.uniform() < 0.3:
                 moved.append(i)
-                letters.append(pair.random_algebra_element(rng, 0.2))
+                letters.append(0.2 * rng.standard_normal(pair.dim))  # random_algebra_element's draw
         count = len(us)
         points = exp_points(pair, us + vs)
         x0s, ys = points[:count], points[count:]
         xs = list(x0s)
-        for i, g in zip(moved, pair._elements_from_words(np.reshape(letters, (-1, 1, n, n)))):
+        for i, g in zip(moved, pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))):
             xs[i] = tau_action(pair, g, x0s[i])
         products = [mu(x, y) for x, y in zip(xs, ys)]
 

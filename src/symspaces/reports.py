@@ -51,14 +51,16 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
     """Sampled reflection-space axioms plus the two linearized base-point laws."""
     pair = model.pair
     # draw every sample point first, in the order of the per-point draws
-    vs, moves = [], []
-    for _ in range(3 * samples):
+    # (a moved point's letter is random_element's draw, exponentiated in one stacked call)
+    vs, moved, letters = [], [], []
+    for i in range(3 * samples):
         vs.append(0.4 * rng.standard_normal(pair.dim_minus))
-        moved = rng.uniform() < 0.25
-        moves.append(pair.random_element(rng, letters=1, scale=0.3) if moved else None)
-    points = [
-        x if g is None else tau_action(pair, g, x) for x, g in zip(exp_points(pair, vs), moves)
-    ]
+        if rng.uniform() < 0.25:
+            moved.append(i)
+            letters.append(0.3 * rng.standard_normal(pair.dim))
+    points = exp_points(pair, vs)
+    for i, g in zip(moved, pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))):
+        points[i] = tau_action(pair, g, points[i])
     res_invol = res_fix = res_auto = 0.0
     for i in range(samples):
         x, y, z = points[3 * i : 3 * i + 3]
@@ -188,7 +190,7 @@ def trotter_bracket_table(model: ModelDescriptor, x, y, z, ks) -> list:
     """Rows (k, l, error) of the bracket approximant along the diagonal k = l."""
     pair = model.pair
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    xm, ym, zm = (pair.minus_to_matrix(v) for v in (x, y, z))
+    xm, ym, zm = pair.minus_to_matrix([x, y, z])
     comm = xm @ ym - ym @ xm
     bracket = comm @ zm - zm @ comm
     target = exp_point(pair, pair.matrix_to_minus(bracket))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lts import LieTripleSystem
 from .numkernel import DEFAULT_TOL, INVERTIBLE_DET_FLOOR, DomainError, Tolerance, _mat_log_stack, as_matrix, mat_exp
-from .sympair import MatrixSymmetricPair, PairMorphism, group_sigma
+from .sympair import MatrixSymmetricPair, PairMorphism, _word_products, group_sigma
 
 __all__ = [
     "SymPoint",
@@ -148,13 +148,11 @@ def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
 def exp_points(pair: MatrixSymmetricPair, vs) -> list:
     """The exponential of each g_minus coordinate vector, from stacked exponentials.
 
-    One stacked ``mat_exp`` gives every Cartan matrix; the first rep read on
-    any of the points computes the reps of the whole batch in one more.
+    One stacked ``minus_to_matrix`` call gives every matrix and one stacked
+    ``mat_exp`` every Cartan matrix; the first rep read on any of the points
+    computes the reps of the whole batch in one more.
     """
-    n = pair.ambient_n
-    xs = np.empty((len(vs), n, n))
-    for i, v in enumerate(vs):
-        xs[i] = pair.minus_to_matrix(v)
+    xs = _minus_mats(pair, vs)
     # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
     cartans = mat_exp(2.0 * xs, pair.tol)
     reps = []
@@ -165,6 +163,12 @@ def exp_points(pair: MatrixSymmetricPair, vs) -> list:
         return reps[0][i]
 
     return [SymPoint(pair, partial(rep_of, i), c) for i, c in enumerate(cartans)]
+
+
+def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:
+    # minus_to_matrix of a sequence of vectors, which may be empty
+    n = pair.ambient_n
+    return pair.minus_to_matrix(vs) if len(vs) else np.empty((0, n, n))
 
 
 def _chart_logs(pair: MatrixSymmetricPair, points) -> list:
@@ -347,16 +351,11 @@ def chain_identity_check(pair: MatrixSymmetricPair, xs, ys) -> float:
     ys = [np.asarray(v, dtype=float) for v in ys]
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
-    # the word is indexed n..1, so the group product runs over reversed lists
-    g = np.eye(pair.ambient_n)
-    for i in range(len(xs) - 1, -1, -1):
-        g = g @ mat_exp(pair.minus_to_matrix(xs[i]), pair.tol) @ mat_exp(pair.minus_to_matrix(ys[i]), pair.tol)
-    left = SymPoint.from_rep(pair, g)
-
-    syms = []
-    for i in range(len(xs) - 1, -1, -1):
-        syms.append(exp_point(pair, xs[i] / 2.0))
-        syms.append(exp_point(pair, -ys[i] / 2.0))
+    # the word is indexed n..1, so both products run over reversed lists
+    order = range(len(xs) - 1, -1, -1)
+    letters = mat_exp(_minus_mats(pair, [v for i in order for v in (xs[i], ys[i])]), pair.tol)
+    left = SymPoint.from_rep(pair, _word_products(letters[None])[0])
+    syms = exp_points(pair, [v for i in order for v in (xs[i] / 2.0, -ys[i] / 2.0)])
     right = apply_symmetries(syms, base_point(pair))
     return cartan_distance(left, right)
 

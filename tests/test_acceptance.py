@@ -264,8 +264,8 @@ def test_criterion_09_ideal_constructions(models):
             for l in (l_brk, l_psi):
                 for row in l.basis:
                     assert l.contains(g.theta @ row, pair.tol)
-                    for e in np.eye(g.dim):
-                        assert l.contains(g.bracket_vec(row, e), pair.tol)
+                    for bracket in g.brackets(row[None], np.eye(g.dim))[0]:
+                        assert l.contains(bracket, pair.tol)
             cases += 1
     assert cases >= 8
     _report("criterion-9", f"{cases} applicable cases, containment and ideal checks hold")

@@ -232,8 +232,8 @@ class TestStandardEmbedding:
                 for j in range(m.dim):
                     for k in range(m.dim):
                         e = np.eye(h.dim)
-                        inner = h.bracket_vec(e[r + i], e[r + j])
-                        got = h.bracket_vec(inner, e[r + k])
+                        inner = h.brackets(e[r + i][None], e[r + j][None])[0]
+                        got = h.brackets(inner, e[r + k][None])[0, 0]
                         want = m.bracket(np.eye(m.dim)[i], np.eye(m.dim)[j], np.eye(m.dim)[k])
                         assert np.allclose(got[r:], want, atol=1e-10)
                         assert np.allclose(got[:r], 0.0, atol=1e-10)

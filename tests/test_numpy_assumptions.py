@@ -10,8 +10,12 @@ flattened slice is the bits of ``np.linalg.norm`` of that slice.  A single
 one-slice stack, so its bits must be the 2-D ``inv``, ``det`` and ``@``;
 and ``LinearSubspace.distances`` projects each row as a ``(1, m)`` slice,
 so a row of a stacked ``(k, 1, m) @ (m, d)`` must be the one-row product.
-If a numpy upgrade breaks any of these facts, this test fails, not the
-report bytes.
+The coordinate map ``to_matrix``/``minus_to_matrix`` of a ``(k, d)`` stack is
+the ``(k, 1, d) @ (d, n*n)`` product, so each row must also be the vector
+product that ``tensordot`` computes; and ``random_element`` draws its rows
+for a whole stack with one ``standard_normal((k, d))``, which must be ``k``
+sequential draws.  If a numpy upgrade breaks any of these facts, this test
+fails, not the report bytes.
 """
 
 import numpy as np
@@ -78,3 +82,23 @@ def test_a_stacked_row_product_is_the_one_row_product():
                 single = (one @ q.T) @ q
                 assert same_bits(stacked[i], single)
                 assert same_bits(norms[i], np.linalg.norm(one - single, axis=-1))
+
+
+def test_a_stacked_coordinate_row_is_the_vector_product():
+    rng = np.random.default_rng(20261021)
+    for n in range(1, 11):
+        for d in (0, 1, n, n * (n + 1) // 2, n * n):
+            mats = rng.standard_normal((d, n, n))
+            rows = rng.standard_normal((30, d)) * rng.uniform(0.01, 3.0, size=(30, 1))
+            for c in (rows, np.asfortranarray(rows)):
+                stacked = c[:, None, :] @ mats.reshape(d, n * n)
+                for i in range(len(c)):
+                    assert same_bits(stacked[i, 0], c[i] @ mats.reshape(d, n * n))
+                    assert same_bits(stacked[i, 0], np.tensordot(c[i], mats, axes=1).ravel())
+
+
+def test_a_stacked_normal_draw_is_the_sequential_draws():
+    for d in (0, 1, 3, 10):
+        stacked = np.random.default_rng(7).standard_normal((25, d))
+        rng = np.random.default_rng(7)
+        assert same_bits(stacked, np.array([rng.standard_normal(d) for _ in range(25)]).reshape(25, d))
