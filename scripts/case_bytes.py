@@ -43,14 +43,21 @@ sys.path.insert(0, str(ROOT / "src"))
 import workloads  # noqa: E402
 
 
-def run_cases() -> dict:
+def case_name(workload: str, item: dict, seed: int) -> str:
+    return f"{workload} | {item['key']} | seed {seed}"
+
+
+def run_cases(workload: str | None = None, group: int | None = None) -> dict:
+    """The record of every case, or of one workload's cases (on one seed group)."""
     from symspaces import cli
 
     record = {}
-    for name, workload in workloads.WORKLOADS.items():
-        for group in range(workload["seed_groups"]):
-            for item in workload["items"]:
-                seed = workloads.program_seed(name, item["key"], group)
+    for name, spec in workloads.WORKLOADS.items():
+        if workload not in (None, name):
+            continue
+        for g in range(spec["seed_groups"]) if group is None else [group]:
+            for item in spec["items"]:
+                seed = workloads.program_seed(name, item["key"], g)
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
@@ -58,7 +65,7 @@ def run_cases() -> dict:
                     except Exception:  # an escaped exception is a result too
                         code = -1
                         traceback.print_exc(file=err)
-                record[f"{name} | {item['key']} | seed {seed}"] = [code, out.getvalue(), err.getvalue()]
+                record[case_name(name, item, seed)] = [code, out.getvalue(), err.getvalue()]
     return record
 
 

@@ -57,6 +57,11 @@ class Tolerance:
         scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1.0)
         return float(np.linalg.norm(a - b)) <= self.threshold(scale)
 
+    def close_slices(self, a: np.ndarray, b: np.ndarray) -> list:
+        """``close(a[i], b[i])`` for each slice of two ``(k, n, m)`` float stacks of one shape, bit for bit."""
+        norms = zip(_frobenius(a).tolist(), _frobenius(b).tolist(), _frobenius(a - b).tolist())
+        return [d <= self.threshold(max(na, nb, 1.0)) for na, nb, d in norms]
+
     def is_zero(self, a: np.ndarray, scale: float = 1.0) -> bool:
         a = np.asarray(a, dtype=float)
         return float(np.linalg.norm(a)) <= self.threshold(scale)

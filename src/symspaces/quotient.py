@@ -39,8 +39,10 @@ from .symspace import (
     exp_points,
     log_points,
     lts_of_pair,
-    mu,
+    mu_points,
+    same_points,
     tau_action,
+    tau_actions,
 )
 
 __all__ = [
@@ -340,10 +342,11 @@ def weak_submersion_check(
     The samples run in blocks whose x0 and y stack, counted in the larger of
     the source and quotient matrices, holds at most ``MAX_STACK_FLOATS``.
     They are drawn in the order of a per-sample loop; a block's points come
-    from stacked exponentials, a :class:`PointProjection` projects them in
-    blocks of its own and a :class:`ChartRelation` relates them in one call
-    per block (a projection or relation without ``many`` is called point by
-    point).
+    from stacked exponentials, its translations, products and point
+    comparisons from one stacked call each, a :class:`PointProjection`
+    projects them in blocks of its own and a :class:`ChartRelation` relates
+    them in one call per block (a projection or relation without ``many`` is
+    called point by point).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -378,9 +381,10 @@ def weak_submersion_check(
         points = exp_points(pair, us + vs)
         x0s, ys = points[:count], points[count:]
         xs = list(x0s)
-        for i, g in zip(moved, pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))):
-            xs[i] = tau_action(pair, g, x0s[i])
-        products = [mu(x, y) for x, y in zip(xs, ys)]
+        elements = pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))
+        for i, x in zip(moved, tau_actions(pair, elements, [x0s[i] for i in moved])):
+            xs[i] = x
+        products = mu_points(xs, ys)
 
         projected = list(_each(project, x0s + ys + [xs[i] for i in moved] + products))
         px0s, pys = projected[:count], projected[count:2 * count]
@@ -389,11 +393,11 @@ def weak_submersion_check(
             pxs[i] = px
         pmus = projected[2 * count + len(moved):]
 
-        for related, px0, px, py, pmu in zip(_each(qr.relation.relates, x0s, ys), px0s, pxs, pys, pmus):
-            morph_pass += int(pmu.same(mu(px, py)))
+        morph_pass += sum(same_points(pmus, mu_points(pxs, pys)))
+        for related, same in zip(_each(qr.relation.relates, x0s, ys), same_points(px0s, pys)):
             if related is not None:
                 rel_total += 1
-                rel_pass += int(related == px0.same(py))
+                rel_pass += int(related == same)
     return {
         "ok": bool(ok and morph_pass == samples),
         "sample_pass_rates": {

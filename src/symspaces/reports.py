@@ -26,11 +26,12 @@ from .symspace import (
     _raise_first,
     base_point,
     cartan_distance,
+    cartan_distances,
     exp_point,
     exp_points,
     lts_of_pair,
-    mu,
-    tau_action,
+    mu_points,
+    tau_actions,
     trotter_bracket_sym,
     trotter_sum_sym,
 )
@@ -59,16 +60,20 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
             moved.append(i)
             letters.append(0.3 * rng.standard_normal(pair.dim))
     points = exp_points(pair, vs)
-    for i, g in zip(moved, pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))):
-        points[i] = tau_action(pair, g, points[i])
+    elements = pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))
+    for i, x in zip(moved, tau_actions(pair, elements, [points[i] for i in moved])):
+        points[i] = x
+    # each axiom over all samples at once, one stacked product per mu of the per-sample law
+    xs, ys, zs = points[0::3], points[1::3], points[2::3]
+    xy = mu_points(xs, ys)
+    involution = cartan_distances(mu_points(xs, xy), ys)
+    fixed = cartan_distances(mu_points(xs, xs), xs)
+    automorphism = cartan_distances(mu_points(xs, mu_points(ys, zs)), mu_points(xy, mu_points(xs, zs)))
     res_invol = res_fix = res_auto = 0.0
-    for i in range(samples):
-        x, y, z = points[3 * i : 3 * i + 3]
-        res_invol = max(res_invol, cartan_distance(mu(x, mu(x, y)), y))
-        res_fix = max(res_fix, cartan_distance(mu(x, x), x))
-        res_auto = max(
-            res_auto, cartan_distance(mu(x, mu(y, z)), mu(mu(x, y), mu(x, z)))
-        )
+    for d_invol, d_fix, d_auto in zip(involution, fixed, automorphism):
+        res_invol = max(res_invol, d_invol)
+        res_fix = max(res_fix, d_fix)
+        res_auto = max(res_auto, d_auto)
 
     # derivative of the base symmetry in normal coordinates is -identity, and
     # the tangent-space product v.w = 2v - w is second-order in the chart;
@@ -86,9 +91,8 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
     steps = [s * h * e for e in np.eye(m) for s in (1.0, -1.0)]
     words = [eps * v for u, w in units for eps in epsilons for v in (u, w)]
     points = exp_points(pair, steps + words)
-    b = base_point(pair)
-    reflected = [mu(b, x) for x in points[: len(steps)]]
-    products = [mu(x, y) for x, y in zip(points[len(steps) :: 2], points[len(steps) + 1 :: 2])]
+    reflected = mu_points([base_point(pair)] * len(steps), points[: len(steps)])
+    products = mu_points(points[len(steps) :: 2], points[len(steps) + 1 :: 2])
     logs = _raise_first(_chart_logs(pair, reflected + products))  # log_point of each, or its first error
 
     res_neg = 0.0
@@ -119,11 +123,11 @@ def functoriality_report(model: ModelDescriptor, rng: np.random.Generator, sampl
     for named in model.designated_morphisms:
         f = named.morphism
         vs = [0.3 * rng.standard_normal(f.source.dim_minus) for _ in range(samples)]
-        lhs = [f(x) for x in exp_points(f.source, vs)]
+        lhs = f.many(exp_points(f.source, vs))
         rhs = exp_points(f.target, [f.minus_map @ v for v in vs])
         worst = 0.0
-        for a, b in zip(lhs, rhs):
-            worst = max(worst, cartan_distance(a, b))
+        for d in cartan_distances(lhs, rhs):
+            worst = max(worst, d)
         out[named.name] = worst
     return out
 
@@ -138,9 +142,8 @@ def one_param_report(model: ModelDescriptor, rng: np.random.Generator, samples: 
     # alpha_v(r) = exp_point(r * v): rows s*v, t*v and (2s - t)*v per sample
     points = exp_points(pair, [r * v for v, s, t in draws for r in (s, t, 2 * s - t)])
     worst = 0.0
-    for i in range(samples):
-        xs, xt, rhs = points[3 * i : 3 * i + 3]
-        worst = max(worst, cartan_distance(mu(xs, xt), rhs))
+    for d in cartan_distances(mu_points(points[0::3], points[1::3]), points[2::3]):
+        worst = max(worst, d)
     return worst
 
 

@@ -26,6 +26,7 @@ from .symspace import (
     exp_points,
     lts_of_pair,
     mu,
+    same_points,
 )
 from .sympair import MatrixSymmetricPair
 
@@ -174,9 +175,14 @@ def fixed_point_subspace(pair: MatrixSymmetricPair, automorphism: SymMorphism, l
     if automorphism.source is not pair or automorphism.target is not pair:
         raise ValueError("automorphism must map the pair to itself")
 
-    def member(x: SymPoint) -> bool:
-        return automorphism(x).same(x)
+    def many(points) -> list:
+        points = list(points)
+        return same_points(automorphism.many(points), points)
 
+    def member(x: SymPoint) -> bool:
+        return many([x])[0]
+
+    member.many = many  # a block of points per call, for _each
     return ReflectionSubspace(
         pair=pair, membership=member, kind="fixed_point", label=label, automorphism=automorphism
     )

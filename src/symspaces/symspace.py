@@ -18,13 +18,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lts import LieTripleSystem
-from .numkernel import DEFAULT_TOL, INVERTIBLE_DET_FLOOR, DomainError, Tolerance, _mat_log_stack, as_matrix, mat_exp
+from .numkernel import (
+    DEFAULT_TOL,
+    INVERTIBLE_DET_FLOOR,
+    DomainError,
+    Tolerance,
+    _frobenius,
+    _mat_log_stack,
+    as_matrix,
+    mat_exp,
+)
 from .sympair import MatrixSymmetricPair, PairMorphism, _word_products, group_sigma
 
 __all__ = [
     "SymPoint",
     "base_point",
     "mu",
+    "mu_points",
+    "same_points",
     "exp_point",
     "exp_points",
     "log_point",
@@ -32,6 +43,7 @@ __all__ = [
     "one_param",
     "translation",
     "tau_action",
+    "tau_actions",
     "trotter_sum_sym",
     "trotter_bracket_sym",
     "chain_identity_check",
@@ -39,6 +51,7 @@ __all__ = [
     "SymMorphism",
     "sym_morphism",
     "cartan_distance",
+    "cartan_distances",
 ]
 
 # Longest chain of unread representatives a point may sit on; past it the
@@ -80,7 +93,7 @@ class SymPoint:
     @classmethod
     def from_reps(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
         """``[from_rep(pair, r) for r in reps]``, bit for bit, from stacked products."""
-        return cls._from_stack(pair, as_matrix(reps, square=True, stack=True))
+        return cls._from_stack(pair, _square_stack(reps, "representatives"))
 
     @classmethod
     def _from_stack(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
@@ -90,8 +103,7 @@ class SymPoint:
 
     def same(self, other: "SymPoint") -> bool:
         """Point equality, i.e. equality of Cartan matrices (valid for K = G^sigma)."""
-        _require_same_pair(self, other)
-        return self.pair.tol.close(self.cartan, other.cartan)
+        return same_points([self], [other])[0]
 
     def is_base(self) -> bool:
         return self.pair.tol.close(self.cartan, np.eye(self.pair.ambient_n))
@@ -100,27 +112,80 @@ class SymPoint:
         return {"pair_label": self.pair.label, "rep": self.rep.tolist()}
 
 
-def _derived_point(pair: MatrixSymmetricPair, rep_of, cartan: np.ndarray, *inputs: SymPoint) -> SymPoint:
-    """A point whose rep ``rep_of()`` reads the reps of ``inputs``."""
-    pending = 1 + max(x._pending for x in inputs)
+def _square_stack(mats, what: str) -> np.ndarray:
+    """``mats`` as a validated ``(k, n, n)`` stack; a single matrix is refused,
+    since its rows would be taken for the matrices."""
+    mats = as_matrix(mats, square=True, stack=True)
+    if mats.ndim != 3:
+        raise ValueError(f"expected a stack of {what}, got a single matrix")
+    return mats
+
+
+def _derived_points(pair: MatrixSymmetricPair, cartans: np.ndarray, reps_of, inputs: list) -> list:
+    """Points with these Cartan matrices whose reps are the rows of one call
+    ``reps_of()``, made on the first rep read of any of them.
+
+    ``reps_of`` may read the reps of ``inputs``; the chain of unread reps
+    behind the batch is counted once, over all of them.  The batch shares
+    one fate: until one of its reps is read, each point keeps all of
+    ``inputs`` alive, and if ``reps_of()`` raises (say, one slice is
+    singular), every point's rep read raises it.
+    """
+    pending = 1 + max((x._pending for x in inputs), default=0)
     if pending > _MAX_PENDING:
         for x in inputs:
             x.rep
         pending = 1
-    point = SymPoint(pair, rep_of, cartan)
-    point._pending = pending
-    return point
+    reps = []
+
+    def rep_of(i: int) -> np.ndarray:
+        if not reps:
+            reps.append(reps_of())
+        return reps[0][i]
+
+    points = [SymPoint(pair, partial(rep_of, i), c) for i, c in enumerate(cartans)]
+    for x in points:
+        x._pending = pending
+    return points
 
 
-def _require_same_pair(x: SymPoint, y: SymPoint):
-    if x.pair is not y.pair:
+def _columns(xs, ys) -> tuple:
+    """``xs`` and ``ys`` as lists of points over one pair: raises ValueError
+    on columns of unequal length or on points over different pairs."""
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"unequal columns: {len(xs)} and {len(ys)} points")
+    pair = xs[0].pair if xs else None
+    if any(x.pair is not pair for x in xs) or any(y.pair is not pair for y in ys):
         raise ValueError("points live over different symmetric pairs")
+    return xs, ys
+
+
+def _cartans(points: list) -> np.ndarray:
+    return np.array([x.cartan for x in points])
+
+
+def _reps(points: list) -> np.ndarray:
+    return np.array([x.rep for x in points])
 
 
 def cartan_distance(x: SymPoint, y: SymPoint) -> float:
     """Frobenius distance of Cartan matrices; independent of representatives."""
-    _require_same_pair(x, y)
-    return float(np.linalg.norm(x.cartan - y.cartan))
+    return cartan_distances([x], [y])[0]
+
+
+def cartan_distances(xs, ys) -> list:
+    """``cartan_distance(x, y)`` of each pair of points, bit for bit, from one
+    stacked difference; all points must live over one pair."""
+    xs, ys = _columns(xs, ys)
+    return _frobenius(_cartans(xs) - _cartans(ys)).tolist() if xs else []
+
+
+def same_points(xs, ys) -> list:
+    """``x.same(y)`` of each pair of points, bit for bit, from stacked norms;
+    all points must live over one pair."""
+    xs, ys = _columns(xs, ys)
+    return xs[0].pair.tol.close_slices(_cartans(xs), _cartans(ys)) if xs else []
 
 
 def base_point(pair: MatrixSymmetricPair) -> SymPoint:
@@ -128,16 +193,32 @@ def base_point(pair: MatrixSymmetricPair) -> SymPoint:
     return SymPoint(pair, ident, ident.copy())
 
 
-def _mu_rep(x: SymPoint, y: SymPoint) -> np.ndarray:
-    sig = x.pair.sigma
-    return x.rep @ np.linalg.inv(sig.apply(x.rep)) @ sig.apply(y.rep)
-
-
 def mu(x: SymPoint, y: SymPoint) -> SymPoint:
     """The point product: in Cartan coordinates x . y = x y^-1 x."""
-    _require_same_pair(x, y)
-    cartan = x.cartan @ np.linalg.inv(y.cartan) @ x.cartan
-    return _derived_point(x.pair, lambda: _mu_rep(x, y), cartan, x, y)
+    return mu_points([x], [y])[0]
+
+
+def mu_points(xs, ys) -> list:
+    """``mu(x, y)`` of each pair of points, bit for bit, from one stacked ``x y^-1 x``.
+
+    All points must live over one pair.  The first rep read on any of the
+    products computes the reps of the whole batch in one stacked
+    ``x sigma(x)^-1 sigma(y)``; until then every product holds all of ``xs``
+    and ``ys``, and if one slice of that inverse fails, each product's rep
+    read raises the error the single ``mu`` of that slice raised.
+    """
+    xs, ys = _columns(xs, ys)
+    if not xs:
+        return []
+    pair = xs[0].pair
+    xc = _cartans(xs)
+    cartans = xc @ np.linalg.inv(_cartans(ys)) @ xc
+
+    def reps_of() -> np.ndarray:
+        xr = _reps(xs)
+        return xr @ np.linalg.inv(pair.sigma.apply(xr)) @ pair.sigma.apply(_reps(ys))
+
+    return _derived_points(pair, cartans, reps_of, xs + ys)
 
 
 def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
@@ -155,14 +236,7 @@ def exp_points(pair: MatrixSymmetricPair, vs) -> list:
     xs = _minus_mats(pair, vs)
     # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
     cartans = mat_exp(2.0 * xs, pair.tol)
-    reps = []
-
-    def rep_of(i: int) -> np.ndarray:
-        if not reps:
-            reps.append(mat_exp(xs, pair.tol))
-        return reps[0][i]
-
-    return [SymPoint(pair, partial(rep_of, i), c) for i, c in enumerate(cartans)]
+    return _derived_points(pair, cartans, lambda: mat_exp(xs, pair.tol), [])
 
 
 def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:
@@ -237,11 +311,24 @@ def translation(pair: MatrixSymmetricPair, v, s: float, x: SymPoint) -> SymPoint
 
 def tau_action(pair: MatrixSymmetricPair, g: np.ndarray, x: SymPoint) -> SymPoint:
     """The natural action (g, hK) -> ghK."""
-    g = as_matrix(g, square=True)
-    if abs(np.linalg.det(g)) < INVERTIBLE_DET_FLOOR:
+    return _tau_stack(pair, as_matrix(g, square=True)[None], [x])[0]
+
+
+def tau_actions(pair: MatrixSymmetricPair, gs, xs) -> list:
+    """``tau_action(pair, g, x)`` of each group element and point, bit for bit,
+    from one determinant check and one ``sigma`` on the stack of elements."""
+    xs = list(xs)
+    if len(gs) != len(xs):
+        raise ValueError(f"unequal columns: {len(gs)} group elements and {len(xs)} points")
+    return _tau_stack(pair, _square_stack(gs, "group elements"), xs) if xs else []
+
+
+def _tau_stack(pair: MatrixSymmetricPair, gs: np.ndarray, xs: list) -> list:
+    # the body of tau_action and tau_actions on an already validated (k, n, n) stack
+    if np.any(np.abs(np.linalg.det(gs)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("tau requires an invertible group element")
-    cartan = g @ x.cartan @ np.linalg.inv(pair.sigma.apply(g))
-    return _derived_point(pair, lambda: g @ x.rep, cartan, x)
+    cartans = gs @ _cartans(xs) @ np.linalg.inv(pair.sigma.apply(gs))
+    return _derived_points(pair, cartans, lambda: gs @ _reps(xs), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +468,17 @@ class SymMorphism:
     label: str = ""
 
     def __call__(self, x: SymPoint) -> SymPoint:
-        if x.pair is not self.source:
+        return self.many([x])[0]
+
+    def many(self, points) -> list:
+        """The image of each point, bit for bit the single call: the group
+        rule maps one rep at a time, then one ``from_reps`` builds the images."""
+        points = list(points)
+        if any(x.pair is not self.source for x in points):
             raise ValueError("point does not belong to the morphism's source")
-        return SymPoint.from_rep(self.target, self.pair_morphism.map_group(x.rep))
+        if not points:
+            return []
+        return SymPoint.from_reps(self.target, [self.pair_morphism.map_group(x.rep) for x in points])
 
     def base_check(self) -> bool:
         return self(base_point(self.source)).is_base()

@@ -3,9 +3,11 @@
 ``mat_exp``, ``mat_log``, ``SymPoint.from_reps``, ``log_points`` and the
 batched relation test promise that each slice of a stacked call is bit for
 bit the 2-D call.  That holds only because numpy computes a stacked
-``inv``, ``svd(compute_uv=False)``, ``solve`` and ``@`` slice by slice with
-the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))`` of a
-flattened slice is the bits of ``np.linalg.norm`` of that slice.  A single
+``inv``, ``det``, ``svd(compute_uv=False)``, ``solve`` and ``@`` slice by
+slice with the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))``
+of a flattened slice is the bits of ``np.linalg.norm`` of that slice (the
+stacked point products, distances, comparisons and tau actions rest on the
+same facts).  A single
 ``mat_exp``, ``from_rep``, ``log_point`` or relation test runs as a
 one-slice stack, so its bits must be the 2-D ``inv``, ``det`` and ``@``;
 and ``LinearSubspace.distances`` projects each row as a ``(1, m)`` slice,
@@ -40,6 +42,7 @@ def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():
         norms = np.sqrt(np.vecdot(a.reshape(k, n * n), a.reshape(k, n * n)))
         frob = numkernel._frobenius(a)
         inv = np.linalg.inv(a)
+        det = np.linalg.det(a)
         sing = np.linalg.svd(a, compute_uv=False)
         solved = np.linalg.solve(at, bt).swapaxes(1, 2)
         product = a @ b
@@ -48,6 +51,7 @@ def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():
             assert same_bits(norms[i], np.linalg.norm(a[i]))
             assert same_bits(frob[i], np.linalg.norm(a[i]))
             assert same_bits(inv[i], np.linalg.inv(a[i]))
+            assert same_bits(det[i], np.linalg.det(a[i]))
             assert same_bits(sing[i], np.linalg.svd(a[i], compute_uv=False))
             assert same_bits(sing[i].max(), np.linalg.norm(a[i], 2))
             single = np.linalg.solve(a[i].T, b[i].T).T
