@@ -13,8 +13,10 @@ record maps ``"<workload> | <item key> | seed <seed>"`` to
 ``--diff`` prints every case whose record differs, with the largest
 absolute change of each numeric field that moved: JSON reports are
 compared leaf by leaf (list indices folded into ``[]``), CSV tables column
-by column.  Any other change is printed as text.  The exit status is 1
-when some case differs.
+by column.  Any other change is printed as text.  Its last line counts the
+differing cases whose exit code or any JSON boolean of stdout changed (a
+case only in one file counts as differing, not as a changed verdict).  The
+exit status is 1 when some case differs.
 
 ``--digests`` writes the small form of the record that the test suite
 compares against (``tests/test_case_digests.py``): per case the exit code,
@@ -97,14 +99,16 @@ def digests(record: dict) -> dict:
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def booleans(text: str) -> list:
-        try:
-            return [v for _, v in _leaves(json.loads(text)) if isinstance(v, bool)]
-        except ValueError:  # a CSV table or an error: no JSON
-            return []
-
     cases = {case: [code, sha(out), sha(err), booleans(out)] for case, (code, out, err) in record.items()}
     return {"environment": environment(), "cases": cases}
+
+
+def booleans(text: str) -> list:
+    """The JSON booleans of a report, in leaf order ([] for a report that is not JSON)."""
+    try:
+        return [v for _, v in _leaves(json.loads(text)) if isinstance(v, bool)]
+    except ValueError:  # a CSV table or an error: no JSON
+        return []
 
 
 def _leaves(value, path=""):
@@ -168,7 +172,7 @@ def field_changes(before: str, after: str):
 
 
 def diff(a: dict, b: dict) -> int:
-    changed = 0
+    changed = verdicts = 0
     for case in sorted(set(a) | set(b)):
         if case not in a or case not in b:
             print(f"{case}: only in {'the second' if case in b else 'the first'} file")
@@ -177,6 +181,7 @@ def diff(a: dict, b: dict) -> int:
         if a[case] == b[case]:
             continue
         changed += 1
+        verdicts += a[case][0] != b[case][0] or booleans(a[case][1]) != booleans(b[case][1])
         print(case)
         for label, before, after in zip(("exit", "stdout", "stderr"), a[case], b[case]):
             if before == after:
@@ -190,6 +195,7 @@ def diff(a: dict, b: dict) -> int:
             for name, change in sorted(fields.items()) if fields else ():
                 print(f"  {label} {name}: {change:.3e}")
     print(f"{changed} of {len(set(a) | set(b))} cases differ")
+    print(f"{verdicts} of them changed an exit code or a JSON boolean")
     return 1 if changed else 0
 
 

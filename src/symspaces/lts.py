@@ -120,8 +120,9 @@ class LinearSubspace:
         return float(self.distances(v)[0])
 
     def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-        v = np.asarray(v, dtype=float)
-        return self.distance(v) <= tol.threshold(max(np.linalg.norm(v), 1.0))
+        """Whether ``v`` lies in the subspace: its distance is at most
+        ``tol.threshold(max(|v|, 1))``."""
+        return self.contains_each(v, tol)[0]
 
     def _rows(self, vectors) -> np.ndarray:
         v = np.asarray(vectors, dtype=float)
@@ -141,11 +142,15 @@ class LinearSubspace:
         q = self.onb()
         return np.linalg.norm(v - (v @ q.T) @ q, axis=-1)[:, 0]
 
+    def contains_each(self, vectors, tol: Tolerance = DEFAULT_TOL) -> list:
+        """:meth:`contains` of each row of ``vectors``, bit for bit, as a list of bools."""
+        v = self._rows(vectors)
+        scale = np.maximum(np.sqrt(np.vecdot(v, v)), 1.0)  # bit for bit np.linalg.norm of each row
+        return (self.distances(v) <= tol.abs_eps + tol.rel_eps * scale).tolist()
+
     def contains_all(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True iff every row lies in the subspace, each by the test of :meth:`contains`."""
-        v = self._rows(vectors)
-        scale = np.maximum(np.linalg.norm(v, axis=1), 1.0)
-        return bool(np.all(self.distances(v) <= tol.abs_eps + tol.rel_eps * scale))
+        return all(self.contains_each(vectors, tol))
 
     def contains_subspace(self, other: "LinearSubspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         if other.dim == 0:

@@ -25,6 +25,7 @@ from .numkernel import nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
+    _chart_verdicts,
     _each,
     exp_chart_split,
     generate_integral,
@@ -102,8 +103,9 @@ class ChartRelation:
 
     Called on two points, it answers whether the log of the discrepancy of
     their representatives lies in n, or None outside the log's domain.
-    :meth:`many` answers for pairs of points from a stacked inversion and
-    stacked logs, and a single call is its one-pair case.
+    :meth:`many` answers for pairs of points from a stacked inversion,
+    stacked logs and one row-wise ``contains_each``, and a single call is its
+    one-pair case.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, n: LinearSubspace):
@@ -120,7 +122,7 @@ class ChartRelation:
         pair = self.pair
         gaps = np.linalg.inv(np.array([x.rep for x in xs])) @ np.array([y.rep for y in ys])
         logs = log_points(pair, SymPoint.from_reps(pair, gaps))
-        return [None if v is None else self.n.contains(v, pair.tol) for v in logs]
+        return _chart_verdicts(self.n, logs, pair.tol)
 
 
 def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> CongruenceRelation:

@@ -209,8 +209,8 @@ class ChartMembership:
 
     Called on a point, it answers whether the point's normal-chart preimage
     lies in the seed, or None where :func:`log_point` raises ``ValueError``.
-    :meth:`many` answers for a sequence from stacked logs, and a single call
-    is its one-point case.
+    :meth:`many` answers for a sequence from stacked logs and one row-wise
+    ``contains_each``, and a single call is its one-point case.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, seed: LinearSubspace):
@@ -221,8 +221,15 @@ class ChartMembership:
         return self.many([x])[0]
 
     def many(self, points) -> list:
-        logs = _chart_logs(self.pair, list(points))
-        return [None if isinstance(v, ValueError) else self.seed.contains(v, self.pair.tol) for v in logs]
+        logs = [None if isinstance(v, ValueError) else v for v in _chart_logs(self.pair, list(points))]
+        return _chart_verdicts(self.seed, logs, self.pair.tol)
+
+
+def _chart_verdicts(sub: LinearSubspace, logs: list, tol: Tolerance) -> list:
+    """``sub.contains`` of each chart log, from one ``contains_each`` call, and None where a log is None."""
+    live = [v for v in logs if v is not None]
+    verdicts = iter(sub.contains_each(np.reshape(live, (len(live), sub.ambient_dim)), tol))
+    return [None if v is None else next(verdicts) for v in logs]
 
 
 def _each(fn, *columns, one=None):

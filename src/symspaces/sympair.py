@@ -16,7 +16,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lts import LieTripleSystem, LinearSubspace, SymmetricLieAlgebra, VerificationError
-from .numkernel import DEFAULT_TOL, INVERTIBLE_DET_FLOOR, DomainError, Tolerance, as_matrix, mat_exp, mat_log
+from .numkernel import (
+    DEFAULT_TOL,
+    INVERTIBLE_DET_FLOOR,
+    DomainError,
+    Tolerance,
+    _frobenius,
+    as_matrix,
+    mat_exp,
+    mat_log,
+)
 
 __all__ = [
     "SigmaRule",
@@ -83,7 +92,7 @@ class SigmaRule:
 
 def _max_norm(stack: np.ndarray) -> float:
     """Largest Frobenius norm over the slices of a stack (0.0 for an empty stack)."""
-    return max((float(np.linalg.norm(x)) for x in stack), default=0.0)
+    return float(_frobenius(stack).max(initial=0.0))
 
 
 def _combine(coords, mats: np.ndarray, what: str) -> np.ndarray:
@@ -103,21 +112,45 @@ def _combine(coords, mats: np.ndarray, what: str) -> np.ndarray:
     return (c[..., None, :] @ mats.reshape(d, n * n)).reshape(c.shape[:-1] + (n, n))
 
 
-def _coords(flat_basis: np.ndarray, x, tol: Tolerance, outside: str) -> np.ndarray:
-    """Least-squares coordinates of a matrix, or of each matrix of a ``(k, n, n)``
-    stack, in the columns of ``flat_basis``.
+def _pinv(mats: np.ndarray) -> np.ndarray:
+    """The ``(n*n, d)`` pseudo-inverse that maps a flattened matrix to its
+    minimum-norm coordinates in the basis ``mats``, with the singular-value
+    cutoff of ``lstsq(rcond=None)``; read-only."""
+    d, n = mats.shape[0], mats.shape[-1]
+    pinv = np.linalg.pinv(mats.reshape(d, n * n), rtol=None)
+    pinv.flags.writeable = False
+    return pinv
 
-    Each matrix must pass its own residual test ``tol.threshold(max(|x|, 1))``;
-    the first that fails raises ``"matrix <outside> (residual ...)"``.
-    """
+
+def _coords(mats: np.ndarray, pinv: np.ndarray, x, tol: Tolerance, outside: str) -> np.ndarray:
+    """Coordinates of a matrix, or of each matrix of a ``(k, n, n)`` stack, in
+    the basis ``mats``; the first matrix that fails its residual test raises."""
     x = as_matrix(x, square=True, stack=True)
-    flat = x.reshape(-1, x.shape[-1] ** 2).T  # one column per matrix
-    coords, *_ = np.linalg.lstsq(flat_basis, flat, rcond=None)
-    resid = np.linalg.norm(flat_basis @ coords - flat, axis=0)
-    bad = resid > tol.abs_eps + tol.rel_eps * np.maximum(np.linalg.norm(flat, axis=0), 1.0)
-    if bad.any():
-        raise ValueError(f"matrix {outside} (residual {resid[np.argmax(bad)]:.2e})")
-    return coords[:, 0] if x.ndim == 2 else coords.T
+    coords, errors = _coords_each(mats, pinv, x if x.ndim == 3 else x[None], tol, outside)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return coords if x.ndim == 3 else coords[0]
+
+
+def _coords_each(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Tolerance, outside: str):
+    """Coordinates of each matrix of a finite ``(k, n, n)`` stack in the basis
+    ``mats``, and per matrix None or the error it fails with.
+
+    Each row is its own ``(1, n*n) @ (n*n, d)`` product with the pseudo-inverse
+    ``pinv``, so a row is bit for bit the one-matrix stack.  Each matrix must
+    pass its own residual test ``tol.threshold(max(|x|, 1))``, or its error is
+    ``"matrix <outside> (residual ...)"``.
+    """
+    k, n = x.shape[0], x.shape[-1]
+    coords = (x.reshape(k, 1, n * n) @ pinv)[:, 0]
+    resid = _frobenius(_combine(coords, mats, "") - x).tolist()
+    scale = _frobenius(x).tolist()
+    errors = [
+        None if r <= tol.threshold(max(s, 1.0)) else ValueError(f"matrix {outside} (residual {r:.2e})")
+        for r, s in zip(resid, scale)
+    ]
+    return coords, errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +194,12 @@ class MatrixSymmetricPair:
         return np.concatenate([self.plus_mats, self.minus_mats])
 
     @cached_property
-    def _flat_basis(self) -> np.ndarray:
-        return self.basis_mats.reshape(self.dim, self.ambient_n ** 2).T
+    def _basis_pinv(self) -> np.ndarray:
+        return _pinv(self.basis_mats)
 
     @cached_property
-    def _flat_minus(self) -> np.ndarray:
-        return self.minus_mats.reshape(self.dim_minus, self.ambient_n ** 2).T
+    def _minus_pinv(self) -> np.ndarray:
+        return _pinv(self.minus_mats)
 
     def to_matrix(self, coords) -> np.ndarray:
         """The algebra element of a full coordinate vector, or one per row of a ``(k, dim)`` stack."""
@@ -175,11 +208,11 @@ class MatrixSymmetricPair:
     def matrix_coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of an algebra element; raises if x is not in the span.
 
-        ``x`` may also be a ``(k, n, n)`` stack: one least-squares solve then
-        gives one coordinate row per matrix, and each matrix must pass the
-        residual check on its own.
+        ``x`` may also be a ``(k, n, n)`` stack: each matrix gets one row from
+        the cached pseudo-inverse of the basis, bit for bit its single call,
+        and must pass the residual check on its own.
         """
-        return _coords(self._flat_basis, x, self.tol, "does not lie in the algebra")
+        return _coords(self.basis_mats, self._basis_pinv, x, self.tol, "does not lie in the algebra")
 
     def minus_to_matrix(self, v) -> np.ndarray:
         """The g_minus element of a coordinate vector, or one per row of a ``(k, dim_minus)`` stack."""
@@ -188,7 +221,12 @@ class MatrixSymmetricPair:
     def matrix_to_minus(self, x: np.ndarray) -> np.ndarray:
         """g_minus coordinates of a matrix, or of each matrix of a ``(k, n, n)`` stack,
         as :meth:`matrix_coords` gives full coordinates."""
-        return _coords(self._flat_minus, x, self.tol, "is not in g_minus")
+        return _coords(self.minus_mats, self._minus_pinv, x, self.tol, "is not in g_minus")
+
+    def _minus_coords_each(self, x: np.ndarray):
+        """:meth:`matrix_to_minus` of each matrix of a finite ``(k, n, n)`` stack:
+        the coordinate rows, and per matrix None or the error its single call raises."""
+        return _coords_each(self.minus_mats, self._minus_pinv, x, self.tol, "is not in g_minus")
 
     def minus_subspace_to_full(self, sub: LinearSubspace) -> LinearSubspace:
         rows = np.hstack([np.zeros((sub.basis.shape[0], self.dim_plus)), sub.basis])
@@ -266,17 +304,13 @@ class MatrixSymmetricPair:
         random exp-generated elements."""
         out = {}
         t = self.structure_tensor  # raises on closure failure
-        p, m, d = self.dim_plus, self.dim_minus, self.dim
-        inc = 0.0
-        for i in range(d):
-            for j in range(d):
-                c = t[i, j]
-                i_minus, j_minus = i >= p, j >= p
-                if i_minus == j_minus:  # [g+,g+] and [g-,g-] land in g+
-                    inc = max(inc, float(np.linalg.norm(c[p:])))
-                else:  # mixed brackets land in g-
-                    inc = max(inc, float(np.linalg.norm(c[:p])))
-        out["eigenspace_brackets"] = inc
+        # [g+,g+] and [g-,g-] land in g+ and mixed brackets in g-, so the norm of
+        # the other part of each bracket [x_i, x_j] is its defect
+        p = self.dim_plus
+        plus, minus = (np.sqrt(np.vecdot(part, part)) for part in (t[..., :p], t[..., p:]))
+        parity = np.arange(self.dim) >= p
+        off = np.where(parity[:, None] == parity, minus, plus)
+        out["eigenspace_brackets"] = float(off.max(initial=0.0))
 
         ts, b, theta_b = (0.05, 0.3), self.basis_mats, self.sigma.derivative(self.basis_mats)
         lhs = self.sigma.apply(mat_exp(np.concatenate([t * b for t in ts]), self.tol))

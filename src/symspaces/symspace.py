@@ -247,8 +247,9 @@ def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:
 
 def _chart_logs(pair: MatrixSymmetricPair, points) -> list:
     """Per point, what :func:`log_point` returns or the error it raises, from
-    stacked logs of at most ``MAX_STACK_FLOATS`` floats (a point that fails
-    before its log takes an identity slice)."""
+    stacked logs of at most ``MAX_STACK_FLOATS`` floats and one ``g_minus``
+    coordinate call per block (a point that fails before its log takes an
+    identity slice)."""
     n = pair.ambient_n
     size = max(1, MAX_STACK_FLOATS // max(1, n * n))
     ident = np.eye(n)
@@ -256,13 +257,12 @@ def _chart_logs(pair: MatrixSymmetricPair, points) -> list:
     for start in range(0, len(points), size):
         block = [_cartan_or_error(pair, x) for x in points[start:start + size]]
         logs, failed = _mat_log_stack(np.array([ident if isinstance(c, ValueError) else c for c in block]), pair.tol)
-        for c, message, half in zip(block, failed, 0.5 * logs):
-            if message is not None and not isinstance(c, ValueError):
-                c = DomainError(message)
-            try:
-                out.append(c if isinstance(c, ValueError) else pair.matrix_to_minus(half))
-            except ValueError as exc:  # the half-log is not in g_minus
-                out.append(exc)
+        block = [c if isinstance(c, ValueError) or m is None else DomainError(m) for c, m in zip(block, failed)]
+        live = [i for i, c in enumerate(block) if not isinstance(c, ValueError)]
+        coords, errors = pair._minus_coords_each(0.5 * logs[live])  # the half-log may leave g_minus
+        for i, row, exc in zip(live, coords, errors):
+            block[i] = row if exc is None else exc
+        out.extend(block)
     return out
 
 

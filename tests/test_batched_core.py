@@ -123,12 +123,13 @@ class TestStackedMatrixCoords:
             mats = np.tensordot(rng.standard_normal((k, pair.dim)), pair.basis_mats, axes=1)
             got = pair.matrix_coords(mats)
             assert got.shape == (k, pair.dim)
+            flat = pair.basis_mats.reshape(pair.dim, -1).T
             for row, mat in zip(got, mats):
                 single = pair.matrix_coords(mat)
-                # one matrix keeps the plain single-column solve, bit for bit
-                ref = np.linalg.lstsq(pair._flat_basis, mat.reshape(-1), rcond=None)[0]
-                assert np.array_equal(single, ref)
-                assert np.allclose(row, single, rtol=0.0, atol=1e-12)
+                assert np.array_equal(row, single)
+                # the cached pseudo-inverse agrees with the least-squares solve it replaced
+                ref = np.linalg.lstsq(flat, mat.reshape(-1), rcond=None)[0]
+                assert np.allclose(single, ref, rtol=0.0, atol=1e-12 * max(np.linalg.norm(ref), 1.0))
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_off_span_element_raises_like_a_single_call(self, sphere, bad_at):

@@ -46,9 +46,12 @@ def test_other_changes_are_text(case_bytes, before, after):
 def test_diff_reports_each_moved_case(case_bytes, capsys):
     a = {"x": [0, '{"v": 1.0}', ""], "y": [0, "k,error\n1,2\n", ""], "z": [2, "", "error: a\n"]}
     b = {"x": [0, '{"v": 1.5}', ""], "y": [0, "k,error\n1,2\n", ""], "z": [1, "", "error: b\n"]}
+    a["w"], b["w"] = [0, '{"ok": true, "r": 1.0}', ""], [0, '{"ok": false, "r": 1.0}', ""]
     assert case_bytes.diff(a, b) == 1
     out = capsys.readouterr().out
     assert "x\n  stdout v: 5.000e-01\n" in out
     assert "z\n  exit: 2 -> 1\n  stderr: text changed" in out
-    assert "\ny\n" not in out and out.endswith("2 of 3 cases differ\n")
+    assert "w\n  stdout: text changed" in out
+    # the last line counts the verdicts that moved: z's exit code and w's boolean, not x's number
+    assert "\ny\n" not in out and out.endswith("3 of 4 cases differ\n2 of them changed an exit code or a JSON boolean\n")
     assert case_bytes.diff(a, a) == 0

@@ -14,7 +14,12 @@ and ``LinearSubspace.distances`` projects each row as a ``(1, m)`` slice,
 so a row of a stacked ``(k, 1, m) @ (m, d)`` must be the one-row product.
 The coordinate map ``to_matrix``/``minus_to_matrix`` of a ``(k, d)`` stack is
 the ``(k, 1, d) @ (d, n*n)`` product, so each row must also be the vector
-product that ``tensordot`` computes; and ``random_element`` draws its rows
+product that ``tensordot`` computes, and its inverse ``matrix_coords``/
+``matrix_to_minus`` is the ``(k, 1, n*n) @ (n*n, d)`` product with a
+``pinv``, whose rows must be the one-matrix products.  ``contains_each`` and
+``validate`` take row norms as ``sqrt(vecdot(v, v))``, which must be the bits
+of ``np.linalg.norm`` of each row, also of a strided column slice of a
+tensor.  ``random_element`` draws its rows
 for a whole stack with one ``standard_normal((k, d))``, which must be ``k``
 sequential draws.  If a numpy upgrade breaks any of these facts, this test
 fails, not the report bytes.
@@ -99,6 +104,29 @@ def test_a_stacked_coordinate_row_is_the_vector_product():
                 for i in range(len(c)):
                     assert same_bits(stacked[i, 0], c[i] @ mats.reshape(d, n * n))
                     assert same_bits(stacked[i, 0], np.tensordot(c[i], mats, axes=1).ravel())
+
+
+def test_a_stacked_pinv_row_is_the_one_matrix_product():
+    rng = np.random.default_rng(20261022)
+    for n in range(1, 8):
+        for d in (0, 1, n, n * (n + 1) // 2, n * n):
+            pinv = np.linalg.pinv(rng.standard_normal((d, n * n)), rtol=None)
+            x = rng.standard_normal((30, 1, n * n)) * rng.uniform(0.01, 3.0, size=(30, 1, 1))
+            stacked = x @ pinv
+            for i in range(len(x)):
+                assert same_bits(stacked[i], (x[i][None] @ pinv)[0])
+
+
+def test_a_row_norm_is_the_vector_norm():
+    rng = np.random.default_rng(20261023)
+    for d in range(0, 12):
+        t = rng.standard_normal((d, d, d)) * rng.uniform(0.01, 3.0, size=(d, d, 1))
+        for p in range(0, d + 1):
+            for part in (t[..., :p], t[..., p:]):  # strided rows, as validate reads them
+                norms = np.sqrt(np.vecdot(part, part))
+                for i in range(d):
+                    for j in range(d):
+                        assert same_bits(norms[i, j], np.linalg.norm(part[i, j]))
 
 
 def test_a_stacked_normal_draw_is_the_sequential_draws():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symspaces import lts, numkernel, symspace
+from symspaces import lts, numkernel, sympair, symspace
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, ideal_bracket_plus_n, psi_representation
 from symspaces.numkernel import DEFAULT_TOL, DomainError, mat_log, op_norm
@@ -273,6 +273,75 @@ class TestLogPoints:
             log_points(chart_models["sphere(2)"].pair, [x])
 
 
+def mixed_block(pair, other):
+    """Points inside and outside the log ball, of another pair, with a
+    non-finite Cartan matrix, and with a half-log off g_minus."""
+    n = pair.ambient_n
+    rng = np.random.default_rng(31)
+    inside = exp_points(pair, [0.2 * rng.standard_normal(pair.dim_minus) for _ in range(3)])
+    outside = exp_points(pair, [3.0 * rng.standard_normal(pair.dim_minus) for _ in range(2)])
+    nan = SymPoint(pair, np.eye(n), np.full((n, n), np.nan))
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])  # in the ball, log skew
+    off_minus = SymPoint(pair, np.eye(n), turn)
+    return [inside[0], outside[0], base_point(other), inside[1], nan, off_minus, outside[1], inside[2], off_minus]
+
+
+def log_point_or_error(pair, x):
+    try:
+        return log_point(pair, x)
+    except ValueError as exc:
+        return exc
+
+
+class TestChartLogs:
+    @pytest.mark.parametrize("block", [None, 2, 4])
+    def test_a_mixed_block_is_log_point_error_for_error(self, chart_models, monkeypatch, block):
+        pair = chart_models["spd(2)"].pair
+        if block is not None:
+            monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", block * pair.ambient_n ** 2)
+        points = mixed_block(pair, chart_models["sphere(2)"].pair)
+        got = symspace._chart_logs(pair, points)
+        want = [log_point_or_error(pair, x) for x in points]
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [type(v) for v in want[1:7]] == [DomainError, ValueError, np.ndarray, ValueError, ValueError, DomainError]
+        for v, ref in zip(got, want):
+            if isinstance(ref, ValueError):
+                assert str(v) == str(ref)
+            else:
+                assert same_bits(v, ref)
+        assert "is not in g_minus" in str(want[5]) and "finite" in str(want[4])
+
+    def test_one_coordinate_call_per_block(self, chart_models, monkeypatch):
+        pair = chart_models["spd(2)"].pair
+        monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", 4 * pair.ambient_n ** 2)
+        calls = count_calls(monkeypatch, sympair, "_coords_each")
+        singles = count_calls(monkeypatch, sympair, "_coords")
+        symspace._chart_logs(pair, mixed_block(pair, chart_models["sphere(2)"].pair))
+        # the live logs of each block of 4: the foreign, non-finite and out-of-ball points take none
+        assert [len(args[2]) for args in calls] == [2, 2, 1] and not singles
+
+
+class TestContainsEach:
+    def oracle_contains(self, sub, v, tol):
+        # the former per-vector body of LinearSubspace.contains
+        v = np.asarray(v, dtype=float)
+        return sub.distance(v) <= tol.threshold(max(np.linalg.norm(v), 1.0))
+
+    @pytest.mark.parametrize("m,d", [(1, 0), (1, 1), (3, 1), (5, 2), (6, 6)])
+    def test_each_row_is_contains(self, m, d):
+        rng = np.random.default_rng(41 + m * 7 + d)
+        sub = LinearSubspace(m, rng.standard_normal((d, m)))
+        inside = rng.standard_normal((6, d)) @ sub.basis * rng.uniform(0.01, 50.0, size=(6, 1))
+        off = inside + 1e-9 * rng.standard_normal((6, m)) * rng.uniform(0.0, 60.0, size=(6, 1))
+        rows = np.vstack([inside, off, rng.standard_normal((4, m)), np.zeros((1, m))])
+        got = sub.contains_each(rows, DEFAULT_TOL)
+        assert got == [sub.contains(v, DEFAULT_TOL) for v in rows]
+        assert got == [self.oracle_contains(sub, v, DEFAULT_TOL) for v in rows]
+        assert sub.contains_all(rows, DEFAULT_TOL) == all(got)
+        assert True in got and (False in got or d == m)
+        assert sub.contains_each(np.zeros((0, m))) == []
+
+
 # ---------------------------------------------------------------------------
 # the batched relation and membership tests
 
@@ -316,6 +385,19 @@ class TestChartRelation:
     def test_empty(self, chart_models):
         pair = chart_models["spd(2)"].pair
         assert ChartRelation(pair, LinearSubspace.zero(pair.dim_minus)).many([], []) == []
+
+    def test_one_row_wise_verdict_per_call(self, chart_models, monkeypatch):
+        pair = chart_models["spd(2)"].pair
+        m = pair.dim_minus
+        relation = ChartRelation(pair, LinearSubspace(m, np.eye(m)[:1]))
+        member = ChartMembership(pair, LinearSubspace(m, np.eye(m)[:1]))
+        xs, ys = relation_points(pair, 6, count=12)
+        calls = []
+        real = LinearSubspace.contains_each
+        monkeypatch.setattr(LinearSubspace, "contains_each", lambda sub, v, tol: calls.append(len(v)) or real(sub, v, tol))
+        relation.many(xs, ys)
+        member.many(xs + ys)
+        assert len(calls) == 2 and calls[0] <= 12 and calls[1] <= 24
 
     def test_error_is_raised_as_the_loop_raises_it(self, chart_models):
         pair = chart_models["spd(2)"].pair

@@ -3,9 +3,11 @@
 ``to_matrix``/``minus_to_matrix`` map a vector or a ``(k, d)`` stack of
 rows; each row is bit for bit the vector call and the ``tensordot`` body it
 replaced (kept below as the oracle).  ``matrix_coords``/``matrix_to_minus``
-map a matrix or a ``(k, n, n)`` stack through one least-squares solve, where
-each matrix passes its own residual test.  The callers that looped over the
-map one vector or one matrix at a time make stacked calls.
+map a matrix or a ``(k, n, n)`` stack through the pair's cached
+pseudo-inverse, each row bit for bit its single call and within rounding of
+the least-squares solve it replaced, and each matrix passes its own residual
+test.  The callers that looped over the map one vector or one matrix at a
+time make stacked calls.
 """
 
 import io
@@ -62,10 +64,15 @@ def tensordot_map(coords, mats):
     return np.tensordot(np.asarray(coords, dtype=float), mats, axes=1)
 
 
-def lstsq_coords(flat_basis, x):
-    # the per-matrix inverse body the stacked map replaced, without its residual test
-    coords, *_ = np.linalg.lstsq(flat_basis, x.reshape(-1, 1), rcond=None)
+def lstsq_coords(mats, x):
+    # the per-matrix least-squares body the pseudo-inverse replaced, without its residual test
+    coords, *_ = np.linalg.lstsq(mats.reshape(len(mats), -1).T, x.reshape(-1, 1), rcond=None)
     return coords[:, 0]
+
+
+def assert_lstsq_coords(coords, mats, x):
+    ref = lstsq_coords(mats, x)
+    assert np.allclose(coords, ref, rtol=0.0, atol=1e-12 * max(np.linalg.norm(ref), 1.0))
 
 
 def coordinate_rows(rng, d):
@@ -109,17 +116,44 @@ class TestInverseMap:
     def test_a_one_matrix_stack_is_the_2d_call(self, coord_pairs, spec):
         pair = coord_pairs[spec]
         rng = np.random.default_rng(12)
-        for to_mat, to_coords, flat in (
-            (pair.to_matrix, pair.matrix_coords, pair._flat_basis),
-            (pair.minus_to_matrix, pair.matrix_to_minus, pair._flat_minus),
+        for to_mat, to_coords, basis in (
+            (pair.to_matrix, pair.matrix_coords, pair.basis_mats),
+            (pair.minus_to_matrix, pair.matrix_to_minus, pair.minus_mats),
         ):
-            mats = to_mat(coordinate_rows(rng, flat.shape[1]))
+            mats = to_mat(coordinate_rows(rng, len(basis)))
             stacked = to_coords(mats)
             for x, row in zip(mats, stacked):
                 single = to_coords(x)
                 assert same_bits(to_coords(x[None])[0], single), spec
-                assert same_bits(single, lstsq_coords(flat, x)), spec
-                assert np.allclose(row, single, atol=1e-12)
+                assert same_bits(row, single), spec
+                assert_lstsq_coords(single, basis, x)
+
+    def test_a_repeated_basis_matrix_gets_the_minimum_norm_coordinates(self, coord_pairs):
+        spd = coord_pairs["spd(2)"]
+        minus = np.concatenate([spd.minus_mats, spd.minus_mats[:1]])  # rank-deficient g_minus basis
+        pair = MatrixSymmetricPair(2, spd.plus_mats, minus, spd.sigma, label="repeated")
+        rng = np.random.default_rng(13)
+        for to_coords, basis in ((pair.matrix_coords, pair.basis_mats), (pair.matrix_to_minus, pair.minus_mats)):
+            xs = spd.minus_to_matrix(coordinate_rows(rng, spd.dim_minus))
+            stacked = to_coords(xs)
+            for x, row in zip(xs, stacked):
+                assert same_bits(row, to_coords(x))
+                assert_lstsq_coords(row, basis, x)
+                # the repeated matrix splits its weight evenly, as the minimum norm requires
+                assert np.isclose(row[-1], row[-len(minus)], rtol=0.0, atol=1e-12)
+
+    def test_the_singular_value_cutoff_is_the_lstsq_one(self):
+        # a second basis matrix about 5e-15 from the first: its singular value
+        # ratio lies under lstsq's cutoff max(M, N) * eps = 2.2e-14 for 10 x 10
+        # matrices but over numpy's default pinv cutoff 1e-15
+        rng = np.random.default_rng(14)
+        a, b = (s + s.T for s in rng.standard_normal((2, 10, 10)))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        minus = np.array([a, a + 5e-15 * b])
+        pair = MatrixSymmetricPair(10, np.zeros((0, 10, 10)), minus, SigmaRule("transpose_inverse"))
+        got = pair.matrix_to_minus(a)
+        assert_lstsq_coords(got, minus, a)
+        assert np.isclose(got[0], got[1], rtol=0.0, atol=1e-9)
 
     def test_the_first_matrix_outside_the_span_names_its_residual(self, coord_pairs):
         pair = coord_pairs["spd(2)"]
@@ -141,6 +175,17 @@ class TestInverseMap:
             sphere.matrix_coords(sym)
         with pytest.raises(ValueError) as stacked:
             sphere.matrix_coords(np.array([sphere.basis_mats[0], sym]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_each_matrix_is_judged_at_its_own_scale(self, coord_pairs):
+        pair = coord_pairs["spd(2)"]
+        off = 1e-7 * np.array([[0.0, 1.0], [-1.0, 0.0]])  # outside g_minus by 1.4e-7
+        big = pair.minus_to_matrix([1e4, 0.0, 0.0]) + off  # threshold 1e-10 + 1e-9 * |big|, about 1.4e-5
+        assert pair.matrix_to_minus(np.array([big, big])).shape == (2, 3)
+        with pytest.raises(ValueError, match=r"is not in g_minus \(residual 1\.41e-07\)") as single:
+            pair.matrix_to_minus(off)
+        with pytest.raises(ValueError) as stacked:
+            pair.matrix_to_minus(np.array([big, off]))
         assert str(stacked.value) == str(single.value)
 
     def test_a_zero_dimensional_basis_rejects_non_zero_matrices(self):

@@ -84,19 +84,21 @@ def loop_random_element(pair, rng, letters=2, scale=0.5):
     return g
 
 
-def loop_validate(pair, rng=None, samples=20):
-    out = {}
-    t = pair.structure_tensor
-    p, d = pair.dim_plus, pair.dim
+def loop_eigenspace_brackets(t, p):
     inc = 0.0
-    for i in range(d):
-        for j in range(d):
+    for i in range(len(t)):
+        for j in range(len(t)):
             c = t[i, j]
             if (i >= p) == (j >= p):
                 inc = max(inc, float(np.linalg.norm(c[p:])))
             else:
                 inc = max(inc, float(np.linalg.norm(c[:p])))
-    out["eigenspace_brackets"] = inc
+    return inc
+
+
+def loop_validate(pair, rng=None, samples=20):
+    out = {}
+    out["eigenspace_brackets"] = loop_eigenspace_brackets(pair.structure_tensor, pair.dim_plus)
     ray = 0.0
     for x in pair.basis_mats:
         for tval in (0.05, 0.3):
@@ -200,6 +202,18 @@ class TestStackedPairChecks:
             for key in want:
                 assert same_bits(got[key], want[key]), (spec, key)
             assert rng_new.bit_generator.state == rng_old.bit_generator.state, spec
+
+    def test_eigenspace_brackets_is_bitwise_the_loop_on_any_tensor(self):
+        # a random tensor breaks every bracket relation, so each parity case picks its own part
+        rng = np.random.default_rng(17)
+        for d in range(0, 6):
+            for p in range(0, d + 1):
+                zeros = np.zeros((d, 2, 2))  # any basis: validate reads the tensor set below
+                pair = MatrixSymmetricPair(2, zeros[:p], zeros[p:], SigmaRule("transpose_inverse"))
+                t = rng.standard_normal((d, d, d)) * rng.uniform(0.01, 3.0, size=(d, d, 1))
+                pair.__dict__["structure_tensor"] = t  # in place of the cached tensor
+                got = pair.validate(np.random.default_rng(0), samples=1)["eigenspace_brackets"]
+                assert same_bits(got, loop_eigenspace_brackets(t, p)), (d, p)
 
     def test_validate_default_rng(self, kind_pairs):
         pair = kind_pairs["composite"]
