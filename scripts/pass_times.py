@@ -8,7 +8,8 @@ checkout's ``src``, runs one warm-up pass per seed group and then
 ``PASSES`` timed passes, and reports the median pass time.  A pass is
 ``case_bytes.run_cases`` of the workload on the seed group
 ``pass % seed_groups``: ``symspaces.cli.main`` once per item, as the
-benchmark worker calls it.  Each side makes ``RUNS`` runs; the runs
+benchmark worker calls it.  ``PASSES`` is a multiple of every workload's
+``seed_groups`` (2 or 4), so each run times each seed group equally often.  Each side makes ``RUNS`` runs; the runs
 alternate between the checkouts, and the side that runs first alternates
 between rounds.  Both sides run the items of this checkout's
 ``bench/workloads.py``, which is read, never changed; BLAS runs on one
@@ -35,7 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREADS = 1
 RUNS = 4  # runs per side
-PASSES = 5  # timed passes per run
+PASSES = 4  # timed passes per run, a multiple of every seed_groups
 
 
 def _case_bytes():

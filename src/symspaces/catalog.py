@@ -22,7 +22,7 @@ from .numkernel import DEFAULT_TOL, Tolerance
 from .quotient import CongruenceRelation
 from .subspace import ProbeWitness, ReflectionSubspace, algebraic_subspace, fixed_point_subspace
 from .sympair import MatrixSymmetricPair, PairMorphism, SigmaRule
-from .symspace import SymMorphism, SymPoint, base_point, exp_point, lts_of_pair, sym_morphism
+from .symspace import MAX_STACK_FLOATS, SymMorphism, SymPoint, base_point, exp_point, lts_of_pair, sym_morphism
 
 __all__ = [
     "ModelDescriptor",
@@ -227,12 +227,28 @@ class TorusLattice:
         return tuple(ang)
 
     def member_float(self, point: SymPoint, winding: int = 64, thresh: float = 1e-9) -> bool:
-        w1, w2 = self.half_angles(point)
+        return self.members_float([point], winding, thresh)[0]
+
+    def members_float(self, points, winding: int = 64, thresh: float = 1e-9) -> list:
+        """Float membership of each point: some lattice shift ``a`` in
+        ``[-winding, winding]`` brings ``s*(w1 + pi*a) - w2`` within ``thresh``
+        of a multiple of pi.
+
+        The ``(k, 2*winding + 1)`` grid of shifts is evaluated in row chunks
+        of at most ``MAX_STACK_FLOATS`` floats (one row where a row is
+        longer), each entry by the same elementwise arithmetic as one point.
+        """
+        w = np.array([self.half_angles(x) for x in points]).reshape(-1, 2)
         s = self.slope
         a = np.arange(-winding, winding + 1, dtype=float)
-        r = s * (w1 + np.pi * a) - w2
-        dist = np.abs(r - np.pi * np.round(r / np.pi))
-        return bool(np.min(dist) <= thresh)
+        rows = max(1, MAX_STACK_FLOATS // a.size)
+        out = []
+        for start in range(0, len(w), rows):
+            w1, w2 = w[start:start + rows, :1], w[start:start + rows, 1:]
+            r = s * (w1 + np.pi * a) - w2
+            dist = np.abs(r - np.pi * np.round(r / np.pi))
+            out += (dist.min(axis=1) <= thresh).tolist()
+        return out
 
     # -- witnesses -----------------------------------------------------------
 
@@ -349,6 +365,8 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
 
     def dense_member(x: SymPoint):
         return lattice.member_float(x)
+
+    dense_member.many = lattice.members_float  # a block of points per call, for _each
 
     def dense_probes(radius: float, within):
         if within is None:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, Tolerance, _svd_cut, as_matrix, nullspace, numerical_rank
+from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _svd_cut, as_matrix, nullspace, numerical_rank
 
 __all__ = [
     "LinearSubspace",
@@ -145,7 +145,7 @@ class LinearSubspace:
     def contains_each(self, vectors, tol: Tolerance = DEFAULT_TOL) -> list:
         """:meth:`contains` of each row of ``vectors``, bit for bit, as a list of bools."""
         v = self._rows(vectors)
-        scale = np.maximum(np.sqrt(np.vecdot(v, v)), 1.0)  # bit for bit np.linalg.norm of each row
+        scale = np.maximum(_frobenius(v), 1.0)
         return (self.distances(v) <= tol.abs_eps + tol.rel_eps * scale).tolist()
 
     def contains_all(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -8,6 +8,7 @@ entry point that enforces finiteness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +173,9 @@ def _mat_exp_stack(a: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
-    # Frobenius norm of each slice of a stack, bit for bit np.linalg.norm(slice)
-    f = a.reshape(a.shape[0], a.shape[1] * a.shape[2])
+    # Frobenius norm of each slice (or row) of a (k, ...) stack, bit for bit
+    # np.linalg.norm(slice); math.prod keeps k = 0 and empty slices reshapeable
+    f = a.reshape(a.shape[0], math.prod(a.shape[1:]))
     return np.sqrt(np.vecdot(f, f))
 
 

@@ -15,17 +15,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lts import LinearSubspace, VerificationError, is_subsystem
-from .numkernel import DEFAULT_TOL, Tolerance, nullspace
+from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, nullspace
 from .symspace import (
     MAX_STACK_FLOATS,
     SymMorphism,
     SymPoint,
     _chart_logs,
     base_point,
-    exp_point,
     exp_points,
     lts_of_pair,
-    mu,
+    mu_points,
     same_points,
 )
 from .sympair import MatrixSymmetricPair
@@ -153,13 +152,29 @@ def algebraic_subspace(
     membership: Optional[Callable[[SymPoint], Optional[bool]]] = None,
     probes=None,
 ) -> ReflectionSubspace:
-    """Subspace cut out by polynomial constraints on the Cartan matrix."""
+    """Subspace cut out by polynomial constraints on the Cartan matrix.
+
+    The default membership accepts a point when the Frobenius norm of its
+    residual ``constraints(cartan)`` is at most ``pair.tol.threshold`` of
+    ``max(|cartan|, 1)``.  Its ``many`` calls ``constraints`` once per point
+    and takes the residual norms and the Cartan scales as two row-norm
+    stacks, so the residuals of the points of one call must share one shape
+    (ValueError otherwise); a single call is its one-point case.
+    """
+
+    def many(points) -> list:
+        cartans = [x.cartan for x in points]
+        res = [np.asarray(constraints(c), dtype=float) for c in cartans]
+        if len({r.shape for r in res}) > 1:
+            raise ValueError("constraints give residuals of different shapes at the points of one call")
+        norms = _frobenius(np.array(res)).tolist()
+        scales = _frobenius(np.array(cartans)).tolist()
+        return [r <= pair.tol.threshold(max(s, 1.0)) for r, s in zip(norms, scales)]
 
     def default_member(x: SymPoint) -> bool:
-        res = np.asarray(constraints(x.cartan), dtype=float)
-        scale = max(float(np.linalg.norm(x.cartan)), 1.0)
-        return float(np.linalg.norm(res)) <= pair.tol.threshold(scale)
+        return many([x])[0]
 
+    default_member.many = many  # a block of points per call, for _each
     return ReflectionSubspace(
         pair=pair,
         membership=membership or default_member,
@@ -305,13 +320,27 @@ class ChartReport:
         }
 
 
-def _ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: float) -> np.ndarray:
-    """Uniform-ish sample in the given span with norm <= radius (nonzero)."""
+def _ball_samples(rng: np.random.Generator, basis: np.ndarray, radius: float, count: int) -> np.ndarray:
+    """``count`` uniform-ish samples in the span of the rows of ``basis``, each
+    of norm at most ``radius``, as a ``(count, ambient)`` array.
+
+    Each sample draws one ``standard_normal(k)`` direction and then one
+    ``uniform(0.2, 1.0)`` scale, in the order of a per-sample loop; each row is
+    normalized and mapped to the span as its own ``(1, k)`` product, so row
+    ``i`` is bit for bit the ``i``-th sample of that loop (``u @ basis`` on
+    the unit direction, times the scale).
+    """
     k = basis.shape[0]
-    u = rng.standard_normal(k)
-    u /= max(np.linalg.norm(u), 1e-300)
-    scale = radius * rng.uniform(0.2, 1.0)
-    return scale * (u @ basis)
+    draws = [(rng.standard_normal(k), rng.uniform(0.2, 1.0)) for _ in range(count)]
+    u = np.array([d for d, _ in draws]).reshape(count, k)
+    u /= np.maximum(_frobenius(u), 1e-300)[:, None]
+    scale = radius * np.array([s for _, s in draws])
+    return scale[:, None] * (u[:, None] @ basis)[:, 0]
+
+
+def _ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: float) -> np.ndarray:
+    """One sample of :func:`_ball_samples`."""
+    return _ball_samples(rng, basis, radius, 1)[0]
 
 
 def exp_chart_split(
@@ -327,8 +356,8 @@ def exp_chart_split(
     Random samples check both directions; certified probe witnesses from the
     subspace (if any) refute radii that sampling alone cannot.  The radius
     halves on failure; hitting the floor raises :class:`ChartSplitError`.
-    Each radius draws its samples first and exponentiates them in one
-    stacked call; chart membership tests them in one more.
+    Each radius draws its samples as one stack and exponentiates them in
+    one stacked call; the membership tests them in one more.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -340,11 +369,11 @@ def exp_chart_split(
         violation = 0.0
         witness = None
 
-        inside = [_ball_sample(rng, n.onb(), radius) for _ in range(samples if n.dim else 0)]
-        ws = [_ball_sample(rng, free, radius) for _ in range(samples)]
+        inside = _ball_samples(rng, n.onb(), radius, samples if n.dim else 0)
+        ws = _ball_samples(rng, free, radius, samples)
         gaps = n.distances(ws).tolist()
         far = [i for i, gap in enumerate(gaps) if gap > 0.05 * radius]
-        points = exp_points(pair, inside + [ws[i] for i in far])
+        points = exp_points(pair, np.concatenate([inside, ws[far]]))
         members = list(_each(n_space.membership, points, one=n_space.member))
         for v, member in zip(inside, members):
             if member is False:
@@ -386,8 +415,8 @@ def split_complement_criterion(
 
     Returns False as soon as a nonzero sampled (or certified probe) direction
     in F exponentiates into N; True means no refutation was found.  The
-    samples are drawn first and exponentiated, and chart membership tests
-    them, in stacks of at most ``MAX_STACK_FLOATS``; on a refutation the
+    samples are drawn as one stack, then exponentiated and tested by the
+    membership in blocks of at most ``MAX_STACK_FLOATS``; on a refutation the
     generator is left where a per-sample loop would stop.
     """
     pair = n_space.pair
@@ -401,17 +430,16 @@ def split_complement_criterion(
     if f_comp.dim == 0:
         return True
     state = rng.bit_generator.state
-    ws = [_ball_sample(rng, f_comp.onb(), radius) for _ in range(samples)]
-    kept = [i for i, w in enumerate(ws) if np.linalg.norm(w) >= 1e-6]
+    ws = _ball_samples(rng, f_comp.onb(), radius, samples)
+    kept = [i for i, r in enumerate(_frobenius(ws).tolist()) if r >= 1e-6]
     size = max(1, MAX_STACK_FLOATS // pair.ambient_n ** 2)
     for start in range(0, len(kept), size):
         block = kept[start:start + size]
-        points = exp_points(pair, [ws[i] for i in block])
+        points = exp_points(pair, ws[block])
         for i, member in zip(block, _each(n_space.membership, points, one=n_space.member)):
             if member is True:
                 rng.bit_generator.state = state
-                for _ in range(i + 1):
-                    _ball_sample(rng, f_comp.onb(), radius)
+                _ball_samples(rng, f_comp.onb(), radius, i + 1)
                 return False
     if n_space.probes is not None:
         for probe in n_space.probes(radius, f_comp):
@@ -472,6 +500,11 @@ def mu_closure_check(
 
     Draws members x, y near the base (through the seed when present) and
     requires mu(x, y) not to be a definite non-member whenever it is decidable.
+    The pairs are drawn first, in the order u0, v0, u1, v1, ... of a
+    per-sample loop; each block of at most ``MAX_STACK_FLOATS`` is
+    exponentiated in one stacked call and tested in one membership call, and
+    the products of its member pairs come from one ``mu_points`` call.  On a
+    refutation the generator is left where a per-sample loop would stop.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -479,12 +512,18 @@ def mu_closure_check(
         basis = n_space.seed.onb()
     else:
         basis = np.eye(pair.dim_minus)
-    for _ in range(samples):
-        u = _ball_sample(rng, basis, scale)
-        v = _ball_sample(rng, basis, scale)
-        x, y = exp_point(pair, u), exp_point(pair, v)
-        if n_space.member(x) is not True or n_space.member(y) is not True:
-            continue
-        if n_space.member(mu(x, y)) is False:
-            return False
+    state = rng.bit_generator.state
+    uv = _ball_samples(rng, basis, scale, 2 * samples)
+    size = max(1, MAX_STACK_FLOATS // (2 * pair.ambient_n ** 2))
+    for start in range(0, samples, size):
+        points = exp_points(pair, uv[2 * start:2 * (start + size)])
+        xs, ys = points[0::2], points[1::2]
+        members = list(_each(n_space.membership, points, one=n_space.member))
+        both = [i for i, (a, b) in enumerate(zip(members[0::2], members[1::2])) if a is True and b is True]
+        products = mu_points([xs[i] for i in both], [ys[i] for i in both])
+        for i, member in zip(both, _each(n_space.membership, products, one=n_space.member)):
+            if member is False:
+                rng.bit_generator.state = state
+                _ball_samples(rng, basis, scale, 2 * (start + i + 1))
+                return False
     return True

@@ -2,9 +2,11 @@
 they replace.
 
 Each oracle below is the per-sample body the batched code replaced, kept
-verbatim up to naming: every point from its own ``exp_point`` and every
-projection one point at a time.  The batched code must give the same result,
-bit for bit, and leave the generator in the same state.
+verbatim up to naming: every ball sample from its own draw and product,
+every point from its own ``exp_point``, every projection and every
+algebraic or lattice membership one point at a time.  The batched code must
+give the same result, bit for bit, and leave the generator in the same
+state.
 """
 
 import contextlib
@@ -16,7 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symspaces import numkernel, quotient, subspace
+from symspaces import catalog, numkernel, quotient, subspace
+from symspaces.catalog import TorusLattice, parse_model
 from symspaces.cli import main
 from symspaces.lts import LinearSubspace, is_subsystem
 from symspaces.numkernel import Tolerance, nullspace
@@ -27,14 +30,26 @@ from symspaces.subspace import (
     ChartReport,
     ChartSplitError,
     _ball_sample,
+    _ball_samples,
+    algebraic_subspace,
     base_only,
     exp_chart_split,
     generate_integral,
     lts_of_subspace,
+    mu_closure_check,
     split_complement_criterion,
     whole_space,
 )
-from symspaces.symspace import MAX_STACK_FLOATS, SymPoint, base_point, exp_point, lts_of_pair, mu, tau_action
+from symspaces.symspace import (
+    MAX_STACK_FLOATS,
+    SymPoint,
+    base_point,
+    exp_point,
+    exp_points,
+    lts_of_pair,
+    mu,
+    tau_action,
+)
 
 MODELS = ("sphere(2)", "spd(2)", "grassmann(1,3)", "torus_abelian(sqrt2)", "product(sphere(2),sphere(2))")
 
@@ -83,6 +98,47 @@ def count_mat_exp(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the per-sample oracles
+
+
+def oracle_ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: float) -> np.ndarray:
+    """Uniform-ish sample in the given span with norm <= radius (nonzero)."""
+    k = basis.shape[0]
+    u = rng.standard_normal(k)
+    u /= max(np.linalg.norm(u), 1e-300)
+    scale = radius * rng.uniform(0.2, 1.0)
+    return scale * (u @ basis)
+
+
+def oracle_algebraic_member(space, x: SymPoint) -> bool:
+    res = np.asarray(space.constraints(x.cartan), dtype=float)
+    scale = max(float(np.linalg.norm(x.cartan)), 1.0)
+    return float(np.linalg.norm(res)) <= space.pair.tol.threshold(scale)
+
+
+def oracle_member_float(lattice: TorusLattice, point: SymPoint, winding: int = 64, thresh: float = 1e-9) -> bool:
+    w1, w2 = lattice.half_angles(point)
+    s = lattice.slope
+    a = np.arange(-winding, winding + 1, dtype=float)
+    r = s * (w1 + np.pi * a) - w2
+    dist = np.abs(r - np.pi * np.round(r / np.pi))
+    return bool(np.min(dist) <= thresh)
+
+
+def oracle_mu_closure(n_space, rng, samples=30, scale=0.15) -> bool:
+    pair = n_space.pair
+    if n_space.seed is not None and n_space.seed.dim > 0:
+        basis = n_space.seed.onb()
+    else:
+        basis = np.eye(pair.dim_minus)
+    for _ in range(samples):
+        u = oracle_ball_sample(rng, basis, scale)
+        v = oracle_ball_sample(rng, basis, scale)
+        x, y = exp_point(pair, u), exp_point(pair, v)
+        if n_space.member(x) is not True or n_space.member(y) is not True:
+            continue
+        if n_space.member(mu(x, y)) is False:
+            return False
+    return True
 
 
 def oracle_project(proj: PointProjection, x: SymPoint) -> SymPoint:
@@ -143,12 +199,12 @@ def oracle_chart_split(n_space, n, rng, samples=40, start_radius=1.0, floor=1e-3
         violation = 0.0
         witness = None
         for _ in range(samples if n.dim else 0):
-            v = _ball_sample(rng, n.onb(), radius)
+            v = oracle_ball_sample(rng, n.onb(), radius)
             if n_space.member(exp_point(pair, v)) is False:
                 violation = max(violation, float(np.linalg.norm(v)))
                 witness = v
         for _ in range(samples):
-            w = _ball_sample(rng, free, radius)
+            w = oracle_ball_sample(rng, free, radius)
             gap = n.distance(w)
             if gap > 0.05 * radius and n_space.member(exp_point(pair, w)) is True:
                 violation = max(violation, gap)
@@ -175,7 +231,7 @@ def oracle_split_complement(n_space, n, f_comp, rng, samples=200, radius=0.5) ->
     if f_comp.dim == 0:
         return True
     for _ in range(samples):
-        w = _ball_sample(rng, f_comp.onb(), radius)
+        w = oracle_ball_sample(rng, f_comp.onb(), radius)
         if np.linalg.norm(w) < 1e-6:
             continue
         if n_space.member(exp_point(pair, w)) is True:
@@ -412,6 +468,226 @@ class TestCertification:
         for space in algebraic:
             got, want = space.candidate_subspace(), oracle_algebraic_candidate(space)
             assert same_bits(got.basis, want.basis), space.label
+
+
+class TestMuClosureCheck:
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_matches_the_per_sample_loop(self, spaces, seed):
+        for label, space, _ in spaces:
+            a, b = rng_pair(seed)
+            assert mu_closure_check(space, a) is oracle_mu_closure(space, b), label
+            assert same_state(a, b), label
+
+    @pytest.mark.parametrize("with_many", [False, True])
+    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, with_many, monkeypatch):
+        # products reach about twice as far from the base as their factors:
+        # a membership cut off at ``reach`` refutes closure after a varying
+        # number of samples, or never
+        space = generate_integral(LinearSubspace.full(2), models["sphere(2)"].pair)
+        set_block(monkeypatch, subspace, space.pair.ambient_n, 2, 4)
+        verdicts = set()
+        for reach in (0.25, 0.3, 0.35, 0.45, 0.6, 1.5):
+
+            def near(x, reach=reach):
+                return float(np.linalg.norm(x.cartan - np.eye(x.cartan.shape[0]))) < reach
+
+            if with_many:
+                near.many = lambda points: [near(x) for x in points]
+            short = dataclasses.replace(space, membership=near)
+            a, b = rng_pair(5)
+            got = mu_closure_check(short, a)
+            assert got is oracle_mu_closure(short, b), reach
+            assert same_state(a, b), reach
+            assert same_bits(a.standard_normal(3), b.standard_normal(3))
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_one_product_call_per_block(self, models, monkeypatch):
+        model = models["product(sphere(2),sphere(2))"]
+        space = generate_integral(model.subspace_by_name("left_factor").seed, model.pair)  # samples are members
+        calls = []
+        original = subspace.mu_points
+
+        def counted(xs, ys):
+            calls.append(len(xs))
+            return original(xs, ys)
+
+        monkeypatch.setattr(subspace, "mu_points", counted)
+        assert mu_closure_check(space, np.random.default_rng(0))
+        assert calls == [30]
+        set_block(monkeypatch, subspace, space.pair.ambient_n, 2, 4)
+        del calls[:]
+        assert mu_closure_check(space, np.random.default_rng(0), samples=30)
+        assert calls == [4] * 7 + [2]
+
+
+# ---------------------------------------------------------------------------
+# the stacked ball samples
+
+
+class TestBallSamples:
+    @pytest.mark.parametrize("spec", MODELS)
+    @pytest.mark.parametrize("count", [0, 1, 200])
+    def test_rows_are_the_per_sample_draws(self, models, spec, count):
+        m = models[spec].pair.dim_minus
+        rng = np.random.default_rng(m)
+        bases = [LinearSubspace.span(rng.standard_normal((d, m)), m).onb() for d in range(m + 1)]
+        for basis in bases + [np.eye(m)]:
+            for radius in (1e-3, 0.5, 2.0):
+                a, b = rng_pair(count + basis.shape[0])
+                got = _ball_samples(a, basis, radius, count)
+                assert got.shape == (count, m)
+                for row in got:
+                    assert same_bits(row, oracle_ball_sample(b, basis, radius))
+                assert same_state(a, b)
+
+    def test_one_sample_is_the_one_row_case(self):
+        basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5).onb()
+        a, b = rng_pair(2)
+        for _ in range(50):
+            assert same_bits(_ball_sample(a, basis, 0.7), oracle_ball_sample(b, basis, 0.7))
+        assert same_state(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the algebraic membership
+
+ALGEBRAIC_MODELS = (
+    "spd(3)",
+    "torus_abelian(sqrt2)",
+    "torus_abelian(1/2)",
+    "product(sphere(2),spd(2))",
+    "product(spd(2),spd(2))",
+)
+
+
+def upper_block_identity(cartan: np.ndarray) -> np.ndarray:
+    return cartan[:2, :2] - np.eye(2)  # a 2-D residual
+
+
+@pytest.fixture(scope="module")
+def algebraic_cases():
+    """(label, space, points) for every algebraic subspace of the catalog
+    models above, their whole space and base point, and a 2-D residual."""
+    out = []
+    for spec in ALGEBRAIC_MODELS:
+        model = parse_model(spec)
+        pair, m = model.pair, model.pair.dim_minus
+        subs = [
+            (sub.name, sub.subspace, sub.seed)
+            for sub in model.designated_subspaces
+            if sub.subspace is not None and sub.subspace.kind == "algebraic"
+        ]
+        subs += [
+            ("whole_space", whole_space(pair), LinearSubspace.full(m)),
+            ("base_only", base_only(pair), LinearSubspace.zero(m)),
+            ("upper_block", algebraic_subspace(pair, upper_block_identity), LinearSubspace.zero(m)),
+        ]
+        rng = np.random.default_rng(len(out))
+        for name, space, seed in subs:
+            vs = [scale * rng.standard_normal(m) for scale in (1e-9, 1e-4, 0.3, 1.0) for _ in range(8)]
+            vs += [t * v for v in seed.onb() for t in (0.1, -0.5, 1.0)]
+            out.append((f"{spec} {name}", space, exp_points(pair, vs) + [base_point(pair)]))
+    return out
+
+
+class TestAlgebraicMembership:
+    def test_cases_cover_both_verdicts(self, algebraic_cases):
+        assert len(algebraic_cases) >= 20
+        verdicts = [oracle_algebraic_member(space, x) for _, space, points in algebraic_cases for x in points]
+        assert True in verdicts and False in verdicts
+
+    def test_many_is_the_per_point_body(self, algebraic_cases):
+        for label, space, points in algebraic_cases:
+            want = [oracle_algebraic_member(space, x) for x in points]
+            assert space.membership.many(points) == want, label
+            assert [space.member(x) for x in points] == want, label
+            assert space.membership.many([]) == []
+
+    def test_a_residual_shape_that_varies_within_one_call_raises(self, models):
+        pair = models["spd(2)"].pair
+
+        def ragged(cartan):  # one entry at the base point, two elsewhere
+            return np.zeros(1 if np.array_equal(cartan, np.eye(2)) else 2)
+
+        space = algebraic_subspace(pair, ragged)
+        points = [base_point(pair), exp_point(pair, np.array([0.3, 0.0, 0.0]))]
+        for x in points:  # one point per call: each residual has one shape
+            assert space.member(x) is oracle_algebraic_member(space, x) is True
+        assert space.membership.many(points[1:] * 3) == [True] * 3
+        with pytest.raises(ValueError, match="residuals of different shapes"):
+            space.membership.many(points)
+
+
+# ---------------------------------------------------------------------------
+# the lattice membership
+
+
+@pytest.fixture(scope="module")
+def lattice_points():
+    """(label, lattice, points) on three torus slopes: random points, points
+    of the line far out, Pell witnesses and points converging off the line."""
+    out = []
+    for spec in ("torus_abelian(sqrt2)", "torus_abelian(1/2)", "torus_abelian(3)"):
+        model = parse_model(spec)
+        lattice, pair = model.extras["lattice"], model.pair
+        rng = np.random.default_rng(11)
+        vs = [rng.uniform(-4.0, 4.0, size=2) for _ in range(30)]
+        vs += [t * np.array([1.0, lattice.slope]) for t in (0.3, -1.7, 5.0, 40.0)]
+        vs += [w.vector for w in lattice.chart_witnesses(1.0, count=3)]
+        vs += lattice.line_points_near(0.15, steps=3)
+        out.append((spec, lattice, exp_points(pair, vs) + [base_point(pair)]))
+    return out
+
+
+class TestLatticeMembership:
+    @pytest.mark.parametrize("winding", [0, 5, 64])
+    def test_members_are_the_per_point_body(self, lattice_points, winding):
+        verdicts = set()
+        for label, lattice, points in lattice_points:
+            for thresh in (1e-9, 1e-8):
+                want = [oracle_member_float(lattice, x, winding, thresh) for x in points]
+                assert lattice.members_float(points, winding, thresh) == want, label
+                assert [lattice.member_float(x, winding, thresh) for x in points] == want, label
+                verdicts.update(want)
+        assert verdicts == {True, False}
+        assert lattice_points[0][1].members_float([]) == []
+
+    @pytest.mark.parametrize("floats,rows", [(1, 1), (11, 1), (22, 2), (35, 3)])
+    def test_row_chunks_on_a_small_bound(self, lattice_points, monkeypatch, floats, rows):
+        # winding 5 gives rows of 11 shifts; a bound below one row still takes one row
+        monkeypatch.setattr(catalog, "MAX_STACK_FLOATS", floats)
+        rounded = []
+        original = np.round
+
+        def counted(a, *args, **kwargs):
+            rounded.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        for label, lattice, points in lattice_points:
+            want = [oracle_member_float(lattice, x, 5) for x in points]
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "round", counted)
+                del rounded[:]
+                got = lattice.members_float(points, winding=5)
+            assert got == want, label
+            assert rounded == [(min(rows, len(points) - i), 11) for i in range(0, len(points), rows)], label
+
+    def test_the_relation_grid_is_taken_one_row_at_a_time(self, lattice_points):
+        label, lattice, points = lattice_points[0]
+
+        def peak(pts):
+            tracemalloc.start()
+            try:
+                got = lattice.members_float(pts, winding=200000, thresh=1e-8)
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, one = peak(points[:1])
+        got, several = peak(points[:6])
+        assert got == [oracle_member_float(lattice, x, 200000, 1e-8) for x in points[:6]]
+        assert several < 1.5 * one  # no (6, 400001) temporary
 
 
 # ---------------------------------------------------------------------------

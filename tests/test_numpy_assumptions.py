@@ -19,7 +19,9 @@ product that ``tensordot`` computes, and its inverse ``matrix_coords``/
 ``pinv``, whose rows must be the one-matrix products.  ``contains_each`` and
 ``validate`` take row norms as ``sqrt(vecdot(v, v))``, which must be the bits
 of ``np.linalg.norm`` of each row, also of a strided column slice of a
-tensor.  ``random_element`` draws its rows
+tensor; the ball samples, the algebraic membership and the split-complement
+filter take them through ``numkernel._frobenius`` of stacks of any rank,
+empty ones included.  ``random_element`` draws its rows
 for a whole stack with one ``standard_normal((k, d))``, which must be ``k``
 sequential draws.  If a numpy upgrade breaks any of these facts, this test
 fails, not the report bytes.
@@ -127,6 +129,17 @@ def test_a_row_norm_is_the_vector_norm():
                 for i in range(d):
                     for j in range(d):
                         assert same_bits(norms[i, j], np.linalg.norm(part[i, j]))
+
+
+def test_frobenius_of_any_stack_is_the_norm_of_each_slice():
+    rng = np.random.default_rng(20261024)
+    for shape in ((), (0,), (1,), (7,), (3, 4), (0, 5), (5, 0), (2, 3, 4)):
+        for k in (0, 1, 30):
+            a = rng.standard_normal((k,) + shape) * rng.uniform(1e-6, 10.0, size=(k,) + (1,) * len(shape))
+            frob = numkernel._frobenius(a)
+            assert frob.shape == (k,)
+            for i in range(k):
+                assert same_bits(frob[i], np.linalg.norm(a[i]))
 
 
 def test_a_stacked_normal_draw_is_the_sequential_draws():

@@ -10,6 +10,7 @@ call, raise the oracle's exception type and message where it raises, and
 make exactly one stacked kernel call.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from test_cartan_first import build_stack, slice_kinds
 from test_stacked_chart import CHART_MODELS, count_calls, oracle_log, relation_points, same_bits
 
-from symspaces import numkernel, symspace
+from symspaces import numkernel, subspace, symspace
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace
 from symspaces.numkernel import DEFAULT_TOL, DomainError, as_matrix, mat_exp
@@ -28,9 +29,11 @@ from symspaces.subspace import (
     CERTIFICATION_GRID,
     ChartSplitError,
     ReflectionSubspace,
+    base_only,
     exp_chart_split,
     generate_integral,
     lts_of_subspace,
+    mu_closure_check,
     split_complement_criterion,
     whole_space,
 )
@@ -373,7 +376,9 @@ class TestMembershipDispatch:
     def test_a_plain_membership_is_read_point_by_point_through_member(self, chart_models, monkeypatch):
         pair = chart_models["spd(2)"].pair
         m = pair.dim_minus
-        space = whole_space(pair)
+        algebraic = whole_space(pair)
+        # the algebraic membership has ``many``; a plain callable in its place has not
+        space = dataclasses.replace(algebraic, membership=lambda x: algebraic.membership(x))
         calls = self.count_member_calls(monkeypatch)
         lts_of_subspace(space)
         assert len(calls) == 1 + m * len(CERTIFICATION_GRID)  # the base point, then each ray
@@ -395,6 +400,60 @@ class TestMembershipDispatch:
         lts_of_subspace(space)
         assert len(calls) == 1  # only the base point
         assert [a.shape[0] for a, _ in batches] == [1, len(CERTIFICATION_GRID)]
+
+    @pytest.mark.parametrize(
+        "spec,name",
+        [
+            ("spd(2)", "diagonal"),
+            ("spd(2)", "center"),
+            ("spd(2)", "whole_space"),
+            ("spd(2)", "base_only"),
+            ("torus_abelian(sqrt2)", "axis_line"),
+            ("torus_abelian(sqrt2)", "dense_line"),
+            ("torus_abelian(1/2)", "dense_line"),
+            ("product(sphere(2),spd(2))", "left_factor"),
+        ],
+    )
+    def test_catalog_memberships_are_read_in_one_many_call_per_block(self, spec, name, monkeypatch):
+        model = parse_model(spec)  # a fresh model: the spy below is on its membership
+        pair, m = model.pair, model.pair.dim_minus
+        if name == "whole_space":
+            space = whole_space(pair)
+        elif name == "base_only":
+            space = base_only(pair)
+        else:
+            space = model.subspace_by_name(name).subspace
+        blocks = []
+        original = space.membership.many
+
+        def counted(points):
+            points = list(points)
+            blocks.append(len(points))
+            return original(points)
+
+        monkeypatch.setattr(space.membership, "many", counted)
+        calls = self.count_member_calls(monkeypatch)
+        n = lts_of_subspace(space)
+        assert len(calls) == 1  # only the base point
+        assert blocks == [n.dim * len(CERTIFICATION_GRID)]
+
+        del blocks[:]
+        try:
+            report = exp_chart_split(space, n, rng=np.random.default_rng(0))
+        except ChartSplitError as exc:  # the dense line at slope sqrt 2 fails to the floor
+            report = exc.report
+        assert len(blocks) == len(report.history)  # one block per radius
+
+        del blocks[:]
+        size = max(1, subspace.MAX_STACK_FLOATS // pair.ambient_n**2)
+        split_complement_criterion(space, n, n.complement(), rng=np.random.default_rng(0), samples=200)
+        assert sum(blocks) <= (200 if n.dim < m else 0)
+        assert all(b <= size for b in blocks) and len(blocks) == -(-sum(blocks) // size)
+
+        del blocks[:]
+        mu_closure_check(space, np.random.default_rng(0), samples=30)
+        assert len(blocks) == 2 and blocks[0] == 60  # the samples, then the products of member pairs
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
