@@ -19,7 +19,7 @@ import numpy as np
 
 from .lts import LinearSubspace, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance
-from .quotient import CongruenceRelation
+from .quotient import CongruenceRelation, _discrepancies
 from .subspace import ProbeWitness, ReflectionSubspace, algebraic_subspace, fixed_point_subspace
 from .sympair import MatrixSymmetricPair, PairMorphism, SigmaRule
 from .symspace import MAX_STACK_FLOATS, SymMorphism, SymPoint, base_point, exp_point, lts_of_pair, sym_morphism
@@ -335,17 +335,16 @@ def _sphere_circle(pair: MatrixSymmetricPair, tol: Tolerance):
 def _spd_designated(pair: MatrixSymmetricPair, n: int, tol: Tolerance):
     m = pair.dim_minus
 
-    def offdiag(cartan: np.ndarray) -> np.ndarray:
-        return cartan[~np.eye(cartan.shape[0], dtype=bool)]
+    def offdiag(cartans: np.ndarray) -> np.ndarray:
+        return cartans[:, ~np.eye(n, dtype=bool)]
 
     offdiag.constraint_name = "cartan_offdiagonal_zero"
     diag_space = algebraic_subspace(pair, offdiag, label="diagonal")
     diag_seed = LinearSubspace(m, np.eye(m)[:n])  # the n diagonal directions
 
-    def scalar(cartan: np.ndarray) -> np.ndarray:
-        k = cartan.shape[0]
-        dev = cartan - (np.trace(cartan) / k) * np.eye(k)
-        return dev.ravel()
+    def scalar(cartans: np.ndarray) -> np.ndarray:
+        dev = cartans - (np.trace(cartans, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+        return dev.reshape(len(cartans), n * n)
 
     scalar.constraint_name = "cartan_scalar"
     center_sub = algebraic_subspace(pair, scalar, label="center")
@@ -363,11 +362,6 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
 
     dense_seed = LinearSubspace.span(np.array([[1.0, s]]) / math.hypot(1.0, s), m)
 
-    def dense_member(x: SymPoint):
-        return lattice.member_float(x)
-
-    dense_member.many = lattice.members_float  # a block of points per call, for _each
-
     def dense_probes(radius: float, within):
         if within is None:
             return lattice.chart_witnesses(radius)
@@ -378,15 +372,15 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
 
     dense = ReflectionSubspace(
         pair=pair,
-        membership=dense_member,
+        membership=lattice.members_float,
         kind="generated",
         label="dense_line",
         seed=dense_seed,
         probes=dense_probes,
     )
 
-    def second_block_identity(cartan: np.ndarray) -> np.ndarray:
-        return (cartan[2:, 2:] - np.eye(2)).ravel()
+    def second_block_identity(cartans: np.ndarray) -> np.ndarray:
+        return (cartans[:, 2:, 2:] - np.eye(2)).reshape(len(cartans), 4)
 
     second_block_identity.constraint_name = "second_block_identity"
     axis = algebraic_subspace(pair, second_block_identity, label="axis_line")
@@ -406,10 +400,8 @@ def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> Congrue
     n = LinearSubspace.span(np.array([[1.0, lattice.slope]]), pair.dim_minus)
     l_full = pair.minus_subspace_to_full(n)
 
-    def relates(x: SymPoint, y: SymPoint):
-        d = np.linalg.inv(x.rep) @ y.rep
-        point = SymPoint.from_rep(pair, d)
-        return lattice.member_float(point, winding=200000, thresh=1e-8)
+    def relates(xs: list, ys: list) -> list:
+        return lattice.members_float(_discrepancies(pair, xs, ys), winding=200000, thresh=1e-8)
 
     def sequence_probes():
         target = 0.15
@@ -433,10 +425,10 @@ def _product_designated(pair, ma: ModelDescriptor, mb: ModelDescriptor):
     m1 = ma.pair.dim_minus
     m2 = mb.pair.dim_minus
     m = m1 + m2
-    n_a = ma.pair.ambient_n
+    n_a, n_b = ma.pair.ambient_n, mb.pair.ambient_n
 
-    def right_block_identity(cartan: np.ndarray) -> np.ndarray:
-        return (cartan[n_a:, n_a:] - np.eye(cartan.shape[0] - n_a)).ravel()
+    def right_block_identity(cartans: np.ndarray) -> np.ndarray:
+        return (cartans[:, n_a:, n_a:] - np.eye(n_b)).reshape(len(cartans), n_b * n_b)
 
     right_block_identity.constraint_name = "right_block_identity"
     left_factor = algebraic_subspace(pair, right_block_identity, label="left_factor")

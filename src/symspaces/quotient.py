@@ -26,7 +26,6 @@ from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
     _chart_verdicts,
-    _each,
     exp_chart_split,
     generate_integral,
     lts_of_subspace,
@@ -79,14 +78,15 @@ class FaithfulnessError(RuntimeError):
 class CongruenceRelation:
     """Equivalence relation on M induced by a normal integral subgroup.
 
-    ``relates`` answers in three values: True/False inside the normal-chart
-    domain of the discrepancy, ``None`` outside it.
+    ``relates(xs, ys)`` takes two equal-length lists of points and answers
+    for each pair in three values: True/False inside the normal-chart domain
+    of the discrepancy, ``None`` outside it.
     """
 
     pair: MatrixSymmetricPair
     l_algebra: LinearSubspace  # full-algebra coordinates
     n_minus: LinearSubspace  # g_minus coordinates
-    relates: Callable[[SymPoint, SymPoint], Optional[bool]]
+    relates: Callable[[list, list], list]
     label: str = ""
     sequence_probes: Optional[Callable[[], list]] = None
 
@@ -101,28 +101,29 @@ def normal_lts_is_ideal(n_space: ReflectionSubspace) -> bool:
 class ChartRelation:
     """``relates`` through the normal chart of the Cartan discrepancy.
 
-    Called on two points, it answers whether the log of the discrepancy of
-    their representatives lies in n, or None outside the log's domain.
-    :meth:`many` answers for pairs of points from a stacked inversion,
-    stacked logs and one row-wise ``contains_each``, and a single call is its
-    one-pair case.
+    Called on two lists of points, it answers for each pair whether the log
+    of the discrepancy of their representatives lies in n, or None outside
+    the log's domain, from :func:`_discrepancies`, stacked logs and one
+    row-wise ``contains_each``.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, n: LinearSubspace):
         self.pair = pair
         self.n = n
 
-    def __call__(self, x: SymPoint, y: SymPoint) -> Optional[bool]:
-        return self.many([x], [y])[0]
+    def __call__(self, xs: list, ys: list) -> list:
+        logs = log_points(self.pair, _discrepancies(self.pair, xs, ys))
+        return _chart_verdicts(self.n, logs, self.pair.tol)
 
-    def many(self, xs, ys) -> list:
-        xs, ys = list(xs), list(ys)
-        if not xs:
-            return []
-        pair = self.pair
-        gaps = np.linalg.inv(np.array([x.rep for x in xs])) @ np.array([y.rep for y in ys])
-        logs = log_points(pair, SymPoint.from_reps(pair, gaps))
-        return _chart_verdicts(self.n, logs, pair.tol)
+
+def _discrepancies(pair: MatrixSymmetricPair, xs: list, ys: list) -> list:
+    """The point of ``inv(x.rep) @ y.rep`` for each pair of points, from one
+    stacked inversion and one stacked product."""
+    if len(xs) != len(ys):
+        raise ValueError(f"unequal columns: {len(xs)} and {len(ys)} points")
+    n = pair.ambient_n
+    gaps = np.linalg.inv(np.array([x.rep for x in xs]).reshape(len(xs), n, n))
+    return SymPoint.from_reps(pair, gaps @ np.array([y.rep for y in ys]).reshape(len(ys), n, n))
 
 
 def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> CongruenceRelation:
@@ -149,10 +150,9 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
 class PointProjection:
     """The quotient projection on points, induced by Ad on g/l.
 
-    Called on a point, it projects that point.  :meth:`many` projects a
-    sequence in blocks of :attr:`block` points, whose ``matrix_coords``
-    right-hand side holds at most ``MAX_STACK_FLOATS``; each result is bit
-    for bit the single call.
+    Called on a list of points, it projects them in blocks of :attr:`block`
+    points, whose ``matrix_coords`` right-hand side holds at most
+    ``MAX_STACK_FLOATS``; each image is bit for bit the one-point call.
     """
 
     def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
@@ -162,11 +162,7 @@ class PointProjection:
         self.comp_mats = np.tensordot(comp, source.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
         self.block = max(1, MAX_STACK_FLOATS // max(1, self.comp_mats.size))
 
-    def __call__(self, x: SymPoint) -> SymPoint:
-        return self.many([x])[0]
-
-    def many(self, points) -> list:
-        points = list(points)
+    def __call__(self, points: list) -> list:
         if any(x.pair is not self.source for x in points):
             raise ValueError("point does not belong to the source pair")
         d_out, n = self.comp_mats.shape[0], self.source.ambient_n
@@ -187,7 +183,7 @@ class QuotientResult:
     """Quotient symmetric pair with its point and algebra projections."""
 
     quotient_pair: MatrixSymmetricPair
-    projection_points: Callable[[SymPoint], SymPoint]
+    projection_points: Callable[[list], list]  # a list of points -> their images
     projection_algebra: np.ndarray  # (quotient dim_minus, source dim_minus)
     l_algebra: LinearSubspace
     relation: CongruenceRelation
@@ -347,8 +343,7 @@ def weak_submersion_check(
     from stacked exponentials, its translations, products and point
     comparisons from one stacked call each, a :class:`PointProjection`
     projects them in blocks of its own and a :class:`ChartRelation` relates
-    them in one call per block (a projection or relation without ``many`` is
-    called point by point).
+    them in one call per block.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -388,7 +383,7 @@ def weak_submersion_check(
             xs[i] = x
         products = mu_points(xs, ys)
 
-        projected = list(_each(project, x0s + ys + [xs[i] for i in moved] + products))
+        projected = project(x0s + ys + [xs[i] for i in moved] + products)
         px0s, pys = projected[:count], projected[count:2 * count]
         pxs = list(px0s)
         for i, px in zip(moved, projected[2 * count:]):
@@ -396,7 +391,7 @@ def weak_submersion_check(
         pmus = projected[2 * count + len(moved):]
 
         morph_pass += sum(same_points(pmus, mu_points(pxs, pys)))
-        for related, same in zip(_each(qr.relation.relates, x0s, ys), same_points(px0s, pys)):
+        for related, same in zip(qr.relation.relates(x0s, ys), same_points(px0s, pys)):
             if related is not None:
                 rel_total += 1
                 rel_pass += int(related == same)
@@ -431,25 +426,20 @@ def relation_closure_check(
         wn = relation.n_minus.project(w) if relation.n_minus.dim else np.zeros(m)
         x = exp_point(pair, u)
         y = SymPoint.from_rep(pair, x.rep @ pair.exp(pair.minus_to_matrix(wn)))
-        if relation.relates(x, y) is False:
+        if relation.relates([x], [y]) == [False]:
             return {"ok": False, "witness": "constructed related pair rejected"}
         direction = pair.random_algebra_element(rng, 0.2)
-        eps = 0.2
-        for _ in range(steps):
-            g = pair.exp(eps * direction)
-            xi, yi = tau_action(pair, g, x), tau_action(pair, g, y)
-            if relation.relates(xi, yi) is False:
-                return {"ok": False, "witness": "tau translate left the relation"}
-            eps /= 2.0
-        if relation.relates(x, y) is False:
+        gs = [pair.exp(0.2 / 2.0**i * direction) for i in range(steps)]
+        if False in relation.relates([tau_action(pair, g, x) for g in gs], [tau_action(pair, g, y) for g in gs]):
+            return {"ok": False, "witness": "tau translate left the relation"}
+        if relation.relates([x], [y]) == [False]:
             return {"ok": False, "witness": "limit pair rejected"}
     if relation.sequence_probes is not None:
         for seq, limit in relation.sequence_probes():
-            for xi, yi in seq:
-                if relation.relates(xi, yi) is False:
-                    return {"ok": False, "witness": "probe sequence not inside the relation"}
+            if False in relation.relates([xi for xi, _ in seq], [yi for _, yi in seq]):
+                return {"ok": False, "witness": "probe sequence not inside the relation"}
             lx, ly = limit
-            if relation.relates(lx, ly) is not True:
+            if relation.relates([lx], [ly]) != [True]:
                 return {
                     "ok": False,
                     "witness": "limit of a related sequence escapes the relation",

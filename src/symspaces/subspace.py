@@ -79,26 +79,29 @@ class ProbeWitness:
 
 @dataclass(frozen=True, eq=False)
 class ReflectionSubspace:
-    """Pointed reflection subspace given by a membership predicate.
+    """Pointed reflection subspace given by a membership oracle.
 
-    ``kind`` selects how the candidate Lie triple system is linearized:
-    ``algebraic`` (nullspace of the constraint Jacobian at b), ``fixed_point``
-    (+1 eigenspace of an automorphism derivative), ``generated`` (the seed
-    itself) or ``preimage`` (pullback of the target subspace).
+    ``membership`` answers a block: it takes a list of points and returns a
+    list of True, False or None ("unknown"), one per point; :meth:`member`
+    is its one-point case.  ``kind`` selects how the candidate Lie triple
+    system is linearized: ``algebraic`` (nullspace of the constraint
+    Jacobian at b), ``fixed_point`` (+1 eigenspace of an automorphism
+    derivative), ``generated`` (the seed itself) or ``preimage`` (pullback
+    of the target subspace).
     """
 
     pair: MatrixSymmetricPair
-    membership: Callable[[SymPoint], Optional[bool]]
+    membership: Callable[[list], list]
     kind: str
     label: str = ""
     seed: Optional[LinearSubspace] = None  # g_minus coordinates
-    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    constraints: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (k, n, n) Cartan stack -> (k, r)
     automorphism: Optional[SymMorphism] = None
     backing: Optional[tuple] = None  # (SymMorphism, target ReflectionSubspace)
     probes: Optional[Callable[[float, Optional[LinearSubspace]], Sequence[ProbeWitness]]] = None
 
     def member(self, x: SymPoint) -> Optional[bool]:
-        return self.membership(x)
+        return self.membership([x])[0]
 
     def candidate_subspace(self) -> LinearSubspace:
         """Linearization of the subspace at the base point (uncertified)."""
@@ -124,11 +127,8 @@ class ReflectionSubspace:
                 raise ValueError("algebraic subspace without constraints")
             h = 1e-6
             steps = [s * e for e in np.eye(m) for s in (h, -h)]
-            values = [np.asarray(self.constraints(x.cartan), dtype=float) for x in exp_points(self.pair, steps)]
-            cols = [(fp - fm) / (2.0 * h) for fp, fm in zip(values[::2], values[1::2])]
-            jac = np.array(cols).T if cols else np.zeros((0, m))
-            if jac.ndim == 1:
-                jac = jac.reshape(1, -1)
+            values = _residuals(self.constraints, _cartan_stack(exp_points(self.pair, steps), self.pair.ambient_n))
+            jac = ((values[0::2] - values[1::2]) / (2.0 * h)).T
             # finite differences leave O(h^2) noise well above machine eps
             fd_tol = Tolerance(abs_eps=max(tol.abs_eps, 1e-8), rel_eps=max(tol.rel_eps, 1e-7))
             return LinearSubspace(m, nullspace(jac, fd_tol).T)
@@ -145,39 +145,44 @@ class ReflectionSubspace:
         return out
 
 
+def _cartan_stack(points: list, n: int) -> np.ndarray:
+    """The ``(k, n, n)`` stack of the points' Cartan matrices, ``k = 0`` included."""
+    return np.array([x.cartan for x in points]).reshape(len(points), n, n)
+
+
+def _residuals(constraints: Callable[[np.ndarray], np.ndarray], cartans: np.ndarray) -> np.ndarray:
+    """``constraints(cartans)``, which must be ``(k, r)`` residual rows."""
+    res = np.asarray(constraints(cartans), dtype=float)
+    if res.ndim != 2 or len(res) != len(cartans):
+        raise ValueError(f"constraints gave residuals of shape {res.shape} for {len(cartans)} Cartan matrices")
+    return res
+
+
 def algebraic_subspace(
     pair: MatrixSymmetricPair,
     constraints: Callable[[np.ndarray], np.ndarray],
     label: str = "",
-    membership: Optional[Callable[[SymPoint], Optional[bool]]] = None,
     probes=None,
 ) -> ReflectionSubspace:
     """Subspace cut out by polynomial constraints on the Cartan matrix.
 
-    The default membership accepts a point when the Frobenius norm of its
-    residual ``constraints(cartan)`` is at most ``pair.tol.threshold`` of
-    ``max(|cartan|, 1)``.  Its ``many`` calls ``constraints`` once per point
-    and takes the residual norms and the Cartan scales as two row-norm
-    stacks, so the residuals of the points of one call must share one shape
-    (ValueError otherwise); a single call is its one-point case.
+    ``constraints`` maps a ``(k, n, n)`` stack of Cartan matrices to their
+    ``(k, r)`` residual rows (ValueError on any other shape).  The
+    membership accepts a point when the Frobenius norm of its residual row
+    is at most ``pair.tol.threshold`` of ``max(|cartan|, 1)``: one
+    constraints call per block, then the residual norms and the Cartan
+    scales as two row-norm stacks.
     """
 
-    def many(points) -> list:
-        cartans = [x.cartan for x in points]
-        res = [np.asarray(constraints(c), dtype=float) for c in cartans]
-        if len({r.shape for r in res}) > 1:
-            raise ValueError("constraints give residuals of different shapes at the points of one call")
-        norms = _frobenius(np.array(res)).tolist()
-        scales = _frobenius(np.array(cartans)).tolist()
+    def membership(points: list) -> list:
+        cartans = _cartan_stack(points, pair.ambient_n)
+        norms = _frobenius(_residuals(constraints, cartans)).tolist()
+        scales = _frobenius(cartans).tolist()
         return [r <= pair.tol.threshold(max(s, 1.0)) for r, s in zip(norms, scales)]
 
-    def default_member(x: SymPoint) -> bool:
-        return many([x])[0]
-
-    default_member.many = many  # a block of points per call, for _each
     return ReflectionSubspace(
         pair=pair,
-        membership=membership or default_member,
+        membership=membership,
         kind="algebraic",
         label=label,
         constraints=constraints,
@@ -189,31 +194,26 @@ def fixed_point_subspace(pair: MatrixSymmetricPair, automorphism: SymMorphism, l
     """Fixed-point set of a pair automorphism (always a reflection subspace)."""
     if automorphism.source is not pair or automorphism.target is not pair:
         raise ValueError("automorphism must map the pair to itself")
-
-    def many(points) -> list:
-        points = list(points)
-        return same_points(automorphism.many(points), points)
-
-    def member(x: SymPoint) -> bool:
-        return many([x])[0]
-
-    member.many = many  # a block of points per call, for _each
     return ReflectionSubspace(
-        pair=pair, membership=member, kind="fixed_point", label=label, automorphism=automorphism
+        pair=pair,
+        membership=lambda points: same_points(automorphism.many(points), points),
+        kind="fixed_point",
+        label=label,
+        automorphism=automorphism,
     )
 
 
 def whole_space(pair: MatrixSymmetricPair) -> ReflectionSubspace:
-    def no_constraints(cartan: np.ndarray) -> np.ndarray:
-        return np.zeros(0)
+    def no_constraints(cartans: np.ndarray) -> np.ndarray:
+        return np.zeros((len(cartans), 0))
 
     no_constraints.constraint_name = "none"
     return algebraic_subspace(pair, no_constraints, label="whole_space")
 
 
 def base_only(pair: MatrixSymmetricPair) -> ReflectionSubspace:
-    def at_base(cartan: np.ndarray) -> np.ndarray:
-        return (cartan - np.eye(pair.ambient_n)).ravel()
+    def at_base(cartans: np.ndarray) -> np.ndarray:
+        return (cartans - np.eye(pair.ambient_n)).reshape(len(cartans), pair.ambient_n**2)
 
     at_base.constraint_name = "cartan_equals_identity"
     return algebraic_subspace(pair, at_base, label="base_only")
@@ -222,21 +222,17 @@ def base_only(pair: MatrixSymmetricPair) -> ReflectionSubspace:
 class ChartMembership:
     """Membership in the integral subspace generated by a seed, through the chart.
 
-    Called on a point, it answers whether the point's normal-chart preimage
-    lies in the seed, or None where :func:`log_point` raises ``ValueError``.
-    :meth:`many` answers for a sequence from stacked logs and one row-wise
-    ``contains_each``, and a single call is its one-point case.
+    Called on a list of points, it answers for each whether its normal-chart
+    preimage lies in the seed, or None where :func:`log_point` raises
+    ``ValueError``, from stacked logs and one row-wise ``contains_each``.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, seed: LinearSubspace):
         self.pair = pair
         self.seed = seed
 
-    def __call__(self, x: SymPoint) -> Optional[bool]:
-        return self.many([x])[0]
-
-    def many(self, points) -> list:
-        logs = [None if isinstance(v, ValueError) else v for v in _chart_logs(self.pair, list(points))]
+    def __call__(self, points: list) -> list:
+        logs = [None if isinstance(v, ValueError) else v for v in _chart_logs(self.pair, points)]
         return _chart_verdicts(self.seed, logs, self.pair.tol)
 
 
@@ -245,14 +241,6 @@ def _chart_verdicts(sub: LinearSubspace, logs: list, tol: Tolerance) -> list:
     live = [v for v in logs if v is not None]
     verdicts = iter(sub.contains_each(np.reshape(live, (len(live), sub.ambient_dim)), tol))
     return [None if v is None else next(verdicts) for v in logs]
-
-
-def _each(fn, *columns, one=None):
-    """``fn`` over the zipped columns: one ``fn.many`` call where ``fn`` has
-    one, otherwise a lazy map of ``one`` (default ``fn``), so a caller that
-    stops early stops calling."""
-    many = getattr(fn, "many", None)
-    return map(one or fn, *columns) if many is None else iter(many(*columns))
 
 
 def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> ReflectionSubspace:
@@ -276,16 +264,17 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
 
     The linearized candidate is certified on the documented exponential-ray
     grid (a definite non-member refutes it; "unknown" outside the chart does
-    not) and must pass is_subsystem on the ambient system.
+    not) and must pass is_subsystem on the ambient system.  The base point
+    and the rays are tested in one membership block; a base point outside
+    the subspace is reported first.
     """
     pair = n_space.pair
-    base = base_point(pair)
-    if n_space.member(base) is False:
-        raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
     cand = n_space.candidate_subspace()
     rays = [(v, t) for v in cand.onb() for t in CERTIFICATION_GRID]
-    points = exp_points(pair, [t * v for v, t in rays])
-    for (v, t), member in zip(rays, _each(n_space.membership, points, one=n_space.member)):
+    at_base, *members = n_space.membership([base_point(pair)] + exp_points(pair, [t * v for v, t in rays]))
+    if at_base is False:
+        raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
+    for (v, t), member in zip(rays, members):
         if member is False:
             raise CertificationError(
                 f"candidate ray failed membership at t={t}", witness=(v, t)
@@ -338,11 +327,6 @@ def _ball_samples(rng: np.random.Generator, basis: np.ndarray, radius: float, co
     return scale[:, None] * (u[:, None] @ basis)[:, 0]
 
 
-def _ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: float) -> np.ndarray:
-    """One sample of :func:`_ball_samples`."""
-    return _ball_samples(rng, basis, radius, 1)[0]
-
-
 def exp_chart_split(
     n_space: ReflectionSubspace,
     n: LinearSubspace,
@@ -374,7 +358,7 @@ def exp_chart_split(
         gaps = n.distances(ws).tolist()
         far = [i for i, gap in enumerate(gaps) if gap > 0.05 * radius]
         points = exp_points(pair, np.concatenate([inside, ws[far]]))
-        members = list(_each(n_space.membership, points, one=n_space.member))
+        members = n_space.membership(points)
         for v, member in zip(inside, members):
             if member is False:
                 violation = max(violation, float(np.linalg.norm(v)))
@@ -436,7 +420,7 @@ def split_complement_criterion(
     for start in range(0, len(kept), size):
         block = kept[start:start + size]
         points = exp_points(pair, ws[block])
-        for i, member in zip(block, _each(n_space.membership, points, one=n_space.member)):
+        for i, member in zip(block, n_space.membership(points)):
             if member is True:
                 rng.bit_generator.state = state
                 _ball_samples(rng, f_comp.onb(), radius, i + 1)
@@ -461,12 +445,9 @@ def preimage_subspace(f: SymMorphism, n2_space: ReflectionSubspace) -> Reflectio
         raise ValueError("target subspace is not pointed at f(b1)")
     n2 = lts_of_subspace(n2_space)
 
-    def member(x: SymPoint) -> Optional[bool]:
-        return n2_space.member(f(x))
-
     pre = ReflectionSubspace(
         pair=f.source,
-        membership=member,
+        membership=lambda points: n2_space.membership(f.many(points)),
         kind="preimage",
         label=f"preimage({n2_space.label})",
         backing=(f, n2),
@@ -518,10 +499,10 @@ def mu_closure_check(
     for start in range(0, samples, size):
         points = exp_points(pair, uv[2 * start:2 * (start + size)])
         xs, ys = points[0::2], points[1::2]
-        members = list(_each(n_space.membership, points, one=n_space.member))
+        members = n_space.membership(points)
         both = [i for i, (a, b) in enumerate(zip(members[0::2], members[1::2])) if a is True and b is True]
         products = mu_points([xs[i] for i in both], [ys[i] for i in both])
-        for i, member in zip(both, _each(n_space.membership, products, one=n_space.member)):
+        for i, member in zip(both, n_space.membership(products)):
             if member is False:
                 rng.bit_generator.state = state
                 _ball_samples(rng, basis, scale, 2 * (start + i + 1))

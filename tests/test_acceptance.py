@@ -199,9 +199,9 @@ def test_criterion_07_quotient_theorem_positive(product):
         if sample_rng.uniform() < 0.5:
             w[2:] = v[2:]
         x, y = exp_point(product.pair, v), exp_point(product.pair, w)
-        related = qr.relation.relates(x, y)
+        related = qr.relation.relates([x], [y])[0]
         assert related is not None
-        assert related == qr.projection_points(x).same(qr.projection_points(y))
+        assert related == qr.projection_points([x])[0].same(qr.projection_points([y])[0])
         related_count += int(related)
     assert 0 < related_count < 100
     _report(

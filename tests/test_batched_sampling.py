@@ -29,7 +29,6 @@ from symspaces.subspace import (
     CertificationError,
     ChartReport,
     ChartSplitError,
-    _ball_sample,
     _ball_samples,
     algebraic_subspace,
     base_only,
@@ -110,7 +109,7 @@ def oracle_ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: floa
 
 
 def oracle_algebraic_member(space, x: SymPoint) -> bool:
-    res = np.asarray(space.constraints(x.cartan), dtype=float)
+    res = np.asarray(space.constraints(x.cartan[None])[0], dtype=float)
     scale = max(float(np.linalg.norm(x.cartan)), 1.0)
     return float(np.linalg.norm(res)) <= space.pair.tol.threshold(scale)
 
@@ -155,7 +154,8 @@ def oracle_project(proj: PointProjection, x: SymPoint) -> SymPoint:
 def oracle_submersion(qr, rng, samples=100, project=None) -> dict:
     pair = qr.relation.pair
     tol = pair.tol
-    project = project or (lambda x: oracle_project(qr.projection_points, x))
+    block = project
+    project = (lambda x: block([x])[0]) if block else (lambda x: oracle_project(qr.projection_points, x))
     a = qr.projection_algebra
     m_out = qr.quotient_pair.dim_minus
     if a.size:
@@ -176,7 +176,7 @@ def oracle_submersion(qr, rng, samples=100, project=None) -> dict:
         px0, py = project(x0), project(y)
         px = project(x) if translated else px0
         morph_pass += int(project(mu(x, y)).same(mu(px, py)))
-        related = qr.relation.relates(x0, y)
+        related = qr.relation.relates([x0], [y])[0]
         if related is not None:
             rel_total += 1
             rel_pass += int(related == px0.same(py))
@@ -251,8 +251,8 @@ def oracle_algebraic_candidate(space) -> LinearSubspace:
     for i in range(m):
         e = np.zeros(m)
         e[i] = 1.0
-        fp = np.asarray(space.constraints(exp_point(pair, h * e).cartan), dtype=float)
-        fm = np.asarray(space.constraints(exp_point(pair, -h * e).cartan), dtype=float)
+        fp = np.asarray(space.constraints(exp_point(pair, h * e).cartan[None])[0], dtype=float)
+        fm = np.asarray(space.constraints(exp_point(pair, -h * e).cartan[None])[0], dtype=float)
         cols.append((fp - fm) / (2.0 * h))
     jac = np.array(cols).T if cols else np.zeros((0, m))
     if jac.ndim == 1:
@@ -341,12 +341,11 @@ class TestWeakSubmersionCheck:
         assert weak_submersion_check(qr, a, samples) == oracle_submersion(qr, b, samples), label
         assert same_state(a, b)
 
-    def test_plain_function_projection_is_called_per_point(self, quotients):
+    def test_a_plain_block_projection_matches_the_per_point_loop(self, quotients):
         label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
 
-        def squared(x):
-            rep = qr.projection_points(x).rep
-            return SymPoint.from_rep(qr.quotient_pair, rep @ rep)
+        def squared(points):
+            return [SymPoint.from_rep(qr.quotient_pair, px.rep @ px.rep) for px in qr.projection_points(points)]
 
         bad = dataclasses.replace(qr, projection_points=squared)
         a, b = rng_pair(0)
@@ -392,7 +391,7 @@ class TestExpChartSplit:
         # n-ball sample a violation: the witness is the last of them
         pair = models["sphere(2)"].pair
         space = generate_integral(LinearSubspace.full(2), pair)
-        refusing = dataclasses.replace(space, membership=lambda x: x.is_base())
+        refusing = dataclasses.replace(space, membership=lambda points: [x.is_base() for x in points])
         a, b = rng_pair(1)
         got = chart_outcome(lambda: exp_chart_split(refusing, LinearSubspace.full(2), rng=a, floor=0.2))
         want = chart_outcome(lambda: oracle_chart_split(refusing, LinearSubspace.full(2), b, floor=0.2))
@@ -427,9 +426,12 @@ class TestSplitComplementCriterion:
         def always_from(k):
             seen = []
 
-            def member(x):
-                seen.append(1)
-                return len(seen) >= k
+            def member(points):
+                out = []
+                for _ in points:
+                    seen.append(1)
+                    out.append(len(seen) >= k)
+                return out
 
             return dataclasses.replace(sub.subspace, membership=member)
 
@@ -450,7 +452,8 @@ class TestCertification:
     def test_same_first_certification_error(self, models, reach):
         space = models["product(sphere(2),sphere(2))"].subspace_by_name("left_factor").subspace
         short = dataclasses.replace(
-            space, membership=lambda x: float(np.linalg.norm(x.cartan - np.eye(x.cartan.shape[0]))) < reach
+            space,
+            membership=lambda points: [float(np.linalg.norm(x.cartan - np.eye(x.cartan.shape[0]))) < reach for x in points],
         )
         with pytest.raises(CertificationError) as got:
             lts_of_subspace(short)
@@ -478,8 +481,7 @@ class TestMuClosureCheck:
             assert mu_closure_check(space, a) is oracle_mu_closure(space, b), label
             assert same_state(a, b), label
 
-    @pytest.mark.parametrize("with_many", [False, True])
-    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, with_many, monkeypatch):
+    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, monkeypatch):
         # products reach about twice as far from the base as their factors:
         # a membership cut off at ``reach`` refutes closure after a varying
         # number of samples, or never
@@ -488,11 +490,9 @@ class TestMuClosureCheck:
         verdicts = set()
         for reach in (0.25, 0.3, 0.35, 0.45, 0.6, 1.5):
 
-            def near(x, reach=reach):
-                return float(np.linalg.norm(x.cartan - np.eye(x.cartan.shape[0]))) < reach
+            def near(points, reach=reach):
+                return [float(np.linalg.norm(x.cartan - np.eye(x.cartan.shape[0]))) < reach for x in points]
 
-            if with_many:
-                near.many = lambda points: [near(x) for x in points]
             short = dataclasses.replace(space, membership=near)
             a, b = rng_pair(5)
             got = mu_closure_check(short, a)
@@ -545,7 +545,7 @@ class TestBallSamples:
         basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5).onb()
         a, b = rng_pair(2)
         for _ in range(50):
-            assert same_bits(_ball_sample(a, basis, 0.7), oracle_ball_sample(b, basis, 0.7))
+            assert same_bits(_ball_samples(a, basis, 0.7, 1)[0], oracle_ball_sample(b, basis, 0.7))
         assert same_state(a, b)
 
 
@@ -561,14 +561,14 @@ ALGEBRAIC_MODELS = (
 )
 
 
-def upper_block_identity(cartan: np.ndarray) -> np.ndarray:
-    return cartan[:2, :2] - np.eye(2)  # a 2-D residual
+def upper_block_identity(cartans: np.ndarray) -> np.ndarray:
+    return (cartans[:, :2, :2] - np.eye(2)).reshape(len(cartans), 4)  # a 2x2 block per row
 
 
 @pytest.fixture(scope="module")
 def algebraic_cases():
     """(label, space, points) for every algebraic subspace of the catalog
-    models above, their whole space and base point, and a 2-D residual."""
+    models above, their whole space and base point, and a block residual."""
     out = []
     for spec in ALGEBRAIC_MODELS:
         model = parse_model(spec)
@@ -597,26 +597,29 @@ class TestAlgebraicMembership:
         verdicts = [oracle_algebraic_member(space, x) for _, space, points in algebraic_cases for x in points]
         assert True in verdicts and False in verdicts
 
-    def test_many_is_the_per_point_body(self, algebraic_cases):
+    def test_a_block_is_the_per_point_body(self, algebraic_cases):
         for label, space, points in algebraic_cases:
             want = [oracle_algebraic_member(space, x) for x in points]
-            assert space.membership.many(points) == want, label
+            assert space.membership(points) == want, label
             assert [space.member(x) for x in points] == want, label
-            assert space.membership.many([]) == []
+            assert space.membership([]) == []
 
-    def test_a_residual_shape_that_varies_within_one_call_raises(self, models):
+    @pytest.mark.parametrize(
+        "residuals",
+        [
+            lambda cartans: np.zeros((1, 2)),  # one row for any block
+            lambda cartans: np.zeros((len(cartans) + 1, 2)),
+            lambda cartans: np.zeros(len(cartans)),  # no residual axis
+            lambda cartans: np.zeros((len(cartans), 2, 2)),
+        ],
+    )
+    def test_residuals_that_are_not_one_row_per_point_raise(self, models, residuals):
         pair = models["spd(2)"].pair
-
-        def ragged(cartan):  # one entry at the base point, two elsewhere
-            return np.zeros(1 if np.array_equal(cartan, np.eye(2)) else 2)
-
-        space = algebraic_subspace(pair, ragged)
+        space = algebraic_subspace(pair, residuals)
         points = [base_point(pair), exp_point(pair, np.array([0.3, 0.0, 0.0]))]
-        for x in points:  # one point per call: each residual has one shape
-            assert space.member(x) is oracle_algebraic_member(space, x) is True
-        assert space.membership.many(points[1:] * 3) == [True] * 3
-        with pytest.raises(ValueError, match="residuals of different shapes"):
-            space.membership.many(points)
+        for call in (lambda: space.membership(points), space.candidate_subspace):
+            with pytest.raises(ValueError, match="constraints gave residuals of shape"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +723,12 @@ class TestPointProjection:
     def test_blocks_are_bit_identical_to_the_single_call(self, product_quotients, name, offset):
         proj = product_quotients[name].projection_points
         xs = self.points(proj.source, proj.block + offset)
-        got = proj.many(xs)
+        got = proj(xs)
         assert len(got) == len(xs)
         for x, px in zip(xs, got):
             want = oracle_project(proj, x)
             assert same_point(px, want)
-            assert same_point(proj(x), want)
+            assert same_point(proj([x])[0], want)
 
     def test_two_blocks_and_mixed_points(self, product_quotients):
         proj = product_quotients["left"].projection_points
@@ -733,17 +736,17 @@ class TestPointProjection:
         xs = self.points(pair, proj.block + 5, seed=3)
         xs[4] = mu(xs[2], xs[3])
         xs[-1] = base_point(pair)
-        for x, px in zip(xs, proj.many(xs)):
+        for x, px in zip(xs, proj(xs)):
             assert same_point(px, oracle_project(proj, x))
 
     def test_empty_sequence(self, product_quotients):
-        assert product_quotients["left"].projection_points.many([]) == []
+        assert product_quotients["left"].projection_points([]) == []
 
     def test_zero_dimensional_quotient(self, product_quotients):
         proj = product_quotients["full"].projection_points
         assert proj.comp.shape[0] == 0
         xs = self.points(proj.source, 3)
-        for x, px in zip(xs, proj.many(xs)):
+        for x, px in zip(xs, proj(xs)):
             assert same_point(px, oracle_project(proj, x))
             assert px.is_base()
 
@@ -754,7 +757,7 @@ class TestPointProjection:
         xs = self.points(proj.source, 2) + [stranger]
         with pytest.raises(ValueError) as want:
             oracle_project(proj, stranger)
-        for call in (lambda: proj.many(xs), lambda: proj(stranger)):
+        for call in (lambda: proj(xs), lambda: proj([stranger])):
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(want.value)

@@ -1,7 +1,7 @@
 """Each single-point operation is the one-element case of its stacked body.
 
 ``mat_exp`` on one matrix, ``exp_point``, ``SymPoint.from_rep``,
-``log_point`` and the single calls of ``ChartRelation`` and
+``log_point`` and the one-element blocks of ``ChartRelation`` and
 ``ChartMembership`` run their stacked paths on one element.  The oracles
 below are the separate single-point bodies they replace, kept verbatim up
 to naming (the 2-D ``mat_log`` oracle is ``test_stacked_chart``'s).  Every
@@ -318,9 +318,8 @@ class TestChartReaders:
         extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
         kinds = set()
         for x, y in zip(xs, ys):
-            got = outcome(relation, x, y)
+            got = outcome(lambda: relation([x], [y])[0])
             assert got == outcome(oracle_relates, pair, n, x, y, extra)
-            assert got == outcome(lambda: relation.many([x], [y])[0])
             kinds.add(got[0] if got[0] != "value" else got[1])
         assert {np.linalg.LinAlgError, None} <= kinds
         assert (ValueError in kinds) or not off_minus
@@ -337,9 +336,8 @@ class TestChartReaders:
         extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
         answers = []
         for x in points:
-            got = outcome(member, x)
+            got = outcome(lambda: member([x])[0])
             assert got == ("value", oracle_member(pair, member.seed, x, extra))
-            assert got == outcome(lambda: member.many([x])[0])
             answers.append(got[1])
         assert answers[-2:] == [None, None]
         assert (True in answers) != off_minus
@@ -350,7 +348,7 @@ class TestChartReaders:
         x, y = exp_points(pair, [0.1 * np.ones(m), -0.2 * np.ones(m)])
         member = generate_integral(LinearSubspace(m, np.eye(m)[:1]), pair).membership
         relation = ChartRelation(pair, LinearSubspace(m, np.eye(m)[:1]))
-        for call in (lambda: log_point(pair, x), lambda: member(x), lambda: relation(x, y)):
+        for call in (lambda: log_point(pair, x), lambda: member([x]), lambda: relation([x], [y])):
             calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
             call()
             assert [a.shape[0] for a, _ in calls] == [1]
@@ -358,10 +356,22 @@ class TestChartReaders:
 
 
 # ---------------------------------------------------------------------------
-# the samplers' one dispatch rule
+# the samplers call each membership once per block
 
 
-class TestMembershipDispatch:
+def counted_membership(space):
+    """``space`` with its membership wrapped to record the size of each block."""
+    blocks = []
+    original = space.membership
+
+    def counted(points):
+        blocks.append(len(points))
+        return original(points)
+
+    return dataclasses.replace(space, membership=counted), blocks
+
+
+class TestMembershipBlocks:
     def count_member_calls(self, monkeypatch):
         calls = []
         original = ReflectionSubspace.member
@@ -373,33 +383,32 @@ class TestMembershipDispatch:
         monkeypatch.setattr(ReflectionSubspace, "member", counted)
         return calls
 
-    def test_a_plain_membership_is_read_point_by_point_through_member(self, chart_models, monkeypatch):
+    def test_each_sampler_reads_one_block(self, chart_models, monkeypatch):
         pair = chart_models["spd(2)"].pair
         m = pair.dim_minus
-        algebraic = whole_space(pair)
-        # the algebraic membership has ``many``; a plain callable in its place has not
-        space = dataclasses.replace(algebraic, membership=lambda x: algebraic.membership(x))
+        space, blocks = counted_membership(whole_space(pair))
         calls = self.count_member_calls(monkeypatch)
         lts_of_subspace(space)
-        assert len(calls) == 1 + m * len(CERTIFICATION_GRID)  # the base point, then each ray
-        del calls[:]
+        assert blocks == [1 + m * len(CERTIFICATION_GRID)]  # the base point with every ray
+        del blocks[:]
         whole = LinearSubspace(m, np.eye(m))
         exp_chart_split(space, whole, rng=np.random.default_rng(0), samples=7, start_radius=0.5)
-        assert len(calls) == 7
-        del calls[:]
+        assert blocks == [7]
+        del blocks[:]
         line = LinearSubspace(m, np.eye(m)[:1])
         assert not split_complement_criterion(space, line, line.complement(), rng=np.random.default_rng(0), samples=9)
-        assert len(calls) == 1  # the first sample is a member, and the sampler stops there
+        assert blocks == [9]  # the first sample is a member; the block is not followed by another
+        assert calls == []  # no sampler goes through ``member``
 
-    def test_a_chart_membership_is_read_in_one_many_call(self, chart_models, monkeypatch):
+    def test_a_chart_membership_reads_the_base_point_with_the_grid(self, chart_models, monkeypatch):
         pair = chart_models["spd(2)"].pair
         m = pair.dim_minus
         space = generate_integral(LinearSubspace(m, np.eye(m)[:1]), pair)
         calls = self.count_member_calls(monkeypatch)
         batches = count_calls(monkeypatch, numkernel, "_mat_log_stack")
         lts_of_subspace(space)
-        assert len(calls) == 1  # only the base point
-        assert [a.shape[0] for a, _ in batches] == [1, len(CERTIFICATION_GRID)]
+        assert calls == []
+        assert [a.shape[0] for a, _ in batches] == [1 + len(CERTIFICATION_GRID)]
 
     @pytest.mark.parametrize(
         "spec,name",
@@ -414,8 +423,8 @@ class TestMembershipDispatch:
             ("product(sphere(2),spd(2))", "left_factor"),
         ],
     )
-    def test_catalog_memberships_are_read_in_one_many_call_per_block(self, spec, name, monkeypatch):
-        model = parse_model(spec)  # a fresh model: the spy below is on its membership
+    def test_catalog_memberships_are_read_in_one_call_per_block(self, spec, name, monkeypatch):
+        model = parse_model(spec)
         pair, m = model.pair, model.pair.dim_minus
         if name == "whole_space":
             space = whole_space(pair)
@@ -423,19 +432,10 @@ class TestMembershipDispatch:
             space = base_only(pair)
         else:
             space = model.subspace_by_name(name).subspace
-        blocks = []
-        original = space.membership.many
-
-        def counted(points):
-            points = list(points)
-            blocks.append(len(points))
-            return original(points)
-
-        monkeypatch.setattr(space.membership, "many", counted)
+        space, blocks = counted_membership(space)
         calls = self.count_member_calls(monkeypatch)
         n = lts_of_subspace(space)
-        assert len(calls) == 1  # only the base point
-        assert blocks == [n.dim * len(CERTIFICATION_GRID)]
+        assert blocks == [1 + n.dim * len(CERTIFICATION_GRID)]  # the base point with every ray
 
         del blocks[:]
         try:
@@ -453,7 +453,7 @@ class TestMembershipDispatch:
         del blocks[:]
         mu_closure_check(space, np.random.default_rng(0), samples=30)
         assert len(blocks) == 2 and blocks[0] == 60  # the samples, then the products of member pairs
-        assert len(calls) == 1
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -362,10 +362,10 @@ class TestChartRelation:
         m = pair.dim_minus
         relation = ChartRelation(pair, LinearSubspace(m, np.eye(m)[:1]))
         xs, ys = relation_points(pair, 21)
-        got = relation.many(xs, ys)
+        got = relation(xs, ys)
         want = [oracle_relates(relation, x, y) for x, y in zip(xs, ys)]
         assert got == want
-        assert got == [relation(x, y) for x, y in zip(xs, ys)]
+        assert got == [relation([x], [y])[0] for x, y in zip(xs, ys)]
         assert None in want or spec == "sphere(2)"
         assert True in want or False in want
 
@@ -379,12 +379,12 @@ class TestChartRelation:
         relation = ChartRelation(pair, LinearSubspace.zero(pair.dim_minus))
         xs, ys = relation_points(pair, 4, count=12)
         calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
-        relation.many(xs, ys)
+        relation(xs, ys)
         assert [len(args[0]) for args in calls] == [12]
 
     def test_empty(self, chart_models):
         pair = chart_models["spd(2)"].pair
-        assert ChartRelation(pair, LinearSubspace.zero(pair.dim_minus)).many([], []) == []
+        assert ChartRelation(pair, LinearSubspace.zero(pair.dim_minus))([], []) == []
 
     def test_one_row_wise_verdict_per_call(self, chart_models, monkeypatch):
         pair = chart_models["spd(2)"].pair
@@ -395,8 +395,8 @@ class TestChartRelation:
         calls = []
         real = LinearSubspace.contains_each
         monkeypatch.setattr(LinearSubspace, "contains_each", lambda sub, v, tol: calls.append(len(v)) or real(sub, v, tol))
-        relation.many(xs, ys)
-        member.many(xs + ys)
+        relation(xs, ys)
+        member(xs + ys)
         assert len(calls) == 2 and calls[0] <= 12 and calls[1] <= 24
 
     def test_error_is_raised_as_the_loop_raises_it(self, chart_models):
@@ -405,9 +405,9 @@ class TestChartRelation:
         xs, ys = relation_points(pair, 5, count=4)
         singular = SymPoint(pair, np.zeros((pair.ambient_n,) * 2), np.eye(pair.ambient_n))
         with pytest.raises(np.linalg.LinAlgError, match="Singular"):
-            relation(singular, ys[2])
+            relation([singular], [ys[2]])
         with pytest.raises(np.linalg.LinAlgError, match="Singular"):
-            relation.many(xs[:2] + [singular] + xs[3:], ys)
+            relation(xs[:2] + [singular] + xs[3:], ys)
 
 
 class TestChartMembership:
@@ -422,10 +422,10 @@ class TestChartMembership:
         vs = [r * rng.standard_normal(pair.dim_minus) for r in np.linspace(0.0, 1.3, 24)]
         vs += [t * np.eye(pair.dim_minus)[0] for t in (0.1, -0.4, 0.8)]
         points = exp_points(pair, vs)
-        got = member.many(points)
+        got = member(points)
         want = [oracle_member(pair, member.seed, x) for x in points]
         assert got == want
-        assert got == [member(x) for x in points]
+        assert got == [member([x])[0] for x in points]
         assert True in want and False in want
         assert None in want or spec == "sphere(2)"
 
@@ -433,17 +433,17 @@ class TestChartMembership:
         pair, other = chart_models["spd(2)"].pair, chart_models["sphere(2)"].pair
         member = generate_integral(LinearSubspace.zero(pair.dim_minus), pair).membership
         points = [base_point(pair), base_point(other), exp_point(pair, 0.1 * np.ones(pair.dim_minus))]
-        assert member.many(points) == [member(x) for x in points] == [True, None, False]
+        assert member(points) == [member([x])[0] for x in points] == [True, None, False]
 
     def test_empty(self, chart_models):
         pair = chart_models["spd(2)"].pair
-        assert generate_integral(LinearSubspace.zero(pair.dim_minus), pair).membership.many([]) == []
+        assert generate_integral(LinearSubspace.zero(pair.dim_minus), pair).membership([]) == []
 
 
 def per_point(space):
-    """The same subspace with its chart membership called one point at a time."""
+    """The same subspace with its chart membership called on one-point blocks."""
     member = space.membership
-    return dataclasses.replace(space, membership=lambda x: member(x))
+    return dataclasses.replace(space, membership=lambda points: [member([x])[0] for x in points])
 
 
 class TestSamplersOnBatchedMembership:
@@ -482,8 +482,8 @@ class TestSamplersOnBatchedMembership:
         space = generate_integral(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:2]), pair)
         calls = count_calls(monkeypatch, numkernel, "_mat_log_stack")
         lts_of_subspace(space)
-        # the base point's one-slice stack, then the whole ray grid in one stack
-        assert [len(args[0]) for args in calls] == [1, 2 * len(CERTIFICATION_GRID)]
+        # the base point and the whole ray grid in one stack
+        assert [len(args[0]) for args in calls] == [1 + 2 * len(CERTIFICATION_GRID)]
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ def oracle_fixed_member(automorphism, x):
     return oracle_same(oracle_image(automorphism, x), x)
 
 
-def test_fixed_point_membership_many_is_the_single_member(zoo):
+def test_fixed_point_membership_block_is_the_single_member(zoo):
     model = zoo["product(sphere(2),sphere(2))"]
     pair = model.pair
     swap = next(n.morphism for n in model.designated_morphisms if n.name == "swap")
@@ -384,9 +384,9 @@ def test_fixed_point_membership_many_is_the_single_member(zoo):
     points = exp_points(pair, vs)
     want = [oracle_fixed_member(swap, x) for x in points]
     assert True in want and False in want
-    assert space.membership.many(points) == want
+    assert space.membership(points) == want
     assert [space.member(x) for x in points] == want
-    assert space.membership.many([]) == []
+    assert space.membership([]) == []
 
 
 def test_certification_grid_takes_one_image_call(zoo, monkeypatch):
@@ -401,5 +401,5 @@ def test_certification_grid_takes_one_image_call(zoo, monkeypatch):
 
     monkeypatch.setattr(SymMorphism, "many", counted)
     cand = lts_of_subspace(space)
-    # the base point, then every ray of the grid in one block
-    assert sizes == [1, 8 * cand.dim]
+    # the base point and every ray of the grid in one block
+    assert sizes == [1 + 8 * cand.dim]

@@ -44,8 +44,8 @@ class TestLtsOfSubspace:
         pair = sphere.pair
         ident = sphere.designated_morphisms[0].morphism
 
-        def only_base(x):
-            return x.is_base()
+        def only_base(points):
+            return [x.is_base() for x in points]
 
         fake = ReflectionSubspace(
             pair=pair, membership=only_base, kind="fixed_point",
@@ -264,8 +264,8 @@ class TestPreimageAndKernel:
     def test_not_pointed_rejected(self, product, sphere):
         diag = next(m for m in product.designated_morphisms if m.name == "diag_embed").morphism
 
-        def never(x):
-            return False
+        def never(points):
+            return [False] * len(points)
 
         unpointed = ReflectionSubspace(
             pair=product.pair, membership=never, kind="generated",
