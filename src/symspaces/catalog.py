@@ -38,6 +38,9 @@ __all__ = [
 MODEL_NAMES = ("sphere", "spd", "grassmann", "torus_abelian", "product")
 
 SQRT2 = math.sqrt(2.0)
+# The lattice search of the torus relation: two points are related when a
+# shift within this winding brings their discrepancy within thresh of the line.
+TORUS_RELATION_GRID = {"winding": 200000, "thresh": 1e-8}
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +229,6 @@ class TorusLattice:
             ang.append(0.5 * math.atan2(c[i + 1, i], c[i, i]))
         return tuple(ang)
 
-    def member_float(self, point: SymPoint, winding: int = 64, thresh: float = 1e-9) -> bool:
-        return self.members_float([point], winding, thresh)[0]
-
     def members_float(self, points, winding: int = 64, thresh: float = 1e-9) -> list:
         """Float membership of each point: some lattice shift ``a`` in
         ``[-winding, winding]`` brings ``s*(w1 + pi*a) - w2`` within ``thresh``
@@ -401,7 +401,7 @@ def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> Congrue
     l_full = pair.minus_subspace_to_full(n)
 
     def relates(xs: list, ys: list) -> list:
-        return lattice.members_float(_discrepancies(pair, xs, ys), winding=200000, thresh=1e-8)
+        return lattice.members_float(_discrepancies(pair, xs, ys), **TORUS_RELATION_GRID)
 
     def sequence_probes():
         target = 0.15

@@ -120,8 +120,8 @@ class LinearSubspace:
         return float(self.distances(v)[0])
 
     def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Whether ``v`` lies in the subspace: its distance is at most
-        ``tol.threshold(max(|v|, 1))``."""
+        """Whether ``v`` lies in the subspace: ``tol.verdicts`` of its distance
+        at the scale ``max(|v|, 1)``."""
         return self.contains_each(v, tol)[0]
 
     def _rows(self, vectors) -> np.ndarray:
@@ -146,7 +146,7 @@ class LinearSubspace:
         """:meth:`contains` of each row of ``vectors``, bit for bit, as a list of bools."""
         v = self._rows(vectors)
         scale = np.maximum(_frobenius(v), 1.0)
-        return (self.distances(v) <= tol.abs_eps + tol.rel_eps * scale).tolist()
+        return tol.verdicts(self.distances(v), scale).tolist()
 
     def contains_all(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True iff every row lies in the subspace, each by the test of :meth:`contains`."""
@@ -217,7 +217,7 @@ class LtsAxiomReport:
         return max(self.antisymmetry, self.cyclic, self.derivation)
 
     def passed(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.max_residual <= tol.abs_eps
+        return bool(tol.verdicts(self.max_residual, 0.0))
 
     def as_dict(self) -> dict:
         return {
@@ -311,9 +311,8 @@ def is_ideal(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
     is inconsistent and a :class:`VerificationError` is raised.
     """
     rep = ideal_report(m, n, tol)
-    cut = tol.threshold()
-    primary = rep["n_m_m"] <= cut
-    if primary and (rep["m_n_m"] > cut or rep["m_m_n"] > cut):
+    primary, *consequences = tol.verdicts([rep["n_m_m"], rep["m_n_m"], rep["m_m_n"]], 1.0).tolist()
+    if primary and not all(consequences):
         raise VerificationError(f"ideal consequence slots failed: {rep}")
     return primary
 
@@ -375,7 +374,7 @@ class LtsMorphism:
 
     def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         scale = max(float(np.linalg.norm(self.matrix)) ** 3, 1.0)
-        return self.residual() <= tol.threshold(scale)
+        return bool(tol.verdicts(self.residual(), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +486,7 @@ def standard_embedding(
         flat = mat.reshape(-1)
         coords = p @ flat
         resid = float(np.linalg.norm(flat - p.T @ coords))
-        if resid > tol.threshold(max(np.linalg.norm(flat), 1.0)):
+        if not tol.verdicts(resid, max(np.linalg.norm(flat), 1.0)):
             raise VerificationError("operator escapes the inner-derivation span")
         return coords
 
@@ -557,7 +556,7 @@ def _check_minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance
     # triple bracket must land back in g_minus
     coords = vals @ q.T
     resid = float(np.max(np.abs(vals - coords @ q))) if vals.size else 0.0
-    if resid > tol.threshold(max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)):
+    if not tol.verdicts(resid, max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)):
         raise VerificationError("triple bracket leaves the (-1)-eigenspace")
     n_m = _minus_coords_subspace(g, n, q)
     return q, n_m, is_ideal(LieTripleSystem(k, coords.reshape((k,) * 4)), n_m, tol)

@@ -1,7 +1,8 @@
 """Dense small-matrix kernel: exp, principal log, nullspace, rank.
 
-All approximate comparisons in the package route through a single
-:class:`Tolerance` so numeric decisions stay uniform and auditable.
+Every tolerance verdict in the package is a :meth:`Tolerance.verdicts`
+call, the one comparison of residuals with their bounds, so numeric
+decisions stay uniform and auditable.
 Matrices are plain float64 ``numpy`` arrays; ``as_matrix`` is the single
 entry point that enforces finiteness.
 """
@@ -47,8 +48,15 @@ class Tolerance:
         if not (0 < self.abs_eps < np.inf and 0 < self.rel_eps < np.inf):
             raise ValueError("tolerances must be finite and strictly positive")
 
-    def threshold(self, scale: float = 1.0) -> float:
-        return float(self.abs_eps + self.rel_eps * abs(scale))
+    def _bounds(self, scales):
+        # the bound of each scale: abs_eps, plus rel_eps times its magnitude
+        return self.abs_eps + self.rel_eps * np.abs(scales)
+
+    def verdicts(self, residuals, scales) -> np.ndarray:
+        """Whether each residual is at most the bound of its scale (NaN fails), broadcast
+        to a boolean array; the float64 bound and ``<=`` are bit for bit the test on
+        Python floats, so one call per block gives the per-residual verdicts."""
+        return np.less_equal(residuals, self._bounds(scales))
 
     def close(self, a: np.ndarray, b: np.ndarray) -> bool:
         a = np.asarray(a, dtype=float)
@@ -56,16 +64,7 @@ class Tolerance:
         if a.shape != b.shape:
             return False
         scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1.0)
-        return float(np.linalg.norm(a - b)) <= self.threshold(scale)
-
-    def close_slices(self, a: np.ndarray, b: np.ndarray) -> list:
-        """``close(a[i], b[i])`` for each slice of two ``(k, n, m)`` float stacks of one shape, bit for bit."""
-        norms = zip(_frobenius(a).tolist(), _frobenius(b).tolist(), _frobenius(a - b).tolist())
-        return [d <= self.threshold(max(na, nb, 1.0)) for na, nb, d in norms]
-
-    def is_zero(self, a: np.ndarray, scale: float = 1.0) -> bool:
-        a = np.asarray(a, dtype=float)
-        return float(np.linalg.norm(a)) <= self.threshold(scale)
+        return bool(self.verdicts(float(np.linalg.norm(a - b)), scale))
 
 
 DEFAULT_TOL = Tolerance()
@@ -190,8 +189,7 @@ def _sqrt_denman_beavers(a: np.ndarray, tol: Tolerance) -> np.ndarray:
         yl, zl = (y, z) if on is None else (y[on], z[on])
         y_next = 0.5 * (yl + np.linalg.inv(zl))
         z_next = 0.5 * (zl + np.linalg.inv(yl))
-        deltas = _frobenius(y_next - yl).tolist()
-        going = [not d <= tol.threshold(s) * 0.01 for d, s in zip(deltas, _frobenius(y_next).tolist())]
+        going = (~(_frobenius(y_next - yl) <= tol._bounds(_frobenius(y_next)) * 0.01)).tolist()
         if on is None:
             y, z = y_next, z_next
         else:
@@ -203,8 +201,8 @@ def _sqrt_denman_beavers(a: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _still(going: list, on):
-    # the slices still iterating after a step on ``on`` (None: all of them);
-    # the per-slice tests run on Python floats, which round as float64 does
+    # the slices still iterating after a step on ``on`` (None: all of them),
+    # from one bool per slice of ``on``
     if all(going):
         return on
     kept = [i for i, g in enumerate(going) if g]
@@ -289,8 +287,7 @@ def _svd_cut(a: np.ndarray, tol: Tolerance):
     if a.shape[0] == 0 or a.shape[1] == 0:
         return np.zeros(0), np.zeros((a.shape[1], 0)), 0
     u, sing, vt = np.linalg.svd(a)
-    cut = tol.abs_eps + tol.rel_eps * (sing[0] if sing.size else 0.0)
-    rank = int(np.sum(sing > cut))
+    rank = int(np.sum(~tol.verdicts(sing, sing[0])))  # the singular values not taken for zero
     return sing, vt, rank
 
 
@@ -303,7 +300,7 @@ def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
 def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal kernel basis as the columns of an ``(n, k)`` array.
 
-    Singular values below ``abs_eps + rel_eps * sigma_max`` count as zero;
+    Singular values within the tolerance at scale ``sigma_max`` count as zero;
     ``k = n - numerical_rank(a)``.  An empty matrix (no rows) has full kernel.
     """
     a = as_matrix(a)

@@ -168,17 +168,16 @@ def algebraic_subspace(
 
     ``constraints`` maps a ``(k, n, n)`` stack of Cartan matrices to their
     ``(k, r)`` residual rows (ValueError on any other shape).  The
-    membership accepts a point when the Frobenius norm of its residual row
-    is at most ``pair.tol.threshold`` of ``max(|cartan|, 1)``: one
-    constraints call per block, then the residual norms and the Cartan
-    scales as two row-norm stacks.
+    membership accepts a point when ``pair.tol.verdicts`` passes the
+    Frobenius norm of its residual row at the scale ``max(|cartan|, 1)``:
+    one constraints call and one verdicts call per block, on two row-norm
+    stacks.
     """
 
     def membership(points: list) -> list:
         cartans = _cartan_stack(points, pair.ambient_n)
-        norms = _frobenius(_residuals(constraints, cartans)).tolist()
-        scales = _frobenius(cartans).tolist()
-        return [r <= pair.tol.threshold(max(s, 1.0)) for r, s in zip(norms, scales)]
+        norms = _frobenius(_residuals(constraints, cartans))
+        return pair.tol.verdicts(norms, np.maximum(_frobenius(cartans), 1.0)).tolist()
 
     return ReflectionSubspace(
         pair=pair,
@@ -341,7 +340,8 @@ def exp_chart_split(
     subspace (if any) refute radii that sampling alone cannot.  The radius
     halves on failure; hitting the floor raises :class:`ChartSplitError`.
     Each radius draws its samples as one stack and exponentiates them in
-    one stacked call; the membership tests them in one more.
+    one stacked call; the membership tests them in one more, and the probe
+    gaps take one ``tol.verdicts`` call.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -368,13 +368,13 @@ def exp_chart_split(
                 violation = max(violation, gaps[i])
                 witness = ws[i]
         if n_space.probes is not None:
-            for probe in n_space.probes(radius, None):
-                w = np.asarray(probe.vector, dtype=float)
-                if np.linalg.norm(w) <= radius:
-                    gap = n.distance(w)
-                    if gap > pair.tol.threshold(1.0):
-                        violation = max(violation, gap)
-                        witness = w
+            vectors = (np.asarray(p.vector, dtype=float) for p in n_space.probes(radius, None))
+            probes = [w for w in vectors if np.linalg.norm(w) <= radius]
+            probe_gaps = [n.distance(w) for w in probes]
+            for w, gap, ok in zip(probes, probe_gaps, pair.tol.verdicts(probe_gaps, 1.0).tolist()):
+                if not ok:
+                    violation = max(violation, gap)
+                    witness = w
 
         history.append((radius, violation))
         if violation == 0.0:
@@ -426,10 +426,9 @@ def split_complement_criterion(
                 _ball_samples(rng, f_comp.onb(), radius, i + 1)
                 return False
     if n_space.probes is not None:
-        for probe in n_space.probes(radius, f_comp):
-            w = np.asarray(probe.vector, dtype=float)
-            if 1e-12 < np.linalg.norm(w) <= radius and f_comp.distance(w) <= pair.tol.threshold(1.0):
-                return False
+        vectors = (np.asarray(p.vector, dtype=float) for p in n_space.probes(radius, f_comp))
+        probes = [w for w in vectors if 1e-12 < np.linalg.norm(w) <= radius]
+        return not pair.tol.verdicts([f_comp.distance(w) for w in probes], 1.0).any()
     return True
 
 

@@ -139,17 +139,14 @@ def _coords_each(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Toleran
 
     Each row is its own ``(1, n*n) @ (n*n, d)`` product with the pseudo-inverse
     ``pinv``, so a row is bit for bit the one-matrix stack.  Each matrix must
-    pass its own residual test ``tol.threshold(max(|x|, 1))``, or its error is
-    ``"matrix <outside> (residual ...)"``.
+    pass its residual test, ``tol.verdicts`` at the scale ``max(|x|, 1)`` in one
+    call for the stack, or its error is ``"matrix <outside> (residual ...)"``.
     """
     k, n = x.shape[0], x.shape[-1]
     coords = (x.reshape(k, 1, n * n) @ pinv)[:, 0]
-    resid = _frobenius(_combine(coords, mats, "") - x).tolist()
-    scale = _frobenius(x).tolist()
-    errors = [
-        None if r <= tol.threshold(max(s, 1.0)) else ValueError(f"matrix {outside} (residual {r:.2e})")
-        for r, s in zip(resid, scale)
-    ]
+    resid = _frobenius(_combine(coords, mats, "") - x)
+    ok = tol.verdicts(resid, np.maximum(_frobenius(x), 1.0)).tolist()
+    errors = [None if good else ValueError(f"matrix {outside} (residual {r:.2e})") for good, r in zip(ok, resid)]
     return coords, errors
 
 
@@ -172,7 +169,7 @@ class MatrixSymmetricPair:
         object.__setattr__(self, "minus_mats", minus)
         signs = np.concatenate([np.ones(len(plus)), -np.ones(len(minus))])[:, None, None]
         eig = _max_norm(self.sigma.derivative(self.basis_mats) - signs * self.basis_mats)
-        if eig > self.tol.threshold(10.0):
+        if not self.tol.verdicts(eig, 10.0):
             raise ValueError(f"basis matrices are not theta eigenvectors (residual {eig:.2e})")
 
     # -- coordinates ------------------------------------------------------
@@ -474,7 +471,7 @@ class PairMorphism:
         off_up = a[: self.target.dim_plus, self.source.dim_plus :]
         off_lo = a[self.target.dim_plus :, : self.source.dim_plus]
         off = np.linalg.norm(off_up) + np.linalg.norm(off_lo) if a.size else 0.0
-        if off > self.source.tol.threshold(max(np.linalg.norm(a), 1.0)):
+        if not self.source.tol.verdicts(off, max(np.linalg.norm(a), 1.0)):
             raise VerificationError("algebra map does not respect the eigensplit")
         return block
 

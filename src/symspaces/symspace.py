@@ -182,10 +182,14 @@ def cartan_distances(xs, ys) -> list:
 
 
 def same_points(xs, ys) -> list:
-    """``x.same(y)`` of each pair of points, bit for bit, from stacked norms;
-    all points must live over one pair."""
+    """``x.same(y)`` of each pair of points, bit for bit, from stacked norms and
+    one ``tol.verdicts`` call; all points must live over one pair."""
     xs, ys = _columns(xs, ys)
-    return xs[0].pair.tol.close_slices(_cartans(xs), _cartans(ys)) if xs else []
+    if not xs:
+        return []
+    a, b = _cartans(xs), _cartans(ys)
+    scales = np.maximum(np.maximum(_frobenius(a), _frobenius(b)), 1.0)
+    return xs[0].pair.tol.verdicts(_frobenius(a - b), scales).tolist()
 
 
 def base_point(pair: MatrixSymmetricPair) -> SymPoint:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from symspaces import catalog, numkernel, quotient, subspace
-from symspaces.catalog import TorusLattice, parse_model
+from symspaces.catalog import TORUS_RELATION_GRID, TorusLattice, parse_model
 from symspaces.cli import main
 from symspaces.lts import LinearSubspace, is_subsystem
 from symspaces.numkernel import Tolerance, nullspace
@@ -111,7 +111,8 @@ def oracle_ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: floa
 def oracle_algebraic_member(space, x: SymPoint) -> bool:
     res = np.asarray(space.constraints(x.cartan[None])[0], dtype=float)
     scale = max(float(np.linalg.norm(x.cartan)), 1.0)
-    return float(np.linalg.norm(res)) <= space.pair.tol.threshold(scale)
+    tol = space.pair.tol
+    return float(np.linalg.norm(res)) <= tol.abs_eps + tol.rel_eps * abs(scale)
 
 
 def oracle_member_float(lattice: TorusLattice, point: SymPoint, winding: int = 64, thresh: float = 1e-9) -> bool:
@@ -214,7 +215,7 @@ def oracle_chart_split(n_space, n, rng, samples=40, start_radius=1.0, floor=1e-3
                 w = np.asarray(probe.vector, dtype=float)
                 if np.linalg.norm(w) <= radius:
                     gap = n.distance(w)
-                    if gap > pair.tol.threshold(1.0):
+                    if gap > pair.tol.abs_eps + pair.tol.rel_eps * 1.0:
                         violation = max(violation, gap)
                         witness = w
         history.append((radius, violation))
@@ -239,7 +240,7 @@ def oracle_split_complement(n_space, n, f_comp, rng, samples=200, radius=0.5) ->
     if n_space.probes is not None:
         for probe in n_space.probes(radius, f_comp):
             w = np.asarray(probe.vector, dtype=float)
-            if 1e-12 < np.linalg.norm(w) <= radius and f_comp.distance(w) <= pair.tol.threshold(1.0):
+            if 1e-12 < np.linalg.norm(w) <= radius and f_comp.distance(w) <= pair.tol.abs_eps + pair.tol.rel_eps * 1.0:
                 return False
     return True
 
@@ -651,7 +652,7 @@ class TestLatticeMembership:
             for thresh in (1e-9, 1e-8):
                 want = [oracle_member_float(lattice, x, winding, thresh) for x in points]
                 assert lattice.members_float(points, winding, thresh) == want, label
-                assert [lattice.member_float(x, winding, thresh) for x in points] == want, label
+                assert [lattice.members_float([x], winding, thresh)[0] for x in points] == want, label
                 verdicts.update(want)
         assert verdicts == {True, False}
         assert lattice_points[0][1].members_float([]) == []
@@ -682,14 +683,14 @@ class TestLatticeMembership:
         def peak(pts):
             tracemalloc.start()
             try:
-                got = lattice.members_float(pts, winding=200000, thresh=1e-8)
+                got = lattice.members_float(pts, **TORUS_RELATION_GRID)
                 return got, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         _, one = peak(points[:1])
         got, several = peak(points[:6])
-        assert got == [oracle_member_float(lattice, x, 200000, 1e-8) for x in points[:6]]
+        assert got == [oracle_member_float(lattice, x, **TORUS_RELATION_GRID) for x in points[:6]]
         assert several < 1.5 * one  # no (6, 400001) temporary
 
 

@@ -12,8 +12,9 @@ replace, kept verbatim up to naming.
 import numpy as np
 import pytest
 
-from symspaces.catalog import parse_model
+from symspaces.catalog import TORUS_RELATION_GRID, parse_model
 from symspaces.lts import LinearSubspace
+from symspaces.numkernel import Tolerance
 from symspaces.quotient import congruence_from_ideal, quotient_theorem_pipeline
 from symspaces.subspace import (
     base_only,
@@ -23,7 +24,7 @@ from symspaces.subspace import (
     preimage_subspace,
     whole_space,
 )
-from symspaces.symspace import SymPoint, base_point, exp_point, exp_points, tau_action
+from symspaces.symspace import SymPoint, base_point, exp_point, exp_points, same_points, tau_action
 
 
 def same_bits(a, b) -> bool:
@@ -238,7 +239,7 @@ def test_columns_of_unequal_length_raise(relations, name):
 def oracle_line_relates(lattice, pair, x, y):
     d = np.linalg.inv(x.rep) @ y.rep
     point = SymPoint.from_rep(pair, d)
-    return lattice.member_float(point, winding=200000, thresh=1e-8)
+    return lattice.members_float([point], **TORUS_RELATION_GRID)[0]
 
 
 def test_line_relation_block_is_the_per_pair_body(relations):
@@ -269,3 +270,40 @@ def test_a_projection_block_is_its_one_point_blocks(ideal):
         (one,) = project([x])
         assert px.pair is one.pair and same_bits(px.rep, one.rep) and same_bits(px.cartan, one.cartan)
     assert project([]) == []
+
+
+# ---------------------------------------------------------------------------
+# one tolerance decision per block
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_block_takes_one_verdicts_call(monkeypatch, k):
+    # a per-row loop over the block would make k calls, each on one residual
+    spd = parse_model("spd(2)")
+    pair = spd.pair
+    rng = np.random.default_rng(k)
+    xs = exp_points(pair, 0.3 * rng.standard_normal((k, pair.dim_minus)))
+    ys = exp_points(pair, 0.3 * rng.standard_normal((k, pair.dim_minus)))
+    algebra = pair.to_matrix(rng.standard_normal((k, pair.dim)))
+    line = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
+    vectors = rng.standard_normal((k, pair.dim_minus))
+    diagonal = spd.subspace_by_name("diagonal").subspace
+    assert diagonal.kind == "algebraic"
+
+    calls = []
+    verdicts = Tolerance.verdicts
+
+    def counted(self, residuals, scales):
+        calls.append(np.shape(residuals))
+        return verdicts(self, residuals, scales)
+
+    monkeypatch.setattr(Tolerance, "verdicts", counted)
+    for label, decide in (
+        ("_coords_each", lambda: pair.matrix_coords(algebra)),
+        ("same_points", lambda: same_points(xs, ys)),
+        ("algebraic membership", lambda: diagonal.membership(xs)),
+        ("contains_each", lambda: line.contains_each(vectors)),
+    ):
+        del calls[:]
+        decide()
+        assert calls == [(k,)], label

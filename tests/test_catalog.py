@@ -147,19 +147,19 @@ class TestTorusLattice:
         pair = torus.pair
         p, q, delta = pell_convergents(4)[3]  # 17/12
         point = exp_point(pair, np.array([0.0, math.pi * delta]))
-        assert lat.member_float(point, winding=q) is True
-        assert lat.member_float(point, winding=5) is False
+        assert lat.members_float([point], winding=q)[0] is True
+        assert lat.members_float([point], winding=5)[0] is False
 
     def test_random_point_is_not_member(self, torus, rng):
         lat = torus.extras["lattice"]
         point = exp_point(torus.pair, np.array([0.37, 0.41]))
-        assert lat.member_float(point) is False
+        assert lat.members_float([point])[0] is False
 
     def test_line_points_on_line_at_zero_winding(self, torus):
         lat = torus.extras["lattice"]
         s = lat.slope
         point = exp_point(torus.pair, 0.2 * np.array([1.0, s]) / math.hypot(1.0, s))
-        assert lat.member_float(point, winding=0) is True
+        assert lat.members_float([point], winding=0)[0] is True
 
     def test_chart_witnesses_certified_and_small(self, torus):
         lat = torus.extras["lattice"]

@@ -23,8 +23,10 @@ tensor; the ball samples, the algebraic membership and the split-complement
 filter take them through ``numkernel._frobenius`` of stacks of any rank,
 empty ones included.  ``random_element`` draws its rows
 for a whole stack with one ``standard_normal((k, d))``, which must be ``k``
-sequential draws.  If a numpy upgrade breaks any of these facts, this test
-fails, not the report bytes.
+sequential draws.  ``Tolerance.verdicts`` decides a whole block with one
+float64 bound and ``<=``, which must be the Python-float test of each
+residual.  If a numpy upgrade breaks any of these facts, this test fails,
+not the report bytes.
 """
 
 import numpy as np
@@ -147,3 +149,36 @@ def test_a_stacked_normal_draw_is_the_sequential_draws():
         stacked = np.random.default_rng(7).standard_normal((25, d))
         rng = np.random.default_rng(7)
         assert same_bits(stacked, np.array([rng.standard_normal(d) for _ in range(25)]).reshape(25, d))
+
+
+def test_verdicts_are_the_python_float_test():
+    """Every tolerance verdict of the package is one ``Tolerance.verdicts`` call
+    on a block, where each site once compared one residual at a time on Python
+    floats.  That refactor keeps every verdict, and every report byte, only
+    because a float64 ``abs_eps + rel_eps * |s|`` followed by ``r <= t`` is bit
+    for bit ``r <= abs_eps + rel_eps * abs(s)`` on Python floats: exact ties,
+    zero scales, scales from 1e-13 to 1e13, and NaN residuals, which fail.
+    """
+    rng = np.random.default_rng(20261025)
+    for tol in (numkernel.Tolerance(), numkernel.Tolerance(1e-8, 1e-7), numkernel.Tolerance(3.7e-11, 2.9e-6)):
+        scales = np.concatenate([
+            rng.standard_normal(4000) * 10.0 ** rng.uniform(-13, 13, size=4000),  # signed, as |s| takes them
+            np.zeros(50),
+            10.0 ** np.arange(-13, 14),
+            [1.0, -1.0, 10.0],
+        ])
+        bounds = [tol.abs_eps + tol.rel_eps * abs(s) for s in scales.tolist()]
+        ties = np.array(bounds)
+        residuals = np.concatenate([
+            ties * rng.uniform(0.0, 2.0, size=len(ties)),  # random pairs on both sides of the bound
+            ties,  # exact ties pass
+            np.nextafter(ties, np.inf),  # one ulp above fails
+            np.nextafter(ties, 0.0),
+            np.full(len(ties), np.nan),  # NaN fails
+        ])
+        scales = np.tile(scales, 5)
+        want = [r <= tol.abs_eps + tol.rel_eps * abs(s) for r, s in zip(residuals.tolist(), scales.tolist())]
+        got = tol.verdicts(residuals, scales)
+        assert got.dtype == bool and got.tolist() == want
+        assert [bool(tol.verdicts(r, s)) for r, s in zip(residuals[:200].tolist(), scales[:200].tolist())] == want[:200]
+        assert not any(want[-len(ties):]) and all(want[len(ties):2 * len(ties)])

@@ -76,7 +76,7 @@ def oracle_sqrt(a, tol):
         z_next = 0.5 * (z + np.linalg.inv(y))
         delta = np.linalg.norm(y_next - y)
         y, z = y_next, z_next
-        if delta <= tol.threshold(np.linalg.norm(y)) * 0.01:
+        if delta <= (tol.abs_eps + tol.rel_eps * abs(float(np.linalg.norm(y)))) * 0.01:
             break
     return y
 
@@ -325,7 +325,7 @@ class TestContainsEach:
     def oracle_contains(self, sub, v, tol):
         # the former per-vector body of LinearSubspace.contains
         v = np.asarray(v, dtype=float)
-        return sub.distance(v) <= tol.threshold(max(np.linalg.norm(v), 1.0))
+        return sub.distance(v) <= tol.abs_eps + tol.rel_eps * abs(max(float(np.linalg.norm(v)), 1.0))
 
     @pytest.mark.parametrize("m,d", [(1, 0), (1, 1), (3, 1), (5, 2), (6, 6)])
     def test_each_row_is_contains(self, m, d):

@@ -21,6 +21,7 @@ from symspaces.numkernel import DEFAULT_TOL, Tolerance
 from symspaces.quotient import quotient_theorem_pipeline, weak_submersion_check
 from symspaces.reports import functoriality_report, one_param_report, reflection_axiom_report, verify_model
 from symspaces.subspace import fixed_point_subspace, lts_of_subspace
+from symspaces.sympair import MatrixSymmetricPair, SigmaRule
 from symspaces.symspace import (
     SymMorphism,
     SymPoint,
@@ -168,14 +169,16 @@ def test_each_slice_is_the_old_single_call(spec, seed, k):
     n=st.integers(1, 6),
     scale=st.sampled_from([1e-12, 1e-9, 1e-6, 1.0, 1e3, 1e12]),
 )
-def test_close_slices_is_close_per_slice(seed, k, n, scale):
+def test_same_points_is_close_per_slice(seed, k, n, scale):
     rng = np.random.default_rng(seed)
     a = scale * rng.standard_normal((k, n, n))
     # near copies at, inside and outside the tolerance, and unrelated slices
     b = a + rng.choice([0.0, 1e-11, 1e-9, 1e-6, 1.0], size=(k, 1, 1)) * rng.standard_normal((k, n, n))
     b[::3] = rng.standard_normal((len(b[::3]), n, n))
     for tol in (DEFAULT_TOL, Tolerance(abs_eps=1e-6, rel_eps=1e-3)):
-        got = tol.close_slices(a, b)
+        # a pair with no basis: same_points reads only the Cartan matrices and the tolerance
+        pair = MatrixSymmetricPair(n, np.zeros((0, n, n)), np.zeros((0, n, n)), SigmaRule("transpose_inverse"), tol=tol)
+        got = same_points([SymPoint(pair, x, x) for x in a], [SymPoint(pair, y, y) for y in b])
         assert got == [tol.close(x, y) for x, y in zip(a, b)]
         assert all(type(v) is bool for v in got)
 
