@@ -17,9 +17,13 @@ thread.
 
 Per workload the script prints each side's median and quartiles of its run
 medians, each run's median, the failed-case count of each side's passes
-(outside the timed part), and in how many rounds the second checkout was
-faster.  These are wall times of the host, not the benchmark's scaled
-metrics.
+(outside the timed part), in how many rounds the second checkout was
+faster, the ratio of the medians, and one verdict on the second checkout:
+"faster" where it wins at least nine tenths of the rounds and its median is
+below the first's by more than the first's interquartile range, "slower"
+where the first checkout wins so, and "unresolved" otherwise.  Ties count
+for neither side.  These are wall times of the host, not the benchmark's
+scaled metrics.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREADS = 1
-RUNS = 4  # runs per side
+RUNS = 10  # runs per side
 PASSES = 4  # timed passes per run, a multiple of every seed_groups
 
 
@@ -128,7 +132,20 @@ def compare(sides: list, workload: str) -> None:
             f"runs {runs_text}; failed {failed[i]}/{attempted[i]}"
         )
     wins = sum(b < a for a, b in zip(*medians))
-    print(f"  second faster in {wins} of {RUNS} rounds")
+    ratio = statistics.median(medians[1]) / statistics.median(medians[0])
+    print(f"  second faster in {wins} of {RUNS} rounds; median ratio second/first {ratio:.3f}")
+    print(f"  verdict: {verdict(*medians)}")
+
+
+def verdict(firsts: list, seconds: list) -> str:
+    """"faster" or "slower" for the second side of paired rounds, or "unresolved"."""
+    lo, hi = quartiles(firsts)
+    gap = statistics.median(firsts) - statistics.median(seconds)
+    if 10 * sum(b < a for a, b in zip(firsts, seconds)) >= 9 * len(firsts) and gap > hi - lo:
+        return "faster"
+    if 10 * sum(a < b for a, b in zip(firsts, seconds)) >= 9 * len(firsts) and -gap > hi - lo:
+        return "slower"
+    return "unresolved"
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lts import LinearSubspace, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance
-from .quotient import CongruenceRelation, _discrepancies
+from .quotient import CongruenceRelation, _cartan_columns
 from .subspace import ProbeWitness, ReflectionSubspace, algebraic_subspace, fixed_point_subspace
 from .sympair import MatrixSymmetricPair, PairMorphism, SigmaRule
 from .symspace import MAX_STACK_FLOATS, SymMorphism, SymPoint, base_point, exp_point, lts_of_pair, sym_morphism
@@ -401,7 +401,9 @@ def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> Congrue
     l_full = pair.minus_subspace_to_full(n)
 
     def relates(xs: list, ys: list) -> list:
-        return lattice.members_float(_discrepancies(pair, xs, ys), **TORUS_RELATION_GRID)
+        # the discrepancy X^-1 Y: the torus's Cartan matrices commute, so it needs no root
+        x, y = _cartan_columns(pair, xs, ys)
+        return lattice.members_float([SymPoint(pair, d) for d in np.linalg.inv(x) @ y], **TORUS_RELATION_GRID)
 
     def sequence_probes():
         target = 0.15

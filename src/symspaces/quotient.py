@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import nullspace
+from .numkernel import Tolerance, _sqrt_denman_beavers, as_matrix, nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -35,6 +35,7 @@ from .sympair import MatrixSymmetricPair, SigmaRule
 from .symspace import (
     MAX_STACK_FLOATS,
     SymPoint,
+    _same_cartans,
     exp_point,
     exp_points,
     log_points,
@@ -102,9 +103,9 @@ class ChartRelation:
     """``relates`` through the normal chart of the Cartan discrepancy.
 
     Called on two lists of points, it answers for each pair whether the log
-    of the discrepancy of their representatives lies in n, or None outside
-    the log's domain, from :func:`_discrepancies`, stacked logs and one
-    row-wise ``contains_each``.
+    of the discrepancy of ``y`` from ``x`` lies in n, or None outside the
+    log's domain and where ``x`` has no confirmed principal root, from
+    :func:`_discrepancies`, stacked logs and one row-wise ``contains_each``.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, n: LinearSubspace):
@@ -112,26 +113,62 @@ class ChartRelation:
         self.n = n
 
     def __call__(self, xs: list, ys: list) -> list:
-        logs = log_points(self.pair, _discrepancies(self.pair, xs, ys))
-        return _chart_verdicts(self.n, logs, self.pair.tol)
+        gaps = _discrepancies(self.pair, xs, ys)
+        logs = iter(log_points(self.pair, [d for d in gaps if d is not None]))
+        return _chart_verdicts(self.n, [None if d is None else next(logs) for d in gaps], self.pair.tol)
 
 
 def _discrepancies(pair: MatrixSymmetricPair, xs: list, ys: list) -> list:
-    """The point of ``inv(x.rep) @ y.rep`` for each pair of points, from one
-    stacked inversion and one stacked product."""
+    """The discrepancy point ``S^-1 Y S^-1`` of ``y`` from ``x`` for each pair
+    of points, or None where no principal square root ``S`` of ``X`` is
+    confirmed, from stacked roots, one ``verdicts`` call and stacked
+    products.
+
+    ``S`` is a transvection representative of ``x``: ``sigma(S) = S^-1``,
+    since ``sigma`` is an automorphism and ``sigma(X) = X^-1``.  Its root
+    exists off the cut locus (no eigenvalue of ``X`` on the closed negative
+    real axis); a root is taken only where ``S S`` is the same point as ``x``.
+    """
+    x, y = _cartan_columns(pair, xs, ys)
+    if not xs:
+        return []
+    roots = _principal_roots(x, pair.tol)
+    rooted = _same_cartans(pair.tol, roots @ roots, x)
+    inv = np.linalg.inv(roots[rooted])
+    gaps = iter(inv @ y[rooted] @ inv)
+    return [SymPoint(pair, next(gaps)) if ok else None for ok in rooted.tolist()]
+
+
+def _cartan_columns(pair: MatrixSymmetricPair, xs: list, ys: list) -> tuple:
+    """The Cartan matrices of two equal-length lists of points as two
+    validated ``(k, n, n)`` stacks."""
     if len(xs) != len(ys):
         raise ValueError(f"unequal columns: {len(xs)} and {len(ys)} points")
     n = pair.ambient_n
-    gaps = np.linalg.inv(np.array([x.rep for x in xs]).reshape(len(xs), n, n))
-    return SymPoint.from_reps(pair, gaps @ np.array([y.rep for y in ys]).reshape(len(ys), n, n))
+    return tuple(as_matrix(np.reshape([p.cartan for p in ps], (len(ps), n, n)), stack=True) for ps in (xs, ys))
+
+
+def _principal_roots(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The Denman-Beavers square root of each slice of a ``(k, n, n)`` stack.
+
+    An iterate is exactly singular on an exact cut-locus point (an
+    eigenvalue -1), which fails the stacked inversion; the slices are then
+    taken one at a time, and such a slice comes back filled with NaN.
+    """
+    try:
+        return _sqrt_denman_beavers(a, tol)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape, np.nan)
+        return np.concatenate([_principal_roots(s[None], tol) for s in a])
 
 
 def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> CongruenceRelation:
     """Congruence relation of the normal integral subspace generated by an ideal.
 
     Builds the Lie ideal span[g_minus, n] (+) n and relates two points iff
-    the Cartan discrepancy of their representatives lands (chart-locally) in
-    n after projection, i.e. vanishes in g_minus/n.
+    their Cartan discrepancy lands (chart-locally) in n after projection,
+    i.e. vanishes in g_minus/n.
     """
     m = pair.dim_minus
     n = LinearSubspace.span(n.basis, m, pair.tol)
@@ -150,9 +187,11 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
 class PointProjection:
     """The quotient projection on points, induced by Ad on g/l.
 
-    Called on a list of points, it projects them in blocks of :attr:`block`
-    points, whose ``matrix_coords`` right-hand side holds at most
-    ``MAX_STACK_FLOATS``; each image is bit for bit the one-point call.
+    The image of the point with Cartan matrix C has Cartan matrix Ad(C) on
+    g/l, since sigma' o Ad = Ad o sigma.  Called on a list of points, it
+    projects them in blocks of :attr:`block` points, whose ``matrix_coords``
+    right-hand side holds at most ``MAX_STACK_FLOATS``; each image is bit
+    for bit the one-point call.
     """
 
     def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
@@ -167,14 +206,14 @@ class PointProjection:
             raise ValueError("point does not belong to the source pair")
         d_out, n = self.comp_mats.shape[0], self.source.ambient_n
         if not d_out:
-            return [SymPoint.from_rep(self.target, np.eye(1)) for _ in points]
+            return [SymPoint(self.target, np.eye(1)) for _ in points]
         out = []
         for start in range(0, len(points), self.block):
-            g = np.array([x.rep for x in points[start:start + self.block]])
-            # column b of point i: the complement coordinates of Ad(g_i) applied to comp[b]
-            moved = g[:, None] @ self.comp_mats @ np.linalg.inv(g)[:, None]
-            coords = self.source.matrix_coords(moved.reshape(-1, n, n)).reshape(len(g), d_out, -1)
-            out += SymPoint.from_reps(self.target, self.comp @ coords.transpose(0, 2, 1))
+            c = np.array([x.cartan for x in points[start:start + self.block]])
+            # column b of point i: the complement coordinates of Ad(C_i) applied to comp[b]
+            moved = c[:, None] @ self.comp_mats @ np.linalg.inv(c)[:, None]
+            coords = self.source.matrix_coords(moved.reshape(-1, n, n)).reshape(len(c), d_out, -1)
+            out += [SymPoint(self.target, a) for a in self.comp @ coords.transpose(0, 2, 1)]
         return out
 
 
@@ -425,7 +464,7 @@ def relation_closure_check(
         w = 0.1 * rng.standard_normal(m)
         wn = relation.n_minus.project(w) if relation.n_minus.dim else np.zeros(m)
         x = exp_point(pair, u)
-        y = SymPoint.from_rep(pair, x.rep @ pair.exp(pair.minus_to_matrix(wn)))
+        y = SymPoint.from_group(pair, pair.exp(pair.minus_to_matrix(u)) @ pair.exp(pair.minus_to_matrix(wn)))
         if relation.relates([x], [y]) == [False]:
             return {"ok": False, "witness": "constructed related pair rejected"}
         direction = pair.random_algebra_element(rng, 0.2)

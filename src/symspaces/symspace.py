@@ -1,25 +1,24 @@
 """The symmetric space M = G/K of a matrix symmetric pair.
 
-Points are carried by their Cartan image ``c = g sigma(g)^-1`` of a group
-representative ``g``.  Because K is the full fixed group, two
-representatives give the same coset exactly when their Cartan matrices
-agree, so the point product reduces to ``mu(x, y) = x y^-1 x`` on Cartan
-matrices and no coset-membership oracle is ever needed.  A representative
-is needed only where a group acts on a point (morphisms, projections,
-relations, JSON output), so points built here compute it on first read.
+A point is its Cartan matrix ``C = g sigma(g)^-1``, for any ``g`` with
+``g K = x``.  Because K is the full fixed group, two elements give the same
+coset exactly when their Cartan matrices agree, so the point product is
+``mu(x, y) = x y^-1 x`` on Cartan matrices and no coset-membership oracle
+is ever needed.  A group homomorphism ``phi`` with ``phi o sigma =
+sigma' o phi`` maps the point of ``C`` to the point of ``phi(C)``; this is
+how morphisms and the quotient projection act on points.  A group element
+enters only through :meth:`SymPoint.from_group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .lts import LieTripleSystem
 from .numkernel import (
-    DEFAULT_TOL,
     INVERTIBLE_DET_FLOOR,
     DomainError,
     Tolerance,
@@ -54,9 +53,6 @@ __all__ = [
     "cartan_distances",
 ]
 
-# Longest chain of unread representatives a point may sit on; past it the
-# inputs' reps are read, so a first read never recurses deeper than this.
-_MAX_PENDING = 32
 # Most floats in one stack of matrices that the quotient path's samplers
 # exponentiate or its point projection solves for: it bounds their stacked
 # temporaries, and with them the memory high-water mark of a batched pass.
@@ -64,42 +60,27 @@ MAX_STACK_FLOATS = 2 ** 13
 
 
 class SymPoint:
-    """Point of G/K: its Cartan matrix and a group representative.
+    """Point of G/K, held as its Cartan matrix ``g sigma(g)^-1``.
 
-    ``cartan`` is computed at construction.  ``rep`` is either the
-    representative or a zero-argument callable that computes it; a callable
-    runs on the first read of :attr:`rep`, and its result is cached.
+    The Cartan matrix determines the point (K = G^sigma), and every point
+    operation is a formula in it; no group representative is kept.
     """
 
-    __slots__ = ("pair", "cartan", "_rep", "_pending")
+    __slots__ = ("pair", "cartan")
 
-    def __init__(self, pair: MatrixSymmetricPair, rep, cartan: np.ndarray):
+    def __init__(self, pair: MatrixSymmetricPair, cartan: np.ndarray):
         self.pair = pair
         self.cartan = cartan
-        self._rep = rep
-        self._pending = 1 if callable(rep) else 0  # unread reps behind this point
-
-    @property
-    def rep(self) -> np.ndarray:
-        if self._pending:
-            self._rep = self._rep()
-            self._pending = 0
-        return self._rep
 
     @classmethod
-    def from_rep(cls, pair: MatrixSymmetricPair, rep: np.ndarray) -> "SymPoint":
-        return cls._from_stack(pair, as_matrix(rep, square=True)[None])[0]
-
-    @classmethod
-    def from_reps(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
-        """``[from_rep(pair, r) for r in reps]``, bit for bit, from stacked products."""
-        return cls._from_stack(pair, _square_stack(reps, "representatives"))
-
-    @classmethod
-    def _from_stack(cls, pair: MatrixSymmetricPair, reps: np.ndarray) -> list:
-        # the body of from_rep and from_reps on an already validated stack
-        cartans = reps @ np.linalg.inv(group_sigma(pair, reps))
-        return [cls(pair, r, c) for r, c in zip(reps, cartans)]
+    def from_group(cls, pair: MatrixSymmetricPair, g):
+        """The point ``g K``, Cartan matrix ``g sigma(g)^-1``, of a group element;
+        of a ``(k, n, n)`` stack, the list of the points of its slices, each bit
+        for bit the one-matrix call."""
+        g = as_matrix(g, square=True, stack=True)
+        stack = g if g.ndim == 3 else g[None]
+        points = [cls(pair, c) for c in stack @ np.linalg.inv(group_sigma(pair, stack))]
+        return points if g.ndim == 3 else points[0]
 
     def same(self, other: "SymPoint") -> bool:
         """Point equality, i.e. equality of Cartan matrices (valid for K = G^sigma)."""
@@ -109,7 +90,7 @@ class SymPoint:
         return self.pair.tol.close(self.cartan, np.eye(self.pair.ambient_n))
 
     def to_json(self) -> dict:
-        return {"pair_label": self.pair.label, "rep": self.rep.tolist()}
+        return {"pair_label": self.pair.label, "cartan": self.cartan.tolist()}
 
 
 def _square_stack(mats, what: str) -> np.ndarray:
@@ -119,34 +100,6 @@ def _square_stack(mats, what: str) -> np.ndarray:
     if mats.ndim != 3:
         raise ValueError(f"expected a stack of {what}, got a single matrix")
     return mats
-
-
-def _derived_points(pair: MatrixSymmetricPair, cartans: np.ndarray, reps_of, inputs: list) -> list:
-    """Points with these Cartan matrices whose reps are the rows of one call
-    ``reps_of()``, made on the first rep read of any of them.
-
-    ``reps_of`` may read the reps of ``inputs``; the chain of unread reps
-    behind the batch is counted once, over all of them.  The batch shares
-    one fate: until one of its reps is read, each point keeps all of
-    ``inputs`` alive, and if ``reps_of()`` raises (say, one slice is
-    singular), every point's rep read raises it.
-    """
-    pending = 1 + max((x._pending for x in inputs), default=0)
-    if pending > _MAX_PENDING:
-        for x in inputs:
-            x.rep
-        pending = 1
-    reps = []
-
-    def rep_of(i: int) -> np.ndarray:
-        if not reps:
-            reps.append(reps_of())
-        return reps[0][i]
-
-    points = [SymPoint(pair, partial(rep_of, i), c) for i, c in enumerate(cartans)]
-    for x in points:
-        x._pending = pending
-    return points
 
 
 def _columns(xs, ys) -> tuple:
@@ -165,10 +118,6 @@ def _cartans(points: list) -> np.ndarray:
     return np.array([x.cartan for x in points])
 
 
-def _reps(points: list) -> np.ndarray:
-    return np.array([x.rep for x in points])
-
-
 def cartan_distance(x: SymPoint, y: SymPoint) -> float:
     """Frobenius distance of Cartan matrices; independent of representatives."""
     return cartan_distances([x], [y])[0]
@@ -185,16 +134,17 @@ def same_points(xs, ys) -> list:
     """``x.same(y)`` of each pair of points, bit for bit, from stacked norms and
     one ``tol.verdicts`` call; all points must live over one pair."""
     xs, ys = _columns(xs, ys)
-    if not xs:
-        return []
-    a, b = _cartans(xs), _cartans(ys)
+    return _same_cartans(xs[0].pair.tol, _cartans(xs), _cartans(ys)).tolist() if xs else []
+
+
+def _same_cartans(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tol.close`` of each pair of slices of two ``(k, n, n)`` stacks, from one ``verdicts`` call."""
     scales = np.maximum(np.maximum(_frobenius(a), _frobenius(b)), 1.0)
-    return xs[0].pair.tol.verdicts(_frobenius(a - b), scales).tolist()
+    return tol.verdicts(_frobenius(a - b), scales)
 
 
 def base_point(pair: MatrixSymmetricPair) -> SymPoint:
-    ident = np.eye(pair.ambient_n)
-    return SymPoint(pair, ident, ident.copy())
+    return SymPoint(pair, np.eye(pair.ambient_n))
 
 
 def mu(x: SymPoint, y: SymPoint) -> SymPoint:
@@ -203,26 +153,13 @@ def mu(x: SymPoint, y: SymPoint) -> SymPoint:
 
 
 def mu_points(xs, ys) -> list:
-    """``mu(x, y)`` of each pair of points, bit for bit, from one stacked ``x y^-1 x``.
-
-    All points must live over one pair.  The first rep read on any of the
-    products computes the reps of the whole batch in one stacked
-    ``x sigma(x)^-1 sigma(y)``; until then every product holds all of ``xs``
-    and ``ys``, and if one slice of that inverse fails, each product's rep
-    read raises the error the single ``mu`` of that slice raised.
-    """
+    """``mu(x, y)`` of each pair of points, bit for bit, from one stacked
+    ``x y^-1 x``; all points must live over one pair."""
     xs, ys = _columns(xs, ys)
     if not xs:
         return []
-    pair = xs[0].pair
     xc = _cartans(xs)
-    cartans = xc @ np.linalg.inv(_cartans(ys)) @ xc
-
-    def reps_of() -> np.ndarray:
-        xr = _reps(xs)
-        return xr @ np.linalg.inv(pair.sigma.apply(xr)) @ pair.sigma.apply(_reps(ys))
-
-    return _derived_points(pair, cartans, reps_of, xs + ys)
+    return [SymPoint(xs[0].pair, c) for c in xc @ np.linalg.inv(_cartans(ys)) @ xc]
 
 
 def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
@@ -231,16 +168,10 @@ def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
 
 
 def exp_points(pair: MatrixSymmetricPair, vs) -> list:
-    """The exponential of each g_minus coordinate vector, from stacked exponentials.
-
-    One stacked ``minus_to_matrix`` call gives every matrix and one stacked
-    ``mat_exp`` every Cartan matrix; the first rep read on any of the points
-    computes the reps of the whole batch in one more.
-    """
-    xs = _minus_mats(pair, vs)
+    """The exponential of each g_minus coordinate vector, from one stacked
+    ``minus_to_matrix`` call and one stacked ``mat_exp``."""
     # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
-    cartans = mat_exp(2.0 * xs, pair.tol)
-    return _derived_points(pair, cartans, lambda: mat_exp(xs, pair.tol), [])
+    return [SymPoint(pair, c) for c in mat_exp(2.0 * _minus_mats(pair, vs), pair.tol)]
 
 
 def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:
@@ -331,8 +262,7 @@ def _tau_stack(pair: MatrixSymmetricPair, gs: np.ndarray, xs: list) -> list:
     # the body of tau_action and tau_actions on an already validated (k, n, n) stack
     if np.any(np.abs(np.linalg.det(gs)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("tau requires an invertible group element")
-    cartans = gs @ _cartans(xs) @ np.linalg.inv(pair.sigma.apply(gs))
-    return _derived_points(pair, cartans, lambda: gs @ _reps(xs), xs)
+    return [SymPoint(pair, c) for c in gs @ _cartans(xs) @ np.linalg.inv(pair.sigma.apply(gs))]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +271,7 @@ def _tau_stack(pair: MatrixSymmetricPair, gs: np.ndarray, xs: list) -> list:
 # An even word of symmetries mu_{p1} ... mu_{p2m} acts on Cartan matrices as
 # Y -> A Y B with A = P1 P2^-1 ... and B = ... P2^-1 P1; powers of such a
 # word are matrix powers of (A, B).  A is precisely the group element whose
-# tau action the word realizes, so it doubles as the representative.
+# tau action the word realizes.
 
 
 class _EvenWord:
@@ -380,8 +310,8 @@ class _EvenWord:
         return _EvenWord(e @ np.linalg.inv(self.b) @ ei, ei @ np.linalg.inv(self.a) @ e)
 
     def as_point(self, pair: MatrixSymmetricPair) -> SymPoint:
-        """The image of the base point; A is the realizing group element."""
-        return SymPoint(pair, self.a, self.a @ self.b)
+        """The image of the base point, Cartan matrix A B."""
+        return SymPoint(pair, self.a @ self.b)
 
 
 def apply_symmetries(points: Sequence[SymPoint], x: SymPoint) -> SymPoint:
@@ -445,7 +375,7 @@ def chain_identity_check(pair: MatrixSymmetricPair, xs, ys) -> float:
     # the word is indexed n..1, so both products run over reversed lists
     order = range(len(xs) - 1, -1, -1)
     letters = mat_exp(_minus_mats(pair, [v for i in order for v in (xs[i], ys[i])]), pair.tol)
-    left = SymPoint.from_rep(pair, _word_products(letters[None])[0])
+    left = SymPoint.from_group(pair, _word_products(letters[None])[0])
     syms = exp_points(pair, [v for i in order for v in (xs[i] / 2.0, -ys[i] / 2.0)])
     right = apply_symmetries(syms, base_point(pair))
     return cartan_distance(left, right)
@@ -475,14 +405,12 @@ class SymMorphism:
         return self.many([x])[0]
 
     def many(self, points) -> list:
-        """The image of each point, bit for bit the single call: the group
-        rule maps one rep at a time, then one ``from_reps`` builds the images."""
+        """The image of each point, bit for bit the single call: the group rule
+        maps each Cartan matrix C to the image's Cartan matrix phi(C)."""
         points = list(points)
         if any(x.pair is not self.source for x in points):
             raise ValueError("point does not belong to the morphism's source")
-        if not points:
-            return []
-        return SymPoint.from_reps(self.target, [self.pair_morphism.map_group(x.rep) for x in points])
+        return [SymPoint(self.target, self.pair_morphism.map_group(x.cartan)) for x in points]
 
     def base_check(self) -> bool:
         return self(base_point(self.source)).is_base()

@@ -11,11 +11,12 @@ replace, kept verbatim up to naming.
 
 import numpy as np
 import pytest
+from oracles import same_bits
 
 from symspaces.catalog import TORUS_RELATION_GRID, parse_model
 from symspaces.lts import LinearSubspace
 from symspaces.numkernel import Tolerance
-from symspaces.quotient import congruence_from_ideal, quotient_theorem_pipeline
+from symspaces.quotient import _discrepancies, congruence_from_ideal, quotient_theorem_pipeline
 from symspaces.subspace import (
     base_only,
     generate_integral,
@@ -25,11 +26,6 @@ from symspaces.subspace import (
     whole_space,
 )
 from symspaces.symspace import SymPoint, base_point, exp_point, exp_points, same_points, tau_action
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def same_answers(got, want) -> bool:
@@ -195,9 +191,10 @@ def relation_pairs(pair, n: LinearSubspace, seed: int) -> tuple:
     """Pairs related through n, pairs moved by tau, random pairs and one far pair."""
     rng = np.random.default_rng(seed)
     m = pair.dim_minus
-    xs = exp_points(pair, [0.3 * rng.standard_normal(m) for _ in range(12)])
+    vs = [0.3 * rng.standard_normal(m) for _ in range(12)]
+    xs = exp_points(pair, vs)
     shifts = [pair.exp(pair.minus_to_matrix(n.project(0.2 * rng.standard_normal(m)))) for _ in range(4)]
-    ys = [SymPoint.from_rep(pair, x.rep @ g) for x, g in zip(xs[:4], shifts)]
+    ys = [SymPoint.from_group(pair, pair.exp(pair.minus_to_matrix(v)) @ g) for v, g in zip(vs[:4], shifts)]
     ys += [tau_action(pair, pair.random_element(rng, letters=1, scale=0.3), x) for x in xs[4:8]]
     ys += exp_points(pair, [rng.standard_normal(m) for _ in range(4)])
     far = exp_point(pair, 3.0 * np.eye(m)[-1])
@@ -237,8 +234,7 @@ def test_columns_of_unequal_length_raise(relations, name):
 
 
 def oracle_line_relates(lattice, pair, x, y):
-    d = np.linalg.inv(x.rep) @ y.rep
-    point = SymPoint.from_rep(pair, d)
+    point = SymPoint(pair, np.linalg.inv(x.cartan) @ y.cartan)
     return lattice.members_float([point], **TORUS_RELATION_GRID)[0]
 
 
@@ -268,7 +264,7 @@ def test_a_projection_block_is_its_one_point_blocks(ideal):
     assert len(got) == len(points)
     for x, px in zip(points, got):
         (one,) = project([x])
-        assert px.pair is one.pair and same_bits(px.rep, one.rep) and same_bits(px.cartan, one.cartan)
+        assert px.pair is one.pair and same_bits(px.cartan, one.cartan)
     assert project([]) == []
 
 
@@ -303,6 +299,7 @@ def test_a_block_takes_one_verdicts_call(monkeypatch, k):
         ("same_points", lambda: same_points(xs, ys)),
         ("algebraic membership", lambda: diagonal.membership(xs)),
         ("contains_each", lambda: line.contains_each(vectors)),
+        ("the relation's root check", lambda: _discrepancies(pair, xs, ys)),
     ):
         del calls[:]
         decide()

@@ -1,15 +1,17 @@
-"""Cartan-first points: the stacked exponential, lazy representatives, and the
-batched verify suites against the per-sample suites they replace."""
+"""Cartan-first points: the stacked exponential, points that are their
+Cartan matrices, and the batched verify suites against the per-sample
+suites they replace."""
 
 import struct
-import sys
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import count_calls, oracle_exp_point, oracle_mu, oracle_tau_action, same_bits
 
-from symspaces import numkernel, reports
+from symspaces import numkernel
 from symspaces.catalog import parse_model
 from symspaces.lts import check_lts_axioms
 from symspaces.numkernel import DomainError, mat_exp
@@ -45,27 +47,6 @@ VERIFY_LADDER = (
 )
 # spd(4) at both seeds reads a max_residual within 20% of the 1e-8 gate
 PROGRAM_SEEDS = (850414789, 1704495683)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def count_calls(monkeypatch, name):
-    """Count calls of ``numkernel.<name>`` through every module that bound it."""
-    original = getattr(numkernel, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("symspaces") or modname == __name__:
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    return calls
 
 
 def slice_kinds():
@@ -176,8 +157,6 @@ class TestExpPoints:
         single = [exp_point(pair, v) for v in vs]
         for got, want in zip(batch, single):
             assert same_bits(got.cartan, want.cartan)
-        for got, want in zip(batch, single):
-            assert same_bits(got.rep, want.rep)
 
     def test_empty_batch(self, sphere):
         assert exp_points(sphere.pair, []) == []
@@ -186,22 +165,12 @@ class TestExpPoints:
         with pytest.raises(ValueError, match="wrong length"):
             exp_points(sphere.pair, [np.zeros(2), np.zeros(3)])
 
-    def test_one_stacked_rep_exponential_per_batch(self, sphere, monkeypatch):
-        pair = sphere.pair
-        rng = np.random.default_rng(2)
-        batch = exp_points(pair, [rng.standard_normal(2) for _ in range(6)])
-        calls = count_calls(monkeypatch, "mat_exp")
-        reps = [x.rep for x in reversed(batch)]
-        assert len(calls) == 1
-        assert [x.rep is r for x, r in zip(reversed(batch), reps)] == [True] * 6
+
+def close_points(x, y, rel=1e-12) -> bool:
+    return np.linalg.norm(x.cartan - y.cartan) <= rel * max(np.linalg.norm(x.cartan), 1.0)
 
 
-def eager_mu_rep(x, y):
-    sig = x.pair.sigma
-    return x.rep @ np.linalg.inv(sig.apply(x.rep)) @ sig.apply(y.rep)
-
-
-class TestLazyReps:
+class TestCartanPoints:
     @pytest.mark.parametrize(
         "spec, kind",
         [
@@ -210,33 +179,28 @@ class TestLazyReps:
             ("product(sphere(2),spd(2))", "composite"),
         ],
     )
-    def test_rep_equals_the_eager_formula(self, spec, kind):
+    def test_cartan_matrices_are_the_group_formulas(self, spec, kind):
+        # each point operation is the point of the group element it stands for
         pair = parse_model(spec).pair
         assert pair.sigma.kind == kind
         rng = np.random.default_rng(4)
         v, w = (0.4 * rng.standard_normal(pair.dim_minus) for _ in range(2))
+        gx, gy = mat_exp(pair.minus_to_matrix(np.array([v, w])), pair.tol)
         x, y = exp_point(pair, v), exp_point(pair, w)
         g = pair.random_element(rng, letters=1, scale=0.3)
         moved = tau_action(pair, g, y)
-        prod = mu(x, moved)
-        # read the derived reps first, so each computes its inputs on demand
-        assert same_bits(prod.rep, eager_mu_rep(x, moved))
-        assert same_bits(moved.rep, g @ y.rep)
-        assert same_bits(x.rep, mat_exp(pair.minus_to_matrix(v), pair.tol))
-        assert same_bits(y.rep, mat_exp(pair.minus_to_matrix(w), pair.tol))
-
-    def test_rep_is_computed_once(self, spd, monkeypatch):
-        x = exp_point(spd.pair, np.array([0.1, 0.2, 0.3]))
-        calls = count_calls(monkeypatch, "mat_exp")
-        first = x.rep
-        assert x.rep is first
-        assert len(calls) == 1
+        gm = g @ gy
+        sig = pair.sigma
+        assert close_points(x, SymPoint.from_group(pair, gx)) and close_points(y, SymPoint.from_group(pair, gy))
+        assert close_points(moved, SymPoint.from_group(pair, gm))
+        prod = SymPoint.from_group(pair, gx @ np.linalg.inv(sig.apply(gx)) @ sig.apply(gm))
+        assert close_points(mu(x, moved), prod)
 
     def test_eager_points_compute_nothing(self, spd, monkeypatch):
-        calls = count_calls(monkeypatch, "mat_exp")
+        calls = count_calls(monkeypatch, numkernel, "mat_exp")
         b = base_point(spd.pair)
-        x = SymPoint.from_rep(spd.pair, np.diag([2.0, 1.0]))
-        assert same_bits(b.rep, np.eye(2)) and same_bits(x.rep, np.diag([2.0, 1.0]))
+        x = SymPoint.from_group(spd.pair, np.diag([2.0, 1.0]))
+        assert same_bits(b.cartan, np.eye(2)) and same_bits(x.cartan, np.diag([4.0, 1.0]))
         assert calls == []
 
     def test_tau_action_still_checks_invertibility_eagerly(self, spd):
@@ -248,43 +212,20 @@ class TestLazyReps:
         with pytest.raises(DomainError):
             exp_point(spd.pair, np.array([1e20, 0.0, 0.0]))
 
-    def test_long_unread_chain_reads_without_deep_recursion(self, spd):
-        # a fold of 3000 symmetries read at the end, against an eager fold
+    def test_long_fold_is_the_eager_fold(self, spd):
+        # a fold of 3000 symmetries, against an eager fold of Cartan products
         pair = spd.pair
         rng = np.random.default_rng(9)
         word = exp_points(pair, [0.001 * rng.standard_normal(3) for _ in range(3000)])
-        lazy = apply_symmetries(word, base_point(pair))
+        folded = apply_symmetries(word, base_point(pair))
         eager = base_point(pair)
         for p in reversed(word):
-            cartan = p.cartan @ np.linalg.inv(eager.cartan) @ p.cartan
-            eager = SymPoint(pair, eager_mu_rep(p, eager), cartan)
-        assert same_bits(lazy.cartan, eager.cartan)
-        assert same_bits(lazy.rep, eager.rep)
+            eager = SymPoint(pair, p.cartan @ np.linalg.inv(eager.cartan) @ p.cartan)
+        assert same_bits(folded.cartan, eager.cartan)
 
 
 # ---------------------------------------------------------------------------
-# oracle: the per-sample suites with eager representatives
-
-
-def oracle_exp_point(pair, v):
-    x = pair.minus_to_matrix(v)
-    rep = numkernel.mat_exp(x, pair.tol)
-    cartan = numkernel.mat_exp(2.0 * x, pair.tol)
-    return SymPoint(pair, rep, cartan)
-
-
-def oracle_mu(x, y):
-    rep = eager_mu_rep(x, y)
-    cartan = x.cartan @ np.linalg.inv(y.cartan) @ x.cartan
-    return SymPoint(x.pair, rep, cartan)
-
-
-def oracle_tau_action(pair, g, x):
-    if abs(np.linalg.det(g)) < 1e-300:
-        raise ValueError("tau requires an invertible group element")
-    rep = g @ x.rep
-    cartan = g @ x.cartan @ np.linalg.inv(pair.sigma.apply(g))
-    return SymPoint(pair, rep, cartan)
+# oracle: the per-sample suites
 
 
 def oracle_one_param(pair, v, t):
@@ -436,25 +377,12 @@ class TestBatchedSuitesMatchTheOracle:
         want = oracle_verify_model(model, np.random.default_rng(seed))
         assert_same_report(got, want)
 
-    def test_reflection_suite_reads_no_representative(self, ladder, monkeypatch):
-        computed = []
-        rep = SymPoint.rep
-
-        def counting(self):
-            if self._pending:
-                computed.append(self)
-            return rep.fget(self)
-
-        monkeypatch.setattr(SymPoint, "rep", property(counting))
-        model = ladder["product(sphere(3),sphere(3))"]
-        reports.reflection_axiom_report(model, np.random.default_rng(PROGRAM_SEEDS[0]))
-        assert computed == []
-
     def test_verify_makes_a_third_of_the_eager_exponentials(self, ladder, monkeypatch):
         model = ladder["sphere(3)"]
-        calls = count_calls(monkeypatch, "mat_exp")
+        calls = count_calls(monkeypatch, numkernel, "mat_exp")
+        points = count_calls(monkeypatch, oracles, "oracle_mat_exp")
         oracle_verify_model(model, np.random.default_rng(1))
-        eager = len(calls)
+        eager = len(calls) + len(points)
         calls.clear()
         verify_model(model, np.random.default_rng(1))
-        assert 3 * len(calls) <= eager
+        assert 0 < 3 * len(calls) <= eager

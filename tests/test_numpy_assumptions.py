@@ -1,6 +1,6 @@
 """The numpy behaviour that the stacked kernels rely on, pinned in one place.
 
-``mat_exp``, ``mat_log``, ``SymPoint.from_reps``, ``log_points`` and the
+``mat_exp``, ``mat_log``, ``SymPoint.from_group``, ``log_points`` and the
 batched relation test promise that each slice of a stacked call is bit for
 bit the 2-D call.  That holds only because numpy computes a stacked
 ``inv``, ``det``, ``svd(compute_uv=False)``, ``solve`` and ``@`` slice by
@@ -8,7 +8,7 @@ slice with the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))``
 of a flattened slice is the bits of ``np.linalg.norm`` of that slice (the
 stacked point products, distances, comparisons and tau actions rest on the
 same facts).  A single
-``mat_exp``, ``from_rep``, ``log_point`` or relation test runs as a
+``mat_exp``, ``from_group``, ``log_point`` or relation test runs as a
 one-slice stack, so its bits must be the 2-D ``inv``, ``det`` and ``@``;
 and ``LinearSubspace.distances`` projects each row as a ``(1, m)`` slice,
 so a row of a stacked ``(k, 1, m) @ (m, d)`` must be the one-row product.
@@ -30,13 +30,9 @@ not the report bytes.
 """
 
 import numpy as np
+from oracles import same_bits
 
 from symspaces import numkernel
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():

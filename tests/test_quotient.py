@@ -197,12 +197,12 @@ class TestPipelinePositive:
         assert not weak_submersion_check(bad, np.random.default_rng(0), samples=10)["ok"]
 
     def test_non_morphism_projection_fails_check(self, product_quotient):
-        # squaring the representative keeps the linear part and the fibres
+        # squaring the Cartan matrix keeps the linear part and the fibres
         # near the base point, but breaks pi(mu(x, y)) = mu(pi x, pi y)
         qr = product_quotient
 
         def squared(points):
-            return [SymPoint.from_rep(qr.quotient_pair, px.rep @ px.rep) for px in qr.projection_points(points)]
+            return [SymPoint(qr.quotient_pair, px.cartan @ px.cartan) for px in qr.projection_points(points)]
 
         bad = dataclasses.replace(qr, projection_points=squared)
         result = weak_submersion_check(bad, np.random.default_rng(0), samples=30)

@@ -15,6 +15,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from oracles import same_bits
 
 from symspaces import cli, sympair
 from symspaces.catalog import parse_model
@@ -42,11 +43,6 @@ COORD_MODELS = (
     "product(grassmann(2,5),grassmann(2,5))",
 )
 QUOTIENT = "quotient of product(spd(2),sphere(2)) by left_factor"
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ The loops below are the former bodies of ``SigmaRule``,
 
 import numpy as np
 import pytest
+from oracles import same_bits
 
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, VerificationError
@@ -39,11 +40,6 @@ KIND_MODELS = {
     "transpose_inverse": "spd(3)",
     "composite": "product(sphere(2),spd(2))",
 }
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,9 @@
 
 The oracles below are the per-point bodies of ``mu``, ``cartan_distance``,
 ``SymPoint.same``, ``tau_action`` and ``SymMorphism.__call__`` that the
-stacked bodies replace, kept verbatim up to naming.  Each slice of a stacked
-call, and each single call, must give the oracle's bits, Cartan matrix and
-representative alike; the verify suites and the submersion check must make
+stacked bodies replace, kept verbatim up to naming and re-pinned to points
+that are their Cartan matrices.  Each slice of a stacked call, and each
+single call, must give the oracle's bits; the verify suites and the submersion check must make
 a fixed number of stacked calls, whatever their sample count.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stacked_chart import count_calls, same_bits
+from oracles import count_calls, oracle_mu, oracle_require_same_pair, oracle_tau_action, same_bits, same_point
 
 from symspaces import symspace
 from symspaces.catalog import parse_model
@@ -59,11 +59,6 @@ def zoo():
 # the per-point bodies that the stacked calls replace
 
 
-def oracle_require_same_pair(x, y):
-    if x.pair is not y.pair:
-        raise ValueError("points live over different symmetric pairs")
-
-
 def oracle_cartan_distance(x, y):
     oracle_require_same_pair(x, y)
     return float(np.linalg.norm(x.cartan - y.cartan))
@@ -74,38 +69,15 @@ def oracle_same(x, y):
     return x.pair.tol.close(x.cartan, y.cartan)
 
 
-def oracle_mu_rep(x, y):
-    sig = x.pair.sigma
-    return x.rep @ np.linalg.inv(sig.apply(x.rep)) @ sig.apply(y.rep)
-
-
-def oracle_mu(x, y):
-    oracle_require_same_pair(x, y)
-    cartan = x.cartan @ np.linalg.inv(y.cartan) @ x.cartan
-    return SymPoint(x.pair, oracle_mu_rep(x, y), cartan)
-
-
-def oracle_tau_action(pair, g, x):
-    g = np.array(g, dtype=float)
-    if abs(np.linalg.det(g)) < 1e-300:
-        raise ValueError("tau requires an invertible group element")
-    cartan = g @ x.cartan @ np.linalg.inv(pair.sigma.apply(g))
-    return SymPoint(pair, g @ x.rep, cartan)
-
-
 def oracle_image(f, x):
     if x.pair is not f.source:
         raise ValueError("point does not belong to the morphism's source")
-    return SymPoint.from_rep(f.target, f.pair_morphism.map_group(x.rep))
-
-
-def same_point(a, b) -> bool:
-    return same_bits(a.cartan, b.cartan) and same_bits(a.rep, b.rep)
+    return SymPoint(f.target, f.pair_morphism.map_group(x.cartan))
 
 
 def mixed_points(pair, rng, k):
-    """``k`` points of every kind the package makes: lazy exponentials,
-    tau-translates and products (whose reps sit on unread chains)."""
+    """``k`` points of every kind the package makes: exponentials,
+    tau-translates and products."""
     vs = [0.4 * rng.standard_normal(pair.dim_minus) for _ in range(3 * k)]
     points = exp_points(pair, vs)
     gs = pair._random_elements(rng, k, 1, 0.3)
@@ -132,7 +104,7 @@ def test_each_slice_is_the_old_single_call(spec, seed, k):
     for x, y, got in zip(xs, ys, products):
         assert same_point(got, oracle_mu(x, y))
         assert same_point(mu(x, y), oracle_mu(x, y))
-    twice = mu_points(xs, products)  # products of products read chained reps
+    twice = mu_points(xs, products)  # products of products
     for x, p, got in zip(xs, products, twice):
         assert same_point(got, oracle_mu(x, p))
 
@@ -178,7 +150,7 @@ def test_same_points_is_close_per_slice(seed, k, n, scale):
     for tol in (DEFAULT_TOL, Tolerance(abs_eps=1e-6, rel_eps=1e-3)):
         # a pair with no basis: same_points reads only the Cartan matrices and the tolerance
         pair = MatrixSymmetricPair(n, np.zeros((0, n, n)), np.zeros((0, n, n)), SigmaRule("transpose_inverse"), tol=tol)
-        got = same_points([SymPoint(pair, x, x) for x in a], [SymPoint(pair, y, y) for y in b])
+        got = same_points([SymPoint(pair, x) for x in a], [SymPoint(pair, y) for y in b])
         assert got == [tol.close(x, y) for x, y in zip(a, b)]
         assert all(type(v) is bool for v in got)
 
@@ -207,8 +179,6 @@ def test_a_single_matrix_is_no_stack(zoo):
     xs = exp_points(pair, [np.zeros(2)] * 3)
     with pytest.raises(ValueError, match="expected a stack of group elements, got a single matrix"):
         tau_actions(pair, np.eye(3), xs)
-    with pytest.raises(ValueError, match="expected a stack of representatives, got a single matrix"):
-        SymPoint.from_reps(pair, np.eye(3))
 
 
 def test_one_singular_element_fails_the_stack(zoo):
@@ -263,70 +233,22 @@ def test_no_samples_give_zero_residuals(zoo, spec):
 
 
 # ---------------------------------------------------------------------------
-# deferred representatives
+# long chains
 
 
-def test_long_chain_of_stacked_products_reads_without_deep_recursion(zoo):
-    # 3000 stacked products, each over the previous batch, read at the end
+def test_long_chain_of_stacked_products_is_the_eager_chain(zoo):
+    # 3000 stacked products, each over the previous batch
     pair = zoo["spd(2)"].pair
     rng = np.random.default_rng(9)
     word = exp_points(pair, [0.001 * rng.standard_normal(3) for _ in range(6000)])
-    lazy = [base_point(pair), base_point(pair)]
+    stacked = [base_point(pair), base_point(pair)]
     eager = [base_point(pair), base_point(pair)]
     for step in range(3000):
         ps = word[2 * step : 2 * step + 2]
-        lazy = mu_points(ps, lazy)
+        stacked = mu_points(ps, stacked)
         eager = [oracle_mu(p, e) for p, e in zip(ps, eager)]
-    for got, want in zip(lazy, eager):
+    for got, want in zip(stacked, eager):
         assert same_point(got, want)
-
-
-@pytest.mark.parametrize("spec", MODELS)
-def test_one_rep_read_computes_the_batch_once(zoo, spec, monkeypatch):
-    pair = zoo[spec].pair
-    rng = np.random.default_rng(5)
-    xs, ys = mixed_points(pair, rng, 4), mixed_points(pair, rng, 4)
-    for x in xs + ys:
-        x.rep  # the inputs' reps, so that only the batch's own are counted
-    products = mu_points(xs, ys)
-    moved = tau_actions(pair, pair._random_elements(rng, 4, 1, 0.3), xs)
-    reads = count_calls(monkeypatch, symspace, "_reps")
-    products[2].rep
-    assert len(reads) == 2  # the stacked reps of xs and of ys
-    reps = [p.rep for p in products]
-    assert len(reads) == 2
-    assert all(p.rep is r for p, r in zip(products, reps))
-    moved[3].rep
-    [x.rep for x in moved]
-    assert len(reads) == 3
-
-
-def test_one_singular_slice_fails_every_rep_read_of_the_batch(zoo):
-    # a representative whose sigma is singular: the Cartan product is fine,
-    # the deferred rep is not, in the single call and in the whole batch
-    pair = zoo["sphere(2)"].pair
-    good = exp_points(pair, [0.1 * np.ones(2), 0.2 * np.ones(2), np.zeros(2)])
-    bad = SymPoint(pair, np.zeros((3, 3)), np.eye(3))
-    with pytest.raises(np.linalg.LinAlgError):
-        oracle_mu(bad, good[0])
-    single = mu(bad, good[0])
-    with pytest.raises(np.linalg.LinAlgError):
-        single.rep
-    batch = mu_points([good[0], bad, good[1]], good)
-    assert same_bits(batch[0].cartan, oracle_mu(good[0], good[0]).cartan)
-    for p in batch:
-        with pytest.raises(np.linalg.LinAlgError):
-            p.rep
-
-
-def test_unread_chains_are_counted_once_per_batch(zoo):
-    pair = zoo["sphere(2)"].pair
-    xs = exp_points(pair, [0.1 * np.ones(2)] * 3)
-    deep = xs[0]
-    for _ in range(5):
-        deep = mu(xs[1], deep)
-    batch = mu_points([deep, xs[1], xs[2]], xs)
-    assert [p._pending for p in batch] == [1 + deep._pending] * 3
 
 
 # ---------------------------------------------------------------------------
