@@ -1,5 +1,12 @@
 """Dense small-matrix kernel: exp, principal log, nullspace, rank.
 
+The principal log (and the chart relation's principal root) takes one of two
+routes per matrix.  A matrix that passes the normality gate, as every
+catalog Cartan matrix does, is split as ``C = U P`` (polar, then the Cayley
+transform of ``U``) and its log and root come from two stacked symmetric
+eigendecompositions; any other matrix takes Denman-Beavers square roots and
+the atanh series.
+
 Every tolerance verdict in the package is a :meth:`Tolerance.verdicts`
 call, the one comparison of residuals with their bounds, so numeric
 decisions stay uniform and auditable.
@@ -178,6 +185,12 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(f, f))
 
 
+def _close_gaps(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The residual and the verdict scale of :meth:`Tolerance.close` for each
+    pair of slices of two ``(k, n, n)`` stacks."""
+    return _frobenius(a - b), np.maximum(np.maximum(_frobenius(a), _frobenius(b)), 1.0)
+
+
 def _sqrt_denman_beavers(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     # Quadratically convergent for spectra off the closed negative real axis,
     # which the principal-branch precondition of mat_log guarantees.  ``a`` is
@@ -216,12 +229,16 @@ _LOG_DIVERGED = "square-root reduction failed to converge"
 def mat_log(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Principal matrix logarithm on the ball ``op_norm(a - I) < 1``.
 
-    Inverse scaling (repeated square roots) followed by the atanh series
-    ``log A = 2 * sum X^(2j+1)/(2j+1)`` with ``X = (A-I)(A+I)^-1``.  Raises
-    :class:`DomainError` outside the ball.  ``a`` may also be a ``(k, n, n)``
-    stack: each slice takes its own number of roots and series terms, slice
-    ``i`` of the result is bit for bit ``mat_log(a[i])``, and a slice outside
-    the domain comes back filled with NaN instead of failing the stack.
+    Two routes, chosen per matrix by the normality gate of
+    :func:`_normality`.  A matrix that passes it takes the polar/Cayley
+    split of :func:`_normal_parts`, two symmetric eigendecompositions; any
+    other matrix takes inverse scaling (repeated Denman-Beavers square
+    roots) followed by the atanh series ``log A = 2 * sum X^(2j+1)/(2j+1)``
+    with ``X = (A-I)(A+I)^-1``.  Raises :class:`DomainError` outside the
+    ball.  ``a`` may also be a ``(k, n, n)`` stack: each slice takes its own
+    route, slice ``i`` of the result is bit for bit ``mat_log(a[i])``, and a
+    slice outside the domain comes back filled with NaN instead of failing
+    the stack.
     """
     a = as_matrix(a, square=True, stack=True)
     if a.ndim == 3:
@@ -232,18 +249,130 @@ def mat_log(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return out[0]
 
 
+def _normal_parts(a: np.ndarray) -> tuple:
+    """The polar/Cayley split of each slice of a ``(k, n, n)`` stack, and its
+    normality gate.
+
+    For a normal ``C = U P``, with ``P = sqrt(C^T C)`` and ``U`` orthogonal,
+    ``U`` and ``P`` commute with ``C`` and with each other, and so does the
+    skew Cayley transform ``K = (U - I)(U + I)^-1 = (C + P)^-1 (C - P)``.
+    Returns the parts ``(w, v, k, s, u)``, with ``C^T C - I = v diag(w) v^T``
+    and ``K^T K = -K^2 = u diag(s) u^T`` from two stacked ``eigh`` calls,
+    and the gate of :func:`_normality` as ``verdicts`` arguments.  Both
+    eigendecompositions are formed from ``D = C - I``, so a point near the
+    identity keeps the relative accuracy of its small log.  A slice whose
+    ``C^T C`` is not finite (a Cartan matrix so large that it overflows)
+    gets a NaN ``w``, which fails the gate.  Such a slice, one whose
+    ``C + P`` is exactly singular, where ``U`` has the eigenvalue -1 (the
+    cut locus), and one whose ``K^T K`` is not finite get a NaN ``K``.  The
+    parts of a slice that fails the gate mean nothing.
+    """
+    ident = np.eye(a.shape[-1])
+    d = a - ident
+    dt = d.swapaxes(1, 2)
+    m = dt @ d + d + dt
+    huge = ~np.isfinite(m).all(axis=(1, 2))
+    m[huge] = 0.0  # eigh of a non-finite slice fails or returns garbage
+    w, v = np.linalg.eigh(m)
+    w[huge] = np.nan
+    w = np.maximum(w, -1.0)  # rounding may leave a zero singular value negative
+    p1 = _sym_fn(v, w / (1.0 + np.sqrt(1.0 + w)))  # P - I
+    cp = 2.0 * ident + d + p1
+    cut = huge | (np.linalg.det(cp) == 0.0)  # exactly where the solve below would fail
+    cp[cut] = ident
+    k = np.linalg.solve(cp, d - p1)
+    kk = k.swapaxes(1, 2) @ k
+    cut |= ~np.isfinite(kk).all(axis=(1, 2))
+    kk[cut] = 0.0
+    k[cut] = np.nan
+    s, u = np.linalg.eigh(kk)
+    return (w, v, k, np.maximum(s, 0.0), u), _normality(a, w)
+
+
+def _sym_fn(v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # v diag(d) v^T on each slice
+    return (v * d[:, None, :]) @ v.swapaxes(1, 2)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _normality(a: np.ndarray, w: np.ndarray) -> tuple:
+    """The normality gate of each slice of a stack, as ``verdicts`` arguments:
+    the residual ``|C C^T - C^T C|_F = |[U, P^2]|_F``, plus the rounding
+    ``eps max(|C|_F^2, 1)`` of ``w``, in units of ``sigma_min(C)^2 = 1 +
+    min(w)``, at unit scale.
+
+    Where ``U`` and ``P`` fail to commute, ``log P + log U`` misses
+    ``log C`` by about ``|[log U, log P]|_F / 2``, which on the ball is at
+    most ``0.4 |[U, P^2]|_F / sigma_min^2`` to first order.  The rounding
+    of ``w`` moves ``log1p(w) / 2`` and ``P^(1/2)`` by up to about
+    ``eps |C|_F^2 / sigma_min^2``, so an ill-conditioned slice fails as
+    well, and a slice that passes has a log and a root within the
+    tolerance of unit scale.  Where ``C`` is singular, or ``w`` is NaN, the
+    residual is inf or NaN, which fails.
+    """
+    at = a.swapaxes(1, 2)
+    rounding = _EPS * np.maximum(_frobenius(a) ** 2, 1.0)
+    return (_frobenius(a @ at - at @ a) + rounding) / (1.0 + w[:, 0]), np.ones(len(a))
+
+
+def _normal_logs(parts: tuple) -> np.ndarray:
+    """The principal log ``log P + log U`` of each slice from its
+    :func:`_normal_parts`: ``log P = v diag(log1p(w) / 2) v^T`` and
+    ``log U = 2 K f(-K^2)`` with ``f(t^2) = atan(t) / t`` (Higham, Functions
+    of Matrices, 2008, ch. 11)."""
+    w, v, k, s, u = parts
+    t = np.sqrt(s)
+    f = np.arctan(t) / np.where(t > 0.0, t, 1.0)
+    f[t == 0.0] = 1.0
+    return _sym_fn(v, 0.5 * np.log1p(w)) + 2.0 * k @ _sym_fn(u, f)
+
+
+def _normal_roots(parts: tuple) -> np.ndarray:
+    """The principal square root ``U^(1/2) P^(1/2)`` of each slice from its
+    :func:`_normal_parts`, with ``U^(1/2) = (I + K)(I - K^2)^(-1/2)``; NaN on
+    the cut locus."""
+    w, v, k, s, u = parts
+    return (np.eye(k.shape[-1]) + k) @ _sym_fn(u, 1.0 / np.sqrt(1.0 + s)) @ _sym_fn(v, np.sqrt(np.sqrt(1.0 + w)))
+
+
 def _mat_log_stack(a: np.ndarray, tol: Tolerance):
     # The logs of a (k, n, n) stack, NaN where a slice is outside the domain,
-    # and per slice the DomainError message of the 2-D call, or None.
+    # and per slice the DomainError message of the 2-D call, or None.  A slice
+    # that passes the normality gate with a finite log takes _normal_logs, any
+    # other the roots and the atanh series of _series_logs.
     k, n = a.shape[0], a.shape[1]
     if k == 0 or n == 0:
         return a.copy(), [None] * k
-    ident = np.eye(n)
-    inside = (np.linalg.svd(a - ident, compute_uv=False).max(axis=-1) < 1.0).tolist()
+    inside = (np.linalg.svd(a - np.eye(n), compute_uv=False).max(axis=-1) < 1.0).tolist()
     failed = [None if ok else _LOG_DOMAIN for ok in inside]
+    out = np.full((k, n, n), np.nan)
     live = [i for i, ok in enumerate(inside) if ok]
+    if not live:
+        return out, failed
     a = a[live]
-    roots = [0] * len(live)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parts, gate = _normal_parts(a)
+        logs = _normal_logs(parts)
+    normal = tol.verdicts(*gate) & np.isfinite(logs).all(axis=(1, 2))
+    out[np.array(live)[normal]] = logs[normal]
+    rest = [i for i, ok in zip(live, normal.tolist()) if not ok]
+    if rest:
+        out[rest], diverged = _series_logs(a[~normal], tol)
+        for i, bad in zip(rest, diverged):
+            if bad:
+                failed[i] = _LOG_DIVERGED
+    return out, failed
+
+
+def _series_logs(a: np.ndarray, tol: Tolerance) -> tuple:
+    # The fallback route for a (k, n, n) stack inside the ball, which it takes
+    # roots of in place: Denman-Beavers roots until |A - I|_F <= 1/4, then the
+    # atanh series.  Returns the logs, NaN where a slice needs more than 40
+    # roots, and per slice whether it did.
+    ident = np.eye(a.shape[-1])
+    roots = [0] * len(a)
     todo = [j for j, f in enumerate(_frobenius(a - ident).tolist()) if f > 0.25]
     while todo:
         on = slice(None) if len(todo) == len(a) else todo
@@ -252,15 +381,12 @@ def _mat_log_stack(a: np.ndarray, tol: Tolerance):
             roots[j] += 1
         far = _frobenius(a[on] - ident).tolist()
         todo = [j for j, f in zip(todo, far) if roots[j] <= 40 and f > 0.25]
-    if max(roots, default=0) > 40:
-        for i, r in zip(live, roots):
-            if r > 40:
-                failed[i] = _LOG_DIVERGED
-        kept = [j for j, r in enumerate(roots) if r <= 40]
-        a, roots, live = a[kept], [roots[j] for j in kept], [live[j] for j in kept]
-    out = np.full((k, n, n), np.nan)
-    if not live:
-        return out, failed
+    diverged = [r > 40 for r in roots]
+    out = np.full(a.shape, np.nan)
+    kept = [j for j, bad in enumerate(diverged) if not bad]
+    if not kept:
+        return out, diverged
+    a, roots = a[kept], [roots[j] for j in kept]
 
     x = np.linalg.solve((a + ident).swapaxes(1, 2), (a - ident).swapaxes(1, 2)).swapaxes(1, 2)
     x2 = x @ x
@@ -279,8 +405,45 @@ def _mat_log_stack(a: np.ndarray, tol: Tolerance):
         on = _still([not f <= 0.01 * tol.abs_eps for f in _frobenius(inc).tolist()], on)
         if on is not None and not on.size:
             break
-    out[live] = np.array([2.0 ** (r + 1) for r in roots])[:, None, None] * total
-    return out, failed
+    out[kept] = np.array([2.0 ** (r + 1) for r in roots])[:, None, None] * total
+    return out, diverged
+
+
+def _principal_roots(a: np.ndarray, tol: Tolerance) -> tuple:
+    """The principal square root ``S`` of each slice ``X`` of a ``(k, n, n)``
+    stack, and whether ``S S`` is confirmed ``tol.close`` to ``X``.
+
+    The two routes of :func:`mat_log`: a slice that passes the normality
+    gate takes the polar/Cayley root of :func:`_normal_roots`, NaN on the
+    cut locus (an eigenvalue -1), and the gate and the root residuals of the
+    block take one ``verdicts`` call.  Any other slice, including one so
+    large that ``C^T C`` overflows, takes the Denman-Beavers root of
+    :func:`_denman_beavers_roots`, confirmed by a second call.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        parts, gate = _normal_parts(a)
+        roots = _normal_roots(parts)
+        normal, rooted = tol.verdicts(*np.stack([gate, _close_gaps(roots @ roots, a)], axis=1))
+        odd = ~normal
+        if odd.any():
+            roots[odd] = _denman_beavers_roots(a[odd], tol)
+            rooted[odd] = tol.verdicts(*_close_gaps(roots[odd] @ roots[odd], a[odd]))
+    return roots, rooted
+
+
+def _denman_beavers_roots(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The Denman-Beavers square root of each slice of a ``(k, n, n)`` stack.
+
+    An iterate is exactly singular on an exact cut-locus point (an
+    eigenvalue -1), which fails the stacked inversion; the slices are then
+    taken one at a time, and such a slice comes back filled with NaN.
+    """
+    try:
+        return _sqrt_denman_beavers(a, tol)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(a.shape, np.nan)
+        return np.concatenate([_denman_beavers_roots(s[None], tol) for s in a])
 
 
 def _svd_cut(a: np.ndarray, tol: Tolerance):

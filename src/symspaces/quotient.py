@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import Tolerance, _sqrt_denman_beavers, as_matrix, nullspace
+from .numkernel import _principal_roots, as_matrix, nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -35,7 +35,6 @@ from .sympair import MatrixSymmetricPair, SigmaRule
 from .symspace import (
     MAX_STACK_FLOATS,
     SymPoint,
-    _same_cartans,
     exp_point,
     exp_points,
     log_points,
@@ -121,8 +120,7 @@ class ChartRelation:
 def _discrepancies(pair: MatrixSymmetricPair, xs: list, ys: list) -> list:
     """The discrepancy point ``S^-1 Y S^-1`` of ``y`` from ``x`` for each pair
     of points, or None where no principal square root ``S`` of ``X`` is
-    confirmed, from stacked roots, one ``verdicts`` call and stacked
-    products.
+    confirmed, from :func:`_principal_roots` and stacked products.
 
     ``S`` is a transvection representative of ``x``: ``sigma(S) = S^-1``,
     since ``sigma`` is an automorphism and ``sigma(X) = X^-1``.  Its root
@@ -132,8 +130,7 @@ def _discrepancies(pair: MatrixSymmetricPair, xs: list, ys: list) -> list:
     x, y = _cartan_columns(pair, xs, ys)
     if not xs:
         return []
-    roots = _principal_roots(x, pair.tol)
-    rooted = _same_cartans(pair.tol, roots @ roots, x)
+    roots, rooted = _principal_roots(x, pair.tol)
     inv = np.linalg.inv(roots[rooted])
     gaps = iter(inv @ y[rooted] @ inv)
     return [SymPoint(pair, next(gaps)) if ok else None for ok in rooted.tolist()]
@@ -146,21 +143,6 @@ def _cartan_columns(pair: MatrixSymmetricPair, xs: list, ys: list) -> tuple:
         raise ValueError(f"unequal columns: {len(xs)} and {len(ys)} points")
     n = pair.ambient_n
     return tuple(as_matrix(np.reshape([p.cartan for p in ps], (len(ps), n, n)), stack=True) for ps in (xs, ys))
-
-
-def _principal_roots(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The Denman-Beavers square root of each slice of a ``(k, n, n)`` stack.
-
-    An iterate is exactly singular on an exact cut-locus point (an
-    eigenvalue -1), which fails the stacked inversion; the slices are then
-    taken one at a time, and such a slice comes back filled with NaN.
-    """
-    try:
-        return _sqrt_denman_beavers(a, tol)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(a.shape, np.nan)
-        return np.concatenate([_principal_roots(s[None], tol) for s in a])
 
 
 def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> CongruenceRelation:

@@ -21,7 +21,7 @@ from .lts import LieTripleSystem
 from .numkernel import (
     INVERTIBLE_DET_FLOOR,
     DomainError,
-    Tolerance,
+    _close_gaps,
     _frobenius,
     _mat_log_stack,
     as_matrix,
@@ -90,7 +90,7 @@ class SymPoint:
         return self.pair.tol.close(self.cartan, np.eye(self.pair.ambient_n))
 
     def to_json(self) -> dict:
-        return {"pair_label": self.pair.label, "cartan": self.cartan.tolist()}
+        return {"pair_label": self.pair.label, "cartan": np.asarray(self.cartan).tolist()}
 
 
 def _square_stack(mats, what: str) -> np.ndarray:
@@ -134,13 +134,7 @@ def same_points(xs, ys) -> list:
     """``x.same(y)`` of each pair of points, bit for bit, from stacked norms and
     one ``tol.verdicts`` call; all points must live over one pair."""
     xs, ys = _columns(xs, ys)
-    return _same_cartans(xs[0].pair.tol, _cartans(xs), _cartans(ys)).tolist() if xs else []
-
-
-def _same_cartans(tol: Tolerance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tol.close`` of each pair of slices of two ``(k, n, n)`` stacks, from one ``verdicts`` call."""
-    scales = np.maximum(np.maximum(_frobenius(a), _frobenius(b)), 1.0)
-    return tol.verdicts(_frobenius(a - b), scales)
+    return xs[0].pair.tol.verdicts(*_close_gaps(_cartans(xs), _cartans(ys))).tolist() if xs else []
 
 
 def base_point(pair: MatrixSymmetricPair) -> SymPoint:

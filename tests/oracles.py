@@ -5,14 +5,19 @@ The ``oracle_*`` functions are the per-point bodies that the stacked code
 replaced, kept verbatim up to naming, and re-pinned to points that are
 their Cartan matrices.  :func:`oracle_relates_group` is the former relation
 body on explicit group elements of the two points, the reference that the
-Cartan-matrix relation is judged against.
+Cartan-matrix relation is judged against.  :func:`oracle_log` is the
+Denman-Beavers and atanh-series log, which ``mat_log`` keeps for matrices
+that are not normal; the normal route is judged by value against
+:func:`oracle_principal_log`, scipy's ``logm`` on the same ball.
 """
 
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from symspaces import numkernel
 from symspaces.catalog import parse_model
 from symspaces.numkernel import DEFAULT_TOL, DomainError, as_matrix, op_norm
 from symspaces.symspace import SymPoint, log_point
@@ -146,6 +151,26 @@ def oracle_log(a):
     return oracle_log_and_roots(a)[0]
 
 
+def oracle_principal_log(a):
+    """scipy's principal log on the ball ``op_norm(a - I) < 1`` of ``mat_log``,
+    with its DomainError outside."""
+    a = np.array(a, dtype=float)
+    if op_norm(a - np.eye(a.shape[0])) >= 1.0:
+        raise DomainError("matrix outside the principal-branch domain |a - I| < 1")
+    return scipy.linalg.logm(a)
+
+
+def passes_the_gate(stack, tol=DEFAULT_TOL):
+    """The normality gate of ``mat_log`` on each slice of a ``(k, n, n)`` stack."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return tol.verdicts(*numkernel._normal_parts(stack)[1])
+
+
+def close_logs(got, want, rtol=1e-12) -> bool:
+    """``got`` is within ``rtol`` of ``want`` in Frobenius norm, relative to ``max(|want|, 1)``."""
+    return bool(np.linalg.norm(got - want) <= rtol * max(np.linalg.norm(want), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # points
 
@@ -176,7 +201,7 @@ def oracle_log_point(pair, x, extra=0.0):
     # ``extra`` is added to the principal log, as the patched stacked log adds it
     if x.pair is not pair:
         raise ValueError("point does not belong to the given pair")
-    half = 0.5 * (oracle_log(as_matrix(x.cartan, square=True)) + extra)
+    half = 0.5 * (oracle_principal_log(as_matrix(x.cartan, square=True)) + extra)
     return pair.matrix_to_minus(half)
 
 

@@ -294,13 +294,14 @@ def test_a_block_takes_one_verdicts_call(monkeypatch, k):
         return verdicts(self, residuals, scales)
 
     monkeypatch.setattr(Tolerance, "verdicts", counted)
-    for label, decide in (
-        ("_coords_each", lambda: pair.matrix_coords(algebra)),
-        ("same_points", lambda: same_points(xs, ys)),
-        ("algebraic membership", lambda: diagonal.membership(xs)),
-        ("contains_each", lambda: line.contains_each(vectors)),
-        ("the relation's root check", lambda: _discrepancies(pair, xs, ys)),
+    for label, decide, shape in (
+        ("_coords_each", lambda: pair.matrix_coords(algebra), (k,)),
+        ("same_points", lambda: same_points(xs, ys), (k,)),
+        ("algebraic membership", lambda: diagonal.membership(xs), (k,)),
+        ("contains_each", lambda: line.contains_each(vectors), (k,)),
+        # the normality gate and the root check of a block of normal Cartan matrices
+        ("the relation's root check", lambda: _discrepancies(pair, xs, ys), (2, k)),
     ):
         del calls[:]
         decide()
-        assert calls == [(k,)], label
+        assert calls == [shape], label

@@ -201,6 +201,12 @@ class TestSerialization:
         assert back.same(x)
         assert np.array_equal(back.cartan, x.cartan)
 
+    def test_a_point_read_back_as_a_list_writes_its_json(self, sphere):
+        # a point rebuilt from JSON holds the nested list it was given
+        data = json.loads(json.dumps(exp_point(sphere.pair, np.array([0.2, -0.1])).to_json()))
+        back = SymPoint(sphere.pair, data["cartan"])
+        assert json.loads(json.dumps(back.to_json())) == data
+
     def test_subspace_descriptor(self, torus, spd):
         line = torus.subspace_by_name("dense_line").subspace
         desc = line.descriptor()

@@ -3,13 +3,14 @@
 ``mat_exp``, ``mat_log``, ``SymPoint.from_group``, ``log_points`` and the
 batched relation test promise that each slice of a stacked call is bit for
 bit the 2-D call.  That holds only because numpy computes a stacked
-``inv``, ``det``, ``svd(compute_uv=False)``, ``solve`` and ``@`` slice by
-slice with the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))``
+``inv``, ``det``, ``svd(compute_uv=False)``, ``eigh`` (values and vectors),
+``solve`` and ``@`` slice by slice with the 2-D routine, and because the row norm ``sqrt(vecdot(f, f))``
 of a flattened slice is the bits of ``np.linalg.norm`` of that slice (the
 stacked point products, distances, comparisons and tau actions rest on the
 same facts).  A single
 ``mat_exp``, ``from_group``, ``log_point`` or relation test runs as a
-one-slice stack, so its bits must be the 2-D ``inv``, ``det`` and ``@``;
+one-slice stack, so its bits must be the 2-D ``inv``, ``det``, ``eigh``,
+``solve`` and ``@``;
 and ``LinearSubspace.distances`` projects each row as a ``(1, m)`` slice,
 so a row of a stacked ``(k, 1, m) @ (m, d)`` must be the one-row product.
 The coordinate map ``to_matrix``/``minus_to_matrix`` of a ``(k, d)`` stack is
@@ -49,6 +50,8 @@ def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():
         inv = np.linalg.inv(a)
         det = np.linalg.det(a)
         sing = np.linalg.svd(a, compute_uv=False)
+        gram = at @ a  # symmetric, as the polar split of mat_log takes it
+        w, v = np.linalg.eigh(gram)
         solved = np.linalg.solve(at, bt).swapaxes(1, 2)
         product = a @ b
         square = solved @ solved
@@ -59,6 +62,8 @@ def test_stacked_numpy_kernels_are_bit_for_bit_per_slice():
             assert same_bits(det[i], np.linalg.det(a[i]))
             assert same_bits(sing[i], np.linalg.svd(a[i], compute_uv=False))
             assert same_bits(sing[i].max(), np.linalg.norm(a[i], 2))
+            wi, vi = np.linalg.eigh(gram[i])
+            assert same_bits(w[i], wi) and same_bits(v[i], vi)
             single = np.linalg.solve(a[i].T, b[i].T).T
             assert same_bits(solved[i], single)
             assert same_bits(product[i], a[i] @ b[i])
@@ -75,6 +80,8 @@ def test_a_one_slice_stack_is_the_2d_call():
             assert same_bits(np.linalg.det(a[None])[0], np.linalg.det(a))
             assert same_bits((a[None] @ b[None])[0], a @ b)
             assert same_bits(np.linalg.solve(a[None], b[None])[0], np.linalg.solve(a, b))
+            for one, two in zip(np.linalg.eigh((a.T @ a)[None]), np.linalg.eigh(a.T @ a)):
+                assert same_bits(one[0], two)
 
 
 def test_a_stacked_row_product_is_the_one_row_product():
