@@ -29,6 +29,7 @@ from .sympair import (
     trotter_group_sum,
 )
 from .symspace import (
+    Points,
     SymPoint,
     base_point,
     cartan_distance,

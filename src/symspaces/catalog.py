@@ -19,10 +19,11 @@ import numpy as np
 
 from .lts import LinearSubspace, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance
-from .quotient import CongruenceRelation, _cartan_columns
+from .quotient import CongruenceRelation
 from .subspace import ProbeWitness, ReflectionSubspace, algebraic_subspace, fixed_point_subspace
 from .sympair import MatrixSymmetricPair, PairMorphism, SigmaRule
-from .symspace import MAX_STACK_FLOATS, SymMorphism, SymPoint, base_point, exp_point, lts_of_pair, sym_morphism
+from .symspace import MAX_STACK_FLOATS, Points, SymMorphism, SymPoint, _point_columns, base_point, exp_point
+from .symspace import lts_of_pair, sym_morphism
 
 __all__ = [
     "ModelDescriptor",
@@ -41,6 +42,9 @@ SQRT2 = math.sqrt(2.0)
 # The lattice search of the torus relation: two points are related when a
 # shift within this winding brings their discrepancy within thresh of the line.
 TORUS_RELATION_GRID = {"winding": 200000, "thresh": 1e-8}
+# The default of the dense line's float membership: a point is on the line
+# when a lattice shift brings its half-angles within this distance of it.
+TORUS_MEMBER_THRESH = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,23 +226,20 @@ class TorusLattice:
 
     @staticmethod
     def half_angles(point: SymPoint) -> tuple:
-        c = point.cartan
-        ang = []
-        for blk in range(2):
-            i = 2 * blk
-            ang.append(0.5 * math.atan2(c[i + 1, i], c[i, i]))
-        return tuple(ang)
+        return tuple(_half_angles(point.cartan[None])[0].tolist())
 
-    def members_float(self, points, winding: int = 64, thresh: float = 1e-9) -> list:
-        """Float membership of each point: some lattice shift ``a`` in
-        ``[-winding, winding]`` brings ``s*(w1 + pi*a) - w2`` within ``thresh``
-        of a multiple of pi.
+    def members_float(self, points, winding: int = 64, thresh: float = TORUS_MEMBER_THRESH) -> list:
+        """Float membership of each point of a block over one torus pair: some
+        lattice shift ``a`` in ``[-winding, winding]`` brings
+        ``s*(w1 + pi*a) - w2`` within ``thresh`` of a multiple of pi.
 
         The ``(k, 2*winding + 1)`` grid of shifts is evaluated in row chunks
         of at most ``MAX_STACK_FLOATS`` floats (one row where a row is
         longer), each entry by the same elementwise arithmetic as one point.
         """
-        w = np.array([self.half_angles(x) for x in points]).reshape(-1, 2)
+        if not len(points):
+            return []
+        w = _half_angles(Points.of(points[0].pair, points).cartans)
         s = self.slope
         a = np.arange(-winding, winding + 1, dtype=float)
         rows = max(1, MAX_STACK_FLOATS // a.size)
@@ -315,6 +316,13 @@ class TorusLattice:
         return out
 
 
+def _half_angles(cartans: np.ndarray) -> np.ndarray:
+    """The ``(k, 2)`` half-angles of a stack of torus Cartan matrices, one
+    ``math.atan2`` of the rotation entries of each 2x2 block."""
+    angles = [list(map(math.atan2, cartans[:, i + 1, i].tolist(), cartans[:, i, i].tolist())) for i in (0, 2)]
+    return 0.5 * np.array(angles).T
+
+
 # ---------------------------------------------------------------------------
 # designated subspaces per model
 
@@ -372,7 +380,7 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
 
     dense = ReflectionSubspace(
         pair=pair,
-        membership=lattice.members_float,
+        membership=lambda points: lattice.members_float(Points.of(pair, points)),
         kind="generated",
         label="dense_line",
         seed=dense_seed,
@@ -400,10 +408,10 @@ def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> Congrue
     n = LinearSubspace.span(np.array([[1.0, lattice.slope]]), pair.dim_minus)
     l_full = pair.minus_subspace_to_full(n)
 
-    def relates(xs: list, ys: list) -> list:
+    def relates(xs, ys) -> list:
         # the discrepancy X^-1 Y: the torus's Cartan matrices commute, so it needs no root
-        x, y = _cartan_columns(pair, xs, ys)
-        return lattice.members_float([SymPoint(pair, d) for d in np.linalg.inv(x) @ y], **TORUS_RELATION_GRID)
+        xs, ys = _point_columns(xs, ys, pair)
+        return lattice.members_float(Points._wrap(pair, np.linalg.inv(xs.cartans) @ ys.cartans), **TORUS_RELATION_GRID)
 
     def sequence_probes():
         target = 0.15

@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import _principal_roots, as_matrix, nullspace
+from .numkernel import _principal_roots, nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -34,14 +34,15 @@ from .subspace import (
 from .sympair import MatrixSymmetricPair, SigmaRule
 from .symspace import (
     MAX_STACK_FLOATS,
+    Points,
     SymPoint,
-    exp_point,
+    _point_columns,
+    _scattered,
     exp_points,
     log_points,
     lts_of_pair,
     mu_points,
     same_points,
-    tau_action,
     tau_actions,
 )
 
@@ -78,15 +79,16 @@ class FaithfulnessError(RuntimeError):
 class CongruenceRelation:
     """Equivalence relation on M induced by a normal integral subgroup.
 
-    ``relates(xs, ys)`` takes two equal-length lists of points and answers
-    for each pair in three values: True/False inside the normal-chart domain
-    of the discrepancy, ``None`` outside it.
+    ``relates(xs, ys)`` takes two equal-length blocks of points (each a
+    :class:`Points`, or a sequence of points that :meth:`Points.of` stacks)
+    and answers for each pair in three values: True/False inside the
+    normal-chart domain of the discrepancy, ``None`` outside it.
     """
 
     pair: MatrixSymmetricPair
     l_algebra: LinearSubspace  # full-algebra coordinates
     n_minus: LinearSubspace  # g_minus coordinates
-    relates: Callable[[list, list], list]
+    relates: Callable[[Points, Points], list]
     label: str = ""
     sequence_probes: Optional[Callable[[], list]] = None
 
@@ -101,7 +103,7 @@ def normal_lts_is_ideal(n_space: ReflectionSubspace) -> bool:
 class ChartRelation:
     """``relates`` through the normal chart of the Cartan discrepancy.
 
-    Called on two lists of points, it answers for each pair whether the log
+    Called on two blocks of points, it answers for each pair whether the log
     of the discrepancy of ``y`` from ``x`` lies in n, or None outside the
     log's domain and where ``x`` has no confirmed principal root, from
     :func:`_discrepancies`, stacked logs and one row-wise ``contains_each``.
@@ -111,38 +113,29 @@ class ChartRelation:
         self.pair = pair
         self.n = n
 
-    def __call__(self, xs: list, ys: list) -> list:
-        gaps = _discrepancies(self.pair, xs, ys)
-        logs = iter(log_points(self.pair, [d for d in gaps if d is not None]))
-        return _chart_verdicts(self.n, [None if d is None else next(logs) for d in gaps], self.pair.tol)
+    def __call__(self, xs, ys) -> list:
+        gaps, rooted = _discrepancies(self.pair, xs, ys)
+        logs = iter(log_points(self.pair, gaps))
+        return _chart_verdicts(self.n, [next(logs) if ok else None for ok in rooted.tolist()], self.pair.tol)
 
 
-def _discrepancies(pair: MatrixSymmetricPair, xs: list, ys: list) -> list:
-    """The discrepancy point ``S^-1 Y S^-1`` of ``y`` from ``x`` for each pair
-    of points, or None where no principal square root ``S`` of ``X`` is
-    confirmed, from :func:`_principal_roots` and stacked products.
+def _discrepancies(pair: MatrixSymmetricPair, xs, ys) -> tuple:
+    """The discrepancy points ``S^-1 Y S^-1`` of ``y`` from ``x``, for the pairs
+    of points where a principal square root ``S`` of ``X`` is confirmed, and
+    the boolean mask ``rooted`` of those pairs, from :func:`_principal_roots`
+    and stacked products.
 
     ``S`` is a transvection representative of ``x``: ``sigma(S) = S^-1``,
     since ``sigma`` is an automorphism and ``sigma(X) = X^-1``.  Its root
     exists off the cut locus (no eigenvalue of ``X`` on the closed negative
     real axis); a root is taken only where ``S S`` is the same point as ``x``.
     """
-    x, y = _cartan_columns(pair, xs, ys)
-    if not xs:
-        return []
-    roots, rooted = _principal_roots(x, pair.tol)
+    xs, ys = _point_columns(xs, ys, pair)
+    if not len(xs):
+        return xs, np.zeros(0, dtype=bool)
+    roots, rooted = _principal_roots(xs.cartans, pair.tol)
     inv = np.linalg.inv(roots[rooted])
-    gaps = iter(inv @ y[rooted] @ inv)
-    return [SymPoint(pair, next(gaps)) if ok else None for ok in rooted.tolist()]
-
-
-def _cartan_columns(pair: MatrixSymmetricPair, xs: list, ys: list) -> tuple:
-    """The Cartan matrices of two equal-length lists of points as two
-    validated ``(k, n, n)`` stacks."""
-    if len(xs) != len(ys):
-        raise ValueError(f"unequal columns: {len(xs)} and {len(ys)} points")
-    n = pair.ambient_n
-    return tuple(as_matrix(np.reshape([p.cartan for p in ps], (len(ps), n, n)), stack=True) for ps in (xs, ys))
+    return Points._wrap(pair, inv @ ys.cartans[rooted] @ inv), rooted
 
 
 def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> CongruenceRelation:
@@ -170,10 +163,11 @@ class PointProjection:
     """The quotient projection on points, induced by Ad on g/l.
 
     The image of the point with Cartan matrix C has Cartan matrix Ad(C) on
-    g/l, since sigma' o Ad = Ad o sigma.  Called on a list of points, it
-    projects them in blocks of :attr:`block` points, whose ``matrix_coords``
-    right-hand side holds at most ``MAX_STACK_FLOATS``; each image is bit
-    for bit the one-point call.
+    g/l, since sigma' o Ad = Ad o sigma.  Called on a block of points over
+    the source, it returns the :class:`Points` of their images, projected in
+    blocks of :attr:`block` points whose ``matrix_coords`` right-hand side
+    holds at most ``MAX_STACK_FLOATS``; each image is bit for bit the
+    one-point call.
     """
 
     def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
@@ -183,20 +177,19 @@ class PointProjection:
         self.comp_mats = np.tensordot(comp, source.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
         self.block = max(1, MAX_STACK_FLOATS // max(1, self.comp_mats.size))
 
-    def __call__(self, points: list) -> list:
-        if any(x.pair is not self.source for x in points):
-            raise ValueError("point does not belong to the source pair")
+    def __call__(self, points) -> Points:
+        cartans = Points.of(self.source, points).cartans
         d_out, n = self.comp_mats.shape[0], self.source.ambient_n
         if not d_out:
-            return [SymPoint(self.target, np.eye(1)) for _ in points]
-        out = []
-        for start in range(0, len(points), self.block):
-            c = np.array([x.cartan for x in points[start:start + self.block]])
+            return Points._wrap(self.target, np.ones((len(cartans), 1, 1)))
+        out = [np.empty((0, d_out, d_out))]
+        for start in range(0, len(cartans), self.block):
+            c = cartans[start:start + self.block]
             # column b of point i: the complement coordinates of Ad(C_i) applied to comp[b]
             moved = c[:, None] @ self.comp_mats @ np.linalg.inv(c)[:, None]
             coords = self.source.matrix_coords(moved.reshape(-1, n, n)).reshape(len(c), d_out, -1)
-            out += [SymPoint(self.target, a) for a in self.comp @ coords.transpose(0, 2, 1)]
-        return out
+            out.append(self.comp @ coords.transpose(0, 2, 1))
+        return Points._wrap(self.target, np.concatenate(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +197,7 @@ class QuotientResult:
     """Quotient symmetric pair with its point and algebra projections."""
 
     quotient_pair: MatrixSymmetricPair
-    projection_points: Callable[[list], list]  # a list of points -> their images
+    projection_points: Callable[[Points], Points]  # a block of points -> their images
     projection_algebra: np.ndarray  # (quotient dim_minus, source dim_minus)
     l_algebra: LinearSubspace
     relation: CongruenceRelation
@@ -358,13 +351,10 @@ def weak_submersion_check(
     samples where relates(x, y) agrees with pi(x) = pi(y)
     (``kernel_relation``, on the untranslated x).
 
-    The samples run in blocks whose x0 and y stack, counted in the larger of
-    the source and quotient matrices, holds at most ``MAX_STACK_FLOATS``.
-    They are drawn in the order of a per-sample loop; a block's points come
-    from stacked exponentials, its translations, products and point
-    comparisons from one stacked call each, a :class:`PointProjection`
-    projects them in blocks of its own and a :class:`ChartRelation` relates
-    them in one call per block.
+    The samples are drawn in the order of a per-sample loop and run in blocks
+    whose x0 and y stack, counted in the larger of the source and quotient
+    matrices, holds at most ``MAX_STACK_FLOATS``; each block is one
+    :class:`Points` per step, from one stacked call each.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -398,17 +388,14 @@ def weak_submersion_check(
         count = len(us)
         points = exp_points(pair, us + vs)
         x0s, ys = points[:count], points[count:]
-        xs = list(x0s)
         elements = pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))
-        for i, x in zip(moved, tau_actions(pair, elements, [x0s[i] for i in moved])):
-            xs[i] = x
+        translated = tau_actions(pair, elements, x0s[moved])
+        xs = _scattered(x0s, moved, translated)
         products = mu_points(xs, ys)
 
-        projected = project(x0s + ys + [xs[i] for i in moved] + products)
+        projected = Points.of(qr.quotient_pair, project(x0s + ys + translated + products))
         px0s, pys = projected[:count], projected[count:2 * count]
-        pxs = list(px0s)
-        for i, px in zip(moved, projected[2 * count:]):
-            pxs[i] = px
+        pxs = _scattered(px0s, moved, projected[2 * count:2 * count + len(moved)])
         pmus = projected[2 * count + len(moved):]
 
         morph_pass += sum(same_points(pmus, mu_points(pxs, pys)))
@@ -445,15 +432,15 @@ def relation_closure_check(
         u = 0.2 * rng.standard_normal(m)
         w = 0.1 * rng.standard_normal(m)
         wn = relation.n_minus.project(w) if relation.n_minus.dim else np.zeros(m)
-        x = exp_point(pair, u)
-        y = SymPoint.from_group(pair, pair.exp(pair.minus_to_matrix(u)) @ pair.exp(pair.minus_to_matrix(wn)))
-        if relation.relates([x], [y]) == [False]:
+        x = exp_points(pair, [u])
+        y = SymPoint.from_group(pair, (pair.exp(pair.minus_to_matrix(u)) @ pair.exp(pair.minus_to_matrix(wn)))[None])
+        if relation.relates(x, y) == [False]:
             return {"ok": False, "witness": "constructed related pair rejected"}
         direction = pair.random_algebra_element(rng, 0.2)
-        gs = [pair.exp(0.2 / 2.0**i * direction) for i in range(steps)]
-        if False in relation.relates([tau_action(pair, g, x) for g in gs], [tau_action(pair, g, y) for g in gs]):
+        gs = np.array([pair.exp(0.2 / 2.0**i * direction) for i in range(steps)])
+        if False in relation.relates(tau_actions(pair, gs, x[[0] * steps]), tau_actions(pair, gs, y[[0] * steps])):
             return {"ok": False, "witness": "tau translate left the relation"}
-        if relation.relates([x], [y]) == [False]:
+        if relation.relates(x, y) == [False]:
             return {"ok": False, "witness": "limit pair rejected"}
     if relation.sequence_probes is not None:
         for seq, limit in relation.sequence_probes():

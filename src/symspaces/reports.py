@@ -22,9 +22,10 @@ from .subspace import (
     split_complement_criterion,
 )
 from .symspace import (
+    Points,
     _chart_logs,
     _raise_first,
-    base_point,
+    _scattered,
     cartan_distance,
     cartan_distances,
     exp_point,
@@ -47,6 +48,12 @@ __all__ = [
 # Absolute pass gate of every ``verify`` report: ``ok`` is ``max_residual < VERIFY_GATE``.
 VERIFY_GATE = 1e-8
 
+# The tangent-product check of ``reflection_axiom_report`` reads a chart gap
+# at or below these floors as rounding: a gap <= QUADRATIC_GAP_FLOOR adds 0 to
+# the quadratic bound, and a Richardson ratio needs a gap above RICHARDSON_GAP_FLOOR.
+QUADRATIC_GAP_FLOOR = 1e-13
+RICHARDSON_GAP_FLOOR = 1e-12
+
 
 def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, samples: int = 25) -> dict:
     """Sampled reflection-space axioms plus the two linearized base-point laws."""
@@ -61,8 +68,7 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
             letters.append(0.3 * rng.standard_normal(pair.dim))
     points = exp_points(pair, vs)
     elements = pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))
-    for i, x in zip(moved, tau_actions(pair, elements, [points[i] for i in moved])):
-        points[i] = x
+    points = _scattered(points, moved, tau_actions(pair, elements, points[moved]))
     # each axiom over all samples at once, one stacked product per mu of the per-sample law
     xs, ys, zs = points[0::3], points[1::3], points[2::3]
     xy = mu_points(xs, ys)
@@ -91,7 +97,8 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
     steps = [s * h * e for e in np.eye(m) for s in (1.0, -1.0)]
     words = [eps * v for u, w in units for eps in epsilons for v in (u, w)]
     points = exp_points(pair, steps + words)
-    reflected = mu_points([base_point(pair)] * len(steps), points[: len(steps)])
+    base = Points._wrap(pair, np.tile(np.eye(pair.ambient_n), (len(steps), 1, 1)))
+    reflected = mu_points(base, points[: len(steps)])
     products = mu_points(points[len(steps) :: 2], points[len(steps) + 1 :: 2])
     logs = _raise_first(_chart_logs(pair, reflected + products))  # log_point of each, or its first error
 
@@ -104,8 +111,8 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
     gaps = iter(logs[len(steps) :])
     for u, w in units:
         g1, g2 = (float(np.linalg.norm(next(gaps) - eps * (2 * u - w))) for eps in epsilons)
-        worst = max(worst, g1 / (0.08 ** 2) if g1 > 1e-13 else 0.0)
-        if g1 > 1e-12:
+        worst = max(worst, g1 / (0.08 ** 2) if g1 > QUADRATIC_GAP_FLOOR else 0.0)
+        if g1 > RICHARDSON_GAP_FLOOR:
             ratios.append(g1 / max(g2, 1e-300))
     return {
         "symmetry_involutive": res_invol,

@@ -18,6 +18,7 @@ from .lts import LinearSubspace, VerificationError, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, nullspace
 from .symspace import (
     MAX_STACK_FLOATS,
+    Points,
     SymMorphism,
     SymPoint,
     _chart_logs,
@@ -52,6 +53,13 @@ __all__ = [
 
 CERTIFICATION_GRID = (0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
+# Least absolute and relative tolerances of the nullspace cut of the algebraic
+# candidate's central-difference Jacobian, whose O(h^2) noise lies well above eps.
+JACOBIAN_ABS_FLOOR, JACOBIAN_REL_FLOOR = 1e-8, 1e-7
+# split_complement_criterion skips the samples and probe directions of F below
+# these norms: they stand for the base point, which every subspace holds.
+COMPLEMENT_SAMPLE_FLOOR, COMPLEMENT_PROBE_FLOOR = 1e-6, 1e-12
+
 
 class CertificationError(RuntimeError):
     """Linearized candidate failed its exponential-ray certification."""
@@ -81,9 +89,10 @@ class ProbeWitness:
 class ReflectionSubspace:
     """Pointed reflection subspace given by a membership oracle.
 
-    ``membership`` answers a block: it takes a list of points and returns a
-    list of True, False or None ("unknown"), one per point; :meth:`member`
-    is its one-point case.  ``kind`` selects how the candidate Lie triple
+    ``membership`` answers a block: it takes a :class:`Points` (or a sequence
+    of points, which a catalog membership stacks through :meth:`Points.of`)
+    and returns a list of True, False or None ("unknown"), one per point;
+    :meth:`member` is its one-point case.  ``kind`` selects how the candidate Lie triple
     system is linearized: ``algebraic`` (nullspace of the constraint
     Jacobian at b), ``fixed_point`` (+1 eigenspace of an automorphism
     derivative), ``generated`` (the seed itself) or ``preimage`` (pullback
@@ -91,7 +100,7 @@ class ReflectionSubspace:
     """
 
     pair: MatrixSymmetricPair
-    membership: Callable[[list], list]
+    membership: Callable[[Points], list]
     kind: str
     label: str = ""
     seed: Optional[LinearSubspace] = None  # g_minus coordinates
@@ -127,10 +136,9 @@ class ReflectionSubspace:
                 raise ValueError("algebraic subspace without constraints")
             h = 1e-6
             steps = [s * e for e in np.eye(m) for s in (h, -h)]
-            values = _residuals(self.constraints, _cartan_stack(exp_points(self.pair, steps), self.pair.ambient_n))
+            values = _residuals(self.constraints, exp_points(self.pair, steps).cartans)
             jac = ((values[0::2] - values[1::2]) / (2.0 * h)).T
-            # finite differences leave O(h^2) noise well above machine eps
-            fd_tol = Tolerance(abs_eps=max(tol.abs_eps, 1e-8), rel_eps=max(tol.rel_eps, 1e-7))
+            fd_tol = Tolerance(max(tol.abs_eps, JACOBIAN_ABS_FLOOR), max(tol.rel_eps, JACOBIAN_REL_FLOOR))
             return LinearSubspace(m, nullspace(jac, fd_tol).T)
         raise ValueError(f"unknown subspace kind {self.kind!r}")
 
@@ -143,11 +151,6 @@ class ReflectionSubspace:
         if self.constraints is not None:
             out["constraints"] = getattr(self.constraints, "constraint_name", "custom")
         return out
-
-
-def _cartan_stack(points: list, n: int) -> np.ndarray:
-    """The ``(k, n, n)`` stack of the points' Cartan matrices, ``k = 0`` included."""
-    return np.array([x.cartan for x in points]).reshape(len(points), n, n)
 
 
 def _residuals(constraints: Callable[[np.ndarray], np.ndarray], cartans: np.ndarray) -> np.ndarray:
@@ -174,8 +177,8 @@ def algebraic_subspace(
     stacks.
     """
 
-    def membership(points: list) -> list:
-        cartans = _cartan_stack(points, pair.ambient_n)
+    def membership(points) -> list:
+        cartans = Points.of(pair, points).cartans
         norms = _frobenius(_residuals(constraints, cartans))
         return pair.tol.verdicts(norms, np.maximum(_frobenius(cartans), 1.0)).tolist()
 
@@ -193,9 +196,14 @@ def fixed_point_subspace(pair: MatrixSymmetricPair, automorphism: SymMorphism, l
     """Fixed-point set of a pair automorphism (always a reflection subspace)."""
     if automorphism.source is not pair or automorphism.target is not pair:
         raise ValueError("automorphism must map the pair to itself")
+
+    def membership(points) -> list:
+        points = Points.of(pair, points)
+        return same_points(automorphism.many(points), points)
+
     return ReflectionSubspace(
         pair=pair,
-        membership=lambda points: same_points(automorphism.many(points), points),
+        membership=membership,
         kind="fixed_point",
         label=label,
         automorphism=automorphism,
@@ -221,16 +229,16 @@ def base_only(pair: MatrixSymmetricPair) -> ReflectionSubspace:
 class ChartMembership:
     """Membership in the integral subspace generated by a seed, through the chart.
 
-    Called on a list of points, it answers for each whether its normal-chart
-    preimage lies in the seed, or None where :func:`log_point` raises
-    ``ValueError``, from stacked logs and one row-wise ``contains_each``.
+    Called on a block of points, it answers for each whether its
+    normal-chart preimage lies in the seed, or None where the log leaves its
+    domain or g_minus, from stacked logs and one row-wise ``contains_each``.
     """
 
     def __init__(self, pair: MatrixSymmetricPair, seed: LinearSubspace):
         self.pair = pair
         self.seed = seed
 
-    def __call__(self, points: list) -> list:
+    def __call__(self, points) -> list:
         logs = [None if isinstance(v, ValueError) else v for v in _chart_logs(self.pair, points)]
         return _chart_verdicts(self.seed, logs, self.pair.tol)
 
@@ -270,7 +278,8 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
     pair = n_space.pair
     cand = n_space.candidate_subspace()
     rays = [(v, t) for v in cand.onb() for t in CERTIFICATION_GRID]
-    at_base, *members = n_space.membership([base_point(pair)] + exp_points(pair, [t * v for v, t in rays]))
+    base = Points._wrap(pair, np.eye(pair.ambient_n)[None])
+    at_base, *members = n_space.membership(base + exp_points(pair, [t * v for v, t in rays]))
     if at_base is False:
         raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
     for (v, t), member in zip(rays, members):
@@ -415,7 +424,7 @@ def split_complement_criterion(
         return True
     state = rng.bit_generator.state
     ws = _ball_samples(rng, f_comp.onb(), radius, samples)
-    kept = [i for i, r in enumerate(_frobenius(ws).tolist()) if r >= 1e-6]
+    kept = [i for i, r in enumerate(_frobenius(ws).tolist()) if r >= COMPLEMENT_SAMPLE_FLOOR]
     size = max(1, MAX_STACK_FLOATS // pair.ambient_n ** 2)
     for start in range(0, len(kept), size):
         block = kept[start:start + size]
@@ -427,7 +436,7 @@ def split_complement_criterion(
                 return False
     if n_space.probes is not None:
         vectors = (np.asarray(p.vector, dtype=float) for p in n_space.probes(radius, f_comp))
-        probes = [w for w in vectors if 1e-12 < np.linalg.norm(w) <= radius]
+        probes = [w for w in vectors if COMPLEMENT_PROBE_FLOOR < np.linalg.norm(w) <= radius]
         return not pair.tol.verdicts([f_comp.distance(w) for w in probes], 1.0).any()
     return True
 
@@ -497,10 +506,9 @@ def mu_closure_check(
     size = max(1, MAX_STACK_FLOATS // (2 * pair.ambient_n ** 2))
     for start in range(0, samples, size):
         points = exp_points(pair, uv[2 * start:2 * (start + size)])
-        xs, ys = points[0::2], points[1::2]
         members = n_space.membership(points)
         both = [i for i, (a, b) in enumerate(zip(members[0::2], members[1::2])) if a is True and b is True]
-        products = mu_points([xs[i] for i in both], [ys[i] for i in both])
+        products = mu_points(points[0::2][both], points[1::2][both])
         for i, member in zip(both, n_space.membership(products)):
             if member is False:
                 rng.bit_generator.state = state

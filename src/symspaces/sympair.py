@@ -479,9 +479,13 @@ class PairMorphism:
         return self.target.to_matrix(self.algebra_map @ self.source.matrix_coords(x))
 
     def map_group(self, g: np.ndarray) -> np.ndarray:
+        return self._map_group(as_matrix(g, square=True))
+
+    def _map_group(self, g: np.ndarray) -> np.ndarray:
+        # the group rule on a matrix that the package computed, unchecked
         if self.group_rule is None:
             raise ValueError("morphism has no group rule; use apply_pair_morphism on a word")
-        return self.group_rule(as_matrix(g, square=True))
+        return self.group_rule(g)
 
     def validate(self, rng: Optional[np.random.Generator] = None) -> dict:
         """Residuals: bracket intertwining, involution intertwining, and

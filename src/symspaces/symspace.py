@@ -8,12 +8,19 @@ is ever needed.  A group homomorphism ``phi`` with ``phi o sigma =
 sigma' o phi`` maps the point of ``C`` to the point of ``phi(C)``; this is
 how morphisms and the quotient projection act on points.  A group element
 enters only through :meth:`SymPoint.from_group`.
+
+A block of points is a :class:`Points`: the pair and one read-only
+``(k, n, n)`` stack of Cartan matrices.  Every producer of points returns
+one, and every consumer takes one, or a sequence of :class:`SymPoint` that
+:meth:`Points.of` stacks once; the one-point functions are the ``k = 1`` case.
+``SymPoint(pair, cartan)`` and ``Points(pair, cartans)`` check what they are
+given; a stack the package computed is wrapped unchecked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ from .sympair import MatrixSymmetricPair, PairMorphism, _word_products, group_si
 
 __all__ = [
     "SymPoint",
+    "Points",
     "base_point",
     "mu",
     "mu_points",
@@ -64,22 +72,33 @@ class SymPoint:
 
     The Cartan matrix determines the point (K = G^sigma), and every point
     operation is a formula in it; no group representative is kept.
+    ``SymPoint(pair, cartan)`` checks its matrix as ``Points(pair, cartans)``
+    checks a stack and keeps a read-only copy.
     """
 
     __slots__ = ("pair", "cartan")
 
-    def __init__(self, pair: MatrixSymmetricPair, cartan: np.ndarray):
+    def __init__(self, pair: MatrixSymmetricPair, cartan):
         self.pair = pair
-        self.cartan = cartan
+        self.cartan = _checked(pair, np.array(cartan, dtype=float)[None])[0]
+        self.cartan.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, pair: MatrixSymmetricPair, cartan: np.ndarray) -> "SymPoint":
+        # a point of a matrix that the package computed: no check and no copy
+        x = object.__new__(cls)
+        x.pair, x.cartan = pair, cartan
+        cartan.flags.writeable = False
+        return x
 
     @classmethod
     def from_group(cls, pair: MatrixSymmetricPair, g):
         """The point ``g K``, Cartan matrix ``g sigma(g)^-1``, of a group element;
-        of a ``(k, n, n)`` stack, the list of the points of its slices, each bit
-        for bit the one-matrix call."""
+        of a ``(k, n, n)`` stack, the :class:`Points` of its slices, each bit for
+        bit the one-matrix call."""
         g = as_matrix(g, square=True, stack=True)
         stack = g if g.ndim == 3 else g[None]
-        points = [cls(pair, c) for c in stack @ np.linalg.inv(group_sigma(pair, stack))]
+        points = Points._wrap(pair, _checked(pair, stack @ np.linalg.inv(group_sigma(pair, stack))))
         return points if g.ndim == 3 else points[0]
 
     def same(self, other: "SymPoint") -> bool:
@@ -90,32 +109,101 @@ class SymPoint:
         return self.pair.tol.close(self.cartan, np.eye(self.pair.ambient_n))
 
     def to_json(self) -> dict:
-        return {"pair_label": self.pair.label, "cartan": np.asarray(self.cartan).tolist()}
+        return {"pair_label": self.pair.label, "cartan": self.cartan.tolist()}
 
 
-def _square_stack(mats, what: str) -> np.ndarray:
-    """``mats`` as a validated ``(k, n, n)`` stack; a single matrix is refused,
-    since its rows would be taken for the matrices."""
-    mats = as_matrix(mats, square=True, stack=True)
-    if mats.ndim != 3:
-        raise ValueError(f"expected a stack of {what}, got a single matrix")
-    return mats
+class Points:
+    """A block of points over one pair: ``pair`` and the read-only float64
+    ``(k, n, n)`` stack ``cartans`` of their Cartan matrices, ``n = pair.ambient_n``.
+
+    ``Points(pair, cartans)`` checks its stack as :class:`SymPoint` checks a
+    matrix and keeps a read-only copy; :meth:`of` is the one converting entry
+    for a sequence of points.  ``len``, iteration and an integer index give
+    :class:`SymPoint`; a slice, an index list or a boolean mask gives a
+    ``Points``; ``+`` concatenates a block over the same pair.
+    """
+
+    __slots__ = ("pair", "cartans")
+
+    def __init__(self, pair: MatrixSymmetricPair, cartans):
+        self.pair = pair
+        self.cartans = _checked(pair, np.array(cartans, dtype=float))
+        self.cartans.flags.writeable = False
+
+    @classmethod
+    def _wrap(cls, pair: MatrixSymmetricPair, cartans: np.ndarray) -> "Points":
+        # a block of a stack that the package computed: no check and no copy
+        xs = object.__new__(cls)
+        xs.pair, xs.cartans = pair, cartans.view()
+        xs.cartans.flags.writeable = False
+        return xs
+
+    @classmethod
+    def of(cls, pair: MatrixSymmetricPair, points) -> "Points":
+        """``points`` as a block over ``pair``: a ``Points`` over ``pair`` as it
+        is, a sequence of :class:`SymPoint` stacked once.  A point made from
+        outside input checked its matrix then, and a point the package made
+        needs no check, so only the pairs are checked here.
+
+        Raises ValueError for a point over another pair.
+        """
+        if isinstance(points, Points) and points.pair is pair:
+            return points
+        points = list(points)  # the points of a block over another pair fail the next test
+        if any(x.pair is not pair for x in points):
+            raise ValueError("point does not belong to the given pair")
+        n = pair.ambient_n
+        return cls._wrap(pair, np.array([x.cartan for x in points]) if points else np.empty((0, n, n)))
+
+    def __len__(self) -> int:
+        return len(self.cartans)
+
+    def __iter__(self):
+        return (SymPoint._wrap(self.pair, c) for c in self.cartans)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SymPoint._wrap(self.pair, self.cartans[index])
+        return Points._wrap(self.pair, self.cartans[index])
+
+    def __add__(self, other) -> "Points":
+        return Points._wrap(self.pair, np.concatenate([self.cartans, Points.of(self.pair, other).cartans]))
 
 
-def _columns(xs, ys) -> tuple:
-    """``xs`` and ``ys`` as lists of points over one pair: raises ValueError
-    on columns of unequal length or on points over different pairs."""
-    xs, ys = list(xs), list(ys)
+def _checked(pair: MatrixSymmetricPair, cartans: np.ndarray) -> np.ndarray:
+    """``cartans`` if it is a ``(k, n, n)`` stack, ``n = pair.ambient_n``, whose
+    slices have finite Frobenius norms (so finite entries whose squares sum
+    without overflow); ValueError otherwise."""
+    n = pair.ambient_n
+    if cartans.ndim != 3 or cartans.shape[1:] != (n, n):
+        raise ValueError(f"expected {n}x{n} Cartan matrices of {pair.label}, got shape {cartans.shape[1:]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(_frobenius(cartans)).all()
+    if not finite:
+        raise ValueError("Cartan matrices must be finite, with a finite Frobenius norm")
+    return cartans
+
+
+def _point_columns(xs, ys, pair: Optional[MatrixSymmetricPair] = None) -> tuple:
+    """``xs`` and ``ys`` as two equal-length :class:`Points` over ``pair``, by
+    default the pair of the first point; two empty sequences with no pair to
+    hold them come back as they are."""
+    for column in (xs, ys):
+        if pair is None and (isinstance(column, Points) or len(column)):
+            pair = column.pair if isinstance(column, Points) else column[0].pair
+    if pair is None:
+        return xs, ys
+    xs, ys = Points.of(pair, xs), Points.of(pair, ys)
     if len(xs) != len(ys):
         raise ValueError(f"unequal columns: {len(xs)} and {len(ys)} points")
-    pair = xs[0].pair if xs else None
-    if any(x.pair is not pair for x in xs) or any(y.pair is not pair for y in ys):
-        raise ValueError("points live over different symmetric pairs")
     return xs, ys
 
 
-def _cartans(points: list) -> np.ndarray:
-    return np.array([x.cartan for x in points])
+def _scattered(points: Points, index: list, block: Points) -> Points:
+    """``points`` with the points at ``index`` replaced by those of ``block``."""
+    cartans = points.cartans.copy()
+    cartans[index] = block.cartans
+    return Points._wrap(points.pair, cartans)
 
 
 def cartan_distance(x: SymPoint, y: SymPoint) -> float:
@@ -126,19 +214,19 @@ def cartan_distance(x: SymPoint, y: SymPoint) -> float:
 def cartan_distances(xs, ys) -> list:
     """``cartan_distance(x, y)`` of each pair of points, bit for bit, from one
     stacked difference; all points must live over one pair."""
-    xs, ys = _columns(xs, ys)
-    return _frobenius(_cartans(xs) - _cartans(ys)).tolist() if xs else []
+    xs, ys = _point_columns(xs, ys)
+    return _frobenius(xs.cartans - ys.cartans).tolist() if len(xs) else []
 
 
 def same_points(xs, ys) -> list:
     """``x.same(y)`` of each pair of points, bit for bit, from stacked norms and
     one ``tol.verdicts`` call; all points must live over one pair."""
-    xs, ys = _columns(xs, ys)
-    return xs[0].pair.tol.verdicts(*_close_gaps(_cartans(xs), _cartans(ys))).tolist() if xs else []
+    xs, ys = _point_columns(xs, ys)
+    return xs.pair.tol.verdicts(*_close_gaps(xs.cartans, ys.cartans)).tolist() if len(xs) else []
 
 
 def base_point(pair: MatrixSymmetricPair) -> SymPoint:
-    return SymPoint(pair, np.eye(pair.ambient_n))
+    return SymPoint._wrap(pair, np.eye(pair.ambient_n))
 
 
 def mu(x: SymPoint, y: SymPoint) -> SymPoint:
@@ -146,14 +234,15 @@ def mu(x: SymPoint, y: SymPoint) -> SymPoint:
     return mu_points([x], [y])[0]
 
 
-def mu_points(xs, ys) -> list:
+def mu_points(xs, ys) -> Points:
     """``mu(x, y)`` of each pair of points, bit for bit, from one stacked
-    ``x y^-1 x``; all points must live over one pair."""
-    xs, ys = _columns(xs, ys)
-    if not xs:
+    ``x y^-1 x``; all points must live over one pair.  Two empty sequences,
+    which name no pair, give an empty list."""
+    xs, ys = _point_columns(xs, ys)
+    if not isinstance(xs, Points):
         return []
-    xc = _cartans(xs)
-    return [SymPoint(xs[0].pair, c) for c in xc @ np.linalg.inv(_cartans(ys)) @ xc]
+    xc = xs.cartans
+    return Points._wrap(xs.pair, xc @ np.linalg.inv(ys.cartans) @ xc)
 
 
 def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
@@ -161,11 +250,11 @@ def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
     return exp_points(pair, [v])[0]
 
 
-def exp_points(pair: MatrixSymmetricPair, vs) -> list:
+def exp_points(pair: MatrixSymmetricPair, vs) -> Points:
     """The exponential of each g_minus coordinate vector, from one stacked
     ``minus_to_matrix`` call and one stacked ``mat_exp``."""
     # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
-    return [SymPoint(pair, c) for c in mat_exp(2.0 * _minus_mats(pair, vs), pair.tol)]
+    return Points._wrap(pair, mat_exp(2.0 * _minus_mats(pair, vs), pair.tol))
 
 
 def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:
@@ -175,34 +264,28 @@ def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:
 
 
 def _chart_logs(pair: MatrixSymmetricPair, points) -> list:
-    """Per point, what :func:`log_point` returns or the error it raises, from
-    stacked logs of at most ``MAX_STACK_FLOATS`` floats and one ``g_minus``
-    coordinate call per block (a point that fails before its log takes an
-    identity slice)."""
+    """Per point of a block, what :func:`log_point` returns or the error it
+    raises, from stacked logs of at most ``MAX_STACK_FLOATS`` floats and one
+    ``g_minus`` coordinate call per block (a non-finite Cartan matrix, which
+    an overflowing ``exp_points`` gives, takes an identity slice)."""
+    cartans = Points.of(pair, points).cartans
     n = pair.ambient_n
     size = max(1, MAX_STACK_FLOATS // max(1, n * n))
-    ident = np.eye(n)
     out = []
-    for start in range(0, len(points), size):
-        block = [_cartan_or_error(pair, x) for x in points[start:start + size]]
-        logs, failed = _mat_log_stack(np.array([ident if isinstance(c, ValueError) else c for c in block]), pair.tol)
-        block = [c if isinstance(c, ValueError) or m is None else DomainError(m) for c, m in zip(block, failed)]
-        live = [i for i, c in enumerate(block) if not isinstance(c, ValueError)]
+    for start in range(0, len(cartans), size):
+        chunk = cartans[start:start + size]
+        finite = np.isfinite(chunk).all(axis=(1, 2))
+        logs, failed = _mat_log_stack(np.where(finite[:, None, None], chunk, np.eye(n)), pair.tol)
+        block = [
+            ValueError("matrix entries must be finite") if not ok else None if m is None else DomainError(m)
+            for ok, m in zip(finite.tolist(), failed)
+        ]
+        live = [i for i, v in enumerate(block) if v is None]
         coords, errors = pair._minus_coords_each(0.5 * logs[live])  # the half-log may leave g_minus
         for i, row, exc in zip(live, coords, errors):
             block[i] = row if exc is None else exc
         out.extend(block)
     return out
-
-
-def _cartan_or_error(pair: MatrixSymmetricPair, x: SymPoint):
-    # the point's Cartan matrix as log_point takes its log, or the error it raises first
-    if x.pair is not pair:
-        return ValueError("point does not belong to the given pair")
-    try:
-        return as_matrix(x.cartan, square=True)
-    except ValueError as exc:
-        return exc
 
 
 def log_point(pair: MatrixSymmetricPair, x: SymPoint) -> np.ndarray:
@@ -216,8 +299,7 @@ def log_points(pair: MatrixSymmetricPair, points) -> list:
 
     Any other error of ``log_point`` is raised, the first in point order.
     """
-    logs = [None if isinstance(v, DomainError) else v for v in _chart_logs(pair, list(points))]
-    return _raise_first(logs)
+    return _raise_first([None if isinstance(v, DomainError) else v for v in _chart_logs(pair, points)])
 
 
 def _raise_first(values: list) -> list:
@@ -240,23 +322,23 @@ def translation(pair: MatrixSymmetricPair, v, s: float, x: SymPoint) -> SymPoint
 
 def tau_action(pair: MatrixSymmetricPair, g: np.ndarray, x: SymPoint) -> SymPoint:
     """The natural action (g, hK) -> ghK."""
-    return _tau_stack(pair, as_matrix(g, square=True)[None], [x])[0]
+    return tau_actions(pair, as_matrix(g, square=True)[None], [x])[0]
 
 
-def tau_actions(pair: MatrixSymmetricPair, gs, xs) -> list:
+def tau_actions(pair: MatrixSymmetricPair, gs, xs) -> Points:
     """``tau_action(pair, g, x)`` of each group element and point, bit for bit,
     from one determinant check and one ``sigma`` on the stack of elements."""
-    xs = list(xs)
+    xs = Points.of(pair, xs)
     if len(gs) != len(xs):
         raise ValueError(f"unequal columns: {len(gs)} group elements and {len(xs)} points")
-    return _tau_stack(pair, _square_stack(gs, "group elements"), xs) if xs else []
-
-
-def _tau_stack(pair: MatrixSymmetricPair, gs: np.ndarray, xs: list) -> list:
-    # the body of tau_action and tau_actions on an already validated (k, n, n) stack
+    if not len(xs):
+        return xs
+    gs = as_matrix(gs, square=True, stack=True)
+    if gs.ndim != 3:
+        raise ValueError("expected a stack of group elements, got a single matrix")
     if np.any(np.abs(np.linalg.det(gs)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("tau requires an invertible group element")
-    return [SymPoint(pair, c) for c in gs @ _cartans(xs) @ np.linalg.inv(pair.sigma.apply(gs))]
+    return Points._wrap(pair, gs @ xs.cartans @ np.linalg.inv(pair.sigma.apply(gs)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +387,7 @@ class _EvenWord:
 
     def as_point(self, pair: MatrixSymmetricPair) -> SymPoint:
         """The image of the base point, Cartan matrix A B."""
-        return SymPoint(pair, self.a @ self.b)
+        return SymPoint._wrap(pair, self.a @ self.b)
 
 
 def apply_symmetries(points: Sequence[SymPoint], x: SymPoint) -> SymPoint:
@@ -398,13 +480,14 @@ class SymMorphism:
     def __call__(self, x: SymPoint) -> SymPoint:
         return self.many([x])[0]
 
-    def many(self, points) -> list:
-        """The image of each point, bit for bit the single call: the group rule
-        maps each Cartan matrix C to the image's Cartan matrix phi(C)."""
-        points = list(points)
-        if any(x.pair is not self.source for x in points):
-            raise ValueError("point does not belong to the morphism's source")
-        return [SymPoint(self.target, self.pair_morphism.map_group(x.cartan)) for x in points]
+    def many(self, points) -> Points:
+        """The image of each point of a block over the source, bit for bit the
+        single call: the group rule maps each Cartan matrix C to the image's
+        Cartan matrix phi(C)."""
+        cartans = Points.of(self.source, points).cartans
+        images = [self.pair_morphism._map_group(c) for c in cartans]
+        n = self.target.ambient_n
+        return Points._wrap(self.target, np.reshape(images, (len(cartans), n, n)))
 
     def base_check(self) -> bool:
         return self(base_point(self.source)).is_base()

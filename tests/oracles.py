@@ -181,8 +181,7 @@ def oracle_exp_point(pair, v):
 
 
 def oracle_require_same_pair(x, y):
-    if x.pair is not y.pair:
-        raise ValueError("points live over different symmetric pairs")
+    oracle_require_pair(x.pair, y)
 
 
 def oracle_mu(x, y):
@@ -197,10 +196,14 @@ def oracle_tau_action(pair, g, x):
     return SymPoint(pair, g @ x.cartan @ np.linalg.inv(pair.sigma.apply(g)))
 
 
+def oracle_require_pair(pair, *points):
+    if any(x.pair is not pair for x in points):
+        raise ValueError("point does not belong to the given pair")
+
+
 def oracle_log_point(pair, x, extra=0.0):
     # ``extra`` is added to the principal log, as the patched stacked log adds it
-    if x.pair is not pair:
-        raise ValueError("point does not belong to the given pair")
+    oracle_require_pair(pair, x)
     half = 0.5 * (oracle_principal_log(as_matrix(x.cartan, square=True)) + extra)
     return pair.matrix_to_minus(half)
 
@@ -208,6 +211,7 @@ def oracle_log_point(pair, x, extra=0.0):
 def oracle_relates(pair, n, x, y, extra=0.0):
     """The chart relation of one pair: the log of ``S^-1 Y S^-1``, with ``S``
     the principal root of ``X``, lies in n; None without a root or a log."""
+    oracle_require_pair(pair, x, y)
     try:
         s = oracle_sqrt(x.cartan, pair.tol)
     except np.linalg.LinAlgError:
@@ -233,6 +237,8 @@ def oracle_relates_group(pair, n, g, h):
 
 
 def oracle_member(pair, seed, x, extra=0.0):
+    # a point of another pair raises; only the log's own errors answer None
+    oracle_require_pair(pair, x)
     try:
         v = oracle_log_point(pair, x, extra)
     except ValueError:

@@ -120,7 +120,7 @@ def oracle_mu_closure(n_space, rng, samples=30, scale=0.15) -> bool:
 def oracle_project(proj: PointProjection, x: SymPoint) -> SymPoint:
     pair, qpair, comp = proj.source, proj.target, proj.comp
     if x.pair is not pair:
-        raise ValueError("point does not belong to the source pair")
+        raise ValueError("point does not belong to the given pair")
     if not comp.shape[0]:
         return SymPoint(qpair, np.eye(1))
     c = x.cartan
@@ -717,7 +717,9 @@ class TestPointProjection:
             assert same_point(px, oracle_project(proj, x))
 
     def test_empty_sequence(self, product_quotients):
-        assert product_quotients["left"].projection_points([]) == []
+        proj = product_quotients["left"].projection_points
+        empty = proj([])
+        assert empty.pair is proj.target and empty.cartans.shape == (0,) + (proj.target.ambient_n,) * 2
 
     def test_zero_dimensional_quotient(self, product_quotients):
         proj = product_quotients["full"].projection_points

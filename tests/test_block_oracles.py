@@ -265,7 +265,8 @@ def test_a_projection_block_is_its_one_point_blocks(ideal):
     for x, px in zip(points, got):
         (one,) = project([x])
         assert px.pair is one.pair and same_bits(px.cartan, one.cartan)
-    assert project([]) == []
+    empty = project([])
+    assert empty.pair is project.target and len(empty) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ class TestExpPoints:
             assert same_bits(got.cartan, want.cartan)
 
     def test_empty_batch(self, sphere):
-        assert exp_points(sphere.pair, []) == []
+        empty = exp_points(sphere.pair, [])
+        assert empty.pair is sphere.pair and empty.cartans.shape == (0, 3, 3) and list(empty) == []
 
     def test_wrong_length_row_raises_like_exp_point(self, sphere):
         with pytest.raises(ValueError, match="wrong length"):

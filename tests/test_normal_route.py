@@ -33,7 +33,7 @@ from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace
 from symspaces.numkernel import DEFAULT_TOL, DomainError, Tolerance, _principal_roots, mat_log, op_norm
 from symspaces.quotient import ChartRelation
-from symspaces.symspace import SymPoint, exp_points, log_points
+from symspaces.symspace import Points, SymPoint, exp_points, log_points
 
 NOT_NORMAL = np.array([[1.0, 0.3], [0.0, 1.1]])
 
@@ -120,7 +120,9 @@ def test_a_relation_on_ill_conditioned_points_is_the_group_bodys(chart_models):
 
 def test_an_overflowing_slice_does_not_fail_the_block(chart_models):
     # C^T C of a Cartan matrix with entries near 1e160 is not finite: the slice
-    # fails the gate and takes the fallback, and the other slices keep their answers
+    # fails the gate and takes the fallback, and the other slices keep their answers.
+    # Its Frobenius norm overflows too, so SymPoint and Points refuse it, but a
+    # stack the package computed is wrapped unchecked and may still hold one
     pair = chart_models["spd(2)"].pair
     m = pair.dim_minus
     rng = np.random.default_rng(3)
@@ -128,9 +130,14 @@ def test_an_overflowing_slice_does_not_fail_the_block(chart_models):
     xs = exp_points(pair, vs)
     ys = exp_points(pair, vs + 0.2 * rng.standard_normal((4, m)))
     relation = ChartRelation(pair, LinearSubspace(m, np.eye(m)[:1]))
-    huge = SymPoint(pair, (1e160 * np.array([[1.0, 2.0], [2.0, 5.0]])).tolist())
-    assert not passes_the_gate(np.array([huge.cartan]))[0]
-    assert relation(xs + [huge], ys + [ys[0]]) == relation(xs, ys) + [None]
+    huge = 1e160 * np.array([[1.0, 2.0], [2.0, 5.0]])
+    for make in (lambda: SymPoint(pair, huge.tolist()), lambda: Points(pair, huge[None])):
+        with pytest.raises(ValueError, match="finite Frobenius norm"):
+            make()
+    assert not passes_the_gate(huge[None])[0]
+    wide_xs = Points._wrap(pair, np.concatenate([xs.cartans, huge[None]]))
+    wide_ys = Points._wrap(pair, np.concatenate([ys.cartans, ys.cartans[:1]]))
+    assert relation(wide_xs, wide_ys) == relation(xs, ys) + [None]
 
 
 @settings(deadline=None, max_examples=60)

@@ -100,8 +100,14 @@ def other_pair(spec):
 
 
 def nan_point(pair):
+    # a non-finite Cartan matrix is refused at the boundary: it makes no point
     n = pair.ambient_n
     return SymPoint(pair, np.full((n, n), np.nan))
+
+
+def assert_nan_point_is_refused(pair):
+    got = outcome(nan_point, pair)
+    assert got[0] is ValueError and "finite" in got[1]
 
 
 def patch_log_off_minus(monkeypatch, pair):
@@ -218,8 +224,8 @@ class TestChartReaders:
     def test_log_point(self, chart_models, spec, off_minus, monkeypatch):
         pair = chart_models[spec].pair
         other = chart_models[other_pair(spec)].pair
-        points = exp_points(pair, chart_vectors(pair, 3))
-        points += [exp_point(other, 0.1 * np.ones(other.dim_minus)), nan_point(pair)]
+        assert_nan_point_is_refused(pair)
+        points = list(exp_points(pair, chart_vectors(pair, 3))) + [exp_point(other, 0.1 * np.ones(other.dim_minus))]
         extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
         kinds = set()
         for x in points:
@@ -240,7 +246,7 @@ class TestChartReaders:
         pair = chart_models[spec].pair
         n = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
         relation = ChartRelation(pair, n)
-        xs, ys = relation_points(pair, 6, count=12)
+        xs, ys = (list(column) for column in relation_points(pair, 6, count=12))
         other = chart_models[other_pair(spec)].pair
         if other.ambient_n == pair.ambient_n:
             xs.append(exp_point(other, 0.1 * np.ones(other.dim_minus)))
@@ -253,6 +259,8 @@ class TestChartReaders:
             got = outcome(lambda: relation([x], [y])[0])
             assert got == outcome(oracle_relates, pair, n, x, y, extra)
             kinds.add(got[0] if got[0] != "value" else got[1])
+        # a pair of points over another pair raises "does not belong", as every block function does
+        assert (ValueError in kinds) == (other.ambient_n == pair.ambient_n) or off_minus
         assert [relation([x], [y])[0] for x, y in zip(xs[-2:], ys[-2:])] == [None, None]
         assert None in kinds
         assert (ValueError in kinds) or not off_minus
@@ -264,15 +272,17 @@ class TestChartReaders:
         pair = chart_models[spec].pair
         member = generate_integral(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1]), pair).membership
         other = chart_models[other_pair(spec)].pair
+        assert_nan_point_is_refused(pair)
         vs = chart_vectors(pair, 5) + [t * np.eye(pair.dim_minus)[0] for t in (0.1, -0.4)]
-        points = exp_points(pair, vs) + [exp_point(other, 0.1 * np.ones(other.dim_minus)), nan_point(pair)]
+        points = list(exp_points(pair, vs)) + [exp_point(other, 0.1 * np.ones(other.dim_minus))]
         extra = patch_log_off_minus(monkeypatch, pair) if off_minus else 0.0
         answers = []
         for x in points:
             got = outcome(lambda: member([x])[0])
-            assert got == ("value", oracle_member(pair, member.seed, x, extra))
-            answers.append(got[1])
-        assert answers[-2:] == [None, None]
+            assert got == outcome(oracle_member, pair, member.seed, x, extra)
+            answers.append(got[1] if got[0] == "value" else got[0])
+        # the point of another pair raises at the boundary, and the block with it too
+        assert answers[-1] is ValueError and outcome(member, points)[0] is ValueError
         assert (True in answers) != off_minus
 
     def test_one_stacked_log_each(self, chart_models, monkeypatch):

@@ -208,17 +208,16 @@ class TestLogPoints:
             log_points(chart_models["sphere(2)"].pair, [x])
 
 
-def mixed_block(pair, other):
-    """Points inside and outside the log ball, of another pair, with a
-    non-finite Cartan matrix, and with a half-log off g_minus."""
-    n = pair.ambient_n
+def mixed_block(pair):
+    """Points inside and outside the log ball, and with a half-log off
+    g_minus (a point of another pair, or with a non-finite Cartan matrix,
+    raises at the boundary: see ``test_a_block_with_a_bad_point_raises``)."""
     rng = np.random.default_rng(31)
     inside = exp_points(pair, [0.2 * rng.standard_normal(pair.dim_minus) for _ in range(3)])
     outside = exp_points(pair, [3.0 * rng.standard_normal(pair.dim_minus) for _ in range(2)])
-    nan = SymPoint(pair, np.full((n, n), np.nan))
     turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])  # in the ball, log skew
     off_minus = SymPoint(pair, turn)
-    return [inside[0], outside[0], base_point(other), inside[1], nan, off_minus, outside[1], inside[2], off_minus]
+    return [inside[0], outside[0], inside[1], off_minus, outside[1], inside[2], off_minus]
 
 
 def log_point_or_error(pair, x):
@@ -234,26 +233,34 @@ class TestChartLogs:
         pair = chart_models["spd(2)"].pair
         if block is not None:
             monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", block * pair.ambient_n ** 2)
-        points = mixed_block(pair, chart_models["sphere(2)"].pair)
+        points = mixed_block(pair)
         got = symspace._chart_logs(pair, points)
         want = [log_point_or_error(pair, x) for x in points]
         assert [type(v) for v in got] == [type(v) for v in want]
-        assert [type(v) for v in want[1:7]] == [DomainError, ValueError, np.ndarray, ValueError, ValueError, DomainError]
+        assert [type(v) for v in want[:5]] == [np.ndarray, DomainError, np.ndarray, ValueError, DomainError]
         for v, ref in zip(got, want):
             if isinstance(ref, ValueError):
                 assert str(v) == str(ref)
             else:
                 assert same_bits(v, ref)
-        assert "is not in g_minus" in str(want[5]) and "finite" in str(want[4])
+        assert "is not in g_minus" in str(want[3])
+
+    def test_a_block_with_a_bad_point_raises(self, chart_models):
+        pair, other = chart_models["spd(2)"].pair, chart_models["sphere(2)"].pair
+        n = pair.ambient_n
+        with pytest.raises(ValueError, match="finite"):
+            SymPoint(pair, np.full((n, n), np.nan))
+        with pytest.raises(ValueError, match="does not belong"):
+            symspace._chart_logs(pair, mixed_block(pair) + [base_point(other)])
 
     def test_one_coordinate_call_per_block(self, chart_models, monkeypatch):
         pair = chart_models["spd(2)"].pair
         monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", 4 * pair.ambient_n ** 2)
         calls = count_calls(monkeypatch, sympair, "_coords_each")
         singles = count_calls(monkeypatch, sympair, "_coords")
-        symspace._chart_logs(pair, mixed_block(pair, chart_models["sphere(2)"].pair))
-        # the live logs of each block of 4: the foreign, non-finite and out-of-ball points take none
-        assert [len(args[2]) for args in calls] == [2, 2, 1] and not singles
+        symspace._chart_logs(pair, mixed_block(pair))
+        # the live logs of each block of 4: the out-of-ball points take none
+        assert [len(args[2]) for args in calls] == [3, 2] and not singles
 
 
 class TestContainsEach:
@@ -368,11 +375,14 @@ class TestChartMembership:
         assert True in want and False in want
         assert None in want or spec == "sphere(2)"
 
-    def test_point_of_another_pair_is_unknown(self, chart_models):
+    def test_point_of_another_pair_raises(self, chart_models):
         pair, other = chart_models["spd(2)"].pair, chart_models["sphere(2)"].pair
         member = generate_integral(LinearSubspace.zero(pair.dim_minus), pair).membership
         points = [base_point(pair), base_point(other), exp_point(pair, 0.1 * np.ones(pair.dim_minus))]
-        assert member(points) == [member([x])[0] for x in points] == [True, None, False]
+        for block in (points, points[1:2]):
+            with pytest.raises(ValueError, match="point does not belong to the given pair"):
+                member(block)
+        assert member(points[::2]) == [True, False]
 
     def test_empty(self, chart_models):
         pair = chart_models["spd(2)"].pair

@@ -104,7 +104,8 @@ class TestForwardMap:
     def test_empty_stacks(self, coord_pairs):
         pair = coord_pairs["sphere(2)"]
         assert pair.to_matrix(np.zeros((0, pair.dim))).shape == (0, 3, 3)
-        assert exp_points(pair, []) == []
+        empty = exp_points(pair, [])
+        assert empty.pair is pair and empty.cartans.shape == (0, 3, 3)
 
 
 class TestInverseMap:

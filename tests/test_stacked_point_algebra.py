@@ -71,7 +71,7 @@ def oracle_same(x, y):
 
 def oracle_image(f, x):
     if x.pair is not f.source:
-        raise ValueError("point does not belong to the morphism's source")
+        raise ValueError("point does not belong to the given pair")
     return SymPoint(f.target, f.pair_morphism.map_group(x.cartan))
 
 
@@ -193,12 +193,12 @@ def test_mixed_pairs_keep_their_message(zoo):
     y = base_point(zoo["product(sphere(2),sphere(2))"].pair)
     z = base_point(zoo["sphere(2)"].pair)
     for call in (mu_points, cartan_distances, same_points):
-        with pytest.raises(ValueError, match="points live over different symmetric pairs"):
+        with pytest.raises(ValueError, match="point does not belong to the given pair"):
             call([x], [y])
-        with pytest.raises(ValueError, match="points live over different symmetric pairs"):
+        with pytest.raises(ValueError, match="point does not belong to the given pair"):
             call([x, y], [z, y])  # each pair of points agrees, the batch does not
     for call in (mu, cartan_distance, SymPoint.same):
-        with pytest.raises(ValueError, match="points live over different symmetric pairs"):
+        with pytest.raises(ValueError, match="point does not belong to the given pair"):
             call(x, y)
 
 
@@ -208,17 +208,19 @@ def test_empty_batches(zoo):
     assert mu_points([], []) == []
     assert cartan_distances([], []) == []
     assert same_points([], []) == []
-    assert tau_actions(pair, [], []) == []
-    assert tau_actions(pair, np.empty((0, 6, 6)), []) == []
+    for empty in (tau_actions(pair, [], []), tau_actions(pair, np.empty((0, 6, 6)), [])):
+        assert empty.pair is pair and empty.cartans.shape == (0, 6, 6)
     for named in model.designated_morphisms:
-        assert named.morphism.many([]) == []
+        f = named.morphism
+        empty = f.many([])
+        assert empty.pair is f.target and empty.cartans.shape == (0,) + (f.target.ambient_n,) * 2
 
 
 def test_an_image_of_a_foreign_point_raises(zoo):
     f = zoo["product(sphere(2),spd(2))"].designated_morphisms[0].morphism
     foreign = base_point(zoo["sphere(2)"].pair)
     for call in (f, lambda x: f.many([base_point(f.source), x])):
-        with pytest.raises(ValueError, match="point does not belong to the morphism's source"):
+        with pytest.raises(ValueError, match="point does not belong to the given pair"):
             call(foreign)
 
 
