@@ -22,7 +22,7 @@ from .numkernel import DEFAULT_TOL, Tolerance
 from .quotient import CongruenceRelation
 from .subspace import ProbeWitness, ReflectionSubspace, algebraic_subspace, fixed_point_subspace
 from .sympair import MatrixSymmetricPair, PairMorphism, SigmaRule
-from .symspace import MAX_STACK_FLOATS, Points, SymMorphism, SymPoint, _point_columns, base_point, exp_point
+from .symspace import Points, SymMorphism, SymPoint, _block_size, _point_columns, base_point, exp_point
 from .symspace import lts_of_pair, sym_morphism
 
 __all__ = [
@@ -242,7 +242,7 @@ class TorusLattice:
         w = _half_angles(Points.of(points[0].pair, points).cartans)
         s = self.slope
         a = np.arange(-winding, winding + 1, dtype=float)
-        rows = max(1, MAX_STACK_FLOATS // a.size)
+        rows = _block_size(a.size)
         out = []
         for start in range(0, len(w), rows):
             w1, w2 = w[start:start + rows, :1], w[start:start + rows, 1:]

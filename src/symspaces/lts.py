@@ -52,12 +52,14 @@ class VerificationError(RuntimeError):
 class LinearSubspace:
     """Subspace of R^ambient_dim spanned by the rows of ``basis``.
 
-    ``basis`` is stored as a read-only copy, so quantities derived from it
-    (the orthonormal basis) are computed once per instance.
+    ``basis`` is the one basis of the subspace: orthonormal rows, read-only.
+    ``LinearSubspace(ambient_dim, rows)`` takes linearly independent finite
+    rows and keeps the orthonormal rows of their SVD, from the one cut that
+    also decides independence (as :meth:`span` does for any vectors).
     """
 
     ambient_dim: int
-    basis: np.ndarray  # shape (k, ambient_dim), linearly independent rows
+    basis: np.ndarray  # shape (k, ambient_dim), orthonormal rows
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
@@ -65,55 +67,57 @@ class LinearSubspace:
             b = b.reshape(0, self.ambient_dim)
         if b.shape[1] != self.ambient_dim:
             raise ValueError("basis vectors do not match the ambient dimension")
-        if b.shape[0] and numerical_rank(b) != b.shape[0]:
-            raise ValueError("basis rows are linearly dependent")
-        b = b.copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "basis", b)
+        if b.shape[0]:
+            _, vt, rank = _svd_cut(as_matrix(b), DEFAULT_TOL)
+            if rank != b.shape[0]:
+                raise ValueError("basis rows are linearly dependent")
+            b = vt[:rank]
+        self._freeze(b)
+
+    def _freeze(self, rows: np.ndarray) -> None:
+        rows = rows.copy()
+        rows.flags.writeable = False
+        object.__setattr__(self, "basis", rows)
+
+    @classmethod
+    def _wrap(cls, ambient_dim: int, rows: np.ndarray) -> "LinearSubspace":
+        # rows that are already orthonormal: a read-only copy, no SVD
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", ambient_dim)
+        sub._freeze(rows)
+        return sub
 
     @classmethod
     def span(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
         """Orthonormalized span of (possibly dependent) finite vectors."""
         v = as_matrix(np.atleast_2d(vectors))
         if v.size == 0:
-            return cls(ambient_dim, np.zeros((0, ambient_dim)))
+            return cls.zero(ambient_dim)
         if v.shape[1] != ambient_dim:
             raise ValueError("vectors do not match the ambient dimension")
         _, vt, rank = _svd_cut(v, tol)
-        return cls(ambient_dim, vt[:rank])
+        return cls._wrap(ambient_dim, vt[:rank])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "LinearSubspace":
-        return cls(ambient_dim, np.zeros((0, ambient_dim)))
+        return cls._wrap(ambient_dim, np.zeros((0, ambient_dim)))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "LinearSubspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
+        return cls._wrap(ambient_dim, np.eye(ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @cached_property
-    def _onb(self) -> np.ndarray:
-        if self.dim == 0:
-            return self.basis
-        _, _, vt = np.linalg.svd(self.basis)
-        q = vt[: self.dim]
-        q.flags.writeable = False
-        return q
-
     def onb(self) -> np.ndarray:
-        """Orthonormal row basis (deterministic, via SVD).
-
-        Computed once per instance and returned read-only; copy it before
-        mutating.
-        """
-        return self._onb
+        """:attr:`basis`, which is orthonormal; the name is kept for the layer
+        tracer of ``bench/tracer.py``, which wraps this method."""
+        return self.basis
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``v`` onto the subspace."""
-        q = self.onb()
+        q = self.basis
         return q.T @ (q @ np.asarray(v, dtype=float))
 
     def distance(self, v: np.ndarray) -> float:
@@ -139,7 +143,7 @@ class LinearSubspace:
         ``i`` is bit for bit ``distance(vectors[i])``.
         """
         v = self._rows(vectors)[:, None]
-        q = self.onb()
+        q = self.basis
         return np.linalg.norm(v - (v @ q.T) @ q, axis=-1)[:, 0]
 
     def contains_each(self, vectors, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -165,7 +169,7 @@ class LinearSubspace:
         """Orthogonal complement inside the ambient space."""
         if self.dim == 0:
             return LinearSubspace.full(self.ambient_dim)
-        return LinearSubspace(self.ambient_dim, nullspace(self.basis).T)
+        return LinearSubspace._wrap(self.ambient_dim, nullspace(self.basis).T)
 
 
 def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> LinearSubspace:
@@ -279,7 +283,7 @@ def is_subsystem(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
         raise ValueError("subspace ambient dimension does not match the system")
     if n.dim == 0:
         return True
-    q = n.onb()
+    q = n.basis
     return n.contains_all(_basis_brackets(m, q, q, q), tol)
 
 
@@ -288,7 +292,7 @@ def ideal_report(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     if n.ambient_dim != m.dim:
         raise ValueError("subspace ambient dimension does not match the system")
     full = np.eye(m.dim)
-    q = n.onb()
+    q = n.basis
 
     def worst(a, b, c):
         return float(np.max(n.distances(_basis_brackets(m, a, b, c)), initial=0.0))
@@ -325,7 +329,7 @@ def quotient_lts(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     """
     if not is_ideal(m, n, tol):
         raise ValueError("quotient requires an ideal")
-    comp = n.complement().onb()  # rows: chosen representatives of m/n
+    comp = n.complement().basis  # rows: chosen representatives of m/n
     k = comp.shape[0]
     proj = comp  # (k, d): coordinates of the class of a vector
     tensor = (_basis_brackets(m, comp, comp, comp) @ proj.T).reshape((k,) * 4)
@@ -334,7 +338,7 @@ def quotient_lts(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     if not morphism.is_valid(tol):
         raise VerificationError("quotient projection failed the morphism check")
     ker = LinearSubspace(m.dim, nullspace(proj, tol).T)
-    if not ker.equals(LinearSubspace.span(n.basis, m.dim, tol), tol):
+    if not ker.equals(n, tol):
         raise VerificationError("projection kernel does not match the ideal")
     return quot, morphism
 
@@ -391,8 +395,6 @@ class SymmetricLieAlgebra:
     plus_basis: LinearSubspace = field(repr=False)
     minus_basis: LinearSubspace = field(repr=False)
     label: str = ""
-    # the last ideal check of _minus_ideal: (key of n, minus onb, n in it, verdict)
-    _last_minus_ideal: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.bracket_tensor, dtype=float)
@@ -432,9 +434,29 @@ class SymmetricLieAlgebra:
         """True iff [u, v] lies in ``sub`` for every row u of ``left`` and v of ``right``.
 
         With ``left = sub.basis`` and ``right`` the identity this is the
-        Lie-ideal test; with both the onb of ``sub``, subalgebra closure.
+        Lie-ideal test; with both ``sub.basis``, subalgebra closure.
         """
         return sub.contains_all(self.brackets(left, right).reshape(-1, self.dim), tol)
+
+    @cached_property
+    def minus_lts(self) -> LieTripleSystem:
+        """The Lie triple system [x, y, z] = [[x, y], z] on g_minus, in the
+        coordinates of the rows of ``minus_basis.basis``.
+
+        Built once per algebra from the bracket tensor; raises
+        :class:`VerificationError` if a triple bracket leaves g_minus (at the
+        default :class:`Tolerance`).  The tensor is read-only.
+        """
+        q = self.minus_basis.basis
+        k = q.shape[0]
+        vals = self.brackets(self.brackets(q, q).reshape(k * k, self.dim), q)  # [[q_a, q_b], q_c] at (a*k + b, c)
+        coords = vals @ q.T
+        resid = float(np.max(np.abs(vals - coords @ q), initial=0.0))
+        if not DEFAULT_TOL.verdicts(resid, max(float(np.max(np.abs(vals), initial=0.0)), 1.0)):
+            raise VerificationError("triple bracket leaves the (-1)-eigenspace")
+        tensor = coords.reshape((k,) * 4)
+        tensor.flags.writeable = False
+        return LieTripleSystem(k, tensor, label=self.label)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> dict:
         """Residuals of antisymmetry, Jacobi, theta^2=id, theta automorphism,
@@ -474,13 +496,13 @@ def standard_embedding(
     """
     if not is_subsystem(m, n, tol):
         raise ValueError("standard embedding requires a triple subsystem")
-    q = n.onb()  # (k, d) rows
+    q = n.basis  # (k, d) rows
     k = q.shape[0]
     # D_{q_a,q_b} restricted to n, in q-coordinates: ops[a, b, c', c] = <q_c', [q_a, q_b, q_c]>
     ops = (_basis_brackets(m, q, q, q) @ q.T).reshape((k,) * 4).transpose(0, 1, 3, 2)
     op_span = LinearSubspace.span(ops.reshape(k * k, k * k), k * k, tol)
     r = op_span.dim
-    p = op_span.onb()  # rows: flattened operator basis
+    p = op_span.basis  # rows: flattened operator basis
 
     def op_coords(mat: np.ndarray) -> np.ndarray:
         flat = mat.reshape(-1)
@@ -506,8 +528,7 @@ def standard_embedding(
         for b in range(k):
             tensor[r + a, r + b, :r] = op_coords(ops[a, b])
     theta = np.diag([1.0] * r + [-1.0] * k) if d else np.zeros((0, 0))
-    plus = LinearSubspace(d, np.eye(d)[:r]) if r else LinearSubspace.zero(d)
-    minus = LinearSubspace(d, np.eye(d)[r:]) if k else LinearSubspace.zero(d)
+    plus, minus = LinearSubspace._wrap(d, np.eye(d)[:r]), LinearSubspace._wrap(d, np.eye(d)[r:])
     label = f"emb({m.label})" if m.label else ""
     return SymmetricLieAlgebra(d, tensor, theta, plus, minus, label)
 
@@ -523,49 +544,24 @@ def _require_minus_subspace(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tole
         raise ValueError("subspace is not contained in the (-1)-eigenspace")
 
 
-def _minus_coords_subspace(g: SymmetricLieAlgebra, n: LinearSubspace, q: np.ndarray) -> LinearSubspace:
-    """Rewrite n (subspace of g) in the minus-onb coordinates given by rows q."""
-    if n.dim == 0:
-        return LinearSubspace.zero(q.shape[0])
-    return LinearSubspace.span(n.basis @ q.T, q.shape[0])
-
-
 def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, message: str):
-    """Check that n is an ideal of the triple system [[x,y],z] on g_minus.
+    """Check that n is an ideal of the triple system :attr:`SymmetricLieAlgebra.minus_lts`.
 
-    Returns the minus onb rows ``q`` and n in their coordinates; raises
-    ``ValueError(message)`` when n is no ideal.  The algebra keeps the last
-    check, so a second call on the same n (the two ideals of one quotient
-    pipeline run) reuses it.
+    Returns the ``minus_basis`` rows ``q`` and n in their coordinates; raises
+    ``ValueError(message)`` when n is no ideal.
     """
-    key = (n.basis.shape, n.basis.tobytes(), tol)
-    last = g._last_minus_ideal
-    if not last or last[0] != key:
-        last[:] = [key, *_check_minus_ideal(g, n, tol)]
-    _, q, n_m, ok = last
-    if not ok:
+    _require_minus_subspace(g, n, tol)
+    q = g.minus_basis.basis
+    n_m = LinearSubspace.span(n.basis @ q.T, q.shape[0], tol)
+    if not is_ideal(g.minus_lts, n_m, tol):
         raise ValueError(message)
     return q, n_m
 
 
-def _check_minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance):
-    _require_minus_subspace(g, n, tol)
-    q = g.minus_basis.onb()
-    k = q.shape[0]
-    vals = g.brackets(g.brackets(q, q).reshape(-1, g.dim), q)  # [[q_a, q_b], q_c] at (a*k + b, c)
-    # triple bracket must land back in g_minus
-    coords = vals @ q.T
-    resid = float(np.max(np.abs(vals - coords @ q))) if vals.size else 0.0
-    if not tol.verdicts(resid, max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)):
-        raise VerificationError("triple bracket leaves the (-1)-eigenspace")
-    n_m = _minus_coords_subspace(g, n, q)
-    return q, n_m, is_ideal(LieTripleSystem(k, coords.reshape((k,) * 4)), n_m, tol)
-
-
 def _check_plus_generated(g: SymmetricLieAlgebra, tol: Tolerance):
-    q = g.minus_basis.onb()
+    q = g.minus_basis.basis
     span = LinearSubspace.span(g.brackets(q, q).reshape(-1, g.dim), g.dim, tol)
-    if not span.equals(LinearSubspace.span(g.plus_basis.basis, g.dim, tol), tol):
+    if not span.equals(g.plus_basis, tol):
         raise ValueError("hypothesis g_plus = span[g_minus, g_minus] is violated")
 
 
@@ -574,7 +570,7 @@ class PsiRepresentation:
     """Action of g_plus on g_minus/n: one operator per plus-basis element."""
 
     operators: list  # (q, q) arrays, parallel to g.plus_basis rows
-    quotient_onb: np.ndarray  # rows: onb of the complement of n inside g_minus
+    quotient_basis: np.ndarray  # rows: orthonormal basis of the complement of n inside g_minus
     kernel: LinearSubspace  # subspace of g
 
 
@@ -590,7 +586,7 @@ def psi_representation(
     _check_plus_generated(g, tol)
 
     # quotient coordinates: complement of n inside g_minus (rows in g-coords)
-    comp_m = n_m.complement().onb()  # in minus coords
+    comp_m = n_m.complement().basis  # in minus coords
     quot = comp_m @ q  # rows in g coordinates, orthonormal
     ops = []
     for x in g.plus_basis.basis:
@@ -604,7 +600,7 @@ def psi_representation(
         stacked = np.array([op.reshape(-1) for op in ops])  # one row per plus vector
         ker_coeff = nullspace(stacked.T, tol)  # columns: coefficient vectors
         kernel = LinearSubspace.span(ker_coeff.T @ g.plus_basis.basis, g.dim, tol)
-    return PsiRepresentation(operators=ops, quotient_onb=quot, kernel=kernel)
+    return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel)
 
 
 def _verify_theta_invariant_ideal(
@@ -621,7 +617,7 @@ def ideal_ker_psi_plus_n(
 ) -> LinearSubspace:
     """The theta-invariant Lie ideal ker(psi) (+) n inside g, re-verified."""
     rep = psi_representation(g, n, tol)
-    l = subspace_sum(rep.kernel, LinearSubspace.span(n.basis, g.dim, tol), tol)
+    l = subspace_sum(rep.kernel, n, tol)
     _verify_theta_invariant_ideal(g, l, tol, "ker(psi) + n")
     return l
 
@@ -632,7 +628,7 @@ def ideal_bracket_plus_n(
     """The theta-invariant Lie ideal span[g_minus, n] (+) n, re-verified."""
     q, _ = _minus_ideal(g, n, tol, "requires an ideal of the triple system g_minus")
     span = LinearSubspace.span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, tol)  # rows [q_a, n_b]
-    l = subspace_sum(span, LinearSubspace.span(n.basis, g.dim, tol), tol)
+    l = subspace_sum(span, n, tol)
     _verify_theta_invariant_ideal(g, l, tol, "span[g_minus, n] + n")
     return l
 
@@ -642,11 +638,11 @@ def displacement_algebra(g: SymmetricLieAlgebra, tol: Tolerance = DEFAULT_TOL) -
 
     Verified to be a theta-invariant subalgebra before returning.
     """
-    q = g.minus_basis.onb()
+    q = g.minus_basis.basis
     sub = LinearSubspace.span(np.vstack([g.brackets(q, q).reshape(-1, g.dim), g.minus_basis.basis]), g.dim, tol)
     if not sub.contains_all(sub.basis @ g.theta.T, tol):
         raise VerificationError("displacement algebra is not theta-invariant")
-    if not g.brackets_within(sub.onb(), sub.onb(), sub, tol):
+    if not g.brackets_within(sub.basis, sub.basis, sub, tol):
         raise VerificationError("displacement algebra is not a subalgebra")
     return sub
 

@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import _principal_roots, nullspace
+from .numkernel import _principal_roots, nullspace, numerical_rank
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -33,9 +33,9 @@ from .subspace import (
 )
 from .sympair import MatrixSymmetricPair, SigmaRule
 from .symspace import (
-    MAX_STACK_FLOATS,
     Points,
     SymPoint,
+    _block_size,
     _point_columns,
     _scattered,
     exp_points,
@@ -145,8 +145,6 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
     their Cartan discrepancy lands (chart-locally) in n after projection,
     i.e. vanishes in g_minus/n.
     """
-    m = pair.dim_minus
-    n = LinearSubspace.span(n.basis, m, pair.tol)
     if not is_ideal(lts_of_pair(pair), n, pair.tol):
         raise ValueError("congruence requires an ideal of the pair's triple system")
     l_alg = ideal_bracket_plus_n(pair.algebra(), pair.minus_subspace_to_full(n), pair.tol)
@@ -175,7 +173,7 @@ class PointProjection:
         self.target = target
         self.comp = comp  # (d', d) orthonormal rows spanning a complement of l
         self.comp_mats = np.tensordot(comp, source.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
-        self.block = max(1, MAX_STACK_FLOATS // max(1, self.comp_mats.size))
+        self.block = _block_size(self.comp_mats.size)
 
     def __call__(self, points) -> Points:
         cartans = Points.of(self.source, points).cartans
@@ -245,7 +243,6 @@ def quotient_theorem_pipeline(
     rng = rng or np.random.default_rng(0)
     tol = pair.tol
     m = pair.dim_minus
-    n = LinearSubspace.span(n.basis, m, tol)
     relation = congruence_from_ideal(pair, n)
 
     n_space = subspace if subspace is not None else generate_integral(n, pair)
@@ -277,8 +274,8 @@ def quotient_theorem_pipeline(
     l_plus_rows, l_minus_rows = _split_theta_invariant(pair, l_alg)
     plus_block = LinearSubspace.span(l_plus_rows[:, :p], p, tol) if p else LinearSubspace.zero(0)
     minus_block = LinearSubspace.span(l_minus_rows[:, p:], m, tol) if m else LinearSubspace.zero(0)
-    comp_plus = plus_block.complement().onb()  # rows in R^p
-    comp_minus = minus_block.complement().onb()  # rows in R^m
+    comp_plus = plus_block.complement().basis  # rows in R^p
+    comp_minus = minus_block.complement().basis  # rows in R^m
     embed_plus = np.hstack([comp_plus, np.zeros((comp_plus.shape[0], m))])
     embed_minus = np.hstack([np.zeros((comp_minus.shape[0], p)), comp_minus])
     comp = np.vstack([embed_plus, embed_minus])  # (d', d) orthonormal, orthogonal to l
@@ -322,7 +319,7 @@ def quotient_theorem_pipeline(
         "quotient_tensor": qpair.structure_tensor.tolist(),
         "chart_radius": chart.radius,
         "rank_checks": {
-            "projection_rank": int(np.linalg.matrix_rank(proj_algebra)) if proj_algebra.size else 0,
+            "projection_rank": numerical_rank(proj_algebra, tol),
             "expected_rank": m_out,
         },
     }
@@ -364,18 +361,13 @@ def weak_submersion_check(
     project = qr.projection_points
     a = qr.projection_algebra
     m_out = qr.quotient_pair.dim_minus
-    if a.size:
-        ok = np.linalg.matrix_rank(a) == m_out
-        ker = nullspace(a, tol).T
-    else:
-        ok = m_out == 0
-        ker = np.eye(pair.dim_minus)
-    ok = ok and LinearSubspace(pair.dim_minus, ker).equals(qr.relation.n_minus, tol)
+    ker = LinearSubspace(pair.dim_minus, nullspace(a, tol).T)
+    ok = numerical_rank(a, tol) == m_out and ker.equals(qr.relation.n_minus, tol)
 
     n = pair.ambient_n
     # a block's points, of the source and of the quotient, live until it is compared
     width = max(n, qr.quotient_pair.ambient_n)
-    block = max(1, MAX_STACK_FLOATS // (2 * width * width))
+    block = _block_size(2 * width * width)
     morph_pass = rel_pass = rel_total = 0
     for start in range(0, samples, block):
         us, vs, letters, moved = [], [], [], []

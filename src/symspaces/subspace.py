@@ -17,10 +17,10 @@ import numpy as np
 from .lts import LinearSubspace, VerificationError, is_subsystem
 from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, nullspace
 from .symspace import (
-    MAX_STACK_FLOATS,
     Points,
     SymMorphism,
     SymPoint,
+    _block_size,
     _chart_logs,
     base_point,
     exp_points,
@@ -119,7 +119,9 @@ class ReflectionSubspace:
         if self.kind == "generated":
             if self.seed is None:
                 raise ValueError("generated subspace without a seed")
-            return LinearSubspace.span(self.seed.basis, m, tol)
+            if self.seed.ambient_dim != m:
+                raise ValueError("seed vectors do not match the ambient dimension")
+            return self.seed
         if self.kind == "fixed_point":
             if self.automorphism is None:
                 raise ValueError("fixed-point subspace without an automorphism")
@@ -127,7 +129,7 @@ class ReflectionSubspace:
             return LinearSubspace(m, nullspace(a - np.eye(m), tol).T)
         if self.kind == "preimage":
             f, n2 = self.backing
-            comp = n2.complement().onb()  # rows spanning the complement of n2
+            comp = n2.complement().basis  # rows spanning the complement of n2
             if comp.shape[0] == 0:
                 return LinearSubspace.full(m)
             return LinearSubspace(m, nullspace(comp @ f.minus_map, tol).T)
@@ -257,8 +259,6 @@ def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> Reflec
     preimage lands in the seed; outside the chart domain the answer is
     ``None`` (unknown), never a guess.
     """
-    m = pair.dim_minus
-    seed = LinearSubspace.span(seed.basis, m, pair.tol)
     if not is_subsystem(lts_of_pair(pair), seed, pair.tol):
         raise ValueError("seed is not a triple subsystem")
     return ReflectionSubspace(
@@ -277,7 +277,7 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
     """
     pair = n_space.pair
     cand = n_space.candidate_subspace()
-    rays = [(v, t) for v in cand.onb() for t in CERTIFICATION_GRID]
+    rays = [(v, t) for v in cand.basis for t in CERTIFICATION_GRID]
     base = Points._wrap(pair, np.eye(pair.ambient_n)[None])
     at_base, *members = n_space.membership(base + exp_points(pair, [t * v for v, t in rays]))
     if at_base is False:
@@ -295,8 +295,7 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
 def lts_roundtrip_check(seed: LinearSubspace, pair: MatrixSymmetricPair) -> bool:
     """Seed -> generated integral subspace -> extracted system: spans must agree."""
     extracted = lts_of_subspace(generate_integral(seed, pair))
-    seed_n = LinearSubspace.span(seed.basis, pair.dim_minus, pair.tol)
-    return extracted.equals(seed_n, pair.tol)
+    return extracted.equals(seed, pair.tol)
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,7 @@ def exp_chart_split(
         violation = 0.0
         witness = None
 
-        inside = _ball_samples(rng, n.onb(), radius, samples if n.dim else 0)
+        inside = _ball_samples(rng, n.basis, radius, samples if n.dim else 0)
         ws = _ball_samples(rng, free, radius, samples)
         gaps = n.distances(ws).tolist()
         far = [i for i, gap in enumerate(gaps) if gap > 0.05 * radius]
@@ -379,7 +378,7 @@ def exp_chart_split(
         if n_space.probes is not None:
             vectors = (np.asarray(p.vector, dtype=float) for p in n_space.probes(radius, None))
             probes = [w for w in vectors if np.linalg.norm(w) <= radius]
-            probe_gaps = [n.distance(w) for w in probes]
+            probe_gaps = n.distances(np.reshape(probes, (len(probes), m))).tolist()
             for w, gap, ok in zip(probes, probe_gaps, pair.tol.verdicts(probe_gaps, 1.0).tolist()):
                 if not ok:
                     violation = max(violation, gap)
@@ -423,21 +422,21 @@ def split_complement_criterion(
     if f_comp.dim == 0:
         return True
     state = rng.bit_generator.state
-    ws = _ball_samples(rng, f_comp.onb(), radius, samples)
+    ws = _ball_samples(rng, f_comp.basis, radius, samples)
     kept = [i for i, r in enumerate(_frobenius(ws).tolist()) if r >= COMPLEMENT_SAMPLE_FLOOR]
-    size = max(1, MAX_STACK_FLOATS // pair.ambient_n ** 2)
+    size = _block_size(pair.ambient_n ** 2)
     for start in range(0, len(kept), size):
         block = kept[start:start + size]
         points = exp_points(pair, ws[block])
         for i, member in zip(block, n_space.membership(points)):
             if member is True:
                 rng.bit_generator.state = state
-                _ball_samples(rng, f_comp.onb(), radius, i + 1)
+                _ball_samples(rng, f_comp.basis, radius, i + 1)
                 return False
     if n_space.probes is not None:
         vectors = (np.asarray(p.vector, dtype=float) for p in n_space.probes(radius, f_comp))
         probes = [w for w in vectors if COMPLEMENT_PROBE_FLOOR < np.linalg.norm(w) <= radius]
-        return not pair.tol.verdicts([f_comp.distance(w) for w in probes], 1.0).any()
+        return not pair.tol.verdicts(f_comp.distances(np.reshape(probes, (len(probes), m))), 1.0).any()
     return True
 
 
@@ -498,12 +497,12 @@ def mu_closure_check(
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
     if n_space.seed is not None and n_space.seed.dim > 0:
-        basis = n_space.seed.onb()
+        basis = n_space.seed.basis
     else:
         basis = np.eye(pair.dim_minus)
     state = rng.bit_generator.state
     uv = _ball_samples(rng, basis, scale, 2 * samples)
-    size = max(1, MAX_STACK_FLOATS // (2 * pair.ambient_n ** 2))
+    size = _block_size(2 * pair.ambient_n ** 2)
     for start in range(0, samples, size):
         points = exp_points(pair, uv[2 * start:2 * (start + size)])
         members = n_space.membership(points)

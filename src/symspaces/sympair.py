@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lts import LieTripleSystem, LinearSubspace, SymmetricLieAlgebra, VerificationError
+from .lts import LinearSubspace, SymmetricLieAlgebra, VerificationError
 from .numkernel import (
     DEFAULT_TOL,
     INVERTIBLE_DET_FLOOR,
@@ -250,30 +250,6 @@ class MatrixSymmetricPair:
         return t
 
     @cached_property
-    def triple_system(self) -> LieTripleSystem:
-        """The Lie triple system [x, y, z] = [[x, y], z] on g_minus coordinates.
-
-        Raises if a double commutator leaves g_minus, which would mean the
-        eigenspace invariants of the pair are broken.  Built one first index
-        at a time: the ``(m*m, n, n)`` stack of double commutators
-        [[x_i, x_j], x_k] of one ``i`` is one :meth:`matrix_to_minus` call,
-        where each must pass the residual test on its own.  The tensor is
-        read-only.
-        """
-        m, n = self.dim_minus, self.ambient_n
-        tensor = np.zeros((m, m, m, m))
-        mats = self.minus_mats
-        for i in range(m):
-            comm = mats[i] @ mats - mats @ mats[i]  # [x_i, x_j], one per j
-            vals = comm[:, None] @ mats - mats @ comm[:, None]  # [[x_i, x_j], x_k] at (j, k)
-            try:
-                tensor[i] = self.matrix_to_minus(vals.reshape(m * m, n, n)).reshape(m, m, m)
-            except ValueError as exc:
-                raise VerificationError(f"triple bracket left g_minus: {exc}")
-        tensor.flags.writeable = False
-        return LieTripleSystem(m, tensor, label=self.label)
-
-    @cached_property
     def theta_coords(self) -> np.ndarray:
         th = np.diag([1.0] * self.dim_plus + [-1.0] * self.dim_minus)
         th.flags.writeable = False
@@ -282,7 +258,7 @@ class MatrixSymmetricPair:
     @cached_property
     def _algebra(self) -> SymmetricLieAlgebra:
         d, eye = self.dim, np.eye(self.dim)
-        plus, minus = LinearSubspace(d, eye[: self.dim_plus]), LinearSubspace(d, eye[self.dim_plus :])
+        plus, minus = LinearSubspace._wrap(d, eye[: self.dim_plus]), LinearSubspace._wrap(d, eye[self.dim_plus :])
         return SymmetricLieAlgebra(d, self.structure_tensor, self.theta_coords, plus, minus, label=self.label)
 
     def algebra(self) -> SymmetricLieAlgebra:

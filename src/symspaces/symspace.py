@@ -67,6 +67,12 @@ __all__ = [
 MAX_STACK_FLOATS = 2 ** 13
 
 
+def _block_size(floats_per_row: int) -> int:
+    """How many rows of ``floats_per_row`` floats one stack of at most
+    ``MAX_STACK_FLOATS`` floats holds: at least one."""
+    return max(1, MAX_STACK_FLOATS // max(1, floats_per_row))
+
+
 class SymPoint:
     """Point of G/K, held as its Cartan matrix ``g sigma(g)^-1``.
 
@@ -270,7 +276,7 @@ def _chart_logs(pair: MatrixSymmetricPair, points) -> list:
     an overflowing ``exp_points`` gives, takes an identity slice)."""
     cartans = Points.of(pair, points).cartans
     n = pair.ambient_n
-    size = max(1, MAX_STACK_FLOATS // max(1, n * n))
+    size = _block_size(n * n)
     out = []
     for start in range(0, len(cartans), size):
         chunk = cartans[start:start + size]
@@ -460,11 +466,12 @@ def chain_identity_check(pair: MatrixSymmetricPair, xs, ys) -> float:
 def lts_of_pair(pair: MatrixSymmetricPair) -> LieTripleSystem:
     """Structure tensor of [x, y, z] = [[x, y], z] on g_minus coordinates.
 
-    Raises if a double commutator leaves g_minus, which would mean the
-    eigenspace invariants of the pair are broken.  Built once per pair
-    (:attr:`MatrixSymmetricPair.triple_system`); the tensor is read-only.
+    The :attr:`~symspaces.lts.SymmetricLieAlgebra.minus_lts` of
+    ``pair.algebra()``, whose ``minus_basis`` rows are the g_minus
+    coordinate axes: built once per pair, read-only, and a
+    :class:`VerificationError` if a triple bracket leaves g_minus.
     """
-    return pair.triple_system
+    return pair.algebra().minus_lts
 
 
 @dataclass(frozen=True, eq=False)

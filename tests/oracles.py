@@ -9,6 +9,9 @@ Cartan-matrix relation is judged against.  :func:`oracle_log` is the
 Denman-Beavers and atanh-series log, which ``mat_log`` keeps for matrices
 that are not normal; the normal route is judged by value against
 :func:`oracle_principal_log`, scipy's ``logm`` on the same ball.
+:func:`oracle_lts_tensor` builds the g_minus triple tensor from matrix
+double commutators, the reference for ``lts_of_pair``, which takes it from
+the algebra's bracket tensor.
 """
 
 import sys
@@ -35,6 +38,20 @@ _THETA13 = 5.371920351148152
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def oracle_lts_tensor(pair) -> np.ndarray:
+    """The triple tensor of ``pair`` element by element: g_minus coordinates
+    of the matrix double commutators [[x_i, x_j], x_k]."""
+    m = pair.dim_minus
+    tensor = np.zeros((m, m, m, m))
+    mats = pair.minus_mats
+    for i in range(m):
+        for j in range(m):
+            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+            for k in range(m):
+                tensor[i, j, k] = pair.matrix_to_minus(comm @ mats[k] - mats[k] @ comm)
+    return tensor
 
 
 def same_point(x: SymPoint, y: SymPoint) -> bool:

@@ -169,7 +169,7 @@ def test_criterion_06_preimage_kernel_law(product):
         pre = preimage_subspace(f, n2_space)
         extracted = lts_of_subspace(pre)
         n2 = lts_of_subspace(n2_space)
-        comp = n2.complement().onb()
+        comp = n2.complement().basis
         if comp.shape[0]:
             want = LinearSubspace.span(nullspace(comp @ f.minus_map).T, f.source.dim_minus)
         else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import CHART_MODELS, oracle_lts_tensor, same_bits
 
 from symspaces import quotient
 from symspaces.catalog import parse_model
@@ -33,7 +34,7 @@ def probe_vectors(rng, sub: LinearSubspace, count: int) -> np.ndarray:
     d = sub.ambient_dim
     rows = []
     for i in range(count):
-        inside = rng.standard_normal(sub.dim) @ sub.onb() if sub.dim else np.zeros(d)
+        inside = rng.standard_normal(sub.dim) @ sub.basis if sub.dim else np.zeros(d)
         off = rng.standard_normal(d)
         off -= sub.project(off)
         rows.append(inside + (0.0, 1e-13, 1e-6, 1.0)[i % 4] * off)
@@ -76,27 +77,67 @@ class TestRowwiseContainment:
             LinearSubspace.full(3).distances(np.zeros((2, 4)))
 
 
+def svd_spy(mp):
+    """Count ``numpy.linalg.svd`` calls for the rest of the monkeypatch context."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    mp.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 class TestCachedOnb:
+    """Each subspace holds one basis, orthonormal and read-only, from one SVD."""
+
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.data())
     def test_computed_once_and_read_only(self, seed, ambient, data):
         rng = np.random.default_rng(seed)
-        sub = random_subspace(rng, ambient, data.draw(st.integers(0, ambient)))
-        q = sub.onb()
-        assert sub.onb() is q
-        if sub.dim:
-            assert np.array_equal(q, np.linalg.svd(sub.basis)[2][: sub.dim])
-        with pytest.raises(ValueError, match="read-only"):
-            q[...] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            sub.basis[...] = 1.0
+        k = data.draw(st.integers(0, ambient))
+        rows = rng.standard_normal((k, ambient))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = svd_spy(mp)
+            spanned = LinearSubspace.span(rows, ambient)
+            assert len(calls) == (1 if k else 0)
+            built = LinearSubspace(ambient, rows)
+            assert len(calls) == (2 if k else 0)
+            comp = spanned.complement()
+            made = len(calls)
+            assert made == (3 if k else 0)  # the complement of the zero subspace is full
+            for sub in (spanned, built, comp, LinearSubspace.zero(ambient), LinearSubspace.full(ambient)):
+                q = sub.basis
+                assert sub.basis is q and sub.onb() is q
+                assert np.allclose(q @ q.T, np.eye(sub.dim), rtol=0.0, atol=1e-14)
+                sub.distances(rows)
+                sub.project(rows[0] if k else np.zeros(ambient))
+                sub.contains_all(rows)
+                with pytest.raises(ValueError, match="read-only"):
+                    q[...] = 1.0
+            assert len(calls) == made  # no SVD on access
+        assert spanned.dim == built.dim == k == ambient - comp.dim
+        assert spanned.equals(built)
 
     def test_basis_does_not_alias_the_input(self):
         rows = np.eye(3)[:2].copy()
         sub = LinearSubspace(3, rows)
-        q = sub.onb().copy()
+        q = sub.basis.copy()
         rows[0] = [0.0, 0.0, 1.0]
-        assert np.array_equal(sub.onb(), q)
+        assert np.array_equal(sub.basis, q)
+
+    def test_the_constructor_decides_with_its_one_svd(self):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = svd_spy(mp)
+            with pytest.raises(ValueError, match="linearly dependent"):
+                LinearSubspace(3, [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+            assert len(calls) == 1
+        with pytest.raises(ValueError, match="finite"):
+            LinearSubspace(2, [[1.0, np.nan]])
+        with pytest.raises(ValueError, match="ambient dimension"):
+            LinearSubspace(2, np.eye(3))
 
 
 class TestBasisBrackets:
@@ -154,28 +195,28 @@ class TestStackedMatrixCoords:
         assert str(stacked.value) == str(single.value)
 
 
-def fresh_lts_tensor(pair) -> np.ndarray:
-    """The per-element loop build of the triple tensor, without the cache."""
-    m = pair.dim_minus
-    tensor = np.zeros((m, m, m, m))
-    mats = pair.minus_mats
-    for i in range(m):
-        for j in range(m):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            for k in range(m):
-                tensor[i, j, k] = pair.matrix_to_minus(comm @ mats[k] - mats[k] @ comm)
-    return tensor
-
-
 class TestMemoizedLtsOfPair:
     def test_equals_a_fresh_loop_build(self, models):
-        for model in models.values():
-            first = lts_of_pair(model.pair)
-            assert lts_of_pair(model.pair) is first
-            assert np.array_equal(first.tensor, fresh_lts_tensor(model.pair))
-            assert first.label == model.pair.label
+        for spec in (*models, *CHART_MODELS):
+            pair = parse_model(spec).pair
+            first = lts_of_pair(pair)
+            assert lts_of_pair(pair) is first and first is pair.algebra().minus_lts
+            want = oracle_lts_tensor(pair)
+            assert first.tensor.shape == want.shape, spec
+            scale = max(float(np.max(np.abs(want), initial=0.0)), 1.0)
+            assert np.max(np.abs(first.tensor - want), initial=0.0) <= 1e-14 * scale, spec
+            assert first.label == pair.label
             with pytest.raises(ValueError, match="read-only"):
                 first.tensor[...] = 0.0
+
+    def test_minus_basis_is_the_coordinate_axes(self, models):
+        # the algebra's g_minus rows are e_p, ..., e_{d-1}, so its triple
+        # system is in the pair's g_minus coordinates
+        for spec in (*models, *CHART_MODELS, "torus_abelian(1/2)", "product(grassmann(2,5),grassmann(2,5))"):
+            pair = parse_model(spec).pair
+            g = pair.algebra()
+            assert same_bits(g.minus_basis.basis, np.eye(pair.dim)[pair.dim_plus:]), spec
+            assert same_bits(g.plus_basis.basis, np.eye(pair.dim)[:pair.dim_plus]), spec
 
 
 def einsum_bracket(g, x, y) -> np.ndarray:
@@ -197,7 +238,7 @@ class TestLieIdealHelper:
         cases += [random_subspace(rng, g.dim, k) for k in (1, 3, 5)]
         seen = set()
         for sub in cases:
-            for left_rows, right_rows in ((sub.basis, np.eye(g.dim)), (sub.onb(), sub.onb())):
+            for left_rows, right_rows in ((sub.basis, np.eye(g.dim)), (sub.basis, sub.basis)):
                 want = self.loop_reference(g, left_rows, right_rows, sub)
                 assert g.brackets_within(left_rows, right_rows, sub, pair.tol) == want
                 seen.add(want)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from oracles import count_calls, same_bits, same_point
 
-from symspaces import catalog, numkernel, quotient, subspace
+from symspaces import numkernel, subspace, symspace
 from symspaces.catalog import TORUS_RELATION_GRID, TorusLattice, parse_model
 from symspaces.cli import main
 from symspaces.lts import LinearSubspace, is_subsystem
@@ -61,10 +61,11 @@ def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
     return a.bit_generator.state == b.bit_generator.state
 
 
-def set_block(monkeypatch, module, width, floats_per_item, block):
-    """Shrink ``MAX_STACK_FLOATS`` in ``module`` so that ``block`` items of
-    ``floats_per_item`` matrices of size ``width`` fill one stack."""
-    monkeypatch.setattr(module, "MAX_STACK_FLOATS", block * floats_per_item * width**2)
+def set_block(monkeypatch, width, floats_per_item, block):
+    """Shrink ``symspace.MAX_STACK_FLOATS``, which every block size is taken
+    from, so that ``block`` items of ``floats_per_item`` matrices of size
+    ``width`` fill one stack."""
+    monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", block * floats_per_item * width**2)
 
 
 def submersion_width(qr) -> int:
@@ -103,7 +104,7 @@ def oracle_member_float(lattice: TorusLattice, point: SymPoint, winding: int = 6
 def oracle_mu_closure(n_space, rng, samples=30, scale=0.15) -> bool:
     pair = n_space.pair
     if n_space.seed is not None and n_space.seed.dim > 0:
-        basis = n_space.seed.onb()
+        basis = n_space.seed.basis
     else:
         basis = np.eye(pair.dim_minus)
     for _ in range(samples):
@@ -176,7 +177,7 @@ def oracle_chart_split(n_space, n, rng, samples=40, start_radius=1.0, floor=1e-3
         violation = 0.0
         witness = None
         for _ in range(samples if n.dim else 0):
-            v = oracle_ball_sample(rng, n.onb(), radius)
+            v = oracle_ball_sample(rng, n.basis, radius)
             if n_space.member(exp_point(pair, v)) is False:
                 violation = max(violation, float(np.linalg.norm(v)))
                 witness = v
@@ -208,7 +209,7 @@ def oracle_split_complement(n_space, n, f_comp, rng, samples=200, radius=0.5) ->
     if f_comp.dim == 0:
         return True
     for _ in range(samples):
-        w = oracle_ball_sample(rng, f_comp.onb(), radius)
+        w = oracle_ball_sample(rng, f_comp.basis, radius)
         if np.linalg.norm(w) < 1e-6:
             continue
         if n_space.member(exp_point(pair, w)) is True:
@@ -243,7 +244,7 @@ def oracle_lts_of_subspace(n_space) -> LinearSubspace:
     if n_space.member(base_point(pair)) is False:
         raise CertificationError("subspace does not contain the base point", witness=(None, 0.0))
     cand = n_space.candidate_subspace()
-    for v in cand.onb():
+    for v in cand.basis:
         for t in CERTIFICATION_GRID:
             if n_space.member(exp_point(pair, t * v)) is False:
                 raise CertificationError(f"candidate ray failed membership at t={t}", witness=(v, t))
@@ -313,7 +314,7 @@ class TestWeakSubmersionCheck:
     @pytest.mark.parametrize("samples", [1, 3, 4, 5, 6, 11])
     def test_sample_blocks(self, quotients, samples, monkeypatch):
         label, qr = quotients[-1]
-        set_block(monkeypatch, quotient, submersion_width(qr), 2, 5)
+        set_block(monkeypatch, submersion_width(qr), 2, 5)
         a, b = rng_pair(11)
         assert weak_submersion_check(qr, a, samples) == oracle_submersion(qr, b, samples), label
         assert same_state(a, b)
@@ -333,7 +334,7 @@ class TestWeakSubmersionCheck:
 
     def test_two_stacked_exponentials_per_block(self, quotients, monkeypatch):
         label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
-        set_block(monkeypatch, quotient, submersion_width(qr), 2, 5)
+        set_block(monkeypatch, submersion_width(qr), 2, 5)
         calls = count_calls(monkeypatch, numkernel, "mat_exp")
         weak_submersion_check(qr, np.random.default_rng(0), samples=11)
         # per block: the Cartan matrices and the translating letters
@@ -398,7 +399,7 @@ class TestSplitComplementCriterion:
     def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, first_true, monkeypatch):
         sub = models["product(sphere(2),sphere(2))"].subspace_by_name("left_factor")
         n = sub.seed
-        set_block(monkeypatch, subspace, sub.subspace.pair.ambient_n, 1, 50)
+        set_block(monkeypatch, sub.subspace.pair.ambient_n, 1, 50)
 
         def always_from(k):
             seen = []
@@ -463,7 +464,7 @@ class TestMuClosureCheck:
         # a membership cut off at ``reach`` refutes closure after a varying
         # number of samples, or never
         space = generate_integral(LinearSubspace.full(2), models["sphere(2)"].pair)
-        set_block(monkeypatch, subspace, space.pair.ambient_n, 2, 4)
+        set_block(monkeypatch, space.pair.ambient_n, 2, 4)
         verdicts = set()
         for reach in (0.25, 0.3, 0.35, 0.45, 0.6, 1.5):
 
@@ -492,7 +493,7 @@ class TestMuClosureCheck:
         monkeypatch.setattr(subspace, "mu_points", counted)
         assert mu_closure_check(space, np.random.default_rng(0))
         assert calls == [30]
-        set_block(monkeypatch, subspace, space.pair.ambient_n, 2, 4)
+        set_block(monkeypatch, space.pair.ambient_n, 2, 4)
         del calls[:]
         assert mu_closure_check(space, np.random.default_rng(0), samples=30)
         assert calls == [4] * 7 + [2]
@@ -508,7 +509,7 @@ class TestBallSamples:
     def test_rows_are_the_per_sample_draws(self, models, spec, count):
         m = models[spec].pair.dim_minus
         rng = np.random.default_rng(m)
-        bases = [LinearSubspace.span(rng.standard_normal((d, m)), m).onb() for d in range(m + 1)]
+        bases = [LinearSubspace.span(rng.standard_normal((d, m)), m).basis for d in range(m + 1)]
         for basis in bases + [np.eye(m)]:
             for radius in (1e-3, 0.5, 2.0):
                 a, b = rng_pair(count + basis.shape[0])
@@ -519,7 +520,7 @@ class TestBallSamples:
                 assert same_state(a, b)
 
     def test_one_sample_is_the_one_row_case(self):
-        basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5).onb()
+        basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5).basis
         a, b = rng_pair(2)
         for _ in range(50):
             assert same_bits(_ball_samples(a, basis, 0.7, 1)[0], oracle_ball_sample(b, basis, 0.7))
@@ -563,7 +564,7 @@ def algebraic_cases():
         rng = np.random.default_rng(len(out))
         for name, space, seed in subs:
             vs = [scale * rng.standard_normal(m) for scale in (1e-9, 1e-4, 0.3, 1.0) for _ in range(8)]
-            vs += [t * v for v in seed.onb() for t in (0.1, -0.5, 1.0)]
+            vs += [t * v for v in seed.basis for t in (0.1, -0.5, 1.0)]
             out.append((f"{spec} {name}", space, exp_points(pair, vs) + [base_point(pair)]))
     return out
 
@@ -636,7 +637,7 @@ class TestLatticeMembership:
     @pytest.mark.parametrize("floats,rows", [(1, 1), (11, 1), (22, 2), (35, 3)])
     def test_row_chunks_on_a_small_bound(self, lattice_points, monkeypatch, floats, rows):
         # winding 5 gives rows of 11 shifts; a bound below one row still takes one row
-        monkeypatch.setattr(catalog, "MAX_STACK_FLOATS", floats)
+        monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", floats)
         rounded = []
         original = np.round
 
@@ -753,3 +754,10 @@ def test_largest_quotient_run_stays_small():
         finally:
             tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_one_block_size_rule(monkeypatch):
+    # rows of f floats per stack of at most MAX_STACK_FLOATS, and at least one row
+    monkeypatch.setattr(symspace, "MAX_STACK_FLOATS", 100)
+    sizes = [symspace._block_size(f) for f in (0, 1, 7, 50, 100, 101, 10**6)]
+    assert sizes == [100, 100, 14, 2, 1, 1, 1]

@@ -41,7 +41,7 @@ def probe_points(pair, n: LinearSubspace, seed: int) -> list:
     """Points of the subspace's system, random points near and far, and the base point."""
     rng = np.random.default_rng(seed)
     m = pair.dim_minus
-    vs = [t * v for v in n.onb() for t in (0.1, -0.5, 1.0)]
+    vs = [t * v for v in n.basis for t in (0.1, -0.5, 1.0)]
     vs += [scale * rng.standard_normal(m) for scale in (1e-9, 0.3, 1.0, 3.0) for _ in range(4)]
     return exp_points(pair, vs) + [base_point(pair)]
 

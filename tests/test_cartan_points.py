@@ -81,7 +81,7 @@ def test_chart_relation_keeps_the_panel_counts(ladder, spec):
     pair, n = ladder[spec]
     relation = congruence_from_ideal(pair, n)
     rng = np.random.default_rng(0)
-    gx, gy = panel_pairs(pair, rng, lambda k: 0.3 * rng.standard_normal((k, n.dim)) @ n.onb())
+    gx, gy = panel_pairs(pair, rng, lambda k: 0.3 * rng.standard_normal((k, n.dim)) @ n.basis)
     got = relation.relates(SymPoint.from_group(pair, gx), SymPoint.from_group(pair, gy))
     want = [oracle_relates_group(pair, relation.n_minus, g, h) for g, h in zip(gx, gy)]
     assert collections.Counter(got) == collections.Counter(want)
@@ -126,7 +126,7 @@ def test_cut_locus_slices_are_the_only_new_unknowns(spec):
     cut = cut_locus_elements(pair)
     ordinary = pair.exp(pair.minus_to_matrix(0.4 * rng.standard_normal((m, m))))
     gx = np.array([g for both in zip(cut, ordinary) for g in both])
-    gy = gx @ pair.exp(pair.minus_to_matrix(0.3 * rng.standard_normal((2 * m, 1)) @ n.onb()))
+    gy = gx @ pair.exp(pair.minus_to_matrix(0.3 * rng.standard_normal((2 * m, 1)) @ n.basis))
     xs, ys = SymPoint.from_group(pair, gx), SymPoint.from_group(pair, gy)
     assert all(np.isclose(np.linalg.eigvals(x.cartan), -1.0).any() for x in xs[::2])
     roots, rooted = _principal_roots(np.array([x.cartan for x in xs]), pair.tol)

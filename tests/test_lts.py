@@ -278,13 +278,13 @@ class TestPsiRepresentation:
         n = sphere.pair.minus_subspace_to_full(LinearSubspace.full(2))
         rep = psi_representation(g, n)
         assert rep.kernel.dim == g.plus_basis.dim
-        assert rep.quotient_onb.shape[0] == 0
+        assert rep.quotient_basis.shape[0] == 0
 
     def test_zero_ideal_matches_direct_ad_nullspace(self, sphere):
         g = sphere.pair.algebra()
         rep = psi_representation(g, LinearSubspace.zero(g.dim))
         # oracle: stack the action of each plus vector on the minus onb
-        q = g.minus_basis.onb()
+        q = g.minus_basis.basis
         stacked = []
         for x in g.plus_basis.basis:
             op = q @ (g.ad(x) @ q.T)
@@ -390,7 +390,7 @@ CATALOG_ALGEBRAS = (
 
 def two_einsum_minus_tensor(g: SymmetricLieAlgebra) -> np.ndarray:
     """The g_minus triple tensor by the two-einsum formula the helper replaced."""
-    q = g.minus_basis.onb()
+    q = g.minus_basis.basis
     inner = np.einsum("ijl,ai,bj->abl", g.bracket_tensor, q, q)
     vals = np.einsum("ijl,abi,cj->abcl", g.bracket_tensor, inner, q)
     return vals @ q.T
@@ -409,7 +409,7 @@ class TestMinusIdealHelper:
 
         monkeypatch.setattr(lts, "is_ideal", spy)
         q, n_m = _minus_ideal(g, LinearSubspace.zero(g.dim), lts.DEFAULT_TOL, "unused")
-        assert np.array_equal(q, g.minus_basis.onb())
+        assert np.array_equal(q, g.minus_basis.basis)
         assert n_m.dim == 0 and n_m.ambient_dim == q.shape[0]
         (got,) = seen
         want = two_einsum_minus_tensor(g)

@@ -112,7 +112,7 @@ def test_a_relation_on_ill_conditioned_points_is_the_group_bodys(chart_models):
     assert not passes_the_gate(np.array([x.cartan for x in xs])).any()
     for row in range(m):
         n = LinearSubspace(m, np.eye(m)[row : row + 1])
-        w = np.concatenate([0.3 * rng.standard_normal((6, 1)) @ n.onb(), 0.3 * rng.standard_normal((6, m))])
+        w = np.concatenate([0.3 * rng.standard_normal((6, 1)) @ n.basis, 0.3 * rng.standard_normal((6, m))])
         gy = gx @ pair.exp(pair.minus_to_matrix(w))
         got = ChartRelation(pair, n)(xs, SymPoint.from_group(pair, gy))
         assert got == [oracle_relates_group(pair, n, g, h) for g, h in zip(gx, gy)]

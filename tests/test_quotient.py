@@ -1,8 +1,12 @@
+import contextlib
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
 
+from symspaces import cli
 from symspaces.lts import LinearSubspace, is_ideal, quotient_lts
 from symspaces.quotient import (
     FaithfulnessError,
@@ -305,3 +309,27 @@ class TestRelationClosure:
         rep = relation_closure_check(rel, np.random.default_rng(42))
         assert not rep["ok"]
         assert "escape" in rep["witness"]
+
+
+class TestRankVerdicts:
+    @pytest.mark.parametrize(
+        "spec, ideal",
+        [("product(sphere(2),sphere(2))", "left_factor"), ("spd(3)", "center"), ("product(sphere(2),sphere(2))", "")],
+    )
+    def test_a_quotient_run_takes_its_ranks_from_the_tolerance(self, spec, ideal, monkeypatch):
+        # both rank verdicts of a run go through numerical_rank, never numpy's own cutoff
+        calls = []
+        original = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["quotient", "--model", spec, "--ideal", ideal, "--seed", "1"])
+        report = json.loads(out.getvalue())
+        assert code == 0 and report["weak_submersion"] is True
+        ranks = report["rank_checks"]
+        assert ranks["projection_rank"] == ranks["expected_rank"] == report["quotient_dim_minus"]
+        assert calls == []

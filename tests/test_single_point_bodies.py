@@ -388,7 +388,7 @@ class TestMembershipBlocks:
         assert len(blocks) == len(report.history)  # one block per radius
 
         del blocks[:]
-        size = max(1, subspace.MAX_STACK_FLOATS // pair.ambient_n**2)
+        size = max(1, symspace.MAX_STACK_FLOATS // pair.ambient_n**2)
         split_complement_criterion(space, n, n.complement(), rng=np.random.default_rng(0), samples=200)
         assert sum(blocks) <= (200 if n.dim < m else 0)
         assert all(b <= size for b in blocks) and len(blocks) == -(-sum(blocks) // size)
@@ -420,10 +420,10 @@ class TestDistance:
         got = sub.distances(vs)
         for i, v in enumerate(vs):
             assert same_bits(got[i], sub.distance(v))
-            assert same_bits(sub.distance(v), oracle_distance(sub.onb(), v))
+            assert same_bits(sub.distance(v), oracle_distance(sub.basis, v))
             assert sub.distance(v) == pytest.approx(np.linalg.norm(v - sub.project(v)), abs=1e-12)
 
-    def test_chart_split_takes_one_distances_call_per_radius(self, monkeypatch):
+    def test_chart_split_takes_two_distances_calls_per_radius(self, monkeypatch):
         calls = []
 
         def spy(name):
@@ -442,7 +442,11 @@ class TestDistance:
         sub = parse_model("torus_abelian(sqrt2)").subspace_by_name("dense_line")
         with pytest.raises(ChartSplitError) as failed:
             exp_chart_split(sub.subspace, sub.seed, rng=np.random.default_rng(0), samples=40)
-        radii = len(failed.value.report.history)
-        assert radii > 5
-        assert [c for c in calls if c[0] == "distances"] == [("distances", 40)] * radii
-        assert all(c == ("distance", 1) for c in calls if c[0] == "distance")  # the probes
+        history = failed.value.report.history
+        assert len(history) > 5
+        want = []
+        for radius, _ in history:  # the samples, then the probes in the ball
+            probes = [p for p in sub.subspace.probes(radius, None) if np.linalg.norm(p.vector) <= radius]
+            want += [("distances", 40), ("distances", len(probes))]
+        assert calls == want
+        assert any(count for _, count in want[1::2])

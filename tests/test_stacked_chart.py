@@ -10,6 +10,7 @@ the samplers that use them must leave the generator where that loop does.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -523,7 +524,22 @@ class TestReflectionReport:
 
 
 # ---------------------------------------------------------------------------
-# one _minus_ideal check per pipeline run
+# one g_minus triple system per algebra
+
+
+def count_triple_builds(monkeypatch) -> list:
+    """Record the algebra of each build of ``SymmetricLieAlgebra.minus_lts``."""
+    original = vars(lts.SymmetricLieAlgebra)["minus_lts"].func
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return original(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(lts.SymmetricLieAlgebra, "minus_lts")
+    monkeypatch.setattr(lts.SymmetricLieAlgebra, "minus_lts", prop)
+    return builds
 
 
 class TestMinusIdealOnce:
@@ -532,11 +548,16 @@ class TestMinusIdealOnce:
         [("product(sphere(2),sphere(2))", "left_factor"), ("spd(3)", "center")],
     )
     def test_one_check_per_pipeline_run(self, spec, ideal, monkeypatch):
+        # the congruence and the two ideals of a run each check n against
+        # the one triple system
+        builds = count_triple_builds(monkeypatch)
         model = parse_model(spec)
         n = model.subspace_by_name(ideal).seed
-        checks = count_calls(monkeypatch, lts, "_check_minus_ideal")
+        ideals = count_calls(monkeypatch, lts, "is_ideal")
         quotient_theorem_pipeline(model.pair, n, rng=np.random.default_rng(0))
-        assert len(checks) == 1
+        g = model.pair.algebra()
+        assert builds == [g]
+        assert sum(system is g.minus_lts for system, *_ in ideals) == 3
 
     def test_each_caller_keeps_its_message(self, chart_models):
         pair = chart_models["spd(2)"].pair
@@ -550,13 +571,15 @@ class TestMinusIdealOnce:
                 psi_representation(g, n_full, pair.tol)
 
     def test_a_new_subspace_is_checked_again(self, chart_models, monkeypatch):
-        pair = chart_models["product(sphere(2),spd(2))"].pair
+        source = chart_models["product(sphere(2),spd(2))"].pair
+        builds = count_triple_builds(monkeypatch)
+        pair = sympair.MatrixSymmetricPair(source.ambient_n, source.plus_mats, source.minus_mats, source.sigma)
         g = pair.algebra()
         m = pair.dim_minus
-        g._last_minus_ideal.clear()
-        checks = count_calls(monkeypatch, lts, "_check_minus_ideal")
+        ideals = count_calls(monkeypatch, lts, "is_ideal")
         left = pair.minus_subspace_to_full(LinearSubspace(m, np.eye(m)[:2]))
         whole = pair.minus_subspace_to_full(LinearSubspace.full(m))
         for n_full in (left, left, whole, left):
             psi_representation(g, n_full, pair.tol)
-        assert len(checks) == 3
+        assert [system is g.minus_lts for system, *_ in ideals] == [True] * 4  # every call checks again
+        assert builds == [g]

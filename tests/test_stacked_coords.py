@@ -23,7 +23,7 @@ from symspaces.lts import LinearSubspace, VerificationError
 from symspaces.numkernel import DomainError
 from symspaces.quotient import quotient_theorem_pipeline
 from symspaces.sympair import MatrixSymmetricPair, SigmaRule, relation_group_product
-from symspaces.symspace import chain_identity_check, exp_points
+from symspaces.symspace import chain_identity_check, exp_points, lts_of_pair
 
 # every catalog family, with the spd and product sizes where a single
 # (k, d) @ (d, n*n) product would round differently from the per-row one
@@ -199,14 +199,16 @@ class TestInverseMap:
         assert same_bits(zero.minus_to_matrix(np.zeros((3, 0))), np.zeros((3, 2, 2)))
 
     def test_triple_system_keeps_its_message(self, monkeypatch):
-        pair = parse_model("spd(2)").pair
-
-        def outside(self, x):
-            raise ValueError("matrix is not in g_minus (residual 1.00e+00)")
-
-        monkeypatch.setattr(MatrixSymmetricPair, "matrix_to_minus", outside)
-        with pytest.raises(VerificationError, match=r"^triple bracket left g_minus: matrix is not in g_minus \(residual"):
-            pair.triple_system
+        spd = parse_model("spd(2)").pair
+        pair = MatrixSymmetricPair(spd.ambient_n, spd.plus_mats, spd.minus_mats, spd.sigma)
+        # a bracket tensor whose [g_plus, g_minus] leaks into g_plus sends
+        # [[x, y], z] out of g_minus
+        leaky = spd.structure_tensor.copy()
+        p = pair.dim_plus
+        leaky[0, p, 0], leaky[p, 0, 0] = 1.0, -1.0
+        monkeypatch.setattr(MatrixSymmetricPair, "structure_tensor", property(lambda self: leaky))
+        with pytest.raises(VerificationError, match=r"^triple bracket leaves the \(-1\)-eigenspace$"):
+            lts_of_pair(pair)
 
 
 # ---------------------------------------------------------------------------

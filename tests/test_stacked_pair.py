@@ -19,6 +19,7 @@ from symspaces.sympair import (
     trotter_group_commutator,
     trotter_group_sum,
 )
+from symspaces.symspace import lts_of_pair
 
 VERIFY_LADDER = (
     "sphere(2)",
@@ -274,7 +275,7 @@ class TestSmallPairs:
                 assert same_bits(got, loop_random_element(pair, np.random.default_rng(2), letters))
         # dim 0: every random element is the identity
         assert same_bits(zero.random_element(np.random.default_rng(2)), np.eye(2))
-        assert line.triple_system.dim == 1
+        assert lts_of_pair(line).dim == 1
 
 
 # -- exponential words ----------------------------------------------------------

@@ -292,7 +292,7 @@ class TestPreimageRankLaw:
             pre = preimage_subspace(f, n2_space)
             extracted = lts_of_subspace(pre)
             n2 = lts_of_subspace(n2_space)
-            comp = n2.complement().onb()
+            comp = n2.complement().basis
             from symspaces.numkernel import nullspace
 
             if comp.shape[0]:
