@@ -10,10 +10,11 @@ floating-point luck.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,19 +65,46 @@ class DesignatedMorphism:
 
 @dataclass(frozen=True, eq=False)
 class ModelDescriptor:
+    """A catalog model: its pair, and designated subspaces and morphisms that
+    are built on first request.
+
+    ``subspace_names`` lists the candidate designated subspaces in order, and
+    ``build_subspace(name)`` builds one of them, or gives None where the name
+    does not apply (a product's diagonal of non-isomorphic factors).
+    ``designated_subspaces`` is the tuple of those that apply, in that order;
+    :meth:`subspace_by_name` builds only the one it is asked for.
+    ``build_morphisms()`` builds the tuple ``designated_morphisms``.  Each is
+    built at most once per model.
+    """
+
     name: str
     params: dict
     pair: MatrixSymmetricPair
-    designated_subspaces: tuple = ()
-    designated_morphisms: tuple = ()
+    subspace_names: tuple = ()
+    build_subspace: Optional[Callable[[str], Optional[DesignatedSubspace]]] = field(default=None, repr=False)
+    build_morphisms: Callable[[], tuple] = field(default=tuple, repr=False)
     metadata: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def designated_subspaces(self) -> tuple:
+        return tuple(sub for sub in map(self._subspace, self.subspace_names) if sub is not None)
+
+    @functools.cached_property
+    def designated_morphisms(self) -> tuple:
+        return self.build_morphisms()
 
     def subspace_by_name(self, name: str) -> DesignatedSubspace:
-        for sub in self.designated_subspaces:
-            if sub.name == name:
-                return sub
-        raise KeyError(f"model {self.name!r} has no designated subspace {name!r}")
+        sub = self._subspace(name) if name in self.subspace_names else None
+        if sub is None:
+            raise KeyError(f"model {self.name!r} has no designated subspace {name!r}")
+        return sub
+
+    def _subspace(self, name: str) -> Optional[DesignatedSubspace]:
+        if name not in self._built:
+            self._built[name] = self.build_subspace(name)
+        return self._built[name]
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +355,29 @@ def _half_angles(cartans: np.ndarray) -> np.ndarray:
 # designated subspaces per model
 
 
-def _sphere_circle(pair: MatrixSymmetricPair, tol: Tolerance):
-    n = pair.ambient_n - 1
+def _sphere_circle(pair: MatrixSymmetricPair, name: str):
     d = np.diag([1.0 if i != 1 else -1.0 for i in range(pair.ambient_n)])
     coords = pair.matrix_coords(d @ pair.basis_mats @ d).T  # column i: the image of basis matrix i
     auto = PairMorphism(
         source=pair, target=pair, algebra_map=coords,
-        group_rule=lambda g: d @ g @ d, label="reflection",
+        group_rule=lambda gs: d @ gs @ d, label="reflection",
     )
     circle = fixed_point_subspace(pair, sym_morphism(auto), label="great_circle")
     seed = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
     return DesignatedSubspace("great_circle", seed, circle, is_ideal=False, is_symmetric=True)
 
 
-def _spd_designated(pair: MatrixSymmetricPair, n: int, tol: Tolerance):
+def _spd_designated(pair: MatrixSymmetricPair, n: int, name: str):
     m = pair.dim_minus
+    if name == "diagonal":
 
-    def offdiag(cartans: np.ndarray) -> np.ndarray:
-        return cartans[:, ~np.eye(n, dtype=bool)]
+        def offdiag(cartans: np.ndarray) -> np.ndarray:
+            return cartans[:, ~np.eye(n, dtype=bool)]
 
-    offdiag.constraint_name = "cartan_offdiagonal_zero"
-    diag_space = algebraic_subspace(pair, offdiag, label="diagonal")
-    diag_seed = LinearSubspace(m, np.eye(m)[:n])  # the n diagonal directions
+        offdiag.constraint_name = "cartan_offdiagonal_zero"
+        diag_space = algebraic_subspace(pair, offdiag, label="diagonal")
+        diag_seed = LinearSubspace(m, np.eye(m)[:n])  # the n diagonal directions
+        return DesignatedSubspace("diagonal", diag_seed, diag_space, is_ideal=False, is_symmetric=True)
 
     def scalar(cartans: np.ndarray) -> np.ndarray:
         dev = cartans - (np.trace(cartans, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
@@ -358,16 +387,22 @@ def _spd_designated(pair: MatrixSymmetricPair, n: int, tol: Tolerance):
     center_sub = algebraic_subspace(pair, scalar, label="center")
     # coordinates of the identity matrix: the n diagonal directions, normalized
     center_seed = LinearSubspace.span((np.ones(n) / math.sqrt(n)).reshape(1, -1) @ np.eye(m)[:n], m)
-    return (
-        DesignatedSubspace("diagonal", diag_seed, diag_space, is_ideal=False, is_symmetric=True),
-        DesignatedSubspace("center", center_seed, center_sub, is_ideal=True, is_symmetric=True),
-    )
+    return DesignatedSubspace("center", center_seed, center_sub, is_ideal=True, is_symmetric=True)
 
 
-def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
+def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice, name: str):
     m = pair.dim_minus
-    s = lattice.slope
+    if name == "axis_line":
 
+        def second_block_identity(cartans: np.ndarray) -> np.ndarray:
+            return (cartans[:, 2:, 2:] - np.eye(2)).reshape(len(cartans), 4)
+
+        second_block_identity.constraint_name = "second_block_identity"
+        axis = algebraic_subspace(pair, second_block_identity, label="axis_line")
+        axis_seed = LinearSubspace(m, np.array([[1.0, 0.0]]))
+        return DesignatedSubspace("axis_line", axis_seed, axis, is_ideal=True, is_symmetric=True)
+
+    s = lattice.slope
     dense_seed = LinearSubspace.span(np.array([[1.0, s]]) / math.hypot(1.0, s), m)
 
     def dense_probes(radius: float, within):
@@ -386,22 +421,10 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice):
         seed=dense_seed,
         probes=dense_probes,
     )
-
-    def second_block_identity(cartans: np.ndarray) -> np.ndarray:
-        return (cartans[:, 2:, 2:] - np.eye(2)).reshape(len(cartans), 4)
-
-    second_block_identity.constraint_name = "second_block_identity"
-    axis = algebraic_subspace(pair, second_block_identity, label="axis_line")
-    axis_seed = LinearSubspace(m, np.array([[1.0, 0.0]]))
-
-    subs = (
-        # at a rational slope the line closes up into a circle, a symmetric subspace
-        DesignatedSubspace(
-            "dense_line", dense_seed, dense, is_ideal=True, is_symmetric=lattice.slope_kind == "rational"
-        ),
-        DesignatedSubspace("axis_line", axis_seed, axis, is_ideal=True, is_symmetric=True),
+    # at a rational slope the line closes up into a circle, a symmetric subspace
+    return DesignatedSubspace(
+        "dense_line", dense_seed, dense, is_ideal=True, is_symmetric=lattice.slope_kind == "rational"
     )
-    return subs
 
 
 def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> CongruenceRelation:
@@ -431,11 +454,17 @@ def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> Congrue
     )
 
 
-def _product_designated(pair, ma: ModelDescriptor, mb: ModelDescriptor):
-    m1 = ma.pair.dim_minus
-    m2 = mb.pair.dim_minus
-    m = m1 + m2
-    n_a, n_b = ma.pair.ambient_n, mb.pair.ambient_n
+def _product_designated(pair, pa: MatrixSymmetricPair, pb: MatrixSymmetricPair, name: str):
+    m1 = pa.dim_minus
+    m = pair.dim_minus
+    if name == "diagonal":
+        # the diagonal of equal-dimension factors is a triple subsystem only
+        # when the factors' systems agree (not for spd(2) x sphere(3))
+        diag_seed = LinearSubspace(m, np.hstack([np.eye(m1), np.eye(m1)]) / SQRT2)
+        if not is_subsystem(lts_of_pair(pair), diag_seed, pair.tol):
+            return None
+        return DesignatedSubspace("diagonal", diag_seed, None, is_ideal=False, is_symmetric=True)
+    n_a, n_b = pa.ambient_n, pb.ambient_n
 
     def right_block_identity(cartans: np.ndarray) -> np.ndarray:
         return (cartans[:, n_a:, n_a:] - np.eye(n_b)).reshape(len(cartans), n_b * n_b)
@@ -443,27 +472,19 @@ def _product_designated(pair, ma: ModelDescriptor, mb: ModelDescriptor):
     right_block_identity.constraint_name = "right_block_identity"
     left_factor = algebraic_subspace(pair, right_block_identity, label="left_factor")
     left_seed = LinearSubspace(m, np.eye(m)[:m1])
-    out = [DesignatedSubspace("left_factor", left_seed, left_factor, is_ideal=True, is_symmetric=True)]
-    if m1 == m2:
-        # the diagonal of equal-dimension factors is a triple subsystem only
-        # when the factors' systems agree (not for spd(2) x sphere(3))
-        diag_seed = LinearSubspace(m, np.hstack([np.eye(m1), np.eye(m1)]) / SQRT2)
-        if is_subsystem(lts_of_pair(pair), diag_seed, pair.tol):
-            out.append(DesignatedSubspace("diagonal", diag_seed, None, is_ideal=False, is_symmetric=True))
-    return tuple(out)
+    return DesignatedSubspace("left_factor", left_seed, left_factor, is_ideal=True, is_symmetric=True)
 
 
-def _product_morphisms(pair, ma: ModelDescriptor, mb: ModelDescriptor):
-    pa, pb = ma.pair, mb.pair
+def _product_morphisms(pair, pa: MatrixSymmetricPair, pb: MatrixSymmetricPair):
     n_a, n_b = pa.ambient_n, pb.ambient_n
     total = n_a + n_b
     d_a, d_b = pa.dim, pb.dim
     out = []
 
-    def embed_diag(g):
-        out_m = np.eye(total)
-        out_m[:n_a, :n_a] = g
-        out_m[n_a:, n_a:] = g
+    def embed_diag(gs):
+        out_m = np.zeros(gs.shape[:-2] + (total, total))
+        out_m[..., :n_a, :n_a] = gs
+        out_m[..., n_a:, n_a:] = gs
         return out_m
 
     if n_a == n_b and d_a == d_b:
@@ -488,12 +509,12 @@ def _product_morphisms(pair, ma: ModelDescriptor, mb: ModelDescriptor):
             swap_map[off + i, off + pa_m + i] = 1.0
             swap_map[off + pa_m + i, off + i] = 1.0
 
-        def swap_rule(g):
-            out_m = np.zeros_like(g)
-            out_m[:n_a, :n_a] = g[n_a:, n_a:]
-            out_m[n_a:, n_a:] = g[:n_a, :n_a]
-            out_m[:n_a, n_a:] = g[n_a:, :n_a]
-            out_m[n_a:, :n_a] = g[:n_a, n_a:]
+        def swap_rule(gs):
+            out_m = np.zeros_like(gs)
+            out_m[..., :n_a, :n_a] = gs[..., n_a:, n_a:]
+            out_m[..., n_a:, n_a:] = gs[..., :n_a, :n_a]
+            out_m[..., :n_a, n_a:] = gs[..., n_a:, :n_a]
+            out_m[..., n_a:, :n_a] = gs[..., :n_a, n_a:]
             return out_m
 
         swap = PairMorphism(source=pair, target=pair, algebra_map=swap_map, group_rule=swap_rule, label="swap")
@@ -506,8 +527,8 @@ def _product_morphisms(pair, ma: ModelDescriptor, mb: ModelDescriptor):
     for i in range(pa.dim_minus):
         proj_map[pa_p + i, pa_p + pb_p + i] = 1.0
 
-    def proj_rule(g):
-        return g[:n_a, :n_a]
+    def proj_rule(gs):
+        return gs[..., :n_a, :n_a]
 
     proj = PairMorphism(source=pair, target=pa, algebra_map=proj_map, group_rule=proj_rule, label="proj_left")
     out.append(DesignatedMorphism("proj_left", sym_morphism(proj)))
@@ -518,12 +539,25 @@ def _product_morphisms(pair, ma: ModelDescriptor, mb: ModelDescriptor):
 # model constructors
 
 
-def _identity_morphism(pair: MatrixSymmetricPair) -> SymMorphism:
+def _identity_morphisms(pair: MatrixSymmetricPair) -> tuple:
     f = PairMorphism(
         source=pair, target=pair, algebra_map=np.eye(pair.dim),
-        group_rule=lambda g: g, label="identity",
+        group_rule=lambda gs: gs, label="identity",
     )
-    return sym_morphism(f)
+    return (DesignatedMorphism("identity", sym_morphism(f)),)
+
+
+def _grassmann_line(pair: MatrixSymmetricPair, name: str) -> DesignatedSubspace:
+    seed = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
+    return DesignatedSubspace("line", seed, None, is_ideal=False, is_symmetric=True)
+
+
+def _torus_morphisms(pair: MatrixSymmetricPair) -> tuple:
+    doubling = PairMorphism(
+        source=pair, target=pair, algebra_map=2.0 * np.eye(pair.dim),
+        group_rule=lambda gs: gs @ gs, label="doubling",
+    )
+    return _identity_morphisms(pair) + (DesignatedMorphism("doubling", sym_morphism(doubling)),)
 
 
 def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAULT_TOL) -> ModelDescriptor:
@@ -534,11 +568,11 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
         if n < 2:
             raise ValueError("sphere needs n >= 2")
         pair = _sphere_pair(n, tol)
-        subs = (_sphere_circle(pair, tol),) if n == 2 else ()
         return ModelDescriptor(
             name="sphere", params={"n": n}, pair=pair,
-            designated_subspaces=subs,
-            designated_morphisms=(DesignatedMorphism("identity", _identity_morphism(pair)),),
+            subspace_names=("great_circle",) if n == 2 else (),
+            build_subspace=functools.partial(_sphere_circle, pair),
+            build_morphisms=functools.partial(_identity_morphisms, pair),
             metadata={"closed_subspaces": True, "connected": True},
         )
     if name == "spd":
@@ -548,8 +582,9 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
         pair = _spd_pair(n, tol)
         return ModelDescriptor(
             name="spd", params={"n": n}, pair=pair,
-            designated_subspaces=_spd_designated(pair, n, tol),
-            designated_morphisms=(DesignatedMorphism("identity", _identity_morphism(pair)),),
+            subspace_names=("diagonal", "center"),
+            build_subspace=functools.partial(_spd_designated, pair, n),
+            build_morphisms=functools.partial(_identity_morphisms, pair),
             metadata={"closed_subspaces": True, "connected": True},
         )
     if name == "grassmann":
@@ -558,13 +593,11 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
         if not (1 <= k < n):
             raise ValueError("grassmann needs 1 <= k < n")
         pair = _grassmann_pair(k, n, tol)
-        seed = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
         return ModelDescriptor(
             name="grassmann", params={"k": k, "n": n}, pair=pair,
-            designated_subspaces=(
-                DesignatedSubspace("line", seed, None, is_ideal=False, is_symmetric=True),
-            ),
-            designated_morphisms=(DesignatedMorphism("identity", _identity_morphism(pair)),),
+            subspace_names=("line",),
+            build_subspace=functools.partial(_grassmann_line, pair),
+            build_morphisms=functools.partial(_identity_morphisms, pair),
             metadata={"closed_subspaces": True, "connected": True},
         )
     if name == "torus_abelian":
@@ -579,22 +612,11 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
                 raise ValueError(f"torus slope {slope!r} is not a finite rational number") from exc
             lattice = TorusLattice("rational", rational=frac)
         pair = _torus_pair(tol, f"torus({slope})")
-        subs = _torus_designated(pair, lattice)
-
-        def doubling_rule(g):
-            return g @ g
-
-        doubling = PairMorphism(
-            source=pair, target=pair, algebra_map=2.0 * np.eye(pair.dim),
-            group_rule=doubling_rule, label="doubling",
-        )
         return ModelDescriptor(
             name="torus_abelian", params={"slope": str(slope)}, pair=pair,
-            designated_subspaces=subs,
-            designated_morphisms=(
-                DesignatedMorphism("identity", _identity_morphism(pair)),
-                DesignatedMorphism("doubling", sym_morphism(doubling)),
-            ),
+            subspace_names=("dense_line", "axis_line"),
+            build_subspace=functools.partial(_torus_designated, pair, lattice),
+            build_morphisms=functools.partial(_torus_morphisms, pair),
             metadata={
                 "closed_subspaces": True if lattice.slope_kind == "rational" else "dense_line is not closed",
                 "connected": True,
@@ -607,10 +629,13 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
         ma = parse_model(spec_a, tol) if isinstance(spec_a, str) else spec_a
         mb = parse_model(spec_b, tol) if isinstance(spec_b, str) else spec_b
         pair = _product_pair(ma, mb, tol)
+        # the diagonal is a candidate only for factors of equal g_minus dimension
+        names = ("left_factor", "diagonal") if ma.pair.dim_minus == mb.pair.dim_minus else ("left_factor",)
         return ModelDescriptor(
             name="product", params={"a": spec_a, "b": spec_b}, pair=pair,
-            designated_subspaces=_product_designated(pair, ma, mb),
-            designated_morphisms=_product_morphisms(pair, ma, mb),
+            subspace_names=names,
+            build_subspace=functools.partial(_product_designated, pair, ma.pair, mb.pair),
+            build_morphisms=functools.partial(_product_morphisms, pair, ma.pair, mb.pair),
             metadata={"closed_subspaces": True, "connected": True},
             extras={"factors": (ma, mb)},
         )

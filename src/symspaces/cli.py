@@ -9,6 +9,7 @@ quotient exists).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,6 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list catalog models")
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built by the first :func:`main` call
+    (not at import); each ``parse_args`` still makes a fresh ``Namespace``."""
+    return _build_parser()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -194,9 +202,11 @@ def _cmd_trotter(args) -> int:
 
 
 def _resolve_ideal(model: ModelDescriptor, spec: str):
-    names = {s.name for s in model.designated_subspaces}
-    if spec in names:
+    try:
         sub = model.subspace_by_name(spec)
+    except KeyError:
+        pass
+    else:
         return sub.seed, sub.subspace
     vectors = [
         _parse_vector(part) for part in spec.split(";") if part.strip() != ""
@@ -265,9 +275,8 @@ def _cmd_models(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

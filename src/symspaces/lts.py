@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _svd_cut, as_matrix, nullspace, numerical_rank
+from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _svd_cut, as_matrix, nullspace
 
 __all__ = [
     "LinearSubspace",
@@ -157,10 +157,8 @@ class LinearSubspace:
         return all(self.contains_each(vectors, tol))
 
     def contains_subspace(self, other: "LinearSubspace", tol: Tolerance = DEFAULT_TOL) -> bool:
-        if other.dim == 0:
-            return True
-        stacked = np.vstack([self.basis, other.basis])
-        return numerical_rank(stacked, tol) == self.dim
+        """Whether every row of ``other``'s orthonormal basis lies in the subspace."""
+        return self.contains_all(other.basis, tol)
 
     def equals(self, other: "LinearSubspace", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.dim == other.dim and self.contains_subspace(other, tol)

@@ -370,18 +370,18 @@ def _series_logs(a: np.ndarray, tol: Tolerance) -> tuple:
     # The fallback route for a (k, n, n) stack inside the ball, which it takes
     # roots of in place: Denman-Beavers roots until |A - I|_F <= 1/4, then the
     # atanh series.  Returns the logs, NaN where a slice needs more than 40
-    # roots, and per slice whether it did.
+    # roots or a root iterate is singular, and per slice whether it did.
     ident = np.eye(a.shape[-1])
     roots = [0] * len(a)
     todo = [j for j, f in enumerate(_frobenius(a - ident).tolist()) if f > 0.25]
     while todo:
         on = slice(None) if len(todo) == len(a) else todo
-        a[on] = _sqrt_denman_beavers(a[on], tol)
+        a[on] = _denman_beavers_roots(a[on], tol)
         for j in todo:
             roots[j] += 1
         far = _frobenius(a[on] - ident).tolist()
-        todo = [j for j, f in zip(todo, far) if roots[j] <= 40 and f > 0.25]
-    diverged = [r > 40 for r in roots]
+        todo = [j for j, f in zip(todo, far) if roots[j] <= 40 and f > 0.25]  # a NaN root stops here
+    diverged = [r > 40 or not ok for r, ok in zip(roots, np.isfinite(a).all(axis=(1, 2)).tolist())]
     out = np.full(a.shape, np.nan)
     kept = [j for j, bad in enumerate(diverged) if not bad]
     if not kept:

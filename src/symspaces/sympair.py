@@ -423,8 +423,9 @@ def relation_group_product(
 class PairMorphism:
     """Morphism of symmetric pairs: an algebra map plus a group rule.
 
-    The group rule acts on matrices; when omitted, images are computed on
-    exp-words via the algebra map.
+    The group rule maps a ``(k, n, n)`` stack of source group matrices to
+    the ``(k, m, m)`` stack of their images, slice by slice; when omitted,
+    images are computed on exp-words via the algebra map.
     """
 
     source: MatrixSymmetricPair
@@ -455,13 +456,18 @@ class PairMorphism:
         return self.target.to_matrix(self.algebra_map @ self.source.matrix_coords(x))
 
     def map_group(self, g: np.ndarray) -> np.ndarray:
-        return self._map_group(as_matrix(g, square=True))
+        return self._map_group(as_matrix(g, square=True)[None])[0]
 
-    def _map_group(self, g: np.ndarray) -> np.ndarray:
-        # the group rule on a matrix that the package computed, unchecked
+    def _map_group(self, gs: np.ndarray) -> np.ndarray:
+        # the group rule on a stack that the package computed: the stack is not
+        # checked, the shape of the rule's output is
         if self.group_rule is None:
             raise ValueError("morphism has no group rule; use apply_pair_morphism on a word")
-        return self.group_rule(g)
+        images = np.asarray(self.group_rule(gs), dtype=float)
+        m = self.target.ambient_n
+        if images.shape != (len(gs), m, m):
+            raise ValueError(f"group rule must map a ({len(gs)}, n, n) stack to a ({len(gs)}, {m}, {m}) stack")
+        return images
 
     def validate(self, rng: Optional[np.random.Generator] = None) -> dict:
         """Residuals: bracket intertwining, involution intertwining, and
@@ -479,7 +485,7 @@ class PairMorphism:
             images = tgt.to_matrix(a.T)
             lhs = mat_exp(np.concatenate([t * src.basis_mats for t in ts]), src.tol)
             rhs = mat_exp(np.concatenate([t * images for t in ts]), tgt.tol)
-            ray = _max_norm(np.array([self.group_rule(g) for g in lhs]) - rhs)
+            ray = _max_norm(self._map_group(lhs) - rhs)
         out["group_exp"] = ray
         out["max_residual"] = max(out.values()) if out else 0.0
         return out
@@ -495,6 +501,6 @@ def apply_pair_morphism(f: PairMorphism, word) -> np.ndarray:
     letters = [as_matrix(x, square=True) for x in word]
     letters = np.array(letters) if letters else np.zeros((0, src.ambient_n, src.ambient_n))
     if f.group_rule is not None:
-        return f.group_rule(_word_products(mat_exp(letters, src.tol)[None])[0])
+        return f._map_group(_word_products(mat_exp(letters, src.tol)[None]))[0]
     images = tgt.to_matrix(src.matrix_coords(letters) @ f.algebra_map.T)
     return _word_products(mat_exp(images, tgt.tol)[None])[0]

@@ -489,12 +489,13 @@ class SymMorphism:
 
     def many(self, points) -> Points:
         """The image of each point of a block over the source, bit for bit the
-        single call: the group rule maps each Cartan matrix C to the image's
-        Cartan matrix phi(C)."""
+        single call: one call of the group rule maps the stack of Cartan
+        matrices C to the images' Cartan matrices phi(C)."""
         cartans = Points.of(self.source, points).cartans
-        images = [self.pair_morphism._map_group(c) for c in cartans]
-        n = self.target.ambient_n
-        return Points._wrap(self.target, np.reshape(images, (len(cartans), n, n)))
+        if not len(cartans):
+            n = self.target.ambient_n
+            return Points._wrap(self.target, np.empty((0, n, n)))
+        return Points._wrap(self.target, self.pair_morphism._map_group(cartans))
 
     def base_check(self) -> bool:
         return self(base_point(self.source)).is_base()

@@ -147,7 +147,10 @@ def oracle_log_and_roots(a, tol=DEFAULT_TOL):
         raise DomainError("matrix outside the principal-branch domain |a - I| < 1")
     s = 0
     while np.linalg.norm(a - ident) > 0.25:
-        a = oracle_sqrt(a, tol)
+        try:
+            a = oracle_sqrt(a, tol)
+        except np.linalg.LinAlgError:  # a singular root iterate
+            raise DomainError("square-root reduction failed to converge") from None
         s += 1
         if s > 40:
             raise DomainError("square-root reduction failed to converge")

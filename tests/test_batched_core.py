@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import CHART_MODELS, oracle_lts_tensor, same_bits
+from test_case_digests import load_case_bytes
 
 from symspaces import quotient
 from symspaces.catalog import parse_model
@@ -17,6 +18,7 @@ from symspaces.lts import (
     _verify_theta_invariant_ideal,
     ideal_ker_psi_plus_n,
 )
+from symspaces.numkernel import numerical_rank
 from symspaces.quotient import quotient_theorem_pipeline
 from symspaces.symspace import lts_of_pair
 
@@ -138,6 +140,36 @@ class TestCachedOnb:
             LinearSubspace(2, [[1.0, np.nan]])
         with pytest.raises(ValueError, match="ambient dimension"):
             LinearSubspace(2, np.eye(3))
+
+
+class TestContainsSubspace:
+    """``contains_subspace`` (behind ``equals``) projects the other orthonormal
+    basis, with no SVD."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.data())
+    def test_matches_the_rank_of_the_stacked_bases(self, seed, ambient, data):
+        rng = np.random.default_rng(seed)
+        sub = random_subspace(rng, ambient, data.draw(st.integers(0, ambient)))
+        rows = probe_vectors(rng, sub, data.draw(st.integers(1, ambient)))[:-1]
+        rows = rows[np.linalg.norm(rows, axis=1) > 1e-3]  # drop zero rows
+        other = LinearSubspace.span(rows, ambient) if len(rows) else LinearSubspace.zero(ambient)
+        want = numerical_rank(np.vstack([sub.basis, other.basis])) == sub.dim
+        with pytest.MonkeyPatch.context() as mp:
+            calls = svd_spy(mp)
+            assert sub.contains_subspace(other) == want
+            assert sub.equals(other) == (want and sub.dim == other.dim)
+            assert calls == []
+
+    def test_two_quotient_ladder_passes_make_fewer_svds(self):
+        # 520 at the point-block layer; the projection test removes 68 and the
+        # designated subspaces a pass never reads another 30
+        case_bytes = load_case_bytes()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = svd_spy(mp)
+            for group in range(2):
+                case_bytes.run_cases("quotient_ladder", group)
+        assert len(calls) <= 422
 
 
 class TestBasisBrackets:

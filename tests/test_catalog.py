@@ -1,10 +1,13 @@
+import io
 import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from symspaces import catalog, cli
 from symspaces.catalog import (
     MODEL_NAMES,
     TorusLattice,
@@ -102,6 +105,9 @@ class TestDesignatedData:
     def test_product_diagonal_only_when_a_subsystem(self, spec, names):
         model = parse_model(spec)
         assert [sub.name for sub in model.designated_subspaces] == names
+        if "diagonal" not in names:
+            with pytest.raises(KeyError):
+                model.subspace_by_name("diagonal")
         n = model.pair.dim_minus // 2
         diag = LinearSubspace(2 * n, np.hstack([np.eye(n), np.eye(n)]))
         assert is_subsystem(lts_of_pair(model.pair), diag, model.pair.tol) == ("diagonal" in names)
@@ -113,6 +119,78 @@ class TestDesignatedData:
     def test_unknown_subspace_name(self, sphere):
         with pytest.raises(KeyError):
             sphere.subspace_by_name("nope")
+
+
+# the designated subspaces of every catalog model, in listing order
+DESIGNATED_NAMES = {
+    "sphere(2)": ["great_circle"],
+    "sphere(3)": [],
+    "spd(2)": ["diagonal", "center"],
+    "spd(3)": ["diagonal", "center"],
+    "grassmann(1,3)": ["line"],
+    "grassmann(2,5)": ["line"],
+    "torus_abelian(sqrt2)": ["dense_line", "axis_line"],
+    "torus_abelian(1/2)": ["dense_line", "axis_line"],
+    "product(sphere(2),sphere(2))": ["left_factor", "diagonal"],
+    "product(spd(3),spd(3))": ["left_factor", "diagonal"],
+    "product(grassmann(2,5),grassmann(2,5))": ["left_factor", "diagonal"],
+    "product(spd(2),sphere(3))": ["left_factor"],
+    "product(sphere(2),spd(2))": ["left_factor"],
+}
+
+
+@pytest.fixture()
+def designation_calls(monkeypatch):
+    """Spies on the catalog's designation builders and its subsystem test."""
+    calls = []
+    for name in ("_spd_designated", "_product_designated", "is_subsystem"):
+        real = getattr(catalog, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append((_name, args[-1] if _name != "is_subsystem" else None))
+            return _real(*args)
+
+        monkeypatch.setattr(catalog, name, spy)
+    return calls
+
+
+class TestLazyDesignations:
+    @pytest.mark.parametrize("spec", sorted(DESIGNATED_NAMES))
+    def test_names_and_order_of_every_model(self, spec):
+        model = parse_model(spec)
+        subs = model.designated_subspaces
+        assert [sub.name for sub in subs] == DESIGNATED_NAMES[spec]
+        # built once: every request gives the same objects
+        assert all(a is b for a, b in zip(subs, model.designated_subspaces))
+        assert all(model.subspace_by_name(sub.name) is sub for sub in subs)
+        assert model.designated_morphisms is model.designated_morphisms
+
+    def test_verify_builds_no_designated_subspace(self, designation_calls):
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["verify", "--model", "product(spd(3),spd(3))", "--seed", "1"])
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED) and json.loads(out.getvalue())["exp_functoriality"]
+        assert designation_calls == []
+
+    def test_a_named_request_builds_only_that_subspace(self, designation_calls):
+        model = parse_model("product(spd(2),spd(2))")
+        assert designation_calls == []
+        assert model.subspace_by_name("left_factor").name == "left_factor"
+        assert designation_calls == [("_product_designated", "left_factor")]
+        with pytest.raises(KeyError):
+            model.subspace_by_name("center")  # a factor's name, not the product's
+        assert [sub.name for sub in model.designated_subspaces] == ["left_factor", "diagonal"]
+        assert designation_calls == [
+            ("_product_designated", "left_factor"),
+            ("_product_designated", "diagonal"),
+            ("is_subsystem", None),
+        ]
+        model.designated_subspaces
+        assert len(designation_calls) == 3  # and nothing is built twice
+
+    def test_quotient_builds_only_its_ideal(self, designation_calls):
+        with redirect_stdout(io.StringIO()):
+            cli.main(["quotient", "--model", "spd(2)", "--ideal", "center", "--seed", "1"])
+        assert designation_calls == [("_spd_designated", "center")]
 
 
 class TestPell:

@@ -1,12 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import symspaces
+from symspaces import cli
 from symspaces.cli import EXIT_CHECK_FAILED, EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from symspaces.cli import _trotter_ks
 from symspaces.lts import algebra_to_json
@@ -310,6 +313,78 @@ class TestDeterminism:
             runs.append((code, capsys.readouterr().out))
         assert runs[0][1]
         assert runs[0] == runs[1]
+
+
+TROTTER_SPD = ["trotter", "--model", "spd(2)", "--x", "0.4,0,0", "--y", "0,0,0.56", "--k-min", "8", "--k-max", "32"]
+
+# one process, one parser: a call sequence over every verb, with a usage
+# error before a valid call and a --z call before one without --z
+PARSER_SEQUENCE = (
+    ["verify", "--model", "sphere(2)", "--no-such-flag"],
+    ["verify", "--model", "sphere(2)", "--seed", "3"],
+    TROTTER_SPD + ["--z", "0.4,0,0"],
+    TROTTER_SPD,
+    ["quotient", "--model", "product(sphere(2),sphere(2))", "--ideal", "left_factor", "--seed", "1"],
+    ["quotient"],
+    ["quotient", "--model", "spd(2)", "--ideal", "0,0,1", "--seed", "1"],
+    ["subspace", "--model", "spd(2)", "--seed", "1"],
+    ["frobnicate"],
+    ["models"],
+)
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_the_parser_is_not_built_at_import(self):
+        code = "import symspaces.cli as cli; print(cli._parser.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(symspaces.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+    def test_a_call_sequence_builds_one_parser_and_prints_the_fresh_bytes(self, monkeypatch):
+        fresh = []
+        for argv in PARSER_SEQUENCE:
+            cli._parser.cache_clear()  # each call on a freshly built parser
+            fresh.append(_captured(argv))
+        cli._parser.cache_clear()
+        built = []
+        build = cli._build_parser
+
+        def spy():
+            built.append(True)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        reused = [_captured(argv) for argv in PARSER_SEQUENCE]
+        assert len(built) == 1
+        for argv, want, got in zip(PARSER_SEQUENCE, fresh, reused):
+            assert got == want, argv
+        codes = [code for code, _, _ in reused]
+        assert codes[0] == EXIT_USAGE and codes[1] == EXIT_OK
+        assert codes[5] == EXIT_USAGE and codes[8] == EXIT_USAGE
+        assert reused[2][1].startswith("k,l,error\n") and reused[3][1].startswith("k,error\n")
+
+    def test_each_call_gets_a_fresh_namespace(self):
+        parser = cli._parser()
+        with_z = parser.parse_args(TROTTER_SPD + ["--z", "0.4,0,0"])
+        without_z = parser.parse_args(TROTTER_SPD)
+        assert cli._parser() is parser
+        assert with_z is not without_z
+        assert with_z.z == "0.4,0,0" and without_z.z is None
+        assert with_z.verb == without_z.verb == "trotter"
 
 
 def test_cli_import_loads_neither_scipy_nor_sympy():

@@ -259,7 +259,7 @@ def test_chain_identity_makes_two_stacked_maps(coord_pairs, map_calls):
 
 
 def test_sphere_circle_reflection_is_one_solve(map_calls):
-    parse_model("sphere(2)")
+    parse_model("sphere(2)").subspace_by_name("great_circle")  # built on request
     assert [d for name, d in map_calls if name == "matrix_coords"] and all(
         d == 3 for name, d in map_calls if name == "matrix_coords"
     )

@@ -19,7 +19,7 @@ from symspaces.sympair import (
     trotter_group_commutator,
     trotter_group_sum,
 )
-from symspaces.symspace import lts_of_pair
+from symspaces.symspace import exp_points, lts_of_pair, sym_morphism
 
 VERIFY_LADDER = (
     "sphere(2)",
@@ -129,7 +129,7 @@ def loop_morphism_rays(f):
     ray = 0.0
     for i in range(src.dim):
         for tval in (0.1, 0.7):
-            lhs = f.group_rule(mat_exp(tval * src.basis_mats[i], src.tol))
+            lhs = f.group_rule(mat_exp(tval * src.basis_mats[i], src.tol)[None])[0]
             rhs = mat_exp(tval * tgt.to_matrix(a[:, i]), tgt.tol)
             ray = max(ray, float(np.linalg.norm(lhs - rhs)))
     return ray
@@ -307,10 +307,89 @@ class TestStackedWords:
             g = np.eye(f.source.ambient_n)
             for x in word:
                 g = g @ mat_exp(x, f.source.tol)
-            assert same_bits(apply_pair_morphism(f, word), f.group_rule(g))
+            assert same_bits(apply_pair_morphism(f, word), f.group_rule(g[None])[0])
             h = np.eye(f.target.ambient_n)
             for x in word:
                 h = h @ mat_exp(f.map_algebra_matrix(x), f.target.tol)
             bare = type(f)(f.source, f.target, f.algebra_map)
             assert np.allclose(apply_pair_morphism(bare, word), h, atol=1e-13)
             assert same_bits(apply_pair_morphism(bare, []), np.eye(f.target.ambient_n))
+
+
+# -- group rules on stacks --------------------------------------------------------
+
+RULE_MODELS = (
+    "sphere(2)",
+    "spd(2)",
+    "grassmann(1,3)",
+    "torus_abelian(sqrt2)",
+    "product(sphere(2),sphere(2))",
+    "product(spd(2),spd(2))",
+    "product(sphere(2),spd(2))",
+    "product(grassmann(1,3),sphere(2))",
+)
+
+
+def catalog_pair_morphisms():
+    """Every pair morphism of the catalog: the designated morphisms and the
+    automorphism behind each fixed-point subspace."""
+    out = []
+    for spec in RULE_MODELS:
+        model = parse_model(spec)
+        out += [(spec, named.name, named.morphism.pair_morphism) for named in model.designated_morphisms]
+        out += [
+            (spec, sub.name, sub.subspace.automorphism.pair_morphism)
+            for sub in model.designated_subspaces
+            if sub.subspace is not None and sub.subspace.automorphism is not None
+        ]
+    return out
+
+
+def counting(f):
+    """``f`` with its group rule wrapped to record the size of each stack it gets."""
+    calls = []
+
+    def rule(gs):
+        calls.append(len(gs))
+        return f.group_rule(gs)
+
+    return type(f)(f.source, f.target, f.algebra_map, group_rule=rule, label=f.label), calls
+
+
+class TestStackedGroupRules:
+    def test_every_catalog_rule_maps_a_stack_as_its_slices(self):
+        rng = np.random.default_rng(11)
+        morphisms = catalog_pair_morphisms()
+        names = {(spec, name) for spec, name, _ in morphisms}
+        assert {("sphere(2)", "great_circle"), ("product(spd(2),spd(2))", "swap"), ("torus_abelian(sqrt2)", "doubling")} <= names
+        for spec, name, f in morphisms:
+            src, tgt = f.source, f.target
+            gs = mat_exp(np.array([src.random_algebra_element(rng, 0.6) for _ in range(5)]), src.tol)
+            got = f.group_rule(gs)
+            assert got.shape == (5, tgt.ambient_n, tgt.ambient_n), (spec, name)
+            slices = np.array([f.group_rule(gs[i : i + 1])[0] for i in range(len(gs))])
+            assert same_bits(got, slices), (spec, name)
+            assert same_bits(f.map_group(gs[2]), slices[2]), (spec, name)
+
+    def test_a_block_takes_one_rule_call(self, product):
+        rng = np.random.default_rng(12)
+        for named in product.designated_morphisms:
+            f, calls = counting(named.morphism.pair_morphism)
+            xs = exp_points(f.source, list(0.3 * rng.standard_normal((7, f.source.dim_minus))))
+            images = sym_morphism(f).many(xs)
+            assert calls == [7] and same_bits(images.cartans, named.morphism.many(xs).cartans)
+            assert len(sym_morphism(f).many([])) == 0 and calls == [7]  # an empty block calls no rule
+            calls.clear()
+            assert f.validate() == named.morphism.pair_morphism.validate()
+            assert calls == [2 * f.source.dim]  # both ray lengths in one stack
+            calls.clear()
+            word = [f.source.random_algebra_element(rng, 0.4) for _ in range(3)]
+            assert same_bits(apply_pair_morphism(f, word), apply_pair_morphism(named.morphism.pair_morphism, word))
+            assert calls == [1]
+
+    def test_a_rule_that_breaks_the_stack_contract_is_refused(self, sphere):
+        f = sphere.designated_morphisms[0].morphism.pair_morphism
+        single = type(f)(f.source, f.target, f.algebra_map, group_rule=lambda gs: gs[0])
+        xs = exp_points(f.source, [[0.1, 0.2], [0.3, 0.0]])
+        with pytest.raises(ValueError, match="stack"):
+            sym_morphism(single).many(xs)

@@ -251,7 +251,7 @@ class TestPreimageAndKernel:
             source=sphere.pair,
             target=trivial_pair,
             algebra_map=np.zeros((0, 3)),
-            group_rule=lambda g: np.eye(1),
+            group_rule=lambda gs: np.ones((len(gs), 1, 1)),  # a stack in, a stack of identities out
             label="collapse",
         )
         f = sym_morphism(collapse)
