@@ -21,7 +21,9 @@ exit status is 1 when some case differs.
 ``--digests`` writes the small form of the record that the test suite
 compares against (``tests/test_case_digests.py``): per case the exit code,
 the SHA-256 of stdout and of stderr and the JSON booleans of stdout, with
-the numpy and BLAS build the bytes were made on.
+the numpy and BLAS build the bytes were made on.  Every record is made at
+one BLAS thread, whatever ``OPENBLAS_NUM_THREADS`` says, so that the
+bytes do not follow the thread count of the host.
 """
 
 from __future__ import annotations
@@ -44,53 +46,81 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import workloads  # noqa: E402
 
+# BLAS threads of every record: a threaded contraction sums in an order that
+# follows the thread count, and moves a report by an ulp
+BLAS_THREADS = 1
+
 
 def case_name(workload: str, item: dict, seed: int) -> str:
     return f"{workload} | {item['key']} | seed {seed}"
 
 
 def run_cases(workload: str | None = None, group: int | None = None) -> dict:
-    """The record of every case, or of one workload's cases (on one seed group)."""
+    """The record of every case, or of one workload's cases (on one seed group),
+    made at ``BLAS_THREADS`` BLAS threads; the old thread count is restored after."""
     from symspaces import cli
 
     record = {}
-    for name, spec in workloads.WORKLOADS.items():
-        if workload not in (None, name):
-            continue
-        for g in range(spec["seed_groups"]) if group is None else [group]:
-            for item in spec["items"]:
-                seed = workloads.program_seed(name, item["key"], g)
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = cli.main(item["argv"] + ["--seed", str(seed)])
-                    except Exception:  # an escaped exception is a result too
-                        code = -1
-                        traceback.print_exc(file=err)
-                record[case_name(name, item, seed)] = [code, out.getvalue(), err.getvalue()]
+    with _blas_threads(BLAS_THREADS):
+        for name, spec in workloads.WORKLOADS.items():
+            if workload not in (None, name):
+                continue
+            for g in range(spec["seed_groups"]) if group is None else [group]:
+                for item in spec["items"]:
+                    seed = workloads.program_seed(name, item["key"], g)
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        try:
+                            code = cli.main(item["argv"] + ["--seed", str(seed)])
+                        except Exception:  # an escaped exception is a result too
+                            code = -1
+                            traceback.print_exc(file=err)
+                    record[case_name(name, item, seed)] = [code, out.getvalue(), err.getvalue()]
     return record
 
 
 def environment() -> dict:
-    """The numpy version and the BLAS build and runtime kernel that decide the report bits."""
+    """The numpy version, the BLAS build and runtime kernel, and the BLAS thread
+    count of ``run_cases`` (None where it cannot be set): what decides the report bits."""
     import numpy as np
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_core": _openblas_core(np),
+        "blas_core": core().decode() if core else None,
+        "blas_threads": BLAS_THREADS if _openblas("scipy_openblas_set_num_threads64_", None) else None,
     }
 
 
-def _openblas_core(np):
-    # the kernel a DYNAMIC_ARCH OpenBLAS picked for this CPU; None where numpy bundles no such library
+def _openblas(name: str, restype, *argtypes):
+    # a function of the DYNAMIC_ARCH OpenBLAS that numpy bundles; None where numpy bundles no such library
+    import numpy as np
+
     for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas64_*")):
-        get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            return get().decode()
+        func = getattr(ctypes.CDLL(lib), name, None)
+        if func is not None:
+            func.argtypes, func.restype = list(argtypes), restype
+            return func
     return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the block at ``count`` BLAS threads and restore the old count after;
+    where the bundled OpenBLAS is missing, run it as it is."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    set_threads = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if get is None or set_threads is None:
+        yield
+        return
+    old = get()
+    set_threads(count)
+    try:
+        yield
+    finally:
+        set_threads(old)
 
 
 def digests(record: dict) -> dict:

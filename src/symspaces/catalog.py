@@ -386,7 +386,7 @@ def _spd_designated(pair: MatrixSymmetricPair, n: int, name: str):
     scalar.constraint_name = "cartan_scalar"
     center_sub = algebraic_subspace(pair, scalar, label="center")
     # coordinates of the identity matrix: the n diagonal directions, normalized
-    center_seed = LinearSubspace.span((np.ones(n) / math.sqrt(n)).reshape(1, -1) @ np.eye(m)[:n], m)
+    center_seed = LinearSubspace._span((np.ones(n) / math.sqrt(n)).reshape(1, -1) @ np.eye(m)[:n], m)
     return DesignatedSubspace("center", center_seed, center_sub, is_ideal=True, is_symmetric=True)
 
 
@@ -403,12 +403,12 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice, name: st
         return DesignatedSubspace("axis_line", axis_seed, axis, is_ideal=True, is_symmetric=True)
 
     s = lattice.slope
-    dense_seed = LinearSubspace.span(np.array([[1.0, s]]) / math.hypot(1.0, s), m)
+    dense_seed = LinearSubspace._span(np.array([[1.0, s]]) / math.hypot(1.0, s), m)
 
     def dense_probes(radius: float, within):
         if within is None:
             return lattice.chart_witnesses(radius)
-        comp = LinearSubspace.span(np.array([[-s, 1.0]]), m)
+        comp = LinearSubspace._span(np.array([[-s, 1.0]]), m)
         if within.equals(comp, pair.tol):
             return lattice.complement_witnesses(radius)
         return []
@@ -428,7 +428,7 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice, name: st
 
 
 def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> CongruenceRelation:
-    n = LinearSubspace.span(np.array([[1.0, lattice.slope]]), pair.dim_minus)
+    n = LinearSubspace._span(np.array([[1.0, lattice.slope]]), pair.dim_minus)
     l_full = pair.minus_subspace_to_full(n)
 
     def relates(xs, ys) -> list:

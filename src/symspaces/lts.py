@@ -90,7 +90,11 @@ class LinearSubspace:
     @classmethod
     def span(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
         """Orthonormalized span of (possibly dependent) finite vectors."""
-        v = as_matrix(np.atleast_2d(vectors))
+        return cls._span(as_matrix(np.atleast_2d(vectors)), ambient_dim, tol)
+
+    @classmethod
+    def _span(cls, v: np.ndarray, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
+        # the unchecked body of span, for 2-D arrays the package computed
         if v.size == 0:
             return cls.zero(ambient_dim)
         if v.shape[1] != ambient_dim:
@@ -173,7 +177,7 @@ class LinearSubspace:
 def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> LinearSubspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return LinearSubspace.span(np.vstack([a.basis, b.basis]), a.ambient_dim, tol)
+    return LinearSubspace._span(np.vstack([a.basis, b.basis]), a.ambient_dim, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,7 @@ def quotient_lts(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     morphism = LtsMorphism(source=m, target=quot, matrix=proj)
     if not morphism.is_valid(tol):
         raise VerificationError("quotient projection failed the morphism check")
-    ker = LinearSubspace(m.dim, nullspace(proj, tol).T)
+    ker = LinearSubspace._wrap(m.dim, nullspace(proj, tol).T)
     if not ker.equals(n, tol):
         raise VerificationError("projection kernel does not match the ideal")
     return quot, morphism
@@ -409,8 +413,8 @@ class SymmetricLieAlgebra:
         """Build with eigenspaces computed from theta (theta^2 = id required)."""
         th = np.asarray(theta, dtype=float)
         d = th.shape[0]
-        plus = LinearSubspace(d, nullspace(th - np.eye(d), tol).T)
-        minus = LinearSubspace(d, nullspace(th + np.eye(d), tol).T)
+        plus = LinearSubspace._wrap(d, nullspace(th - np.eye(d), tol).T)
+        minus = LinearSubspace._wrap(d, nullspace(th + np.eye(d), tol).T)
         return cls(d, np.asarray(bracket_tensor, dtype=float), th, plus, minus, label)
 
     def ad(self, x) -> np.ndarray:
@@ -498,7 +502,7 @@ def standard_embedding(
     k = q.shape[0]
     # D_{q_a,q_b} restricted to n, in q-coordinates: ops[a, b, c', c] = <q_c', [q_a, q_b, q_c]>
     ops = (_basis_brackets(m, q, q, q) @ q.T).reshape((k,) * 4).transpose(0, 1, 3, 2)
-    op_span = LinearSubspace.span(ops.reshape(k * k, k * k), k * k, tol)
+    op_span = LinearSubspace._span(ops.reshape(k * k, k * k), k * k, tol)
     r = op_span.dim
     p = op_span.basis  # rows: flattened operator basis
 
@@ -550,7 +554,7 @@ def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, mess
     """
     _require_minus_subspace(g, n, tol)
     q = g.minus_basis.basis
-    n_m = LinearSubspace.span(n.basis @ q.T, q.shape[0], tol)
+    n_m = LinearSubspace._span(n.basis @ q.T, q.shape[0], tol)
     if not is_ideal(g.minus_lts, n_m, tol):
         raise ValueError(message)
     return q, n_m
@@ -558,7 +562,7 @@ def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, mess
 
 def _check_plus_generated(g: SymmetricLieAlgebra, tol: Tolerance):
     q = g.minus_basis.basis
-    span = LinearSubspace.span(g.brackets(q, q).reshape(-1, g.dim), g.dim, tol)
+    span = LinearSubspace._span(g.brackets(q, q).reshape(-1, g.dim), g.dim, tol)
     if not span.equals(g.plus_basis, tol):
         raise ValueError("hypothesis g_plus = span[g_minus, g_minus] is violated")
 
@@ -597,7 +601,7 @@ def psi_representation(
     else:
         stacked = np.array([op.reshape(-1) for op in ops])  # one row per plus vector
         ker_coeff = nullspace(stacked.T, tol)  # columns: coefficient vectors
-        kernel = LinearSubspace.span(ker_coeff.T @ g.plus_basis.basis, g.dim, tol)
+        kernel = LinearSubspace._span(ker_coeff.T @ g.plus_basis.basis, g.dim, tol)
     return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel)
 
 
@@ -625,7 +629,7 @@ def ideal_bracket_plus_n(
 ) -> LinearSubspace:
     """The theta-invariant Lie ideal span[g_minus, n] (+) n, re-verified."""
     q, _ = _minus_ideal(g, n, tol, "requires an ideal of the triple system g_minus")
-    span = LinearSubspace.span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, tol)  # rows [q_a, n_b]
+    span = LinearSubspace._span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, tol)  # rows [q_a, n_b]
     l = subspace_sum(span, n, tol)
     _verify_theta_invariant_ideal(g, l, tol, "span[g_minus, n] + n")
     return l
@@ -637,7 +641,7 @@ def displacement_algebra(g: SymmetricLieAlgebra, tol: Tolerance = DEFAULT_TOL) -
     Verified to be a theta-invariant subalgebra before returning.
     """
     q = g.minus_basis.basis
-    sub = LinearSubspace.span(np.vstack([g.brackets(q, q).reshape(-1, g.dim), g.minus_basis.basis]), g.dim, tol)
+    sub = LinearSubspace._span(np.vstack([g.brackets(q, q).reshape(-1, g.dim), g.minus_basis.basis]), g.dim, tol)
     if not sub.contains_all(sub.basis @ g.theta.T, tol):
         raise VerificationError("displacement algebra is not theta-invariant")
     if not g.brackets_within(sub.basis, sub.basis, sub, tol):

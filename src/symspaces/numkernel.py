@@ -455,9 +455,7 @@ def _svd_cut(a: np.ndarray, tol: Tolerance):
 
 
 def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    a = as_matrix(a)
-    _, _, rank = _svd_cut(a, tol)
-    return rank
+    return _svd_cut(as_matrix(a), tol)[2]  # _svd_cut is the unchecked body, for package arrays
 
 
 def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

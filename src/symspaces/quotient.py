@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import _principal_roots, nullspace, numerical_rank
+from .numkernel import _principal_roots, _svd_cut, nullspace
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -213,8 +213,8 @@ def _split_theta_invariant(pair: MatrixSymmetricPair, l: LinearSubspace):
         proj_p[:, p:] = 0.0
         proj_m = l.basis.copy()
         proj_m[:, :p] = 0.0
-        plus_rows = LinearSubspace.span(proj_p, d, pair.tol).basis
-        minus_rows = LinearSubspace.span(proj_m, d, pair.tol).basis
+        plus_rows = LinearSubspace._span(proj_p, d, pair.tol).basis
+        minus_rows = LinearSubspace._span(proj_m, d, pair.tol).basis
         if plus_rows.shape[0] + minus_rows.shape[0] != l.dim:
             raise ValueError("subspace is not theta-invariant")
     return plus_rows, minus_rows
@@ -272,8 +272,8 @@ def quotient_theorem_pipeline(
     # complement of l, chosen inside each theta eigenspace
     p, d = pair.dim_plus, pair.dim
     l_plus_rows, l_minus_rows = _split_theta_invariant(pair, l_alg)
-    plus_block = LinearSubspace.span(l_plus_rows[:, :p], p, tol) if p else LinearSubspace.zero(0)
-    minus_block = LinearSubspace.span(l_minus_rows[:, p:], m, tol) if m else LinearSubspace.zero(0)
+    plus_block = LinearSubspace._span(l_plus_rows[:, :p], p, tol) if p else LinearSubspace.zero(0)
+    minus_block = LinearSubspace._span(l_minus_rows[:, p:], m, tol) if m else LinearSubspace.zero(0)
     comp_plus = plus_block.complement().basis  # rows in R^p
     comp_minus = minus_block.complement().basis  # rows in R^m
     embed_plus = np.hstack([comp_plus, np.zeros((comp_plus.shape[0], m))])
@@ -283,7 +283,7 @@ def quotient_theorem_pipeline(
     p_out, m_out = comp_plus.shape[0], comp_minus.shape[0]
 
     stacked = _ad_ql(g_alg, comp, np.eye(d)).reshape(d, -1)  # row per basis vector
-    kernel = LinearSubspace(d, nullspace(stacked.T, tol).T)
+    kernel = LinearSubspace._wrap(d, nullspace(stacked.T, tol).T)
     faith_resid = max((float(np.linalg.norm(op)) for op in _ad_ql(g_alg, comp, l_alg.basis)), default=0.0)
     if not kernel.equals(l_alg, tol):
         raise FaithfulnessError(
@@ -319,7 +319,7 @@ def quotient_theorem_pipeline(
         "quotient_tensor": qpair.structure_tensor.tolist(),
         "chart_radius": chart.radius,
         "rank_checks": {
-            "projection_rank": numerical_rank(proj_algebra, tol),
+            "projection_rank": _svd_cut(proj_algebra, tol)[2],
             "expected_rank": m_out,
         },
     }
@@ -348,10 +348,13 @@ def weak_submersion_check(
     samples where relates(x, y) agrees with pi(x) = pi(y)
     (``kernel_relation``, on the untranslated x).
 
-    The samples are drawn in the order of a per-sample loop and run in blocks
-    whose x0 and y stack, counted in the larger of the source and quotient
-    matrices, holds at most ``MAX_STACK_FLOATS``; each block is one
-    :class:`Points` per step, from one stacked call each.
+    Draws all x0 and y as ``0.2 * standard_normal((2, samples, dim_minus))``,
+    then all translation coins as ``uniform(size=samples) < 0.3``, then the
+    one-letter words of the ``t`` translated samples as ``0.2 *
+    standard_normal((t, 1, dim))``.  The samples run in blocks whose x0 and y
+    stack, counted in the larger of the source and quotient matrices, holds
+    at most ``MAX_STACK_FLOATS``; each block is one :class:`Points` per step,
+    from one stacked call each.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -361,8 +364,12 @@ def weak_submersion_check(
     project = qr.projection_points
     a = qr.projection_algebra
     m_out = qr.quotient_pair.dim_minus
-    ker = LinearSubspace(pair.dim_minus, nullspace(a, tol).T)
-    ok = numerical_rank(a, tol) == m_out and ker.equals(qr.relation.n_minus, tol)
+    ker = LinearSubspace._wrap(pair.dim_minus, nullspace(a, tol).T)
+    ok = _svd_cut(a, tol)[2] == m_out and ker.equals(qr.relation.n_minus, tol)
+
+    uv = 0.2 * rng.standard_normal((2, samples, pair.dim_minus))
+    flipped = np.flatnonzero(rng.uniform(size=samples) < 0.3)
+    words = 0.2 * rng.standard_normal((len(flipped), 1, pair.dim))
 
     n = pair.ambient_n
     # a block's points, of the source and of the quotient, live until it is compared
@@ -370,18 +377,13 @@ def weak_submersion_check(
     block = _block_size(2 * width * width)
     morph_pass = rel_pass = rel_total = 0
     for start in range(0, samples, block):
-        us, vs, letters, moved = [], [], [], []
-        for i in range(min(block, samples - start)):
-            us.append(0.2 * rng.standard_normal(pair.dim_minus))
-            vs.append(0.2 * rng.standard_normal(pair.dim_minus))
-            if rng.uniform() < 0.3:
-                moved.append(i)
-                letters.append(0.2 * rng.standard_normal(pair.dim))  # random_algebra_element's draw
-        count = len(us)
-        points = exp_points(pair, us + vs)
+        stop = min(start + block, samples)
+        count = stop - start
+        lo, hi = np.searchsorted(flipped, [start, stop])
+        moved = (flipped[lo:hi] - start).tolist()
+        points = exp_points(pair, uv[:, start:stop].reshape(2 * count, pair.dim_minus))
         x0s, ys = points[:count], points[count:]
-        elements = pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))
-        translated = tau_actions(pair, elements, x0s[moved])
+        translated = tau_actions(pair, pair._elements_from_words(words[lo:hi]), x0s[moved])
         xs = _scattered(x0s, moved, translated)
         products = mu_points(xs, ys)
 
@@ -417,30 +419,33 @@ def relation_closure_check(
     carrying their own probe sequences (the dense-line case) are tested
     through those as well; the report marks failure with the offending limit
     pair.
+
+    Draws all ``u`` and ``w`` as one ``standard_normal((2, samples,
+    dim_minus))``, then all directions as one ``standard_normal((samples,
+    dim))``.  Sample ``i`` translates ``x = exp(0.2 u)`` and ``y = exp(0.2 u)
+    exp(n-part of 0.1 w)`` by ``exp(t 0.2 direction)`` for ``t = 0`` (the pair
+    itself) and ``0.2 / 2**j``, ``j < steps``: one stacked exponential per
+    quantity and one ``relates`` call for every pair and probe.  The first
+    failing pair, in that order and then the probes', names the witness.
     """
     pair = relation.pair
     rng = rng or np.random.default_rng(0)
-    m = pair.dim_minus
-    for _ in range(samples):
-        u = 0.2 * rng.standard_normal(m)
-        w = 0.1 * rng.standard_normal(m)
-        wn = relation.n_minus.project(w) if relation.n_minus.dim else np.zeros(m)
-        x = exp_points(pair, [u])
-        y = SymPoint.from_group(pair, (pair.exp(pair.minus_to_matrix(u)) @ pair.exp(pair.minus_to_matrix(wn)))[None])
-        if relation.relates(x, y) == [False]:
-            return {"ok": False, "witness": "constructed related pair rejected"}
-        direction = pair.random_algebra_element(rng, 0.2)
-        gs = np.array([pair.exp(0.2 / 2.0**i * direction) for i in range(steps)])
-        if False in relation.relates(tau_actions(pair, gs, x[[0] * steps]), tau_actions(pair, gs, y[[0] * steps])):
-            return {"ok": False, "witness": "tau translate left the relation"}
-    if relation.sequence_probes is not None:
-        for seq, limit in relation.sequence_probes():
-            if False in relation.relates([xi for xi, _ in seq], [yi for _, yi in seq]):
-                return {"ok": False, "witness": "probe sequence not inside the relation"}
-            lx, ly = limit
-            if relation.relates([lx], [ly]) != [True]:
-                return {
-                    "ok": False,
-                    "witness": "limit of a related sequence escapes the relation",
-                }
+    uw = rng.standard_normal((2, samples, pair.dim_minus))
+    directions = 0.2 * rng.standard_normal((samples, pair.dim))
+    q = relation.n_minus.basis
+    us = 0.2 * uw[0]
+    factors = pair.exp(pair.minus_to_matrix(np.concatenate([us, (0.1 * uw[1] @ q.T) @ q])))
+    xs, ys = exp_points(pair, us), SymPoint.from_group(pair, factors[:samples] @ factors[samples:])
+    shrink = np.concatenate([[0.0], 0.2 / 2.0 ** np.arange(steps)])
+    gs = pair.exp(pair.to_matrix((shrink[:, None] * directions[:, None]).reshape(-1, pair.dim)))
+    index = np.repeat(np.arange(samples), steps + 1)
+    lefts, rights = tau_actions(pair, gs, xs[index]), tau_actions(pair, gs, ys[index])
+    escapes = "limit of a related sequence escapes the relation"
+    witnesses = (["constructed related pair rejected"] + ["tau translate left the relation"] * steps) * samples
+    for seq, (lx, ly) in relation.sequence_probes() if relation.sequence_probes is not None else []:
+        lefts, rights = lefts + [xi for xi, _ in seq] + [lx], rights + [yi for _, yi in seq] + [ly]
+        witnesses += ["probe sequence not inside the relation"] * len(seq) + [escapes]
+    for verdict, witness in zip(relation.relates(lefts, rights), witnesses):
+        if verdict is False or (verdict is None and witness == escapes):
+            return {"ok": False, "witness": witness}
     return {"ok": True, "witness": None}

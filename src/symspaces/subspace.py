@@ -126,13 +126,13 @@ class ReflectionSubspace:
             if self.automorphism is None:
                 raise ValueError("fixed-point subspace without an automorphism")
             a = self.automorphism.minus_map
-            return LinearSubspace(m, nullspace(a - np.eye(m), tol).T)
+            return LinearSubspace._wrap(m, nullspace(a - np.eye(m), tol).T)
         if self.kind == "preimage":
             f, n2 = self.backing
             comp = n2.complement().basis  # rows spanning the complement of n2
             if comp.shape[0] == 0:
                 return LinearSubspace.full(m)
-            return LinearSubspace(m, nullspace(comp @ f.minus_map, tol).T)
+            return LinearSubspace._wrap(m, nullspace(comp @ f.minus_map, tol).T)
         if self.kind == "algebraic":
             if self.constraints is None:
                 raise ValueError("algebraic subspace without constraints")
@@ -141,7 +141,7 @@ class ReflectionSubspace:
             values = _residuals(self.constraints, exp_points(self.pair, steps).cartans)
             jac = ((values[0::2] - values[1::2]) / (2.0 * h)).T
             fd_tol = Tolerance(max(tol.abs_eps, JACOBIAN_ABS_FLOOR), max(tol.rel_eps, JACOBIAN_REL_FLOOR))
-            return LinearSubspace(m, nullspace(jac, fd_tol).T)
+            return LinearSubspace._wrap(m, nullspace(jac, fd_tol).T)
         raise ValueError(f"unknown subspace kind {self.kind!r}")
 
     def descriptor(self) -> dict:
@@ -320,18 +320,15 @@ def _ball_samples(rng: np.random.Generator, basis: np.ndarray, radius: float, co
     """``count`` uniform-ish samples in the span of the rows of ``basis``, each
     of norm at most ``radius``, as a ``(count, ambient)`` array.
 
-    Each sample draws one ``standard_normal(k)`` direction and then one
-    ``uniform(0.2, 1.0)`` scale, in the order of a per-sample loop; each row is
-    normalized and mapped to the span as its own ``(1, k)`` product, so row
-    ``i`` is bit for bit the ``i``-th sample of that loop (``u @ basis`` on
-    the unit direction, times the scale).
+    Draws all directions as one ``standard_normal((count, k))``, then all
+    scales as one ``uniform(0.2, 1.0, count)``; row ``i`` is ``radius`` times
+    scale ``i`` times unit direction ``i``, mapped to the span by one
+    ``u @ basis`` for all rows.
     """
-    k = basis.shape[0]
-    draws = [(rng.standard_normal(k), rng.uniform(0.2, 1.0)) for _ in range(count)]
-    u = np.array([d for d, _ in draws]).reshape(count, k)
+    u = rng.standard_normal((count, basis.shape[0]))
+    scale = radius * rng.uniform(0.2, 1.0, count)
     u /= np.maximum(_frobenius(u), 1e-300)[:, None]
-    scale = radius * np.array([s for _, s in draws])
-    return scale[:, None] * (u[:, None] @ basis)[:, 0]
+    return scale[:, None] * (u @ basis)
 
 
 def exp_chart_split(
@@ -347,9 +344,11 @@ def exp_chart_split(
     Random samples check both directions; certified probe witnesses from the
     subspace (if any) refute radii that sampling alone cannot.  The radius
     halves on failure; hitting the floor raises :class:`ChartSplitError`.
-    Each radius draws its samples as one stack and exponentiates them in
-    one stacked call; the membership tests them in one more, and the probe
-    gaps take one ``tol.verdicts`` call.
+    Each radius draws ``samples`` points of the n-ball (none when n is zero),
+    then ``samples`` points of the whole ball, each by :func:`_ball_samples`
+    (directions, then scales); it exponentiates them in one stacked call,
+    the membership tests them in one more, and the probe gaps take one
+    ``tol.verdicts`` call.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -406,33 +405,28 @@ def split_complement_criterion(
     """Falsification check of N intersect Exp(F-ball) = {b}.
 
     Returns False as soon as a nonzero sampled (or certified probe) direction
-    in F exponentiates into N; True means no refutation was found.  The
-    samples are drawn as one stack, then exponentiated and tested by the
-    membership in blocks of at most ``MAX_STACK_FLOATS``; on a refutation the
-    generator is left where a per-sample loop would stop.
+    in F exponentiates into N; True means no refutation was found.  All
+    ``samples`` points of the F-ball are drawn first by :func:`_ball_samples`
+    (directions, then scales), then exponentiated and tested by the
+    membership in blocks of at most ``MAX_STACK_FLOATS``; the generator is
+    left where that draw left it, refuted or not.
     """
     pair = n_space.pair
     m = pair.dim_minus
     if n.dim + f_comp.dim != m:
         raise ValueError("F is not a complement of n (dimension count)")
     stacked = np.vstack([n.basis, f_comp.basis])
-    if LinearSubspace.span(stacked, m, pair.tol).dim != m:
+    if LinearSubspace._span(stacked, m, pair.tol).dim != m:
         raise ValueError("F is not a complement of n (rank)")
     rng = rng or np.random.default_rng(0)
     if f_comp.dim == 0:
         return True
-    state = rng.bit_generator.state
     ws = _ball_samples(rng, f_comp.basis, radius, samples)
-    kept = [i for i, r in enumerate(_frobenius(ws).tolist()) if r >= COMPLEMENT_SAMPLE_FLOOR]
+    ws = ws[_frobenius(ws) >= COMPLEMENT_SAMPLE_FLOOR]
     size = _block_size(pair.ambient_n ** 2)
-    for start in range(0, len(kept), size):
-        block = kept[start:start + size]
-        points = exp_points(pair, ws[block])
-        for i, member in zip(block, n_space.membership(points)):
-            if member is True:
-                rng.bit_generator.state = state
-                _ball_samples(rng, f_comp.basis, radius, i + 1)
-                return False
+    for start in range(0, len(ws), size):
+        if any(member is True for member in n_space.membership(exp_points(pair, ws[start:start + size]))):
+            return False
     if n_space.probes is not None:
         vectors = (np.asarray(p.vector, dtype=float) for p in n_space.probes(radius, f_comp))
         probes = [w for w in vectors if COMPLEMENT_PROBE_FLOOR < np.linalg.norm(w) <= radius]
@@ -488,11 +482,12 @@ def mu_closure_check(
 
     Draws members x, y near the base (through the seed when present) and
     requires mu(x, y) not to be a definite non-member whenever it is decidable.
-    The pairs are drawn first, in the order u0, v0, u1, v1, ... of a
-    per-sample loop; each block of at most ``MAX_STACK_FLOATS`` is
-    exponentiated in one stacked call and tested in one membership call, and
-    the products of its member pairs come from one ``mu_points`` call.  On a
-    refutation the generator is left where a per-sample loop would stop.
+    All ``2 * samples`` factors are drawn first by one :func:`_ball_samples`
+    (directions, then scales), rows ``2i`` and ``2i + 1`` the pair of sample
+    ``i``; each block of at most ``MAX_STACK_FLOATS`` is exponentiated in one
+    stacked call and tested in one membership call, and the products of its
+    member pairs come from one ``mu_points`` call.  The generator is left
+    where that draw left it, refuted or not.
     """
     pair = n_space.pair
     rng = rng or np.random.default_rng(0)
@@ -500,7 +495,6 @@ def mu_closure_check(
         basis = n_space.seed.basis
     else:
         basis = np.eye(pair.dim_minus)
-    state = rng.bit_generator.state
     uv = _ball_samples(rng, basis, scale, 2 * samples)
     size = _block_size(2 * pair.ambient_n ** 2)
     for start in range(0, samples, size):
@@ -508,9 +502,6 @@ def mu_closure_check(
         members = n_space.membership(points)
         both = [i for i, (a, b) in enumerate(zip(members[0::2], members[1::2])) if a is True and b is True]
         products = mu_points(points[0::2][both], points[1::2][both])
-        for i, member in zip(both, n_space.membership(products)):
-            if member is False:
-                rng.bit_generator.state = state
-                _ball_samples(rng, basis, scale, 2 * (start + i + 1))
-                return False
+        if any(member is False for member in n_space.membership(products)):
+            return False
     return True

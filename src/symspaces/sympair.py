@@ -227,7 +227,7 @@ class MatrixSymmetricPair:
 
     def minus_subspace_to_full(self, sub: LinearSubspace) -> LinearSubspace:
         rows = np.hstack([np.zeros((sub.basis.shape[0], self.dim_plus)), sub.basis])
-        return LinearSubspace.span(rows, self.dim, self.tol)
+        return LinearSubspace._span(rows, self.dim, self.tol)
 
     # -- structure --------------------------------------------------------
 

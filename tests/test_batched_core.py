@@ -162,14 +162,15 @@ class TestContainsSubspace:
             assert calls == []
 
     def test_two_quotient_ladder_passes_make_fewer_svds(self):
-        # 520 at the point-block layer; the projection test removes 68 and the
-        # designated subspaces a pass never reads another 30
+        # 520 at the point-block layer; the projection test removes 68, the
+        # designated subspaces a pass never reads another 30, and the kernel
+        # rows of nullspace, wrapped as they are, the 38 cuts they had again
         case_bytes = load_case_bytes()
         with pytest.MonkeyPatch.context() as mp:
             calls = svd_spy(mp)
             for group in range(2):
                 case_bytes.run_cases("quotient_ladder", group)
-        assert len(calls) <= 422
+        assert len(calls) <= 384
 
 
 class TestBasisBrackets:

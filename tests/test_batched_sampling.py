@@ -1,12 +1,12 @@
-"""The batched samplers of the quotient path against the per-sample loops
-they replace.
+"""The batched samplers of the quotient path against per-sample loops.
 
-Each oracle below is the per-sample body the batched code replaced, kept
-verbatim up to naming: every ball sample from its own draw and product,
-every point from its own ``exp_point``, every projection and every
+Each sampler oracle below draws its samples as the sampler's docstring
+writes, one sized call per distribution, and then runs the per-sample
+body: every point from its own ``exp_point``, every projection and every
 algebraic or lattice membership one point at a time.  The batched code must
 give the same result, bit for bit, and leave the generator in the same
-state.
+state.  The draws themselves are a generator call each, never one per
+sample (:class:`TestOneDrawPerDistribution`).
 """
 
 import contextlib
@@ -23,7 +23,13 @@ from symspaces.catalog import TORUS_RELATION_GRID, TorusLattice, parse_model
 from symspaces.cli import main
 from symspaces.lts import LinearSubspace, is_subsystem
 from symspaces.numkernel import Tolerance, nullspace
-from symspaces.quotient import PointProjection, quotient_theorem_pipeline, weak_submersion_check
+from symspaces.quotient import (
+    PointProjection,
+    congruence_from_ideal,
+    quotient_theorem_pipeline,
+    relation_closure_check,
+    weak_submersion_check,
+)
 from symspaces.subspace import (
     CERTIFICATION_GRID,
     CertificationError,
@@ -76,13 +82,14 @@ def submersion_width(qr) -> int:
 # the per-sample oracles
 
 
-def oracle_ball_sample(rng: np.random.Generator, basis: np.ndarray, radius: float) -> np.ndarray:
-    """Uniform-ish sample in the given span with norm <= radius (nonzero)."""
-    k = basis.shape[0]
-    u = rng.standard_normal(k)
-    u /= max(np.linalg.norm(u), 1e-300)
-    scale = radius * rng.uniform(0.2, 1.0)
-    return scale * (u @ basis)
+def oracle_ball_samples(rng: np.random.Generator, basis: np.ndarray, radius: float, count: int) -> np.ndarray:
+    """``count`` uniform-ish samples in the given span with norm <= radius
+    (nonzero): all directions, then all scales, each from one sized draw."""
+    directions = rng.standard_normal((count, basis.shape[0]))
+    scales = rng.uniform(0.2, 1.0, count)
+    units = np.array([u / max(np.linalg.norm(u), 1e-300) for u in directions]).reshape(directions.shape)
+    mapped = units @ basis  # the span map of all rows in one product, as documented
+    return np.array([radius * s * row for s, row in zip(scales, mapped)]).reshape(mapped.shape)
 
 
 def oracle_algebraic_member(space, x: SymPoint) -> bool:
@@ -107,10 +114,9 @@ def oracle_mu_closure(n_space, rng, samples=30, scale=0.15) -> bool:
         basis = n_space.seed.basis
     else:
         basis = np.eye(pair.dim_minus)
-    for _ in range(samples):
-        u = oracle_ball_sample(rng, basis, scale)
-        v = oracle_ball_sample(rng, basis, scale)
-        x, y = exp_point(pair, u), exp_point(pair, v)
+    uv = oracle_ball_samples(rng, basis, scale, 2 * samples)
+    for i in range(samples):
+        x, y = exp_point(pair, uv[2 * i]), exp_point(pair, uv[2 * i + 1])
         if n_space.member(x) is not True or n_space.member(y) is not True:
             continue
         if n_space.member(mu(x, y)) is False:
@@ -144,13 +150,13 @@ def oracle_submersion(qr, rng, samples=100, project=None) -> dict:
         ker = np.eye(pair.dim_minus)
     ok = ok and LinearSubspace(pair.dim_minus, ker).equals(qr.relation.n_minus, tol)
 
+    uv = 0.2 * rng.standard_normal((2, samples, pair.dim_minus))
+    flips = rng.uniform(size=samples) < 0.3
+    words = iter(0.2 * rng.standard_normal((int(flips.sum()), 1, pair.dim)))
     morph_pass = rel_pass = rel_total = 0
-    for _ in range(samples):
-        u = 0.2 * rng.standard_normal(pair.dim_minus)
-        v = 0.2 * rng.standard_normal(pair.dim_minus)
+    for u, v, translated in zip(uv[0], uv[1], flips):
         x0, y = exp_point(pair, u), exp_point(pair, v)
-        translated = rng.uniform() < 0.3
-        x = tau_action(pair, pair.random_element(rng, letters=1, scale=0.2), x0) if translated else x0
+        x = tau_action(pair, pair.exp(pair.to_matrix(next(words)[0])), x0) if translated else x0
         px0, py = project(x0), project(y)
         px = project(x) if translated else px0
         morph_pass += int(project(mu(x, y)).same(mu(px, py)))
@@ -167,6 +173,36 @@ def oracle_submersion(qr, rng, samples=100, project=None) -> dict:
     }
 
 
+def oracle_closure_pairs(relation, rng, samples=10, steps=5) -> list:
+    """Per sample, its constructed pair and its translated pairs, from the documented draws."""
+    pair = relation.pair
+    uw = rng.standard_normal((2, samples, pair.dim_minus))
+    directions = 0.2 * rng.standard_normal((samples, pair.dim))
+    out = []
+    for u, w, direction in zip(0.2 * uw[0], 0.1 * uw[1], directions):
+        wn = relation.n_minus.project(w)
+        x = exp_point(pair, u)
+        y = SymPoint.from_group(pair, pair.exp(pair.minus_to_matrix(u)) @ pair.exp(pair.minus_to_matrix(wn)))
+        gs = [pair.exp(0.2 / 2.0**i * pair.to_matrix(direction)) for i in range(steps)]
+        out.append(((x, y), [(tau_action(pair, g, x), tau_action(pair, g, y)) for g in gs]))
+    return out
+
+
+def oracle_relation_closure(relation, rng, samples=10, steps=5) -> dict:
+    for (x, y), translates in oracle_closure_pairs(relation, rng, samples, steps):
+        if relation.relates([x], [y]) == [False]:
+            return {"ok": False, "witness": "constructed related pair rejected"}
+        if False in relation.relates([gx for gx, _ in translates], [gy for _, gy in translates]):
+            return {"ok": False, "witness": "tau translate left the relation"}
+    if relation.sequence_probes is not None:
+        for seq, (lx, ly) in relation.sequence_probes():
+            if False in relation.relates([xi for xi, _ in seq], [yi for _, yi in seq]):
+                return {"ok": False, "witness": "probe sequence not inside the relation"}
+            if relation.relates([lx], [ly]) != [True]:
+                return {"ok": False, "witness": "limit of a related sequence escapes the relation"}
+    return {"ok": True, "witness": None}
+
+
 def oracle_chart_split(n_space, n, rng, samples=40, start_radius=1.0, floor=1e-3) -> ChartReport:
     pair = n_space.pair
     m = pair.dim_minus
@@ -176,13 +212,13 @@ def oracle_chart_split(n_space, n, rng, samples=40, start_radius=1.0, floor=1e-3
     while True:
         violation = 0.0
         witness = None
-        for _ in range(samples if n.dim else 0):
-            v = oracle_ball_sample(rng, n.basis, radius)
+        inside = oracle_ball_samples(rng, n.basis, radius, samples if n.dim else 0)
+        ws = oracle_ball_samples(rng, free, radius, samples)
+        for v in inside:
             if n_space.member(exp_point(pair, v)) is False:
                 violation = max(violation, float(np.linalg.norm(v)))
                 witness = v
-        for _ in range(samples):
-            w = oracle_ball_sample(rng, free, radius)
+        for w in ws:
             gap = n.distance(w)
             if gap > 0.05 * radius and n_space.member(exp_point(pair, w)) is True:
                 violation = max(violation, gap)
@@ -208,8 +244,7 @@ def oracle_split_complement(n_space, n, f_comp, rng, samples=200, radius=0.5) ->
     pair = n_space.pair
     if f_comp.dim == 0:
         return True
-    for _ in range(samples):
-        w = oracle_ball_sample(rng, f_comp.basis, radius)
+    for w in oracle_ball_samples(rng, f_comp.basis, radius, samples):
         if np.linalg.norm(w) < 1e-6:
             continue
         if n_space.member(exp_point(pair, w)) is True:
@@ -236,7 +271,7 @@ def oracle_algebraic_candidate(space) -> LinearSubspace:
     if jac.ndim == 1:
         jac = jac.reshape(1, -1)
     fd_tol = Tolerance(abs_eps=max(tol.abs_eps, 1e-8), rel_eps=max(tol.rel_eps, 1e-7))
-    return LinearSubspace(m, nullspace(jac, fd_tol).T)
+    return LinearSubspace._wrap(m, nullspace(jac, fd_tol).T)  # the kernel rows, not cut again
 
 
 def oracle_lts_of_subspace(n_space) -> LinearSubspace:
@@ -332,6 +367,29 @@ class TestWeakSubmersionCheck:
         assert same_state(a, b)
         assert got["ok"] is False
 
+    def test_each_block_translates_its_own_samples(self, quotients, monkeypatch):
+        # a projection squaring the images of the points far from the base
+        # breaks the law on about half the samples: the pass rate sees which
+        # samples each block translates, and by which word
+        label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
+        n = qr.relation.pair.ambient_n
+
+        def far_squared(points):
+            points = list(points)
+            images = qr.projection_points(points)
+            far = [float(np.linalg.norm(x.cartan - np.eye(n))) > 1.7 for x in points]
+            return [SymPoint(qr.quotient_pair, px.cartan @ px.cartan) if f else px for f, px in zip(far, images)]
+
+        bad = dataclasses.replace(qr, projection_points=far_squared)
+        set_block(monkeypatch, submersion_width(qr), 2, 5)
+        rates = set()
+        for seed in range(4):
+            a, b = rng_pair(seed)
+            got = weak_submersion_check(bad, a, samples=23)
+            assert got == oracle_submersion(bad, b, samples=23, project=far_squared)
+            rates.add(got["sample_pass_rates"]["projection_morphism"])
+        assert 0.0 < min(rates) and max(rates) < 1.0
+
     def test_two_stacked_exponentials_per_block(self, quotients, monkeypatch):
         label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
         set_block(monkeypatch, submersion_width(qr), 2, 5)
@@ -396,7 +454,9 @@ class TestSplitComplementCriterion:
         assert same_state(a, b)
 
     @pytest.mark.parametrize("first_true", [1, 7, 50, 51, 200])
-    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, first_true, monkeypatch):
+    def test_a_refutation_leaves_the_generator_after_the_whole_draw(self, models, first_true, monkeypatch):
+        # the oracle draws all its samples first: a refutation at any sample
+        # and in any block must leave the generator there too
         sub = models["product(sphere(2),sphere(2))"].subspace_by_name("left_factor")
         n = sub.seed
         set_block(monkeypatch, sub.subspace.pair.ambient_n, 1, 50)
@@ -417,8 +477,6 @@ class TestSplitComplementCriterion:
         assert split_complement_criterion(always_from(first_true), n, n.complement(), rng=a) is False
         assert oracle_split_complement(always_from(first_true), n, n.complement(), b) is False
         assert same_state(a, b)
-        # and the caller's next draw is the one the loop would have given
-        assert same_bits(a.standard_normal(3), b.standard_normal(3))
 
 
 class TestCertification:
@@ -459,10 +517,10 @@ class TestMuClosureCheck:
             assert mu_closure_check(space, a) is oracle_mu_closure(space, b), label
             assert same_state(a, b), label
 
-    def test_early_false_leaves_the_generator_where_the_loop_stops(self, models, monkeypatch):
+    def test_a_refutation_leaves_the_generator_after_the_whole_draw(self, models, monkeypatch):
         # products reach about twice as far from the base as their factors:
-        # a membership cut off at ``reach`` refutes closure after a varying
-        # number of samples, or never
+        # a membership cut off at ``reach`` refutes closure in a varying
+        # block, or never; the oracle draws all its pairs first
         space = generate_integral(LinearSubspace.full(2), models["sphere(2)"].pair)
         set_block(monkeypatch, space.pair.ambient_n, 2, 4)
         verdicts = set()
@@ -476,7 +534,6 @@ class TestMuClosureCheck:
             got = mu_closure_check(short, a)
             assert got is oracle_mu_closure(short, b), reach
             assert same_state(a, b), reach
-            assert same_bits(a.standard_normal(3), b.standard_normal(3))
             verdicts.add(got)
         assert verdicts == {True, False}
 
@@ -499,6 +556,154 @@ class TestMuClosureCheck:
         assert calls == [4] * 7 + [2]
 
 
+@pytest.fixture(scope="module")
+def relations(models):
+    """(label, relation) for congruences of the conftest models and the torus dense-line relation."""
+    out = [
+        ("sphere(2) equality", congruence_from_ideal(models["sphere(2)"].pair, LinearSubspace.zero(2))),
+        ("sphere(2) total", congruence_from_ideal(models["sphere(2)"].pair, LinearSubspace.full(2))),
+        ("torus dense line", models["torus_abelian(sqrt2)"].extras["line_relation"]),
+    ]
+    product = models["product(sphere(2),sphere(2))"]
+    out.append(("product left", congruence_from_ideal(product.pair, product.subspace_by_name("left_factor").seed)))
+    return out
+
+
+class TestRelationClosureCheck:
+    @pytest.mark.parametrize("seed,samples,steps", [(42, 10, 5), (0, 7, 3), (1, 3, 0), (2, 0, 5)])
+    def test_matches_the_per_sample_loop(self, relations, seed, samples, steps):
+        for label, relation in relations:
+            a, b = rng_pair(seed)
+            got = relation_closure_check(relation, a, samples=samples, steps=steps)
+            assert got == oracle_relation_closure(relation, b, samples=samples, steps=steps), label
+            assert same_state(a, b), label
+
+    @pytest.mark.parametrize("label", ["product left", "torus dense line"])
+    def test_witnesses_keep_their_precedence(self, relations, label):
+        # a relation refusing some pairs of the documented draws (by their y)
+        # fails on the first sample with a refused pair, its constructed pair
+        # first, and only then on the probes
+        relation = dict(relations)[label]
+        pairs = oracle_closure_pairs(relation, np.random.default_rng(3), 4, 2)
+        constructed, translate = (lambda i: pairs[i][0][1]), (lambda i, j: pairs[i][1][j][1])
+        on_probes = relation_closure_check(relation, np.random.default_rng(3), 4, 2)["witness"]
+        rejected, left = "constructed related pair rejected", "tau translate left the relation"
+        cases = [([constructed(i)], rejected) for i in range(4)]
+        cases += [([translate(i, j)], left) for i in range(4) for j in range(2)]
+        cases += [([constructed(2), translate(1, 1)], left), ([translate(1, 0), constructed(1)], rejected)]
+        cases += [([], on_probes)]
+        for refused, want in cases:
+
+            def relates(xs, ys, refused=refused):
+                ys = list(ys)
+                return [False if any(y.same(r) for r in refused) else v for y, v in zip(ys, relation.relates(xs, ys))]
+
+            a, b = rng_pair(3)
+            got = relation_closure_check(dataclasses.replace(relation, relates=relates), a, 4, 2)
+            assert got["witness"] == want
+            assert got == oracle_relation_closure(dataclasses.replace(relation, relates=relates), b, 4, 2)
+        assert on_probes == (None if label == "product left" else "limit of a related sequence escapes the relation")
+
+    def test_a_probe_sequence_outside_the_relation_comes_before_its_limit(self, models):
+        relation = models["torus_abelian(sqrt2)"].extras["line_relation"]
+        (seq, limit), = relation.sequence_probes()
+        outside = [yi for _, yi in seq[1:]]
+
+        def relates(xs, ys):
+            return [False if any(y.same(o) for o in outside) else v for y, v in zip(ys, relation.relates(xs, ys))]
+
+        got = relation_closure_check(dataclasses.replace(relation, relates=relates), np.random.default_rng(0))
+        assert got == {"ok": False, "witness": "probe sequence not inside the relation"}
+
+    def test_one_relates_call(self, relations):
+        for label, relation in relations:
+            calls = []
+
+            def relates(xs, ys, relation=relation):
+                calls.append(len(xs))
+                return relation.relates(xs, ys)
+
+            relation_closure_check(dataclasses.replace(relation, relates=relates), np.random.default_rng(0))
+            probes = relation.sequence_probes() if relation.sequence_probes else []
+            assert calls == [10 * 6 + sum(len(seq) + 1 for seq, _ in probes)], label
+
+
+# ---------------------------------------------------------------------------
+# one draw per distribution
+
+
+class CountingGenerator:
+    """A generator that counts its method calls and forwards each one."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestOneDrawPerDistribution:
+    """No sampler calls the generator per sample: each makes as many calls at
+    10 samples as at 200, the number its docstring's draw order gives."""
+
+    def calls(self, run, samples) -> int:
+        rng = CountingGenerator(samples)
+        run(rng, samples)
+        return rng.calls
+
+    def same_calls(self, run, want):
+        assert self.calls(run, 10) == self.calls(run, 200) == want
+
+    def test_ball_samples(self):
+        self.same_calls(lambda rng, k: _ball_samples(rng, np.eye(3)[:2], 0.5, k), 2)
+
+    def test_chart_split_per_radius(self, models, spaces):
+        line = models["torus_abelian(sqrt2)"].subspace_by_name("dense_line")
+        cases = [(space, n) for _, space, n in spaces[:4]] + [(line.subspace, line.seed)]
+        for space, n in cases:
+
+            def per_radius(rng, k):
+                calls = rng.calls
+                try:
+                    history = exp_chart_split(space, n, rng=rng, samples=k).history
+                except ChartSplitError as exc:  # the dense line fails to the floor
+                    history = exc.report.history
+                return (rng.calls - calls) / len(history)
+
+            counts = {per_radius(CountingGenerator(k), k) for k in (10, 200)}
+            assert counts == {4.0}, space.label
+
+    def test_split_complement_refuted_or_not(self, models):
+        sub = models["product(sphere(2),sphere(2))"].subspace_by_name("left_factor")
+        n = sub.seed
+        always = dataclasses.replace(sub.subspace, membership=lambda points: [True] * len(points))
+        for space in (sub.subspace, always):
+            self.same_calls(lambda rng, k: split_complement_criterion(space, n, n.complement(), rng, samples=k), 2)
+
+    def test_mu_closure_refuted_or_not(self, models):
+        space = generate_integral(LinearSubspace.full(2), models["sphere(2)"].pair)
+        near = dataclasses.replace(
+            space, membership=lambda points: [float(np.linalg.norm(x.cartan - np.eye(3))) < 0.3 for x in points]
+        )
+        for candidate in (space, near):
+            self.same_calls(lambda rng, k: mu_closure_check(candidate, rng, samples=k), 2)
+
+    def test_weak_submersion(self, quotients):
+        for label, qr in quotients[:3]:
+            self.same_calls(lambda rng, k: weak_submersion_check(qr, rng, samples=k), 3)
+
+    def test_relation_closure(self, relations):
+        for label, relation in relations:
+            self.same_calls(lambda rng, k: relation_closure_check(relation, rng, samples=k), 2)
+
+
 # ---------------------------------------------------------------------------
 # the stacked ball samples
 
@@ -506,7 +711,7 @@ class TestMuClosureCheck:
 class TestBallSamples:
     @pytest.mark.parametrize("spec", MODELS)
     @pytest.mark.parametrize("count", [0, 1, 200])
-    def test_rows_are_the_per_sample_draws(self, models, spec, count):
+    def test_rows_are_the_sized_draws(self, models, spec, count):
         m = models[spec].pair.dim_minus
         rng = np.random.default_rng(m)
         bases = [LinearSubspace.span(rng.standard_normal((d, m)), m).basis for d in range(m + 1)]
@@ -515,16 +720,22 @@ class TestBallSamples:
                 a, b = rng_pair(count + basis.shape[0])
                 got = _ball_samples(a, basis, radius, count)
                 assert got.shape == (count, m)
-                for row in got:
-                    assert same_bits(row, oracle_ball_sample(b, basis, radius))
+                assert same_bits(got, oracle_ball_samples(b, basis, radius, count))
                 assert same_state(a, b)
 
     def test_one_sample_is_the_one_row_case(self):
         basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5).basis
         a, b = rng_pair(2)
         for _ in range(50):
-            assert same_bits(_ball_samples(a, basis, 0.7, 1)[0], oracle_ball_sample(b, basis, 0.7))
+            assert same_bits(_ball_samples(a, basis, 0.7, 1), oracle_ball_samples(b, basis, 0.7, 1))
         assert same_state(a, b)
+
+    def test_rows_are_in_the_ball_of_the_span(self):
+        basis = LinearSubspace.span(np.random.default_rng(3).standard_normal((2, 4)), 4)
+        rows = _ball_samples(np.random.default_rng(4), basis.basis, 0.5, 500)
+        norms = np.linalg.norm(rows, axis=1)
+        assert np.all(norms >= 0.1 * (1 - 1e-12)) and np.all(norms <= 0.5 * (1 + 1e-12))
+        assert basis.contains_all(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The case-record comparison of ``scripts/case_bytes.py``."""
 
+import ctypes
 import importlib.util
 import json
 from pathlib import Path
@@ -55,3 +56,14 @@ def test_diff_reports_each_moved_case(case_bytes, capsys):
     # the last line counts the verdicts that moved: z's exit code and w's boolean, not x's number
     assert "\ny\n" not in out and out.endswith("3 of 4 cases differ\n2 of them changed an exit code or a JSON boolean\n")
     assert case_bytes.diff(a, a) == 0
+
+
+def test_records_are_made_at_one_blas_thread(case_bytes):
+    get = case_bytes._openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    if get is None:
+        pytest.skip("numpy bundles no OpenBLAS here: the thread count is the host's")
+    before = get()
+    with case_bytes._blas_threads(case_bytes.BLAS_THREADS):
+        assert get() == case_bytes.BLAS_THREADS == 1
+    assert get() == before
+    assert case_bytes.environment()["blas_threads"] == 1

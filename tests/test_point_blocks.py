@@ -245,10 +245,8 @@ class TestProducersAndConsumers:
 AS_MATRIX_CALLERS = {
     "symspaces.numkernel.mat_exp",
     "symspaces.numkernel.mat_log",
-    "symspaces.numkernel.numerical_rank",
     "symspaces.numkernel.nullspace",
     "symspaces.lts.LinearSubspace.__post_init__",  # the public constructor
-    "symspaces.lts.LinearSubspace.span",
     "symspaces.sympair.SigmaRule.__post_init__",
     "symspaces.sympair.SigmaRule.apply",
     "symspaces.sympair.SigmaRule.derivative",

@@ -412,21 +412,6 @@ class TestSamplersOnBatchedMembership:
             results.append((json.dumps(chart), split, rng.bit_generator.state))
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("spec", ["sphere(2)", "spd(2)"])
-    def test_refutation_rewinds_the_generator_like_the_loop(self, chart_models, spec):
-        # N is generated by e1 and F is span(e1): the first kept sample lies in N
-        pair = chart_models[spec].pair
-        m = pair.dim_minus
-        space = generate_integral(LinearSubspace(m, np.eye(m)[:1]), pair)
-        n = LinearSubspace(m, np.eye(m)[1:])
-        f_comp = LinearSubspace(m, np.eye(m)[:1])
-        states = []
-        for candidate in (space, per_point(space)):
-            rng = np.random.default_rng(2)
-            assert split_complement_criterion(candidate, n, f_comp, rng=rng) is False
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1]
-
     def test_certification_grid_is_one_stacked_log(self, chart_models, monkeypatch):
         pair = chart_models["spd(3)"].pair
         space = generate_integral(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:2]), pair)
