@@ -357,7 +357,7 @@ def _half_angles(cartans: np.ndarray) -> np.ndarray:
 
 def _sphere_circle(pair: MatrixSymmetricPair, name: str):
     d = np.diag([1.0 if i != 1 else -1.0 for i in range(pair.ambient_n)])
-    coords = pair.matrix_coords(d @ pair.basis_mats @ d).T  # column i: the image of basis matrix i
+    coords = pair._algebra_coords(d @ pair.basis_mats @ d).T  # column i: the image of basis matrix i
     auto = PairMorphism(
         source=pair, target=pair, algebra_map=coords,
         group_rule=lambda gs: d @ gs @ d, label="reflection",

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _svd_cut, as_matrix, nullspace
+from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _kernel_rows, _svd_cut, as_matrix
 
 __all__ = [
     "LinearSubspace",
@@ -171,7 +171,7 @@ class LinearSubspace:
         """Orthogonal complement inside the ambient space."""
         if self.dim == 0:
             return LinearSubspace.full(self.ambient_dim)
-        return LinearSubspace._wrap(self.ambient_dim, nullspace(self.basis).T)
+        return LinearSubspace._wrap(self.ambient_dim, _kernel_rows(self.basis, DEFAULT_TOL))
 
 
 def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> LinearSubspace:
@@ -339,7 +339,7 @@ def quotient_lts(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     morphism = LtsMorphism(source=m, target=quot, matrix=proj)
     if not morphism.is_valid(tol):
         raise VerificationError("quotient projection failed the morphism check")
-    ker = LinearSubspace._wrap(m.dim, nullspace(proj, tol).T)
+    ker = LinearSubspace._wrap(m.dim, _kernel_rows(proj, tol))
     if not ker.equals(n, tol):
         raise VerificationError("projection kernel does not match the ideal")
     return quot, morphism
@@ -413,8 +413,8 @@ class SymmetricLieAlgebra:
         """Build with eigenspaces computed from theta (theta^2 = id required)."""
         th = np.asarray(theta, dtype=float)
         d = th.shape[0]
-        plus = LinearSubspace._wrap(d, nullspace(th - np.eye(d), tol).T)
-        minus = LinearSubspace._wrap(d, nullspace(th + np.eye(d), tol).T)
+        plus = LinearSubspace._wrap(d, _kernel_rows(th - np.eye(d), tol))
+        minus = LinearSubspace._wrap(d, _kernel_rows(th + np.eye(d), tol))
         return cls(d, np.asarray(bracket_tensor, dtype=float), th, plus, minus, label)
 
     def ad(self, x) -> np.ndarray:
@@ -600,8 +600,8 @@ def psi_representation(
         kernel = LinearSubspace.zero(g.dim)
     else:
         stacked = np.array([op.reshape(-1) for op in ops])  # one row per plus vector
-        ker_coeff = nullspace(stacked.T, tol)  # columns: coefficient vectors
-        kernel = LinearSubspace._span(ker_coeff.T @ g.plus_basis.basis, g.dim, tol)
+        ker_coeff = _kernel_rows(stacked.T, tol)  # rows: coefficient vectors
+        kernel = LinearSubspace._span(ker_coeff @ g.plus_basis.basis, g.dim, tol)
     return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel)
 
 

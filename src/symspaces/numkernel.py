@@ -3,9 +3,10 @@
 The principal log (and the chart relation's principal root) takes one of two
 routes per matrix.  A matrix that passes the normality gate, as every
 catalog Cartan matrix does, is split as ``C = U P`` (polar, then the Cayley
-transform of ``U``) and its log and root come from two stacked symmetric
-eigendecompositions; any other matrix takes Denman-Beavers square roots and
-the atanh series.
+transform of ``U``) and its log and root come from a stacked symmetric
+eigendecomposition of each factor that is not the identity up to rounding,
+and from a short Taylor series of each one that is; any other matrix takes
+Denman-Beavers square roots and the atanh series.
 
 Every tolerance verdict in the package is a :meth:`Tolerance.verdicts`
 call, the one comparison of residuals with their bounds, so numeric
@@ -231,14 +232,16 @@ def mat_log(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Two routes, chosen per matrix by the normality gate of
     :func:`_normality`.  A matrix that passes it takes the polar/Cayley
-    split of :func:`_normal_parts`, two symmetric eigendecompositions; any
-    other matrix takes inverse scaling (repeated Denman-Beavers square
-    roots) followed by the atanh series ``log A = 2 * sum X^(2j+1)/(2j+1)``
-    with ``X = (A-I)(A+I)^-1``.  Raises :class:`DomainError` outside the
-    ball.  ``a`` may also be a ``(k, n, n)`` stack: each slice takes its own
-    route, slice ``i`` of the result is bit for bit ``mat_log(a[i])``, and a
-    slice outside the domain comes back filled with NaN instead of failing
-    the stack.
+    split of :func:`_normal_parts`, with an eigendecomposition only of the
+    factor that is not the identity up to rounding; any other matrix takes
+    inverse scaling (repeated Denman-Beavers square roots) followed by the
+    atanh series ``log A = 2 * sum X^(2j+1)/(2j+1)`` with
+    ``X = (A-I)(A+I)^-1``.  Raises :class:`DomainError` outside the ball,
+    which is decided by the norms of ``A - I`` and takes an SVD only of a
+    matrix on its edge.  ``a`` may also be a ``(k, n, n)`` stack: each slice
+    takes its own route, slice ``i`` of the result is bit for bit
+    ``mat_log(a[i])``, and a slice outside the domain comes back filled
+    with NaN instead of failing the stack.
     """
     a = as_matrix(a, square=True, stack=True)
     if a.ndim == 3:
@@ -249,6 +252,61 @@ def mat_log(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return out[0]
 
 
+# |m|_F at or below which a function of I + m is its Taylor series in m rather
+# than an eigh: the first term left out is below 2^-60 (2^-80 for K^T K, whose
+# series is taken at |K^T K|_F <= _SERIES^2) times its coefficient
+_SERIES = 2.0 ** -20
+
+
+class _SymFunctions:
+    """Functions of ``I + m`` for each slice of a ``(k, n, n)`` stack of
+    symmetric ``m``.
+
+    A slice with ``|m|_F <= bound`` takes the Taylor series of a function in
+    ``m``; any other takes one stacked ``eigh``, ``m = v diag(w) v^T``, with
+    ``w`` raised to ``floor``.  A slice whose ``|m|_F`` is not finite gets
+    NaN eigenvalues.  ``smallest`` bounds the smallest eigenvalue of
+    ``I + m`` from below: ``1 + min(w)``, or ``1 - |m|_F`` on a series slice.
+    """
+
+    def __init__(self, m: np.ndarray, bound: float, floor: float):
+        norm = _frobenius(m)
+        self.m, self.series = m, norm <= bound
+        self.eig = np.flatnonzero(~self.series)
+        self.smallest = 1.0 - norm
+        if self.eig.size:
+            me = m[self.eig]
+            bad = ~np.isfinite(norm[self.eig])
+            me[bad] = 0.0  # eigh of a non-finite slice fails or returns garbage
+            w, self.v = np.linalg.eigh(me)
+            w[bad] = np.nan
+            self.w = np.maximum(w, floor)  # rounding may leave an eigenvalue below it
+            self.smallest[self.eig] = 1.0 + self.w[:, 0]
+
+    def __call__(self, fn, taylor: tuple) -> np.ndarray:
+        """``v diag(fn(w)) v^T`` on the eigh slices, and ``sum_j taylor[j] m^j``
+        on the series slices."""
+        if not self.eig.size:
+            return _taylor(self.m, taylor)
+        spectral = _sym_fn(self.v, fn(self.w))
+        if self.eig.size == len(self.m):
+            return spectral
+        out = np.empty_like(self.m)
+        out[self.eig] = spectral
+        out[self.series] = _taylor(self.m[self.series], taylor)
+        return out
+
+
+def _taylor(m: np.ndarray, taylor: tuple) -> np.ndarray:
+    # sum_j taylor[j] m^j on each slice, for up to three coefficients
+    out = taylor[1] * m
+    if len(taylor) > 2:
+        out += taylor[2] * (m @ m)
+    if taylor[0]:
+        out += taylor[0] * np.eye(m.shape[-1])
+    return out
+
+
 def _normal_parts(a: np.ndarray) -> tuple:
     """The polar/Cayley split of each slice of a ``(k, n, n)`` stack, and its
     normality gate.
@@ -256,37 +314,34 @@ def _normal_parts(a: np.ndarray) -> tuple:
     For a normal ``C = U P``, with ``P = sqrt(C^T C)`` and ``U`` orthogonal,
     ``U`` and ``P`` commute with ``C`` and with each other, and so does the
     skew Cayley transform ``K = (U - I)(U + I)^-1 = (C + P)^-1 (C - P)``.
-    Returns the parts ``(w, v, k, s, u)``, with ``C^T C - I = v diag(w) v^T``
-    and ``K^T K = -K^2 = u diag(s) u^T`` from two stacked ``eigh`` calls,
-    and the gate of :func:`_normality` as ``verdicts`` arguments.  Both
-    eigendecompositions are formed from ``D = C - I``, so a point near the
-    identity keeps the relative accuracy of its small log.  A slice whose
-    ``C^T C`` is not finite (a Cartan matrix so large that it overflows)
-    gets a NaN ``w``, which fails the gate.  Such a slice, one whose
-    ``C + P`` is exactly singular, where ``U`` has the eigenvalue -1 (the
-    cut locus), and one whose ``K^T K`` is not finite get a NaN ``K``.  The
-    parts of a slice that fails the gate mean nothing.
+    Returns the parts ``(p, k, q)``, with ``p`` and ``q`` the
+    :class:`_SymFunctions` of ``m = C^T C - I`` and of ``K^T K = -K^2``,
+    and the gate of :func:`_normality` as ``verdicts`` arguments.  A factor
+    equal to ``I`` up to rounding (``P`` of an orthogonal ``C``, ``U`` of a
+    symmetric one) takes the series of ``p`` or ``q``, the other one
+    ``eigh``, so a catalog slice pays for one eigendecomposition.  ``m`` is
+    formed from ``D = C - I``, so a point near the identity keeps the
+    relative accuracy of its small log.  A slice whose ``m`` is not finite
+    (a Cartan matrix so large that it overflows) gets a NaN ``smallest``,
+    which fails the gate.  Such a slice, one whose ``C + P`` is exactly
+    singular, where ``U`` has the eigenvalue -1 (the cut locus), and one
+    whose ``K^T K`` is not finite get a NaN ``K``.  The parts of a slice
+    that fails the gate mean nothing.
     """
     ident = np.eye(a.shape[-1])
     d = a - ident
     dt = d.swapaxes(1, 2)
-    m = dt @ d + d + dt
-    huge = ~np.isfinite(m).all(axis=(1, 2))
-    m[huge] = 0.0  # eigh of a non-finite slice fails or returns garbage
-    w, v = np.linalg.eigh(m)
-    w[huge] = np.nan
-    w = np.maximum(w, -1.0)  # rounding may leave a zero singular value negative
-    p1 = _sym_fn(v, w / (1.0 + np.sqrt(1.0 + w)))  # P - I
+    p = _SymFunctions(dt @ d + d + dt, _SERIES, -1.0)
+    p1 = p(lambda w: w / (1.0 + np.sqrt(1.0 + w)), (0.0, 0.5, -0.125))  # P - I
     cp = 2.0 * ident + d + p1
-    cut = huge | (np.linalg.det(cp) == 0.0)  # exactly where the solve below would fail
-    cp[cut] = ident
-    k = np.linalg.solve(cp, d - p1)
+    huge = np.isnan(p.smallest)
+    cp[huge] = ident
+    k = _nan_where_singular(np.linalg.solve, cp, d - p1)
     kk = k.swapaxes(1, 2) @ k
-    cut |= ~np.isfinite(kk).all(axis=(1, 2))
+    cut = huge | ~np.isfinite(kk).all(axis=(1, 2))
     kk[cut] = 0.0
     k[cut] = np.nan
-    s, u = np.linalg.eigh(kk)
-    return (w, v, k, np.maximum(s, 0.0), u), _normality(a, w)
+    return (p, k, _SymFunctions(kk, _SERIES ** 2, 0.0)), _normality(a, p.smallest)
 
 
 def _sym_fn(v: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -297,44 +352,68 @@ def _sym_fn(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 _EPS = float(np.finfo(float).eps)
 
 
-def _normality(a: np.ndarray, w: np.ndarray) -> tuple:
+def _normality(a: np.ndarray, smallest: np.ndarray) -> tuple:
     """The normality gate of each slice of a stack, as ``verdicts`` arguments:
     the residual ``|C C^T - C^T C|_F = |[U, P^2]|_F``, plus the rounding
-    ``eps max(|C|_F^2, 1)`` of ``w``, in units of ``sigma_min(C)^2 = 1 +
-    min(w)``, at unit scale.
+    ``eps max(|C|_F^2, 1)`` of ``m``, in units of ``smallest``, a lower bound
+    of ``sigma_min(C)^2``, at unit scale.
 
     Where ``U`` and ``P`` fail to commute, ``log P + log U`` misses
     ``log C`` by about ``|[log U, log P]|_F / 2``, which on the ball is at
     most ``0.4 |[U, P^2]|_F / sigma_min^2`` to first order.  The rounding
-    of ``w`` moves ``log1p(w) / 2`` and ``P^(1/2)`` by up to about
+    of ``m`` moves ``log P`` and ``P^(1/2)`` by up to about
     ``eps |C|_F^2 / sigma_min^2``, so an ill-conditioned slice fails as
     well, and a slice that passes has a log and a root within the
-    tolerance of unit scale.  Where ``C`` is singular, or ``w`` is NaN, the
-    residual is inf or NaN, which fails.
+    tolerance of unit scale.  Where ``C`` is singular, or ``smallest`` is
+    NaN, the residual is inf or NaN, which fails.
     """
     at = a.swapaxes(1, 2)
     rounding = _EPS * np.maximum(_frobenius(a) ** 2, 1.0)
-    return (_frobenius(a @ at - at @ a) + rounding) / (1.0 + w[:, 0]), np.ones(len(a))
+    return (_frobenius(a @ at - at @ a) + rounding) / smallest, np.ones(len(a))
+
+
+def _atan_ratio(s: np.ndarray) -> np.ndarray:
+    # atan(t) / t at t = sqrt(s), 1 at t = 0
+    t = np.sqrt(s)
+    f = np.arctan(t) / np.where(t > 0.0, t, 1.0)
+    f[t == 0.0] = 1.0
+    return f
 
 
 def _normal_logs(parts: tuple) -> np.ndarray:
     """The principal log ``log P + log U`` of each slice from its
-    :func:`_normal_parts`: ``log P = v diag(log1p(w) / 2) v^T`` and
-    ``log U = 2 K f(-K^2)`` with ``f(t^2) = atan(t) / t`` (Higham, Functions
-    of Matrices, 2008, ch. 11)."""
-    w, v, k, s, u = parts
-    t = np.sqrt(s)
-    f = np.arctan(t) / np.where(t > 0.0, t, 1.0)
-    f[t == 0.0] = 1.0
-    return _sym_fn(v, 0.5 * np.log1p(w)) + 2.0 * k @ _sym_fn(u, f)
+    :func:`_normal_parts`: ``log P = log1p(m) / 2`` and ``log U = 2 K
+    f(-K^2)`` with ``f(t^2) = atan(t) / t`` (Higham, Functions of Matrices,
+    2008, ch. 11), each from its eigendecomposition or its series."""
+    p, k, q = parts
+    return p(lambda w: 0.5 * np.log1p(w), (0.0, 0.5, -0.25)) + 2.0 * k @ q(_atan_ratio, (1.0, -1.0 / 3.0))
 
 
 def _normal_roots(parts: tuple) -> np.ndarray:
     """The principal square root ``U^(1/2) P^(1/2)`` of each slice from its
     :func:`_normal_parts`, with ``U^(1/2) = (I + K)(I - K^2)^(-1/2)``; NaN on
     the cut locus."""
-    w, v, k, s, u = parts
-    return (np.eye(k.shape[-1]) + k) @ _sym_fn(u, 1.0 / np.sqrt(1.0 + s)) @ _sym_fn(v, np.sqrt(np.sqrt(1.0 + w)))
+    p, k, q = parts
+    u_root = (np.eye(k.shape[-1]) + k) @ q(lambda s: 1.0 / np.sqrt(1.0 + s), (1.0, -0.5))
+    return u_root @ p(lambda w: np.sqrt(np.sqrt(1.0 + w)), (1.0, 0.25, -0.09375))
+
+
+# margins of the ball test on norms of C - I that bound |C - I|_2 from above
+# (Frobenius) and below (largest column), wide against their rounding
+_BALL_INSIDE = 1.0 - 1e-12
+_BALL_OUTSIDE = 1.0 + 1e-12
+
+
+def _in_ball(d: np.ndarray) -> list:
+    """Whether ``|D|_2 < 1`` for each slice of a ``(k, n, n)`` stack, as the
+    largest singular value decides it.  A slice with ``|D|_F`` below 1, or a
+    column of norm above 1, by more than the margin of their rounding is
+    decided by that norm; only the slices between take the SVD."""
+    inside = _frobenius(d) < _BALL_INSIDE
+    edge = ~inside & ~(np.sqrt(np.vecdot(d, d, axis=-2)).max(axis=-1) > _BALL_OUTSIDE)
+    if edge.any():
+        inside[edge] = np.linalg.svd(d[edge], compute_uv=False).max(axis=-1) < 1.0
+    return inside.tolist()
 
 
 def _mat_log_stack(a: np.ndarray, tol: Tolerance):
@@ -345,7 +424,7 @@ def _mat_log_stack(a: np.ndarray, tol: Tolerance):
     k, n = a.shape[0], a.shape[1]
     if k == 0 or n == 0:
         return a.copy(), [None] * k
-    inside = (np.linalg.svd(a - np.eye(n), compute_uv=False).max(axis=-1) < 1.0).tolist()
+    inside = _in_ball(a - np.eye(n))
     failed = [None if ok else _LOG_DOMAIN for ok in inside]
     out = np.full((k, n, n), np.nan)
     live = [i for i, ok in enumerate(inside) if ok]
@@ -414,9 +493,11 @@ def _principal_roots(a: np.ndarray, tol: Tolerance) -> tuple:
     stack, and whether ``S S`` is confirmed ``tol.close`` to ``X``.
 
     The two routes of :func:`mat_log`: a slice that passes the normality
-    gate takes the polar/Cayley root of :func:`_normal_roots`, NaN on the
-    cut locus (an eigenvalue -1), and the gate and the root residuals of the
-    block take one ``verdicts`` call.  Any other slice, including one so
+    gate takes the polar/Cayley root of :func:`_normal_roots`, from the
+    parts of :func:`_normal_parts` (an ``eigh`` only of a factor that is not
+    the identity up to rounding), NaN on the cut locus (an eigenvalue -1),
+    and the gate and the root residuals of the block take one ``verdicts``
+    call.  Any other slice, including one so
     large that ``C^T C`` overflows, takes the Denman-Beavers root of
     :func:`_denman_beavers_roots`, confirmed by a second call.
     """
@@ -432,18 +513,25 @@ def _principal_roots(a: np.ndarray, tol: Tolerance) -> tuple:
 
 
 def _denman_beavers_roots(a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The Denman-Beavers square root of each slice of a ``(k, n, n)`` stack.
+    """The Denman-Beavers square root of each slice of a ``(k, n, n)`` stack,
+    NaN where an iterate is exactly singular, as on an exact cut-locus point
+    (an eigenvalue -1)."""
+    return _nan_where_singular(lambda s: _sqrt_denman_beavers(s, tol), a)
 
-    An iterate is exactly singular on an exact cut-locus point (an
-    eigenvalue -1), which fails the stacked inversion; the slices are then
-    taken one at a time, and such a slice comes back filled with NaN.
+
+def _nan_where_singular(fn, *stacks: np.ndarray) -> np.ndarray:
+    """``fn`` of ``(k, n, n)`` stacks, slice by slice in its result.
+
+    An exactly singular slice fails a stacked LAPACK call in ``fn``; the
+    slices are then taken one at a time, and such a slice comes back
+    filled with NaN.
     """
     try:
-        return _sqrt_denman_beavers(a, tol)
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(a.shape, np.nan)
-        return np.concatenate([_denman_beavers_roots(s[None], tol) for s in a])
+        if len(stacks[0]) == 1:
+            return np.full(stacks[-1].shape, np.nan)
+        return np.concatenate([_nan_where_singular(fn, *(s[i : i + 1] for s in stacks)) for i in range(len(stacks[0]))])
 
 
 def _svd_cut(a: np.ndarray, tol: Tolerance):
@@ -464,9 +552,13 @@ def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Singular values within the tolerance at scale ``sigma_max`` count as zero;
     ``k = n - numerical_rank(a)``.  An empty matrix (no rows) has full kernel.
     """
-    a = as_matrix(a)
-    n = a.shape[1]
+    return _kernel_rows(as_matrix(a), tol).T.copy()
+
+
+def _kernel_rows(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # the unchecked body of nullspace, for 2-D arrays the package computed:
+    # the kernel basis as orthonormal rows
     if a.shape[0] == 0:
-        return np.eye(n)
+        return np.eye(a.shape[1])
     _, vt, rank = _svd_cut(a, tol)
-    return vt[rank:].T.copy()
+    return vt[rank:]

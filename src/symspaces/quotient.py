@@ -21,7 +21,7 @@ from .lts import (
     ideal_ker_psi_plus_n,
     is_ideal,
 )
-from .numkernel import _principal_roots, _svd_cut, nullspace
+from .numkernel import _kernel_rows, _principal_roots, _svd_cut
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -185,7 +185,7 @@ class PointProjection:
             c = cartans[start:start + self.block]
             # column b of point i: the complement coordinates of Ad(C_i) applied to comp[b]
             moved = c[:, None] @ self.comp_mats @ np.linalg.inv(c)[:, None]
-            coords = self.source.matrix_coords(moved.reshape(-1, n, n)).reshape(len(c), d_out, -1)
+            coords = self.source._algebra_coords(moved.reshape(-1, n, n)).reshape(len(c), d_out, -1)
             out.append(self.comp @ coords.transpose(0, 2, 1))
         return Points._wrap(self.target, np.concatenate(out))
 
@@ -283,7 +283,7 @@ def quotient_theorem_pipeline(
     p_out, m_out = comp_plus.shape[0], comp_minus.shape[0]
 
     stacked = _ad_ql(g_alg, comp, np.eye(d)).reshape(d, -1)  # row per basis vector
-    kernel = LinearSubspace._wrap(d, nullspace(stacked.T, tol).T)
+    kernel = LinearSubspace._wrap(d, _kernel_rows(stacked.T, tol))
     faith_resid = max((float(np.linalg.norm(op)) for op in _ad_ql(g_alg, comp, l_alg.basis)), default=0.0)
     if not kernel.equals(l_alg, tol):
         raise FaithfulnessError(
@@ -364,8 +364,8 @@ def weak_submersion_check(
     project = qr.projection_points
     a = qr.projection_algebra
     m_out = qr.quotient_pair.dim_minus
-    ker = LinearSubspace._wrap(pair.dim_minus, nullspace(a, tol).T)
-    ok = _svd_cut(a, tol)[2] == m_out and ker.equals(qr.relation.n_minus, tol)
+    ker = LinearSubspace._wrap(pair.dim_minus, _kernel_rows(a, tol))
+    ok = pair.dim_minus - ker.dim == m_out and ker.equals(qr.relation.n_minus, tol)  # rank(a) = dim_minus - dim ker(a)
 
     uv = 0.2 * rng.standard_normal((2, samples, pair.dim_minus))
     flipped = np.flatnonzero(rng.uniform(size=samples) < 0.3)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lts import LinearSubspace, VerificationError, is_subsystem
-from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, nullspace
+from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _kernel_rows
 from .symspace import (
     Points,
     SymMorphism,
@@ -126,13 +126,13 @@ class ReflectionSubspace:
             if self.automorphism is None:
                 raise ValueError("fixed-point subspace without an automorphism")
             a = self.automorphism.minus_map
-            return LinearSubspace._wrap(m, nullspace(a - np.eye(m), tol).T)
+            return LinearSubspace._wrap(m, _kernel_rows(a - np.eye(m), tol))
         if self.kind == "preimage":
             f, n2 = self.backing
             comp = n2.complement().basis  # rows spanning the complement of n2
             if comp.shape[0] == 0:
                 return LinearSubspace.full(m)
-            return LinearSubspace._wrap(m, nullspace(comp @ f.minus_map, tol).T)
+            return LinearSubspace._wrap(m, _kernel_rows(comp @ f.minus_map, tol))
         if self.kind == "algebraic":
             if self.constraints is None:
                 raise ValueError("algebraic subspace without constraints")
@@ -141,7 +141,7 @@ class ReflectionSubspace:
             values = _residuals(self.constraints, exp_points(self.pair, steps).cartans)
             jac = ((values[0::2] - values[1::2]) / (2.0 * h)).T
             fd_tol = Tolerance(max(tol.abs_eps, JACOBIAN_ABS_FLOOR), max(tol.rel_eps, JACOBIAN_REL_FLOOR))
-            return LinearSubspace._wrap(m, nullspace(jac, fd_tol).T)
+            return LinearSubspace._wrap(m, _kernel_rows(jac, fd_tol))
         raise ValueError(f"unknown subspace kind {self.kind!r}")
 
     def descriptor(self) -> dict:

@@ -22,6 +22,7 @@ from .numkernel import (
     DomainError,
     Tolerance,
     _frobenius,
+    _mat_exp_stack,
     as_matrix,
     mat_exp,
     mat_log,
@@ -122,15 +123,24 @@ def _pinv(mats: np.ndarray) -> np.ndarray:
     return pinv
 
 
+_NOT_IN_ALGEBRA = "does not lie in the algebra"
+
+
 def _coords(mats: np.ndarray, pinv: np.ndarray, x, tol: Tolerance, outside: str) -> np.ndarray:
     """Coordinates of a matrix, or of each matrix of a ``(k, n, n)`` stack, in
     the basis ``mats``; the first matrix that fails its residual test raises."""
     x = as_matrix(x, square=True, stack=True)
-    coords, errors = _coords_each(mats, pinv, x if x.ndim == 3 else x[None], tol, outside)
+    coords = _coords_stack(mats, pinv, x if x.ndim == 3 else x[None], tol, outside)
+    return coords if x.ndim == 3 else coords[0]
+
+
+def _coords_stack(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Tolerance, outside: str) -> np.ndarray:
+    # the unchecked body of _coords, for a finite (k, n, n) stack the package computed
+    coords, errors = _coords_each(mats, pinv, x, tol, outside)
     for exc in errors:
         if exc is not None:
             raise exc
-    return coords if x.ndim == 3 else coords[0]
+    return coords
 
 
 def _coords_each(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Tolerance, outside: str):
@@ -209,7 +219,12 @@ class MatrixSymmetricPair:
         the cached pseudo-inverse of the basis, bit for bit its single call,
         and must pass the residual check on its own.
         """
-        return _coords(self.basis_mats, self._basis_pinv, x, self.tol, "does not lie in the algebra")
+        return _coords(self.basis_mats, self._basis_pinv, x, self.tol, _NOT_IN_ALGEBRA)
+
+    def _algebra_coords(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`matrix_coords` of a finite ``(k, n, n)`` stack the package
+        computed, unchecked."""
+        return _coords_stack(self.basis_mats, self._basis_pinv, x, self.tol, _NOT_IN_ALGEBRA)
 
     def minus_to_matrix(self, v) -> np.ndarray:
         """The g_minus element of a coordinate vector, or one per row of a ``(k, dim_minus)`` stack."""
@@ -240,7 +255,7 @@ class MatrixSymmetricPair:
         d, b = self.dim, self.basis_mats
         i, j = np.triu_indices(d, 1)
         try:
-            c = self.matrix_coords(b[i] @ b[j] - b[j] @ b[i])  # one row per i < j
+            c = self._algebra_coords(b[i] @ b[j] - b[j] @ b[i])  # one row per i < j
         except ValueError as exc:
             raise VerificationError(f"algebra basis is not closed under commutator: {exc}")
         t = np.zeros((d, d, d))
@@ -286,8 +301,8 @@ class MatrixSymmetricPair:
         out["eigenspace_brackets"] = float(off.max(initial=0.0))
 
         ts, b, theta_b = (0.05, 0.3), self.basis_mats, self.sigma.derivative(self.basis_mats)
-        lhs = self.sigma.apply(mat_exp(np.concatenate([t * b for t in ts]), self.tol))
-        rhs = mat_exp(np.concatenate([t * theta_b for t in ts]), self.tol)
+        lhs = self.sigma.apply(_mat_exp_stack(np.concatenate([t * b for t in ts])))
+        rhs = _mat_exp_stack(np.concatenate([t * theta_b for t in ts]))
         out["sigma_exp_theta"] = _max_norm(lhs - rhs)
 
         g = self._random_elements(rng or np.random.default_rng(0), samples, 2, 0.5)
@@ -312,7 +327,7 @@ class MatrixSymmetricPair:
         """The products exp(w_1)...exp(w_letters) of a ``(count, letters, dim)``
         stack of coordinate words, from one stacked exponential."""
         count, letters, n = words.shape[0], words.shape[1], self.ambient_n
-        exps = mat_exp(self.to_matrix(words.reshape(count * letters, self.dim)), self.tol)
+        exps = _mat_exp_stack(self.to_matrix(words.reshape(count * letters, self.dim)))
         return _word_products(exps.reshape(count, letters, n, n))
 
     def to_json(self) -> dict:
@@ -483,8 +498,8 @@ class PairMorphism:
         if self.group_rule is not None and src.dim:
             ts = (0.1, 0.7)
             images = tgt.to_matrix(a.T)
-            lhs = mat_exp(np.concatenate([t * src.basis_mats for t in ts]), src.tol)
-            rhs = mat_exp(np.concatenate([t * images for t in ts]), tgt.tol)
+            lhs = _mat_exp_stack(np.concatenate([t * src.basis_mats for t in ts]))
+            rhs = _mat_exp_stack(np.concatenate([t * images for t in ts]))
             ray = _max_norm(self._map_group(lhs) - rhs)
         out["group_exp"] = ray
         out["max_residual"] = max(out.values()) if out else 0.0

@@ -30,6 +30,7 @@ from .numkernel import (
     DomainError,
     _close_gaps,
     _frobenius,
+    _mat_exp_stack,
     _mat_log_stack,
     as_matrix,
     mat_exp,
@@ -258,9 +259,13 @@ def exp_point(pair: MatrixSymmetricPair, v) -> SymPoint:
 
 def exp_points(pair: MatrixSymmetricPair, vs) -> Points:
     """The exponential of each g_minus coordinate vector, from one stacked
-    ``minus_to_matrix`` call and one stacked ``mat_exp``."""
+    ``minus_to_matrix`` call and one stacked ``mat_exp``; a vector whose
+    matrix is not finite raises ``ValueError``."""
     # Cartan image of exp(v) is exp(2v): sigma(exp(x)) = exp(-x) on g_minus
-    return Points._wrap(pair, mat_exp(2.0 * _minus_mats(pair, vs), pair.tol))
+    x = 2.0 * _minus_mats(pair, vs)
+    if not np.isfinite(x).all():
+        raise ValueError("matrix entries must be finite")
+    return Points._wrap(pair, _mat_exp_stack(x))
 
 
 def _minus_mats(pair: MatrixSymmetricPair, vs) -> np.ndarray:

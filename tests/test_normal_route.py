@@ -1,14 +1,22 @@
 """The two routes of ``mat_log`` and of the chart relation's principal root.
 
 A matrix that passes the normality gate (every catalog Cartan matrix does)
-takes the polar/Cayley split of ``numkernel._normal_parts``, two stacked
-``eigh`` calls; any other matrix takes the Denman-Beavers roots.  Values
-are judged against scipy's ``logm``/``sqrtm`` where the input is well
-conditioned and against closed forms on diagonal spd and rotation blocks.
+takes the polar/Cayley split of ``numkernel._normal_parts``: a polar factor
+that is the identity up to rounding (``P`` of an orthogonal Cartan matrix,
+``U`` of a symmetric one) takes its two-term series, the other one a stacked
+``eigh``; any other matrix takes the Denman-Beavers roots.  Values are
+judged against scipy's ``logm``/``sqrtm`` where the input is well
+conditioned, against closed forms on diagonal spd and rotation blocks, and
+against ``mpmath`` at 50 digits on either side of the series threshold.
 The chart domain stays the ball ``|C - I|_2 < 1``: on a fixed sample set
-the decided shares are those of the Denman-Beavers-only kernel.
+the decided shares are those of the Denman-Beavers-only kernel, and on the
+edge of the ball each verdict is the SVD's.  A spy holds the LAPACK budget
+of the chart kernel on ``chart_queries``.
 """
 
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +28,7 @@ from oracles import (
     close_logs,
     count_calls,
     oracle_log,
+    oracle_log_and_roots,
     oracle_relates_group,
     oracle_sqrt,
     passes_the_gate,
@@ -298,3 +307,135 @@ def test_the_chart_domain_is_the_ball(spec):
         for x, log, w in zip(points, logs, v):
             assert (log is not None) == (op_norm(x.cartan - np.eye(pair.ambient_n)) < 1.0)
             assert log is None or np.allclose(log, w, rtol=0.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the trivial polar factor and the ball, without LAPACK where they can be
+
+
+def rotation3(theta):
+    return scipy.linalg.block_diag(rotation(theta), [[1.0]])
+
+
+def mpmath_fn(a, fn):
+    # fn of a matrix at 50 digits, rounded to float64
+    with mpmath.workdps(50):
+        return np.array(fn(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def series_flags(a):
+    # whether P and U of each slice take their series
+    p, _, q = numkernel._normal_parts(a)[0]
+    return p.series.tolist(), q.series.tolist()
+
+
+def assert_log_and_root_are_mpmaths(c):
+    log, root = mat_log(c), _principal_roots(c[None], DEFAULT_TOL)
+    assert close_logs(log, mpmath_fn(c, mpmath.logm), 1e-15)
+    assert close_logs(root[0][0], mpmath_fn(c, mpmath.sqrtm), 1e-15) and root[1].tolist() == [True]
+    assert close_logs(log, oracle_log_and_roots(c)[0], 1e-14)
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_a_rotation_at_the_series_threshold_of_p(scale):
+    # R diag(1 + t, 1 + t, 1 - t) with |C^T C - I|_F just below or above 2^-20
+    t = scale * 2.0**-20 / (2.0 * np.sqrt(3.0))
+    c = rotation3(0.5) @ np.diag([1.0 + t, 1.0 + t, 1.0 - t])
+    assert series_flags(c[None]) == ([scale < 1.0], [False])
+    assert_log_and_root_are_mpmaths(c)
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.01])
+def test_an_spd_matrix_at_the_series_threshold_of_u(scale):
+    # diag(1.5, 1.5, 0.7) turned by theta in the plane of its double
+    # eigenvalue: K^T K = tan^2(theta/2) I_2, of norm just below or above 2^-40
+    theta = 2.0 * np.arctan(np.sqrt(scale * 2.0**-40 / np.sqrt(2.0)))
+    c = rotation3(theta) @ np.diag([1.5, 1.5, 0.7])
+    assert series_flags(c[None]) == ([False], [scale < 1.0])
+    assert_log_and_root_are_mpmaths(c)
+
+
+def test_a_stack_mixes_the_series_and_eigh_slice_by_slice(chart_models):
+    # each slice of a stack of spd and sphere points is the bits of its own call
+    stack = np.concatenate([cartan_stack(chart_models[spec].pair, 2, [0.0, 0.2, 0.4]) for spec in ("spd(3)", "sphere(2)")])
+    p_series, u_series = series_flags(stack)
+    assert p_series == [True, False, False, True, True, True] and u_series == [True, True, True, True, False, False]
+    logs, (roots, rooted) = mat_log(stack), _principal_roots(stack, DEFAULT_TOL)
+    assert rooted.all()
+    for a, log, root in zip(stack, logs, roots):
+        assert same_bits(log, mat_log(a)) and same_bits(root, _principal_roots(a[None], DEFAULT_TOL)[0][0])
+        assert close_logs(log, scipy.linalg.logm(a), 1e-14)
+
+
+def lapack_spy(mp, names):
+    """Count the slices of each ``numpy.linalg`` call made in ``numkernel``, for
+    the rest of the monkeypatch context."""
+    slices = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "symspaces.numkernel":
+                slices[_name] += len(a) if np.ndim(a) == 3 else 1
+            return _original(a, *args, **kwargs)
+
+        mp.setattr(np.linalg, name, counted)
+    return slices
+
+
+def edge_stack():
+    """Matrices ``I + D``, ``D = Q diag(sigma) R^T`` with ``sigma_max`` and
+    ``|D|_F`` within 1e-15 of 1 (before rounding), of rank 1 and of full
+    rank, in sizes 2 to 4."""
+    rng = np.random.default_rng(5)
+    stack = []
+    for n in (2, 3, 4):
+        for rest in (0.0, 1e-8):  # the other singular values: rank 1, or full rank
+            for delta in (-1e-15, -4e-16, -2e-16, 0.0, 2e-16, 4e-16, 1e-15):
+                q, r = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+                sigma = np.array([1.0 + delta] + [rest] * (n - 1))
+                d = q @ np.diag(sigma) @ r.T
+                assert abs(np.linalg.norm(d) - 1.0) <= 2e-15
+                stack.append(np.eye(n) + d)
+    return stack
+
+
+def test_the_ball_on_its_edge_is_the_svds():
+    # neither norm decides these slices, so each verdict is the SVD's
+    by_size = {}
+    for c in edge_stack():
+        by_size.setdefault(len(c), []).append(c)
+    for c in map(np.array, by_size.values()):
+        d = c - np.eye(c.shape[-1])  # the D that mat_log decides on
+        want = (np.linalg.svd(d, compute_uv=False).max(axis=-1) < 1.0).tolist()
+        assert True in want and False in want
+        with pytest.MonkeyPatch.context() as mp:
+            slices = lapack_spy(mp, ("svd",))
+            assert numkernel._in_ball(d) == want
+            assert slices["svd"] == len(d)
+        failed = numkernel._mat_log_stack(c, DEFAULT_TOL)[1]
+        assert [f != numkernel._LOG_DOMAIN for f in failed] == want
+
+
+def test_the_ball_off_its_edge_takes_one_norm():
+    # |D|_F < 1 decides the first slice and a column of norm above 1 the next
+    # two (a quarter turn: |D|_F = 2, |D|_2 = sqrt(2)); a turn by 0.9 has
+    # |D|_F = 1.23 and largest column 0.87 = |D|_2, so only it takes the SVD
+    d = np.array([0.3 * rotation(0.3), np.diag([1.0 + 1e-9, 0.0]), rotation(np.pi / 2) - np.eye(2), rotation(0.9) - np.eye(2)])
+    with pytest.MonkeyPatch.context() as mp:
+        slices = lapack_spy(mp, ("svd",))
+        assert numkernel._in_ball(d) == [True, False, False, True]
+        assert slices["svd"] == 1
+    assert numkernel._in_ball(d) == (np.linalg.svd(d, compute_uv=False).max(axis=-1) < 1.0).tolist()
+
+
+def test_two_chart_queries_passes_keep_the_lapack_budget():
+    # 2,094 det, 4,188 eigh and 2,532 svd slices when every slice took both
+    # eigendecompositions, the Cayley solve's det and the ball's svd
+    case_bytes = load_case_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        slices = lapack_spy(mp, ("det", "eigh", "svd"))
+        for group in range(2):
+            case_bytes.run_cases("chart_queries", group)
+    assert slices["det"] == 0
+    assert 0 < slices["eigh"] <= 2000
+    assert 0 < slices["svd"] <= 450

@@ -182,6 +182,13 @@ class TestProducersAndConsumers:
         assert membership(xs) == [None] + membership(xs[1:])
         assert membership(xs[1:]) == [True]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_exp_points_checks_its_vectors(self, spd, bad):
+        # its exponential is the unchecked stacked body, so exp_points refuses a
+        # vector whose matrix is not finite itself, with the entry check's error
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="matrix entries must be finite"):
+            exp_points(spd.pair, [[0.1, 0.0, 0.0], [bad, 0.0, 0.0]])
+
     def test_a_morphism_without_a_group_rule(self, spd):
         f = spd.designated_morphisms[0].morphism
         rule_less = PairMorphism(
@@ -243,14 +250,11 @@ class TestProducersAndConsumers:
 
 # the public entry points that may check a matrix argument with as_matrix
 AS_MATRIX_CALLERS = {
-    "symspaces.numkernel.mat_exp",
     "symspaces.numkernel.mat_log",
-    "symspaces.numkernel.nullspace",
     "symspaces.lts.LinearSubspace.__post_init__",  # the public constructor
     "symspaces.sympair.SigmaRule.__post_init__",
     "symspaces.sympair.SigmaRule.apply",
     "symspaces.sympair.SigmaRule.derivative",
-    "symspaces.sympair._coords",  # the body of matrix_coords and matrix_to_minus
     "symspaces.sympair.PairMorphism.map_group",
     "symspaces.sympair.group_sigma",
     "symspaces.symspace.SymPoint.from_group",

@@ -219,7 +219,7 @@ class TestInverseMap:
 def map_calls(monkeypatch):
     """``(method, ndim of the argument)`` of every coordinate-map call."""
     calls = []
-    for name in ("to_matrix", "minus_to_matrix", "matrix_coords", "matrix_to_minus"):
+    for name in ("to_matrix", "minus_to_matrix", "matrix_coords", "_algebra_coords", "matrix_to_minus"):
         real = getattr(MatrixSymmetricPair, name)
 
         def spy(self, x, _real=real, _name=name):
@@ -245,8 +245,9 @@ def test_cli_verbs_map_stacks(map_calls, argv):
         assert cli.main(argv) == 0
     forward = [d for name, d in map_calls if name in ("to_matrix", "minus_to_matrix")]
     assert forward and all(d == 2 for d in forward), forward
-    # matrix_coords always takes a stack; a single matrix_to_minus is a chart log or the bracket target
-    assert all(d == 3 for name, d in map_calls if name == "matrix_coords")
+    # matrix_coords and its unchecked body always take a stack; a single
+    # matrix_to_minus is a chart log or the bracket target
+    assert all(d == 3 for name, d in map_calls if name in ("matrix_coords", "_algebra_coords"))
 
 
 def test_chain_identity_makes_two_stacked_maps(coord_pairs, map_calls):
@@ -260,8 +261,8 @@ def test_chain_identity_makes_two_stacked_maps(coord_pairs, map_calls):
 
 def test_sphere_circle_reflection_is_one_solve(map_calls):
     parse_model("sphere(2)").subspace_by_name("great_circle")  # built on request
-    assert [d for name, d in map_calls if name == "matrix_coords"] and all(
-        d == 3 for name, d in map_calls if name == "matrix_coords"
+    assert [d for name, d in map_calls if name == "_algebra_coords"] and all(
+        d == 3 for name, d in map_calls if name in ("matrix_coords", "_algebra_coords")
     )
 
 
