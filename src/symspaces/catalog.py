@@ -42,9 +42,11 @@ MODEL_NAMES = ("sphere", "spd", "grassmann", "torus_abelian", "product")
 SQRT2 = math.sqrt(2.0)
 # The lattice search of the torus relation: two points are related when a
 # shift within this winding brings their discrepancy within thresh of the line.
+# Fixed: the search does not follow the run's tolerance.
 TORUS_RELATION_GRID = {"winding": 200000, "thresh": 1e-8}
 # The default of the dense line's float membership: a point is on the line
 # when a lattice shift brings its half-angles within this distance of it.
+# Fixed: the float membership does not follow the run's tolerance.
 TORUS_MEMBER_THRESH = 1e-9
 
 
@@ -363,7 +365,7 @@ def _sphere_circle(pair: MatrixSymmetricPair, name: str):
         group_rule=lambda gs: d @ gs @ d, label="reflection",
     )
     circle = fixed_point_subspace(pair, sym_morphism(auto), label="great_circle")
-    seed = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
+    seed = LinearSubspace._span(np.eye(pair.dim_minus)[:1], pair.dim_minus, pair.tol)
     return DesignatedSubspace("great_circle", seed, circle, is_ideal=False, is_symmetric=True)
 
 
@@ -376,7 +378,7 @@ def _spd_designated(pair: MatrixSymmetricPair, n: int, name: str):
 
         offdiag.constraint_name = "cartan_offdiagonal_zero"
         diag_space = algebraic_subspace(pair, offdiag, label="diagonal")
-        diag_seed = LinearSubspace(m, np.eye(m)[:n])  # the n diagonal directions
+        diag_seed = LinearSubspace._span(np.eye(m)[:n], m, pair.tol)  # the n diagonal directions
         return DesignatedSubspace("diagonal", diag_seed, diag_space, is_ideal=False, is_symmetric=True)
 
     def scalar(cartans: np.ndarray) -> np.ndarray:
@@ -386,7 +388,7 @@ def _spd_designated(pair: MatrixSymmetricPair, n: int, name: str):
     scalar.constraint_name = "cartan_scalar"
     center_sub = algebraic_subspace(pair, scalar, label="center")
     # coordinates of the identity matrix: the n diagonal directions, normalized
-    center_seed = LinearSubspace._span((np.ones(n) / math.sqrt(n)).reshape(1, -1) @ np.eye(m)[:n], m)
+    center_seed = LinearSubspace._span((np.ones(n) / math.sqrt(n)).reshape(1, -1) @ np.eye(m)[:n], m, pair.tol)
     return DesignatedSubspace("center", center_seed, center_sub, is_ideal=True, is_symmetric=True)
 
 
@@ -399,16 +401,16 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice, name: st
 
         second_block_identity.constraint_name = "second_block_identity"
         axis = algebraic_subspace(pair, second_block_identity, label="axis_line")
-        axis_seed = LinearSubspace(m, np.array([[1.0, 0.0]]))
+        axis_seed = LinearSubspace._span(np.array([[1.0, 0.0]]), m, pair.tol)
         return DesignatedSubspace("axis_line", axis_seed, axis, is_ideal=True, is_symmetric=True)
 
     s = lattice.slope
-    dense_seed = LinearSubspace._span(np.array([[1.0, s]]) / math.hypot(1.0, s), m)
+    dense_seed = LinearSubspace._span(np.array([[1.0, s]]) / math.hypot(1.0, s), m, pair.tol)
 
     def dense_probes(radius: float, within):
         if within is None:
             return lattice.chart_witnesses(radius)
-        comp = LinearSubspace._span(np.array([[-s, 1.0]]), m)
+        comp = LinearSubspace._span(np.array([[-s, 1.0]]), m, pair.tol)
         if within.equals(comp, pair.tol):
             return lattice.complement_witnesses(radius)
         return []
@@ -428,7 +430,7 @@ def _torus_designated(pair: MatrixSymmetricPair, lattice: TorusLattice, name: st
 
 
 def _torus_relation(pair: MatrixSymmetricPair, lattice: TorusLattice) -> CongruenceRelation:
-    n = LinearSubspace._span(np.array([[1.0, lattice.slope]]), pair.dim_minus)
+    n = LinearSubspace._span(np.array([[1.0, lattice.slope]]), pair.dim_minus, pair.tol)
     l_full = pair.minus_subspace_to_full(n)
 
     def relates(xs, ys) -> list:
@@ -460,8 +462,8 @@ def _product_designated(pair, pa: MatrixSymmetricPair, pb: MatrixSymmetricPair, 
     if name == "diagonal":
         # the diagonal of equal-dimension factors is a triple subsystem only
         # when the factors' systems agree (not for spd(2) x sphere(3))
-        diag_seed = LinearSubspace(m, np.hstack([np.eye(m1), np.eye(m1)]) / SQRT2)
-        if not is_subsystem(lts_of_pair(pair), diag_seed, pair.tol):
+        diag_seed = LinearSubspace._span(np.hstack([np.eye(m1), np.eye(m1)]) / SQRT2, m, pair.tol)
+        if not is_subsystem(lts_of_pair(pair), diag_seed):
             return None
         return DesignatedSubspace("diagonal", diag_seed, None, is_ideal=False, is_symmetric=True)
     n_a, n_b = pa.ambient_n, pb.ambient_n
@@ -471,7 +473,7 @@ def _product_designated(pair, pa: MatrixSymmetricPair, pb: MatrixSymmetricPair, 
 
     right_block_identity.constraint_name = "right_block_identity"
     left_factor = algebraic_subspace(pair, right_block_identity, label="left_factor")
-    left_seed = LinearSubspace(m, np.eye(m)[:m1])
+    left_seed = LinearSubspace._span(np.eye(m)[:m1], m, pair.tol)
     return DesignatedSubspace("left_factor", left_seed, left_factor, is_ideal=True, is_symmetric=True)
 
 
@@ -548,7 +550,7 @@ def _identity_morphisms(pair: MatrixSymmetricPair) -> tuple:
 
 
 def _grassmann_line(pair: MatrixSymmetricPair, name: str) -> DesignatedSubspace:
-    seed = LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1])
+    seed = LinearSubspace._span(np.eye(pair.dim_minus)[:1], pair.dim_minus, pair.tol)
     return DesignatedSubspace("line", seed, None, is_ideal=False, is_symmetric=True)
 
 

@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
     try:
         model = _load_model(args.model, tol, args.params)
     except _DescriptorOnly as exc:
-        algebra = algebra_from_json(exc.data)
+        algebra = algebra_from_json(exc.data, tol)
         rep = check_lts_axioms(algebra).as_dict() if hasattr(algebra, "tensor") else algebra.validate()
         rep["ok"] = bool(rep["max_residual"] < VERIFY_GATE)
         _emit(_json_text(rep), args.out)

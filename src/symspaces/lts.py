@@ -88,12 +88,12 @@ class LinearSubspace:
         return sub
 
     @classmethod
-    def span(cls, vectors, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
+    def span(cls, vectors, ambient_dim: int, tol: Tolerance) -> "LinearSubspace":
         """Orthonormalized span of (possibly dependent) finite vectors."""
         return cls._span(as_matrix(np.atleast_2d(vectors)), ambient_dim, tol)
 
     @classmethod
-    def _span(cls, v: np.ndarray, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> "LinearSubspace":
+    def _span(cls, v: np.ndarray, ambient_dim: int, tol: Tolerance) -> "LinearSubspace":
         # the unchecked body of span, for 2-D arrays the package computed
         if v.size == 0:
             return cls.zero(ambient_dim)
@@ -127,7 +127,7 @@ class LinearSubspace:
     def distance(self, v: np.ndarray) -> float:
         return float(self.distances(v)[0])
 
-    def contains(self, v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def contains(self, v: np.ndarray, tol: Tolerance) -> bool:
         """Whether ``v`` lies in the subspace: ``tol.verdicts`` of its distance
         at the scale ``max(|v|, 1)``."""
         return self.contains_each(v, tol)[0]
@@ -150,31 +150,32 @@ class LinearSubspace:
         q = self.basis
         return np.linalg.norm(v - (v @ q.T) @ q, axis=-1)[:, 0]
 
-    def contains_each(self, vectors, tol: Tolerance = DEFAULT_TOL) -> list:
+    def contains_each(self, vectors, tol: Tolerance) -> list:
         """:meth:`contains` of each row of ``vectors``, bit for bit, as a list of bools."""
         v = self._rows(vectors)
         scale = np.maximum(_frobenius(v), 1.0)
         return tol.verdicts(self.distances(v), scale).tolist()
 
-    def contains_all(self, vectors, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def contains_all(self, vectors, tol: Tolerance) -> bool:
         """True iff every row lies in the subspace, each by the test of :meth:`contains`."""
         return all(self.contains_each(vectors, tol))
 
-    def contains_subspace(self, other: "LinearSubspace", tol: Tolerance = DEFAULT_TOL) -> bool:
+    def contains_subspace(self, other: "LinearSubspace", tol: Tolerance) -> bool:
         """Whether every row of ``other``'s orthonormal basis lies in the subspace."""
         return self.contains_all(other.basis, tol)
 
-    def equals(self, other: "LinearSubspace", tol: Tolerance = DEFAULT_TOL) -> bool:
+    def equals(self, other: "LinearSubspace", tol: Tolerance) -> bool:
         return self.dim == other.dim and self.contains_subspace(other, tol)
 
     def complement(self) -> "LinearSubspace":
-        """Orthogonal complement inside the ambient space."""
+        """Orthogonal complement inside the ambient space: the rows are
+        orthonormal, so it is the last rows of their SVD, with no rank cut."""
         if self.dim == 0:
             return LinearSubspace.full(self.ambient_dim)
-        return LinearSubspace._wrap(self.ambient_dim, _kernel_rows(self.basis, DEFAULT_TOL))
+        return LinearSubspace._wrap(self.ambient_dim, np.linalg.svd(self.basis)[2][self.dim :])
 
 
-def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> LinearSubspace:
+def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance) -> LinearSubspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return LinearSubspace._span(np.vstack([a.basis, b.basis]), a.ambient_dim, tol)
@@ -186,11 +187,13 @@ def subspace_sum(a: LinearSubspace, b: LinearSubspace, tol: Tolerance = DEFAULT_
 
 @dataclass(frozen=True, eq=False)
 class LieTripleSystem:
-    """Finite-dimensional real Lie triple system given by its tensor."""
+    """Finite-dimensional real Lie triple system given by its tensor; ``tol``
+    decides every subsystem, ideal and morphism test on it."""
 
     dim: int
     tensor: np.ndarray  # shape (d, d, d, d)
     label: str = ""
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         t = np.asarray(self.tensor, dtype=float)
@@ -222,7 +225,7 @@ class LtsAxiomReport:
     def max_residual(self) -> float:
         return max(self.antisymmetry, self.cyclic, self.derivation)
 
-    def passed(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def passed(self, tol: Tolerance) -> bool:
         return bool(tol.verdicts(self.max_residual, 0.0))
 
     def as_dict(self) -> dict:
@@ -279,17 +282,15 @@ def _basis_brackets(m: LieTripleSystem, a: np.ndarray, b: np.ndarray, c: np.ndar
     return t.transpose(2, 1, 0, 3).reshape(len(a) * len(b) * len(c), m.dim)
 
 
-def is_subsystem(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff [n, n, n] lies in n within tolerance."""
+def is_subsystem(m: LieTripleSystem, n: LinearSubspace) -> bool:
+    """True iff [n, n, n] lies in n within ``m.tol``."""
     if n.ambient_dim != m.dim:
         raise ValueError("subspace ambient dimension does not match the system")
-    if n.dim == 0:
-        return True
     q = n.basis
-    return n.contains_all(_basis_brackets(m, q, q, q), tol)
+    return n.contains_all(_basis_brackets(m, q, q, q), m.tol)
 
 
-def ideal_report(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> dict:
+def ideal_report(m: LieTripleSystem, n: LinearSubspace) -> dict:
     """Residuals of the ideal condition [n,m,m] <= n and its two consequences."""
     if n.ambient_dim != m.dim:
         raise ValueError("subspace ambient dimension does not match the system")
@@ -299,9 +300,6 @@ def ideal_report(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     def worst(a, b, c):
         return float(np.max(n.distances(_basis_brackets(m, a, b, c)), initial=0.0))
 
-    if n.dim == 0:
-        slot1 = worst(np.zeros((0, m.dim)), full, full)
-        return {"n_m_m": slot1, "m_n_m": 0.0, "m_m_n": 0.0}
     return {
         "n_m_m": worst(q, full, full),
         "m_n_m": worst(full, q, full),
@@ -309,53 +307,54 @@ def ideal_report(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT
     }
 
 
-def is_ideal(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff [n, m, m] lies in n; the two consequence slots are re-checked.
+def is_ideal(m: LieTripleSystem, n: LinearSubspace) -> bool:
+    """True iff [n, m, m] lies in n within ``m.tol``; the two consequence slots are re-checked.
 
     An ideal automatically satisfies [m,n,m] <= n and [m,m,n] <= n; if the
     primary condition holds but a consequence fails, the tensor or tolerance
     is inconsistent and a :class:`VerificationError` is raised.
     """
-    rep = ideal_report(m, n, tol)
-    primary, *consequences = tol.verdicts([rep["n_m_m"], rep["m_n_m"], rep["m_m_n"]], 1.0).tolist()
+    rep = ideal_report(m, n)
+    primary, *consequences = m.tol.verdicts([rep["n_m_m"], rep["m_n_m"], rep["m_m_n"]], 1.0).tolist()
     if primary and not all(consequences):
         raise VerificationError(f"ideal consequence slots failed: {rep}")
     return primary
 
 
-def quotient_lts(m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL):
+def quotient_lts(m: LieTripleSystem, n: LinearSubspace):
     """Quotient m/n on the orthogonal complement of an ideal n.
 
     Returns ``(quotient, projection)`` where the projection is a verified
     :class:`LtsMorphism` with kernel n.
     """
-    if not is_ideal(m, n, tol):
+    if not is_ideal(m, n):
         raise ValueError("quotient requires an ideal")
-    comp = n.complement().basis  # rows: chosen representatives of m/n
-    k = comp.shape[0]
-    proj = comp  # (k, d): coordinates of the class of a vector
-    tensor = (_basis_brackets(m, comp, comp, comp) @ proj.T).reshape((k,) * 4)
-    quot = LieTripleSystem(k, tensor, label=f"{m.label}/{n.dim}d" if m.label else "")
+    proj = n.complement().basis  # (k, d) rows: representatives of m/n, and the coordinates of a class
+    k = proj.shape[0]
+    tensor = (_basis_brackets(m, proj, proj, proj) @ proj.T).reshape((k,) * 4)
+    quot = LieTripleSystem(k, tensor, label=f"{m.label}/{n.dim}d" if m.label else "", tol=m.tol)
     morphism = LtsMorphism(source=m, target=quot, matrix=proj)
-    if not morphism.is_valid(tol):
+    if not morphism.is_valid():
         raise VerificationError("quotient projection failed the morphism check")
-    ker = LinearSubspace._wrap(m.dim, _kernel_rows(proj, tol))
-    if not ker.equals(n, tol):
+    ker = LinearSubspace._wrap(m.dim, _kernel_rows(proj, m.tol))
+    if not ker.equals(n, m.tol):
         raise VerificationError("projection kernel does not match the ideal")
     return quot, morphism
 
 
 def direct_sum_lts(a: LieTripleSystem, b: LieTripleSystem, label: str = "") -> LieTripleSystem:
+    if a.tol != b.tol:
+        raise ValueError("the summands carry different tolerances")
     d = a.dim + b.dim
     t = np.zeros((d, d, d, d))
     t[: a.dim, : a.dim, : a.dim, : a.dim] = a.tensor
     t[a.dim :, a.dim :, a.dim :, a.dim :] = b.tensor
-    return LieTripleSystem(d, t, label=label or f"{a.label}(+){b.label}")
+    return LieTripleSystem(d, t, label=label or f"{a.label}(+){b.label}", tol=a.tol)
 
 
 @dataclass(frozen=True, eq=False)
 class LtsMorphism:
-    """Linear map between Lie triple systems, checked on basis triples."""
+    """Linear map between Lie triple systems, checked on basis triples within ``source.tol``."""
 
     source: LieTripleSystem
     target: LieTripleSystem
@@ -378,9 +377,9 @@ class LtsMorphism:
             return 0.0
         return float(np.max(np.abs(mapped - direct)))
 
-    def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+    def is_valid(self) -> bool:
         scale = max(float(np.linalg.norm(self.matrix)) ** 3, 1.0)
-        return bool(tol.verdicts(self.residual(), scale))
+        return bool(self.source.tol.verdicts(self.residual(), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,8 @@ class LtsMorphism:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricLieAlgebra:
-    """Lie algebra with involution; tensor b[i,j,l] gives [e_i,e_j] = sum b l e_l."""
+    """Lie algebra with involution; tensor b[i,j,l] gives [e_i,e_j] = sum b l e_l.
+    ``tol`` decides every test on the algebra, and its :attr:`minus_lts` carries it."""
 
     dim: int
     bracket_tensor: np.ndarray  # (d, d, d)
@@ -397,6 +397,7 @@ class SymmetricLieAlgebra:
     plus_basis: LinearSubspace = field(repr=False)
     minus_basis: LinearSubspace = field(repr=False)
     label: str = ""
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         b = np.asarray(self.bracket_tensor, dtype=float)
@@ -409,13 +410,13 @@ class SymmetricLieAlgebra:
         object.__setattr__(self, "theta", th)
 
     @classmethod
-    def from_eigensplit(cls, bracket_tensor, theta, label: str = "", tol: Tolerance = DEFAULT_TOL):
-        """Build with eigenspaces computed from theta (theta^2 = id required)."""
+    def from_eigensplit(cls, bracket_tensor, theta, label: str = "", *, tol: Tolerance):
+        """Build with the eigenspaces of theta (theta^2 = id required) cut by ``tol``, which it carries."""
         th = np.asarray(theta, dtype=float)
         d = th.shape[0]
         plus = LinearSubspace._wrap(d, _kernel_rows(th - np.eye(d), tol))
         minus = LinearSubspace._wrap(d, _kernel_rows(th + np.eye(d), tol))
-        return cls(d, np.asarray(bracket_tensor, dtype=float), th, plus, minus, label)
+        return cls(d, np.asarray(bracket_tensor, dtype=float), th, plus, minus, label, tol)
 
     def ad(self, x) -> np.ndarray:
         """ad(x) = [x, .] as a (dim x dim) matrix."""
@@ -430,37 +431,35 @@ class SymmetricLieAlgebra:
         vals = np.tensordot(np.tensordot(left, self.bracket_tensor, axes=(1, 0)), right, axes=(1, 1))
         return vals.transpose(0, 2, 1)
 
-    def brackets_within(
-        self, left: np.ndarray, right: np.ndarray, sub: LinearSubspace, tol: Tolerance = DEFAULT_TOL
-    ) -> bool:
+    def brackets_within(self, left: np.ndarray, right: np.ndarray, sub: LinearSubspace) -> bool:
         """True iff [u, v] lies in ``sub`` for every row u of ``left`` and v of ``right``.
 
         With ``left = sub.basis`` and ``right`` the identity this is the
         Lie-ideal test; with both ``sub.basis``, subalgebra closure.
         """
-        return sub.contains_all(self.brackets(left, right).reshape(-1, self.dim), tol)
+        return sub.contains_all(self.brackets(left, right).reshape(-1, self.dim), self.tol)
 
     @cached_property
     def minus_lts(self) -> LieTripleSystem:
         """The Lie triple system [x, y, z] = [[x, y], z] on g_minus, in the
         coordinates of the rows of ``minus_basis.basis``.
 
-        Built once per algebra from the bracket tensor; raises
-        :class:`VerificationError` if a triple bracket leaves g_minus (at the
-        default :class:`Tolerance`).  The tensor is read-only.
+        Built once per algebra from the bracket tensor, and carrying its
+        ``tol``; raises :class:`VerificationError` if a triple bracket leaves
+        g_minus by ``tol``.  The tensor is read-only.
         """
         q = self.minus_basis.basis
         k = q.shape[0]
         vals = self.brackets(self.brackets(q, q).reshape(k * k, self.dim), q)  # [[q_a, q_b], q_c] at (a*k + b, c)
         coords = vals @ q.T
         resid = float(np.max(np.abs(vals - coords @ q), initial=0.0))
-        if not DEFAULT_TOL.verdicts(resid, max(float(np.max(np.abs(vals), initial=0.0)), 1.0)):
+        if not self.tol.verdicts(resid, max(float(np.max(np.abs(vals), initial=0.0)), 1.0)):
             raise VerificationError("triple bracket leaves the (-1)-eigenspace")
         tensor = coords.reshape((k,) * 4)
         tensor.flags.writeable = False
-        return LieTripleSystem(k, tensor, label=self.label)
+        return LieTripleSystem(k, tensor, label=self.label, tol=self.tol)
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> dict:
+    def validate(self) -> dict:
         """Residuals of antisymmetry, Jacobi, theta^2=id, theta automorphism,
         eigenspace correctness and spanning."""
         b, th, d = self.bracket_tensor, self.theta, self.dim
@@ -488,21 +487,20 @@ class SymmetricLieAlgebra:
         return out
 
 
-def standard_embedding(
-    m: LieTripleSystem, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
-) -> SymmetricLieAlgebra:
+def standard_embedding(m: LieTripleSystem, n: LinearSubspace) -> SymmetricLieAlgebra:
     """Symmetric Lie algebra h = [n,n] (+) n built from a triple subsystem.
 
     The plus part is the span of the inner maps D_{x,y} = [x,y,.] restricted
-    to n, the minus part is n itself, and theta is +1/-1 on the two parts.
+    to n, the minus part is n itself, and theta is +1/-1 on the two parts;
+    the algebra carries ``m.tol``.
     """
-    if not is_subsystem(m, n, tol):
+    if not is_subsystem(m, n):
         raise ValueError("standard embedding requires a triple subsystem")
     q = n.basis  # (k, d) rows
     k = q.shape[0]
     # D_{q_a,q_b} restricted to n, in q-coordinates: ops[a, b, c', c] = <q_c', [q_a, q_b, q_c]>
     ops = (_basis_brackets(m, q, q, q) @ q.T).reshape((k,) * 4).transpose(0, 1, 3, 2)
-    op_span = LinearSubspace._span(ops.reshape(k * k, k * k), k * k, tol)
+    op_span = LinearSubspace._span(ops.reshape(k * k, k * k), k * k, m.tol)
     r = op_span.dim
     p = op_span.basis  # rows: flattened operator basis
 
@@ -510,7 +508,7 @@ def standard_embedding(
         flat = mat.reshape(-1)
         coords = p @ flat
         resid = float(np.linalg.norm(flat - p.T @ coords))
-        if not tol.verdicts(resid, max(np.linalg.norm(flat), 1.0)):
+        if not m.tol.verdicts(resid, max(np.linalg.norm(flat), 1.0)):
             raise VerificationError("operator escapes the inner-derivation span")
         return coords
 
@@ -532,39 +530,28 @@ def standard_embedding(
     theta = np.diag([1.0] * r + [-1.0] * k) if d else np.zeros((0, 0))
     plus, minus = LinearSubspace._wrap(d, np.eye(d)[:r]), LinearSubspace._wrap(d, np.eye(d)[r:])
     label = f"emb({m.label})" if m.label else ""
-    return SymmetricLieAlgebra(d, tensor, theta, plus, minus, label)
+    return SymmetricLieAlgebra(d, tensor, theta, plus, minus, label, m.tol)
 
 
 # ---------------------------------------------------------------------------
 # psi representation and the ideals driving the quotient theorem
 
 
-def _require_minus_subspace(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance):
-    if n.ambient_dim != g.dim:
-        raise ValueError("subspace must live in the algebra's coordinate space")
-    if not g.minus_basis.contains_all(n.basis, tol):
-        raise ValueError("subspace is not contained in the (-1)-eigenspace")
-
-
-def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance, message: str):
+def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, message: str):
     """Check that n is an ideal of the triple system :attr:`SymmetricLieAlgebra.minus_lts`.
 
     Returns the ``minus_basis`` rows ``q`` and n in their coordinates; raises
     ``ValueError(message)`` when n is no ideal.
     """
-    _require_minus_subspace(g, n, tol)
+    if n.ambient_dim != g.dim:
+        raise ValueError("subspace must live in the algebra's coordinate space")
+    if not g.minus_basis.contains_all(n.basis, g.tol):
+        raise ValueError("subspace is not contained in the (-1)-eigenspace")
     q = g.minus_basis.basis
-    n_m = LinearSubspace._span(n.basis @ q.T, q.shape[0], tol)
-    if not is_ideal(g.minus_lts, n_m, tol):
+    n_m = LinearSubspace._span(n.basis @ q.T, q.shape[0], g.tol)
+    if not is_ideal(g.minus_lts, n_m):
         raise ValueError(message)
     return q, n_m
-
-
-def _check_plus_generated(g: SymmetricLieAlgebra, tol: Tolerance):
-    q = g.minus_basis.basis
-    span = LinearSubspace._span(g.brackets(q, q).reshape(-1, g.dim), g.dim, tol)
-    if not span.equals(g.plus_basis, tol):
-        raise ValueError("hypothesis g_plus = span[g_minus, g_minus] is violated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,16 +563,15 @@ class PsiRepresentation:
     kernel: LinearSubspace  # subspace of g
 
 
-def psi_representation(
-    g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
-) -> PsiRepresentation:
+def psi_representation(g: SymmetricLieAlgebra, n: LinearSubspace) -> PsiRepresentation:
     """The induced representation g_plus -> gl(g_minus/n) and its kernel.
 
     Requires n to be an ideal of the triple system g_minus and the algebra
     to satisfy g_plus = span[g_minus, g_minus].
     """
-    q, n_m = _minus_ideal(g, n, tol, "psi requires an ideal of the triple system g_minus")
-    _check_plus_generated(g, tol)
+    q, n_m = _minus_ideal(g, n, "psi requires an ideal of the triple system g_minus")
+    if not LinearSubspace._span(g.brackets(q, q).reshape(-1, g.dim), g.dim, g.tol).equals(g.plus_basis, g.tol):
+        raise ValueError("hypothesis g_plus = span[g_minus, g_minus] is violated")
 
     # quotient coordinates: complement of n inside g_minus (rows in g-coords)
     comp_m = n_m.complement().basis  # in minus coords
@@ -600,52 +586,46 @@ def psi_representation(
         kernel = LinearSubspace.zero(g.dim)
     else:
         stacked = np.array([op.reshape(-1) for op in ops])  # one row per plus vector
-        ker_coeff = _kernel_rows(stacked.T, tol)  # rows: coefficient vectors
-        kernel = LinearSubspace._span(ker_coeff @ g.plus_basis.basis, g.dim, tol)
+        ker_coeff = _kernel_rows(stacked.T, g.tol)  # rows: coefficient vectors
+        kernel = LinearSubspace._span(ker_coeff @ g.plus_basis.basis, g.dim, g.tol)
     return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel)
 
 
-def _verify_theta_invariant_ideal(
-    g: SymmetricLieAlgebra, l: LinearSubspace, tol: Tolerance, what: str
-) -> None:
-    if not l.contains_all(l.basis @ g.theta.T, tol):
+def _verify_theta_invariant(g: SymmetricLieAlgebra, sub: LinearSubspace, right: np.ndarray, what: str) -> None:
+    """Raise unless ``sub`` is theta-invariant and holds [u, v] for every row u
+    of its basis and v of ``right``: a Lie ideal for the identity, a
+    subalgebra for ``sub.basis``."""
+    if not sub.contains_all(sub.basis @ g.theta.T, g.tol):
         raise VerificationError(f"{what} is not theta-invariant")
-    if not g.brackets_within(l.basis, np.eye(g.dim), l, tol):
-        raise VerificationError(f"{what} is not a Lie ideal")
+    if not g.brackets_within(sub.basis, right, sub):
+        closed = "a subalgebra" if right is sub.basis else "a Lie ideal"
+        raise VerificationError(f"{what} is not {closed}")
 
 
-def ideal_ker_psi_plus_n(
-    g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
-) -> LinearSubspace:
+def ideal_ker_psi_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSubspace:
     """The theta-invariant Lie ideal ker(psi) (+) n inside g, re-verified."""
-    rep = psi_representation(g, n, tol)
-    l = subspace_sum(rep.kernel, n, tol)
-    _verify_theta_invariant_ideal(g, l, tol, "ker(psi) + n")
+    l = subspace_sum(psi_representation(g, n).kernel, n, g.tol)
+    _verify_theta_invariant(g, l, np.eye(g.dim), "ker(psi) + n")
     return l
 
 
-def ideal_bracket_plus_n(
-    g: SymmetricLieAlgebra, n: LinearSubspace, tol: Tolerance = DEFAULT_TOL
-) -> LinearSubspace:
+def ideal_bracket_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSubspace:
     """The theta-invariant Lie ideal span[g_minus, n] (+) n, re-verified."""
-    q, _ = _minus_ideal(g, n, tol, "requires an ideal of the triple system g_minus")
-    span = LinearSubspace._span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, tol)  # rows [q_a, n_b]
-    l = subspace_sum(span, n, tol)
-    _verify_theta_invariant_ideal(g, l, tol, "span[g_minus, n] + n")
+    q, _ = _minus_ideal(g, n, "requires an ideal of the triple system g_minus")
+    span = LinearSubspace._span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, g.tol)  # rows [q_a, n_b]
+    l = subspace_sum(span, n, g.tol)
+    _verify_theta_invariant(g, l, np.eye(g.dim), "span[g_minus, n] + n")
     return l
 
 
-def displacement_algebra(g: SymmetricLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> LinearSubspace:
+def displacement_algebra(g: SymmetricLieAlgebra) -> LinearSubspace:
     """The subalgebra span[g_minus, g_minus] (+) g_minus of g.
 
     Verified to be a theta-invariant subalgebra before returning.
     """
     q = g.minus_basis.basis
-    sub = LinearSubspace._span(np.vstack([g.brackets(q, q).reshape(-1, g.dim), g.minus_basis.basis]), g.dim, tol)
-    if not sub.contains_all(sub.basis @ g.theta.T, tol):
-        raise VerificationError("displacement algebra is not theta-invariant")
-    if not g.brackets_within(sub.basis, sub.basis, sub, tol):
-        raise VerificationError("displacement algebra is not a subalgebra")
+    sub = LinearSubspace._span(np.vstack([g.brackets(q, q).reshape(-1, g.dim), q]), g.dim, g.tol)
+    _verify_theta_invariant(g, sub, sub.basis, "displacement algebra")
     return sub
 
 
@@ -674,15 +654,17 @@ def algebra_to_json(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def algebra_from_json(data: dict):
+def algebra_from_json(data: dict, tol: Tolerance = DEFAULT_TOL):
+    """The LieTripleSystem or SymmetricLieAlgebra of a descriptor, carrying ``tol``."""
     kind = data.get("kind")
     labels = data.get("labels") or [""]
     if kind == "lts":
-        return LieTripleSystem(int(data["dim"]), np.asarray(data["tensor"], dtype=float), labels[0])
+        return LieTripleSystem(int(data["dim"]), np.asarray(data["tensor"], dtype=float), labels[0], tol)
     if kind == "symmetric_lie_algebra":
         return SymmetricLieAlgebra.from_eigensplit(
             np.asarray(data["tensor"], dtype=float),
             np.asarray(data["theta"], dtype=float),
             labels[0],
+            tol=tol,
         )
     raise ValueError(f"unknown descriptor kind {kind!r}")

@@ -147,7 +147,7 @@ def _pade13(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(v - u, v + u)
 
 
-def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def mat_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Padé-13 core.
 
     Relative accuracy near unit roundoff for ``norm(a) <= 50``; raises
@@ -227,7 +227,7 @@ _LOG_DOMAIN = "matrix outside the principal-branch domain |a - I| < 1"
 _LOG_DIVERGED = "square-root reduction failed to converge"
 
 
-def mat_log(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def mat_log(a, tol: Tolerance) -> np.ndarray:
     """Principal matrix logarithm on the ball ``op_norm(a - I) < 1``.
 
     Two routes, chosen per matrix by the normality gate of
@@ -542,11 +542,11 @@ def _svd_cut(a: np.ndarray, tol: Tolerance):
     return sing, vt, rank
 
 
-def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
+def numerical_rank(a, tol: Tolerance) -> int:
     return _svd_cut(as_matrix(a), tol)[2]  # _svd_cut is the unchecked body, for package arrays
 
 
-def nullspace(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def nullspace(a, tol: Tolerance) -> np.ndarray:
     """Orthonormal kernel basis as the columns of an ``(n, k)`` array.
 
     Singular values within the tolerance at scale ``sigma_max`` count as zero;

@@ -38,12 +38,12 @@ from .symspace import (
     _block_size,
     _point_columns,
     _scattered,
+    _tau_actions,
     exp_points,
     log_points,
     lts_of_pair,
     mu_points,
     same_points,
-    tau_actions,
 )
 
 __all__ = [
@@ -97,7 +97,7 @@ def normal_lts_is_ideal(n_space: ReflectionSubspace) -> bool:
     """Extract the subspace's system and test the ideal condition in the ambient."""
     pair = n_space.pair
     n = lts_of_subspace(n_space)
-    return is_ideal(lts_of_pair(pair), n, pair.tol)
+    return is_ideal(lts_of_pair(pair), n)
 
 
 class ChartRelation:
@@ -145,9 +145,9 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
     their Cartan discrepancy lands (chart-locally) in n after projection,
     i.e. vanishes in g_minus/n.
     """
-    if not is_ideal(lts_of_pair(pair), n, pair.tol):
+    if not is_ideal(lts_of_pair(pair), n):
         raise ValueError("congruence requires an ideal of the pair's triple system")
-    l_alg = ideal_bracket_plus_n(pair.algebra(), pair.minus_subspace_to_full(n), pair.tol)
+    l_alg = ideal_bracket_plus_n(pair.algebra(), pair.minus_subspace_to_full(n))
     return CongruenceRelation(
         pair=pair,
         l_algebra=l_alg,
@@ -265,7 +265,7 @@ def quotient_theorem_pipeline(
 
     g_alg = pair.algebra()
     n_full = pair.minus_subspace_to_full(n)
-    l_alg = ideal_ker_psi_plus_n(g_alg, n_full, tol)
+    l_alg = ideal_ker_psi_plus_n(g_alg, n_full)
     if not l_alg.contains_subspace(relation.l_algebra, tol):
         raise ValueError("internal: span[g-,n]+n escaped ker(psi)+n")
 
@@ -383,7 +383,7 @@ def weak_submersion_check(
         moved = (flipped[lo:hi] - start).tolist()
         points = exp_points(pair, uv[:, start:stop].reshape(2 * count, pair.dim_minus))
         x0s, ys = points[:count], points[count:]
-        translated = tau_actions(pair, pair._elements_from_words(words[lo:hi]), x0s[moved])
+        translated = _tau_actions(pair, pair._elements_from_words(words[lo:hi]), x0s[moved])
         xs = _scattered(x0s, moved, translated)
         products = mu_points(xs, ys)
 
@@ -439,7 +439,7 @@ def relation_closure_check(
     shrink = np.concatenate([[0.0], 0.2 / 2.0 ** np.arange(steps)])
     gs = pair.exp(pair.to_matrix((shrink[:, None] * directions[:, None]).reshape(-1, pair.dim)))
     index = np.repeat(np.arange(samples), steps + 1)
-    lefts, rights = tau_actions(pair, gs, xs[index]), tau_actions(pair, gs, ys[index])
+    lefts, rights = _tau_actions(pair, gs, xs[index]), _tau_actions(pair, gs, ys[index])
     escapes = "limit of a related sequence escapes the relation"
     witnesses = (["constructed related pair rejected"] + ["tau translate left the relation"] * steps) * samples
     for seq, (lx, ly) in relation.sequence_probes() if relation.sequence_probes is not None else []:

@@ -25,13 +25,13 @@ from .symspace import (
     _chart_logs,
     _raise_first,
     _scattered,
+    _tau_actions,
     cartan_distance,
     cartan_distances,
     exp_point,
     exp_points,
     lts_of_pair,
     mu_points,
-    tau_actions,
     trotter_bracket_sym,
     trotter_sum_sym,
 )
@@ -50,6 +50,7 @@ VERIFY_GATE = 1e-8
 # The tangent-product check of ``reflection_axiom_report`` reads a chart gap
 # at or below these floors as rounding: a gap <= QUADRATIC_GAP_FLOOR adds 0 to
 # the quadratic bound, and a Richardson ratio needs a gap above RICHARDSON_GAP_FLOOR.
+# Fixed: both are absolute gaps, which do not follow the run's tolerance.
 QUADRATIC_GAP_FLOOR = 1e-13
 RICHARDSON_GAP_FLOOR = 1e-12
 
@@ -67,7 +68,7 @@ def reflection_axiom_report(model: ModelDescriptor, rng: np.random.Generator, sa
             letters.append(0.3 * rng.standard_normal(pair.dim))
     points = exp_points(pair, vs)
     elements = pair._elements_from_words(np.reshape(letters, (len(letters), 1, pair.dim)))
-    points = _scattered(points, moved, tau_actions(pair, elements, points[moved]))
+    points = _scattered(points, moved, _tau_actions(pair, elements, points[moved]))
     # each axiom over all samples at once, one stacked product per mu of the per-sample law
     xs, ys, zs = points[0::3], points[1::3], points[2::3]
     xy = mu_points(xs, ys)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .lts import LinearSubspace, VerificationError, is_subsystem
-from .numkernel import DEFAULT_TOL, Tolerance, _frobenius, _kernel_rows
+from .numkernel import Tolerance, _frobenius, _kernel_rows
 from .symspace import (
     Points,
     SymMorphism,
@@ -55,9 +55,11 @@ CERTIFICATION_GRID = (0.1, -0.1, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 
 # Least absolute and relative tolerances of the nullspace cut of the algebraic
 # candidate's central-difference Jacobian, whose O(h^2) noise lies well above eps.
+# Derived from the run's tolerance: the cut takes each part of it, raised to its floor.
 JACOBIAN_ABS_FLOOR, JACOBIAN_REL_FLOOR = 1e-8, 1e-7
 # split_complement_criterion skips the samples and probe directions of F below
 # these norms: they stand for the base point, which every subspace holds.
+# Fixed: absolute norms, which do not follow the run's tolerance.
 COMPLEMENT_SAMPLE_FLOOR, COMPLEMENT_PROBE_FLOOR = 1e-6, 1e-12
 
 
@@ -259,7 +261,7 @@ def generate_integral(seed: LinearSubspace, pair: MatrixSymmetricPair) -> Reflec
     preimage lands in the seed; outside the chart domain the answer is
     ``None`` (unknown), never a guess.
     """
-    if not is_subsystem(lts_of_pair(pair), seed, pair.tol):
+    if not is_subsystem(lts_of_pair(pair), seed):
         raise ValueError("seed is not a triple subsystem")
     return ReflectionSubspace(
         pair=pair, membership=ChartMembership(pair, seed), kind="generated", label="generated_integral", seed=seed
@@ -287,7 +289,7 @@ def lts_of_subspace(n_space: ReflectionSubspace) -> LinearSubspace:
             raise CertificationError(
                 f"candidate ray failed membership at t={t}", witness=(v, t)
             )
-    if not is_subsystem(lts_of_pair(pair), cand, pair.tol):
+    if not is_subsystem(lts_of_pair(pair), cand):
         raise CertificationError("candidate is not a triple subsystem", witness=(cand.basis, None))
     return cand
 

@@ -71,12 +71,17 @@ class SigmaRule:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """sigma(g); a ``(k, n, n)`` stack maps slice by slice, each bit for bit the 2-D call."""
-        g = as_matrix(g, square=True, stack=True)
-        return self._conjugate(g if self.kind == "conjugation" else np.linalg.inv(g).swapaxes(-1, -2))
+        return self._apply(as_matrix(g, square=True, stack=True))
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
         """The induced Lie-algebra involution theta = L(sigma), also on a stack."""
-        x = as_matrix(x, square=True, stack=True)
+        return self._derivative(as_matrix(x, square=True, stack=True))
+
+    def _apply(self, g: np.ndarray) -> np.ndarray:
+        # the unchecked bodies of apply and derivative, for arrays the package computed
+        return self._conjugate(g if self.kind == "conjugation" else np.linalg.inv(g).swapaxes(-1, -2))
+
+    def _derivative(self, x: np.ndarray) -> np.ndarray:
         return self._conjugate(x if self.kind == "conjugation" else -x.swapaxes(-1, -2))
 
     def to_json(self) -> dict:
@@ -178,7 +183,7 @@ class MatrixSymmetricPair:
         object.__setattr__(self, "plus_mats", plus)
         object.__setattr__(self, "minus_mats", minus)
         signs = np.concatenate([np.ones(len(plus)), -np.ones(len(minus))])[:, None, None]
-        eig = _max_norm(self.sigma.derivative(self.basis_mats) - signs * self.basis_mats)
+        eig = _max_norm(self.sigma._derivative(self.basis_mats) - signs * self.basis_mats)
         if not self.tol.verdicts(eig, 10.0):
             raise ValueError(f"basis matrices are not theta eigenvectors (residual {eig:.2e})")
 
@@ -274,7 +279,7 @@ class MatrixSymmetricPair:
     def _algebra(self) -> SymmetricLieAlgebra:
         d, eye = self.dim, np.eye(self.dim)
         plus, minus = LinearSubspace._wrap(d, eye[: self.dim_plus]), LinearSubspace._wrap(d, eye[self.dim_plus :])
-        return SymmetricLieAlgebra(d, self.structure_tensor, self.theta_coords, plus, minus, label=self.label)
+        return SymmetricLieAlgebra(d, self.structure_tensor, self.theta_coords, plus, minus, self.label, self.tol)
 
     def algebra(self) -> SymmetricLieAlgebra:
         """The symmetric Lie algebra in full-basis coordinates.
@@ -284,7 +289,7 @@ class MatrixSymmetricPair:
         return self._algebra
 
     def exp(self, x: np.ndarray) -> np.ndarray:
-        return mat_exp(x, self.tol)
+        return mat_exp(x)
 
     def validate(self, rng: Optional[np.random.Generator] = None, samples: int = 20) -> dict:
         """Structural residuals: commutator closure, eigenspace bracket
@@ -300,13 +305,13 @@ class MatrixSymmetricPair:
         off = np.where(parity[:, None] == parity, minus, plus)
         out["eigenspace_brackets"] = float(off.max(initial=0.0))
 
-        ts, b, theta_b = (0.05, 0.3), self.basis_mats, self.sigma.derivative(self.basis_mats)
-        lhs = self.sigma.apply(_mat_exp_stack(np.concatenate([t * b for t in ts])))
+        ts, b, theta_b = (0.05, 0.3), self.basis_mats, self.sigma._derivative(self.basis_mats)
+        lhs = self.sigma._apply(_mat_exp_stack(np.concatenate([t * b for t in ts])))
         rhs = _mat_exp_stack(np.concatenate([t * theta_b for t in ts]))
         out["sigma_exp_theta"] = _max_norm(lhs - rhs)
 
         g = self._random_elements(rng or np.random.default_rng(0), samples, 2, 0.5)
-        out["sigma_involutive"] = _max_norm(self.sigma.apply(self.sigma.apply(g)) - g)
+        out["sigma_involutive"] = _max_norm(self.sigma._apply(self.sigma._apply(g)) - g)
         out["max_residual"] = max(out.values()) if out else 0.0
         return out
 
@@ -373,7 +378,7 @@ def group_sigma(pair: MatrixSymmetricPair, g: np.ndarray) -> np.ndarray:
     g = as_matrix(g, square=True, stack=True)
     if np.any(np.abs(np.linalg.det(g)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("sigma is only defined on invertible matrices")
-    return pair.sigma.apply(g)
+    return pair.sigma._apply(g)
 
 
 def in_fixed_group(pair: MatrixSymmetricPair, g: np.ndarray) -> bool:
@@ -386,7 +391,7 @@ def trotter_group_sum(pair: MatrixSymmetricPair, x: np.ndarray, y: np.ndarray, k
     if k < 1:
         raise ValueError("k must be >= 1")
     x, y = as_matrix(x, square=True), as_matrix(y, square=True)
-    ex, ey = mat_exp(np.stack([x / k, y / k]), pair.tol)
+    ex, ey = mat_exp(np.stack([x / k, y / k]))
     step = ex @ ey
     return np.linalg.matrix_power(step, k)
 
@@ -396,7 +401,7 @@ def trotter_group_commutator(pair: MatrixSymmetricPair, x: np.ndarray, y: np.nda
     if k < 1:
         raise ValueError("k must be >= 1")
     x, y = as_matrix(x, square=True), as_matrix(y, square=True)
-    ex, ey, ex_inv, ey_inv = mat_exp(np.stack([x / k, y / k, -x / k, -y / k]), pair.tol)
+    ex, ey, ex_inv, ey_inv = mat_exp(np.stack([x / k, y / k, -x / k, -y / k]))
     step = ex @ ey @ ex_inv @ ey_inv
     return np.linalg.matrix_power(step, k * k)
 
@@ -414,7 +419,7 @@ def relation_group_product(
     second coordinate is checked to stay in L through its log whenever the
     principal log is defined.
     """
-    if not pair.algebra().brackets_within(l_algebra.basis, np.eye(pair.dim), l_algebra, pair.tol):
+    if not pair.algebra().brackets_within(l_algebra.basis, np.eye(pair.dim), l_algebra):
         raise ValueError("L must integrate a Lie ideal of the pair's algebra")
     g1, l1 = (as_matrix(a, square=True) for a in first)
     g2, l2 = (as_matrix(a, square=True) for a in second)
@@ -516,6 +521,6 @@ def apply_pair_morphism(f: PairMorphism, word) -> np.ndarray:
     letters = [as_matrix(x, square=True) for x in word]
     letters = np.array(letters) if letters else np.zeros((0, src.ambient_n, src.ambient_n))
     if f.group_rule is not None:
-        return f._map_group(_word_products(mat_exp(letters, src.tol)[None]))[0]
+        return f._map_group(_word_products(mat_exp(letters)[None]))[0]
     images = tgt.to_matrix(src.matrix_coords(letters) @ f.algebra_map.T)
-    return _word_products(mat_exp(images, tgt.tol)[None])[0]
+    return _word_products(mat_exp(images)[None])[0]

@@ -333,7 +333,7 @@ def translation(pair: MatrixSymmetricPair, v, s: float, x: SymPoint) -> SymPoint
 
 def tau_action(pair: MatrixSymmetricPair, g: np.ndarray, x: SymPoint) -> SymPoint:
     """The natural action (g, hK) -> ghK."""
-    return tau_actions(pair, as_matrix(g, square=True)[None], [x])[0]
+    return _tau_actions(pair, as_matrix(g, square=True)[None], Points.of(pair, [x]))[0]
 
 
 def tau_actions(pair: MatrixSymmetricPair, gs, xs) -> Points:
@@ -347,9 +347,14 @@ def tau_actions(pair: MatrixSymmetricPair, gs, xs) -> Points:
     gs = as_matrix(gs, square=True, stack=True)
     if gs.ndim != 3:
         raise ValueError("expected a stack of group elements, got a single matrix")
+    return _tau_actions(pair, gs, xs)
+
+
+def _tau_actions(pair: MatrixSymmetricPair, gs: np.ndarray, xs: Points) -> Points:
+    # the body of tau_actions for a finite stack the package computed and as many points
     if np.any(np.abs(np.linalg.det(gs)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("tau requires an invertible group element")
-    return Points._wrap(pair, gs @ xs.cartans @ np.linalg.inv(pair.sigma.apply(gs)))
+    return Points._wrap(pair, gs @ xs.cartans @ np.linalg.inv(pair.sigma._apply(gs)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +466,7 @@ def chain_identity_check(pair: MatrixSymmetricPair, xs, ys) -> float:
         raise ValueError("xs and ys must have equal length")
     # the word is indexed n..1, so both products run over reversed lists
     order = range(len(xs) - 1, -1, -1)
-    letters = mat_exp(_minus_mats(pair, [v for i in order for v in (xs[i], ys[i])]), pair.tol)
+    letters = mat_exp(_minus_mats(pair, [v for i in order for v in (xs[i], ys[i])]))
     left = SymPoint.from_group(pair, _word_products(letters[None])[0])
     syms = exp_points(pair, [v for i in order for v in (xs[i] / 2.0, -ys[i] / 2.0)])
     right = apply_symmetries(syms, base_point(pair))

@@ -14,7 +14,9 @@ double commutators, the reference for ``lts_of_pair``, which takes it from
 the algebra's bracket tensor.
 """
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,22 @@ def oracle_lts_tensor(pair) -> np.ndarray:
 
 def same_point(x: SymPoint, y: SymPoint) -> bool:
     return x.pair is y.pair and same_bits(x.cartan, y.cartan)
+
+
+def benchmark_cases(workload=None) -> list:
+    """The argv, with its ``--seed``, of each case of ``bench/workloads.py``
+    (read, never changed): every seed group of every workload, or of one."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        item["argv"] + ["--seed", str(workloads.program_seed(name, item["key"], group))]
+        for name, spec in workloads.WORKLOADS.items()
+        if workload in (None, name)
+        for group in range(spec["seed_groups"])
+        for item in spec["items"]
+    ]
 
 
 def count_calls(monkeypatch, module, name):

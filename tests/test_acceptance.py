@@ -21,7 +21,7 @@ from symspaces.lts import (
     is_ideal,
     quotient_lts,
 )
-from symspaces.numkernel import nullspace
+from symspaces.numkernel import DEFAULT_TOL, nullspace
 from symspaces.quotient import (
     QuotientGateError,
     quotient_theorem_pipeline,
@@ -150,8 +150,8 @@ def test_criterion_05_subspace_roundtrip(models, sphere):
     extracted = lts_of_subspace(circle.subspace)
     assert extracted.dim == 1
     auto = circle.subspace.automorphism
-    eigen = nullspace(auto.minus_map - np.eye(2))
-    assert extracted.equals(LinearSubspace(2, eigen.T))
+    eigen = nullspace(auto.minus_map - np.eye(2), DEFAULT_TOL)
+    assert extracted.equals(LinearSubspace(2, eigen.T), DEFAULT_TOL)
     _report("criterion-5", f"{count} seed round-trips; circle system is 1-dim eigenspace")
 
 
@@ -171,11 +171,11 @@ def test_criterion_06_preimage_kernel_law(product):
         n2 = lts_of_subspace(n2_space)
         comp = n2.complement().basis
         if comp.shape[0]:
-            want = LinearSubspace.span(nullspace(comp @ f.minus_map).T, f.source.dim_minus)
+            want = LinearSubspace.span(nullspace(comp @ f.minus_map, DEFAULT_TOL).T, f.source.dim_minus, DEFAULT_TOL)
         else:
             want = LinearSubspace.full(f.source.dim_minus)
         assert extracted.dim == want.dim, label
-        assert extracted.equals(want), label
+        assert extracted.equals(want, DEFAULT_TOL), label
         dims.append(extracted.dim)
     _report("criterion-6", f"pullback ranks {dims} rank-exact on 3 morphisms")
 
@@ -187,7 +187,7 @@ def test_criterion_07_quotient_theorem_positive(product):
     sub = product.subspace_by_name("left_factor")
     qr = quotient_theorem_pipeline(product.pair, sub.seed, subspace=sub.subspace, rng=rng)
     assert weak_submersion_check(qr, np.random.default_rng(42), samples=100)["ok"]
-    want, _ = quotient_lts(lts_of_pair(product.pair), sub.seed, product.pair.tol)
+    want, _ = quotient_lts(lts_of_pair(product.pair), sub.seed)
     got = lts_of_pair(qr.quotient_pair)
     tensor_gap = float(np.max(np.abs(got.tensor - want.tensor)))
     assert tensor_gap < 1e-8
@@ -255,11 +255,11 @@ def test_criterion_09_ideal_constructions(models):
         seeds = [LinearSubspace.zero(pair.dim_minus), LinearSubspace.full(pair.dim_minus)]
         seeds += [sub.seed for sub in model.designated_subspaces]
         for seed in seeds:
-            if not is_ideal(m, seed, pair.tol):
+            if not is_ideal(m, seed):
                 continue
             n_full = pair.minus_subspace_to_full(seed)
-            l_brk = ideal_bracket_plus_n(g, n_full, pair.tol)
-            l_psi = ideal_ker_psi_plus_n(g, n_full, pair.tol)
+            l_brk = ideal_bracket_plus_n(g, n_full)
+            l_psi = ideal_ker_psi_plus_n(g, n_full)
             assert l_psi.contains_subspace(l_brk, pair.tol), model.name
             for l in (l_brk, l_psi):
                 for row in l.basis:

@@ -15,10 +15,10 @@ from symspaces.lts import (
     SymmetricLieAlgebra,
     VerificationError,
     _basis_brackets,
-    _verify_theta_invariant_ideal,
+    _verify_theta_invariant,
     ideal_ker_psi_plus_n,
 )
-from symspaces.numkernel import numerical_rank
+from symspaces.numkernel import DEFAULT_TOL, numerical_rank
 from symspaces.quotient import quotient_theorem_pipeline
 from symspaces.symspace import lts_of_pair
 
@@ -28,7 +28,7 @@ def random_subspace(rng, ambient: int, k: int) -> LinearSubspace:
         return LinearSubspace.zero(ambient)
     if k == ambient:
         return LinearSubspace.full(ambient)
-    return LinearSubspace.span(rng.standard_normal((k, ambient)), ambient)
+    return LinearSubspace.span(rng.standard_normal((k, ambient)), ambient, DEFAULT_TOL)
 
 
 def probe_vectors(rng, sub: LinearSubspace, count: int) -> np.ndarray:
@@ -55,24 +55,24 @@ class TestRowwiseContainment:
         want = np.array([sub.distance(v) for v in vecs])
         assert dists.shape == (len(vecs),)
         assert np.allclose(dists, want, rtol=0.0, atol=1e-12)
-        assert sub.contains_all(vecs) == all(sub.contains(v) for v in vecs)
+        assert sub.contains_all(vecs, DEFAULT_TOL) == all(sub.contains(v, DEFAULT_TOL) for v in vecs)
         for v in vecs:
-            assert sub.contains_all(v[None]) == sub.contains(v)
+            assert sub.contains_all(v[None], DEFAULT_TOL) == sub.contains(v, DEFAULT_TOL)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_empty_input(self, k):
         sub = random_subspace(np.random.default_rng(0), 3, k)
         for empty in (np.zeros((0, 3)), []):
             assert sub.distances(empty).shape == (0,)
-            assert sub.contains_all(empty)
+            assert sub.contains_all(empty, DEFAULT_TOL)
 
     def test_zero_and_full_subspaces(self):
         vecs = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert np.allclose(LinearSubspace.zero(2).distances(vecs), [0.0, 5.0])
-        assert not LinearSubspace.zero(2).contains_all(vecs)
-        assert LinearSubspace.zero(2).contains_all(vecs[:1])
+        assert not LinearSubspace.zero(2).contains_all(vecs, DEFAULT_TOL)
+        assert LinearSubspace.zero(2).contains_all(vecs[:1], DEFAULT_TOL)
         assert np.allclose(LinearSubspace.full(2).distances(vecs), 0.0)
-        assert LinearSubspace.full(2).contains_all(vecs)
+        assert LinearSubspace.full(2).contains_all(vecs, DEFAULT_TOL)
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError, match="ambient dimension"):
@@ -103,7 +103,7 @@ class TestCachedOnb:
         rows = rng.standard_normal((k, ambient))
         with pytest.MonkeyPatch.context() as mp:
             calls = svd_spy(mp)
-            spanned = LinearSubspace.span(rows, ambient)
+            spanned = LinearSubspace.span(rows, ambient, DEFAULT_TOL)
             assert len(calls) == (1 if k else 0)
             built = LinearSubspace(ambient, rows)
             assert len(calls) == (2 if k else 0)
@@ -116,12 +116,12 @@ class TestCachedOnb:
                 assert np.allclose(q @ q.T, np.eye(sub.dim), rtol=0.0, atol=1e-14)
                 sub.distances(rows)
                 sub.project(rows[0] if k else np.zeros(ambient))
-                sub.contains_all(rows)
+                sub.contains_all(rows, DEFAULT_TOL)
                 with pytest.raises(ValueError, match="read-only"):
                     q[...] = 1.0
             assert len(calls) == made  # no SVD on access
         assert spanned.dim == built.dim == k == ambient - comp.dim
-        assert spanned.equals(built)
+        assert spanned.equals(built, DEFAULT_TOL)
 
     def test_basis_does_not_alias_the_input(self):
         rows = np.eye(3)[:2].copy()
@@ -153,12 +153,12 @@ class TestContainsSubspace:
         sub = random_subspace(rng, ambient, data.draw(st.integers(0, ambient)))
         rows = probe_vectors(rng, sub, data.draw(st.integers(1, ambient)))[:-1]
         rows = rows[np.linalg.norm(rows, axis=1) > 1e-3]  # drop zero rows
-        other = LinearSubspace.span(rows, ambient) if len(rows) else LinearSubspace.zero(ambient)
-        want = numerical_rank(np.vstack([sub.basis, other.basis])) == sub.dim
+        other = LinearSubspace.span(rows, ambient, DEFAULT_TOL) if len(rows) else LinearSubspace.zero(ambient)
+        want = numerical_rank(np.vstack([sub.basis, other.basis]), DEFAULT_TOL) == sub.dim
         with pytest.MonkeyPatch.context() as mp:
             calls = svd_spy(mp)
-            assert sub.contains_subspace(other) == want
-            assert sub.equals(other) == (want and sub.dim == other.dim)
+            assert sub.contains_subspace(other, DEFAULT_TOL) == want
+            assert sub.equals(other, DEFAULT_TOL) == (want and sub.dim == other.dim)
             assert calls == []
 
     def test_two_quotient_ladder_passes_make_fewer_svds(self):
@@ -259,13 +259,13 @@ def einsum_bracket(g, x, y) -> np.ndarray:
 
 class TestLieIdealHelper:
     def loop_reference(self, g, left, right, sub):
-        return all(sub.contains(einsum_bracket(g, x, y)) for x in left for y in right)
+        return all(sub.contains(einsum_bracket(g, x, y), DEFAULT_TOL) for x in left for y in right)
 
     def test_agrees_with_the_pairwise_loop(self, product):
         pair = product.pair
         g = pair.algebra()
         left = product.subspace_by_name("left_factor").seed
-        ideal = ideal_ker_psi_plus_n(g, pair.minus_subspace_to_full(left), pair.tol)
+        ideal = ideal_ker_psi_plus_n(g, pair.minus_subspace_to_full(left))
         rng = np.random.default_rng(3)
         cases = [ideal, LinearSubspace.zero(g.dim), LinearSubspace.full(g.dim)]
         cases += [random_subspace(rng, g.dim, k) for k in (1, 3, 5)]
@@ -273,7 +273,7 @@ class TestLieIdealHelper:
         for sub in cases:
             for left_rows, right_rows in ((sub.basis, np.eye(g.dim)), (sub.basis, sub.basis)):
                 want = self.loop_reference(g, left_rows, right_rows, sub)
-                assert g.brackets_within(left_rows, right_rows, sub, pair.tol) == want
+                assert g.brackets_within(left_rows, right_rows, sub) == want
                 seen.add(want)
         assert seen == {True, False}
 
@@ -281,7 +281,7 @@ class TestLieIdealHelper:
         g = product.pair.algebra()
         theta_stable = LinearSubspace(g.dim, np.eye(g.dim)[:1])  # one plus direction
         with pytest.raises(VerificationError, match="probe is not a Lie ideal"):
-            _verify_theta_invariant_ideal(g, theta_stable, product.pair.tol, "probe")
+            _verify_theta_invariant(g, theta_stable, np.eye(g.dim), "probe")
 
 
 class TestStackedLieBrackets:
@@ -322,7 +322,8 @@ def ad_ql_calls(monkeypatch, spec, ideal):
     elif ideal == "full":
         seed = LinearSubspace.full(m)
     elif ";" in ideal:
-        seed = LinearSubspace.span(np.array([[float(v) for v in row.split(",")] for row in ideal.split(";")]), m)
+        rows = np.array([[float(v) for v in row.split(",")] for row in ideal.split(";")])
+        seed = LinearSubspace.span(rows, m, model.pair.tol)
     else:
         sub = model.subspace_by_name(ideal)
         seed, space = sub.seed, sub.subspace

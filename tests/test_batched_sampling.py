@@ -22,7 +22,7 @@ from symspaces import numkernel, subspace, symspace
 from symspaces.catalog import TORUS_RELATION_GRID, TorusLattice, parse_model
 from symspaces.cli import main
 from symspaces.lts import LinearSubspace, is_subsystem
-from symspaces.numkernel import Tolerance, nullspace
+from symspaces.numkernel import DEFAULT_TOL, Tolerance, nullspace
 from symspaces.quotient import (
     PointProjection,
     congruence_from_ideal,
@@ -283,7 +283,7 @@ def oracle_lts_of_subspace(n_space) -> LinearSubspace:
         for t in CERTIFICATION_GRID:
             if n_space.member(exp_point(pair, t * v)) is False:
                 raise CertificationError(f"candidate ray failed membership at t={t}", witness=(v, t))
-    if not is_subsystem(lts_of_pair(pair), cand, pair.tol):
+    if not is_subsystem(lts_of_pair(pair), cand):
         raise CertificationError("candidate is not a triple subsystem", witness=(cand.basis, None))
     return cand
 
@@ -714,7 +714,7 @@ class TestBallSamples:
     def test_rows_are_the_sized_draws(self, models, spec, count):
         m = models[spec].pair.dim_minus
         rng = np.random.default_rng(m)
-        bases = [LinearSubspace.span(rng.standard_normal((d, m)), m).basis for d in range(m + 1)]
+        bases = [LinearSubspace.span(rng.standard_normal((d, m)), m, DEFAULT_TOL).basis for d in range(m + 1)]
         for basis in bases + [np.eye(m)]:
             for radius in (1e-3, 0.5, 2.0):
                 a, b = rng_pair(count + basis.shape[0])
@@ -724,18 +724,18 @@ class TestBallSamples:
                 assert same_state(a, b)
 
     def test_one_sample_is_the_one_row_case(self):
-        basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5).basis
+        basis = LinearSubspace.span(np.random.default_rng(1).standard_normal((3, 5)), 5, DEFAULT_TOL).basis
         a, b = rng_pair(2)
         for _ in range(50):
             assert same_bits(_ball_samples(a, basis, 0.7, 1), oracle_ball_samples(b, basis, 0.7, 1))
         assert same_state(a, b)
 
     def test_rows_are_in_the_ball_of_the_span(self):
-        basis = LinearSubspace.span(np.random.default_rng(3).standard_normal((2, 4)), 4)
+        basis = LinearSubspace.span(np.random.default_rng(3).standard_normal((2, 4)), 4, DEFAULT_TOL)
         rows = _ball_samples(np.random.default_rng(4), basis.basis, 0.5, 500)
         norms = np.linalg.norm(rows, axis=1)
         assert np.all(norms >= 0.1 * (1 - 1e-12)) and np.all(norms <= 0.5 * (1 + 1e-12))
-        assert basis.contains_all(rows)
+        assert basis.contains_all(rows, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------

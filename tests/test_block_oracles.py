@@ -15,7 +15,7 @@ from oracles import same_bits
 
 from symspaces.catalog import TORUS_RELATION_GRID, parse_model
 from symspaces.lts import LinearSubspace
-from symspaces.numkernel import Tolerance
+from symspaces.numkernel import DEFAULT_TOL, Tolerance
 from symspaces.quotient import _discrepancies, congruence_from_ideal, quotient_theorem_pipeline
 from symspaces.subspace import (
     base_only,
@@ -299,7 +299,7 @@ def test_a_block_takes_one_verdicts_call(monkeypatch, k):
         ("_coords_each", lambda: pair.matrix_coords(algebra), (k,)),
         ("same_points", lambda: same_points(xs, ys), (k,)),
         ("algebraic membership", lambda: diagonal.membership(xs), (k,)),
-        ("contains_each", lambda: line.contains_each(vectors), (k,)),
+        ("contains_each", lambda: line.contains_each(vectors, DEFAULT_TOL), (k,)),
         # the normality gate and the root check of a block of normal Cartan matrices
         ("the relation's root check", lambda: _discrepancies(pair, xs, ys), (2, k)),
     ):

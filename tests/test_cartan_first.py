@@ -186,7 +186,7 @@ class TestCartanPoints:
         assert pair.sigma.kind == kind
         rng = np.random.default_rng(4)
         v, w = (0.4 * rng.standard_normal(pair.dim_minus) for _ in range(2))
-        gx, gy = mat_exp(pair.minus_to_matrix(np.array([v, w])), pair.tol)
+        gx, gy = mat_exp(pair.minus_to_matrix(np.array([v, w])))
         x, y = exp_point(pair, v), exp_point(pair, w)
         g = pair.random_element(rng, letters=1, scale=0.3)
         moved = tau_action(pair, g, y)

@@ -86,8 +86,8 @@ class TestDesignatedData:
         for model in models.values():
             m = lts_of_pair(model.pair)
             for sub in model.designated_subspaces:
-                assert is_subsystem(m, sub.seed, model.pair.tol), (model.name, sub.name)
-                assert is_ideal(m, sub.seed, model.pair.tol) == sub.is_ideal, (
+                assert is_subsystem(m, sub.seed), (model.name, sub.name)
+                assert is_ideal(m, sub.seed) == sub.is_ideal, (
                     model.name,
                     sub.name,
                 )
@@ -110,7 +110,7 @@ class TestDesignatedData:
                 model.subspace_by_name("diagonal")
         n = model.pair.dim_minus // 2
         diag = LinearSubspace(2 * n, np.hstack([np.eye(n), np.eye(n)]))
-        assert is_subsystem(lts_of_pair(model.pair), diag, model.pair.tol) == ("diagonal" in names)
+        assert is_subsystem(lts_of_pair(model.pair), diag) == ("diagonal" in names)
 
     def test_metadata_present(self, models):
         for model in models.values():

@@ -26,6 +26,7 @@ from symspaces.lts import (
     quotient_lts,
     standard_embedding,
 )
+from symspaces.numkernel import DEFAULT_TOL
 from symspaces.symspace import lts_of_pair
 
 
@@ -50,11 +51,11 @@ class TestAxioms:
     def test_abelian_passes_with_zero_residual(self):
         rep = check_lts_axioms(abelian_lts(3))
         assert rep.max_residual == 0.0
-        assert rep.passed()
+        assert rep.passed(DEFAULT_TOL)
 
     def test_sphere_formula_passes(self):
         rep = check_lts_axioms(sphere_formula_lts(2))
-        assert rep.passed()
+        assert rep.passed(DEFAULT_TOL)
 
     def test_sphere_formula_symbolic_oracle(self):
         # independent check of all three axioms with exact symbols
@@ -77,12 +78,12 @@ class TestAxioms:
         t = np.zeros((2,) * 4)
         t[0, 0, 1, 0] = 1.0  # [e1, e1, e2] = e1 breaks [x,x,y] = 0
         rep = check_lts_axioms(LieTripleSystem(2, t))
-        assert not rep.passed()
+        assert not rep.passed(DEFAULT_TOL)
         assert rep.antisymmetry >= 1.0
 
     def test_zero_dim_is_legal(self):
         rep = check_lts_axioms(LieTripleSystem(0, np.zeros((0, 0, 0, 0))))
-        assert rep.passed()
+        assert rep.passed(DEFAULT_TOL)
 
 
 class TestBracket:
@@ -159,8 +160,8 @@ class TestSubsystemsAndIdeals:
         for model in models.values():
             m = lts_of_pair(model.pair)
             for sub in model.designated_subspaces:
-                if is_ideal(m, sub.seed, model.pair.tol):
-                    assert is_subsystem(m, sub.seed, model.pair.tol)
+                if is_ideal(m, sub.seed):
+                    assert is_subsystem(m, sub.seed)
 
 
 class TestQuotient:
@@ -196,7 +197,7 @@ class TestQuotient:
         _, proj = quotient_lts(m, factor)
         from symspaces.numkernel import nullspace
 
-        ker = nullspace(proj.matrix)
+        ker = nullspace(proj.matrix, DEFAULT_TOL)
         assert ker.shape[1] == 1
         assert abs(abs(float(ker[:, 0] @ np.eye(3)[0])) - 1.0) <= 1e-12
 
@@ -291,7 +292,7 @@ class TestPsiRepresentation:
             stacked.append(op.reshape(-1))
         from symspaces.numkernel import nullspace
 
-        ker = nullspace(np.array(stacked).T)
+        ker = nullspace(np.array(stacked).T, DEFAULT_TOL)
         assert rep.kernel.dim == ker.shape[1] == 0
 
     def test_product_kernel_is_silent_factor(self, product):
@@ -349,7 +350,7 @@ class TestIdealConstructions:
         # coordinates: [plus_a, plus_b, minus_a(2), minus_b(2)]
         want = LinearSubspace(6, np.eye(6)[[0, 2, 3]])
         assert l.dim == 3
-        assert l.contains_subspace(want)
+        assert l.contains_subspace(want, DEFAULT_TOL)
 
     def test_bracket_plus_n_zero(self, sphere):
         g = sphere.pair.algebra()
@@ -366,11 +367,11 @@ class TestIdealConstructions:
             g = pair.algebra()
             m = lts_of_pair(pair)
             for sub in model.designated_subspaces:
-                if not is_ideal(m, sub.seed, pair.tol):
+                if not is_ideal(m, sub.seed):
                     continue
                 n = pair.minus_subspace_to_full(sub.seed)
-                l_brk = ideal_bracket_plus_n(g, n, pair.tol)
-                l_psi = ideal_ker_psi_plus_n(g, n, pair.tol)
+                l_brk = ideal_bracket_plus_n(g, n)
+                l_psi = ideal_ker_psi_plus_n(g, n)
                 assert l_psi.contains_subspace(l_brk, pair.tol)
 
 
@@ -403,12 +404,12 @@ class TestMinusIdealHelper:
         seen = []
         real = lts.is_ideal
 
-        def spy(m, n, tol):
+        def spy(m, n):
             seen.append(m.tensor)
-            return real(m, n, tol)
+            return real(m, n)
 
         monkeypatch.setattr(lts, "is_ideal", spy)
-        q, n_m = _minus_ideal(g, LinearSubspace.zero(g.dim), lts.DEFAULT_TOL, "unused")
+        q, n_m = _minus_ideal(g, LinearSubspace.zero(g.dim), "unused")
         assert np.array_equal(q, g.minus_basis.basis)
         assert n_m.dim == 0 and n_m.ambient_dim == q.shape[0]
         (got,) = seen
@@ -421,13 +422,13 @@ class TestMinusIdealHelper:
         g = pair.algebra()
         diagonal = pair.minus_subspace_to_full(product.subspace_by_name("diagonal").seed)
         with pytest.raises(ValueError, match="^psi requires an ideal of the triple system g_minus$"):
-            psi_representation(g, diagonal, pair.tol)
+            psi_representation(g, diagonal)
         with pytest.raises(ValueError, match="^requires an ideal of the triple system g_minus$"):
-            ideal_bracket_plus_n(g, diagonal, pair.tol)
+            ideal_bracket_plus_n(g, diagonal)
         plus_line = LinearSubspace(g.dim, np.eye(g.dim)[:1])
         for build in (psi_representation, ideal_bracket_plus_n):
             with pytest.raises(ValueError, match="not contained in the \\(-1\\)-eigenspace"):
-                build(g, plus_line, pair.tol)
+                build(g, plus_line)
 
     def test_escaping_triple_bracket_is_a_verification_error(self):
         # a minus part that is no triple system: [[f1, f0 + f3], f1] = f0 leaves it
@@ -435,7 +436,7 @@ class TestMinusIdealHelper:
         minus = LinearSubspace(4, np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]]))
         bad = SymmetricLieAlgebra(g.dim, g.bracket_tensor, g.theta, minus.complement(), minus)
         with pytest.raises(VerificationError, match="leaves the \\(-1\\)-eigenspace"):
-            _minus_ideal(bad, LinearSubspace.zero(4), lts.DEFAULT_TOL, "unused")
+            _minus_ideal(bad, LinearSubspace.zero(4), "unused")
 
 
 class TestDisplacementAlgebra:
@@ -447,7 +448,7 @@ class TestDisplacementAlgebra:
         g = _so3_split_plus_center()
         disp = displacement_algebra(g)
         assert disp.dim == 3
-        assert not disp.contains(np.eye(4)[3])
+        assert not disp.contains(np.eye(4)[3], DEFAULT_TOL)
 
     def test_abelian_keeps_only_minus(self, torus):
         g = torus.pair.algebra()
@@ -494,18 +495,18 @@ class TestLinearSubspace:
     def test_span_rejects_non_finite_vectors(self, bad):
         # an SVD of non-finite rows would otherwise give a zero subspace or fail to converge
         with pytest.raises(ValueError, match="finite"):
-            LinearSubspace.span([[bad, 0.0, 0.0]], 3)
+            LinearSubspace.span([[bad, 0.0, 0.0]], 3, DEFAULT_TOL)
 
     def test_span_trims_rank(self):
-        sub = LinearSubspace.span(np.array([[1.0, 0.0], [2.0, 0.0]]), 2)
+        sub = LinearSubspace.span(np.array([[1.0, 0.0], [2.0, 0.0]]), 2, DEFAULT_TOL)
         assert sub.dim == 1
 
     def test_complement_and_containment(self):
         sub = LinearSubspace(3, np.array([[1.0, 0.0, 0.0]]))
         comp = sub.complement()
         assert comp.dim == 2
-        assert not comp.contains(np.array([1.0, 0.0, 0.0]))
-        assert comp.contains(np.array([0.0, 1.0, -2.0]))
+        assert not comp.contains(np.array([1.0, 0.0, 0.0]), DEFAULT_TOL)
+        assert comp.contains(np.array([0.0, 1.0, -2.0]), DEFAULT_TOL)
 
     def test_projection(self):
         sub = LinearSubspace(2, np.array([[1.0, 1.0]]))

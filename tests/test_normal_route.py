@@ -77,7 +77,7 @@ def test_a_matrix_that_is_not_normal_takes_the_fallback(monkeypatch):
     calls = count_calls(monkeypatch, numkernel, "_sqrt_denman_beavers")
     stack = np.array([np.diag([1.2, 0.9]), NOT_NORMAL, rotation(0.4)])
     assert passes_the_gate(stack).tolist() == [True, False, True]
-    out = mat_log(stack)
+    out = mat_log(stack, DEFAULT_TOL)
     assert [len(args[0]) for args in calls] == [1]  # one root, of the one slice that is not normal
     assert same_bits(out[1], oracle_log(NOT_NORMAL))
     assert close_logs(out[1], scipy.linalg.logm(NOT_NORMAL))
@@ -88,8 +88,8 @@ def test_a_singular_root_iterate_fails_only_its_slice():
     with pytest.raises(DomainError, match="converge"):
         oracle_log(SINGULAR_IN_BALL)
     with pytest.raises(DomainError, match="converge"):
-        mat_log(SINGULAR_IN_BALL)
-    out = mat_log(np.array([NOT_NORMAL_3, SINGULAR_IN_BALL, NOT_NORMAL_3]))
+        mat_log(SINGULAR_IN_BALL, DEFAULT_TOL)
+    out = mat_log(np.array([NOT_NORMAL_3, SINGULAR_IN_BALL, NOT_NORMAL_3]), DEFAULT_TOL)
     assert np.isnan(out[1]).all()
     assert same_bits(out[[0, 2]], np.array([oracle_log(NOT_NORMAL_3)] * 2))
 
@@ -109,8 +109,8 @@ def test_a_small_singular_value_tightens_the_gate():
     with np.errstate(divide="ignore", invalid="ignore"):
         route = numkernel._normal_logs(numkernel._normal_parts(a[None])[0])[0]
     assert not DEFAULT_TOL.close(route, scipy.linalg.logm(a))
-    assert same_bits(mat_log(a), oracle_log(a))
-    assert DEFAULT_TOL.close(mat_log(a), scipy.linalg.logm(a))
+    assert same_bits(mat_log(a, DEFAULT_TOL), oracle_log(a))
+    assert DEFAULT_TOL.close(mat_log(a, DEFAULT_TOL), scipy.linalg.logm(a))
 
 
 @pytest.mark.parametrize("sigma, passes", [(1e-3, True), (1e-6, False)])
@@ -120,7 +120,7 @@ def test_an_ill_conditioned_matrix_takes_the_fallback(monkeypatch, sigma, passes
     calls = count_calls(monkeypatch, numkernel, "_sqrt_denman_beavers")
     a = np.diag([sigma, 1.0])
     assert passes_the_gate(a[None]).tolist() == [passes]
-    out = mat_log(a)
+    out = mat_log(a, DEFAULT_TOL)
     assert bool(calls) is not passes
     assert DEFAULT_TOL.close(out, np.diag([np.log(sigma), 0.0]))
     if not passes:
@@ -190,17 +190,17 @@ def test_a_contracting_matrix_fails_the_gate_or_logs_within_tolerance(chart_mode
     a = c + size * e / np.linalg.norm(e)
     if op_norm(a - np.eye(len(a))) >= 1.0:  # the perturbation moved an eigenvalue near 0 below it
         with pytest.raises(DomainError):
-            mat_log(a)
+            mat_log(a, DEFAULT_TOL)
     elif passes_the_gate(a[None])[0]:
-        assert DEFAULT_TOL.close(mat_log(a), scipy.linalg.logm(a))
+        assert DEFAULT_TOL.close(mat_log(a, DEFAULT_TOL), scipy.linalg.logm(a))
     else:
         try:
             want = oracle_log(a)
         except DomainError:  # an eigenvalue so small that a root iterate is singular
             with pytest.raises(DomainError, match="converge"):
-                mat_log(a)
+                mat_log(a, DEFAULT_TOL)
         else:
-            assert same_bits(mat_log(a), want)
+            assert same_bits(mat_log(a, DEFAULT_TOL), want)
 
 
 @settings(deadline=None, max_examples=60)
@@ -221,7 +221,7 @@ def test_a_near_normal_matrix_fails_the_gate_or_logs_within_tolerance(chart_mode
     a = c + 10.0**size * e / np.linalg.norm(e)
     assume(op_norm(a - np.eye(len(a))) < 1.0)
     if passes_the_gate(a[None])[0]:
-        assert DEFAULT_TOL.close(mat_log(a), scipy.linalg.logm(a))
+        assert DEFAULT_TOL.close(mat_log(a, DEFAULT_TOL), scipy.linalg.logm(a))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_closed_forms_on_spd_and_rotation_blocks():
     assert passes_the_gate(a[None])[0]
     turn = np.array([[0.0, -1.0], [1.0, 0.0]])  # the generator of rotation(theta)
     want = scipy.linalg.block_diag(0.7 * turn, np.diag(np.log(d)), -0.2 * turn)
-    assert close_logs(mat_log(a), want, 1e-15)
+    assert close_logs(mat_log(a, DEFAULT_TOL), want, 1e-15)
     roots, rooted = _principal_roots(a[None], DEFAULT_TOL)
     assert close_logs(roots[0], scipy.linalg.block_diag(rotation(0.35), np.diag(np.sqrt(d)), rotation(-0.1)), 1e-15)
     assert rooted.tolist() == [True]
@@ -330,7 +330,7 @@ def series_flags(a):
 
 
 def assert_log_and_root_are_mpmaths(c):
-    log, root = mat_log(c), _principal_roots(c[None], DEFAULT_TOL)
+    log, root = mat_log(c, DEFAULT_TOL), _principal_roots(c[None], DEFAULT_TOL)
     assert close_logs(log, mpmath_fn(c, mpmath.logm), 1e-15)
     assert close_logs(root[0][0], mpmath_fn(c, mpmath.sqrtm), 1e-15) and root[1].tolist() == [True]
     assert close_logs(log, oracle_log_and_roots(c)[0], 1e-14)
@@ -360,10 +360,10 @@ def test_a_stack_mixes_the_series_and_eigh_slice_by_slice(chart_models):
     stack = np.concatenate([cartan_stack(chart_models[spec].pair, 2, [0.0, 0.2, 0.4]) for spec in ("spd(3)", "sphere(2)")])
     p_series, u_series = series_flags(stack)
     assert p_series == [True, False, False, True, True, True] and u_series == [True, True, True, True, False, False]
-    logs, (roots, rooted) = mat_log(stack), _principal_roots(stack, DEFAULT_TOL)
+    logs, (roots, rooted) = mat_log(stack, DEFAULT_TOL), _principal_roots(stack, DEFAULT_TOL)
     assert rooted.all()
     for a, log, root in zip(stack, logs, roots):
-        assert same_bits(log, mat_log(a)) and same_bits(root, _principal_roots(a[None], DEFAULT_TOL)[0][0])
+        assert same_bits(log, mat_log(a, DEFAULT_TOL)) and same_bits(root, _principal_roots(a[None], DEFAULT_TOL)[0][0])
         assert close_logs(log, scipy.linalg.logm(a), 1e-14)
 
 

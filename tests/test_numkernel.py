@@ -105,10 +105,10 @@ class TestMatExp:
 
 class TestMatLog:
     def test_identity(self):
-        assert np.allclose(mat_log(np.eye(3)), np.zeros((3, 3)), atol=1e-15)
+        assert np.allclose(mat_log(np.eye(3), DEFAULT_TOL), np.zeros((3, 3)), atol=1e-15)
 
     def test_diagonal_scalar_oracle(self):
-        got = mat_log(np.diag([math.exp(0.1), math.exp(-0.2)]))
+        got = mat_log(np.diag([math.exp(0.1), math.exp(-0.2)]), DEFAULT_TOL)
         assert np.allclose(got, np.diag([0.1, -0.2]), atol=1e-13)
 
     @settings(deadline=None, max_examples=25)
@@ -119,46 +119,46 @@ class TestMatLog:
         x = rng.standard_normal((n, n))
         x *= 0.29 / max(np.linalg.norm(x), 1e-12)
         a = mat_exp(x)
-        assert np.linalg.norm(mat_log(a) - x) <= 1e-11
-        assert np.linalg.norm(mat_exp(mat_log(a)) - a) <= 1e-11
+        assert np.linalg.norm(mat_log(a, DEFAULT_TOL) - x) <= 1e-11
+        assert np.linalg.norm(mat_exp(mat_log(a, DEFAULT_TOL)) - a) <= 1e-11
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(3)
         a = np.eye(4) + 0.4 * rng.standard_normal((4, 4)) / 4.0
-        assert np.linalg.norm(mat_log(a) - scipy.linalg.logm(a)) <= 1e-11
+        assert np.linalg.norm(mat_log(a, DEFAULT_TOL) - scipy.linalg.logm(a)) <= 1e-11
 
     def test_near_domain_boundary(self):
         a = np.diag([1.95, 0.9])  # op_norm(a - I) = 0.95
-        assert np.allclose(mat_log(a), np.diag([math.log(1.95), math.log(0.9)]), atol=1e-12)
+        assert np.allclose(mat_log(a, DEFAULT_TOL), np.diag([math.log(1.95), math.log(0.9)]), atol=1e-12)
 
     def test_rejects_outside_principal_domain(self):
         with pytest.raises(DomainError):
-            mat_log(np.diag([2.5, 1.0]))
+            mat_log(np.diag([2.5, 1.0]), DEFAULT_TOL)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            mat_log(np.ones((1, 2)))
+            mat_log(np.ones((1, 2)), DEFAULT_TOL)
 
 
 class TestNullspace:
     def test_full_rank_identity(self):
-        assert nullspace(np.eye(3)).shape == (3, 0)
+        assert nullspace(np.eye(3), DEFAULT_TOL).shape == (3, 0)
 
     def test_zero_map(self):
         # the zero map annihilates everything: kernel is all of R^3
-        ns = nullspace(np.zeros((2, 3)))
+        ns = nullspace(np.zeros((2, 3)), DEFAULT_TOL)
         assert ns.shape == (3, 3)
         assert np.allclose(ns.T @ ns, np.eye(3), atol=1e-12)
 
     def test_rank_one_hand_oracle(self):
         # [[1,1],[1,1]] has eigenpairs (2, (1,1)) and (0, (1,-1))
-        ns = nullspace(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        ns = nullspace(np.array([[1.0, 1.0], [1.0, 1.0]]), DEFAULT_TOL)
         assert ns.shape == (2, 1)
         direction = np.array([1.0, -1.0]) / math.sqrt(2)
         assert abs(abs(float(ns[:, 0] @ direction)) - 1.0) <= 1e-12
 
     def test_no_rows_means_full_kernel(self):
-        ns = nullspace(np.zeros((0, 4)))
+        ns = nullspace(np.zeros((0, 4)), DEFAULT_TOL)
         assert ns.shape == (4, 4)
 
     @settings(deadline=None, max_examples=25)
@@ -167,7 +167,7 @@ class TestNullspace:
         rng = np.random.default_rng(seed)
         n, m = 5, 4
         a = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
-        ns = nullspace(a)
+        ns = nullspace(a, DEFAULT_TOL)
         assert ns.shape == (m, m - min(r, m))
         if ns.shape[1]:
             sigma_max = np.linalg.norm(a, 2)
@@ -176,9 +176,9 @@ class TestNullspace:
             assert np.allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=DEFAULT_TOL.abs_eps * 100)
 
     def test_numerical_rank(self):
-        assert numerical_rank(np.eye(4)) == 4
-        assert numerical_rank(np.zeros((3, 3))) == 0
-        assert numerical_rank(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
+        assert numerical_rank(np.eye(4), DEFAULT_TOL) == 4
+        assert numerical_rank(np.zeros((3, 3)), DEFAULT_TOL) == 0
+        assert numerical_rank(np.array([[1.0, 1.0], [1.0, 1.0]]), DEFAULT_TOL) == 1
 
 
 class TestHelpers:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import same_bits
+from oracles import benchmark_cases, same_bits
 
 from symspaces import catalog, cli, lts, numkernel, quotient, reports, subspace, sympair, symspace
 from symspaces.lts import LinearSubspace
@@ -248,18 +248,14 @@ class TestProducersAndConsumers:
 # the boundary, seen by spies
 
 
-# the public entry points that may check a matrix argument with as_matrix
+# the public entry points whose as_matrix check the CLI cases may reach
 AS_MATRIX_CALLERS = {
     "symspaces.numkernel.mat_log",
-    "symspaces.lts.LinearSubspace.__post_init__",  # the public constructor
     "symspaces.sympair.SigmaRule.__post_init__",
-    "symspaces.sympair.SigmaRule.apply",
-    "symspaces.sympair.SigmaRule.derivative",
     "symspaces.sympair.PairMorphism.map_group",
     "symspaces.sympair.group_sigma",
     "symspaces.symspace.SymPoint.from_group",
     "symspaces.symspace.tau_action",
-    "symspaces.symspace.tau_actions",
 }
 
 CLI_CASES = (
@@ -269,8 +265,8 @@ CLI_CASES = (
 )
 
 
-def test_as_matrix_runs_only_in_public_entry_points(monkeypatch):
-    # each call records its chain of package frames, the immediate caller first
+def spy_as_matrix(monkeypatch) -> list:
+    """The chain of package frames of each ``as_matrix`` call, the immediate caller first."""
     original = numkernel.as_matrix
     chains = []
 
@@ -285,6 +281,11 @@ def test_as_matrix_runs_only_in_public_entry_points(monkeypatch):
     for mod in (numkernel, lts, sympair, symspace, subspace, quotient, catalog, reports, cli):
         if getattr(mod, "as_matrix", None) is original:
             monkeypatch.setattr(mod, "as_matrix", spy)
+    return chains
+
+
+def test_as_matrix_runs_only_in_public_entry_points(monkeypatch):
+    chains = spy_as_matrix(monkeypatch)
     for argv in CLI_CASES:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
@@ -293,6 +294,17 @@ def test_as_matrix_runs_only_in_public_entry_points(monkeypatch):
     # no block body reaches as_matrix, not even through a public entry point
     for private in ("symspace._chart_logs", "quotient._discrepancies", "symspace.SymMorphism.many"):
         assert not [chain for chain in chains if f"symspaces.{private}" in chain], private
+
+
+def test_package_arrays_skip_as_matrix_on_the_quotient_ladder(monkeypatch):
+    # what is left on two passes: the theta check of each SigmaRule built and the explicit --ideal rows
+    chains = spy_as_matrix(monkeypatch)
+    for argv in benchmark_cases("quotient_ladder"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    callers = {chain[0] for chain in chains}
+    assert callers == {"symspaces.sympair.SigmaRule.__post_init__", "symspaces.lts.LinearSubspace.span"}
+    assert len(chains) <= 52
 
 
 def test_a_submersion_block_checks_no_point(product, monkeypatch):

@@ -150,7 +150,7 @@ class TestPipelinePositive:
         # the pipeline's quotient system equals the abstract m/n tensor
         m = lts_of_pair(product.pair)
         n = product.subspace_by_name("left_factor").seed
-        want, _ = quotient_lts(m, n, product.pair.tol)
+        want, _ = quotient_lts(m, n)
         got = lts_of_pair(product_quotient.quotient_pair)
         assert np.max(np.abs(got.tensor - want.tensor)) < 1e-8
 
@@ -289,7 +289,7 @@ class TestIdealContainment:
 
         pair = product.pair
         n_full = pair.minus_subspace_to_full(product.subspace_by_name("left_factor").seed)
-        l_brk = ideal_bracket_plus_n(pair.algebra(), n_full, pair.tol)
+        l_brk = ideal_bracket_plus_n(pair.algebra(), n_full)
         assert product_quotient.l_algebra.contains_subspace(l_brk, pair.tol)
 
 

@@ -75,9 +75,9 @@ def assert_slice_is_the_single_call(out, a):
     except DomainError as exc:
         assert np.isnan(out).all()
         with pytest.raises(DomainError, match=str(exc).replace("|", r"\|")):
-            mat_log(a)
+            mat_log(a, DEFAULT_TOL)
         return False
-    assert same_bits(out, mat_log(a))
+    assert same_bits(out, mat_log(a, DEFAULT_TOL))
     assert close_logs(out, ref)
     return True
 
@@ -98,7 +98,7 @@ class TestStackedMatLog:
         stack = cartan_stack(pair, seed, radii)
         if not radii:
             stack = np.zeros((0, pair.ambient_n, pair.ambient_n))
-        out = mat_log(stack)
+        out = mat_log(stack, DEFAULT_TOL)
         assert out.shape == stack.shape
         for i in range(len(radii)):
             assert_slice_is_the_single_call(out[i], stack[i])
@@ -111,7 +111,7 @@ class TestStackedMatLog:
         steps = rng.standard_normal((len(radii), 3, 3))
         stack = np.array([np.eye(3) + r * d / np.linalg.norm(d) for r, d in zip(radii, steps)])
         assert not passes_the_gate(stack).any()
-        out = mat_log(stack)
+        out = mat_log(stack, DEFAULT_TOL)
         roots, inside = set(), 0
         for i, a in enumerate(stack):
             try:
@@ -119,7 +119,7 @@ class TestStackedMatLog:
             except DomainError:
                 assert np.isnan(out[i]).all()
                 continue
-            assert same_bits(out[i], ref) and same_bits(mat_log(a), ref)
+            assert same_bits(out[i], ref) and same_bits(mat_log(a, DEFAULT_TOL), ref)
             roots.add(r)
             inside += 1
         assert inside < len(stack)
@@ -127,23 +127,23 @@ class TestStackedMatLog:
 
     def test_out_of_ball_slices_do_not_fail_the_stack(self):
         stack = np.array([np.diag([2.5, 1.0]), np.diag([1.1, 0.95]), np.diag([-0.5, 1.0])])
-        out = mat_log(stack)
+        out = mat_log(stack, DEFAULT_TOL)
         assert np.isnan(out[0]).all() and np.isnan(out[2]).all()
         assert close_logs(out[1], np.diag(np.log([1.1, 0.95])), 1e-15)
 
     def test_every_slice_outside_the_ball(self):
         stack = np.array([3.0 * np.eye(3), -np.eye(3), 5.0 * np.eye(3)])
-        out = mat_log(stack)
+        out = mat_log(stack, DEFAULT_TOL)
         assert out.shape == stack.shape
         assert np.isnan(out).all()
 
     @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0, 0), (4, 0, 0)])
     def test_empty_stacks(self, shape):
-        out = mat_log(np.zeros(shape))
+        out = mat_log(np.zeros(shape), DEFAULT_TOL)
         assert out.shape == shape
 
     def test_empty_matrix(self):
-        assert mat_log(np.zeros((0, 0))).shape == (0, 0)
+        assert mat_log(np.zeros((0, 0)), DEFAULT_TOL).shape == (0, 0)
 
     def test_diverged_slice_is_reported_alone(self, monkeypatch):
         # a square root that never moves its input forces the 40-root limit
@@ -152,21 +152,21 @@ class TestStackedMatLog:
         far, near = np.array([[1.5, 0.1], [0.0, 1.0]]), np.array([[1.1, 0.05], [0.0, 1.0]])
         assert not passes_the_gate(np.array([far, near])).any()
         with pytest.raises(DomainError, match="square-root reduction failed to converge"):
-            mat_log(far)
-        out = mat_log(np.array([far, near]))
+            mat_log(far, DEFAULT_TOL)
+        out = mat_log(np.array([far, near]), DEFAULT_TOL)
         assert np.isnan(out[0]).all()
         assert same_bits(out[1], oracle_log(near))
 
     def test_input_is_not_modified(self, chart_models):
         stack = cartan_stack(chart_models["spd(3)"].pair, 5, [0.1, 0.3, 0.9])
         before = stack.copy()
-        mat_log(stack)
+        mat_log(stack, DEFAULT_TOL)
         assert same_bits(stack, before)
 
     def test_non_finite_slice_raises(self):
         stack = np.array([np.eye(2), np.full((2, 2), np.nan)])
         with pytest.raises(ValueError, match="finite"):
-            mat_log(stack)
+            mat_log(stack, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ class TestContainsEach:
         assert got == [self.oracle_contains(sub, v, DEFAULT_TOL) for v in rows]
         assert sub.contains_all(rows, DEFAULT_TOL) == all(got)
         assert True in got and (False in got or d == m)
-        assert sub.contains_each(np.zeros((0, m))) == []
+        assert sub.contains_each(np.zeros((0, m)), DEFAULT_TOL) == []
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +551,9 @@ class TestMinusIdealOnce:
         n_full = pair.minus_subspace_to_full(LinearSubspace(pair.dim_minus, np.eye(pair.dim_minus)[:1]))
         for _ in range(2):
             with pytest.raises(ValueError, match="^requires an ideal of the triple system g_minus$"):
-                ideal_bracket_plus_n(g, n_full, pair.tol)
+                ideal_bracket_plus_n(g, n_full)
             with pytest.raises(ValueError, match="^psi requires an ideal of the triple system g_minus$"):
-                psi_representation(g, n_full, pair.tol)
+                psi_representation(g, n_full)
 
     def test_a_new_subspace_is_checked_again(self, chart_models, monkeypatch):
         source = chart_models["product(sphere(2),spd(2))"].pair
@@ -565,6 +565,6 @@ class TestMinusIdealOnce:
         left = pair.minus_subspace_to_full(LinearSubspace(m, np.eye(m)[:2]))
         whole = pair.minus_subspace_to_full(LinearSubspace.full(m))
         for n_full in (left, left, whole, left):
-            psi_representation(g, n_full, pair.tol)
+            psi_representation(g, n_full)
         assert [system is g.minus_lts for system, *_ in ideals] == [True] * 4  # every call checks again
         assert builds == [g]

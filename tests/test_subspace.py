@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symspaces.lts import LinearSubspace
+from symspaces.numkernel import DEFAULT_TOL
 from symspaces.subspace import (
     CertificationError,
     ChartSplitError,
@@ -37,7 +38,7 @@ class TestLtsOfSubspace:
         n = lts_of_subspace(circle.subspace)
         assert n.dim == 1
         # matches the +1 eigenspace of the reflection derivative: span{e0}
-        assert n.contains(np.array([1.0, 0.0]))
+        assert n.contains(np.array([1.0, 0.0]), DEFAULT_TOL)
 
     def test_certification_failure_returns_witness(self, sphere):
         # candidate says "everything" but membership holds only at the base
@@ -68,7 +69,7 @@ class TestLtsOfSubspace:
         cen = spd.subspace_by_name("center")
         n = lts_of_subspace(cen.subspace)
         assert n.dim == 1
-        assert n.contains(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
+        assert n.contains(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), DEFAULT_TOL)
 
 
 class TestGenerateIntegral:
@@ -232,8 +233,8 @@ class TestPreimageAndKernel:
         # oracle: nullspace of the minus map, computed directly
         from symspaces.numkernel import nullspace
 
-        want = nullspace(proj.minus_map)
-        assert n.equals(LinearSubspace(4, want.T))
+        want = nullspace(proj.minus_map, DEFAULT_TOL)
+        assert n.equals(LinearSubspace(4, want.T), DEFAULT_TOL)
         x = exp_point(product.pair, np.array([0.0, 0.0, 0.2, -0.1]))
         assert ker.member(x) is True
         y = exp_point(product.pair, np.array([0.2, 0.0, 0.0, 0.0]))
@@ -296,12 +297,12 @@ class TestPreimageRankLaw:
             from symspaces.numkernel import nullspace
 
             if comp.shape[0]:
-                pullback = nullspace(comp @ f.minus_map).T
+                pullback = nullspace(comp @ f.minus_map, DEFAULT_TOL).T
             else:
                 pullback = np.eye(f.source.dim_minus)
-            want = LinearSubspace.span(pullback, f.source.dim_minus)
+            want = LinearSubspace.span(pullback, f.source.dim_minus, DEFAULT_TOL)
             assert extracted.dim == want.dim
-            assert extracted.equals(want)
+            assert extracted.equals(want, DEFAULT_TOL)
 
 
 class TestKernelOfInjective:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from symspaces.lts import LinearSubspace, VerificationError
-from symspaces.numkernel import Tolerance, mat_exp
+from symspaces.numkernel import DEFAULT_TOL, Tolerance, mat_exp
 from symspaces.sympair import (
     MatrixSymmetricPair,
     PairMorphism,
@@ -259,7 +259,7 @@ class TestRelationGroupProduct:
 def _spd_center(spd) -> LinearSubspace:
     pair = spd.pair
     coords = pair.matrix_coords(np.eye(2))
-    return LinearSubspace.span(coords.reshape(1, -1), pair.dim)
+    return LinearSubspace.span(coords.reshape(1, -1), pair.dim, DEFAULT_TOL)
 
 
 def _coords_in(pair, idx, rng) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from symspaces.catalog import parse_model
 from symspaces.lts import LieTripleSystem, VerificationError, check_lts_axioms
+from symspaces.numkernel import DEFAULT_TOL
 from symspaces.sympair import MatrixSymmetricPair
 from symspaces.symspace import lts_of_pair
 
@@ -106,13 +107,13 @@ class TestAxiomCheck:
             c = np.zeros((3,) * 4)
             c[0, 1, 2, 0], c[1, 0, 2, 0] = bad, -bad
             assert_matches_oracle(c)
-            assert not check_lts_axioms(LieTripleSystem(3, c)).passed()
+            assert not check_lts_axioms(LieTripleSystem(3, c)).passed(DEFAULT_TOL)
 
     @pytest.mark.parametrize("case", range(3))
     def test_constructed_violations_match_the_einsum_formula(self, case):
         c = constructed_violations()[case]
         assert_matches_oracle(c)
-        assert not check_lts_axioms(LieTripleSystem(c.shape[0], c)).passed()
+        assert not check_lts_axioms(LieTripleSystem(c.shape[0], c)).passed(DEFAULT_TOL)
 
     def test_derivation_violation_alone_is_reported(self):
         c = constructed_violations()[2]
