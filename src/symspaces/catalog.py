@@ -137,21 +137,6 @@ def _block_embed(mat: np.ndarray, total: int, offset: int) -> np.ndarray:
     return out
 
 
-def _sphere_pair(n: int, tol: Tolerance) -> MatrixSymmetricPair:
-    amb = n + 1
-    theta = np.diag([1.0] * n + [-1.0])
-    plus = [_skew(amb, i, j) for i in range(n) for j in range(i + 1, n)]
-    minus = [_skew(amb, i, n) for i in range(n)]
-    return MatrixSymmetricPair(
-        ambient_n=amb,
-        plus_mats=np.array(plus) if plus else np.zeros((0, amb, amb)),
-        minus_mats=np.array(minus),
-        sigma=SigmaRule("conjugation", theta),
-        label=f"sphere({n})",
-        tol=tol,
-    )
-
-
 def _spd_pair(n: int, tol: Tolerance) -> MatrixSymmetricPair:
     plus = [_skew(n, i, j) for i in range(n) for j in range(i + 1, n)]
     minus = _sym_basis(n)
@@ -165,7 +150,9 @@ def _spd_pair(n: int, tol: Tolerance) -> MatrixSymmetricPair:
     )
 
 
-def _grassmann_pair(k: int, n: int, tol: Tolerance) -> MatrixSymmetricPair:
+def _grassmann_pair(k: int, n: int, tol: Tolerance, label: str = "") -> MatrixSymmetricPair:
+    """The pair of the Grassmannian of k-planes in R^n; the sphere S^k is
+    the one of k-planes in R^(k+1)."""
     theta = np.diag([1.0] * k + [-1.0] * (n - k))
     plus = [_skew(n, i, j) for i in range(k) for j in range(i + 1, k)]
     plus += [_skew(n, i, j) for i in range(k, n) for j in range(i + 1, n)]
@@ -175,7 +162,7 @@ def _grassmann_pair(k: int, n: int, tol: Tolerance) -> MatrixSymmetricPair:
         plus_mats=np.array(plus) if plus else np.zeros((0, n, n)),
         minus_mats=np.array(minus),
         sigma=SigmaRule("conjugation", theta),
-        label=f"grassmann({k},{n})",
+        label=label or f"grassmann({k},{n})",
         tol=tol,
     )
 
@@ -569,7 +556,7 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
         n = int(params.get("n", 2))
         if n < 2:
             raise ValueError("sphere needs n >= 2")
-        pair = _sphere_pair(n, tol)
+        pair = _grassmann_pair(n, n + 1, tol, label=f"sphere({n})")
         return ModelDescriptor(
             name="sphere", params={"n": n}, pair=pair,
             subspace_names=("great_circle",) if n == 2 else (),

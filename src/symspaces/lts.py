@@ -540,7 +540,8 @@ def standard_embedding(m: LieTripleSystem, n: LinearSubspace) -> SymmetricLieAlg
 def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, message: str):
     """Check that n is an ideal of the triple system :attr:`SymmetricLieAlgebra.minus_lts`.
 
-    Returns the ``minus_basis`` rows ``q`` and n in their coordinates; raises
+    Returns the ``minus_basis`` rows ``q`` and n in their coordinates (the
+    coordinates of n's orthonormal rows, wrapped); raises
     ``ValueError(message)`` when n is no ideal.
     """
     if n.ambient_dim != g.dim:
@@ -548,19 +549,29 @@ def _minus_ideal(g: SymmetricLieAlgebra, n: LinearSubspace, message: str):
     if not g.minus_basis.contains_all(n.basis, g.tol):
         raise ValueError("subspace is not contained in the (-1)-eigenspace")
     q = g.minus_basis.basis
-    n_m = LinearSubspace._span(n.basis @ q.T, q.shape[0], g.tol)
+    n_m = LinearSubspace._wrap(q.shape[0], n.basis @ q.T)
     if not is_ideal(g.minus_lts, n_m):
         raise ValueError(message)
     return q, n_m
 
 
+def _ad_on_span(g: SymmetricLieAlgebra, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The operator of [x, .] on the span of the orthonormal rows ``basis``, read
+    in their coordinates, for each row x of ``rows``: entry ``(r, a, b)`` is
+    ``basis[a] . [rows[r], basis[b]]``.  Both psi on g_minus/n and the
+    quotient's realization on g/l are this one stacked contraction."""
+    return basis @ g.brackets(rows, basis).transpose(0, 2, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class PsiRepresentation:
-    """Action of g_plus on g_minus/n: one operator per plus-basis element."""
+    """Action of g_plus on g_minus/n: one operator per plus-basis element, with
+    its kernel and the kernel's complement inside g_plus from one rank cut."""
 
-    operators: list  # (q, q) arrays, parallel to g.plus_basis rows
+    operators: np.ndarray  # (p, k, k): the operator of each g.plus_basis row, in quotient_basis coordinates
     quotient_basis: np.ndarray  # rows: orthonormal basis of the complement of n inside g_minus
-    kernel: LinearSubspace  # subspace of g
+    kernel: LinearSubspace  # ker(psi), a subspace of g_plus
+    kernel_complement: np.ndarray  # rows: orthonormal basis of the complement of ker(psi) inside g_plus
 
 
 def psi_representation(g: SymmetricLieAlgebra, n: LinearSubspace) -> PsiRepresentation:
@@ -570,25 +581,26 @@ def psi_representation(g: SymmetricLieAlgebra, n: LinearSubspace) -> PsiRepresen
     to satisfy g_plus = span[g_minus, g_minus].
     """
     q, n_m = _minus_ideal(g, n, "psi requires an ideal of the triple system g_minus")
+    return _psi(g, q, n_m.complement().basis)
+
+
+def _psi(g: SymmetricLieAlgebra, q: np.ndarray, comp_m: np.ndarray) -> PsiRepresentation:
+    """:func:`psi_representation` of an n already decided to be an ideal, given
+    the ``minus_basis`` rows ``q`` and the orthonormal complement rows of n in
+    their coordinates."""
     if not LinearSubspace._span(g.brackets(q, q).reshape(-1, g.dim), g.dim, g.tol).equals(g.plus_basis, g.tol):
         raise ValueError("hypothesis g_plus = span[g_minus, g_minus] is violated")
-
-    # quotient coordinates: complement of n inside g_minus (rows in g-coords)
-    comp_m = n_m.complement().basis  # in minus coords
     quot = comp_m @ q  # rows in g coordinates, orthonormal
-    ops = []
-    for x in g.plus_basis.basis:
-        adx = g.ad(x)
-        # entry (a, j) = quotient coordinate a of the class of [x, quot_j]
-        op = (quot @ (adx @ quot.T)) if quot.size else np.zeros((quot.shape[0],) * 2)
-        ops.append(op)
-    if g.plus_basis.dim == 0:
-        kernel = LinearSubspace.zero(g.dim)
-    else:
-        stacked = np.array([op.reshape(-1) for op in ops])  # one row per plus vector
-        ker_coeff = _kernel_rows(stacked.T, g.tol)  # rows: coefficient vectors
-        kernel = LinearSubspace._span(ker_coeff @ g.plus_basis.basis, g.dim, g.tol)
-    return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel)
+    plus = g.plus_basis.basis
+    # entry (r, a, j) = quotient coordinate a of the class of [plus_r, quot_j]
+    ops = _ad_on_span(g, quot, plus)
+    stacked = ops.reshape(len(plus), len(quot) ** 2).T  # column r: the operator of plus_r
+    if stacked.size:
+        _, vt, rank = _svd_cut(stacked, g.tol)  # rows of vt: coefficient vectors over the plus rows
+    else:  # no plus rows, or g_minus/n = 0: psi is zero
+        vt, rank = np.eye(len(plus)), 0
+    kernel = LinearSubspace._wrap(g.dim, vt[rank:] @ plus)
+    return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel, kernel_complement=vt[:rank] @ plus)
 
 
 def _verify_theta_invariant(g: SymmetricLieAlgebra, sub: LinearSubspace, right: np.ndarray, what: str) -> None:
@@ -604,7 +616,12 @@ def _verify_theta_invariant(g: SymmetricLieAlgebra, sub: LinearSubspace, right: 
 
 def ideal_ker_psi_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSubspace:
     """The theta-invariant Lie ideal ker(psi) (+) n inside g, re-verified."""
-    l = subspace_sum(psi_representation(g, n).kernel, n, g.tol)
+    return _ker_psi_plus_n(g, psi_representation(g, n), n)
+
+
+def _ker_psi_plus_n(g: SymmetricLieAlgebra, psi: PsiRepresentation, n: LinearSubspace) -> LinearSubspace:
+    # ideal_ker_psi_plus_n from psi's kernel
+    l = subspace_sum(psi.kernel, n, g.tol)
     _verify_theta_invariant(g, l, np.eye(g.dim), "ker(psi) + n")
     return l
 
@@ -612,8 +629,13 @@ def ideal_ker_psi_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSub
 def ideal_bracket_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSubspace:
     """The theta-invariant Lie ideal span[g_minus, n] (+) n, re-verified."""
     q, _ = _minus_ideal(g, n, "requires an ideal of the triple system g_minus")
-    span = LinearSubspace._span(g.brackets(q, n.basis).reshape(-1, g.dim), g.dim, g.tol)  # rows [q_a, n_b]
-    l = subspace_sum(span, n, g.tol)
+    return _bracket_plus_n(g, q, n)
+
+
+def _bracket_plus_n(g: SymmetricLieAlgebra, q: np.ndarray, n: LinearSubspace) -> LinearSubspace:
+    # ideal_bracket_plus_n of an n already decided to be an ideal: one cut of the rows [q_a, n_b] and n
+    rows = np.vstack([g.brackets(q, n.basis).reshape(-1, g.dim), n.basis])
+    l = LinearSubspace._span(rows, g.dim, g.tol)
     _verify_theta_invariant(g, l, np.eye(g.dim), "span[g_minus, n] + n")
     return l
 

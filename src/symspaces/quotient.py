@@ -14,13 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lts import (
-    LinearSubspace,
-    SymmetricLieAlgebra,
-    ideal_bracket_plus_n,
-    ideal_ker_psi_plus_n,
-    is_ideal,
-)
+from .lts import LinearSubspace, _ad_on_span, _bracket_plus_n, _ker_psi_plus_n, _psi, is_ideal
 from .numkernel import _kernel_rows, _principal_roots, _svd_cut
 from .subspace import (
     ChartSplitError,
@@ -145,16 +139,24 @@ def congruence_from_ideal(pair: MatrixSymmetricPair, n: LinearSubspace) -> Congr
     their Cartan discrepancy lands (chart-locally) in n after projection,
     i.e. vanishes in g_minus/n.
     """
+    return _congruence(pair, n)[0]
+
+
+def _congruence(pair: MatrixSymmetricPair, n: LinearSubspace) -> tuple:
+    """:func:`congruence_from_ideal` and n in full-algebra coordinates: the
+    one ideal test of n, and the one ``n_full`` of a quotient run."""
     if not is_ideal(lts_of_pair(pair), n):
         raise ValueError("congruence requires an ideal of the pair's triple system")
-    l_alg = ideal_bracket_plus_n(pair.algebra(), pair.minus_subspace_to_full(n))
-    return CongruenceRelation(
+    g = pair.algebra()
+    n_full = pair.minus_subspace_to_full(n)
+    relation = CongruenceRelation(
         pair=pair,
-        l_algebra=l_alg,
+        l_algebra=_bracket_plus_n(g, g.minus_basis.basis, n_full),
         n_minus=n,
         relates=ChartRelation(pair, n),
         label=f"congruence({pair.label})",
     )
+    return relation, n_full
 
 
 class PointProjection:
@@ -202,30 +204,6 @@ class QuotientResult:
     report: dict = field(default_factory=dict)
 
 
-def _split_theta_invariant(pair: MatrixSymmetricPair, l: LinearSubspace):
-    """Split a theta-invariant subspace into eigenparts (as coordinate rows)."""
-    p = pair.dim_plus
-    d = pair.dim
-    plus_rows = np.zeros((0, d))
-    minus_rows = np.zeros((0, d))
-    if l.dim:
-        proj_p = l.basis.copy()
-        proj_p[:, p:] = 0.0
-        proj_m = l.basis.copy()
-        proj_m[:, :p] = 0.0
-        plus_rows = LinearSubspace._span(proj_p, d, pair.tol).basis
-        minus_rows = LinearSubspace._span(proj_m, d, pair.tol).basis
-        if plus_rows.shape[0] + minus_rows.shape[0] != l.dim:
-            raise ValueError("subspace is not theta-invariant")
-    return plus_rows, minus_rows
-
-
-def _ad_ql(g: SymmetricLieAlgebra, comp: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The operator of [row, .] on g/l for each row, in the orthonormal
-    complement coordinates ``comp``: entry ``(r, a, b)`` is ``comp[a] . [rows[r], comp[b]]``."""
-    return comp @ g.brackets(rows, comp).transpose(0, 2, 1)
-
-
 def quotient_theorem_pipeline(
     pair: MatrixSymmetricPair,
     n: LinearSubspace,
@@ -242,8 +220,7 @@ def quotient_theorem_pipeline(
     """
     rng = rng or np.random.default_rng(0)
     tol = pair.tol
-    m = pair.dim_minus
-    relation = congruence_from_ideal(pair, n)
+    relation, n_full = _congruence(pair, n)
 
     n_space = subspace if subspace is not None else generate_integral(n, pair)
     extracted = lts_of_subspace(n_space)
@@ -263,28 +240,21 @@ def quotient_theorem_pipeline(
             report=chart.as_dict(),
         )
 
+    # psi of the decided ideal n, on the complement F of n inside g_minus
     g_alg = pair.algebra()
-    n_full = pair.minus_subspace_to_full(n)
-    l_alg = ideal_ker_psi_plus_n(g_alg, n_full)
+    psi = _psi(g_alg, g_alg.minus_basis.basis, f_comp.basis)
+    l_alg = _ker_psi_plus_n(g_alg, psi, n_full)
     if not l_alg.contains_subspace(relation.l_algebra, tol):
         raise ValueError("internal: span[g-,n]+n escaped ker(psi)+n")
 
-    # complement of l, chosen inside each theta eigenspace
-    p, d = pair.dim_plus, pair.dim
-    l_plus_rows, l_minus_rows = _split_theta_invariant(pair, l_alg)
-    plus_block = LinearSubspace._span(l_plus_rows[:, :p], p, tol) if p else LinearSubspace.zero(0)
-    minus_block = LinearSubspace._span(l_minus_rows[:, p:], m, tol) if m else LinearSubspace.zero(0)
-    comp_plus = plus_block.complement().basis  # rows in R^p
-    comp_minus = minus_block.complement().basis  # rows in R^m
-    embed_plus = np.hstack([comp_plus, np.zeros((comp_plus.shape[0], m))])
-    embed_minus = np.hstack([np.zeros((comp_minus.shape[0], p)), comp_minus])
-    comp = np.vstack([embed_plus, embed_minus])  # (d', d) orthonormal, orthogonal to l
-    d_out = comp.shape[0]
-    p_out, m_out = comp_plus.shape[0], comp_minus.shape[0]
+    # complement of l = ker(psi) (+) n: psi's complements inside g_plus and inside g_minus
+    comp = np.vstack([psi.kernel_complement, psi.quotient_basis])  # (d', d) orthonormal, orthogonal to l
+    d, d_out = pair.dim, comp.shape[0]
+    p_out, m_out = psi.kernel_complement.shape[0], psi.quotient_basis.shape[0]
 
-    stacked = _ad_ql(g_alg, comp, np.eye(d)).reshape(d, -1)  # row per basis vector
+    stacked = _ad_on_span(g_alg, comp, np.eye(d)).reshape(d, -1)  # row per basis vector
     kernel = LinearSubspace._wrap(d, _kernel_rows(stacked.T, tol))
-    faith_resid = max((float(np.linalg.norm(op)) for op in _ad_ql(g_alg, comp, l_alg.basis)), default=0.0)
+    faith_resid = max((float(np.linalg.norm(op)) for op in _ad_on_span(g_alg, comp, l_alg.basis)), default=0.0)
     if not kernel.equals(l_alg, tol):
         raise FaithfulnessError(
             f"ker(ad on g/l) has dimension {kernel.dim}, expected {l_alg.dim}: "
@@ -293,8 +263,8 @@ def quotient_theorem_pipeline(
 
     ambient = d_out if d_out > 0 else 1
     if d_out > 0:
-        plus_mats = _ad_ql(g_alg, comp, embed_plus)
-        minus_mats = _ad_ql(g_alg, comp, embed_minus)
+        plus_mats = _ad_on_span(g_alg, comp, comp[:p_out])
+        minus_mats = _ad_on_span(g_alg, comp, comp[p_out:])
         theta_mat = np.diag([1.0] * p_out + [-1.0] * m_out)
     else:
         plus_mats = np.zeros((0, 1, 1))
@@ -309,7 +279,7 @@ def quotient_theorem_pipeline(
         tol=tol,
     )
 
-    proj_algebra = embed_minus[:, p:] if m_out else np.zeros((0, m))
+    proj_algebra = f_comp.basis  # the g_minus block of comp, in g_minus coordinates
     report = {
         "l_basis": l_alg.basis.tolist(),
         "l_dim": l_alg.dim,

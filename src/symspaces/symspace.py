@@ -374,10 +374,6 @@ class _EvenWord:
         self.b = b
 
     @classmethod
-    def identity(cls, n: int) -> "_EvenWord":
-        return cls(np.eye(n), np.eye(n))
-
-    @classmethod
     def from_points(cls, cartans: Sequence[np.ndarray]) -> "_EvenWord":
         if len(cartans) % 2:
             raise ValueError("even word needs an even number of symmetries")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import CHART_MODELS, oracle_lts_tensor, same_bits
+from oracles import CHART_MODELS, count_calls, oracle_lts_tensor, same_bits
 from test_case_digests import load_case_bytes
 
-from symspaces import quotient
+from symspaces import lts, quotient
 from symspaces.catalog import parse_model
 from symspaces.lts import (
     LieTripleSystem,
@@ -165,12 +165,23 @@ class TestContainsSubspace:
         # 520 at the point-block layer; the projection test removes 68, the
         # designated subspaces a pass never reads another 30, and the kernel
         # rows of nullspace, wrapped as they are, the 38 cuts they had again
+        # (384); psi's one cut giving l's complement, one ideal test per run
+        # and the wrapped psi kernel and g_minus rows remove 178 more
         case_bytes = load_case_bytes()
         with pytest.MonkeyPatch.context() as mp:
             calls = svd_spy(mp)
             for group in range(2):
                 case_bytes.run_cases("quotient_ladder", group)
-        assert len(calls) <= 384
+        assert len(calls) <= 206
+
+    def test_one_ideal_test_per_quotient_op(self, monkeypatch):
+        # 46 on two passes when the congruence, span[g-,n]+n and psi each decided n
+        case_bytes = load_case_bytes()
+        calls = count_calls(monkeypatch, lts, "is_ideal")
+        for group in range(2):
+            ops = len(case_bytes.run_cases("quotient_ladder", group))
+            assert len(calls) == ops, f"{len(calls)} is_ideal calls for {ops} quotient ops"
+            calls.clear()
 
 
 class TestBasisBrackets:
@@ -303,7 +314,8 @@ class TestStackedLieBrackets:
 
 
 def per_entry_ad_ql(g, comp, vec) -> np.ndarray:
-    """The per-entry operator of [vec, .] on g/l that the stacked form replaced."""
+    """The per-entry operator of [vec, .] on the span of the rows ``comp`` that
+    the stacked form replaced."""
     d_out = comp.shape[0]
     op = np.array([[comp[a] @ einsum_bracket(g, vec, comp[b]) for b in range(d_out)] for a in range(d_out)])
     return op.reshape(d_out, d_out)
@@ -312,8 +324,9 @@ def per_entry_ad_ql(g, comp, vec) -> np.ndarray:
 EXPLICIT_LEFT = "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0"
 
 
-def ad_ql_calls(monkeypatch, spec, ideal):
-    """Every ``_ad_ql`` call of one pipeline run, as ``(g, comp, rows, result)``."""
+def ad_on_span_calls(monkeypatch, spec, ideal):
+    """Every ``_ad_on_span`` call of one pipeline run, as ``(g, comp, rows, result)``:
+    psi's operators on g_minus/n first, then the realization's on g/l."""
     model = parse_model(spec)
     m = model.pair.dim_minus
     space = None
@@ -328,14 +341,15 @@ def ad_ql_calls(monkeypatch, spec, ideal):
         sub = model.subspace_by_name(ideal)
         seed, space = sub.seed, sub.subspace
     calls = []
-    real = quotient._ad_ql
+    real = lts._ad_on_span
 
     def spy(g, comp, rows):
         out = real(g, comp, rows)
         calls.append((g, comp, rows, out))
         return out
 
-    monkeypatch.setattr(quotient, "_ad_ql", spy)
+    for module in (lts, quotient):  # quotient binds the name at import
+        monkeypatch.setattr(module, "_ad_on_span", spy)
     qr = quotient_theorem_pipeline(model.pair, seed, subspace=space, rng=np.random.default_rng(0))
     return qr, calls
 
@@ -353,19 +367,22 @@ class TestStackedAdjointOnQuotient:
         ],
     )
     def test_bitwise_on_product_models(self, monkeypatch, spec, ideal, d_out):
-        qr, calls = ad_ql_calls(monkeypatch, spec, ideal)
+        qr, calls = ad_on_span_calls(monkeypatch, spec, ideal)
         assert qr.report["quotient_dim"] == d_out
-        # the kernel stack and the faithfulness operators, then the plus and minus matrices
-        assert len(calls) == (4 if d_out else 2)
+        # psi's operators, then the kernel stack and the faithfulness operators, then the plus and minus matrices
+        (g, _, plus, _), *realization = calls
+        assert same_bits(plus, g.plus_basis.basis)
+        assert len(realization) == (4 if d_out else 2)
+        assert all(len(comp) == d_out for _, comp, _, _ in realization)
         for g, comp, rows, got in calls:
-            assert got.shape == (len(rows), d_out, d_out)
+            assert got.shape == (len(rows), len(comp), len(comp))
             want = np.array([per_entry_ad_ql(g, comp, r) for r in rows]).reshape(got.shape)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", ["spd(3)", "spd(4)"])
     def test_close_on_spd_centers(self, monkeypatch, spec):
-        _, calls = ad_ql_calls(monkeypatch, spec, "center")
-        assert len(calls) == 4
+        _, calls = ad_on_span_calls(monkeypatch, spec, "center")
+        assert len(calls) == 5
         for g, comp, rows, got in calls:
             want = np.array([per_entry_ad_ql(g, comp, r) for r in rows]).reshape(got.shape)
             scale = max(float(np.max(np.abs(want), initial=0.0)), 1.0)
@@ -383,5 +400,5 @@ class TestStackedAdjointOnQuotient:
 
         monkeypatch.setattr(np, "einsum", einsum)
         quotient_theorem_pipeline(model.pair, sub.seed, subspace=sub.subspace, rng=np.random.default_rng(0))
-        # what remains is psi's ad loop, one einsum per g_plus row
-        assert 0 < counts["einsum"] <= model.pair.dim_plus
+        # psi's operators come from the stacked bracket too
+        assert counts["einsum"] == 0

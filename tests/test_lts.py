@@ -26,7 +26,7 @@ from symspaces.lts import (
     quotient_lts,
     standard_embedding,
 )
-from symspaces.numkernel import DEFAULT_TOL
+from symspaces.numkernel import DEFAULT_TOL, numerical_rank
 from symspaces.symspace import lts_of_pair
 
 
@@ -303,6 +303,24 @@ class TestPsiRepresentation:
         rep = psi_representation(g, n)
         # the first-factor rotations act trivially on the second factor
         assert rep.kernel.dim == 1
+
+    def test_kernel_and_its_complement_split_g_plus(self, models):
+        seen = 0
+        for model in models.values():
+            pair = model.pair
+            g = pair.algebra()
+            for sub in model.designated_subspaces:
+                if not is_ideal(lts_of_pair(pair), sub.seed):
+                    continue
+                rep = psi_representation(g, pair.minus_subspace_to_full(sub.seed))
+                both = np.vstack([rep.kernel.basis, rep.kernel_complement])
+                assert np.allclose(both @ both.T, np.eye(g.plus_basis.dim), rtol=0.0, atol=1e-14)
+                assert g.plus_basis.contains_all(both, pair.tol)
+                # psi is injective on the complement
+                ops = np.tensordot(rep.kernel_complement @ g.plus_basis.basis.T, rep.operators, axes=1)
+                assert numerical_rank(ops.reshape(len(ops), len(rep.quotient_basis) ** 2), pair.tol) == len(ops)
+                seen += rep.kernel.dim > 0 and len(ops) > 0
+        assert seen
 
     def test_hypothesis_violation_raises(self):
         # center added to the plus part: g_plus strictly exceeds [g-, g-]
