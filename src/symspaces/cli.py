@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import MODEL_NAMES, ModelDescriptor, build_model, parse_model
-from .lts import LinearSubspace, algebra_from_json, check_lts_axioms
+from .lts import LinearSubspace, VerificationError, algebra_from_json, check_lts_axioms
 from .numkernel import Tolerance
 from .quotient import (
     FaithfulnessError,
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except VerificationError as exc:  # a re-checked guarantee failed, e.g. closure under a tolerance below its rounding
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CHECK_FAILED
     return EXIT_USAGE
 
 

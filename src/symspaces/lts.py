@@ -237,13 +237,57 @@ class LtsAxiomReport:
         }
 
 
+def _inner_map_representatives(c: np.ndarray) -> list:
+    """Flat indices ``a * d + b`` of the inner maps ``c[a, b]`` whose derivation
+    residual :func:`check_lts_axioms` evaluates, in order.
+
+    A zero map is skipped.  Of the finite maps equal up to sign, compared on
+    exact bits once each map is scaled to a positive first nonzero entry and
+    each ``-0.0`` is read as ``0.0``, the first is kept.  A map with a
+    non-finite entry is always kept.
+    """
+    d = c.shape[0]
+    ops = c.reshape(d * d, d * d)
+    live = np.flatnonzero(ops.any(axis=1))
+    maps = ops[live]
+    finite = np.isfinite(maps).all(axis=1).tolist()
+    lead = maps[np.arange(len(maps)), np.argmax(maps != 0, axis=1)]  # the first nonzero entry
+    canon = maps * np.where(lead < 0, -1.0, 1.0)[:, None] + 0.0  # x + 0.0 turns -0.0 into 0.0
+    keep, seen = [], set()
+    for i, row, ok in zip(live.tolist(), canon, finite):
+        if ok:
+            key = row.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+        keep.append(i)
+    return keep
+
+
+def _derivation_residual(op, rows, cols, second, third) -> float:
+    """Largest ``|D[u,v,w] - [Du,v,w] - [u,Dv,w] - [u,v,Dw]|`` of one inner map
+    ``D = op`` (``op[m, l]`` is coefficient ``l`` of ``D e_m``), from four GEMMs."""
+    d = op.shape[0]
+    lhs = (rows @ op).reshape(d, d, d, d)
+    rhs = (op @ cols).reshape(d, d, d, d)
+    rhs += (op @ second).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    rhs += (op @ third).reshape(d, d, d, d).transpose(1, 2, 0, 3)
+    np.subtract(lhs, rhs, out=rhs)
+    return np.max(np.abs(rhs, out=rhs))
+
+
 def check_lts_axioms(m: LieTripleSystem) -> LtsAxiomReport:
     """Residuals of the three defining identities over all basis tuples.
 
     The derivation identity D[u,v,w] = [Du,v,w] + [u,Dv,w] + [u,v,Dw] for
-    the inner map D = [e_a, e_b, .] is checked one ``(a, b)`` at a time with
-    four GEMMs, so the extra memory is O(dim^4), never the full
-    ``(a,b,u,v,w,l)`` array.
+    the inner map D = [e_a, e_b, .] is checked one map at a time with four
+    GEMMs, so the extra memory is O(dim^4), never the full ``(a,b,u,v,w,l)``
+    array.  The residual is linear in D and rounding is sign-symmetric, so a
+    zero map leaves 0 and a map equal to an evaluated one up to sign (and up
+    to the sign of its zeros) leaves bit for bit that map's residual or its
+    negation: each distinct map is evaluated once
+    (:func:`_inner_map_representatives`), and the reported maximum is the
+    same bits as over every ``(a, b)``.
     """
     c = m.tensor
     d = m.dim
@@ -255,23 +299,8 @@ def check_lts_axioms(m: LieTripleSystem) -> LtsAxiomReport:
     cols = c.reshape(d, d**3)  # [m, (v,w,l)]
     second = np.ascontiguousarray(c.transpose(1, 0, 2, 3)).reshape(d, d**3)  # [m, (u,w,l)]
     third = np.ascontiguousarray(c.transpose(2, 0, 1, 3)).reshape(d, d**3)  # [m, (u,v,l)]
-    # The residual is linear in D = c[a, b], and rounding is sign-symmetric:
-    # a zero D leaves 0, and c[a, b] == -c[b, a] exactly negates the residual
-    # already taken at (b, a), so both are skipped.  (With inf entries a zero
-    # D would give nan; antisymmetry is then inf or nan and fails anyway.)
-    worst = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            op = c[a, b]  # [m, l] = coefficient l of [e_a, e_b, e_m]
-            if not op.any() or (b < a and np.array_equal(op, -c[b, a])):
-                continue
-            lhs = (rows @ op).reshape(d, d, d, d)
-            rhs = (op @ cols).reshape(d, d, d, d)
-            rhs += (op @ second).reshape(d, d, d, d).transpose(1, 0, 2, 3)
-            rhs += (op @ third).reshape(d, d, d, d).transpose(1, 2, 0, 3)
-            np.subtract(lhs, rhs, out=rhs)
-            worst[a, b] = np.max(np.abs(rhs, out=rhs))
-    return LtsAxiomReport(anti, cyc, float(np.max(worst)))
+    worst = [_derivation_residual(c[divmod(i, d)], rows, cols, second, third) for i in _inner_map_representatives(c)]
+    return LtsAxiomReport(anti, cyc, float(np.max(worst, initial=0.0)))
 
 
 def _basis_brackets(m: LieTripleSystem, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

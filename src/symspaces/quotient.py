@@ -25,7 +25,7 @@ from .subspace import (
     lts_of_subspace,
     split_complement_criterion,
 )
-from .sympair import MatrixSymmetricPair, SigmaRule
+from .sympair import _NOT_IN_ALGEBRA, MatrixSymmetricPair, SigmaRule, _coords_stack
 from .symspace import (
     Points,
     SymPoint,
@@ -166,8 +166,9 @@ class PointProjection:
     g/l, since sigma' o Ad = Ad o sigma.  Called on a block of points over
     the source, it returns the :class:`Points` of their images, projected in
     blocks of :attr:`block` points whose ``matrix_coords`` right-hand side
-    holds at most ``MAX_STACK_FLOATS``; each image is bit for bit the
-    one-point call.
+    holds at most ``MAX_STACK_FLOATS``.  Each point takes two GEMMs for
+    ``C M_b C^-1`` over the matrices ``M_b`` of the rows of comp and one for
+    their coordinates, so each image is bit for bit the one-point call.
     """
 
     def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
@@ -175,19 +176,22 @@ class PointProjection:
         self.target = target
         self.comp = comp  # (d', d) orthonormal rows spanning a complement of l
         self.comp_mats = np.tensordot(comp, source.basis_mats, axes=1)  # (d', n, n): matrices of the rows of comp
+        self._side_by_side = self.comp_mats.transpose(1, 0, 2).reshape(source.ambient_n, -1)  # [M_1 ... M_d']
         self.block = _block_size(self.comp_mats.size)
 
     def __call__(self, points) -> Points:
         cartans = Points.of(self.source, points).cartans
-        d_out, n = self.comp_mats.shape[0], self.source.ambient_n
+        src, d_out, n = self.source, self.comp_mats.shape[0], self.source.ambient_n
         if not d_out:
             return Points._wrap(self.target, np.ones((len(cartans), 1, 1)))
         out = [np.empty((0, d_out, d_out))]
         for start in range(0, len(cartans), self.block):
             c = cartans[start:start + self.block]
+            k = len(c)
+            left = (c @ self._side_by_side).reshape(k, n, d_out, n).transpose(0, 2, 1, 3)  # C M_b
+            moved = (left.reshape(k, d_out * n, n) @ np.linalg.inv(c)).reshape(k, d_out, n, n)
             # column b of point i: the complement coordinates of Ad(C_i) applied to comp[b]
-            moved = c[:, None] @ self.comp_mats @ np.linalg.inv(c)[:, None]
-            coords = self.source._algebra_coords(moved.reshape(-1, n, n)).reshape(len(c), d_out, -1)
+            coords = _coords_stack(src.basis_mats, src._basis_pinv, moved, src.tol, _NOT_IN_ALGEBRA)
             out.append(self.comp @ coords.transpose(0, 2, 1))
         return Points._wrap(self.target, np.concatenate(out))
 

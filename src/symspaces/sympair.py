@@ -9,6 +9,7 @@ are answered through logs or model-specific predicates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -140,7 +141,7 @@ def _coords(mats: np.ndarray, pinv: np.ndarray, x, tol: Tolerance, outside: str)
 
 
 def _coords_stack(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Tolerance, outside: str) -> np.ndarray:
-    # the unchecked body of _coords, for a finite (k, n, n) stack the package computed
+    # the unchecked body of _coords, for a finite stack the package computed
     coords, errors = _coords_each(mats, pinv, x, tol, outside)
     for exc in errors:
         if exc is not None:
@@ -153,14 +154,18 @@ def _coords_each(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Toleran
     ``mats``, and per matrix None or the error it fails with.
 
     Each row is its own ``(1, n*n) @ (n*n, d)`` product with the pseudo-inverse
-    ``pinv``, so a row is bit for bit the one-matrix stack.  Each matrix must
-    pass its residual test, ``tol.verdicts`` at the scale ``max(|x|, 1)`` in one
-    call for the stack, or its error is ``"matrix <outside> (residual ...)"``.
+    ``pinv``, so a row is bit for bit the one-matrix stack.  A ``(k, r, n, n)``
+    stack of groups gives ``(k, r, d)`` coordinates from one ``(r, n*n) @
+    (n*n, d)`` product per group, each group bit for bit the one-group stack.
+    Each matrix must pass its residual test, ``tol.verdicts`` at the scale
+    ``max(|x|, 1)`` in one call for the stack, or its error is ``"matrix
+    <outside> (residual ...)"``; the errors run over the matrices in order.
     """
-    k, n = x.shape[0], x.shape[-1]
-    coords = (x.reshape(k, 1, n * n) @ pinv)[:, 0]
-    resid = _frobenius(_combine(coords, mats, "") - x)
-    ok = tol.verdicts(resid, np.maximum(_frobenius(x), 1.0)).tolist()
+    lead, n, d = x.shape[:-2], x.shape[-1], pinv.shape[-1]
+    coords = (x.reshape(lead[0], math.prod(lead[1:]), n * n) @ pinv).reshape(lead + (d,))
+    flat = x.reshape(math.prod(lead), n, n)
+    resid = _frobenius(_combine(coords.reshape(len(flat), d), mats, "") - flat)
+    ok = tol.verdicts(resid, np.maximum(_frobenius(flat), 1.0)).tolist()
     errors = [None if good else ValueError(f"matrix {outside} (residual {r:.2e})") for good, r in zip(ok, resid)]
     return coords, errors
 

@@ -56,6 +56,35 @@ def oracle_lts_tensor(pair) -> np.ndarray:
     return tensor
 
 
+def oracle_lts_axioms(m):
+    """The derivation-check body that evaluated the inner maps one ``(a, b)``
+    at a time, skipping only zero maps and the ``(b, a)`` mirrors: the
+    ``(antisymmetry, cyclic, derivation)`` residuals of ``check_lts_axioms``."""
+    c = m.tensor
+    d = m.dim
+    if d == 0:
+        return 0.0, 0.0, 0.0
+    anti = float(np.max(np.abs(c + c.transpose(1, 0, 2, 3))))
+    cyc = float(np.max(np.abs(c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3))))
+    rows = c.reshape(d**3, d)  # [(u,v,w), m]
+    cols = c.reshape(d, d**3)  # [m, (v,w,l)]
+    second = np.ascontiguousarray(c.transpose(1, 0, 2, 3)).reshape(d, d**3)  # [m, (u,w,l)]
+    third = np.ascontiguousarray(c.transpose(2, 0, 1, 3)).reshape(d, d**3)  # [m, (u,v,l)]
+    worst = np.zeros((d, d))
+    for a in range(d):
+        for b in range(d):
+            op = c[a, b]  # [m, l] = coefficient l of [e_a, e_b, e_m]
+            if not op.any() or (b < a and np.array_equal(op, -c[b, a])):
+                continue
+            lhs = (rows @ op).reshape(d, d, d, d)
+            rhs = (op @ cols).reshape(d, d, d, d)
+            rhs += (op @ second).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+            rhs += (op @ third).reshape(d, d, d, d).transpose(1, 2, 0, 3)
+            np.subtract(lhs, rhs, out=rhs)
+            worst[a, b] = np.max(np.abs(rhs, out=rhs))
+    return anti, cyc, float(np.max(worst))
+
+
 def same_point(x: SymPoint, y: SymPoint) -> bool:
     return x.pair is y.pair and same_bits(x.cartan, y.cartan)
 
@@ -74,6 +103,15 @@ def benchmark_cases(workload=None) -> list:
         for group in range(spec["seed_groups"])
         for item in spec["items"]
     ]
+
+
+def load_case_bytes():
+    """``scripts/case_bytes.py`` as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "case_bytes.py"
+    spec = importlib.util.spec_from_file_location("case_bytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def count_calls(monkeypatch, module, name):

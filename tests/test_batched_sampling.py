@@ -131,7 +131,9 @@ def oracle_project(proj: PointProjection, x: SymPoint) -> SymPoint:
     if not comp.shape[0]:
         return SymPoint(qpair, np.eye(1))
     c = x.cartan
-    coords = pair.matrix_coords(c @ proj.comp_mats @ np.linalg.inv(c))
+    moved = c @ proj.comp_mats @ np.linalg.inv(c)
+    pair.matrix_coords(moved)  # the residual test of each matrix
+    coords = moved.reshape(len(moved), -1) @ pair._basis_pinv  # one (d', n*n) @ (n*n, d) product
     return SymPoint(qpair, comp @ coords.T)
 
 

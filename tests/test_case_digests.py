@@ -9,21 +9,15 @@ Exit codes and booleans are compared on any build; the hashes only on the
 recorded one, since another BLAS kernel may round differently.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from oracles import load_case_bytes
+
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "case_digests.json"
-
-
-def load_case_bytes():
-    spec = importlib.util.spec_from_file_location("case_bytes", ROOT / "scripts" / "case_bytes.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_reports_match_the_recorded_digests():

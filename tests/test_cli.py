@@ -416,3 +416,25 @@ def test_verify_of_a_fifteen_dim_model_stays_small(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["dim_minus"] == 15
     peak_mb = int(out.stdout.strip()) / 1024  # ru_maxrss is in KiB on Linux
     assert peak_mb < 150, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "sphere(3)"],
+        ["subspace", "--model", "spd(3)"],
+        ["quotient", "--model", "spd(4)", "--ideal", "center"],
+    ],
+    ids=["verify", "subspace", "quotient"],
+)
+def test_a_tolerance_below_the_closure_rounding_fails_without_a_traceback(argv):
+    # at these tolerances the pair's own commutator closure fails its re-check
+    # (a VerificationError); the verb reports it as a failed check
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symspaces.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "symspaces.cli", *argv, "--tol-abs", "1e-17", "--tol-rel", "1e-16"]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == EXIT_CHECK_FAILED
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: algebra basis is not closed under commutator: ") and out.stderr.count("\n") == 1

@@ -1,20 +1,25 @@
 """The verify path's O(m^4) axiom check and batched triple tensor agree with
 the direct formulas they replaced."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symspaces import lts
 from symspaces.catalog import parse_model
 from symspaces.lts import LieTripleSystem, VerificationError, check_lts_axioms
 from symspaces.numkernel import DEFAULT_TOL
 from symspaces.sympair import MatrixSymmetricPair
 from symspaces.symspace import lts_of_pair
 
-from oracles import oracle_lts_tensor  # the per-element matrix build
+from oracles import count_calls, load_case_bytes, oracle_lts_axioms, oracle_lts_tensor
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the models of the benchmark's verify ladder, m = 2 to 15
 VERIFY_LADDER = (
@@ -137,6 +142,112 @@ class TestAxiomCheck:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def same_residuals(got, want) -> bool:
+    """Equal bits, NaN matching any NaN."""
+    return all(np.isnan(g) and np.isnan(w) or np.float64(g).tobytes() == np.float64(w).tobytes() for g, w in zip(got, want))
+
+
+def residuals(c: np.ndarray) -> tuple:
+    rep = check_lts_axioms(LieTripleSystem(c.shape[0], c))
+    return rep.antisymmetry, rep.cyclic, rep.derivation
+
+
+def inner_map_classes(c: np.ndarray) -> int:
+    """The number of nonzero finite inner maps c[a, b] that differ up to sign,
+    compared on exact bits with -0.0 read as 0.0, one map at a time."""
+    d = c.shape[0]
+    keys = set()
+    for op in c.reshape(d * d, d * d):
+        if op.any() and np.isfinite(op).all():
+            lead = op[np.flatnonzero(op)[0]]
+            keys.add(((op if lead > 0 else -op) + 0.0).tobytes())
+    return len(keys)
+
+
+def evaluations(c: np.ndarray) -> int:
+    """The inner maps the check evaluates: one per class, and each map with a non-finite entry."""
+    ops = c.reshape(len(c) ** 2, -1)
+    return inner_map_classes(c) + int(np.count_nonzero(~np.isfinite(ops).all(axis=1)))
+
+
+@st.composite
+def planted_tensors(draw):
+    """Random tensors in which some inner maps are copies of others, each
+    copy with its mirror c[b, a] set to its negation: equal, negated, equal
+    with their zeros read as -0.0, or (a distinct map) with the signs of some
+    entries flipped.  Optionally a NaN or an infinity sits inside a map that
+    may be copied, or the entries are large enough that some residuals
+    overflow to inf and some to NaN."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    c = rng.standard_normal((d,) * 4) * draw(st.sampled_from([1.0, 1e154]))
+    c[rng.random(c.shape) < 0.3] = 0.0
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        c[tuple(rng.integers(0, d, 4))] = bad
+    for _ in range(draw(st.integers(1, 2 * d * d))):
+        a, b, x, y = rng.integers(0, d, 4)
+        op = c[x, y].copy()
+        how = draw(st.sampled_from(["copy", "negate", "negative_zeros", "flip_some"]))
+        if how == "negate":
+            op = -op  # its zeros become -0.0
+        elif how == "negative_zeros":
+            op[op == 0.0] = -0.0
+        elif how == "flip_some":
+            op[rng.random(op.shape) < 0.5] *= -1.0
+        c[a, b] = op
+        if a != b:
+            c[b, a] = -op
+    return c
+
+
+class TestDistinctInnerMaps:
+    def test_bits_equal_the_per_pair_body_on_the_verify_ladder(self, ladder):
+        for spec, model in ladder.items():
+            m = lts_of_pair(model.pair)
+            assert same_residuals(residuals(m.tensor), oracle_lts_axioms(m)), spec
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(deadline=None, max_examples=80)
+    @given(planted_tensors())
+    def test_bits_equal_the_per_pair_body_with_planted_copies(self, c):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_calls(mp, lts, "_derivation_residual")
+            got = residuals(c)
+        assert same_residuals(got, oracle_lts_axioms(LieTripleSystem(c.shape[0], c)))
+        assert len(calls) == evaluations(c)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_copied_non_finite_map_is_evaluated_each_time(self, monkeypatch, bad):
+        c = sphere_formula(3)
+        c[0, 1, 2, 0], c[1, 0, 2, 0] = bad, -bad
+        c[0, 2], c[2, 0] = c[0, 1], c[1, 0]
+        calls = count_calls(monkeypatch, lts, "_derivation_residual")
+        got = residuals(c)
+        assert same_residuals(got, oracle_lts_axioms(LieTripleSystem(3, c))) and not np.isfinite(got[2])
+        # the four maps with a non-finite entry, and one per class of the other nonzero maps
+        assert len(calls) == evaluations(c) == 4 + 1
+
+    @pytest.mark.parametrize(
+        "spec,maps,distinct",
+        [("grassmann(2,5)", 18, 4), ("product(grassmann(2,5),grassmann(2,5))", 36, 8), ("spd(5)", 100, 22)],
+    )
+    def test_each_class_of_inner_maps_is_evaluated_once(self, monkeypatch, spec, maps, distinct):
+        # the tensor is built at one BLAS thread, where the class count of spd(5)
+        # is recorded; at two threads two of its maps differ by about 1e-33
+        case_bytes = load_case_bytes()
+        with case_bytes._blas_threads(1):
+            c = lts_of_pair(parse_model(spec).pair).tensor
+        calls = count_calls(monkeypatch, lts, "_derivation_residual")
+        check_lts_axioms(LieTripleSystem(c.shape[0], c))
+        assert int(np.count_nonzero(c.reshape(len(c) ** 2, -1).any(axis=1))) == maps
+        assert len(calls) == inner_map_classes(c)
+        recorded = json.loads((ROOT / "tests" / "data" / "case_digests.json").read_text())["environment"]
+        if case_bytes.environment() == recorded:
+            assert len(calls) == distinct
 
 
 class TestBatchedTripleSystem:
