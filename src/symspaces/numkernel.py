@@ -398,8 +398,9 @@ def _normal_roots(parts: tuple) -> np.ndarray:
     return u_root @ p(lambda w: np.sqrt(np.sqrt(1.0 + w)), (1.0, 0.25, -0.09375))
 
 
-# margins of the ball test on norms of C - I that bound |C - I|_2 from above
-# (Frobenius) and below (largest column), wide against their rounding
+# margins of the ball test on the bounds of |C - I|_2 from above (the
+# Frobenius norm, and f of _in_ball) and from below (the largest column, and
+# f n^(-1/16)), wide against their rounding
 _BALL_INSIDE = 1.0 - 1e-12
 _BALL_OUTSIDE = 1.0 + 1e-12
 
@@ -408,11 +409,22 @@ def _in_ball(d: np.ndarray) -> list:
     """Whether ``|D|_2 < 1`` for each slice of a ``(k, n, n)`` stack, as the
     largest singular value decides it.  A slice with ``|D|_F`` below 1, or a
     column of norm above 1, by more than the margin of their rounding is
-    decided by that norm; only the slices between take the SVD."""
+    decided by that norm.  A slice between takes ``f = |(D^T D)^4|_F^(1/8)``
+    from three stacked products, ``(sum_i sigma_i^16)^(1/16)``, which bounds
+    ``|D|_2`` from above by ``f`` and from below by ``f n^(-1/16)``; only the
+    slices whose bounds straddle 1 by the same margins take the SVD."""
     inside = _frobenius(d) < _BALL_INSIDE
     edge = ~inside & ~(np.sqrt(np.vecdot(d, d, axis=-2)).max(axis=-1) > _BALL_OUTSIDE)
     if edge.any():
-        inside[edge] = np.linalg.svd(d[edge], compute_uv=False).max(axis=-1) < 1.0
+        e = d[edge]
+        g = e.swapaxes(1, 2) @ e
+        g = g @ g
+        f = _frobenius(g @ g) ** 0.125
+        below = f < _BALL_INSIDE
+        unsure = ~below & ~(f * d.shape[-1] ** -0.0625 > _BALL_OUTSIDE)  # a NaN slice too
+        if unsure.any():
+            below[unsure] = np.linalg.svd(e[unsure], compute_uv=False).max(axis=-1) < 1.0
+        inside[edge] = below
     return inside.tolist()
 
 

@@ -120,7 +120,8 @@ def _discrepancies(pair: MatrixSymmetricPair, xs, ys) -> tuple:
     and stacked products.
 
     ``S`` is a transvection representative of ``x``: ``sigma(S) = S^-1``,
-    since ``sigma`` is an automorphism and ``sigma(X) = X^-1``.  Its root
+    since ``sigma`` is an automorphism and ``sigma(X) = X^-1``, so ``S^-1``
+    is taken as ``sigma(S)`` (no LU for a conjugation-type pair).  Its root
     exists off the cut locus (no eigenvalue of ``X`` on the closed negative
     real axis); a root is taken only where ``S S`` is the same point as ``x``.
     """
@@ -128,7 +129,7 @@ def _discrepancies(pair: MatrixSymmetricPair, xs, ys) -> tuple:
     if not len(xs):
         return xs, np.zeros(0, dtype=bool)
     roots, rooted = _principal_roots(xs.cartans, pair.tol)
-    inv = np.linalg.inv(roots[rooted])
+    inv = pair.sigma._apply(roots[rooted])
     return Points._wrap(pair, inv @ ys.cartans[rooted] @ inv), rooted
 
 
@@ -167,8 +168,11 @@ class PointProjection:
     the source, it returns the :class:`Points` of their images, projected in
     blocks of :attr:`block` points whose ``matrix_coords`` right-hand side
     holds at most ``MAX_STACK_FLOATS``.  Each point takes two GEMMs for
-    ``C M_b C^-1`` over the matrices ``M_b`` of the rows of comp and one for
-    their coordinates, so each image is bit for bit the one-point call.
+    ``C M_b sigma(C)`` over the matrices ``M_b`` of the rows of comp and one
+    for their coordinates, so each image is bit for bit the one-point call.
+    A Cartan matrix has ``sigma(C) = C^-1``; for a conjugation-type pair
+    ``sigma(C)`` is two matrix products and no LU.  A non-finite point fails
+    the residual test of its coordinates.
     """
 
     def __init__(self, source: MatrixSymmetricPair, target: MatrixSymmetricPair, comp: np.ndarray):
@@ -189,7 +193,7 @@ class PointProjection:
             c = cartans[start:start + self.block]
             k = len(c)
             left = (c @ self._side_by_side).reshape(k, n, d_out, n).transpose(0, 2, 1, 3)  # C M_b
-            moved = (left.reshape(k, d_out * n, n) @ np.linalg.inv(c)).reshape(k, d_out, n, n)
+            moved = (left.reshape(k, d_out * n, n) @ src.sigma._apply(c)).reshape(k, d_out, n, n)
             # column b of point i: the complement coordinates of Ad(C_i) applied to comp[b]
             coords = _coords_stack(src.basis_mats, src._basis_pinv, moved, src.tol, _NOT_IN_ALGEBRA)
             out.append(self.comp @ coords.transpose(0, 2, 1))

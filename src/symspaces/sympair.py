@@ -160,13 +160,17 @@ def _coords_each(mats: np.ndarray, pinv: np.ndarray, x: np.ndarray, tol: Toleran
     Each matrix must pass its residual test, ``tol.verdicts`` at the scale
     ``max(|x|, 1)`` in one call for the stack, or its error is ``"matrix
     <outside> (residual ...)"``; the errors run over the matrices in order.
+    The residual rebuilds every matrix from its coordinates in one ``(k*r,
+    d) @ (d, n*n)`` product, and an error is made only for a matrix that fails.
     """
     lead, n, d = x.shape[:-2], x.shape[-1], pinv.shape[-1]
     coords = (x.reshape(lead[0], math.prod(lead[1:]), n * n) @ pinv).reshape(lead + (d,))
-    flat = x.reshape(math.prod(lead), n, n)
-    resid = _frobenius(_combine(coords.reshape(len(flat), d), mats, "") - flat)
-    ok = tol.verdicts(resid, np.maximum(_frobenius(flat), 1.0)).tolist()
-    errors = [None if good else ValueError(f"matrix {outside} (residual {r:.2e})") for good, r in zip(ok, resid)]
+    flat = x.reshape(math.prod(lead), n * n)
+    resid = _frobenius(coords.reshape(len(flat), d) @ mats.reshape(d, n * n) - flat)
+    failed = ~tol.verdicts(resid, np.maximum(_frobenius(flat), 1.0))
+    errors = [None] * len(flat)
+    for i in np.flatnonzero(failed).tolist():
+        errors[i] = ValueError(f"matrix {outside} (residual {resid[i]:.2e})")
     return coords, errors
 
 

@@ -11,10 +11,16 @@ that are not normal; the normal route is judged by value against
 :func:`oracle_principal_log`, scipy's ``logm`` on the same ball.
 :func:`oracle_lts_tensor` builds the g_minus triple tensor from matrix
 double commutators, the reference for ``lts_of_pair``, which takes it from
-the algebra's bracket tensor.
+the algebra's bracket tensor.  :func:`oracle_projection_inv` and
+:func:`oracle_discrepancies_inv` are the former bodies of the point
+projection and of the relation's discrepancies, which inverted each Cartan
+matrix and each principal root by LU where the package now applies sigma;
+:func:`oracle_coords_each` is the former coordinate body, whose residual
+took one product per matrix.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -24,8 +30,9 @@ import scipy.linalg
 
 from symspaces import numkernel
 from symspaces.catalog import parse_model
-from symspaces.numkernel import DEFAULT_TOL, DomainError, as_matrix, op_norm
-from symspaces.symspace import SymPoint, log_point
+from symspaces.numkernel import DEFAULT_TOL, DomainError, _frobenius, _principal_roots, as_matrix, op_norm
+from symspaces.sympair import _NOT_IN_ALGEBRA, _combine, _coords_stack
+from symspaces.symspace import Points, SymPoint, _point_columns, log_point
 
 CHART_MODELS = ("sphere(2)", "spd(2)", "spd(3)", "grassmann(2,4)", "product(sphere(2),spd(2))")
 
@@ -129,6 +136,22 @@ def count_calls(monkeypatch, module, name):
         if ours and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def lapack_spy(mp, names, caller="symspaces.numkernel"):
+    """Count the slices of each ``numpy.linalg`` call made in ``caller``, a
+    module or a package, for the rest of the monkeypatch context."""
+    slices = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            module = sys._getframe(1).f_globals.get("__name__", "")
+            if module == caller or module.startswith(caller + "."):
+                slices[_name] += len(a) if np.ndim(a) == 3 else 1
+            return _original(a, *args, **kwargs)
+
+        mp.setattr(np.linalg, name, counted)
+    return slices
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +343,48 @@ def oracle_member(pair, seed, x, extra=0.0):
     except ValueError:
         return None
     return seed.contains(v, pair.tol)
+
+
+# ---------------------------------------------------------------------------
+# inverses by LU, and the coordinate residual one matrix at a time
+
+
+def oracle_projection_inv(proj, points) -> Points:
+    """The former ``PointProjection.__call__``: ``C M_b C^-1`` with ``C^-1``
+    from ``np.linalg.inv``."""
+    cartans = Points.of(proj.source, points).cartans
+    src, d_out, n = proj.source, proj.comp_mats.shape[0], proj.source.ambient_n
+    if not d_out:
+        return Points._wrap(proj.target, np.ones((len(cartans), 1, 1)))
+    out = [np.empty((0, d_out, d_out))]
+    for start in range(0, len(cartans), proj.block):
+        c = cartans[start:start + proj.block]
+        k = len(c)
+        left = (c @ proj._side_by_side).reshape(k, n, d_out, n).transpose(0, 2, 1, 3)  # C M_b
+        moved = (left.reshape(k, d_out * n, n) @ np.linalg.inv(c)).reshape(k, d_out, n, n)
+        coords = _coords_stack(src.basis_mats, src._basis_pinv, moved, src.tol, _NOT_IN_ALGEBRA)
+        out.append(proj.comp @ coords.transpose(0, 2, 1))
+    return Points._wrap(proj.target, np.concatenate(out))
+
+
+def oracle_discrepancies_inv(pair, xs, ys) -> tuple:
+    """The former ``quotient._discrepancies``: ``S^-1 Y S^-1`` with ``S^-1``
+    from ``np.linalg.inv``, and the mask of the confirmed roots."""
+    xs, ys = _point_columns(xs, ys, pair)
+    if not len(xs):
+        return xs, np.zeros(0, dtype=bool)
+    roots, rooted = _principal_roots(xs.cartans, pair.tol)
+    inv = np.linalg.inv(roots[rooted])
+    return Points._wrap(pair, inv @ ys.cartans[rooted] @ inv), rooted
+
+
+def oracle_coords_each(mats, pinv, x, tol, outside) -> tuple:
+    """The former ``sympair._coords_each``: the residual of each matrix from
+    its own ``(1, d) @ (d, n*n)`` product, and an entry per matrix."""
+    lead, n, d = x.shape[:-2], x.shape[-1], pinv.shape[-1]
+    coords = (x.reshape(lead[0], math.prod(lead[1:]), n * n) @ pinv).reshape(lead + (d,))
+    flat = x.reshape(math.prod(lead), n, n)
+    resid = _frobenius(_combine(coords.reshape(len(flat), d), mats, "") - flat)
+    ok = tol.verdicts(resid, np.maximum(_frobenius(flat), 1.0)).tolist()
+    errors = [None if good else ValueError(f"matrix {outside} (residual {r:.2e})") for good, r in zip(ok, resid)]
+    return coords, errors

@@ -14,8 +14,6 @@ edge of the ball each verdict is the SVD's.  A spy holds the LAPACK budget
 of the chart kernel on ``chart_queries``.
 """
 
-import sys
-
 import mpmath
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ from oracles import (
     chart_models,  # noqa: F401  (a fixture)
     close_logs,
     count_calls,
+    lapack_spy,
     oracle_log,
     oracle_log_and_roots,
     oracle_relates_group,
@@ -367,21 +366,6 @@ def test_a_stack_mixes_the_series_and_eigh_slice_by_slice(chart_models):
         assert close_logs(log, scipy.linalg.logm(a), 1e-14)
 
 
-def lapack_spy(mp, names):
-    """Count the slices of each ``numpy.linalg`` call made in ``numkernel``, for
-    the rest of the monkeypatch context."""
-    slices = dict.fromkeys(names, 0)
-    for name in names:
-
-        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            if sys._getframe(1).f_globals.get("__name__") == "symspaces.numkernel":
-                slices[_name] += len(a) if np.ndim(a) == 3 else 1
-            return _original(a, *args, **kwargs)
-
-        mp.setattr(np.linalg, name, counted)
-    return slices
-
-
 def edge_stack():
     """Matrices ``I + D``, ``D = Q diag(sigma) R^T`` with ``sigma_max`` and
     ``|D|_F`` within 1e-15 of 1 (before rounding), of rank 1 and of full
@@ -419,18 +403,49 @@ def test_the_ball_on_its_edge_is_the_svds():
 def test_the_ball_off_its_edge_takes_one_norm():
     # |D|_F < 1 decides the first slice and a column of norm above 1 the next
     # two (a quarter turn: |D|_F = 2, |D|_2 = sqrt(2)); a turn by 0.9 has
-    # |D|_F = 1.23 and largest column 0.87 = |D|_2, so only it takes the SVD
+    # |D|_F = 1.23 and largest column 0.87 = |D|_2, so neither norm decides
+    # it, and f = |(D^T D)^4|_F^(1/8) = 0.87 * 2^(1/16) = 0.91 < 1 does
     d = np.array([0.3 * rotation(0.3), np.diag([1.0 + 1e-9, 0.0]), rotation(np.pi / 2) - np.eye(2), rotation(0.9) - np.eye(2)])
     with pytest.MonkeyPatch.context() as mp:
         slices = lapack_spy(mp, ("svd",))
         assert numkernel._in_ball(d) == [True, False, False, True]
+        assert slices["svd"] == 0
+    assert numkernel._in_ball(d) == (np.linalg.svd(d, compute_uv=False).max(axis=-1) < 1.0).tolist()
+
+
+def test_the_ball_between_its_norms_takes_the_power_bound():
+    # f bounds |D|_2 in [f 2^(-1/16), f]: 0.7 times the all-ones matrix
+    # (columns 0.99, |D|_2 = f = 1.4) lies outside, and 0.99 I (f = 1.03,
+    # f 2^(-1/16) = 0.99) is the one slice whose bounds straddle 1
+    d = np.array([np.full((2, 2), 0.7), 0.99 * np.eye(2), rotation(0.9) - np.eye(2)])
+    with pytest.MonkeyPatch.context() as mp:
+        slices = lapack_spy(mp, ("svd",))
+        assert numkernel._in_ball(d) == [False, True, True]
         assert slices["svd"] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.5, 2.0),
+    rank=st.integers(1, 5),
+)
+def test_the_ball_verdict_is_the_svds(n, seed, scale, rank):
+    # near the edge, over the whole range the power bound leaves to the SVD
+    rng = np.random.default_rng(seed)
+    q, r = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    sigma = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+    sigma[min(rank, n):] = 0.0
+    d = np.array([q @ np.diag(scale * sigma / sigma[0]) @ r.T, q @ np.diag(sigma) @ r.T])
     assert numkernel._in_ball(d) == (np.linalg.svd(d, compute_uv=False).max(axis=-1) < 1.0).tolist()
 
 
 def test_two_chart_queries_passes_keep_the_lapack_budget():
     # 2,094 det, 4,188 eigh and 2,532 svd slices when every slice took both
-    # eigendecompositions, the Cayley solve's det and the ball's svd
+    # eigendecompositions, the Cayley solve's det and the ball's svd; 398 svd
+    # slices when every slice between the ball's two norms took it, and 150
+    # since the power bound decides most of those
     case_bytes = load_case_bytes()
     with pytest.MonkeyPatch.context() as mp:
         slices = lapack_spy(mp, ("det", "eigh", "svd"))
@@ -438,4 +453,4 @@ def test_two_chart_queries_passes_keep_the_lapack_budget():
             case_bytes.run_cases("chart_queries", group)
     assert slices["det"] == 0
     assert 0 < slices["eigh"] <= 2000
-    assert 0 < slices["svd"] <= 450
+    assert 0 < slices["svd"] <= 180

@@ -6,8 +6,11 @@ replaced (kept below as the oracle).  ``matrix_coords``/``matrix_to_minus``
 map a matrix or a ``(k, n, n)`` stack through the pair's cached
 pseudo-inverse, each row bit for bit its single call and within rounding of
 the least-squares solve it replaced, and each matrix passes its own residual
-test.  The callers that looped over the map one vector or one matrix at a
-time make stacked calls.
+test.  That test rebuilds every matrix of a stack from one ``(k, d) @ (d,
+n*n)`` product; on stacks that mix matrices inside and outside the span it
+fails the same matrices, with the same messages, as the former per-row body
+(``oracles.oracle_coords_each``).  The callers that looped over the map
+one vector or one matrix at a time make stacked calls.
 """
 
 import io
@@ -15,14 +18,16 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from oracles import same_bits
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_coords_each, same_bits
 
 from symspaces import cli, sympair
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, VerificationError
 from symspaces.numkernel import DomainError
 from symspaces.quotient import quotient_theorem_pipeline
-from symspaces.sympair import MatrixSymmetricPair, SigmaRule, relation_group_product
+from symspaces.sympair import _NOT_IN_ALGEBRA, MatrixSymmetricPair, SigmaRule, _coords_each, _coords_stack, relation_group_product
 from symspaces.symspace import chain_identity_check, exp_points, lts_of_pair
 
 # every catalog family, with the spd and product sizes where a single
@@ -209,6 +214,74 @@ class TestInverseMap:
         monkeypatch.setattr(MatrixSymmetricPair, "structure_tensor", property(lambda self: leaky))
         with pytest.raises(VerificationError, match=r"^triple bracket leaves the \(-1\)-eigenspace$"):
             lts_of_pair(pair)
+
+
+def mixed_stack(pair, minus: bool, seed: int, lead: tuple, offsets: list) -> tuple:
+    """A ``lead + (n, n)`` stack of matrices of the span, each moved off it by its
+    offset times ``max(|x|, 1)`` along a unit matrix orthogonal to the span (no
+    move where the span is every matrix), and whether each was moved."""
+    mats, pinv = (pair.minus_mats, pair._minus_pinv) if minus else (pair.basis_mats, pair._basis_pinv)
+    d, n = len(mats), pair.ambient_n
+    rng = np.random.default_rng(seed)
+    count = len(offsets)
+    flat_mats = mats.reshape(d, n * n)
+    inside = (rng.standard_normal((count, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))) @ flat_mats
+    noise = rng.standard_normal((count, n * n))
+    normal = noise - (noise @ pinv) @ flat_mats
+    norms = np.linalg.norm(normal, axis=1)
+    moved = (np.array(offsets) > 0.0) & (norms > 1e-6)
+    step = np.where(moved, offsets, 0.0) * np.maximum(np.linalg.norm(inside, axis=1), 1.0) / np.maximum(norms, 1e-6)
+    x = inside + step[:, None] * normal
+    return mats, pinv, x.reshape(lead + (n, n)), moved
+
+
+RESIDUAL_MODELS = ("sphere(2)", "spd(2)", "spd(3)", "grassmann(2,5)", "product(sphere(2),spd(2))", QUOTIENT)
+
+
+class TestVectorizedResidual:
+    """The residual test rebuilds the matrices from one product for the stack;
+    the former per-row body is the oracle of its verdicts and its messages."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from(RESIDUAL_MODELS),
+        minus=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.sampled_from([(1,), (5,), (2, 1), (3, 4), (1, 6)]),
+        data=st.data(),
+    )
+    def test_failing_matrices_and_messages_match_the_per_row_body(self, coord_pairs, spec, minus, seed, lead, data):
+        pair = coord_pairs[spec]
+        count = int(np.prod(lead))
+        offsets = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e2)), min_size=count, max_size=count))
+        mats, pinv, x, moved = mixed_stack(pair, minus, seed, lead, offsets)
+        outside = "is not in g_minus" if minus else _NOT_IN_ALGEBRA
+        coords, errors = _coords_each(mats, pinv, x, pair.tol, outside)
+        want_coords, want_errors = oracle_coords_each(mats, pinv, x, pair.tol, outside)
+        assert same_bits(coords, want_coords) and coords.shape == lead + (len(mats),)
+        assert [e is not None for e in errors] == [e is not None for e in want_errors] == moved.tolist()
+        assert [str(e) for e in errors] == [str(e) for e in want_errors]
+        failing = [e for e in want_errors if e is not None]
+        if failing:
+            with pytest.raises(ValueError) as first:
+                _coords_stack(mats, pinv, x, pair.tol, outside)
+            assert str(first.value) == str(failing[0])
+            assert str(first.value).startswith(f"matrix {outside} (residual ")
+        else:
+            assert same_bits(_coords_stack(mats, pinv, x, pair.tol, outside), want_coords)
+
+    def test_a_group_stack_names_its_first_failing_matrix(self, coord_pairs):
+        # groups of the point projection's shape: the first matrix of the
+        # third group is the first outside the span, in row-major order
+        pair = coord_pairs["product(sphere(2),spd(2))"]
+        offsets = [0.0, 0.0, 0.0, 0.0, 1e-3, 0.5]
+        mats, pinv, x, moved = mixed_stack(pair, False, 3, (3, 2), offsets)
+        assert moved.tolist() == [False] * 4 + [True, True]
+        errors = _coords_each(mats, pinv, x, pair.tol, _NOT_IN_ALGEBRA)[1]
+        assert [e is None for e in errors] == [True] * 4 + [False, False]
+        with pytest.raises(ValueError, match=r"^matrix does not lie in the algebra \(residual [0-9.]+e[+-][0-9]+\)$") as first:
+            _coords_stack(mats, pinv, x, pair.tol, _NOT_IN_ALGEBRA)
+        assert str(first.value) == str(errors[4])
 
 
 # ---------------------------------------------------------------------------
