@@ -23,10 +23,6 @@ from .sympair import (
     SigmaRule,
     apply_pair_morphism,
     group_sigma,
-    in_fixed_group,
-    relation_group_product,
-    trotter_group_commutator,
-    trotter_group_sum,
 )
 from .symspace import (
     Points,
@@ -37,10 +33,8 @@ from .symspace import (
     exp_point,
     log_point,
     lts_of_pair,
-    mu,
     one_param,
     sym_morphism,
-    tau_action,
     translation,
     trotter_bracket_sym,
     trotter_sum_sym,
@@ -59,7 +53,6 @@ from .quotient import (
     CongruenceRelation,
     QuotientResult,
     congruence_from_ideal,
-    normal_lts_is_ideal,
     quotient_theorem_pipeline,
     relation_closure_check,
     weak_submersion_check,

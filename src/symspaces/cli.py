@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import MODEL_NAMES, ModelDescriptor, build_model, parse_model
+from .catalog import ModelDescriptor, build_model, parse_model
 from .lts import LinearSubspace, VerificationError, algebra_from_json, check_lts_axioms
 from .numkernel import Tolerance
 from .quotient import (

@@ -119,18 +119,8 @@ class LinearSubspace:
         tracer of ``bench/tracer.py``, which wraps this method."""
         return self.basis
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``v`` onto the subspace."""
-        q = self.basis
-        return q.T @ (q @ np.asarray(v, dtype=float))
-
     def distance(self, v: np.ndarray) -> float:
         return float(self.distances(v)[0])
-
-    def contains(self, v: np.ndarray, tol: Tolerance) -> bool:
-        """Whether ``v`` lies in the subspace: ``tol.verdicts`` of its distance
-        at the scale ``max(|v|, 1)``."""
-        return self.contains_each(v, tol)[0]
 
     def _rows(self, vectors) -> np.ndarray:
         v = np.asarray(vectors, dtype=float)
@@ -151,13 +141,14 @@ class LinearSubspace:
         return np.linalg.norm(v - (v @ q.T) @ q, axis=-1)[:, 0]
 
     def contains_each(self, vectors, tol: Tolerance) -> list:
-        """:meth:`contains` of each row of ``vectors``, bit for bit, as a list of bools."""
+        """Whether each row ``v`` of ``vectors`` lies in the subspace, as a list of
+        bools: ``tol.verdicts`` of its distance at the scale ``max(|v|, 1)``."""
         v = self._rows(vectors)
         scale = np.maximum(_frobenius(v), 1.0)
         return tol.verdicts(self.distances(v), scale).tolist()
 
     def contains_all(self, vectors, tol: Tolerance) -> bool:
-        """True iff every row lies in the subspace, each by the test of :meth:`contains`."""
+        """True iff every row lies in the subspace, each by the test of :meth:`contains_each`."""
         return all(self.contains_each(vectors, tol))
 
     def contains_subspace(self, other: "LinearSubspace", tol: Tolerance) -> bool:

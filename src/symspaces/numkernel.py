@@ -31,7 +31,6 @@ __all__ = [
     "mat_exp",
     "mat_log",
     "nullspace",
-    "numerical_rank",
     "op_norm",
 ]
 
@@ -554,15 +553,12 @@ def _svd_cut(a: np.ndarray, tol: Tolerance):
     return sing, vt, rank
 
 
-def numerical_rank(a, tol: Tolerance) -> int:
-    return _svd_cut(as_matrix(a), tol)[2]  # _svd_cut is the unchecked body, for package arrays
-
-
 def nullspace(a, tol: Tolerance) -> np.ndarray:
     """Orthonormal kernel basis as the columns of an ``(n, k)`` array.
 
-    Singular values within the tolerance at scale ``sigma_max`` count as zero;
-    ``k = n - numerical_rank(a)``.  An empty matrix (no rows) has full kernel.
+    Singular values within the tolerance at scale ``sigma_max`` count as zero,
+    and ``k`` is ``n`` minus the count of the others.  An empty matrix (no
+    rows) has full kernel.
     """
     return _kernel_rows(as_matrix(a), tol).T.copy()
 

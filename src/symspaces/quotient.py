@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lts import LinearSubspace, _ad_on_span, _bracket_plus_n, _ker_psi_plus_n, _psi, is_ideal
-from .numkernel import _kernel_rows, _principal_roots, _svd_cut
+from .numkernel import _kernel_rows, _principal_roots
 from .subspace import (
     ChartSplitError,
     ReflectionSubspace,
@@ -47,7 +47,6 @@ __all__ = [
     "PointProjection",
     "QuotientGateError",
     "FaithfulnessError",
-    "normal_lts_is_ideal",
     "congruence_from_ideal",
     "quotient_theorem_pipeline",
     "weak_submersion_check",
@@ -85,13 +84,6 @@ class CongruenceRelation:
     relates: Callable[[Points, Points], list]
     label: str = ""
     sequence_probes: Optional[Callable[[], list]] = None
-
-
-def normal_lts_is_ideal(n_space: ReflectionSubspace) -> bool:
-    """Extract the subspace's system and test the ideal condition in the ambient."""
-    pair = n_space.pair
-    n = lts_of_subspace(n_space)
-    return is_ideal(lts_of_pair(pair), n)
 
 
 class ChartRelation:
@@ -297,7 +289,7 @@ def quotient_theorem_pipeline(
         "quotient_tensor": qpair.structure_tensor.tolist(),
         "chart_radius": chart.radius,
         "rank_checks": {
-            "projection_rank": _svd_cut(proj_algebra, tol)[2],
+            "projection_rank": proj_algebra.shape[0],  # orthonormal rows: the rank is their count
             "expected_rank": m_out,
         },
     }

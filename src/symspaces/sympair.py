@@ -20,13 +20,11 @@ from .lts import LinearSubspace, SymmetricLieAlgebra, VerificationError
 from .numkernel import (
     DEFAULT_TOL,
     INVERTIBLE_DET_FLOOR,
-    DomainError,
     Tolerance,
     _frobenius,
     _mat_exp_stack,
     as_matrix,
     mat_exp,
-    mat_log,
 )
 
 __all__ = [
@@ -34,10 +32,6 @@ __all__ = [
     "MatrixSymmetricPair",
     "PairMorphism",
     "group_sigma",
-    "in_fixed_group",
-    "trotter_group_sum",
-    "trotter_group_commutator",
-    "relation_group_product",
     "apply_pair_morphism",
 ]
 
@@ -388,60 +382,6 @@ def group_sigma(pair: MatrixSymmetricPair, g: np.ndarray) -> np.ndarray:
     if np.any(np.abs(np.linalg.det(g)) < INVERTIBLE_DET_FLOOR):
         raise ValueError("sigma is only defined on invertible matrices")
     return pair.sigma._apply(g)
-
-
-def in_fixed_group(pair: MatrixSymmetricPair, g: np.ndarray) -> bool:
-    g = as_matrix(g, square=True)
-    return pair.tol.close(group_sigma(pair, g), g)
-
-
-def trotter_group_sum(pair: MatrixSymmetricPair, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """The k-th Trotter approximant (exp(x/k) exp(y/k))^k of exp(x+y)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x, y = as_matrix(x, square=True), as_matrix(y, square=True)
-    ex, ey = mat_exp(np.stack([x / k, y / k]))
-    step = ex @ ey
-    return np.linalg.matrix_power(step, k)
-
-
-def trotter_group_commutator(pair: MatrixSymmetricPair, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """The k-th commutator approximant converging to exp([x, y])."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x, y = as_matrix(x, square=True), as_matrix(y, square=True)
-    ex, ey, ex_inv, ey_inv = mat_exp(np.stack([x / k, y / k, -x / k, -y / k]))
-    step = ex @ ey @ ex_inv @ ey_inv
-    return np.linalg.matrix_power(step, k * k)
-
-
-def relation_group_product(
-    pair: MatrixSymmetricPair,
-    l_algebra: LinearSubspace,
-    first: tuple[np.ndarray, np.ndarray],
-    second: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product of the relation group S = G x L in (g, l) coordinates.
-
-    Conjugation transports the L component: the product of (g1, l1) and
-    (g2, l2) is (g1 g2, c(g2^-1, l1) l2) with c(g, l) = g l g^-1.  The
-    second coordinate is checked to stay in L through its log whenever the
-    principal log is defined.
-    """
-    if not pair.algebra().brackets_within(l_algebra.basis, np.eye(pair.dim), l_algebra):
-        raise ValueError("L must integrate a Lie ideal of the pair's algebra")
-    g1, l1 = (as_matrix(a, square=True) for a in first)
-    g2, l2 = (as_matrix(a, square=True) for a in second)
-    g2i = np.linalg.inv(g2)
-    l_out = (g2i @ l1 @ g2) @ l2
-    g_out = g1 @ g2
-    try:
-        w = mat_log(l_out, pair.tol)
-    except DomainError:  # no principal log, so no chart check
-        return g_out, l_out
-    if not l_algebra.contains(pair.matrix_coords(w), pair.tol):
-        raise VerificationError("conjugated L component left the ideal's chart")
-    return g_out, l_out
 
 
 # ---------------------------------------------------------------------------

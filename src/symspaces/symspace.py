@@ -41,7 +41,6 @@ __all__ = [
     "SymPoint",
     "Points",
     "base_point",
-    "mu",
     "mu_points",
     "same_points",
     "exp_point",
@@ -50,7 +49,6 @@ __all__ = [
     "log_points",
     "one_param",
     "translation",
-    "tau_action",
     "tau_actions",
     "trotter_sum_sym",
     "trotter_bracket_sym",
@@ -236,15 +234,11 @@ def base_point(pair: MatrixSymmetricPair) -> SymPoint:
     return SymPoint._wrap(pair, np.eye(pair.ambient_n))
 
 
-def mu(x: SymPoint, y: SymPoint) -> SymPoint:
-    """The point product: in Cartan coordinates x . y = x y^-1 x."""
-    return mu_points([x], [y])[0]
-
-
 def mu_points(xs, ys) -> Points:
-    """``mu(x, y)`` of each pair of points, bit for bit, from one stacked
-    ``x y^-1 x``; all points must live over one pair.  Two empty sequences,
-    which name no pair, give an empty list."""
+    """The point product ``mu(x, y)`` of each pair of points, in Cartan
+    coordinates ``x y^-1 x``, from one stacked product; all points must live
+    over one pair.  Two empty sequences, which name no pair, give an empty
+    list."""
     xs, ys = _point_columns(xs, ys)
     if not isinstance(xs, Points):
         return []
@@ -328,17 +322,13 @@ def one_param(pair: MatrixSymmetricPair, v, t: float) -> SymPoint:
 
 def translation(pair: MatrixSymmetricPair, v, s: float, x: SymPoint) -> SymPoint:
     """Translation tau_{alpha,s} = mu_{alpha(s/2)} o mu_{alpha(0)} along alpha_v."""
-    return mu(one_param(pair, v, s / 2.0), mu(base_point(pair), x))
-
-
-def tau_action(pair: MatrixSymmetricPair, g: np.ndarray, x: SymPoint) -> SymPoint:
-    """The natural action (g, hK) -> ghK."""
-    return _tau_actions(pair, as_matrix(g, square=True)[None], Points.of(pair, [x]))[0]
+    return mu_points([one_param(pair, v, s / 2.0)], mu_points([base_point(pair)], [x]))[0]
 
 
 def tau_actions(pair: MatrixSymmetricPair, gs, xs) -> Points:
-    """``tau_action(pair, g, x)`` of each group element and point, bit for bit,
-    from one determinant check and one ``sigma`` on the stack of elements."""
+    """The natural action ``(g, hK) -> ghK`` of each group element of the
+    ``(k, n, n)`` stack ``gs`` on its point of ``xs``, from one determinant
+    check and one ``sigma`` on the stack of elements."""
     xs = Points.of(pair, xs)
     if len(gs) != len(xs):
         raise ValueError(f"unequal columns: {len(gs)} group elements and {len(xs)} points")
@@ -406,7 +396,7 @@ def apply_symmetries(points: Sequence[SymPoint], x: SymPoint) -> SymPoint:
     """Naive fold of mu_{p_1} o ... o mu_{p_m} applied to x (reference path)."""
     out = x
     for p in reversed(list(points)):
-        out = mu(p, out)
+        out = mu_points([p], [out])[0]
     return out
 
 

@@ -17,6 +17,11 @@ projection and of the relation's discrepancies, which inverted each Cartan
 matrix and each principal root by LU where the package now applies sigma;
 :func:`oracle_coords_each` is the former coordinate body, whose residual
 took one product per matrix.
+
+The group-level helpers at the end (:func:`in_fixed_group`, the group
+Trotter and commutator approximants, and the product of the relation group
+``G x L``) left the package, whose command line takes its Trotter tables
+from the symmetric-space words; they are kept here with their tests.
 """
 
 import importlib.util
@@ -30,8 +35,18 @@ import scipy.linalg
 
 from symspaces import numkernel
 from symspaces.catalog import parse_model
-from symspaces.numkernel import DEFAULT_TOL, DomainError, _frobenius, _principal_roots, as_matrix, op_norm
-from symspaces.sympair import _NOT_IN_ALGEBRA, _combine, _coords_stack
+from symspaces.lts import LinearSubspace, VerificationError
+from symspaces.numkernel import (
+    DEFAULT_TOL,
+    DomainError,
+    _frobenius,
+    _principal_roots,
+    as_matrix,
+    mat_exp,
+    mat_log,
+    op_norm,
+)
+from symspaces.sympair import _NOT_IN_ALGEBRA, MatrixSymmetricPair, _combine, _coords_stack, group_sigma
 from symspaces.symspace import Points, SymPoint, _point_columns, log_point
 
 CHART_MODELS = ("sphere(2)", "spd(2)", "spd(3)", "grassmann(2,4)", "product(sphere(2),spd(2))")
@@ -322,7 +337,7 @@ def oracle_relates(pair, n, x, y, extra=0.0):
         v = oracle_log_point(pair, SymPoint(pair, si @ y.cartan @ si), extra)
     except DomainError:
         return None
-    return n.contains(v, pair.tol)
+    return oracle_contains(n, v, pair.tol)
 
 
 def oracle_relates_group(pair, n, g, h):
@@ -332,7 +347,7 @@ def oracle_relates_group(pair, n, g, h):
         v = log_point(pair, SymPoint.from_group(pair, np.linalg.inv(g) @ h))
     except DomainError:
         return None
-    return n.contains(v, pair.tol)
+    return oracle_contains(n, v, pair.tol)
 
 
 def oracle_member(pair, seed, x, extra=0.0):
@@ -342,7 +357,7 @@ def oracle_member(pair, seed, x, extra=0.0):
         v = oracle_log_point(pair, x, extra)
     except ValueError:
         return None
-    return seed.contains(v, pair.tol)
+    return oracle_contains(seed, v, pair.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +403,77 @@ def oracle_coords_each(mats, pinv, x, tol, outside) -> tuple:
     ok = tol.verdicts(resid, np.maximum(_frobenius(flat), 1.0)).tolist()
     errors = [None if good else ValueError(f"matrix {outside} (residual {r:.2e})") for good, r in zip(ok, resid)]
     return coords, errors
+
+
+# ---------------------------------------------------------------------------
+# one vector against a linear subspace
+
+
+def oracle_project_onto(sub, v):
+    """The former ``LinearSubspace.project``: the orthogonal projection of ``v``."""
+    q = sub.basis
+    return q.T @ (q @ np.asarray(v, dtype=float))
+
+
+def oracle_contains(sub, v, tol) -> bool:
+    """The former per-vector body of ``LinearSubspace.contains``."""
+    v = np.asarray(v, dtype=float)
+    return bool(sub.distance(v) <= tol.abs_eps + tol.rel_eps * abs(max(float(np.linalg.norm(v)), 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# group-level helpers of a pair, which only tests call
+
+
+def in_fixed_group(pair: MatrixSymmetricPair, g: np.ndarray) -> bool:
+    g = as_matrix(g, square=True)
+    return pair.tol.close(group_sigma(pair, g), g)
+
+
+def trotter_group_sum(pair: MatrixSymmetricPair, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """The k-th Trotter approximant (exp(x/k) exp(y/k))^k of exp(x+y)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    x, y = as_matrix(x, square=True), as_matrix(y, square=True)
+    ex, ey = mat_exp(np.stack([x / k, y / k]))
+    step = ex @ ey
+    return np.linalg.matrix_power(step, k)
+
+
+def trotter_group_commutator(pair: MatrixSymmetricPair, x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """The k-th commutator approximant converging to exp([x, y])."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    x, y = as_matrix(x, square=True), as_matrix(y, square=True)
+    ex, ey, ex_inv, ey_inv = mat_exp(np.stack([x / k, y / k, -x / k, -y / k]))
+    step = ex @ ey @ ex_inv @ ey_inv
+    return np.linalg.matrix_power(step, k * k)
+
+
+def relation_group_product(
+    pair: MatrixSymmetricPair,
+    l_algebra: LinearSubspace,
+    first: tuple[np.ndarray, np.ndarray],
+    second: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product of the relation group S = G x L in (g, l) coordinates.
+
+    Conjugation transports the L component: the product of (g1, l1) and
+    (g2, l2) is (g1 g2, c(g2^-1, l1) l2) with c(g, l) = g l g^-1.  The
+    second coordinate is checked to stay in L through its log whenever the
+    principal log is defined.
+    """
+    if not pair.algebra().brackets_within(l_algebra.basis, np.eye(pair.dim), l_algebra):
+        raise ValueError("L must integrate a Lie ideal of the pair's algebra")
+    g1, l1 = (as_matrix(a, square=True) for a in first)
+    g2, l2 = (as_matrix(a, square=True) for a in second)
+    g2i = np.linalg.inv(g2)
+    l_out = (g2i @ l1 @ g2) @ l2
+    g_out = g1 @ g2
+    try:
+        w = mat_log(l_out, pair.tol)
+    except DomainError:  # no principal log, so no chart check
+        return g_out, l_out
+    if not l_algebra.contains_all(pair.matrix_coords(w), pair.tol):
+        raise VerificationError("conjugated L component left the ideal's chart")
+    return g_out, l_out

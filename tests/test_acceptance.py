@@ -24,7 +24,9 @@ from symspaces.lts import (
 from symspaces.numkernel import DEFAULT_TOL, nullspace
 from symspaces.quotient import (
     QuotientGateError,
+    congruence_from_ideal,
     quotient_theorem_pipeline,
+    relation_closure_check,
     weak_submersion_check,
 )
 from symspaces.reports import reflection_axiom_report
@@ -32,8 +34,10 @@ from symspaces.subspace import (
     ChartSplitError,
     base_only,
     exp_chart_split,
+    generate_integral,
     lts_of_subspace,
     lts_roundtrip_check,
+    mu_closure_check,
     preimage_subspace,
 )
 from symspaces.symspace import (
@@ -263,9 +267,8 @@ def test_criterion_09_ideal_constructions(models):
             assert l_psi.contains_subspace(l_brk, pair.tol), model.name
             for l in (l_brk, l_psi):
                 for row in l.basis:
-                    assert l.contains(g.theta @ row, pair.tol)
-                    for bracket in g.brackets(row[None], np.eye(g.dim))[0]:
-                        assert l.contains(bracket, pair.tol)
+                    assert l.contains_all(g.theta @ row, pair.tol)
+                    assert l.contains_all(g.brackets(row[None], np.eye(g.dim))[0], pair.tol)
             cases += 1
     assert cases >= 8
     _report("criterion-9", f"{cases} applicable cases, containment and ideal checks hold")
@@ -286,3 +289,32 @@ def test_criterion_10_determinism(tmp_path):
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes(), argv
     _report("criterion-10", "verify/quotient/subspace reports byte-identical")
+
+
+def test_criterion_11_mu_closure(models, rng):
+    """The integral subspace generated by every designated seed is closed
+    under the point product: no sampled mu(x, y) of two members is a definite
+    non-member."""
+    count = 0
+    for model in models.values():
+        for sub in model.designated_subspaces:
+            space = generate_integral(sub.seed, model.pair)
+            assert mu_closure_check(space, rng), (model.name, sub.name)
+            count += 1
+    _report("criterion-11", f"{count} generated subspaces closed under mu")
+
+
+def test_criterion_12_relation_closure(sphere, product, torus):
+    """The congruence of an ideal is closed (sequentially stable) for the zero
+    ideal of S2 and the factor ideal of S2 x S2; the torus dense-line relation
+    is not, and names an escaping limit pair (the necessity direction)."""
+    closed = [
+        congruence_from_ideal(sphere.pair, LinearSubspace.zero(2)),
+        congruence_from_ideal(product.pair, LinearSubspace(4, np.eye(4)[:2])),
+    ]
+    for rel in closed:
+        assert relation_closure_check(rel, np.random.default_rng(42))["ok"]
+    dense = relation_closure_check(torus.extras["line_relation"], np.random.default_rng(42))
+    assert not dense["ok"]
+    assert "escape" in dense["witness"]
+    _report("criterion-12", "zero and factor ideals closed; dense line escapes")

@@ -11,7 +11,7 @@ replace, kept verbatim up to naming.
 
 import numpy as np
 import pytest
-from oracles import same_bits
+from oracles import oracle_project_onto, oracle_tau_action, same_bits
 
 from symspaces.catalog import TORUS_RELATION_GRID, parse_model
 from symspaces.lts import LinearSubspace
@@ -25,7 +25,7 @@ from symspaces.subspace import (
     preimage_subspace,
     whole_space,
 )
-from symspaces.symspace import SymPoint, base_point, exp_point, exp_points, same_points, tau_action
+from symspaces.symspace import SymPoint, base_point, exp_point, exp_points, same_points
 
 
 def same_answers(got, want) -> bool:
@@ -193,9 +193,9 @@ def relation_pairs(pair, n: LinearSubspace, seed: int) -> tuple:
     m = pair.dim_minus
     vs = [0.3 * rng.standard_normal(m) for _ in range(12)]
     xs = exp_points(pair, vs)
-    shifts = [pair.exp(pair.minus_to_matrix(n.project(0.2 * rng.standard_normal(m)))) for _ in range(4)]
+    shifts = [pair.exp(pair.minus_to_matrix(oracle_project_onto(n, 0.2 * rng.standard_normal(m)))) for _ in range(4)]
     ys = [SymPoint.from_group(pair, pair.exp(pair.minus_to_matrix(v)) @ g) for v, g in zip(vs[:4], shifts)]
-    ys += [tau_action(pair, pair.random_element(rng, letters=1, scale=0.3), x) for x in xs[4:8]]
+    ys += [oracle_tau_action(pair, pair.random_element(rng, letters=1, scale=0.3), x) for x in xs[4:8]]
     ys += exp_points(pair, [rng.standard_normal(m) for _ in range(4)])
     far = exp_point(pair, 3.0 * np.eye(m)[-1])
     return xs + [base_point(pair)], ys + [far]

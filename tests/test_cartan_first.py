@@ -25,8 +25,8 @@ from symspaces.symspace import (
     exp_points,
     log_point,
     lts_of_pair,
-    mu,
-    tau_action,
+    mu_points,
+    tau_actions,
 )
 
 THETA13 = 5.371920351148152
@@ -189,13 +189,13 @@ class TestCartanPoints:
         gx, gy = mat_exp(pair.minus_to_matrix(np.array([v, w])))
         x, y = exp_point(pair, v), exp_point(pair, w)
         g = pair.random_element(rng, letters=1, scale=0.3)
-        moved = tau_action(pair, g, y)
+        moved = tau_actions(pair, g[None], [y])[0]
         gm = g @ gy
         sig = pair.sigma
         assert close_points(x, SymPoint.from_group(pair, gx)) and close_points(y, SymPoint.from_group(pair, gy))
         assert close_points(moved, SymPoint.from_group(pair, gm))
         prod = SymPoint.from_group(pair, gx @ np.linalg.inv(sig.apply(gx)) @ sig.apply(gm))
-        assert close_points(mu(x, moved), prod)
+        assert close_points(mu_points([x], [moved])[0], prod)
 
     def test_eager_points_compute_nothing(self, spd, monkeypatch):
         calls = count_calls(monkeypatch, numkernel, "mat_exp")
@@ -207,7 +207,7 @@ class TestCartanPoints:
     def test_tau_action_still_checks_invertibility_eagerly(self, spd):
         x = exp_point(spd.pair, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ValueError, match="invertible"):
-            tau_action(spd.pair, np.zeros((2, 2)), x)
+            tau_actions(spd.pair, np.zeros((1, 2, 2)), [x])
 
     def test_exp_point_budget_error_raises_at_construction(self, spd):
         with pytest.raises(DomainError):

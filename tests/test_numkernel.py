@@ -10,11 +10,11 @@ from symspaces.numkernel import (
     DEFAULT_TOL,
     DomainError,
     Tolerance,
+    _svd_cut,
     as_matrix,
     mat_exp,
     mat_log,
     nullspace,
-    numerical_rank,
     op_norm,
 )
 
@@ -175,10 +175,10 @@ class TestNullspace:
             assert np.max(np.abs(a @ ns)) <= 10 * thresh
             assert np.allclose(ns.T @ ns, np.eye(ns.shape[1]), atol=DEFAULT_TOL.abs_eps * 100)
 
-    def test_numerical_rank(self):
-        assert numerical_rank(np.eye(4), DEFAULT_TOL) == 4
-        assert numerical_rank(np.zeros((3, 3)), DEFAULT_TOL) == 0
-        assert numerical_rank(np.array([[1.0, 1.0], [1.0, 1.0]]), DEFAULT_TOL) == 1
+    def test_rank_of_the_svd_cut(self):
+        assert _svd_cut(np.eye(4), DEFAULT_TOL)[2] == 4
+        assert _svd_cut(np.zeros((3, 3)), DEFAULT_TOL)[2] == 0
+        assert _svd_cut(np.array([[1.0, 1.0], [1.0, 1.0]]), DEFAULT_TOL)[2] == 1
 
 
 class TestHelpers:

@@ -30,7 +30,6 @@ from symspaces.symspace import (
     cartan_distances,
     exp_points,
     log_points,
-    mu,
     mu_points,
     same_points,
     sym_morphism,
@@ -238,7 +237,7 @@ class TestProducersAndConsumers:
                 own = sub.subspace.pair
                 other = spd.pair if own is not spd.pair else sphere.pair
                 calls[sub.name] = lambda s=sub.subspace, o=other: s.membership([base_point(s.pair), base_point(o)])
-        calls["mu"] = lambda: mu(xs[0], stranger)
+        calls["one-point mu_points"] = lambda: mu_points([xs[0]], [stranger])
         for name, call in calls.items():
             with pytest.raises(ValueError, match=FOREIGN):
                 call()
@@ -255,7 +254,7 @@ AS_MATRIX_CALLERS = {
     "symspaces.sympair.PairMorphism.map_group",
     "symspaces.sympair.group_sigma",
     "symspaces.symspace.SymPoint.from_group",
-    "symspaces.symspace.tau_action",
+    "symspaces.symspace.tau_actions",
 }
 
 CLI_CASES = (

@@ -6,7 +6,8 @@ triple system built from them, so each verdict of a run reads it.  Two
 verdict sites are allowed another tolerance: the ``theta^2 = +-I`` check of
 :class:`SigmaRule`, a fixed ``DEFAULT_TOL``, and the nullspace cut of the
 algebraic candidate's finite-difference Jacobian, which takes the run's
-tolerance raised to ``JACOBIAN_ABS_FLOOR``/``JACOBIAN_REL_FLOOR``.
+tolerance raised to ``JACOBIAN_ABS_FLOOR``/``JACOBIAN_REL_FLOOR``.  No
+tolerance, however tight or loose, ends a command line run with a traceback.
 """
 
 import contextlib
@@ -154,6 +155,39 @@ def test_verify_of_an_algebra_descriptor_reads_the_run_tolerance(tmp_path):
     code, out, _ = run_cli(["verify", "--model", str(path), "--tol-abs", "1e-12", "--tol-rel", "1e-12"])
     assert code == cli.EXIT_CHECK_FAILED and json.loads(out)["spanning"] == 1.0
     assert algebra_from_json(desc, RUN).tol == RUN
+
+
+# a few small cases per verb, swept over --tol-abs 1e-10*f --tol-rel 1e-9*f
+SWEEP_ARGVS = (
+    ["verify", "--model", "sphere(3)"],
+    ["verify", "--model", "spd(3)"],
+    ["subspace", "--model", "spd(3)"],
+    ["quotient", "--model", "spd(4)", "--ideal", "center"],
+    ["quotient", "--model", "product(sphere(2),sphere(2))", "--ideal", "left_factor"],
+    ["trotter", "--model", "spd(2)", "--x", "1,0,0", "--y", "0,0,1", "--k-min", "16", "--k-max", "64"],
+)
+
+
+def report_ok(out: str):
+    """The ``ok`` of a JSON report, or None for a CSV table."""
+    try:
+        return json.loads(out).get("ok")
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("f", [1e-7, 1e-6, 1e-3, 1e3])
+def test_no_tolerance_escapes_the_cli(f):
+    # f = 1e-7 and 1e-6 fall below the rounding of the pairs' own closure and
+    # fail checks (exit 1 or 2); no tolerance may end the run with a traceback
+    flags = ["--tol-abs", repr(1e-10 * f), "--tol-rel", repr(1e-9 * f)]
+    for argv in SWEEP_ARGVS:
+        argv = argv + ["--seed", "1"]
+        code, out, _ = run_cli(argv + flags)
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE, cli.EXIT_GATE), argv
+        if f in (1e-3, 1e3):  # wide margins: the default verdict
+            want_code, want_out, _ = run_cli(argv)
+            assert (code, report_ok(out)) == (want_code, report_ok(want_out)), argv
 
 
 @settings(deadline=None, max_examples=60)

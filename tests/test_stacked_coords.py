@@ -20,14 +20,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_coords_each, same_bits
+import oracles
+from oracles import oracle_coords_each, relation_group_product, same_bits
 
-from symspaces import cli, sympair
+from symspaces import cli
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, VerificationError
 from symspaces.numkernel import DomainError
 from symspaces.quotient import quotient_theorem_pipeline
-from symspaces.sympair import _NOT_IN_ALGEBRA, MatrixSymmetricPair, SigmaRule, _coords_each, _coords_stack, relation_group_product
+from symspaces.sympair import _NOT_IN_ALGEBRA, MatrixSymmetricPair, SigmaRule, _coords_each, _coords_stack
 from symspaces.symspace import chain_identity_check, exp_points, lts_of_pair
 
 # every catalog family, with the spd and product sizes where a single
@@ -347,7 +348,7 @@ class TestRelationGroupLogDomain:
     def setup(self, monkeypatch, log):
         model = parse_model("spd(2)")
         center = LinearSubspace(model.pair.dim, model.pair.matrix_coords(np.eye(2))[None])
-        monkeypatch.setattr(sympair, "mat_log", log)
+        monkeypatch.setattr(oracles, "mat_log", log)
         return model.pair, center
 
     def test_no_principal_log_means_no_chart_check(self, monkeypatch):

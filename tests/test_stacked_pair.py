@@ -7,18 +7,12 @@ The loops below are the former bodies of ``SigmaRule``,
 
 import numpy as np
 import pytest
-from oracles import same_bits
+from oracles import same_bits, trotter_group_commutator, trotter_group_sum
 
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, VerificationError
 from symspaces.numkernel import as_matrix, mat_exp
-from symspaces.sympair import (
-    MatrixSymmetricPair,
-    SigmaRule,
-    apply_pair_morphism,
-    trotter_group_commutator,
-    trotter_group_sum,
-)
+from symspaces.sympair import MatrixSymmetricPair, SigmaRule, apply_pair_morphism
 from symspaces.symspace import exp_points, lts_of_pair, sym_morphism
 
 VERIFY_LADDER = (

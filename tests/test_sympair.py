@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import in_fixed_group, relation_group_product, trotter_group_commutator, trotter_group_sum
 
 from symspaces.lts import LinearSubspace, VerificationError
 from symspaces.numkernel import DEFAULT_TOL, Tolerance, mat_exp
@@ -12,10 +13,6 @@ from symspaces.sympair import (
     SigmaRule,
     apply_pair_morphism,
     group_sigma,
-    in_fixed_group,
-    relation_group_product,
-    trotter_group_commutator,
-    trotter_group_sum,
 )
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -14,10 +14,10 @@ from symspaces.symspace import (
     exp_point,
     log_point,
     lts_of_pair,
-    mu,
+    mu_points,
     one_param,
     sym_morphism,
-    tau_action,
+    tau_actions,
     translation,
     trotter_bracket_sym,
     trotter_sum_sym,
@@ -41,19 +41,19 @@ class TestPointsAndMu:
         for model in models.values():
             v = 0.3 * rng.standard_normal(model.pair.dim_minus)
             x = exp_point(model.pair, v)
-            assert mu(x, x).same(x)
+            assert mu_points([x], [x])[0].same(x)
 
     def test_spd_hand_arithmetic(self, spd):
         # x with Cartan diag(4,1): mu(x, base) has Cartan x I^-1 x = diag(16,1)
         x = SymPoint.from_group(spd.pair, np.diag([2.0, 1.0]))
         assert np.allclose(x.cartan, np.diag([4.0, 1.0]))
-        got = mu(x, base_point(spd.pair))
+        got = mu_points([x], [base_point(spd.pair)])[0]
         assert np.allclose(got.cartan, np.diag([16.0, 1.0]), atol=1e-12)
 
     def test_mu_base_inverts_cartan(self, spd, rng):
         v = 0.4 * rng.standard_normal(spd.pair.dim_minus)
         y = exp_point(spd.pair, v)
-        got = mu(base_point(spd.pair), y)
+        got = mu_points([base_point(spd.pair)], [y])[0]
         assert np.allclose(got.cartan, np.linalg.inv(y.cartan), atol=1e-12)
 
     def test_cartan_satisfies_sigma_inverse_identity(self, models, rng):
@@ -66,7 +66,7 @@ class TestPointsAndMu:
 
     def test_pair_mismatch_rejected(self, sphere, spd):
         with pytest.raises(ValueError):
-            mu(base_point(sphere.pair), base_point(spd.pair))
+            mu_points([base_point(sphere.pair)], [base_point(spd.pair)])
 
 
 class TestExpLog:
@@ -132,7 +132,7 @@ class TestOneParamAndTranslation:
         for model in models.values():
             pair = model.pair
             v = 0.3 * rng.standard_normal(pair.dim_minus)
-            got = mu(one_param(pair, v, 1.0), one_param(pair, v, 0.0))
+            got = mu_points([one_param(pair, v, 1.0)], [one_param(pair, v, 0.0)])[0]
             assert got.same(exp_point(pair, 2.0 * v))
 
     def test_translation_zero_is_identity(self, spd, rng):
@@ -159,13 +159,13 @@ class TestOneParamAndTranslation:
 class TestTauAction:
     def test_identity_acts_trivially(self, spd, rng):
         x = exp_point(spd.pair, 0.3 * rng.standard_normal(spd.pair.dim_minus))
-        assert tau_action(spd.pair, np.eye(2), x).same(x)
+        assert tau_actions(spd.pair, np.eye(2)[None], [x])[0].same(x)
 
     def test_base_maps_to_coset_point(self, models, rng):
         for model in models.values():
             pair = model.pair
             g = pair.random_element(rng)
-            got = tau_action(pair, g, base_point(pair))
+            got = tau_actions(pair, g[None], [base_point(pair)])[0]
             assert got.same(SymPoint.from_group(pair, g))
 
     def test_tau_is_product_automorphism(self, models, rng):
@@ -174,8 +174,9 @@ class TestTauAction:
             g = pair.random_element(rng, letters=1, scale=0.3)
             x = exp_point(pair, 0.3 * rng.standard_normal(pair.dim_minus))
             y = exp_point(pair, 0.3 * rng.standard_normal(pair.dim_minus))
-            lhs = tau_action(pair, g, mu(x, y))
-            rhs = mu(tau_action(pair, g, x), tau_action(pair, g, y))
+            lhs = tau_actions(pair, g[None], mu_points([x], [y]))[0]
+            moved = tau_actions(pair, np.stack([g, g]), [x, y])
+            rhs = mu_points(moved[:1], moved[1:])[0]
             assert lhs.same(rhs)
 
     def test_tau_squared_is_double_symmetry(self, models, rng):
@@ -185,14 +186,14 @@ class TestTauAction:
             v = 0.3 * rng.standard_normal(pair.dim_minus)
             g = pair.exp(pair.minus_to_matrix(v))
             x = exp_point(pair, 0.25 * rng.standard_normal(pair.dim_minus))
-            lhs = tau_action(pair, g @ g, x)
+            lhs = tau_actions(pair, (g @ g)[None], [x])[0]
             gk = SymPoint.from_group(pair, g)
-            rhs = mu(gk, mu(base_point(pair), x))
+            rhs = mu_points([gk], mu_points([base_point(pair)], [x]))[0]
             assert lhs.same(rhs), model.name
 
     def test_rejects_singular(self, spd):
         with pytest.raises(ValueError):
-            tau_action(spd.pair, np.zeros((2, 2)), base_point(spd.pair))
+            tau_actions(spd.pair, np.zeros((1, 2, 2)), [base_point(spd.pair)])
 
 
 class TestTrotterSum:
@@ -426,7 +427,7 @@ class TestTangentProduct:
                 def gap(eps):
                     from symspaces.symspace import log_point
 
-                    got = log_point(pair, mu(exp_point(pair, eps * u), exp_point(pair, eps * w)))
+                    got = log_point(pair, mu_points([exp_point(pair, eps * u)], [exp_point(pair, eps * w)])[0])
                     return float(np.linalg.norm(got - eps * (2 * u - w)))
 
                 g1, g2 = gap(0.08), gap(0.04)
