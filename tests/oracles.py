@@ -127,13 +127,18 @@ def benchmark_cases(workload=None) -> list:
     ]
 
 
-def load_case_bytes():
-    """``scripts/case_bytes.py`` as a module."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "case_bytes.py"
-    spec = importlib.util.spec_from_file_location("case_bytes", path)
+def load_script(stem: str):
+    """``scripts/<stem>.py`` as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_case_bytes():
+    """``scripts/case_bytes.py`` as a module."""
+    return load_script("case_bytes")
 
 
 def count_calls(monkeypatch, module, name):

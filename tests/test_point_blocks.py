@@ -254,7 +254,6 @@ AS_MATRIX_CALLERS = {
     "symspaces.sympair.PairMorphism.map_group",
     "symspaces.sympair.group_sigma",
     "symspaces.symspace.SymPoint.from_group",
-    "symspaces.symspace.tau_actions",
 }
 
 CLI_CASES = (

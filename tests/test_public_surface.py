@@ -1,12 +1,14 @@
 """Every exported name has a reason to be public.
 
-``REASONS`` maps each name of a module's ``__all__`` (and with it every
-name that ``symspaces/__init__.py`` exports) to one of three reasons:
+``scripts/public_surface.py``'s ``REASONS`` maps each name of a module's
+``__all__`` (and with it every name that ``symspaces/__init__.py`` exports)
+to one of three reasons:
 
 * ``cli``: a benchmark case of the command line (or ``symspaces models``)
-  reaches it.  ``scripts/public_surface.py`` checks this by running the
-  cases; here the name must at least be used by package code other than
-  its own definition.
+  reaches it.  ``tests/test_case_digests.py`` checks this for functions and
+  classes on its run of the cases; here the name must at least be used by
+  package code other than its own definition, which is the only check of
+  the constants and of classes without methods.
 * ``criterion_NN``: acceptance criterion ``NN`` of ``tests/test_acceptance.py``
   names it in its test.
 * ``readme_api``: the "Public API" section of the README lists it.
@@ -21,107 +23,13 @@ from pathlib import Path
 
 import symspaces
 
+from oracles import load_script
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "symspaces"
 MODULES = ("numkernel", "lts", "sympair", "symspace", "subspace", "quotient", "catalog", "reports", "cli")
 
-REASONS = {
-    "numkernel.INVERTIBLE_DET_FLOOR": "cli",
-    "numkernel.Tolerance": "cli",
-    "numkernel.DEFAULT_TOL": "cli",
-    "numkernel.DomainError": "cli",
-    "numkernel.as_matrix": "cli",
-    "numkernel.mat_exp": "readme_api",
-    "numkernel.mat_log": "readme_api",
-    "numkernel.nullspace": "criterion_05",
-    "numkernel.op_norm": "readme_api",
-    "lts.LinearSubspace": "cli",
-    "lts.LieTripleSystem": "cli",
-    "lts.LtsMorphism": "readme_api",
-    "lts.SymmetricLieAlgebra": "cli",
-    "lts.LtsAxiomReport": "cli",
-    "lts.check_lts_axioms": "cli",
-    "lts.is_subsystem": "cli",
-    "lts.is_ideal": "cli",
-    "lts.ideal_report": "cli",
-    "lts.quotient_lts": "criterion_07",
-    "lts.direct_sum_lts": "readme_api",
-    "lts.standard_embedding": "readme_api",
-    "lts.PsiRepresentation": "cli",
-    "lts.psi_representation": "readme_api",
-    "lts.ideal_ker_psi_plus_n": "criterion_09",
-    "lts.ideal_bracket_plus_n": "criterion_09",
-    "lts.displacement_algebra": "readme_api",
-    "lts.algebra_to_json": "readme_api",
-    "lts.algebra_from_json": "readme_api",
-    "sympair.SigmaRule": "cli",
-    "sympair.MatrixSymmetricPair": "cli",
-    "sympair.PairMorphism": "cli",
-    "sympair.group_sigma": "readme_api",
-    "sympair.apply_pair_morphism": "readme_api",
-    "symspace.SymPoint": "cli",
-    "symspace.Points": "cli",
-    "symspace.base_point": "readme_api",
-    "symspace.mu_points": "cli",
-    "symspace.same_points": "cli",
-    "symspace.exp_point": "cli",
-    "symspace.exp_points": "cli",
-    "symspace.log_point": "readme_api",
-    "symspace.log_points": "cli",
-    "symspace.one_param": "readme_api",
-    "symspace.translation": "readme_api",
-    "symspace.tau_actions": "readme_api",
-    "symspace.trotter_sum_sym": "cli",
-    "symspace.trotter_bracket_sym": "cli",
-    "symspace.chain_identity_check": "criterion_04",
-    "symspace.lts_of_pair": "cli",
-    "symspace.SymMorphism": "cli",
-    "symspace.sym_morphism": "cli",
-    "symspace.cartan_distance": "cli",
-    "symspace.cartan_distances": "cli",
-    "subspace.ProbeWitness": "cli",
-    "subspace.ReflectionSubspace": "cli",
-    "subspace.ChartMembership": "cli",
-    "subspace.CertificationError": "readme_api",
-    "subspace.ChartSplitError": "cli",
-    "subspace.ChartReport": "cli",
-    "subspace.algebraic_subspace": "cli",
-    "subspace.fixed_point_subspace": "cli",
-    "subspace.whole_space": "readme_api",
-    "subspace.base_only": "criterion_06",
-    "subspace.generate_integral": "cli",
-    "subspace.lts_of_subspace": "cli",
-    "subspace.lts_roundtrip_check": "criterion_05",
-    "subspace.exp_chart_split": "cli",
-    "subspace.split_complement_criterion": "cli",
-    "subspace.preimage_subspace": "criterion_06",
-    "subspace.kernel_subspace": "readme_api",
-    "subspace.mu_closure_check": "criterion_11",
-    "quotient.CongruenceRelation": "cli",
-    "quotient.ChartRelation": "cli",
-    "quotient.QuotientResult": "cli",
-    "quotient.PointProjection": "cli",
-    "quotient.QuotientGateError": "cli",
-    "quotient.FaithfulnessError": "cli",
-    "quotient.congruence_from_ideal": "criterion_12",
-    "quotient.quotient_theorem_pipeline": "cli",
-    "quotient.weak_submersion_check": "cli",
-    "quotient.relation_closure_check": "criterion_12",
-    "catalog.ModelDescriptor": "cli",
-    "catalog.DesignatedSubspace": "cli",
-    "catalog.DesignatedMorphism": "cli",
-    "catalog.TorusLattice": "cli",
-    "catalog.MODEL_NAMES": "cli",
-    "catalog.build_model": "cli",
-    "catalog.parse_model": "cli",
-    "catalog.pell_convergents": "cli",
-    "reports.reflection_axiom_report": "cli",
-    "reports.verify_model": "cli",
-    "reports.trotter_sum_table": "cli",
-    "reports.trotter_bracket_table": "cli",
-    "reports.subspace_report": "cli",
-    "cli.main": "cli",
-}
+REASONS = load_script("public_surface").REASONS
 
 
 def exported() -> dict:
