@@ -623,27 +623,51 @@ def _psi(g: SymmetricLieAlgebra, q: np.ndarray, comp_m: np.ndarray) -> PsiRepres
     return PsiRepresentation(operators=ops, quotient_basis=quot, kernel=kernel, kernel_complement=vt[:rank] @ plus)
 
 
-def _verify_theta_invariant(g: SymmetricLieAlgebra, sub: LinearSubspace, right: np.ndarray, what: str) -> None:
+def _closure_certificate(g: SymmetricLieAlgebra, sub: LinearSubspace, right: np.ndarray) -> tuple:
+    """Whether ``sub`` is theta-invariant, whether it holds [u, v] for every row
+    u of its basis and v of ``right``, and the certificate of both.
+
+    Each row ``theta(u)`` and ``[u, v]`` is decided by the test of
+    :meth:`LinearSubspace.contains_each`, from one stacked ``distances``
+    call.  The certificate is ``{"residual", "bound"}``: the distance from
+    ``sub`` of the row that came closest to its ``Tolerance`` bound, and that
+    bound, so ``residual <= bound`` iff every row passes (a NaN residual
+    fails).  With no rows it is 0 against the bound at scale 1.
+    """
+    images = sub.basis @ g.theta.T
+    rows = np.vstack([images, g.brackets(sub.basis, right).reshape(-1, g.dim)])
+    if not len(rows):
+        return True, True, {"residual": 0.0, "bound": float(g.tol._bounds(1.0))}
+    scales = np.maximum(_frobenius(rows), 1.0)
+    dist, bounds = sub.distances(rows), g.tol._bounds(scales)
+    passed = g.tol.verdicts(dist, scales)
+    worst = int(np.argmax(dist - bounds))  # the least margin; a NaN distance comes first
+    certificate = {"residual": float(dist[worst]), "bound": float(bounds[worst])}
+    return bool(passed[: len(images)].all()), bool(passed[len(images) :].all()), certificate
+
+
+def _verify_theta_invariant(g: SymmetricLieAlgebra, sub: LinearSubspace, right: np.ndarray, what: str) -> dict:
     """Raise unless ``sub`` is theta-invariant and holds [u, v] for every row u
     of its basis and v of ``right``: a Lie ideal for the identity, a
-    subalgebra for ``sub.basis``."""
-    if not sub.contains_all(sub.basis @ g.theta.T, g.tol):
+    subalgebra for ``sub.basis``.  Returns the :func:`_closure_certificate`."""
+    invariant, closed, certificate = _closure_certificate(g, sub, right)
+    if not invariant:
         raise VerificationError(f"{what} is not theta-invariant")
-    if not g.brackets_within(sub.basis, right, sub):
-        closed = "a subalgebra" if right is sub.basis else "a Lie ideal"
-        raise VerificationError(f"{what} is not {closed}")
+    if not closed:
+        kind = "a subalgebra" if right is sub.basis else "a Lie ideal"
+        raise VerificationError(f"{what} is not {kind}")
+    return certificate
 
 
 def ideal_ker_psi_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSubspace:
     """The theta-invariant Lie ideal ker(psi) (+) n inside g, re-verified."""
-    return _ker_psi_plus_n(g, psi_representation(g, n), n)
+    return _ker_psi_plus_n(g, psi_representation(g, n), n)[0]
 
 
-def _ker_psi_plus_n(g: SymmetricLieAlgebra, psi: PsiRepresentation, n: LinearSubspace) -> LinearSubspace:
-    # ideal_ker_psi_plus_n from psi's kernel
+def _ker_psi_plus_n(g: SymmetricLieAlgebra, psi: PsiRepresentation, n: LinearSubspace) -> tuple:
+    # ideal_ker_psi_plus_n from psi's kernel, with the certificate of the ideal
     l = subspace_sum(psi.kernel, n, g.tol)
-    _verify_theta_invariant(g, l, np.eye(g.dim), "ker(psi) + n")
-    return l
+    return l, _verify_theta_invariant(g, l, np.eye(g.dim), "ker(psi) + n")
 
 
 def ideal_bracket_plus_n(g: SymmetricLieAlgebra, n: LinearSubspace) -> LinearSubspace:

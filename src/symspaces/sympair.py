@@ -249,8 +249,10 @@ class MatrixSymmetricPair:
         return _coords_each(self.minus_mats, self._minus_pinv, x, self.tol, "is not in g_minus")
 
     def minus_subspace_to_full(self, sub: LinearSubspace) -> LinearSubspace:
-        rows = np.hstack([np.zeros((sub.basis.shape[0], self.dim_plus)), sub.basis])
-        return LinearSubspace._span(rows, self.dim, self.tol)
+        if sub.ambient_dim != self.dim_minus:
+            raise ValueError("vectors do not match the ambient dimension")
+        # orthonormal rows padded with plus coordinates stay orthonormal: wrapped, not cut again
+        return LinearSubspace._wrap(self.dim, np.hstack([np.zeros((sub.dim, self.dim_plus)), sub.basis]))
 
     # -- structure --------------------------------------------------------
 

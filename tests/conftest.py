@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symspaces.catalog import build_model, parse_model
+from symspaces.catalog import parse_model
 
 MODEL_SPECS = (
     "sphere(2)",

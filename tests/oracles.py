@@ -411,6 +411,36 @@ def oracle_coords_each(mats, pinv, x, tol, outside) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# mutant projections of a quotient
+
+
+def squared_projection(qr):
+    """The block projection of ``qr`` with each image's Cartan matrix squared: it
+    keeps the linear part and the fibres near the base point, but breaks
+    pi(mu(x, y)) = mu(pi x, pi y)."""
+
+    def squared(points):
+        return [SymPoint(qr.quotient_pair, px.cartan @ px.cartan) for px in qr.projection_points(points)]
+
+    return squared
+
+
+def far_squared_projection(qr):
+    """The block projection of ``qr`` with the images of the points whose
+    ``|C - I|`` exceeds 1.7 squared: on the samples of
+    ``product(sphere(2),sphere(2))`` it breaks the morphism law on about half."""
+    n = qr.relation.pair.ambient_n
+
+    def far_squared(points):
+        points = list(points)
+        images = qr.projection_points(points)
+        far = [float(np.linalg.norm(x.cartan - np.eye(n))) > 1.7 for x in points]
+        return [SymPoint(qr.quotient_pair, px.cartan @ px.cartan) if f else px for f, px in zip(far, images)]
+
+    return far_squared
+
+
+# ---------------------------------------------------------------------------
 # one vector against a linear subspace
 
 

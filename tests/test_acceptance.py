@@ -23,7 +23,6 @@ from symspaces.lts import (
 )
 from symspaces.numkernel import DEFAULT_TOL, nullspace
 from symspaces.quotient import (
-    QuotientGateError,
     congruence_from_ideal,
     quotient_theorem_pipeline,
     relation_closure_check,

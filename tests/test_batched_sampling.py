@@ -16,7 +16,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import count_calls, oracle_mu, oracle_project_onto, oracle_tau_action, same_bits, same_point
+from oracles import (
+    count_calls,
+    far_squared_projection,
+    oracle_mu,
+    oracle_project_onto,
+    oracle_tau_action,
+    same_bits,
+    same_point,
+    squared_projection,
+)
 
 from symspaces import numkernel, subspace, symspace
 from symspaces.catalog import TORUS_RELATION_GRID, TorusLattice, parse_model
@@ -356,10 +365,7 @@ class TestWeakSubmersionCheck:
 
     def test_a_plain_block_projection_matches_the_per_point_loop(self, quotients):
         label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
-
-        def squared(points):
-            return [SymPoint(qr.quotient_pair, px.cartan @ px.cartan) for px in qr.projection_points(points)]
-
+        squared = squared_projection(qr)
         bad = dataclasses.replace(qr, projection_points=squared)
         a, b = rng_pair(0)
         got = weak_submersion_check(bad, a, samples=30)
@@ -372,14 +378,7 @@ class TestWeakSubmersionCheck:
         # breaks the law on about half the samples: the pass rate sees which
         # samples each block translates, and by which word
         label, qr = next((lab, q) for lab, q in quotients if "product" in lab and "left_factor" in lab)
-        n = qr.relation.pair.ambient_n
-
-        def far_squared(points):
-            points = list(points)
-            images = qr.projection_points(points)
-            far = [float(np.linalg.norm(x.cartan - np.eye(n))) > 1.7 for x in points]
-            return [SymPoint(qr.quotient_pair, px.cartan @ px.cartan) if f else px for f, px in zip(far, images)]
-
+        far_squared = far_squared_projection(qr)
         bad = dataclasses.replace(qr, projection_points=far_squared)
         set_block(monkeypatch, submersion_width(qr), 2, 5)
         rates = set()

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-import numpy as np
 import pytest
 
 import symspaces

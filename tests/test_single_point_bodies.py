@@ -35,7 +35,7 @@ from oracles import (
 from test_cartan_first import build_stack, slice_kinds
 from test_stacked_chart import relation_points
 
-from symspaces import numkernel, subspace, symspace
+from symspaces import numkernel, symspace
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace
 from symspaces.numkernel import DEFAULT_TOL, DomainError, as_matrix, mat_exp

@@ -6,7 +6,7 @@ import scipy.linalg
 from oracles import in_fixed_group, relation_group_product, trotter_group_commutator, trotter_group_sum
 
 from symspaces.lts import LinearSubspace, VerificationError
-from symspaces.numkernel import DEFAULT_TOL, Tolerance, mat_exp
+from symspaces.numkernel import DEFAULT_TOL, mat_exp
 from symspaces.sympair import (
     MatrixSymmetricPair,
     PairMorphism,

@@ -16,7 +16,6 @@ from symspaces.symspace import (
     lts_of_pair,
     mu_points,
     one_param,
-    sym_morphism,
     tau_actions,
     translation,
     trotter_bracket_sym,
