@@ -10,13 +10,15 @@ through ``symspaces.cli.main``, as the benchmark worker runs it, and the
 record maps ``"<workload> | <item key> | seed <seed>"`` to
 ``[exit, stdout, stderr]``.  ``workloads.py`` is read, never changed.
 
-``--diff`` prints every case whose record differs, with the largest
-absolute change of each numeric field that moved: JSON reports are
-compared leaf by leaf (list indices folded into ``[]``), CSV tables column
-by column.  Any other change is printed as text.  Its last line counts the
-differing cases whose exit code or any JSON boolean of stdout changed (a
-case only in one file counts as differing, not as a changed verdict).  The
-exit status is 1 when some case differs.
+``--diff`` prints every case whose record differs.  JSON reports are
+compared leaf by leaf, CSV tables cell by cell; a field is a leaf's path
+with its list indices folded into ``[]``, or a table's column.  Over the
+leaves both reports share it prints the largest absolute change of each
+numeric field that moved, and it lists the fields of the leaves that only
+one report has as removed or added.  Any other change is printed as text.
+Its last line counts the differing cases whose exit code or any JSON
+boolean of stdout changed (a case only in one file counts as differing,
+not as a changed verdict).  The exit status is 1 when some case differs.
 
 ``--digests`` writes the small form of the record that the test suite
 compares against (``tests/test_case_digests.py``): per case the exit code,
@@ -136,25 +138,26 @@ def digests(record: dict) -> dict:
 def booleans(text: str) -> list:
     """The JSON booleans of a report, in leaf order ([] for a report that is not JSON)."""
     try:
-        return [v for _, v in _leaves(json.loads(text)) if isinstance(v, bool)]
+        return [v for _, _, v in _leaves(json.loads(text)) if isinstance(v, bool)]
     except ValueError:  # a CSV table or an error: no JSON
         return []
 
 
-def _leaves(value, path=""):
-    """Yield ``(field, value)`` for every leaf of a parsed JSON value."""
+def _leaves(value, path="", at=()):
+    """Yield ``(field, indices, value)`` for every leaf of a parsed JSON value;
+    the field folds the leaf's list indices into ``[]``, and ``indices`` holds them."""
     if isinstance(value, dict):
         for key, sub in value.items():
-            yield from _leaves(sub, f"{path}.{key}" if path else str(key))
+            yield from _leaves(sub, f"{path}.{key}" if path else str(key), at)
     elif isinstance(value, list):
-        for sub in value:
-            yield from _leaves(sub, f"{path}[]")
+        for i, sub in enumerate(value):
+            yield from _leaves(sub, f"{path}[]", at + (i,))
     else:
-        yield path, value
+        yield path, at, value
 
 
 def _table(text):
-    """Parse a CSV table with a header row into ``(field, cell)`` pairs, or None."""
+    """Parse a CSV table with a header row into ``(column, (row,), cell)`` leaves, or None."""
     lines = text.strip().splitlines()
     if len(lines) < 2:
         return None
@@ -162,7 +165,16 @@ def _table(text):
     rows = [line.split(",") for line in lines[1:]]
     if any(len(row) != len(header) for row in rows):
         return None
-    return [(header[j], _cell(cell)) for row in rows for j, cell in enumerate(row)]
+    return [(header[j], (i,), _cell(cell)) for i, row in enumerate(rows) for j, cell in enumerate(row)]
+
+
+def _report_leaves(text):
+    """``{(field, indices): value}`` of a JSON report or a CSV table, or None for other text."""
+    try:
+        leaves = _leaves(json.loads(text))
+    except ValueError:
+        leaves = _table(text)
+    return None if leaves is None else {(name, at): value for name, at, value in leaves}
 
 
 def _cell(text):
@@ -177,28 +189,25 @@ def _is_number(value) -> bool:
 
 
 def field_changes(before: str, after: str):
-    """Largest absolute change per numeric field, or None if the texts differ otherwise."""
-    pairs = None
-    try:
-        a, b = json.loads(before), json.loads(after)
-        pairs = list(_leaves(a)), list(_leaves(b))
-    except ValueError:
-        ta, tb = _table(before), _table(after)
-        if ta is not None and tb is not None:
-            pairs = ta, tb
-    if pairs is None or len(pairs[0]) != len(pairs[1]):
+    """``(worst, removed, added)``: the largest absolute change per numeric field
+    over the leaves both reports share, and the sorted fields of the leaves only
+    the first or only the second has.  None if the texts are not both reports,
+    if a shared leaf that is not a number changed, or if no leaf moved."""
+    a, b = _report_leaves(before), _report_leaves(after)
+    if a is None or b is None:
         return None
     worst = {}
-    for (fa, va), (fb, vb) in zip(*pairs):
-        if fa != fb:
-            return None
+    for key in a.keys() & b.keys():
+        va, vb = a[key], b[key]
         if va == vb or (va != va and vb != vb):  # equal, or both NaN
             continue
         if not (_is_number(va) and _is_number(vb)):
             return None
         change = abs(vb - va) if math.isfinite(va) and math.isfinite(vb) else math.inf
-        worst[fa] = max(worst.get(fa, 0.0), change)
-    return worst
+        worst[key[0]] = max(worst.get(key[0], 0.0), change)
+    removed = sorted({name for name, _ in a.keys() - b.keys()})
+    added = sorted({name for name, _ in b.keys() - a.keys()})
+    return (worst, removed, added) if worst or removed or added else None
 
 
 def diff(a: dict, b: dict) -> int:
@@ -222,7 +231,12 @@ def diff(a: dict, b: dict) -> int:
             fields = field_changes(before, after)
             if fields is None:
                 print(f"  {label}: text changed\n    - {before.strip()[-300:]!r}\n    + {after.strip()[-300:]!r}")
-            for name, change in sorted(fields.items()) if fields else ():
+                continue
+            worst, removed, added = fields
+            for kind, names in (("removed", removed), ("added", added)):
+                if names:
+                    print(f"  {label} {kind}: {', '.join(names)}")
+            for name, change in sorted(worst.items()):
                 print(f"  {label} {name}: {change:.3e}")
     print(f"{changed} of {len(set(a) | set(b))} cases differ")
     print(f"{verdicts} of them changed an exit code or a JSON boolean")

@@ -85,7 +85,6 @@ class ModelDescriptor:
     subspace_names: tuple = ()
     build_subspace: Optional[Callable[[str], Optional[DesignatedSubspace]]] = field(default=None, repr=False)
     build_morphisms: Callable[[], tuple] = field(default=tuple, repr=False)
-    metadata: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -284,7 +283,7 @@ class TorusLattice:
             v = math.pi * delta
             if abs(v) <= 0.9 * radius:
                 assert self.member_exact_sqrt2(Fraction(0), Fraction(0), Fraction(p), Fraction(-q))
-                out.append(ProbeWitness(np.array([0.0, v]), note=f"pell {p}/{q}"))
+                out.append(ProbeWitness(np.array([0.0, v])))
                 if len(out) >= count:
                     break
         return out
@@ -305,7 +304,7 @@ class TorusLattice:
                 assert self.member_exact_sqrt2(
                     Fraction(2 * q, 3), Fraction(-p, 3), Fraction(p, 3), Fraction(-q, 3)
                 )
-                out.append(ProbeWitness(v, note=f"pell complement {p}/{q}"))
+                out.append(ProbeWitness(v))
                 if len(out) >= count:
                     break
         return out
@@ -562,7 +561,6 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
             subspace_names=("great_circle",) if n == 2 else (),
             build_subspace=functools.partial(_sphere_circle, pair),
             build_morphisms=functools.partial(_identity_morphisms, pair),
-            metadata={"closed_subspaces": True, "connected": True},
         )
     if name == "spd":
         n = int(params.get("n", 2))
@@ -574,7 +572,6 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
             subspace_names=("diagonal", "center"),
             build_subspace=functools.partial(_spd_designated, pair, n),
             build_morphisms=functools.partial(_identity_morphisms, pair),
-            metadata={"closed_subspaces": True, "connected": True},
         )
     if name == "grassmann":
         k = int(params.get("k", 1))
@@ -587,7 +584,6 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
             subspace_names=("line",),
             build_subspace=functools.partial(_grassmann_line, pair),
             build_morphisms=functools.partial(_identity_morphisms, pair),
-            metadata={"closed_subspaces": True, "connected": True},
         )
     if name == "torus_abelian":
         slope = params.get("slope", "sqrt2")
@@ -606,10 +602,6 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
             subspace_names=("dense_line", "axis_line"),
             build_subspace=functools.partial(_torus_designated, pair, lattice),
             build_morphisms=functools.partial(_torus_morphisms, pair),
-            metadata={
-                "closed_subspaces": True if lattice.slope_kind == "rational" else "dense_line is not closed",
-                "connected": True,
-            },
             extras={"lattice": lattice, "line_relation": _torus_relation(pair, lattice)},
         )
     if name == "product":
@@ -625,8 +617,6 @@ def build_model(name: str, params: Optional[dict] = None, tol: Tolerance = DEFAU
             subspace_names=names,
             build_subspace=functools.partial(_product_designated, pair, ma.pair, mb.pair),
             build_morphisms=functools.partial(_product_morphisms, pair, ma.pair, mb.pair),
-            metadata={"closed_subspaces": True, "connected": True},
-            extras={"factors": (ma, mb)},
         )
     raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 

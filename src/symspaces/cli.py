@@ -4,6 +4,9 @@ Verbs: verify, trotter, quotient, subspace, models.  Exit codes are a
 stable contract: 0 all checks pass, 1 a check failed, 2 usage error,
 3 the quotient theorem gate rejected the input (no weak-submersion
 quotient exists).
+
+``main`` builds the run's ``Tolerance``, model and generator once and hands
+them to the verb's command, which returns its output text and exit code.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import ModelDescriptor, build_model, parse_model
-from .lts import LinearSubspace, VerificationError, algebra_from_json, check_lts_axioms
+from .catalog import ModelDescriptor, parse_model
+from .lts import LinearSubspace, VerificationError, algebra_from_json
 from .numkernel import Tolerance
 from .quotient import (
     FaithfulnessError,
@@ -27,10 +30,10 @@ from .quotient import (
     weak_submersion_check,
 )
 from .reports import (
-    VERIFY_GATE,
     subspace_report,
     trotter_bracket_table,
     trotter_sum_table,
+    verify_algebra,
     verify_model,
 )
 from .sympair import MatrixSymmetricPair
@@ -42,6 +45,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GATE = 3
 
+MODELS = """\
+sphere(n)            round sphere geometry, G = SO(n+1)
+spd(n)               positive-definite matrices, G = GL(n)
+grassmann(k,n)       Grassmannian planes, G = SO(n)
+torus_abelian(slope) flat torus; slope sqrt2 carries the dense winding line
+product(a,b)         block-diagonal product of two models
+"""
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -50,40 +61,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def model_verb(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--model", required=True, help="model spec, e.g. sphere(2), or a JSON descriptor path")
-        p.add_argument(
-            "--params",
-            default=None,
-            help="comma-separated k=v constructor parameters for a bare model name",
-        )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default=None, choices=("json", "csv", "text"))
         p.add_argument("--tol-abs", type=float, default=1e-10)
         p.add_argument("--tol-rel", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=42)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run axiom and functoriality suites")
-    common(p_verify)
+    model_verb("verify", _cmd_verify, "run axiom and functoriality suites")
 
-    p_trotter = sub.add_parser("trotter", help="emit Trotter convergence tables")
-    common(p_trotter)
+    p_trotter = model_verb("trotter", _cmd_trotter, "emit Trotter convergence tables")
     p_trotter.add_argument("--x", required=True, help="comma-separated g_minus coordinates")
     p_trotter.add_argument("--y", required=True, help="comma-separated g_minus coordinates")
     p_trotter.add_argument("--z", default=None, help="optional third vector (bracket formula)")
     p_trotter.add_argument("--k-min", type=int, default=16)
     p_trotter.add_argument("--k-max", type=int, default=4096)
+    p_trotter.add_argument("--format", default="csv", choices=("csv", "json"))
 
-    p_quot = sub.add_parser("quotient", help="run the quotient theorem pipeline")
-    common(p_quot)
+    p_quot = model_verb("quotient", _cmd_quotient, "run the quotient theorem pipeline")
     p_quot.add_argument(
         "--ideal",
         required=True,
         help="designated subspace name, or semicolon-separated g_minus basis vectors",
     )
 
-    p_sub = sub.add_parser("subspace", help="round-trip and chart checks for designated subspaces")
-    common(p_sub)
+    model_verb("subspace", _cmd_subspace, "round-trip and chart checks for designated subspaces")
 
     sub.add_parser("models", help="list catalog models")
     return parser
@@ -108,6 +113,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _verdict(report: dict) -> tuple:
+    return _json_text(report), EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+
+
 def _parse_vector(text: str) -> np.ndarray:
     v = np.array([float(part) for part in text.split(",") if part.strip() != ""])
     if not np.isfinite(v).all():
@@ -122,47 +131,23 @@ def _minus_vector(text: str, flag: str, dim_minus: int) -> np.ndarray:
     return v
 
 
-def _load_model(spec: str, tol: Tolerance, params: Optional[str] = None) -> ModelDescriptor:
-    if spec.endswith(".json") or os.path.exists(spec):
-        with open(spec) as fh:
-            data = json.load(fh)
-        if "ambient_n" in data:
-            pair = MatrixSymmetricPair.from_json(data, tol)
-            return ModelDescriptor(name=pair.label or "file", params={}, pair=pair)
-        raise _DescriptorOnly(data)
-    if params:
-        kv = {}
-        for part in params.split(","):
-            key, _, value = part.partition("=")
-            if not _:
-                raise ValueError(f"malformed --params entry {part!r}")
-            kv[key.strip()] = value.strip()
-        return build_model(spec, kv, tol)
-    return parse_model(spec, tol)
+def _load_model(spec: str, tol: Tolerance, verb: str):
+    """The model of a catalog spec or of a JSON pair descriptor; for ``verify``
+    also the algebra of a bare algebra descriptor, which any other verb rejects."""
+    if not (spec.endswith(".json") or os.path.exists(spec)):
+        return parse_model(spec, tol)
+    with open(spec) as fh:
+        data = json.load(fh)
+    if "ambient_n" in data:
+        pair = MatrixSymmetricPair.from_json(data, tol)
+        return ModelDescriptor(name=pair.label or "file", params={}, pair=pair)
+    if verb != "verify":
+        raise ValueError(f"{spec} holds no pair descriptor (no ambient_n); only verify reads an algebra descriptor")
+    return algebra_from_json(data, tol)
 
 
-class _DescriptorOnly(Exception):
-    """Raised when the model file holds a bare algebra descriptor."""
-
-    def __init__(self, data):
-        super().__init__("algebra descriptor")
-        self.data = data
-
-
-def _cmd_verify(args) -> int:
-    tol = Tolerance(args.tol_abs, args.tol_rel)
-    try:
-        model = _load_model(args.model, tol, args.params)
-    except _DescriptorOnly as exc:
-        algebra = algebra_from_json(exc.data, tol)
-        rep = check_lts_axioms(algebra).as_dict() if hasattr(algebra, "tensor") else algebra.validate()
-        rep["ok"] = bool(rep["max_residual"] < VERIFY_GATE)
-        _emit(_json_text(rep), args.out)
-        return EXIT_OK if rep["ok"] else EXIT_CHECK_FAILED
-    rng = np.random.default_rng(args.seed)
-    report = verify_model(model, rng)
-    _emit(_json_text(report), args.out)
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+def _cmd_verify(args, model, rng) -> tuple:
+    return _verdict(verify_model(model, rng) if isinstance(model, ModelDescriptor) else verify_algebra(model))
 
 
 def _trotter_ks(k_min: int, k_max: int) -> list:
@@ -180,25 +165,20 @@ def _trotter_ks(k_min: int, k_max: int) -> list:
     return ks
 
 
-def _cmd_trotter(args) -> int:
-    tol = Tolerance(args.tol_abs, args.tol_rel)
-    model = _load_model(args.model, tol, args.params)
+def _cmd_trotter(args, model, rng) -> tuple:
     m = model.pair.dim_minus
     x, y = _minus_vector(args.x, "--x", m), _minus_vector(args.y, "--y", m)
     ks = _trotter_ks(args.k_min, args.k_max)
     if args.z is not None:
         rows = trotter_bracket_table(model, x, y, _minus_vector(args.z, "--z", m), ks)
-        header = "k,l,error"
-        lines = [f"{r['k']},{r['l']},{r['error']!r}" for r in rows]
+        columns = ("k", "l", "error")
     else:
         rows = trotter_sum_table(model, x, y, ks)
-        header = "k,error"
-        lines = [f"{r['k']},{r['error']!r}" for r in rows]
+        columns = ("k", "error")
     if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    else:
-        _emit("\n".join([header] + lines) + "\n", args.out)
-    return EXIT_OK
+        return _json_text(rows), EXIT_OK
+    lines = [",".join(columns)] + [",".join(repr(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _resolve_ideal(model: ModelDescriptor, spec: str):
@@ -217,61 +197,33 @@ def _resolve_ideal(model: ModelDescriptor, spec: str):
     return LinearSubspace.span(np.array(vectors), m, model.pair.tol), None
 
 
-def _cmd_quotient(args) -> int:
-    tol = Tolerance(args.tol_abs, args.tol_rel)
-    model = _load_model(args.model, tol, args.params)
-    rng = np.random.default_rng(args.seed)
+def _cmd_quotient(args, model, rng) -> tuple:
     try:
         seed, space = _resolve_ideal(model, args.ideal)
     except ValueError as exc:
-        sys.stderr.write(f"error: cannot parse --ideal: {exc}\n")
-        return EXIT_USAGE
+        raise ValueError(f"cannot parse --ideal: {exc}") from exc
     try:
         result = quotient_theorem_pipeline(model.pair, seed, subspace=space, rng=rng)
     except QuotientGateError as exc:
-        _emit(
-            _json_text(
-                {
-                    "ok": False,
-                    "rejected_by": "symmetric-subspace gate",
-                    "explanation": str(exc),
-                    "witness": exc.report,
-                }
-            ),
-            args.out,
-        )
-        return EXIT_GATE
+        gate = {
+            "ok": False,
+            "rejected_by": "symmetric-subspace gate",
+            "explanation": str(exc),
+            "witness": exc.report,
+        }
+        return _json_text(gate), EXIT_GATE
     except (FaithfulnessError, ValueError) as exc:
-        _emit(_json_text({"ok": False, "error": str(exc)}), args.out)
-        return EXIT_CHECK_FAILED
+        return _verdict({"ok": False, "error": str(exc)})
     submersion = weak_submersion_check(result, rng=rng)
     report = dict(result.report)
     report["weak_submersion"] = submersion["ok"]
     report["sample_pass_rates"] = submersion["sample_pass_rates"]
     report["ok"] = submersion["ok"]
-    _emit(_json_text(report), args.out)
-    return EXIT_OK if submersion["ok"] else EXIT_CHECK_FAILED
+    return _verdict(report)
 
 
-def _cmd_subspace(args) -> int:
-    tol = Tolerance(args.tol_abs, args.tol_rel)
-    model = _load_model(args.model, tol, args.params)
-    rng = np.random.default_rng(args.seed)
-    report = subspace_report(model, rng)
-    _emit(_json_text(report), args.out)
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
-
-
-def _cmd_models(args) -> int:
-    lines = [
-        "sphere(n)            round sphere geometry, G = SO(n+1)",
-        "spd(n)               positive-definite matrices, G = GL(n)",
-        "grassmann(k,n)       Grassmannian planes, G = SO(n)",
-        "torus_abelian(slope) flat torus; slope sqrt2 carries the dense winding line",
-        "product(a,b)         block-diagonal product of two models",
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+def _cmd_subspace(args, model, rng) -> tuple:
+    return _verdict(subspace_report(model, rng))
 
 
 def main(argv=None) -> int:
@@ -279,24 +231,21 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.verb == "models":
+        sys.stdout.write(MODELS)
+        return EXIT_OK
     try:
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "trotter":
-            return _cmd_trotter(args)
-        if args.verb == "quotient":
-            return _cmd_quotient(args)
-        if args.verb == "subspace":
-            return _cmd_subspace(args)
-        if args.verb == "models":
-            return _cmd_models(args)
+        tol = Tolerance(args.tol_abs, args.tol_rel)
+        model = _load_model(args.model, tol, args.verb)
+        text, code = args.run(args, model, np.random.default_rng(args.seed))
+        _emit(text, args.out)
+        return code
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except VerificationError as exc:  # a re-checked guarantee failed, e.g. closure under a tolerance below its rounding
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
-    return EXIT_USAGE
 
 
 def console_main() -> None:

@@ -44,7 +44,7 @@ __all__ = [
     "subspace_report",
 ]
 
-# Absolute pass gate of every ``verify`` report: ``ok`` is ``max_residual < VERIFY_GATE``.
+# Absolute pass gate of every ``verify`` report (``_gated``): ``ok`` is ``max_residual < VERIFY_GATE``.
 VERIFY_GATE = 1e-8
 
 # The tangent-product check of ``reflection_axiom_report`` reads a chart gap
@@ -179,7 +179,17 @@ def verify_model(model: ModelDescriptor, rng: Optional[np.random.Generator] = No
         max(report["exp_functoriality"].values(), default=0.0),
     )
     report["max_residual"] = worst
-    report["ok"] = bool(worst < VERIFY_GATE)
+    return _gated(report)
+
+
+def verify_algebra(algebra) -> dict:
+    """Axiom report of a bare algebra descriptor: the triple-system axioms of a
+    LieTripleSystem, or the ``validate`` residuals of a SymmetricLieAlgebra."""
+    return _gated(check_lts_axioms(algebra).as_dict() if hasattr(algebra, "tensor") else algebra.validate())
+
+
+def _gated(report: dict) -> dict:
+    report["ok"] = bool(report["max_residual"] < VERIFY_GATE)
     return report
 
 

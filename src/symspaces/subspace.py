@@ -84,7 +84,6 @@ class ProbeWitness:
     """A certified member of a subspace, used to drive falsification checks."""
 
     vector: np.ndarray  # g_minus coordinates; exp_point(vector) is a member
-    note: str = ""
 
 
 @dataclass(frozen=True, eq=False)

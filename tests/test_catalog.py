@@ -112,10 +112,6 @@ class TestDesignatedData:
         diag = LinearSubspace(2 * n, np.hstack([np.eye(n), np.eye(n)]))
         assert is_subsystem(lts_of_pair(model.pair), diag) == ("diagonal" in names)
 
-    def test_metadata_present(self, models):
-        for model in models.values():
-            assert "closed_subspaces" in model.metadata
-
     def test_unknown_subspace_name(self, sphere):
         with pytest.raises(KeyError):
             sphere.subspace_by_name("nope")

@@ -1,9 +1,12 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +58,15 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["antisymmetry"] >= 1.0
         assert report["ok"] is False
+
+    @pytest.mark.parametrize("kind", ["lts", "symmetric_lie_algebra"])
+    def test_bare_algebra_descriptor_passes(self, tmp_path, capsys, sphere, kind):
+        algebra = lts_of_pair(sphere.pair) if kind == "lts" else sphere.pair.algebra()
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(algebra_to_json(algebra)))
+        assert main(["verify", "--model", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True and report["max_residual"] < 1e-8
 
 
 class TestTrotter:
@@ -437,3 +449,68 @@ def test_a_tolerance_below_the_closure_rounding_fails_without_a_traceback(argv):
     assert out.returncode == EXIT_CHECK_FAILED
     assert out.stdout == ""
     assert out.stderr.startswith("error: algebra basis is not closed under commutator: ") and out.stderr.count("\n") == 1
+
+
+class TestOneModelPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trotter", "--x", "1,0", "--y", "0,1"],
+            ["quotient", "--ideal", "1,0"],
+            ["subspace"],
+        ],
+        ids=["trotter", "quotient", "subspace"],
+    )
+    def test_only_verify_reads_a_bare_algebra_descriptor(self, tmp_path, sphere, argv):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(algebra_to_json(sphere.pair.algebra())))
+        code, out, err = _captured(argv[:1] + ["--model", str(path)] + argv[1:])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {path} holds no pair descriptor (no ambient_n); only verify reads an algebra descriptor\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--model", "sphere(2)", "--params", "n=2"],
+            TROTTER_SPD + ["--params", "n=2"],
+            ["quotient", "--model", "spd(2)", "--ideal", "center", "--params", "n=2"],
+            ["subspace", "--model", "product", "--params", "a=grassmann(2,5),b=grassmann(2,5)"],
+            ["verify", "--model", "sphere(2)", "--format", "json"],
+            ["quotient", "--model", "spd(2)", "--ideal", "center", "--format", "json"],
+            ["subspace", "--model", "spd(2)", "--format", "csv"],
+            TROTTER_SPD + ["--format", "text"],
+        ],
+    )
+    def test_options_no_verb_reads_are_usage_errors(self, argv):
+        # argparse rejects them before any model is built
+        code, out, err = _captured(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage: symspaces ") and ("unrecognized arguments" in err or "invalid choice" in err)
+
+    def test_csv_is_the_default_format(self):
+        default = _captured(TROTTER_SPD)
+        assert default[0] == EXIT_OK and default[1].startswith("k,error\n")
+        assert _captured(TROTTER_SPD + ["--format", "csv"]) == default
+
+    def test_the_readme_names_each_verbs_options(self):
+        # the README's CLI section lists, verb by verb, exactly the options of the parser
+        verbs = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        want = {
+            verb: {
+                flag: tuple(action.choices) if action.choices else None
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag.startswith("--") and flag != "--help"
+            }
+            for verb, parser in verbs.items()
+        }
+        readme = (Path(symspaces.__file__).resolve().parents[2] / "README.md").read_text()
+        section = re.search(r"^## CLI\n(.*?)(?=^## )", readme, re.S | re.M).group(1)
+        listed = {
+            verb: {flag: tuple(choices.split(",")) if choices else None
+                   for flag, choices in re.findall(r"(--[a-z-]+)(?: \{([a-z,]+)\})?", options)}
+            for verb, options in re.findall(r"^- `(\w+)`: (.*)$", section, re.M)
+        }
+        assert listed == want
+        named = set(re.findall(r"--[a-z][a-z-]*", section))
+        assert named == {flag for flags in want.values() for flag in flags}

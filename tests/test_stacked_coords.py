@@ -20,13 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import oracles
-from oracles import oracle_coords_each, relation_group_product, same_bits
+from oracles import oracle_coords_each, same_bits
 
 from symspaces import cli
 from symspaces.catalog import parse_model
-from symspaces.lts import LinearSubspace, VerificationError
-from symspaces.numkernel import DomainError
+from symspaces.lts import VerificationError
 from symspaces.quotient import quotient_theorem_pipeline
 from symspaces.sympair import _NOT_IN_ALGEBRA, MatrixSymmetricPair, SigmaRule, _coords_each, _coords_stack
 from symspaces.symspace import chain_identity_check, exp_points, lts_of_pair
@@ -338,30 +336,3 @@ def test_sphere_circle_reflection_is_one_solve(map_calls):
     assert [d for name, d in map_calls if name == "_algebra_coords"] and all(
         d == 3 for name, d in map_calls if name in ("matrix_coords", "_algebra_coords")
     )
-
-
-# ---------------------------------------------------------------------------
-# the relation-group product leaves the log domain to mat_log
-
-
-class TestRelationGroupLogDomain:
-    def setup(self, monkeypatch, log):
-        model = parse_model("spd(2)")
-        center = LinearSubspace(model.pair.dim, model.pair.matrix_coords(np.eye(2))[None])
-        monkeypatch.setattr(oracles, "mat_log", log)
-        return model.pair, center
-
-    def test_no_principal_log_means_no_chart_check(self, monkeypatch):
-        def no_log(a, tol):
-            raise DomainError("outside")
-
-        pair, center = self.setup(monkeypatch, no_log)
-        g = np.diag([1.0, 2.0])
-        rg, rl = relation_group_product(pair, center, (g, 3.0 * np.eye(2)), (np.eye(2), np.eye(2)))
-        assert same_bits(rg, g) and same_bits(rl, 3.0 * np.eye(2))
-
-    def test_any_log_mat_log_gives_is_checked(self, monkeypatch):
-        # far outside the ball |l - I| < 1: the chart check still runs when mat_log answers
-        pair, center = self.setup(monkeypatch, lambda a, tol: np.diag([1.0, -1.0]))
-        with pytest.raises(VerificationError, match="left the ideal's chart"):
-            relation_group_product(pair, center, (np.eye(2), 5.0 * np.eye(2)), (np.eye(2), np.eye(2)))

@@ -7,7 +7,7 @@ The loops below are the former bodies of ``SigmaRule``,
 
 import numpy as np
 import pytest
-from oracles import same_bits, trotter_group_commutator, trotter_group_sum
+from oracles import same_bits
 
 from symspaces.catalog import parse_model
 from symspaces.lts import LinearSubspace, VerificationError
@@ -276,16 +276,6 @@ class TestSmallPairs:
 
 
 class TestStackedWords:
-    def test_trotter_steps_are_bitwise_the_loop(self, spd):
-        pair = spd.pair
-        x, y = pair.minus_to_matrix([1.0, 0.0, 0.2]), pair.minus_to_matrix([0.0, 0.3, 1.0])
-        for k in (1, 3, 16):
-            e = lambda a: mat_exp(a)  # noqa: E731
-            want_sum = np.linalg.matrix_power(e(x / k) @ e(y / k), k)
-            want_comm = np.linalg.matrix_power(e(x / k) @ e(y / k) @ e(-x / k) @ e(-y / k), k * k)
-            assert same_bits(trotter_group_sum(pair, x, y, k), want_sum)
-            assert same_bits(trotter_group_commutator(pair, x, y, k), want_comm)
-
     def test_morphism_rays_are_bitwise_the_loop(self):
         for spec in ("sphere(2)", "product(sphere(2),sphere(2))", "product(spd(2),spd(2))"):
             for designated in parse_model(spec).designated_morphisms:
