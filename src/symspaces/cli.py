@@ -131,19 +131,79 @@ def _minus_vector(text: str, flag: str, dim_minus: int) -> np.ndarray:
     return v
 
 
+def _finite_numbers(value) -> bool:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return a.ndim >= 1 and bool(np.isfinite(a).all())
+
+
+def _sigma_rule(value) -> bool:
+    if not (isinstance(value, dict) and isinstance(value.get("kind"), str)):
+        return False
+    return value.get("theta_matrix") is None or _finite_numbers(value["theta_matrix"])
+
+
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_NUMBERS = (_finite_numbers, "an array of finite numbers")
+_SIGMA = (_sigma_rule, "an object with a string 'kind' and an optional 'theta_matrix' of finite numbers")
+_LABELS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings")
+
+# What each kind of JSON model file must hold: the required fields that
+# _load_model reads, each with its test and what it must be, then the optional ones.
+_FIELDS = {
+    "pair": (
+        {"ambient_n": _COUNT, "plus_count": _COUNT, "algebra_basis": _NUMBERS, "sigma": _SIGMA},
+        {"label": (lambda v: isinstance(v, str), "a string")},
+    ),
+    "lts": ({"dim": _COUNT, "tensor": _NUMBERS}, {"labels": _LABELS}),
+    "symmetric_lie_algebra": ({"tensor": _NUMBERS, "theta": _NUMBERS}, {"labels": _LABELS}),
+}
+
+
+def _descriptor(path: str, verb: str) -> dict:
+    """The JSON object of a model file, each field that :func:`_load_model`
+    reads checked once; otherwise a ``ValueError`` that names the file, the
+    field and what it must hold."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, found a {type(data).__name__}")
+    if "ambient_n" in data:
+        kind = "pair"
+    elif verb != "verify":
+        raise ValueError(f"{path} holds no pair descriptor (no ambient_n); only verify reads an algebra descriptor")
+    elif (kind := data.get("kind")) not in ("lts", "symmetric_lie_algebra"):
+        raise ValueError(
+            f"{path}: field 'kind' is {kind!r}; expected 'lts' or 'symmetric_lie_algebra' (or 'ambient_n' of a pair)"
+        )
+    required, optional = _FIELDS[kind]
+    for name, (holds, what) in (required | optional).items():
+        if name not in data and name in required:
+            raise ValueError(f"{path}: field {name!r} is missing; expected {what}")
+        if name in data and not holds(data[name]):
+            raise ValueError(f"{path}: field {name!r} is not {what}")
+    return data
+
+
 def _load_model(spec: str, tol: Tolerance, verb: str):
     """The model of a catalog spec or of a JSON pair descriptor; for ``verify``
-    also the algebra of a bare algebra descriptor, which any other verb rejects."""
+    also the algebra of a bare algebra descriptor, which any other verb rejects.
+    A malformed file is a ``ValueError`` that names it."""
     if not (spec.endswith(".json") or os.path.exists(spec)):
         return parse_model(spec, tol)
-    with open(spec) as fh:
-        data = json.load(fh)
-    if "ambient_n" in data:
-        pair = MatrixSymmetricPair.from_json(data, tol)
-        return ModelDescriptor(name=pair.label or "file", params={}, pair=pair)
-    if verb != "verify":
-        raise ValueError(f"{spec} holds no pair descriptor (no ambient_n); only verify reads an algebra descriptor")
-    return algebra_from_json(data, tol)
+    data = _descriptor(spec, verb)
+    try:
+        if "ambient_n" in data:
+            pair = MatrixSymmetricPair.from_json(data, tol)
+            return ModelDescriptor(name=pair.label or "file", params={}, pair=pair)
+        return algebra_from_json(data, tol)
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc}") from exc
 
 
 def _cmd_verify(args, model, rng) -> tuple:

@@ -255,14 +255,16 @@ def _inner_map_representatives(c: np.ndarray) -> list:
     return keep
 
 
-def _derivation_residual(op, rows, cols, second, third) -> float:
+def _derivation_residual(op, c) -> float:
     """Largest ``|D[u,v,w] - [Du,v,w] - [u,Dv,w] - [u,v,Dw]|`` of one inner map
-    ``D = op`` (``op[m, l]`` is coefficient ``l`` of ``D e_m``), from four GEMMs."""
+    ``D = op`` (``op[m, l]`` is coefficient ``l`` of ``D e_m``) on the triple
+    tensor ``c``, from four GEMMs that each write their term in ``[u,v,w,l]``
+    order: ``[u,Dv,w]`` batched over ``u`` and ``[u,v,Dw]`` over ``(u, v)``."""
     d = op.shape[0]
-    lhs = (rows @ op).reshape(d, d, d, d)
-    rhs = (op @ cols).reshape(d, d, d, d)
-    rhs += (op @ second).reshape(d, d, d, d).transpose(1, 0, 2, 3)
-    rhs += (op @ third).reshape(d, d, d, d).transpose(1, 2, 0, 3)
+    lhs = (c.reshape(d**3, d) @ op).reshape(d, d, d, d)
+    rhs = (op @ c.reshape(d, d**3)).reshape(d, d, d, d)
+    rhs += (op @ c.reshape(d, d, d * d)).reshape(d, d, d, d)
+    rhs += op @ c
     np.subtract(lhs, rhs, out=rhs)
     return np.max(np.abs(rhs, out=rhs))
 
@@ -272,11 +274,11 @@ def check_lts_axioms(m: LieTripleSystem) -> LtsAxiomReport:
 
     The derivation identity D[u,v,w] = [Du,v,w] + [u,Dv,w] + [u,v,Dw] for
     the inner map D = [e_a, e_b, .] is checked one map at a time with four
-    GEMMs, so the extra memory is O(dim^4), never the full ``(a,b,u,v,w,l)``
-    array.  The residual is linear in D and rounding is sign-symmetric, so a
-    zero map leaves 0 and a map equal to an evaluated one up to sign (and up
-    to the sign of its zeros) leaves bit for bit that map's residual or its
-    negation: each distinct map is evaluated once
+    GEMMs, so the extra memory is O(dim^4) (three d^4 arrays), never the full
+    ``(a,b,u,v,w,l)`` array.  The residual is linear in D and rounding is
+    sign-symmetric, so a zero map leaves 0 and a map equal to an evaluated one
+    up to sign (and up to the sign of its zeros) leaves bit for bit that map's
+    residual or its negation: each distinct map is evaluated once
     (:func:`_inner_map_representatives`), and the reported maximum is the
     same bits as over every ``(a, b)``.
     """
@@ -286,11 +288,7 @@ def check_lts_axioms(m: LieTripleSystem) -> LtsAxiomReport:
         return LtsAxiomReport(0.0, 0.0, 0.0)
     anti = float(np.max(np.abs(c + c.transpose(1, 0, 2, 3))))
     cyc = float(np.max(np.abs(c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3))))
-    rows = c.reshape(d**3, d)  # [(u,v,w), m]
-    cols = c.reshape(d, d**3)  # [m, (v,w,l)]
-    second = np.ascontiguousarray(c.transpose(1, 0, 2, 3)).reshape(d, d**3)  # [m, (u,w,l)]
-    third = np.ascontiguousarray(c.transpose(2, 0, 1, 3)).reshape(d, d**3)  # [m, (u,v,l)]
-    worst = [_derivation_residual(c[divmod(i, d)], rows, cols, second, third) for i in _inner_map_representatives(c)]
+    worst = [_derivation_residual(c[divmod(i, d)], c) for i in _inner_map_representatives(c)]
     return LtsAxiomReport(anti, cyc, float(np.max(worst, initial=0.0)))
 
 
@@ -406,6 +404,34 @@ class LtsMorphism:
 # symmetric Lie algebras
 
 
+# Most floats in one block ``[i0:i1, j, k, l]`` of the Jacobi residual, and
+# at least one first index (d^3 floats): two blocks are all the Jacobi
+# temporaries of ``SymmetricLieAlgebra.validate``.
+_JACOBI_BLOCK_FLOATS = 2 ** 14
+
+
+def _jacobi_residual(b: np.ndarray) -> float:
+    """Largest ``|[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]|`` of the
+    bracket tensor ``b`` (Jacobi: [x,[y,z]] = [[x,y],z] + [y,[x,z]]), over
+    blocks of the first index ``i``.
+
+    Each block's three terms come from GEMMs that write them in ``[i,j,k,l]``
+    order, every entry one length-d dot product; the largest entry of any
+    block is the result, NaN if any entry is NaN.
+    """
+    d = b.shape[0]
+    step = max(1, _JACOBI_BLOCK_FLOATS // max(1, d**3))
+    worst = []
+    for i0 in range(0, d, step):
+        bi = b[i0 : i0 + step]
+        n = len(bi)
+        block = (b.reshape(d * d, d) @ bi).reshape(n, d, d, d)  # [e_i, [e_j, e_k]]
+        block -= (bi.reshape(n * d, d) @ b.reshape(d, d * d)).reshape(n, d, d, d)  # [[e_i, e_j], e_k]
+        block -= bi[:, None] @ b[None]  # [e_j, [e_i, e_k]]
+        worst.append(np.max(np.abs(block, out=block)))
+    return float(np.max(worst, initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricLieAlgebra:
     """Lie algebra with involution; tensor b[i,j,l] gives [e_i,e_j] = sum b l e_l.
@@ -485,14 +511,7 @@ class SymmetricLieAlgebra:
         b, th, d = self.bracket_tensor, self.theta, self.dim
         out = {}
         out["antisymmetry"] = float(np.max(np.abs(b + b.transpose(1, 0, 2)))) if d else 0.0
-        nested = np.tensordot(b, b, axes=(2, 1))  # [x, y, z, l]: [e_z, [e_x, e_y]]
-        jac = (
-            nested.transpose(2, 0, 1, 3)  # [e_i, [e_j, e_k]]
-            - np.tensordot(b, b, axes=(2, 0))  # [[e_i, e_j], e_k]
-            - nested.transpose(0, 2, 1, 3)  # [e_j, [e_i, e_k]]
-        )
-        # [x,[y,z]] = [[x,y],z] + [y,[x,z]]
-        out["jacobi"] = float(np.max(np.abs(jac))) if d else 0.0
+        out["jacobi"] = _jacobi_residual(b)
         out["theta_involutive"] = float(np.max(np.abs(th @ th - np.eye(d)))) if d else 0.0
         # theta[x,y] = [theta x, theta y]
         auto = np.tensordot(b, th, axes=(2, 0)) - np.tensordot(th, np.tensordot(th, b, axes=(0, 1)), axes=(0, 1))

@@ -11,7 +11,10 @@ that are not normal; the normal route is judged by value against
 :func:`oracle_principal_log`, scipy's ``logm`` on the same ball.
 :func:`oracle_lts_tensor` builds the g_minus triple tensor from matrix
 double commutators, the reference for ``lts_of_pair``, which takes it from
-the algebra's bracket tensor.  :func:`oracle_projection_inv` and
+the algebra's bracket tensor.  :func:`oracle_algebra_validate` is the
+former ``SymmetricLieAlgebra.validate``, whose Jacobi residual held whole
+``d^4`` arrays where the package now takes it in blocks of the first index.
+:func:`oracle_projection_inv` and
 :func:`oracle_discrepancies_inv` are the former bodies of the point
 projection and of the relation's discrepancies, which inverted each Cartan
 matrix and each principal root by LU where the package now applies sigma;
@@ -97,6 +100,35 @@ def oracle_lts_axioms(m):
             np.subtract(lhs, rhs, out=rhs)
             worst[a, b] = np.max(np.abs(rhs, out=rhs))
     return anti, cyc, float(np.max(worst))
+
+
+def oracle_algebra_validate(g):
+    """The ``validate`` body of a SymmetricLieAlgebra that took the Jacobi
+    residual from whole ``d^4`` arrays: two ``tensordot`` products and two
+    transposed views of the first."""
+    b, th, d = g.bracket_tensor, g.theta, g.dim
+    out = {}
+    out["antisymmetry"] = float(np.max(np.abs(b + b.transpose(1, 0, 2)))) if d else 0.0
+    nested = np.tensordot(b, b, axes=(2, 1))  # [x, y, z, l]: [e_z, [e_x, e_y]]
+    jac = (
+        nested.transpose(2, 0, 1, 3)  # [e_i, [e_j, e_k]]
+        - np.tensordot(b, b, axes=(2, 0))  # [[e_i, e_j], e_k]
+        - nested.transpose(0, 2, 1, 3)  # [e_j, [e_i, e_k]]
+    )
+    # [x,[y,z]] = [[x,y],z] + [y,[x,z]]
+    out["jacobi"] = float(np.max(np.abs(jac))) if d else 0.0
+    out["theta_involutive"] = float(np.max(np.abs(th @ th - np.eye(d)))) if d else 0.0
+    # theta[x,y] = [theta x, theta y]
+    auto = np.tensordot(b, th, axes=(2, 0)) - np.tensordot(th, np.tensordot(th, b, axes=(0, 1)), axes=(0, 1))
+    out["theta_automorphism"] = float(np.max(np.abs(auto))) if d else 0.0
+    eig = 0.0
+    for sub, sign in ((g.plus_basis, 1.0), (g.minus_basis, -1.0)):
+        for row in sub.basis:
+            eig = max(eig, float(np.linalg.norm(th @ row - sign * row)))
+    out["eigenbasis"] = eig
+    out["spanning"] = 0.0 if g.plus_basis.dim + g.minus_basis.dim == d else 1.0
+    out["max_residual"] = max(out.values())
+    return out
 
 
 def same_point(x: SymPoint, y: SymPoint) -> bool:

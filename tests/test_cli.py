@@ -514,3 +514,88 @@ class TestOneModelPath:
         assert listed == want
         named = set(re.findall(r"--[a-z][a-z-]*", section))
         assert named == {flag for flags in want.values() for flag in flags}
+
+
+VERB_ARGS = {"verify": [], "trotter": ["--x", "1,0", "--y", "0,1"], "quotient": ["--ideal", "1,0"], "subspace": []}
+
+
+def _malformed_pair(sphere, case: str) -> str:
+    """The text of a sphere(2) pair descriptor broken one way."""
+    data = sphere.pair.to_json()
+    if case == "top_level_array":
+        return json.dumps([1, 2])
+    if case == "not_json":
+        return "ambient_n: 3"
+    if case == "missing_field":
+        del data["algebra_basis"]
+    elif case == "wrong_type":
+        data["plus_count"] = "1"
+    elif case == "non_finite_entry":
+        data["algebra_basis"][0][0][0] = float("nan")
+    elif case == "ragged_array":
+        data["algebra_basis"][0][0].pop()
+    elif case == "wrong_shape":
+        data["ambient_n"] = 2  # 27 basis entries are no stack of 2 x 2 matrices
+    elif case == "sigma_without_kind":
+        del data["sigma"]["kind"]
+    return json.dumps(data)
+
+
+class TestMalformedModelFile:
+    """A model file that is not a well-formed descriptor is a usage error on
+    every verb: exit 2, nothing on stdout, one ``error:`` line that names the
+    file and, where one field is at fault, the field and what it must hold."""
+
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+    @pytest.mark.parametrize(
+        "case,says",
+        [
+            ("top_level_array", "expected a JSON object at the top level, found a list"),
+            ("not_json", "not a JSON file"),
+            ("missing_field", "field 'algebra_basis' is missing; expected an array of finite numbers"),
+            ("wrong_type", "field 'plus_count' is not a non-negative integer"),
+            ("non_finite_entry", "field 'algebra_basis' is not an array of finite numbers"),
+            ("ragged_array", "field 'algebra_basis' is not an array of finite numbers"),
+            ("wrong_shape", "cannot reshape array of size 27 into shape (2,2)"),
+            ("sigma_without_kind", "field 'sigma' is not an object with a string 'kind'"),
+        ],
+    )
+    def test_pair_descriptor(self, tmp_path, sphere, verb, case, says):
+        path = tmp_path / "model.json"
+        path.write_text(_malformed_pair(sphere, case))
+        code, out, err = _captured([verb, "--model", str(path)] + VERB_ARGS[verb])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and says in err
+
+    @pytest.mark.parametrize(
+        "edit,says",
+        [
+            ({"tensor": None}, "field 'tensor' is missing; expected an array of finite numbers"),
+            ({"kind": "group"}, "field 'kind' is 'group'; expected 'lts' or 'symmetric_lie_algebra' (or 'ambient_n' of a pair)"),
+            ({"dim": -1}, "field 'dim' is not a non-negative integer"),
+            ({"tensor": [[float("inf")]]}, "field 'tensor' is not an array of finite numbers"),
+            ({"tensor": [0.0] * 8}, "tensor shape (8,) != (2, 2, 2, 2)"),
+            ({"labels": "sphere"}, "field 'labels' is not a list of strings"),
+        ],
+    )
+    def test_algebra_descriptor_on_verify(self, tmp_path, sphere, edit, says):
+        data = algebra_to_json(lts_of_pair(sphere.pair))
+        for key, value in edit.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _captured(["verify", "--model", str(path)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {path}: {says}\n"
+
+    def test_a_symmetric_lie_algebra_descriptor_needs_theta(self, tmp_path, sphere):
+        data = algebra_to_json(sphere.pair.algebra())
+        del data["theta"]
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(data))
+        code, out, err = _captured(["verify", "--model", str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {path}: field 'theta' is missing; expected an array of finite numbers\n"

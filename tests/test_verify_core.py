@@ -1,5 +1,5 @@
-"""The verify path's O(m^4) axiom check and batched triple tensor agree with
-the direct formulas they replaced."""
+"""The verify path's O(m^4) axiom check, blocked Jacobi residual and batched
+triple tensor agree with the direct formulas they replaced."""
 
 import json
 import tracemalloc
@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from symspaces import lts
 from symspaces.catalog import parse_model
-from symspaces.lts import LieTripleSystem, VerificationError, check_lts_axioms
+from symspaces.lts import LieTripleSystem, SymmetricLieAlgebra, VerificationError, check_lts_axioms
+from symspaces.reports import verify_algebra
 from symspaces.numkernel import DEFAULT_TOL
 from symspaces.sympair import MatrixSymmetricPair
 from symspaces.symspace import lts_of_pair
 
-from oracles import count_calls, load_case_bytes, oracle_lts_axioms, oracle_lts_tensor
+from oracles import count_calls, load_case_bytes, oracle_algebra_validate, oracle_lts_axioms, oracle_lts_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,6 +145,31 @@ class TestAxiomCheck:
         assert peak < 16 * 2**20
 
 
+def traced_peak(f) -> int:
+    """The tracemalloc high-water mark of one call of ``f``, in bytes."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# check_lts_axioms on spd(5) (dim 15) when each inner map also permuted two
+# copies of the tensor: its tracemalloc peak in bytes, the bound it may not pass
+PERMUTED_COPIES_PEAK = 2_093_997
+
+
+class TestMemoryBudget:
+    def test_validate_holds_no_d4_array(self, ladder):
+        # one (25,)*4 array of the spd(5) algebra is 3.1 MB; the d^4 body peaked at 9.4 MB
+        assert traced_peak(ladder["spd(5)"].pair.algebra().validate) < 10**6
+
+    def test_the_derivation_check_peaks_no_higher_than_with_permuted_copies(self, ladder):
+        m = lts_of_pair(ladder["spd(5)"].pair)
+        assert traced_peak(lambda: check_lts_axioms(m)) <= PERMUTED_COPIES_PEAK
+
+
 def same_residuals(got, want) -> bool:
     """Equal bits, NaN matching any NaN."""
     return all(np.isnan(g) and np.isnan(w) or np.float64(g).tobytes() == np.float64(w).tobytes() for g, w in zip(got, want))
@@ -248,6 +274,82 @@ class TestDistinctInnerMaps:
         recorded = json.loads((ROOT / "tests" / "data" / "case_digests.json").read_text())["environment"]
         if case_bytes.environment() == recorded:
             assert len(calls) == distinct
+
+
+def same_report(got: dict, want: dict) -> bool:
+    return list(got) == list(want) and same_residuals(list(got.values()), list(want.values()))
+
+
+@st.composite
+def bracket_tensors(draw):
+    """A random bracket tensor with d from 0 to 12 and a random involution,
+    with the Jacobi block budget to run it at: the module's, or one of 1, 2
+    or 5 first indices a block.  Optionally a NaN or an infinity sits at a
+    first index ``i0`` whose block is not the last, or the row ``b[i0]`` is
+    scaled to 1e300, whose products overflow in the block of ``i0`` alone."""
+    d = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    b = rng.standard_normal((d,) * 3) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        b -= b.transpose(1, 0, 2)
+    per_block = draw(st.sampled_from([None, 1, 2, 5]))
+    floats = lts._JACOBI_BLOCK_FLOATS if per_block is None else per_block * d**3
+    step = max(1, floats // max(1, d**3))
+    last = (d - 1) // step * step if d else 0  # the first index of the last block
+    plant = draw(st.sampled_from([None, np.nan, np.inf, 1e300]))
+    if plant is not None and last > 0:
+        i0 = int(rng.integers(0, last))
+        if plant == 1e300:
+            b[i0] = np.sign(b[i0]) * plant
+        else:
+            b[i0, rng.integers(0, d), rng.integers(0, d)] = plant
+    theta = np.diag(rng.choice([-1.0, 1.0], size=d)) if d else np.zeros((0, 0))
+    return b, theta, floats
+
+
+class TestBlockedJacobi:
+    def test_bits_equal_the_d4_body_on_the_verify_ladder(self, ladder):
+        for spec, model in ladder.items():
+            g = model.pair.algebra()
+            assert same_report(g.validate(), oracle_algebra_validate(g)), spec
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(deadline=None, max_examples=120)
+    @given(bracket_tensors())
+    def test_bits_equal_the_d4_body_on_random_tensors(self, case):
+        b, theta, floats = case
+        g = SymmetricLieAlgebra.from_eigensplit(b, theta, tol=DEFAULT_TOL)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lts, "_JACOBI_BLOCK_FLOATS", floats)
+            got = g.validate()
+        assert same_report(got, oracle_algebra_validate(g))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_in_a_block_before_the_last_is_the_residual(self, monkeypatch, ladder):
+        # the row b[0] of so(4) scaled to 1e300 overflows in the block of the first
+        # index 0 alone, where [e_0,[e_0,e_k]] - [e_0,[e_0,e_k]] is inf - inf; a
+        # maximum that drops a NaN (Python's max(0.0, nan) is 0.0) would read finite
+        g = ladder["sphere(3)"].pair.algebra()
+        b = np.array(g.bracket_tensor)
+        b[0] = np.sign(b[0]) * 1e300
+        jac = np.einsum("jkm,iml->ijkl", b, b) - np.einsum("ijm,mkl->ijkl", b, b) - np.einsum("ikm,jml->ijkl", b, b)
+        assert np.isnan(jac[0]).any() and np.isfinite(jac[1:]).all()
+        bad = SymmetricLieAlgebra(g.dim, b, g.theta, g.plus_basis, g.minus_basis, tol=g.tol)
+        monkeypatch.setattr(lts, "_JACOBI_BLOCK_FLOATS", 1)  # one first index a block
+        rep = bad.validate()
+        assert np.isnan(rep["jacobi"]) and same_report(rep, oracle_algebra_validate(bad))
+
+    def test_a_planted_violation_is_reported(self, ladder):
+        g = ladder["sphere(3)"].pair.algebra()
+        b = np.array(g.bracket_tensor)
+        b[0, 1] *= 2.0  # [e_0, e_1] doubled, and its mirror: still antisymmetric
+        b[1, 0] *= 2.0
+        bad = SymmetricLieAlgebra(g.dim, b, g.theta, g.plus_basis, g.minus_basis, tol=g.tol)
+        rep = bad.validate()
+        assert same_report(rep, oracle_algebra_validate(bad))
+        assert rep["antisymmetry"] == rep["theta_automorphism"] == 0.0 and rep["jacobi"] >= 0.5
+        assert g.validate()["jacobi"] < 1e-12
+        assert verify_algebra(bad)["ok"] is False
 
 
 class TestBatchedTripleSystem:
